@@ -25,7 +25,6 @@ from .euler import (
 from .patterns import (
     ExponentInterval,
     ExponentPattern,
-    ForbiddenDecomposition,
     PatternSyntaxError,
     PrimeAwarePattern,
     complement,
@@ -40,11 +39,8 @@ from .patterns import (
 from .primes import (
     PrimeTable,
     ResourceBudgetError,
-    SpfTable,
-    factorize,
     is_prime,
     sieve_primes,
-    spf_sieve,
 )
 from .series import (
     DensitySeries,

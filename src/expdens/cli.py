@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -56,10 +57,11 @@ class RunConfig:
             raise UsageError(f"unknown output mode {self.output!r}")
         if self.weight not in ("pattern", "delta"):
             raise UsageError(f"unknown weight kind {self.weight!r}")
-        for name in ("x", "target_error", "degree", "truncation", "tolerance"):
+        for name in ("x", "target_error", "truncation", "tolerance"):
             v = getattr(self, name)
-            if v is not None and v <= 0 and name != "degree":
-                raise UsageError(f"{name} must be positive")
+            # NaN fails every comparison, so test for the valid range.
+            if v is not None and not 0 < v < math.inf:
+                raise UsageError(f"{name} must be positive and finite")
         if self.degree < 0:
             raise UsageError("degree must be >= 0")
 
@@ -72,9 +74,8 @@ def _load_pattern(config: RunConfig) -> PrimeAwarePattern:
     return load_spec(config.spec_path)
 
 
-def _emit(record, mode: str, out) -> None:
-    if mode == "machine":
-        out.write(json.dumps(dataclasses.asdict(record)) + "\n")
+def _emit(record, out) -> None:
+    out.write(json.dumps(dataclasses.asdict(record)) + "\n")
 
 
 def _print_density(est: euler.DensityEstimate, label: str, out) -> None:
@@ -92,7 +93,7 @@ def _cmd_density(config: RunConfig, out) -> int:
         pap, config.target_error, truncation_prime=config.truncation
     )
     if config.output == "machine":
-        _emit(est, "machine", out)
+        _emit(est, out)
     else:
         _print_density(est, "density  ", out)
     return EXIT_OK
@@ -111,7 +112,7 @@ def _cmd_series(config: RunConfig, out) -> int:
     truncation = config.truncation or 100_000
     ds = series.density_series(w, config.degree, truncation)
     if config.output == "machine":
-        _emit(ds, "machine", out)
+        _emit(ds, out)
     else:
         out.write(f"series   truncation_prime={ds.truncation_prime}  "
                   f"mass_deficit={ds.mass_deficit!r}\n")
@@ -126,7 +127,7 @@ def _cmd_count(config: RunConfig, out) -> int:
     pap = _load_pattern(config)
     rep = empirical.count_pattern(config.x, pap)
     if config.output == "machine":
-        _emit(rep, "machine", out)
+        _emit(rep, out)
     else:
         out.write(f"count    x={rep.x}  count={rep.count}  ratio={rep.ratio!r}\n")
     return EXIT_OK
@@ -142,9 +143,9 @@ def _cmd_verify(config: RunConfig, out) -> int:
     rep = empirical.count_pattern(config.x, pap)
     cmp_report = empirical.compare(est, rep, config.tolerance)
     if config.output == "machine":
-        _emit(est, "machine", out)
-        _emit(rep, "machine", out)
-        _emit(cmp_report, "machine", out)
+        _emit(est, out)
+        _emit(rep, out)
+        _emit(cmp_report, out)
     else:
         _print_density(est, "product  ", out)
         out.write(f"sieve    x={rep.x}  count={rep.count}  ratio={rep.ratio!r}\n")
@@ -200,9 +201,6 @@ def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return _DISPATCH[config.subcommand](config, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (PatternSyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,9 @@ change any result.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +61,13 @@ class ComparisonReport:
     passed: bool
 
 
-def _check_x(x: int, budget: int | None) -> int:
-    if budget is None:
-        budget = DEFAULT_SIEVE_BUDGET
+def _check_x(x: int) -> None:
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > budget:
-        raise ResourceBudgetError(f"count bound {x} exceeds budget {budget}")
-    return budget
+    if x > DEFAULT_SIEVE_BUDGET:
+        raise ResourceBudgetError(
+            f"count bound {x} exceeds budget {DEFAULT_SIEVE_BUDGET}"
+        )
 
 
 def _iter_exponent_events(rem: np.ndarray, lo: int, plist: list[int]):
@@ -102,64 +103,63 @@ def _dividing_primes(x: int, extra: set[int]) -> list[int]:
     return sorted(base | {q for q in extra if q <= x})
 
 
-def count_pattern(
+def _count_allowed(
     x: int,
-    pap: PrimeAwarePattern,
-    *,
-    segment_size: int = SEGMENT_SIZE,
-    budget: int | None = None,
+    plist: list[int],
+    allowed: Callable[[int, int], bool],
+    leftover_allowed: bool,
+    segment_size: int,
 ) -> CountReport:
-    """Count n in [1, x] whose every prime exponent is allowed by ``pap``."""
-    _check_x(x, budget)
-    plist = _dividing_primes(x, set(pap.exceptions))
-    allowed: dict[tuple[int, int], bool] = {}
+    """Count n in [1, x] with allowed(p, exponent) for every p in plist.
 
-    def is_allowed(p: int, level: int) -> bool:
-        key = (p, level)
-        if key not in allowed:
-            allowed[key] = contains(pattern_for_prime(pap, p), level)
-        return allowed[key]
-
-    default_allows_one = contains(pap.default, 1)
+    ``leftover_allowed`` judges the single prime factor above sqrt(x) that
+    may remain after plist is divided out; its exponent is always 1.
+    """
     total = 0
     for lo in range(1, x + 1, segment_size):
         hi = min(lo + segment_size, x + 1)
         rem = np.arange(lo, hi, dtype=np.int64)
         ok = np.ones(hi - lo, dtype=bool)
         for p, level, offs in _iter_exponent_events(rem, lo, plist):
-            if offs.size and not is_allowed(p, level):
+            if offs.size and not allowed(p, level):
                 ok[offs] = False
-        if not default_allows_one:
-            # Leftover factors are primes > sqrt(x), never exceptional,
-            # always with exponent exactly 1.
+        if not leftover_allowed:
             ok &= rem == 1
         total += int(np.count_nonzero(ok))
     return CountReport(x, total, total / x)
 
 
+def count_pattern(
+    x: int, pap: PrimeAwarePattern, *, segment_size: int = SEGMENT_SIZE
+) -> CountReport:
+    """Count n in [1, x] whose every prime exponent is allowed by ``pap``."""
+    _check_x(x)
+    plist = _dividing_primes(x, set(pap.exceptions))
+
+    @functools.cache
+    def is_allowed(p: int, level: int) -> bool:
+        return contains(pattern_for_prime(pap, p), level)
+
+    # Leftover factors are primes > sqrt(x), never exceptional.
+    return _count_allowed(
+        x, plist, is_allowed, contains(pap.default, 1), segment_size
+    )
+
+
 def count_periodic(
-    x: int,
-    ell: int,
-    *,
-    segment_size: int = SEGMENT_SIZE,
-    budget: int | None = None,
+    x: int, ell: int, *, segment_size: int = SEGMENT_SIZE
 ) -> CountReport:
     """Count n in [1, x] whose every prime exponent is = 1 mod ell."""
-    _check_x(x, budget)
+    _check_x(x)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    plist = _dividing_primes(x, set())
-    total = 0
-    for lo in range(1, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        ok = np.ones(hi - lo, dtype=bool)
-        for p, level, offs in _iter_exponent_events(rem, lo, plist):
-            if offs.size and (level - 1) % ell != 0:
-                ok[offs] = False
-        # Leftover primes have exponent 1, which always qualifies.
-        total += int(np.count_nonzero(ok))
-    return CountReport(x, total, total / x)
+    return _count_allowed(
+        x,
+        _dividing_primes(x, set()),
+        lambda p, level: (level - 1) % ell == 0,
+        True,  # a leftover prime has exponent 1, which is = 1 mod ell
+        segment_size,
+    )
 
 
 def g_histogram(
@@ -168,20 +168,13 @@ def g_histogram(
     K: int,
     *,
     segment_size: int = SEGMENT_SIZE,
-    budget: int | None = None,
 ) -> GHistogram:
     """Histogram of g(n) = sum of w(exponent) over the factorization, n <= x."""
-    _check_x(x, budget)
+    _check_x(x)
     if K < 0:
         raise ValueError("K must be >= 0")
     plist = _dividing_primes(x, set())
-    weight_cache: dict[int, int] = {}
-
-    def weight(level: int) -> int:
-        if level not in weight_cache:
-            weight_cache[level] = w.weight(level)
-        return weight_cache[level]
-
+    weight = functools.cache(w.weight)
     buckets = np.zeros(K + 2, dtype=np.int64)
     w1 = w.weight(1)
     for lo in range(1, x + 1, segment_size):

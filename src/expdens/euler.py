@@ -28,10 +28,12 @@ from functools import lru_cache
 import numpy as np
 
 from .patterns import (
+    ExponentInterval,
     ExponentPattern,
     PrimeAwarePattern,
     complement,
     min_forbidden,
+    normalize_intervals,
 )
 from .primes import is_prime, prime_segments, sieve_primes
 
@@ -45,6 +47,8 @@ _RS_UPPER = 1.25506
 # and invisible at double precision for p >= 2.
 _SERIES_DEGREE = 64
 _FSUM_CHUNK = 1 << 16
+# prime_sum adds 1/(p^k - 1) directly up to this prime and by prime zeta beyond.
+_PRIME_SUM_CUTOFF = 100_000
 
 
 class UnreachableTargetError(RuntimeError):
@@ -169,16 +173,17 @@ def _prime_zeta(s: int) -> float:
     return total
 
 
-def prime_sum(k: int, cutoff: int = 100_000) -> BoundedValue:
+def prime_sum(k: int) -> BoundedValue:
     """sum over all primes of 1 / (p^k - 1), k >= 2.
 
-    Primes up to ``cutoff`` are summed directly; the remainder is recovered
-    exactly as a sum of prime-zeta tails via 1/(p^k - 1) = sum_j p^(-jk),
-    leaving only zeta-evaluation error of order 1e-11.
+    Primes up to ``_PRIME_SUM_CUTOFF`` are summed directly; the remainder is
+    recovered exactly as a sum of prime-zeta tails via
+    1/(p^k - 1) = sum_j p^(-jk), leaving only zeta-evaluation error of order
+    1e-11.
     """
     if k < 2:
         raise ValueError("prime_sum requires k >= 2")
-    p = sieve_primes(cutoff).primes.astype(np.float64)
+    p = sieve_primes(_PRIME_SUM_CUTOFF).primes.astype(np.float64)
     with np.errstate(over="ignore"):
         direct = float(np.sum(1.0 / (p**k - 1.0)))
     tail = 0.0
@@ -293,10 +298,6 @@ def _tail_logbound_formula(P: int, m: int, pi_exact: int | None = None) -> float
     return scale * min(coarse, max(refined, 0.0))
 
 
-def _chunked_fsum(partials: list[float]) -> float:
-    return math.fsum(partials)
-
-
 def _bracketed_product(
     delta_of,
     deficiency: np.ndarray,
@@ -305,7 +306,6 @@ def _bracketed_product(
     *,
     exceptional: dict[int, float] | None = None,
     truncation_prime: int | None = None,
-    prime_budget: int | None = None,
 ) -> DensityEstimate:
     """Evaluate prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
@@ -313,10 +313,10 @@ def _bracketed_product(
     0 <= delta(p) <= p^-m beyond every exceptional prime.  ``deficiency``
     gives delta as a signed series in 1/p for the sharp tail correction.
     Exceptional primes contribute fixed factors and are excluded from the
-    generic array path.
+    generic array path.  The truncation prime doubles up to
+    DEFAULT_PRIME_BUDGET.
     """
-    if prime_budget is None:
-        prime_budget = DEFAULT_PRIME_BUDGET
+    prime_budget = DEFAULT_PRIME_BUDGET
     exceptional = exceptional or {}
     if any(v <= 0.0 for v in exceptional.values()):
         # A zero factor would make the whole product zero exactly.
@@ -331,7 +331,7 @@ def _bracketed_product(
         n_generic = 0
         exc_arr = np.array(sorted(exceptional), dtype=np.int64)
         needed = [t for t in terms if float(P) ** (1 - t) / (t - 1) > 1e-20]
-        for seg in prime_segments(P, budget=prime_budget):
+        for seg in prime_segments(P):
             seg = seg[seg <= P]
             if seg.size == 0:
                 continue
@@ -352,7 +352,7 @@ def _bracketed_product(
             if q <= P:
                 for t in needed:
                     heads[t] += float(q) ** (-float(t))
-        log_sum = _chunked_fsum(partials)
+        log_sum = math.fsum(partials)
         log_sum += math.fsum(math.log(v) for v in exceptional.values())
         truncated = math.exp(log_sum)
         pi_exact = n_generic + sum(1 for q in exceptional if q <= P)
@@ -415,7 +415,6 @@ def density(
     target_error: float = DEFAULT_TARGET_ERROR,
     *,
     truncation_prime: int | None = None,
-    prime_budget: int | None = None,
 ) -> DensityEstimate:
     """Natural density of {n : every prime exponent allowed by ``pap``}.
 
@@ -449,7 +448,6 @@ def density(
         target_error,
         exceptional=exceptional,
         truncation_prime=truncation_prime,
-        prime_budget=prime_budget,
     )
 
 
@@ -457,9 +455,12 @@ def density(
 # Closed-form catalog
 
 
-def _estimate_from_bounds(
-    value: float, lower: float, upper: float, truncation_prime: int = 1
-) -> DensityEstimate:
+def _zeta_quotient(numerator: BoundedValue, k: int, truncation_prime: int = 1) -> DensityEstimate:
+    """numerator / zeta(k), bracketed by both error bars and a 1e-15 relative pad."""
+    z = zeta_int(k)
+    value = numerator.value / z.value
+    lower = (numerator.value - numerator.error) / (z.value + z.error) * (1 - 1e-15)
+    upper = (numerator.value + numerator.error) / (z.value - z.error) * (1 + 1e-15)
     lower = min(lower, value)
     upper = max(upper, value)
     if lower <= 0.0:
@@ -468,30 +469,6 @@ def _estimate_from_bounds(
     lower = upper * math.exp(-tail_logbound)
     value = min(max(value, lower), upper)
     return DensityEstimate(value, lower, upper, truncation_prime, tail_logbound)
-
-
-def _zeta_quotient(numerator: BoundedValue, k: int, truncation_prime: int = 1) -> DensityEstimate:
-    z = zeta_int(k)
-    value = numerator.value / z.value
-    lower = (numerator.value - numerator.error) / (z.value + z.error)
-    upper = (numerator.value + numerator.error) / (z.value - z.error)
-    return _estimate_from_bounds(value, lower * (1 - 1e-15), upper * (1 + 1e-15), truncation_prime)
-
-
-def _mod_periodic_coeffs(ell: int) -> np.ndarray:
-    coef = np.zeros(_SERIES_DEGREE + 1)
-    j = 1
-    while True:
-        plus = ell * (j - 1) + 2
-        minus = ell * j + 1
-        if plus > _SERIES_DEGREE and minus > _SERIES_DEGREE:
-            break
-        if plus <= _SERIES_DEGREE:
-            coef[plus] += 1.0
-        if minus <= _SERIES_DEGREE:
-            coef[minus] -= 1.0
-        j += 1
-    return coef
 
 
 def closed_form(
@@ -503,9 +480,13 @@ def closed_form(
     p: int | None = None,
     primes: "set[int] | None" = None,
     target_error: float = DEFAULT_TARGET_ERROR,
-    prime_budget: int | None = None,
 ) -> DensityEstimate:
-    """Evaluate a cataloged density constant directly from its closed form.
+    """Evaluate a cataloged density constant.
+
+    ``squarefree_or_high`` and ``skip_one`` are interval patterns and are
+    computed by ``density()``; ``exp_odd`` is ``mod_periodic`` with ell = 2,
+    an Euler product over its own closed-form local factor.  The other forms
+    are zeta quotients and serve as independent cross-checks of ``density()``.
 
     Forms and parameters:
 
@@ -529,52 +510,22 @@ def closed_form(
     if form == "powerfree":
         if k is None or k < 1:
             raise ValueError("powerfree needs k >= 1")
-        z = zeta_int(k + 1)
-        return _estimate_from_bounds(
-            1.0 / z.value,
-            (1.0 / (z.value + z.error)) * (1 - 1e-15),
-            (1.0 / (z.value - z.error)) * (1 + 1e-15),
-        )
+        return _zeta_quotient(BoundedValue(1.0, 0.0), k + 1)
 
     if form == "squarefree_or_high":
         if k is None or k < 2:
             raise ValueError("squarefree_or_high needs k >= 2")
-        if k == 2:
-            return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
-
-        def delta(pf: np.ndarray) -> np.ndarray:
-            inv = 1.0 / pf
-            return inv**2 - inv**k
-
-        coef = np.zeros(_SERIES_DEGREE + 1)
-        coef[2] += 1.0
-        if k <= _SERIES_DEGREE:
-            coef[k] -= 1.0
-        return _bracketed_product(delta, coef, 2, target_error, prime_budget=prime_budget)
+        pattern = normalize_intervals([(1, 1), (k, None)])
+        return density(PrimeAwarePattern(default=pattern), target_error)
 
     if form == "skip_one":
         if k is None or k < 2:
             raise ValueError("skip_one needs k >= 2")
-
-        def delta(pf: np.ndarray) -> np.ndarray:
-            inv = 1.0 / pf
-            return inv**k - inv ** (k + 1)
-
-        coef = np.zeros(_SERIES_DEGREE + 1)
-        if k <= _SERIES_DEGREE:
-            coef[k] += 1.0
-        if k + 1 <= _SERIES_DEGREE:
-            coef[k + 1] -= 1.0
-        return _bracketed_product(delta, coef, k, target_error, prime_budget=prime_budget)
+        pattern = normalize_intervals([(1, k - 1), (k + 1, None)])
+        return density(PrimeAwarePattern(default=pattern), target_error)
 
     if form == "exp_odd":
-
-        def delta(pf: np.ndarray) -> np.ndarray:
-            return 1.0 / (pf * (pf + 1.0))
-
-        return _bracketed_product(
-            delta, _mod_periodic_coeffs(2), 2, target_error, prime_budget=prime_budget
-        )
+        form, ell = "mod_periodic", 2
 
     if form == "mod_periodic":
         if ell is None or ell < 1:
@@ -586,9 +537,13 @@ def closed_form(
             inv = 1.0 / pf
             return (inv - inv**ell) / (pf * (1.0 - inv**ell))
 
-        return _bracketed_product(
-            delta, _mod_periodic_coeffs(ell), 2, target_error, prime_budget=prime_budget
+        # Forbidden exponents are [ell (j-1) + 2, ell j] for j >= 1; those
+        # starting beyond _SERIES_DEGREE leave the series untouched.
+        forbidden = tuple(
+            ExponentInterval(ell * (j - 1) + 2, ell * j)
+            for j in range(1, _SERIES_DEGREE // ell + 2)
         )
+        return _bracketed_product(delta, _deficiency_coeffs(forbidden), 2, target_error)
 
     if form == "ex1":
         if q is None or not is_prime(q) or k is None or k < 2:
@@ -622,7 +577,9 @@ def closed_form(
             raise ValueError("ex3 needs k >= 2")
         s = prime_sum(k)
         return _zeta_quotient(
-            BoundedValue(1.0 + s.value, s.error + 1e-15), k, truncation_prime=100_000
+            BoundedValue(1.0 + s.value, s.error + 1e-15),
+            k,
+            truncation_prime=_PRIME_SUM_CUTOFF,
         )
 
     raise ValueError(f"unknown closed form {form!r}")

@@ -45,10 +45,6 @@ class ExponentInterval:
         if self.hi is not None and self.hi < self.lo:
             raise ValueError(f"interval [{self.lo}, {self.hi}] is empty")
 
-    @property
-    def unbounded(self) -> bool:
-        return self.hi is None
-
     def __contains__(self, alpha: int) -> bool:
         return self.lo <= alpha and (self.hi is None or alpha <= self.hi)
 
@@ -88,13 +84,6 @@ class ExponentPattern:
 
     def allows_everything(self) -> bool:
         return len(self.intervals) == 1 and self.intervals[0] == ExponentInterval(1, None)
-
-
-@dataclass(frozen=True)
-class ForbiddenDecomposition:
-    """Intervals covering exactly the exponents NOT allowed by a pattern."""
-
-    intervals: tuple[ExponentInterval, ...]
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,6 @@ def normalize_intervals(
 
 
 EMPTY_PATTERN = normalize_intervals([])
-ALL_EXPONENTS = normalize_intervals([(1, None)])
 
 
 def contains(pattern: ExponentPattern, alpha: int) -> bool:
@@ -170,18 +158,22 @@ def min_forbidden(pattern: ExponentPattern) -> int | None:
     return candidate
 
 
-def complement(pattern: ExponentPattern) -> ForbiddenDecomposition:
-    """Intervals covering exactly the forbidden exponents {a >= 1 : not allowed}."""
+def complement(pattern: ExponentPattern) -> ExponentPattern:
+    """The pattern of exactly the forbidden exponents {a >= 1 : not allowed}.
+
+    The gaps between allowed intervals are themselves sorted, strictly
+    separated, and unbounded only when last, so they form a valid pattern.
+    """
     gaps: list[ExponentInterval] = []
     next_start = 1
     for iv in pattern.intervals:
         if iv.lo > next_start:
             gaps.append(ExponentInterval(next_start, iv.lo - 1))
         if iv.hi is None:
-            return ForbiddenDecomposition(tuple(gaps))
+            return ExponentPattern(tuple(gaps))
         next_start = iv.hi + 1
     gaps.append(ExponentInterval(next_start, None))
-    return ForbiddenDecomposition(tuple(gaps))
+    return ExponentPattern(tuple(gaps))
 
 
 _TERM_RE = re.compile(r"^(\d+)(?:\.\.(\d+|inf))?$")

@@ -1,8 +1,8 @@
-"""Prime sieves and exact factorization tables.
+"""Prime sieves and a primality test.
 
 numpy-backed Eratosthenes sieves, segmented above a threshold so that large
-limits never allocate one giant boolean block, plus a smallest-prime-factor
-table for factoring every integer up to a bound.
+limits never allocate one giant boolean block, and a deterministic
+Miller-Rabin test for validating individual primes.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Allocation guard: no sieve covers more than this many integers unless the
-# caller raises the budget explicitly.
+# Allocation guard: no sieve or count covers more than this many integers.
 DEFAULT_SIEVE_BUDGET = 10**8
-# SPF entries are uint32, so no table may ever exceed this.
-HARD_LIMIT = 2**32 - 1
 SEGMENT_SIZE = 1 << 22
 _ONE_SHOT_LIMIT = 10**7
+# The first 13 primes as Miller-Rabin bases decide primality exactly for every
+# n below _MR_EXACT_BELOW (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 class ResourceBudgetError(RuntimeError):
@@ -34,34 +35,41 @@ class PrimeTable:
     primes: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """``spf[n]`` is the smallest prime factor of n, for 2 <= n <= limit."""
-
-    limit: int
-    spf: np.ndarray
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (validation-scale only)."""
+    """Deterministic Miller-Rabin primality test.
+
+    Exact for n < 3.3e24; larger n raise ValueError rather than risk a
+    probabilistic answer.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large for the deterministic primality test")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-def _check_budget(limit: int, budget: int) -> None:
-    cap = min(budget, HARD_LIMIT)
-    if limit > cap:
-        raise ResourceBudgetError(f"sieve limit {limit} exceeds budget {cap}")
+def _check_budget(limit: int) -> None:
+    if limit > DEFAULT_SIEVE_BUDGET:
+        raise ResourceBudgetError(
+            f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
+        )
 
 
 def _sieve_block(limit: int) -> np.ndarray:
@@ -73,11 +81,7 @@ def _sieve_block(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def prime_segments(
-    limit: int,
-    segment_size: int = SEGMENT_SIZE,
-    budget: int = DEFAULT_SIEVE_BUDGET,
-) -> Iterator[np.ndarray]:
+def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE) -> Iterator[np.ndarray]:
     """Yield ascending arrays of primes that together cover [2, limit].
 
     Small limits come back as a single block; large ones are produced segment
@@ -85,7 +89,7 @@ def prime_segments(
     """
     if limit < 2:
         return
-    _check_budget(limit, budget)
+    _check_budget(limit)
     if limit <= _ONE_SHOT_LIMIT:
         yield _sieve_block(limit)
         return
@@ -106,44 +110,12 @@ def prime_segments(
         lo = hi
 
 
-def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    _check_budget(limit, budget)
+    _check_budget(limit)
     if limit <= _ONE_SHOT_LIMIT:
         return PrimeTable(limit, _sieve_block(limit))
-    parts = list(prime_segments(limit, budget=budget))
+    parts = list(prime_segments(limit))
     return PrimeTable(limit, np.concatenate(parts))
-
-
-def spf_sieve(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> SpfTable:
-    """Smallest-prime-factor table for every n in [2, limit]."""
-    if limit < 2:
-        raise ValueError("sieve limit must be >= 2")
-    _check_budget(limit, budget)
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
-    untouched = np.flatnonzero(spf == 0)
-    untouched = untouched[untouched >= 2]
-    spf[untouched] = untouched  # remaining entries are the primes themselves
-    return SpfTable(limit, spf)
-
-
-def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
-    """Prime factorization of n as (prime, exponent) pairs, primes ascending."""
-    if not 2 <= n <= table.limit:
-        raise ValueError(f"n={n} outside table range [2, {table.limit}]")
-    spf = table.spf
-    out: list[tuple[int, int]] = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .patterns import ExponentPattern, contains, min_forbidden, normalize_intervals
-from .primes import DEFAULT_SIEVE_BUDGET, sieve_primes
+from .primes import sieve_primes
 
 
 class DivergentWeightError(ValueError):
@@ -174,8 +174,6 @@ def density_series(
     w: ExponentWeight,
     K: int = 8,
     truncation_prime: int = 100_000,
-    *,
-    budget: int | None = None,
 ) -> DensitySeries:
     """Product of local polynomials over p <= truncation_prime, degree-capped.
 
@@ -184,8 +182,6 @@ def density_series(
     ``stability`` diagnostics are the per-coefficient changes relative to a
     rerun truncated at half the prime bound.
     """
-    if budget is None:
-        budget = DEFAULT_SIEVE_BUDGET
     if K < 0:
         raise ValueError("K must be >= 0")
     if truncation_prime < 2:
@@ -194,7 +190,7 @@ def density_series(
         raise DivergentWeightError(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
-    table = sieve_primes(truncation_prime, budget=budget)
+    table = sieve_primes(truncation_prime)
     coeffs = np.zeros(K + 1)
     coeffs[0] = 1.0
     half_point = truncation_prime // 2

@@ -6,9 +6,12 @@ paths, so agreement between a helper and the library is genuine evidence.
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
+import numpy as np
 
 from expdens.patterns import ExponentPattern, PrimeAwarePattern, normalize_intervals
 
@@ -28,6 +31,81 @@ def brute_factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+@dataclass(frozen=True)
+class SpfTable:
+    """``spf[n]`` is the smallest prime factor of n, for 2 <= n <= limit."""
+
+    limit: int
+    spf: np.ndarray
+
+
+def spf_sieve(limit: int) -> SpfTable:
+    """Smallest-prime-factor table for every n in [2, limit]."""
+    if limit < 2:
+        raise ValueError("sieve limit must be >= 2")
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    untouched = np.flatnonzero(spf == 0)
+    untouched = untouched[untouched >= 2]
+    spf[untouched] = untouched  # remaining entries are the primes themselves
+    return SpfTable(limit, spf)
+
+
+def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
+    """Prime factorization of n as (prime, exponent) pairs, primes ascending."""
+    if not 2 <= n <= table.limit:
+        raise ValueError(f"n={n} outside table range [2, {table.limit}]")
+    spf = table.spf
+    out: list[tuple[int, int]] = []
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def partial_euler_product(local_factor, limit: int = 2 * 10**6) -> float:
+    """prod over primes p <= limit of local_factor(p), from its own sieve.
+
+    ``local_factor`` maps a float64 array of primes to their factors.  Every
+    factor is below 1, so the result lies above the infinite product.
+    """
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    p = np.flatnonzero(flags).astype(np.float64)
+    return float(np.exp(np.sum(np.log(local_factor(p)))))
+
+
+def gap_factor(p: np.ndarray) -> np.ndarray:
+    """Local factor of exponents {1} or >= 3: 1 - p^-2 + p^-3."""
+    return 1.0 - p**-2.0 + p**-3.0
+
+
+def exp_odd_factor(p: np.ndarray) -> np.ndarray:
+    """Local factor of exponents all odd: 1 - 1/(p (p + 1))."""
+    return 1.0 - 1.0 / (p * (p + 1.0))
+
+
+def mod_periodic_factor(ell: int):
+    """Local factor of exponents = 1 mod ell: 1 - (p^(ell-1) - 1)/(p (p^ell - 1))."""
+    return lambda p: 1.0 - (p ** (ell - 1) - 1.0) / (p * (p**ell - 1.0))
+
+
+def assert_below_partial(value: float, partial: float, slack: float = 1e-7) -> None:
+    """The density lies below its partial product, and not far below it."""
+    assert value <= partial
+    assert partial - value <= slack
 
 
 def brute_count(x: int, allowed) -> int:

@@ -25,7 +25,14 @@ from expdens.patterns import (
 )
 from expdens.primes import sieve_primes
 from expdens.series import ExponentWeight, density_series
-from helpers import random_pattern, random_small_pap
+from helpers import (
+    assert_below_partial,
+    exp_odd_factor,
+    gap_factor,
+    partial_euler_product,
+    random_pattern,
+    random_small_pap,
+)
 
 X = 10**7
 COUNT_TOL = 2e-3
@@ -69,6 +76,10 @@ def test_criterion_3_gap_pattern_coincidence():
         pap = PrimeAwarePattern(default=parse_pattern("1..1,3..inf"))
         est = density(pap, 1e-8)
         assert brackets_overlap(a, est) and brackets_overlap(b, est)
+        # independent of density(): a partial product of 1 - p^-2 + p^-3
+        partial = partial_euler_product(gap_factor)
+        for cf in (a, b, est):
+            assert_below_partial(cf.value, partial)
         rep = count_pattern(X, pap)
         assert compare(est, rep, COUNT_TOL).passed
         assert abs(rep.ratio - a.value) <= COUNT_TOL
@@ -84,6 +95,8 @@ def test_criterion_4_exponentially_odd():
         assert abs(rep.ratio - est.value) <= COUNT_TOL
         twin = closed_form("mod_periodic", ell=2, target_error=1e-8)
         assert abs(est.value - twin.value) <= 1e-12
+        # independent of the catalog: a partial product of 1 - 1/(p (p + 1))
+        assert_below_partial(twin.value, partial_euler_product(exp_odd_factor))
 
 
 def test_criterion_5_kfree_coprime_to_primorial():

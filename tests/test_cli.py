@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -98,6 +99,23 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--pattern", "1..1", "--error"],
+            ["verify", "--pattern", "1..1", "--x", "1000", "--output", "machine", "--tol"],
+        ],
+        ids=["error", "tol"],
+    )
+    def test_non_finite_float_flag(self, argv, value, capsys):
+        # "--flag=-inf" reaches RunConfig; argparse reads a lone "-inf" as an option
+        *head, flag = argv
+        assert main(head + [f"{flag}={value}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive and finite" in captured.err
 
 
 class TestComputationalExits:
@@ -207,11 +225,15 @@ class TestExamples:
 
 
 def test_console_entry_point():
+    # the child must import the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(expdens.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "expdens", "count", "--pattern", "1..1", "--x", "1000",
          "--output", "machine"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 608

@@ -10,9 +10,16 @@ from expdens.empirical import (
 )
 from expdens.euler import density
 from expdens.patterns import EMPTY_PATTERN, PrimeAwarePattern, parse_pattern
-from expdens.primes import ResourceBudgetError, factorize, spf_sieve
+from expdens.primes import ResourceBudgetError
 from expdens.series import ExponentWeight
-from helpers import brute_count, brute_factorize, pap_allows, random_small_pap
+from helpers import (
+    brute_count,
+    brute_factorize,
+    factorize,
+    pap_allows,
+    random_small_pap,
+    spf_sieve,
+)
 
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
 ALL = PrimeAwarePattern(default=parse_pattern("1..inf"))
@@ -68,7 +75,7 @@ class TestCountPattern:
             assert count_pattern(2000, pap).count == oracle
 
     def test_matches_spf_route(self):
-        # second independent in-package route: factor every n from the SPF
+        # second independent route: factor every n from the test-side SPF
         # table and apply the membership test directly
         pap = PrimeAwarePattern(
             default=parse_pattern("1..1,3..inf"),

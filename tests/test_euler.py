@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import expdens.euler
 from expdens.euler import (
     DensityEstimate,
     UnreachableTargetError,
@@ -26,7 +27,14 @@ from expdens.patterns import (
     parse_pattern,
 )
 from expdens.primes import sieve_primes
-from helpers import random_pattern
+from helpers import (
+    assert_below_partial,
+    exp_odd_factor,
+    gap_factor,
+    mod_periodic_factor,
+    partial_euler_product,
+    random_pattern,
+)
 
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
 
@@ -215,9 +223,10 @@ class TestDensity:
             assert coarse.lower <= fine.value <= coarse.upper
             assert fine.width < coarse.width
 
-    def test_unreachable_target_carries_best(self):
+    def test_unreachable_target_carries_best(self, monkeypatch):
+        monkeypatch.setattr(expdens.euler, "DEFAULT_PRIME_BUDGET", 10**5)
         with pytest.raises(UnreachableTargetError) as exc:
-            density(SQUAREFREE, 1e-12, prime_budget=10**5)
+            density(SQUAREFREE, 1e-12)
         best = exc.value.best
         assert isinstance(best, DensityEstimate)
         assert best.truncation_prime == 10**5
@@ -264,6 +273,9 @@ class TestClosedForms:
         a = closed_form("exp_odd")
         b = closed_form("mod_periodic", ell=2)
         assert abs(a.value - b.value) <= 1e-12
+        assert_below_partial(b.value, partial_euler_product(exp_odd_factor))
+        c = closed_form("mod_periodic", ell=3)
+        assert_below_partial(c.value, partial_euler_product(mod_periodic_factor(3)))
 
     def test_mod_periodic_1_is_one(self):
         assert closed_form("mod_periodic", ell=1).value == 1.0
@@ -272,6 +284,9 @@ class TestClosedForms:
         a = closed_form("squarefree_or_high", k=3)
         b = closed_form("skip_one", k=2)
         assert abs(a.value - b.value) <= 1e-12
+        partial = partial_euler_product(gap_factor)
+        assert_below_partial(a.value, partial)
+        assert_below_partial(b.value, partial)
 
     def test_squarefree_or_high_2_is_one(self):
         assert closed_form("squarefree_or_high", k=2).value == 1.0
@@ -314,6 +329,8 @@ class TestGenericVsCatalog:
 
     def test_gap_pattern(self):
         generic = density(PrimeAwarePattern(default=parse_pattern("1..1,3..inf")))
+        partial = partial_euler_product(gap_factor)
+        assert_below_partial(generic.value, partial)
         for name, kwargs in (
             ("squarefree_or_high", dict(k=3)),
             ("skip_one", dict(k=2)),
@@ -321,6 +338,7 @@ class TestGenericVsCatalog:
             catalog = closed_form(name, **kwargs)
             assert brackets_overlap(generic, catalog)
             assert abs(generic.value - catalog.value) <= 1e-9
+            assert_below_partial(catalog.value, partial)
 
     def test_ex1_pattern(self):
         generic = density(

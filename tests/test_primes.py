@@ -1,15 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 
 from expdens.primes import (
     ResourceBudgetError,
-    factorize,
     is_prime,
     prime_segments,
     sieve_primes,
-    spf_sieve,
 )
-from helpers import brute_factorize
+from helpers import brute_factorize, factorize, spf_sieve
 
 
 def reference_primes(limit):
@@ -53,6 +53,29 @@ class TestSievePrimes:
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
+
+
+class TestIsPrime:
+    def test_agrees_with_sieve_to_1e6(self):
+        primes = set(sieve_primes(10**6).primes.tolist())
+        assert all(is_prime(n) == (n in primes) for n in range(-3, 10**6 + 1))
+
+    @pytest.mark.parametrize("n", [561, 2047, 3215031751])
+    def test_rejects_pseudoprimes(self, n):
+        # a Carmichael number and the smallest strong pseudoprimes to base 2
+        # and to bases 2, 3, 5, 7
+        assert not is_prime(n)
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert is_prime(10**18 + 3)
+        assert not is_prime(10**18 + 1)
+        assert time.perf_counter() - start < 0.5
+
+    def test_refuses_beyond_deterministic_range(self):
+        assert not is_prime(3317044064679887385961979)
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)
 
 
 class TestSegments:
