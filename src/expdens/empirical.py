@@ -1,11 +1,13 @@
-"""Brute-force counting oracle: factor every n <= x and tally.
+"""Brute-force counting oracle: classify the factorization of every n <= x.
 
 Independent of the product code path on purpose: densities proved as limits
-are checked here against exact counts at finite x.  Counting walks segments,
-divides each prime out of a residue array to classify exact exponents, and
-treats the single leftover prime factor above sqrt(x) (exponent necessarily
-1) in one vector step.  Tallies are exact integers, so segment order cannot
-change any result.
+are checked here against exact counts at finite x.  One segment walk serves
+every count: each multiple of each prime power p^e <= x gains the change in
+weight from exponent e-1 to e, so every n ends with the weight of its exact
+exponents and nothing is divided.  The single prime factor above sqrt(x)
+that may remain (exponent necessarily 1) is found by comparing n with the
+product of the prime powers seen.  Tallies are exact integers, so segment
+order cannot change any result.
 """
 
 from __future__ import annotations
@@ -70,32 +72,6 @@ def _check_x(x: int) -> None:
         )
 
 
-def _iter_exponent_events(rem: np.ndarray, lo: int, plist: list[int]):
-    """Divide every prime in plist out of the segment residues.
-
-    Yields (p, level, offsets) for each class of segment positions whose
-    exact exponent of p is ``level``.  ``rem`` is mutated; afterwards any
-    entry > 1 is a single prime factor outside plist with exponent 1.
-    """
-    hi = lo + rem.size
-    for p in plist:
-        start = max(p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        view = rem[start - lo :: p]
-        view //= p
-        divisible = view % p == 0
-        yield p, 1, (start - lo) + np.flatnonzero(~divisible) * p
-        offs = (start - lo) + np.flatnonzero(divisible) * p
-        level = 2
-        while offs.size:
-            rem[offs] //= p
-            still = rem[offs] % p == 0
-            yield p, level, offs[~still]
-            offs = offs[still]
-            level += 1
-
-
 def _dividing_primes(x: int, extra: set[int]) -> list[int]:
     base = set()
     if x >= 4:
@@ -103,91 +79,86 @@ def _dividing_primes(x: int, extra: set[int]) -> list[int]:
     return sorted(base | {q for q in extra if q <= x})
 
 
-def _count_allowed(
+def _histogram(
     x: int,
     plist: list[int],
-    allowed: Callable[[int, int], bool],
-    leftover_allowed: bool,
-    segment_size: int,
-) -> CountReport:
-    """Count n in [1, x] with allowed(p, exponent) for every p in plist.
+    weight: Callable[[int, int], int],
+    leftover_weight: int,
+    K: int,
+) -> np.ndarray:
+    """Counts of n in [1, x] by min(g(n), K+1); g sums weight(p, exponent).
 
-    ``leftover_allowed`` judges the single prime factor above sqrt(x) that
-    may remain after plist is divided out; its exponent is always 1.
+    The multiples of p^e gain min(weight(p, e), K+1) - min(weight(p, e-1),
+    K+1), so the gains telescope to the capped weight at the exact exponent
+    and nothing is divided.  A factor outside ``plist`` is a single prime
+    above sqrt(x) with exponent 1; it adds ``leftover_weight`` and shows as
+    a smooth part (the product of the p^e found) below n.
     """
-    total = 0
-    for lo in range(1, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        ok = np.ones(hi - lo, dtype=bool)
-        for p, level, offs in _iter_exponent_events(rem, lo, plist):
-            if offs.size and not allowed(p, level):
-                ok[offs] = False
-        if not leftover_allowed:
-            ok &= rem == 1
-        total += int(np.count_nonzero(ok))
-    return CountReport(x, total, total / x)
+    cap = K + 1
+    leftover = min(leftover_weight, cap)
+    buckets = np.zeros(cap + 1, dtype=np.int64)
+    for lo in range(1, x + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, x + 1)
+        g = np.zeros(hi - lo, dtype=np.int64)
+        smooth = np.ones(hi - lo, dtype=np.int64) if leftover else None
+        for p in plist:
+            if p >= hi:
+                break
+            pe, prev, e = p, 0, 1
+            while pe < hi:
+                cur = min(weight(p, e), cap)
+                offset = -lo % pe
+                if cur != prev:
+                    g[offset::pe] += cur - prev
+                if smooth is not None:
+                    smooth[offset::pe] *= p
+                pe, prev, e = pe * p, cur, e + 1
+        if leftover:
+            g[smooth < np.arange(lo, hi, dtype=np.int64)] += leftover
+        buckets += np.bincount(np.minimum(g, cap), minlength=cap + 1)
+    return buckets
 
 
-def count_pattern(
-    x: int, pap: PrimeAwarePattern, *, segment_size: int = SEGMENT_SIZE
-) -> CountReport:
+def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
     """Count n in [1, x] whose every prime exponent is allowed by ``pap``."""
     _check_x(x)
-    plist = _dividing_primes(x, set(pap.exceptions))
 
     @functools.cache
-    def is_allowed(p: int, level: int) -> bool:
-        return contains(pattern_for_prime(pap, p), level)
+    def forbidden(p: int, e: int) -> int:
+        return int(not contains(pattern_for_prime(pap, p), e))
 
     # Leftover factors are primes > sqrt(x), never exceptional.
-    return _count_allowed(
-        x, plist, is_allowed, contains(pap.default, 1), segment_size
+    buckets = _histogram(
+        x,
+        _dividing_primes(x, set(pap.exceptions)),
+        forbidden,
+        int(not contains(pap.default, 1)),
+        0,
     )
+    return CountReport(x, int(buckets[0]), int(buckets[0]) / x)
 
 
-def count_periodic(
-    x: int, ell: int, *, segment_size: int = SEGMENT_SIZE
-) -> CountReport:
+def count_periodic(x: int, ell: int) -> CountReport:
     """Count n in [1, x] whose every prime exponent is = 1 mod ell."""
     _check_x(x)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return _count_allowed(
-        x,
-        _dividing_primes(x, set()),
-        lambda p, level: (level - 1) % ell == 0,
-        True,  # a leftover prime has exponent 1, which is = 1 mod ell
-        segment_size,
+    # A leftover prime has exponent 1, which is = 1 mod ell.
+    buckets = _histogram(
+        x, _dividing_primes(x, set()), lambda p, e: int((e - 1) % ell != 0), 0, 0
     )
+    return CountReport(x, int(buckets[0]), int(buckets[0]) / x)
 
 
-def g_histogram(
-    x: int,
-    w: ExponentWeight,
-    K: int,
-    *,
-    segment_size: int = SEGMENT_SIZE,
-) -> GHistogram:
+def g_histogram(x: int, w: ExponentWeight, K: int) -> GHistogram:
     """Histogram of g(n) = sum of w(exponent) over the factorization, n <= x."""
     _check_x(x)
     if K < 0:
         raise ValueError("K must be >= 0")
-    plist = _dividing_primes(x, set())
     weight = functools.cache(w.weight)
-    buckets = np.zeros(K + 2, dtype=np.int64)
-    w1 = w.weight(1)
-    for lo in range(1, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        g = np.zeros(hi - lo, dtype=np.int64)
-        for p, level, offs in _iter_exponent_events(rem, lo, plist):
-            wl = weight(level)
-            if wl and offs.size:
-                g[offs] += wl
-        if w1:
-            g[rem > 1] += w1
-        buckets += np.bincount(np.minimum(g, K + 1), minlength=K + 2)
+    buckets = _histogram(
+        x, _dividing_primes(x, set()), lambda p, e: weight(e), w.weight(1), K
+    )
     return GHistogram(x, tuple(int(b) for b in buckets[: K + 1]), int(buckets[K + 1]))
 
 

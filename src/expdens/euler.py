@@ -410,6 +410,12 @@ def _exact_estimate(value: Fraction, truncation_prime: int = 1) -> DensityEstima
     return DensityEstimate(v, lower, upper, truncation_prime, tail_logbound)
 
 
+def _check_target(target_error: float) -> None:
+    # NaN fails every comparison, so test for the valid range.
+    if not 0.0 < target_error < math.inf:
+        raise ValueError("target_error must be positive and finite")
+
+
 def density(
     pap: PrimeAwarePattern,
     target_error: float = DEFAULT_TARGET_ERROR,
@@ -424,8 +430,7 @@ def density(
     pattern forbids exponent 1 the product diverges to zero and the estimate
     is exactly 0 with ``diverges_to_zero`` set.
     """
-    if target_error <= 0.0:
-        raise ValueError("target_error must be positive")
+    _check_target(target_error)
     m = min_forbidden(pap.default)
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
@@ -507,6 +512,7 @@ def closed_form(
     - ``ex3`` (k >= 2): at most one prime with exponent >= k;
       (1/zeta(k)) (1 + sum_p 1/(p^k - 1)).
     """
+    _check_target(target_error)
     if form == "powerfree":
         if k is None or k < 1:
             raise ValueError("powerfree needs k >= 1")

@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 
 from .primes import is_prime, sieve_primes
 
+# Exception keys up to this bound are checked against one sieve; larger keys
+# get a Miller-Rabin test each.
+_KEY_SIEVE_LIMIT = 10**7
+
 
 class PatternSyntaxError(ValueError):
     """Malformed pattern DSL input; ``position`` is the character offset."""
@@ -94,8 +98,10 @@ class PrimeAwarePattern:
     exceptions: Mapping[int, ExponentPattern] = field(default_factory=dict)
 
     def __post_init__(self):
+        limit = max((p for p in self.exceptions if p <= _KEY_SIEVE_LIMIT), default=0)
+        sieved = set(sieve_primes(limit).primes.tolist()) if limit >= 2 else set()
         for p in self.exceptions:
-            if not is_prime(p):
+            if not (p in sieved if p <= _KEY_SIEVE_LIMIT else is_prime(p)):
                 raise ValueError(f"exception key {p} is not prime")
         # Defensive copy with deterministic iteration order.
         object.__setattr__(

@@ -81,11 +81,11 @@ def _sieve_block(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE) -> Iterator[np.ndarray]:
+def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending arrays of primes that together cover [2, limit].
 
     Small limits come back as a single block; large ones are produced segment
-    by segment so peak memory stays bounded by ``segment_size``.
+    by segment so peak memory stays bounded by ``SEGMENT_SIZE``.
     """
     if limit < 2:
         return
@@ -98,7 +98,7 @@ def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE) -> Iterator[np.
     yield base
     lo = s + 1
     while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
         flags = np.ones(hi - lo, dtype=bool)
         for p in base.tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)

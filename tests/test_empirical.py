@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+import expdens.empirical
 from expdens.empirical import (
     compare,
     count_pattern,
@@ -10,7 +12,7 @@ from expdens.empirical import (
 )
 from expdens.euler import density
 from expdens.patterns import EMPTY_PATTERN, PrimeAwarePattern, parse_pattern
-from expdens.primes import ResourceBudgetError
+from expdens.primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError
 from expdens.series import ExponentWeight
 from helpers import (
     brute_count,
@@ -89,10 +91,11 @@ class TestCountPattern:
                 total += 1
         assert count_pattern(x, pap).count == total
 
-    def test_segmentation_invariance(self):
+    def test_segmentation_invariance(self, monkeypatch):
         pap = PrimeAwarePattern(default=parse_pattern("1..2"))
         full = count_pattern(10**5, pap)
-        segmented = count_pattern(10**5, pap, segment_size=1 << 10)
+        monkeypatch.setattr(expdens.empirical, "SEGMENT_SIZE", 1 << 10)
+        segmented = count_pattern(10**5, pap)
         assert full.count == segmented.count
 
     def test_monotone_in_x(self):
@@ -103,6 +106,20 @@ class TestCountPattern:
     def test_full_pattern_identity_sampled(self):
         for x in (1, 17, 1000, 44100):
             assert count_pattern(x, ALL).count == x
+
+    def test_squarefree_at_sieve_budget(self):
+        x = DEFAULT_SIEVE_BUDGET
+        root = math.isqrt(x)
+        mu = [1] * (root + 1)
+        for p in range(2, root + 1):
+            if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                for m in range(p, root + 1, p):
+                    mu[m] = -mu[m]
+                for m in range(p * p, root + 1, p * p):
+                    mu[m] = 0
+        mobius_sum = sum(mu[d] * (x // (d * d)) for d in range(1, root + 1))
+        assert mobius_sum == 60_792_694
+        assert count_pattern(x, SQUAREFREE).count == mobius_sum
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
@@ -175,6 +192,62 @@ class TestGHistogram:
         gh = g_histogram(x, w, K)
         assert gh.buckets == tuple(buckets)
         assert gh.overflow == overflow
+
+
+class TestPrimePowerWalk:
+    """Segments of 97 integers start off the p^e grid and split every slice."""
+
+    @pytest.fixture(autouse=True)
+    def small_segments(self, monkeypatch):
+        monkeypatch.setattr(expdens.empirical, "SEGMENT_SIZE", 97)
+
+    def test_leftover_prime_judged_by_default(self):
+        # 2..inf forbids exponent 1, so each n with a prime factor above
+        # sqrt(x) outside the exceptions is excluded through the leftover path
+        for exc in ("1..inf", "1..1", "2..3"):
+            pap = PrimeAwarePattern(
+                default=parse_pattern("2..inf"), exceptions={97: parse_pattern(exc)}
+            )
+            oracle = brute_count(2000, lambda p, a: pap_allows(pap, p, a))
+            assert count_pattern(2000, pap).count == oracle
+
+    def test_periodic_matches_brute_force(self):
+        for ell in (2, 3, 4):
+            oracle = brute_count(3000, lambda p, a: a % ell == 1 % ell)
+            assert count_periodic(3000, ell).count == oracle
+
+    def test_non_monotone_weight(self):
+        # weights fall and rise with the exponent, and exponent 1 is weighted
+        w = ExponentWeight(
+            exceptions={1: 2, 2: 0, 3: 5, 4: 1}, tail_start=5, tail_slope=0, tail_offset=3
+        )
+        x, K = 3000, 5
+        buckets = [0] * (K + 1)
+        overflow = 0
+        for n in range(1, x + 1):
+            g = sum(w.weight(a) for _, a in brute_factorize(n))
+            if g <= K:
+                buckets[g] += 1
+            else:
+                overflow += 1
+        gh = g_histogram(x, w, K)
+        assert gh.buckets == tuple(buckets)
+        assert gh.overflow == overflow
+
+    def test_huge_weight_goes_to_overflow(self):
+        w = ExponentWeight(exceptions={1: 0, 2: 10**30}, tail_start=3)
+        x = 1000
+        with_square = sum(
+            any(a == 2 for _, a in brute_factorize(n)) for n in range(2, x + 1)
+        )
+        gh = g_histogram(x, w, 3)
+        assert gh.overflow == with_square
+        assert gh.buckets == (x - with_square, 0, 0, 0)
+        # a huge weight on exponent 1 also reaches the leftover prime factors
+        powerful = brute_count(x, lambda p, a: a >= 2)
+        gh = g_histogram(x, ExponentWeight(exceptions={1: 10**30}, tail_start=2), 3)
+        assert gh.buckets == (powerful, 0, 0, 0)
+        assert gh.overflow == x - powerful
 
 
 class TestCompare:

@@ -236,6 +236,12 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(SQUAREFREE, 0.0)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, target):
+        # NaN once slipped past a "<= 0" test and sieved to the prime budget
+        with pytest.raises(ValueError, match="finite"):
+            density(SQUAREFREE, target)
+
     def test_exceptional_prime_bumps_truncation_start(self):
         pap = PrimeAwarePattern(
             default=parse_pattern("1..1"),
@@ -246,6 +252,11 @@ class TestDensity:
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="finite"):
+            closed_form("mod_periodic", ell=3, target_error=target)
+
     def test_powerfree_1_is_squarefree_density(self):
         est = closed_form("powerfree", k=1)
         assert est.value == pytest.approx(1.0 / zeta_int(2).value, abs=1e-13)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -167,6 +169,22 @@ class TestPrimeAware:
     def test_nonprime_key_rejected(self):
         with pytest.raises(ValueError):
             PrimeAwarePattern(default=EMPTY_PATTERN, exceptions={4: EMPTY_PATTERN})
+
+    def test_large_keys_checked_beyond_the_sieve(self):
+        big = 10**18 + 3
+        pap = PrimeAwarePattern(default=EMPTY_PATTERN, exceptions={big: EMPTY_PATTERN})
+        assert pattern_for_prime(pap, big) == EMPTY_PATTERN
+        with pytest.raises(ValueError):
+            PrimeAwarePattern(
+                default=EMPTY_PATTERN, exceptions={2: EMPTY_PATTERN, big - 2: EMPTY_PATTERN}
+            )
+
+    def test_many_keys_parse_fast(self):
+        # 78 498 keys from one sieve, not one primality test per key
+        start = time.perf_counter()
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=1000000": "1..1"}})
+        assert time.perf_counter() - start < 0.5
+        assert len(pap.exceptions) == 78498
 
 
 class TestSpecDocument:

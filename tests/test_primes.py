@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import expdens.primes
 from expdens.primes import (
     ResourceBudgetError,
     is_prime,
@@ -79,12 +80,14 @@ class TestIsPrime:
 
 
 class TestSegments:
-    def test_segmented_matches_one_shot(self):
+    def test_segmented_matches_one_shot(self, monkeypatch):
         limit = 10**7 + 50_000  # above the one-shot threshold
-        segs = list(prime_segments(limit, segment_size=1 << 20))
+        reference = sieve_primes(limit).primes
+        monkeypatch.setattr(expdens.primes, "SEGMENT_SIZE", 1 << 20)
+        segs = list(prime_segments(limit))
         assert len(segs) > 1
         joined = np.concatenate(segs)
-        assert np.array_equal(joined, sieve_primes(limit).primes)
+        assert np.array_equal(joined, reference)
         assert int(joined[-1]) <= limit
 
     def test_empty_below_two(self):
