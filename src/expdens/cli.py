@@ -10,7 +10,8 @@ where a key is a prime ("7"), "p<=q" for all primes up to q, or
 time, and the empty DSL string denotes the empty pattern.
 
 Machine mode prints one JSON record per result whose keys mirror the result
-dataclasses exactly; floats round-trip at full precision.  Exit codes:
+dataclasses exactly; floats round-trip at full precision, and a record
+holding NaN or an infinity is refused as a usage error.  Exit codes:
 0 ok, 1 usage, 2 target error unreachable, 3 resource cap, 4 verification
 failure.
 """
@@ -75,7 +76,7 @@ def _load_pattern(config: RunConfig) -> PrimeAwarePattern:
 
 
 def _emit(record, out) -> None:
-    out.write(json.dumps(dataclasses.asdict(record)) + "\n")
+    out.write(json.dumps(dataclasses.asdict(record), allow_nan=False) + "\n")
 
 
 def _print_density(est: euler.DensityEstimate, label: str, out) -> None:
@@ -178,7 +179,7 @@ def _cmd_examples(config: RunConfig, out) -> int:
         if config.output == "machine":
             record = dataclasses.asdict(est)
             record["id"] = label
-            out.write(json.dumps(record) + "\n")
+            out.write(json.dumps(record, allow_nan=False) + "\n")
         else:
             out.write(
                 f"{label:<24} value={est.value:.12f}  "

@@ -35,14 +35,12 @@ from .patterns import (
     min_forbidden,
     normalize_intervals,
 )
-from .primes import is_prime, prime_segments, sieve_primes
+from .primes import RS_UPPER, is_prime, prime_segments, sieve_primes
 
 DEFAULT_PRIME_BUDGET = 10**8
 DEFAULT_TARGET_ERROR = 1e-8
 
 _SEARCH_START = 1000
-# pi(x) < _RS_UPPER * x / ln x for all x > 1; pi(x) > x / ln x for x >= 17.
-_RS_UPPER = 1.25506
 # Degree at which power series in 1/p are cut; beyond it, terms are < p^-65
 # and invisible at double precision for p >= 2.
 _SERIES_DEGREE = 64
@@ -133,7 +131,9 @@ def zeta_int(s: int) -> BoundedValue:
         raise ValueError("zeta_int requires s >= 2")
     n_terms = max(64, math.ceil((5e12) ** (1.0 / s)))
     n = np.arange(1, n_terms + 1, dtype=np.float64)
-    partial = float(np.sum(n ** (-float(s))))
+    # In place: at s = 2 the array holds 2.2e6 floats (18 MB), the largest
+    # allocation of a density request.
+    partial = float(np.sum(np.power(n, -float(s), out=n)))
     tail_upper = n_terms ** (1 - s) / (s - 1)
     correction = float(n_terms) ** (-s)
     value = partial + tail_upper - 0.5 * correction
@@ -293,7 +293,7 @@ def _tail_logbound_formula(P: int, m: int, pi_exact: int | None = None) -> float
     coarse = float(P) ** (1 - m) / (m - 1)
     log_p = math.log(P)
     pi_val = float(pi_exact) if pi_exact is not None else P / log_p
-    refined = (m * _RS_UPPER / (m - 1)) * float(P) ** (1 - m) / log_p
+    refined = (m * RS_UPPER / (m - 1)) * float(P) ** (1 - m) / log_p
     refined -= pi_val * float(P) ** (-m)
     return scale * min(coarse, max(refined, 0.0))
 
@@ -476,6 +476,31 @@ def _zeta_quotient(numerator: BoundedValue, k: int, truncation_prime: int = 1) -
     return DensityEstimate(value, lower, upper, truncation_prime, tail_logbound)
 
 
+# The catalog names some products twice (squarefree_or_high k=3 is skip_one
+# k=2, exp_odd is mod_periodic ell=2); these caches compute each once.
+@lru_cache(maxsize=None)
+def _interval_density(pattern: ExponentPattern, target_error: float) -> DensityEstimate:
+    return density(PrimeAwarePattern(default=pattern), target_error)
+
+
+@lru_cache(maxsize=None)
+def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
+    if ell == 1:
+        return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
+
+    def delta(pf: np.ndarray) -> np.ndarray:
+        inv = 1.0 / pf
+        return (inv - inv**ell) / (pf * (1.0 - inv**ell))
+
+    # Forbidden exponents are [ell (j-1) + 2, ell j] for j >= 1; those
+    # starting beyond _SERIES_DEGREE leave the series untouched.
+    forbidden = tuple(
+        ExponentInterval(ell * (j - 1) + 2, ell * j)
+        for j in range(1, _SERIES_DEGREE // ell + 2)
+    )
+    return _bracketed_product(delta, _deficiency_coeffs(forbidden), 2, target_error)
+
+
 def closed_form(
     form: str,
     *,
@@ -521,14 +546,14 @@ def closed_form(
     if form == "squarefree_or_high":
         if k is None or k < 2:
             raise ValueError("squarefree_or_high needs k >= 2")
-        pattern = normalize_intervals([(1, 1), (k, None)])
-        return density(PrimeAwarePattern(default=pattern), target_error)
+        return _interval_density(normalize_intervals([(1, 1), (k, None)]), target_error)
 
     if form == "skip_one":
         if k is None or k < 2:
             raise ValueError("skip_one needs k >= 2")
-        pattern = normalize_intervals([(1, k - 1), (k + 1, None)])
-        return density(PrimeAwarePattern(default=pattern), target_error)
+        return _interval_density(
+            normalize_intervals([(1, k - 1), (k + 1, None)]), target_error
+        )
 
     if form == "exp_odd":
         form, ell = "mod_periodic", 2
@@ -536,20 +561,7 @@ def closed_form(
     if form == "mod_periodic":
         if ell is None or ell < 1:
             raise ValueError("mod_periodic needs ell >= 1")
-        if ell == 1:
-            return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
-
-        def delta(pf: np.ndarray) -> np.ndarray:
-            inv = 1.0 / pf
-            return (inv - inv**ell) / (pf * (1.0 - inv**ell))
-
-        # Forbidden exponents are [ell (j-1) + 2, ell j] for j >= 1; those
-        # starting beyond _SERIES_DEGREE leave the series untouched.
-        forbidden = tuple(
-            ExponentInterval(ell * (j - 1) + 2, ell * j)
-            for j in range(1, _SERIES_DEGREE // ell + 2)
-        )
-        return _bracketed_product(delta, _deficiency_coeffs(forbidden), 2, target_error)
+        return _mod_periodic(ell, target_error)
 
     if form == "ex1":
         if q is None or not is_prime(q) or k is None or k < 2:

@@ -17,6 +17,9 @@ import numpy as np
 DEFAULT_SIEVE_BUDGET = 10**8
 SEGMENT_SIZE = 1 << 22
 _ONE_SHOT_LIMIT = 10**7
+# pi(x) < RS_UPPER * x / ln x for all x > 1; pi(x) > x / ln x for x >= 17
+# (Rosser and Schoenfeld, 1962).
+RS_UPPER = 1.25506
 # The first 13 primes as Miller-Rabin bases decide primality exactly for every
 # n below _MR_EXACT_BELOW (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

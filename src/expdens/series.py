@@ -10,16 +10,32 @@ primes of per-prime polynomials
 collected by powers of z; each full factor evaluates to 1 at z = 1, so the
 coefficients of the truncated product sum to at most 1 and the shortfall is
 exactly the mass pushed beyond degree K.
+
+``density_series`` walks the primes in blocks of ``BLOCK_SIZE``.
+``local_polys`` builds the coefficient rows of a whole block in one numpy
+pass, and the running product takes one ``np.convolve`` per prime, in prime
+order, so the float operations are those of a prime-by-prime loop.  The
+powers p^-i are Python float powers, because numpy's vector power rounds
+some of them differently.  Work is estimated as pi(P) (K + 1) before any
+sieving and capped at ``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .patterns import ExponentPattern, contains, min_forbidden, normalize_intervals
-from .primes import sieve_primes
+from .primes import RS_UPPER, ResourceBudgetError, sieve_primes
+
+# Primes whose local polynomials are built in one numpy pass; at K = 16 a
+# block's rows take about half a megabyte.
+BLOCK_SIZE = 4096
+# Largest admitted work estimate pi(P) (K + 1): P = 1e7 at K = 16 is about
+# 1.3e7 and passes; P = 1e8 at K = 8 is about 6.1e7 and does not.
+SERIES_WORK_CAP = 2 * 10**7
 
 
 class DivergentWeightError(ValueError):
@@ -135,39 +151,65 @@ class DensitySeries:
             raise ValueError("series coefficients must sum to at most 1")
 
 
-def local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
-    """Coefficients c_0..c_K of one prime's factor, plus the dropped mass.
+def local_polys(
+    primes: np.ndarray, w: ExponentWeight, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows c_0..c_K of each prime's factor, plus the dropped mass.
 
-    c_k = (1 - 1/p) ([k = 0] + sum over i with w(i) = k of p^-i); tail
-    contributions enter in closed geometric form, and exponents whose weight
-    exceeds K are accumulated into ``dropped`` instead.
+    Row j holds c_k = (1 - 1/p) ([k = 0] + sum over i with w(i) = k of p^-i)
+    for p = primes[j]; tail contributions enter in closed geometric form, and
+    exponents whose weight exceeds K are accumulated into ``dropped[j]``
+    instead.  Returns the ``(len(primes), K + 1)`` rows and ``dropped``.
     """
-    if p < 2 or K < 0:
+    primes = np.asarray(primes, dtype=np.int64)
+    if K < 0 or (primes.size and primes.min() < 2):
         raise ValueError("need p >= 2 and K >= 0")
-    x = 1.0 / p
-    raw = np.zeros(K + 1)
-    dropped = 0.0
+    x = 1.0 / primes
+    xs = x.tolist()
+
+    def power(i: int) -> np.ndarray:
+        # Python's scalar pow, not numpy's vector pow, which rounds some
+        # entries differently in the last bit.
+        return np.array([v**i for v in xs])
+
+    raw = np.zeros((len(xs), K + 1))
+    dropped = np.zeros(len(xs))
     for i, wi in w.exceptions.items():
         if wi <= K:
-            raw[wi] += x**i
+            raw[:, wi] += power(i)
         else:
-            dropped += x**i
+            dropped += power(i)
     i0 = w.tail_start
     if w.tail_slope == 0:
-        geom = x**i0 / (1.0 - x)
+        geom = power(i0) / (1.0 - x)
         if w.tail_offset <= K:
-            raw[w.tail_offset] += geom
+            raw[:, w.tail_offset] += geom
         else:
             dropped += geom
     else:
         for deg in range(max(0, i0 + w.tail_offset), K + 1):
-            raw[deg] += x ** (deg - w.tail_offset)
+            raw[:, deg] += power(deg - w.tail_offset)
         cut = max(i0, K + 1 - w.tail_offset)
-        dropped += x**cut / (1.0 - x)
+        dropped += power(cut) / (1.0 - x)
     scale = 1.0 - x
-    coeffs = raw * scale
-    coeffs[0] += scale
-    return LocalPoly(p, tuple(float(c) for c in coeffs), dropped * scale)
+    coeffs = raw * scale[:, None]
+    coeffs[:, 0] += scale
+    return coeffs, dropped * scale
+
+
+def local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
+    """One prime's factor: row 0 of ``local_polys`` for the single prime p."""
+    coeffs, dropped = local_polys(np.array([p]), w, K)
+    return LocalPoly(p, tuple(coeffs[0].tolist()), float(dropped[0]))
+
+
+def _multiply(coeffs: np.ndarray, primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
+    """coeffs times the local polynomials of ``primes``, in order, degree-capped."""
+    for start in range(0, len(primes), BLOCK_SIZE):
+        rows, _ = local_polys(primes[start : start + BLOCK_SIZE], w, K)
+        for row in rows:
+            coeffs = np.convolve(coeffs, row)[: K + 1]
+    return coeffs
 
 
 def density_series(
@@ -180,7 +222,9 @@ def density_series(
     Raises DivergentWeightError when w(1) > 0 (the induced pattern forbids
     exponent 1), since then d_0 and every finite-k density vanish.  The
     ``stability`` diagnostics are the per-coefficient changes relative to a
-    rerun truncated at half the prime bound.
+    rerun truncated at half the prime bound.  Raises ResourceBudgetError
+    when the work estimate pi(P) (K + 1), with pi(P) bounded by
+    RS_UPPER P / ln P, exceeds SERIES_WORK_CAP.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -190,18 +234,18 @@ def density_series(
         raise DivergentWeightError(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
-    table = sieve_primes(truncation_prime)
+    work = RS_UPPER * truncation_prime / math.log(truncation_prime) * (K + 1)
+    if work > SERIES_WORK_CAP:
+        raise ResourceBudgetError(
+            f"series work estimate {work:.3g} (primes up to {truncation_prime} "
+            f"times {K + 1} coefficients) exceeds cap {SERIES_WORK_CAP:.3g}"
+        )
+    primes = sieve_primes(truncation_prime).primes
     coeffs = np.zeros(K + 1)
     coeffs[0] = 1.0
-    half_point = truncation_prime // 2
-    half_coeffs: np.ndarray | None = None
-    for p in table.primes.tolist():
-        if half_coeffs is None and p > half_point:
-            half_coeffs = coeffs.copy()
-        lp = local_poly(p, w, K)
-        coeffs = np.convolve(coeffs, np.asarray(lp.coeffs))[: K + 1]
-    if half_coeffs is None:
-        half_coeffs = coeffs.copy()
+    half = int(np.searchsorted(primes, truncation_prime // 2, side="right"))
+    half_coeffs = _multiply(coeffs, primes[:half], w, K)
+    coeffs = _multiply(half_coeffs, primes[half:], w, K)
     stability = coeffs - half_coeffs
     mass_deficit = 1.0 - float(coeffs.sum())
     return DensitySeries(

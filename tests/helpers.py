@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import hypothesis.strategies as st
 import numpy as np
 
-from expdens.patterns import ExponentPattern, PrimeAwarePattern, normalize_intervals
+from expdens.patterns import (
+    ExponentPattern,
+    PrimeAwarePattern,
+    min_forbidden,
+    normalize_intervals,
+)
+from expdens.series import DensitySeries, DivergentWeightError, ExponentWeight, LocalPoly
 
 
 def brute_factorize(n: int) -> list[tuple[int, int]]:
@@ -78,13 +84,84 @@ def partial_euler_product(local_factor, limit: int = 2 * 10**6) -> float:
     ``local_factor`` maps a float64 array of primes to their factors.  Every
     factor is below 1, so the result lies above the infinite product.
     """
+    p = primes_upto(limit).astype(np.float64)
+    return float(np.exp(np.sum(np.log(local_factor(p)))))
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """Ascending int64 primes p <= limit, from a plain sieve of Eratosthenes."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    p = np.flatnonzero(flags).astype(np.float64)
-    return float(np.exp(np.sum(np.log(local_factor(p)))))
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+def reference_local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
+    """The scalar local polynomial, one prime at a time, as first written."""
+    if p < 2 or K < 0:
+        raise ValueError("need p >= 2 and K >= 0")
+    x = 1.0 / p
+    raw = np.zeros(K + 1)
+    dropped = 0.0
+    for i, wi in w.exceptions.items():
+        if wi <= K:
+            raw[wi] += x**i
+        else:
+            dropped += x**i
+    i0 = w.tail_start
+    if w.tail_slope == 0:
+        geom = x**i0 / (1.0 - x)
+        if w.tail_offset <= K:
+            raw[w.tail_offset] += geom
+        else:
+            dropped += geom
+    else:
+        for deg in range(max(0, i0 + w.tail_offset), K + 1):
+            raw[deg] += x ** (deg - w.tail_offset)
+        cut = max(i0, K + 1 - w.tail_offset)
+        dropped += x**cut / (1.0 - x)
+    scale = 1.0 - x
+    coeffs = raw * scale
+    coeffs[0] += scale
+    return LocalPoly(p, tuple(float(c) for c in coeffs), dropped * scale)
+
+
+def reference_density_series(
+    w: ExponentWeight,
+    K: int = 8,
+    truncation_prime: int = 100_000,
+) -> DensitySeries:
+    """The density series by the per-prime loop, as first written."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if truncation_prime < 2:
+        raise ValueError("truncation_prime must be >= 2")
+    if min_forbidden(w.induced_pattern()) == 1:
+        raise DivergentWeightError(
+            "weight is positive at exponent 1; all finite coefficients are zero"
+        )
+    primes = primes_upto(truncation_prime)
+    coeffs = np.zeros(K + 1)
+    coeffs[0] = 1.0
+    half_point = truncation_prime // 2
+    half_coeffs: np.ndarray | None = None
+    for p in primes.tolist():
+        if half_coeffs is None and p > half_point:
+            half_coeffs = coeffs.copy()
+        lp = reference_local_poly(p, w, K)
+        coeffs = np.convolve(coeffs, np.asarray(lp.coeffs))[: K + 1]
+    if half_coeffs is None:
+        half_coeffs = coeffs.copy()
+    stability = coeffs - half_coeffs
+    mass_deficit = 1.0 - float(coeffs.sum())
+    return DensitySeries(
+        tuple(float(c) for c in coeffs),
+        truncation_prime,
+        mass_deficit,
+        tuple(float(d) for d in stability),
+    )
 
 
 def gap_factor(p: np.ndarray) -> np.ndarray:

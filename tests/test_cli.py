@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import expdens.euler
+import expdens.series
 from expdens.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -222,6 +224,49 @@ class TestExamples:
         records = [json.loads(line) for line in text.splitlines()]
         assert len(records) == 11
         assert all("id" in r and "value" in r for r in records)
+
+
+    def test_each_product_computed_once(self, monkeypatch, capsys):
+        # squarefree_or_high k=3 is skip_one k=2; exp_odd is mod_periodic ell=2
+        calls = []
+        inner = expdens.euler._bracketed_product
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(expdens.euler, "_bracketed_product", counting)
+        expdens.euler._interval_density.cache_clear()
+        expdens.euler._mod_periodic.cache_clear()
+        assert main(["examples"]) == EXIT_OK
+        assert len(calls) == 3
+        assert len(capsys.readouterr().out.splitlines()) == 11
+
+
+@dataclasses.dataclass
+class _Record:
+    value: float
+
+
+class TestMachineOutput:
+    def test_nan_series_record_is_refused(self, monkeypatch, capsys):
+        nan = float("nan")
+        monkeypatch.setattr(
+            expdens.series,
+            "density_series",
+            lambda w, K, P: expdens.series.DensitySeries((nan,), P, nan, (nan,)),
+        )
+        assert main(["series", "--pattern", "1..1", "--output", "machine"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out
+        assert captured.err.startswith("error:")
+
+    def test_nan_examples_record_is_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(expdens.euler, "closed_form", lambda **kw: _Record(float("nan")))
+        assert main(["examples", "--output", "machine"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out
+        assert captured.err.startswith("error:")
 
 
 def test_console_entry_point():
