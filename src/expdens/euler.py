@@ -1,4 +1,4 @@
-"""Euler products over primes with rigorous truncation brackets.
+"""Euler products over primes with proven brackets.
 
 The density of {n : every prime exponent of n is allowed} is an infinite
 product of per-prime local factors.  Two equivalent closed forms exist for
@@ -10,12 +10,23 @@ one local factor:
   complement form:  F(p) = 1 - (1 - 1/p) * sum over forbidden exponents i
                     of p^-i, with the forbidden sum in closed geometric form.
 
-Products are truncated at a prime P.  The published bracket is
-[V * exp(-tail_logbound), V] with V the truncated product and tail_logbound
-a proven upper bound on the omitted -log factors, so the true density always
-lies inside.  The point value additionally applies a sharp (non-bracket)
-tail correction computed from prime zeta values, which is what makes 1e-9
-accuracy affordable at moderate truncation primes.
+A product is evaluated once, at a truncation prime P (``MIN_TRUNCATION`` =
+1000, or just above the largest exceptional prime).  The factors p <= P are
+multiplied out in floating point, as a sum of logs with a stated roundoff
+bound.  The omitted factors are enclosed through prime zeta values: with
+-log F(p) = sum_t c_t p^-t,
+
+    sum_{p > P} -log F(p) = sum_{t <= 64} c_t (P(t) - head_t(P)) + cut,
+
+where P(t) = sum_p p^-t, head_t(P) = sum_{p <= P} p^-t, and the cut (the
+terms t > 64) is below 1e-170.  Each P(t) carries the error bars of
+``zeta_int`` through the Moebius inversion of log zeta; each tail
+P(t) - head_t(P) is also at most P^(1-t)/(t-1), which alone bounds the t
+whose tail is below double precision.  The published [lower, upper] holds
+the true density with every error term and all float roundoff included
+(Ettahri, Ramare and Surel, "Fast multi-precision computation of some Euler
+products", Math. Comp. 2021; H. Cohen, "High precision computation of
+Hardy-Littlewood constants", 1998).
 """
 
 from __future__ import annotations
@@ -37,22 +48,39 @@ from .patterns import (
 )
 from .primes import RS_UPPER, is_prime, prime_segments, sieve_primes
 
-DEFAULT_PRIME_BUDGET = 10**8
 DEFAULT_TARGET_ERROR = 1e-8
+# Smallest truncation prime.  Beyond it the terms t > _SERIES_DEGREE of every
+# tail are below 1e-170, and the tail enclosure is about 1e-15 wide.
+MIN_TRUNCATION = 1000
 
-_SEARCH_START = 1000
-# Degree at which power series in 1/p are cut; beyond it, terms are < p^-65
-# and invisible at double precision for p >= 2.
+# Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
 _FSUM_CHUNK = 1 << 16
-# prime_sum adds 1/(p^k - 1) directly up to this prime and by prime zeta beyond.
-_PRIME_SUM_CUTOFF = 100_000
+# Unit roundoff of float64.
+_U = 2.0**-53
+# Covers every result that underflows below the normal range, summed over at
+# most 1e8 primes and 10^4 terms per prime.
+_UNDERFLOW = 2.0**-1000
+# Euler-Maclaurin summation for zeta_int: terms n < _EM_TERMS are summed
+# directly, then the corrections with B_2 .. B_16; B_18 bounds the remainder.
+_EM_TERMS = 16
+_BERNOULLI = (
+    Fraction(1, 6),
+    Fraction(-1, 30),
+    Fraction(1, 42),
+    Fraction(-1, 30),
+    Fraction(5, 66),
+    Fraction(-691, 2730),
+    Fraction(7, 6),
+    Fraction(-3617, 510),
+    Fraction(43867, 798),
+)
 
 
 class UnreachableTargetError(RuntimeError):
-    """The requested bracket width cannot be met within the prime budget.
+    """The requested bracket width is below what the enclosure can prove.
 
-    ``best`` carries the tightest estimate achieved at the budget cap.
+    ``best`` carries the estimate reached at the truncation prime.
     """
 
     def __init__(self, message: str, best: "DensityEstimate"):
@@ -84,9 +112,10 @@ class LocalFactor:
 class DensityEstimate:
     """A density value with a rigorous [lower, upper] bracket.
 
-    upper is the truncated product itself and
-    lower = upper * exp(-tail_logbound); the true density is inside.  value
-    is a sharper point estimate, clamped into the bracket.  For divergent
+    The true density lies in [lower, upper], float roundoff included, and
+    tail_logbound = log(upper / lower) is the bracket's width in log terms.
+    value is the point estimate (the truncated product times the midpoint
+    of the tail enclosure), clamped into the bracket.  For divergent
     products (density zero) all three are 0 and the flag is set.
     """
 
@@ -121,23 +150,30 @@ def brackets_overlap(a: DensityEstimate, b: DensityEstimate) -> bool:
 
 @lru_cache(maxsize=None)
 def zeta_int(s: int) -> BoundedValue:
-    """zeta(s) for integer s >= 2 by direct summation plus an integral tail.
+    """zeta(s) for integer s >= 2 by Euler-Maclaurin summation, in exact rationals.
 
-    The tail past N lies in [N^(1-s)/(s-1) - N^-s, N^(1-s)/(s-1)]; the
-    midpoint is used, so the absolute error is below N^-s / 2 plus summation
-    roundoff, comfortably under 1e-12.
+    zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+              + sum_{k=1..K} B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) + R
+    with N = 16 and K = 8.  For real s, |R| is at most the first omitted
+    term (Edwards, "Riemann's Zeta Function", 6.4), below 1e-21.  The
+    rational sum is rounded to float once, so the error bar is that term
+    plus one ulp.
     """
     if s < 2:
         raise ValueError("zeta_int requires s >= 2")
-    n_terms = max(64, math.ceil((5e12) ** (1.0 / s)))
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    # In place: at s = 2 the array holds 2.2e6 floats (18 MB), the largest
-    # allocation of a density request.
-    partial = float(np.sum(np.power(n, -float(s), out=n)))
-    tail_upper = n_terms ** (1 - s) / (s - 1)
-    correction = float(n_terms) ** (-s)
-    value = partial + tail_upper - 0.5 * correction
-    return BoundedValue(value, 0.5 * correction + 5e-15)
+    n_max = _EM_TERMS
+    total = sum(Fraction(1, n**s) for n in range(1, n_max))
+    total += Fraction(1, (s - 1) * n_max ** (s - 1)) + Fraction(1, 2 * n_max**s)
+    rising = Fraction(s)  # s (s+1) ... (s+2k-2)
+    factorial = 2  # (2k)!
+    for k, bernoulli in enumerate(_BERNOULLI, start=1):
+        term = bernoulli * rising / (factorial * n_max ** (s + 2 * k - 1))
+        if k < len(_BERNOULLI):
+            total += term
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        factorial *= (2 * k + 1) * (2 * k + 2)
+    value = float(total)
+    return BoundedValue(value, 2 * _U * value + float(abs(term)) * (1 + 4 * _U))
 
 
 def _mobius(r: int) -> int:
@@ -159,40 +195,57 @@ def _mobius(r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _prime_zeta(s: int) -> float:
-    """sum over primes of p^-s, via the Moebius inversion of log zeta."""
+def _prime_zeta(s: int) -> BoundedValue:
+    """sum over primes of p^-s, via the Moebius inversion of log zeta.
+
+    P(s) = sum_r mu(r)/r log zeta(rs).  Each log zeta carries the error bar
+    of ``zeta_int`` (e / (z - e)) and the roundoff of log, of mu/r and of the
+    product; the sum is an fsum.  The terms rs > _SERIES_DEGREE are dropped:
+    with log zeta(u) <= zeta(u) - 1 <= 1.04 2^-u for u > 64, they sum to at
+    most 1.4 2^(-r0 s) / r0, r0 the first dropped r.
+    """
     if s < 2:
         raise ValueError("prime zeta evaluated only for s >= 2")
-    total = 0.0
+    terms: list[float] = []
+    error = 0.0
     r = 1
     while r * s <= _SERIES_DEGREE:
         mu = _mobius(r)
         if mu != 0:
-            total += mu / r * math.log(zeta_int(r * s).value)
+            z = zeta_int(r * s)
+            log_z = math.log(z.value)
+            term = mu / r * log_z
+            terms.append(term)
+            error += (z.error / (z.value - z.error) + 2 * _U * abs(log_z)) / r
+            error += 2 * _U * abs(term)
         r += 1
-    return total
+    total = math.fsum(terms)
+    error += 1.4 * 2.0 ** (-r * s) / r + _U * abs(total)
+    return BoundedValue(total, error)
 
 
 def prime_sum(k: int) -> BoundedValue:
     """sum over all primes of 1 / (p^k - 1), k >= 2.
 
-    Primes up to ``_PRIME_SUM_CUTOFF`` are summed directly; the remainder is
-    recovered exactly as a sum of prime-zeta tails via
-    1/(p^k - 1) = sum_j p^(-jk), leaving only zeta-evaluation error of order
-    1e-11.
+    Primes up to ``MIN_TRUNCATION`` are summed directly; the rest is
+    sum_{p > P} sum_j p^(-jk), a prime-zeta tail with c_t = 1 for k | t,
+    enclosed by ``_tail_enclosure`` exactly as the tail of a density.  Each
+    direct term is within 13 ulp (power, subtraction, reciprocal) and their
+    pairwise sum adds at most 32 ulp, so 2^-47 of the direct sum covers both.
     """
     if k < 2:
         raise ValueError("prime_sum requires k >= 2")
-    p = sieve_primes(_PRIME_SUM_CUTOFF).primes.astype(np.float64)
+    P = MIN_TRUNCATION
+    pf = sieve_primes(P).primes.astype(np.float64)
     with np.errstate(over="ignore"):
-        direct = float(np.sum(1.0 / (p**k - 1.0)))
-    tail = 0.0
-    j = 1
-    while j * k <= _SERIES_DEGREE:
-        head = float(np.sum(p ** (-float(j * k))))
-        tail += max(_prime_zeta(j * k) - head, 0.0)
-        j += 1
-    return BoundedValue(direct + tail, 2e-11)
+        direct = float(np.sum(1.0 / (pf**k - 1.0)))
+    coeffs = np.zeros(_SERIES_DEGREE + 1)
+    coeffs[k::k] = 1.0
+    heads = {t: float(np.sum(pf ** -float(t))) for t in _needed_terms(coeffs, P)}
+    lo, mid, hi = _tail_enclosure(coeffs, np.zeros_like(coeffs), P, heads)
+    value = direct + mid
+    error = max(hi - mid, mid - max(lo, 0.0)) + 2.0**-47 * direct
+    return BoundedValue(value, error + _U * value + _UNDERFLOW)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +301,18 @@ def _deficiency_coeffs(forbidden: tuple) -> np.ndarray:
     return coef
 
 
-def _neglog_coeffs(delta_coef: np.ndarray) -> np.ndarray:
-    """Power-series coefficients of -log(1 - delta) in 1/p, truncated."""
+def _neglog_coeffs(delta_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power-series coefficients of -log(1 - delta) in 1/p, truncated, and their error.
+
+    delta has integer coefficients in {-1, 0, 1} from degree 2 on, so every
+    power delta^j has integer coefficients below those of (x^2/(1-x))^j,
+    under 2^53 up to degree 64: the convolutions are exact.  Only the
+    divisions by j and the additions round, fewer than 64 steps, so the
+    error of coefficient t is at most 2^-47 sum_j |[x^t] delta^j| / j.
+    """
     size = _SERIES_DEGREE + 1
     out = delta_coef.copy()
+    magnitude = np.abs(delta_coef)
     power = delta_coef.copy()
     j = 2
     while True:
@@ -259,47 +320,112 @@ def _neglog_coeffs(delta_coef: np.ndarray) -> np.ndarray:
         if not power.any():
             break
         out += power / j
+        magnitude += np.abs(power) / j
         j += 1
-    return out
+    return out, 2.0**-47 * magnitude
 
 
 def _delta_from_intervals(forbidden: tuple):
+    """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), and its log error.
+
+    Returns the array function and a bound on the relative error of
+    log1p(-delta) as computed.  Each power is within 4 ulp and n terms sum
+    with n roundings, while sum |terms| <= 6 delta (the first forbidden
+    interval gives delta >= p^-m (1 - 1/p)), so delta is within
+    6 (n + 8) u; log1p adds 4 ulp and |log F| >= delta, giving (8n + 72) u.
+    """
+
     def delta(pf: np.ndarray) -> np.ndarray:
-        inv = 1.0 / pf
         d = np.zeros_like(pf)
         for iv in forbidden:
-            d += inv**iv.lo
+            d += pf ** -float(iv.lo)
             if iv.hi is not None:
-                d -= inv ** (iv.hi + 1)
+                d -= pf ** -float(iv.hi + 1)
         return d
 
-    return delta
+    n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
+    return delta, (8 * n_terms + 72) * _U
 
 
 # ---------------------------------------------------------------------------
 # Bracketed product engine
 
 
-def _tail_logbound_formula(P: int, m: int, pi_exact: int | None = None) -> float:
+def _tail_logbound_formula(P: int, m: int, pi_exact: int) -> float:
     """Upper bound on sum_{p > P} -log F(p) when 1 - F(p) <= p^-m, m >= 2.
 
-    Minimum of two proven bounds: the integral comparison with all integers,
-    P^(1-m)/(m-1), and a prime-counting refinement using
-    pi(x) < 1.25506 x/ln x (x > 1) with pi(P) > P/ln P (P >= 17) when the
-    exact count is not supplied.  Both are scaled by 1/(1 - 2^-m), which
-    dominates the -log expansion.
+    The fallback to the prime-zeta enclosure.  Minimum of two proven bounds:
+    the integral comparison with all integers, P^(1-m)/(m-1), and a
+    prime-counting refinement using pi(x) < 1.25506 x/ln x (x > 1) and the
+    exact count pi(P).  Both are scaled by 1/(1 - 2^-m), which dominates the
+    -log expansion.
     """
     scale = 1.0 / (1.0 - 2.0 ** (-m))
     coarse = float(P) ** (1 - m) / (m - 1)
     log_p = math.log(P)
-    pi_val = float(pi_exact) if pi_exact is not None else P / log_p
     refined = (m * RS_UPPER / (m - 1)) * float(P) ** (1 - m) / log_p
-    refined -= pi_val * float(P) ** (-m)
+    refined -= pi_exact * float(P) ** (-m)
     return scale * min(coarse, max(refined, 0.0))
+
+
+def _integral_tail(P: int, t: int) -> float:
+    """Upper bound on sum_{p > P} p^-t: the integral of x^-t from P, rounded up."""
+    return float(P) ** (1 - t) / (t - 1) * (1.0 + 2.0**-48)
+
+
+def _needed_terms(coeffs: np.ndarray, P: int) -> list[int]:
+    """The t whose tail P(t) - head_t(P) is worth taking from prime zeta.
+
+    Below double precision the integral bound is as tight as P(t) - head_t,
+    whose error is at least a few 1e-16, so those t need no head sum.
+    """
+    return [int(t) for t in np.flatnonzero(coeffs) if _integral_tail(P, int(t)) > 2 * _U]
+
+
+def _tail_enclosure(
+    coeffs: np.ndarray, coeff_err: np.ndarray, P: int, heads: dict[int, float]
+) -> tuple[float, float, float]:
+    """(lo, mid, hi) with lo <= sum_{p > P} sum_{t >= 2} c_t p^-t <= hi.
+
+    ``coeffs`` holds c_t for t <= _SERIES_DEGREE, each within ``coeff_err``;
+    beyond it |c_t| is at most the coefficient of -log(1 - x^2/(1 - x)).
+    ``heads[t]`` is sum_{p <= P} p^-t within 2^-47 relative, for the t of
+    ``_needed_terms``.  Each tail T_t = sum_{p > P} p^-t lies in
+    [0, P^(1-t)/(t-1)], and for a needed t also in P(t) - head_t plus or
+    minus its error.  The terms t > 64 sum to at most
+    log 2 sum_{p > P} (2/p)^65 <= log 2 2^65 P^-64 / 64.  ``mid`` takes each
+    T_t at P(t) - head_t clamped into its interval, or 0 when not needed.
+    """
+    lo_terms: list[float] = []
+    mid_terms: list[float] = []
+    hi_terms: list[float] = []
+    slack = math.log(2.0) * 2.0**65 * float(P) ** -64 / 64 + _UNDERFLOW
+    # a c_t that rounded to 0 still carries its error bar
+    for t in np.flatnonzero((coeffs != 0) | (coeff_err != 0)):
+        t = int(t)
+        c = float(coeffs[t])
+        lo, mid, hi = 0.0, 0.0, _integral_tail(P, t)
+        if t in heads:
+            pz = _prime_zeta(t)
+            d = pz.value - heads[t]
+            e = pz.error + 2.0**-47 * heads[t] + _U * abs(d)
+            lo, hi = max(lo, d - e), min(hi, d + e)
+            mid = min(max(d, lo), hi)
+        lo_terms.append(c * (lo if c > 0 else hi))
+        mid_terms.append(c * mid)
+        hi_terms.append(c * (hi if c > 0 else lo))
+        # the products and the fsum each round by at most one unit
+        slack += (float(coeff_err[t]) + 2 * _U * abs(c)) * hi
+    return (
+        math.fsum(lo_terms) - slack,
+        math.fsum(mid_terms),
+        math.fsum(hi_terms) + slack,
+    )
 
 
 def _bracketed_product(
     delta_of,
+    log_rel_err: float,
     deficiency: np.ndarray,
     m: int,
     target_error: float,
@@ -309,91 +435,74 @@ def _bracketed_product(
 ) -> DensityEstimate:
     """Evaluate prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``delta_of`` maps a float64 array of primes to 1 - F(p); it must satisfy
-    0 <= delta(p) <= p^-m beyond every exceptional prime.  ``deficiency``
-    gives delta as a signed series in 1/p for the sharp tail correction.
-    Exceptional primes contribute fixed factors and are excluded from the
-    generic array path.  The truncation prime doubles up to
-    DEFAULT_PRIME_BUDGET.
+    ``delta_of`` maps a float64 array of primes to 1 - F(p); beyond every
+    exceptional prime it must satisfy 0 <= delta(p) <= p^-m, and log1p of
+    its negation must be within ``log_rel_err`` relative.  ``deficiency``
+    gives delta as a series in 1/p with coefficients in {-1, 0, 1}, for the
+    tail.  Exceptional primes contribute fixed factors and are excluded
+    from the generic array path.  The product is evaluated once, at
+    ``truncation_prime`` or else at max(MIN_TRUNCATION, largest exceptional
+    prime + 1); without a pinned prime, a bracket wider than
+    ``target_error`` raises UnreachableTargetError.
     """
-    prime_budget = DEFAULT_PRIME_BUDGET
     exceptional = exceptional or {}
     if any(v <= 0.0 for v in exceptional.values()):
         # A zero factor would make the whole product zero exactly.
         raise ValueError("exceptional factors must be positive")
-    max_exc = max(exceptional, default=0)
-    neglog = _neglog_coeffs(deficiency)
-    terms = [t for t in np.flatnonzero(neglog) if t >= 2]
-
-    def evaluate(P: int) -> DensityEstimate:
-        partials: list[float] = []
-        heads = {t: 0.0 for t in terms}
-        n_generic = 0
-        exc_arr = np.array(sorted(exceptional), dtype=np.int64)
-        needed = [t for t in terms if float(P) ** (1 - t) / (t - 1) > 1e-20]
-        for seg in prime_segments(P):
-            seg = seg[seg <= P]
-            if seg.size == 0:
-                continue
-            if exc_arr.size and seg[0] <= max_exc:
-                seg = seg[~np.isin(seg, exc_arr)]
-            if seg.size == 0:
-                continue
-            pf = seg.astype(np.float64)
-            logs = np.log1p(-delta_of(pf))
-            for i in range(0, logs.size, _FSUM_CHUNK):
-                partials.append(float(np.sum(logs[i : i + _FSUM_CHUNK])))
-            for t in needed:
-                heads[t] += float(np.sum(pf ** (-float(t))))
-            n_generic += seg.size
-        # prime_zeta runs over all primes, so the exceptional ones must be
-        # counted in the heads even though they are excluded from the product
-        for q in exceptional:
-            if q <= P:
-                for t in needed:
-                    heads[t] += float(q) ** (-float(t))
-        log_sum = math.fsum(partials)
-        log_sum += math.fsum(math.log(v) for v in exceptional.values())
-        truncated = math.exp(log_sum)
-        pi_exact = n_generic + sum(1 for q in exceptional if q <= P)
-        tail_bound = _tail_logbound_formula(P, m, pi_exact)
-        # Roundoff allowance for the chunked compensated accumulation.
-        tail_logbound = tail_bound + 2.0**-46 + abs(log_sum) * 2.0**-48
-        lower = truncated * math.exp(-tail_logbound)
-        tail_est = 0.0
-        for t in needed:
-            tail_est += float(neglog[t]) * max(_prime_zeta(int(t)) - heads[t], 0.0)
-        tail_est = min(max(tail_est, 0.0), tail_bound)
-        value = min(max(truncated * math.exp(-tail_est), lower), truncated)
-        return DensityEstimate(value, lower, truncated, P, tail_logbound)
-
-    start = max(_SEARCH_START, max_exc + 1)
-    if truncation_prime is not None:
-        if truncation_prime < max(start, 2):
-            raise ValueError(
-                f"truncation prime {truncation_prime} below required minimum {start}"
-            )
-        return evaluate(truncation_prime)
-
-    if start > prime_budget:
-        raise UnreachableTargetError(
-            f"exceptional primes need truncation beyond budget {prime_budget}",
-            evaluate(prime_budget),
+    start = max(MIN_TRUNCATION, max(exceptional, default=0) + 1)
+    if truncation_prime is not None and truncation_prime < start:
+        raise ValueError(
+            f"truncation prime {truncation_prime} below required minimum {start}"
         )
-    P = start
-    while P < prime_budget and _tail_logbound_formula(P, m) > target_error:
-        P = min(2 * P, prime_budget)
-    while True:
-        est = evaluate(P)
-        if est.width <= target_error:
-            return est
-        if P >= prime_budget:
-            raise UnreachableTargetError(
-                f"bracket width {est.width:.3e} > target {target_error:.3e} "
-                f"at prime budget {prime_budget}",
-                est,
-            )
-        P = min(2 * P, prime_budget)
+    neglog, neglog_err = _neglog_coeffs(deficiency)
+    P = start if truncation_prime is None else truncation_prime
+    needed = _needed_terms(neglog, P)
+    exc_arr = np.array(sorted(exceptional), dtype=np.int64)
+    partials: list[float] = []
+    head_parts: dict[int, list[float]] = {t: [] for t in needed}
+    n_primes = 0
+    for seg in prime_segments(P):
+        pf = seg.astype(np.float64)
+        # prime zeta runs over all primes, so the heads count the
+        # exceptional ones even though the product takes their own factors
+        for t in needed:
+            head_parts[t].append(float(np.sum(pf ** -float(t))))
+        n_primes += seg.size
+        if exc_arr.size and seg[0] <= exc_arr[-1]:
+            pf = pf[~np.isin(seg, exc_arr)]
+        logs = np.log1p(-delta_of(pf))
+        for i in range(0, logs.size, _FSUM_CHUNK):
+            partials.append(float(np.sum(logs[i : i + _FSUM_CHUNK])))
+    heads = {t: math.fsum(parts) for t, parts in head_parts.items()}
+
+    # Every log is <= 0, so |generic| is the sum of their magnitudes.  Each
+    # is within log_rel_err; numpy's pairwise chunk sums add at most 32 ulp
+    # and the fsum one.  An exceptional factor is rounded once (one ulp of
+    # the log) and its log is within 2 ulp.
+    generic = math.fsum(partials)
+    exc_logs = [math.log(v) for v in exceptional.values()]
+    exc_sum = math.fsum(exc_logs)
+    log_sum = generic + exc_sum
+    roundoff = (log_rel_err + 34 * _U) * abs(generic) + _UNDERFLOW
+    roundoff += 2 * _U * len(exc_logs) + 3 * _U * abs(exc_sum)
+
+    tail_lo, tail_mid, tail_hi = _tail_enclosure(neglog, neglog_err, P, heads)
+    tail_lo = max(tail_lo, 0.0)
+    tail_hi = min(tail_hi, _tail_logbound_formula(P, m, n_primes))
+    tail_mid = min(max(tail_mid, tail_lo), tail_hi)
+    # the additions below and exp round by at most a few ulp
+    roundoff += 4 * _U * (abs(log_sum) + tail_hi)
+    upper = math.exp(log_sum + roundoff - tail_lo) * (1.0 + 2.0**-50)
+    lower = math.exp(log_sum - roundoff - tail_hi) * (1.0 - 2.0**-50)
+    value = min(max(math.exp(log_sum - tail_mid), lower), upper)
+    est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
+    if truncation_prime is None and est.width > target_error:
+        raise UnreachableTargetError(
+            f"bracket width {est.width:.3e} > target {target_error:.3e} "
+            f"at truncation prime {P}",
+            est,
+        )
+    return est
 
 
 def _exact_estimate(value: Fraction, truncation_prime: int = 1) -> DensityEstimate:
@@ -424,9 +533,10 @@ def density(
 ) -> DensityEstimate:
     """Natural density of {n : every prime exponent allowed by ``pap``}.
 
-    The truncation prime is grown (doubling from 1000) until the rigorous
-    bracket is no wider than ``target_error``; pass ``truncation_prime`` to
-    pin it instead, in which case no width check is applied.  If the default
+    The product is evaluated once, at max(MIN_TRUNCATION, largest exceptional
+    prime + 1), and a bracket wider than ``target_error`` raises
+    UnreachableTargetError; pass ``truncation_prime`` to pin the prime
+    instead, in which case no width check is applied.  If the default
     pattern forbids exponent 1 the product diverges to zero and the estimate
     is exactly 0 with ``diverges_to_zero`` set.
     """
@@ -446,8 +556,10 @@ def density(
         return _exact_estimate(prod, max(pap.exceptions, default=2))
 
     forbidden = complement(pap.default).intervals
+    delta, log_rel_err = _delta_from_intervals(forbidden)
     return _bracketed_product(
-        _delta_from_intervals(forbidden),
+        delta,
+        log_rel_err,
         _deficiency_coeffs(forbidden),
         m,
         target_error,
@@ -492,13 +604,19 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
         inv = 1.0 / pf
         return (inv - inv**ell) / (pf * (1.0 - inv**ell))
 
+    # With inv <= 1/2 and ell >= 2, inv^ell <= inv / 2 carries at most 5u inv
+    # of error, so the numerator is within 13 u, the denominator within 6 u
+    # and delta within 20 u; log1p then gives (4/3) 20 u + 8 u < 36 u.
+    log_rel_err = 64 * _U
     # Forbidden exponents are [ell (j-1) + 2, ell j] for j >= 1; those
     # starting beyond _SERIES_DEGREE leave the series untouched.
     forbidden = tuple(
         ExponentInterval(ell * (j - 1) + 2, ell * j)
         for j in range(1, _SERIES_DEGREE // ell + 2)
     )
-    return _bracketed_product(delta, _deficiency_coeffs(forbidden), 2, target_error)
+    return _bracketed_product(
+        delta, log_rel_err, _deficiency_coeffs(forbidden), 2, target_error
+    )
 
 
 def closed_form(
@@ -597,7 +715,7 @@ def closed_form(
         return _zeta_quotient(
             BoundedValue(1.0 + s.value, s.error + 1e-15),
             k,
-            truncation_prime=_PRIME_SUM_CUTOFF,
+            truncation_prime=MIN_TRUNCATION,
         )
 
     raise ValueError(f"unknown closed form {form!r}")

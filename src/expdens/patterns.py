@@ -14,12 +14,15 @@ string denotes the empty pattern (no positive exponent allowed).
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
-from .primes import is_prime, sieve_primes
+import numpy as np
+
+from .primes import PrimeTable, is_prime, sieve_primes
 
 # Exception keys up to this bound are checked against one sieve; larger keys
 # get a Miller-Rabin test each.
@@ -92,20 +95,45 @@ class ExponentPattern:
 
 @dataclass(frozen=True)
 class PrimeAwarePattern:
-    """One default pattern plus a finite map of exceptional primes."""
+    """One default pattern plus a finite map of exceptional primes.
+
+    ``known_primes``, when given, is a sieve table that callers already
+    hold; keys up to its limit are checked against it instead of a new sieve.
+    """
 
     default: ExponentPattern
     exceptions: Mapping[int, ExponentPattern] = field(default_factory=dict)
+    known_primes: InitVar[PrimeTable | None] = None
 
-    def __post_init__(self):
-        limit = max((p for p in self.exceptions if p <= _KEY_SIEVE_LIMIT), default=0)
-        sieved = set(sieve_primes(limit).primes.tolist()) if limit >= 2 else set()
-        for p in self.exceptions:
-            if not (p in sieved if p <= _KEY_SIEVE_LIMIT else is_prime(p)):
+    def __post_init__(self, known_primes: PrimeTable | None):
+        keys = np.array(list(self.exceptions))
+        if keys.dtype.kind not in "iu":
+            # numpy turns ints beyond 64 bits into floats; keep them exact
+            keys = np.array(list(self.exceptions), dtype=object)
+            for p in keys:
+                if not isinstance(p, numbers.Integral):
+                    raise ValueError(f"exception key {p!r} is not an integer")
+        in_sieve = (keys >= 0) & (keys <= _KEY_SIEVE_LIMIT)
+        small = keys[in_sieve].astype(np.int64)
+        if small.size:
+            limit = int(small.max())
+            table = known_primes
+            if table is None or table.limit < limit:
+                table = sieve_primes(max(limit, 2))
+            is_listed = np.zeros(limit + 1, dtype=bool)
+            is_listed[table.primes[table.primes <= limit]] = True
+            bad = small[~is_listed[small]]
+            if bad.size:
+                raise ValueError(f"exception key {bad[0]} is not prime")
+        for p in keys[~in_sieve].tolist():
+            if not is_prime(p):
                 raise ValueError(f"exception key {p} is not prime")
         # Defensive copy with deterministic iteration order.
+        ascending = bool(np.all(keys[1:] > keys[:-1]))
         object.__setattr__(
-            self, "exceptions", dict(sorted(self.exceptions.items()))
+            self,
+            "exceptions",
+            dict(self.exceptions) if ascending else dict(sorted(self.exceptions.items())),
         )
 
 
@@ -230,19 +258,26 @@ _PRIME_LE_RE = re.compile(r"^p\s*<=\s*(\d+)$")
 _PRIME_IN_RE = re.compile(r"^p\s+in\s+[\[{]([\d\s,]*)[\]}]$")
 
 
-def _expand_prime_key(key: str) -> list[int]:
+def _range_bound(key: str) -> int | None:
+    """q for a "p<=q" key, else None."""
+    m = _PRIME_LE_RE.match(key.strip())
+    return int(m.group(1)) if m else None
+
+
+def _expand_prime_key(key: str, table: PrimeTable | None) -> list[int]:
+    """The primes a key names; ``table`` covers every "p<=q" bound."""
     key = key.strip()
     if key.isdigit():
         p = int(key)
         if not is_prime(p):
             raise ValueError(f"exception key {p} is not prime")
         return [p]
-    m = _PRIME_LE_RE.match(key)
-    if m:
-        q = int(m.group(1))
+    q = _range_bound(key)
+    if q is not None:
         if q < 2:
             return []
-        return [int(p) for p in sieve_primes(q).primes]
+        end = int(np.searchsorted(table.primes, q, side="right"))
+        return table.primes[:end].tolist()
     m = _PRIME_IN_RE.match(key)
     if m:
         body = m.group(1).strip()
@@ -268,14 +303,25 @@ def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
     if "default" not in doc:
         raise ValueError('pattern spec needs a "default" entry')
     default = parse_pattern(doc["default"])
+    keys = doc.get("exceptions", {})
+    # One sieve serves every "p<=q" key and then the check of all the keys.
+    bound = max((_range_bound(str(key)) or 0 for key in keys), default=0)
+    table = sieve_primes(bound) if bound >= 2 else None
     exceptions: dict[int, ExponentPattern] = {}
-    for key, dsl in doc.get("exceptions", {}).items():
-        pat = parse_pattern(dsl)
-        for p in _expand_prime_key(str(key)):
-            if p in exceptions:
-                raise ValueError(f"prime {p} assigned by more than one exception key")
-            exceptions[p] = pat
-    return PrimeAwarePattern(default=default, exceptions=exceptions)
+    for key, dsl in keys.items():
+        primes = _expand_prime_key(str(key), table)
+        fresh = dict.fromkeys(primes, parse_pattern(dsl))
+        if len(fresh) < len(primes) or not fresh.keys().isdisjoint(exceptions):
+            seen = set(exceptions)
+            for p in primes:
+                if p in seen:
+                    raise ValueError(f"prime {p} assigned by more than one exception key")
+                seen.add(p)
+        if exceptions:
+            exceptions.update(fresh)
+        else:
+            exceptions = fresh
+    return PrimeAwarePattern(default=default, exceptions=exceptions, known_primes=table)
 
 
 def load_spec(path: str) -> PrimeAwarePattern:

@@ -16,8 +16,8 @@ exactly the mass pushed beyond degree K.
 pass, and the running product takes one ``np.convolve`` per prime, in prime
 order, so the float operations are those of a prime-by-prime loop.  The
 powers p^-i are Python float powers, because numpy's vector power rounds
-some of them differently.  Work is estimated as pi(P) (K + 1) before any
-sieving and capped at ``SERIES_WORK_CAP``.
+some of them differently.  Work is estimated as pi(P) (K + 1 + 8) before
+any sieving and capped at ``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,13 @@ from .primes import RS_UPPER, ResourceBudgetError, sieve_primes
 # Primes whose local polynomials are built in one numpy pass; at K = 16 a
 # block's rows take about half a megabyte.
 BLOCK_SIZE = 4096
-# Largest admitted work estimate pi(P) (K + 1): P = 1e7 at K = 16 is about
-# 1.3e7 and passes; P = 1e8 at K = 8 is about 6.1e7 and does not.
+# Largest admitted work estimate pi(P) (K + 1 + PER_PRIME_COST): P = 1e7 at
+# K = 16 is about 1.95e7 and passes; P = 1e8 at K = 0 is about 6.1e7 and
+# does not.
 SERIES_WORK_CAP = 2 * 10**7
+# Each prime costs one np.convolve call whatever K is, about as much as eight
+# coefficient products.
+PER_PRIME_COST = 8
 
 
 class DivergentWeightError(ValueError):
@@ -223,8 +227,8 @@ def density_series(
     exponent 1), since then d_0 and every finite-k density vanish.  The
     ``stability`` diagnostics are the per-coefficient changes relative to a
     rerun truncated at half the prime bound.  Raises ResourceBudgetError
-    when the work estimate pi(P) (K + 1), with pi(P) bounded by
-    RS_UPPER P / ln P, exceeds SERIES_WORK_CAP.
+    when the work estimate pi(P) (K + 1 + PER_PRIME_COST), with pi(P)
+    bounded by RS_UPPER P / ln P, exceeds SERIES_WORK_CAP.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -234,11 +238,12 @@ def density_series(
         raise DivergentWeightError(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
-    work = RS_UPPER * truncation_prime / math.log(truncation_prime) * (K + 1)
+    per_prime = K + 1 + PER_PRIME_COST
+    work = RS_UPPER * truncation_prime / math.log(truncation_prime) * per_prime
     if work > SERIES_WORK_CAP:
         raise ResourceBudgetError(
             f"series work estimate {work:.3g} (primes up to {truncation_prime} "
-            f"times {K + 1} coefficients) exceeds cap {SERIES_WORK_CAP:.3g}"
+            f"times {per_prime} units) exceeds cap {SERIES_WORK_CAP:.3g}"
         )
     primes = sieve_primes(truncation_prime).primes
     coeffs = np.zeros(K + 1)

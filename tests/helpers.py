@@ -9,8 +9,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 
 from expdens.patterns import (
@@ -254,3 +257,153 @@ def pap_allows(pap: PrimeAwarePattern, p: int, alpha: int) -> bool:
     from expdens.patterns import contains, pattern_for_prime
 
     return contains(pattern_for_prime(pap, p), alpha)
+
+
+# ---------------------------------------------------------------------------
+# 40-digit Euler products: an exact product over p < ORACLE_SPLIT times
+# exp(-sum_t c_t (primezeta(t) - head_t)), with the c_t of -log F(p) in exact
+# rationals.  With p >= 1000 and |c_t| < 2^t, the terms past ORACLE_DEGREE are
+# below 1e-70.
+
+ORACLE_DPS = 40
+ORACLE_SPLIT = 1000
+ORACLE_DEGREE = 40
+
+
+def _mpf(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+@lru_cache(maxsize=None)
+def _small_primes() -> tuple[int, ...]:
+    return tuple(int(p) for p in primes_upto(ORACLE_SPLIT - 1))
+
+
+@lru_cache(maxsize=None)
+def _prime_zeta_tail(t: int) -> mpmath.mpf:
+    """sum over primes p >= ORACLE_SPLIT of p^-t."""
+    with mpmath.workdps(ORACLE_DPS + 10):
+        head = mpmath.fsum(mpmath.mpf(p) ** -t for p in _small_primes())
+        return mpmath.primezeta(t) - head
+
+
+def _neglog_series(u: list[Fraction]) -> list[Fraction]:
+    """Coefficients of -log(1 - u(x)) up to ORACLE_DEGREE; u[0] = u[1] = 0."""
+    n = ORACLE_DEGREE + 1
+    u = (list(u) + [Fraction(0)] * n)[:n]
+    out = [Fraction(0)] * n
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for j in range(1, n):
+        power = [sum(power[i] * u[t - i] for i in range(t + 1)) for t in range(n)]
+        if not any(power):
+            break
+        out = [o + c / j for o, c in zip(out, power)]
+    return out
+
+
+def _series_quotient(num: list[int], den: list[int]) -> list[Fraction]:
+    """Power-series coefficients of num(x) / den(x), den[0] = 1."""
+    out: list[Fraction] = []
+    for t in range(ORACLE_DEGREE + 1):
+        c = Fraction(num[t] if t < len(num) else 0)
+        c -= sum(den[i] * out[t - i] for i in range(1, min(t, len(den) - 1) + 1))
+        out.append(c)
+    return out
+
+
+def _tail_factor(neglog: list[Fraction]) -> mpmath.mpf:
+    """prod over p >= ORACLE_SPLIT of the factor whose -log series is ``neglog``."""
+    total = mpmath.fsum(
+        _mpf(c) * _prime_zeta_tail(t) for t, c in enumerate(neglog) if c and t >= 2
+    )
+    return mpmath.exp(-total)
+
+
+def _interval_factor(p: int, pattern: ExponentPattern) -> mpmath.mpf:
+    """F(p) = 1 - 1/p + sum over allowed [lo, hi] of p^-lo - p^-(hi+1)."""
+    x = mpmath.mpf(1) / p
+    f = 1 - x
+    for iv in pattern.intervals:
+        f += x**iv.lo
+        if iv.hi is not None:
+            f -= x ** (iv.hi + 1)
+    return f
+
+
+def oracle_density(pap: PrimeAwarePattern) -> mpmath.mpf:
+    """The density of ``pap`` to 40 digits; its default must forbid some m >= 2."""
+    with mpmath.workdps(ORACLE_DPS):
+        # 1 - F(p) = (1 - x) sum over forbidden i of x^i, from the allowed set
+        allowed = [
+            any(iv.lo <= i and (iv.hi is None or i <= iv.hi) for iv in pap.default.intervals)
+            for i in range(ORACLE_DEGREE + 1)
+        ]
+        forbidden = [0] + [0 if a else 1 for a in allowed[1:]]
+        u = [Fraction(forbidden[t] - (forbidden[t - 1] if t else 0)) for t in range(len(forbidden))]
+        value = _tail_factor(_neglog_series(u))
+        for p in _small_primes():
+            value *= _interval_factor(p, pap.exceptions.get(p, pap.default))
+        for q, pattern in pap.exceptions.items():
+            if q >= ORACLE_SPLIT:
+                value *= _interval_factor(q, pattern) / _interval_factor(q, pap.default)
+        return +value
+
+
+def oracle_mod_periodic(ell: int) -> mpmath.mpf:
+    """prod_p (1 - (p^(ell-1) - 1) / (p (p^ell - 1))) to 40 digits, ell >= 2."""
+    with mpmath.workdps(ORACLE_DPS):
+        # 1 - F = (x^2 - x^(ell+1)) / (1 - x^ell) in x = 1/p
+        num = [0] * (ell + 2)
+        num[2] += 1
+        num[ell + 1] -= 1
+        den = [1] + [0] * (ell - 1) + [-1]
+        value = _tail_factor(_neglog_series(_series_quotient(num, den)))
+        for p in _small_primes():
+            p = mpmath.mpf(p)
+            value *= 1 - (p ** (ell - 1) - 1) / (p * (p**ell - 1))
+        return +value
+
+
+def oracle_prime_sum(k: int) -> mpmath.mpf:
+    """sum over all primes of 1 / (p^k - 1) to 40 digits."""
+    with mpmath.workdps(ORACLE_DPS):
+        s = mpmath.fsum(1 / (mpmath.mpf(p) ** k - 1) for p in _small_primes())
+        s += mpmath.fsum(_prime_zeta_tail(t) for t in range(k, ORACLE_DEGREE + 1, k))
+        return +s
+
+
+def oracle_closed_form(form: str, **kw) -> mpmath.mpf:
+    """The catalog density ``form`` with the parameters of ``closed_form``."""
+    with mpmath.workdps(ORACLE_DPS):
+        k, ell = kw.get("k"), kw.get("ell")
+        if form == "powerfree":
+            return 1 / mpmath.zeta(k + 1)
+        if form == "squarefree_or_high":
+            return oracle_density(PrimeAwarePattern(normalize_intervals([(1, 1), (k, None)])))
+        if form == "skip_one":
+            return oracle_density(
+                PrimeAwarePattern(normalize_intervals([(1, k - 1), (k + 1, None)]))
+            )
+        if form == "exp_odd":
+            return oracle_mod_periodic(2)
+        if form == "mod_periodic":
+            return mpmath.mpf(1) if ell == 1 else oracle_mod_periodic(ell)
+        if form == "ex1":
+            ratio = mpmath.fprod(
+                (1 - mpmath.mpf(1) / r) / (1 - mpmath.mpf(r) ** -k)
+                for r in _small_primes()
+                if r <= kw["q"]
+            )
+            return ratio / mpmath.zeta(k)
+        if form == "ex2":
+            ratio = mpmath.fprod(
+                (mpmath.mpf(r) ** k - mpmath.mpf(r) ** (k - 1)) / (mpmath.mpf(r) ** k - 1)
+                for r in kw["primes"]
+            )
+            return ratio / mpmath.zeta(k)
+        if form == "ex3_single":
+            pk = mpmath.mpf(kw["p"]) ** k
+            return pk / (pk - 1) / mpmath.zeta(k)
+        if form == "ex3":
+            return (1 + oracle_prime_sum(k)) / mpmath.zeta(k)
+        raise ValueError(f"no oracle for {form!r}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,12 +122,27 @@ class TestUsageErrors:
 
 
 class TestComputationalExits:
-    def test_unreachable_target(self, monkeypatch):
-        monkeypatch.setattr(expdens.euler, "DEFAULT_PRIME_BUDGET", 10**5)
+    def test_unreachable_target(self):
         code, _ = run_capture(
-            RunConfig("density", pattern="1..1", target_error=1e-12)
+            RunConfig("density", pattern="1..1", target_error=1e-16)
         )
         assert code == EXIT_UNREACHABLE
+
+    def test_unreachable_target_exits_fast(self):
+        # a fresh process: import, one evaluation at the starting prime, exit 2
+        src = os.path.dirname(os.path.dirname(expdens.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "expdens", "density", "--pattern", "1..1",
+             "--error", "1e-16"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == EXIT_UNREACHABLE
+        assert "bracket width" in proc.stderr and "> target 1.000e-16" in proc.stderr
 
     def test_resource_cap(self):
         code, _ = run_capture(RunConfig("count", pattern="1..1", x=10**10))

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -32,6 +33,7 @@ from helpers import (
     exp_odd_factor,
     gap_factor,
     mod_periodic_factor,
+    oracle_mod_periodic,
     partial_euler_product,
     random_pattern,
 )
@@ -64,6 +66,24 @@ class TestZeta:
     def test_rejects_s_below_two(self):
         with pytest.raises(ValueError):
             zeta_int(1)
+
+    def test_bernoulli_table(self):
+        for k, b in enumerate(expdens.euler._BERNOULLI, start=1):
+            assert (b.numerator, b.denominator) == mpmath.bernfrac(2 * k)
+
+    def test_error_bars_hold_against_mpmath(self):
+        with mpmath.workdps(40):
+            for s in range(2, 65):
+                z = zeta_int(s)
+                assert abs(mpmath.mpf(z.value) - mpmath.zeta(s)) <= z.error
+                assert z.error <= 2.5e-16 * z.value
+
+    def test_prime_zeta_error_bars_hold_against_mpmath(self):
+        with mpmath.workdps(40):
+            for s in range(2, 65):
+                pz = expdens.euler._prime_zeta(s)
+                assert abs(mpmath.mpf(pz.value) - mpmath.primezeta(s)) <= pz.error
+                assert pz.error <= 2e-15
 
 
 class TestPrimeSum:
@@ -223,14 +243,34 @@ class TestDensity:
             assert coarse.lower <= fine.value <= coarse.upper
             assert fine.width < coarse.width
 
-    def test_unreachable_target_carries_best(self, monkeypatch):
-        monkeypatch.setattr(expdens.euler, "DEFAULT_PRIME_BUDGET", 10**5)
+    def test_unreachable_target_carries_best(self):
+        # 1e-16 is below the roundoff floor of the enclosure (about 1.5e-14)
         with pytest.raises(UnreachableTargetError) as exc:
-            density(SQUAREFREE, 1e-12)
+            density(SQUAREFREE, 1e-16)
         best = exc.value.best
         assert isinstance(best, DensityEstimate)
-        assert best.truncation_prime == 10**5
+        assert best.truncation_prime == expdens.euler.MIN_TRUNCATION
         assert best.lower <= 1.0 / zeta_int(2).value <= best.upper
+
+    def test_1e12_met_without_sieving_past_the_start(self, monkeypatch):
+        limits = []
+
+        def recording(sieve):
+            def wrapped(limit):
+                limits.append(limit)
+                return sieve(limit)
+
+            return wrapped
+
+        for name in ("prime_segments", "sieve_primes"):
+            monkeypatch.setattr(
+                expdens.euler, name, recording(getattr(expdens.euler, name))
+            )
+        est = density(SQUAREFREE, 1e-12)
+        assert est.width <= 1e-12
+        assert est.lower <= 1.0 / zeta_int(2).value <= est.upper
+        assert est.truncation_prime == expdens.euler.MIN_TRUNCATION
+        assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
@@ -272,8 +312,8 @@ class TestClosedForms:
 
     def test_exp_odd_value(self):
         est = closed_form("exp_odd", target_error=1e-8)
-        # frozen from an independent high-precision evaluation (A065463)
-        assert est.value == pytest.approx(0.7044422009991656, abs=2e-12)
+        # the 40-digit product over p < 1000 times its prime-zeta tail (A065463)
+        assert est.value == pytest.approx(float(oracle_mod_periodic(2)), abs=1e-13)
         # and cross-checked against a direct partial product
         p = sieve_primes(2 * 10**6).primes.astype(np.float64)
         partial = float(np.exp(np.sum(np.log1p(-1.0 / (p * (p + 1.0))))))

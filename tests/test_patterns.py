@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
+import expdens.patterns
 from expdens.patterns import (
     EMPTY_PATTERN,
     ExponentInterval,
@@ -17,6 +18,7 @@ from expdens.patterns import (
     parse_prime_aware,
     pattern_for_prime,
 )
+from expdens.primes import sieve_primes
 from helpers import in_raw_union, raw_intervals
 
 
@@ -174,6 +176,10 @@ class TestPrimeAware:
         big = 10**18 + 3
         pap = PrimeAwarePattern(default=EMPTY_PATTERN, exceptions={big: EMPTY_PATTERN})
         assert pattern_for_prime(pap, big) == EMPTY_PATTERN
+        # a key beyond 64 bits stays an exact int
+        huge = 10**19 + 51
+        pap = PrimeAwarePattern(default=EMPTY_PATTERN, exceptions={2: EMPTY_PATTERN, huge: EMPTY_PATTERN})
+        assert list(pap.exceptions) == [2, huge]
         with pytest.raises(ValueError):
             PrimeAwarePattern(
                 default=EMPTY_PATTERN, exceptions={2: EMPTY_PATTERN, big - 2: EMPTY_PATTERN}
@@ -185,6 +191,38 @@ class TestPrimeAware:
         pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=1000000": "1..1"}})
         assert time.perf_counter() - start < 0.5
         assert len(pap.exceptions) == 78498
+
+    def test_range_key_to_1e7_parses_in_one_sieve(self, monkeypatch):
+        # 664 579 keys: one sieve for the expansion and the check, no sort
+        limits = []
+        sieve = expdens.patterns.sieve_primes
+
+        def recording(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
+        start = time.perf_counter()
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=10000000": "1..1"}})
+        assert time.perf_counter() - start < 0.5
+        assert limits == [10**7]
+        assert len(pap.exceptions) == 664579
+        assert list(pap.exceptions)[-1] == 9999991
+
+    def test_non_integer_key_rejected(self):
+        for key in (7.0, "7"):
+            with pytest.raises(ValueError, match="not an integer"):
+                PrimeAwarePattern(default=EMPTY_PATTERN, exceptions={key: EMPTY_PATTERN})
+
+    def test_nonprime_keys_rejected_beside_a_range_key(self):
+        with pytest.raises(ValueError, match="not prime"):
+            parse_prime_aware({"default": "1..1", "exceptions": {"p<=100": "", "91": "1..1"}})
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeAwarePattern(
+                default=EMPTY_PATTERN,
+                exceptions={7: EMPTY_PATTERN, 9: EMPTY_PATTERN},
+                known_primes=sieve_primes(10),
+            )
 
 
 class TestSpecDocument:

@@ -101,7 +101,7 @@ class TestWorkCap:
         with pytest.raises(_Admitted):
             density_series(WEIGHTS["excess"], K, P)
 
-    @pytest.mark.parametrize("K, P", [(8, 10**8), (16, 10**8), (0, 10**9)])
+    @pytest.mark.parametrize("K, P", [(8, 10**8), (16, 10**8), (0, 10**9), (0, 10**8)])
     def test_refuses_before_sieving(self, K, P, monkeypatch):
         monkeypatch.setattr(expdens.series, "sieve_primes", _refuse_to_sieve)
         with pytest.raises(ResourceBudgetError):
