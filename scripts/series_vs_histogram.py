@@ -8,7 +8,7 @@ import argparse
 
 from expdens.empirical import g_histogram
 from expdens.patterns import parse_pattern
-from expdens.series import ExponentWeight, density_series
+from expdens.series import DEFAULT_TRUNCATION, ExponentWeight, density_series
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
                     help="pattern for the binary weight (ignored for delta)")
     ap.add_argument("--x", type=int, default=10**7)
     ap.add_argument("--degree", type=int, default=8)
-    ap.add_argument("--truncation", type=int, default=10**5)
+    ap.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     args = ap.parse_args()
 
     if args.weight == "delta":

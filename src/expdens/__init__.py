@@ -17,7 +17,6 @@ from .euler import (
     brackets_overlap,
     closed_form,
     density,
-    local_factor_general,
     local_factor_interval,
     prime_sum,
     zeta_int,
@@ -46,9 +45,7 @@ from .series import (
     DensitySeries,
     DivergentWeightError,
     ExponentWeight,
-    LocalPoly,
     density_series,
-    local_poly,
 )
 
 __version__ = "0.1.0"

@@ -110,15 +110,18 @@ def _cmd_series(config: RunConfig, out) -> int:
         if pap.exceptions:
             raise UsageError("series weights are prime-independent; no exceptions allowed")
         w = series.ExponentWeight.outside_pattern(pap.default)
-    truncation = config.truncation or 100_000
+    truncation = config.truncation or series.DEFAULT_TRUNCATION
     ds = series.density_series(w, config.degree, truncation)
     if config.output == "machine":
         _emit(ds, out)
     else:
         out.write(f"series   truncation_prime={ds.truncation_prime}  "
                   f"mass_deficit={ds.mass_deficit!r}\n")
-        for k, (c, d) in enumerate(zip(ds.coeffs, ds.stability)):
-            out.write(f"  d_{k} = {c!r}   (half-truncation delta {d:+.3e})\n")
+        for k, (c, lo, hi, d) in enumerate(
+            zip(ds.coeffs, ds.lower, ds.upper, ds.stability)
+        ):
+            out.write(f"  d_{k} = {c!r}   in [{lo!r}, {hi!r}]   "
+                      f"(half-truncation delta {d:+.3e})\n")
     return EXIT_OK
 
 

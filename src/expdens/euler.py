@@ -27,6 +27,12 @@ the true density with every error term and all float roundoff included
 (Ettahri, Ramare and Surel, "Fast multi-precision computation of some Euler
 products", Math. Comp. 2021; H. Cohen, "High precision computation of
 Hardy-Littlewood constants", 1998).
+
+The same engine, ``_bracketed_product``, serves the density series of
+``series``: there each local factor is a polynomial in a second variable z,
+cut at z^K, and the log-sum, the tail enclosure and the bracket run per
+z-degree, with one exp of a series in z at the end.  ``density()`` is its
+case K = 0.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ MIN_TRUNCATION = 1000
 
 # Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
-_FSUM_CHUNK = 1 << 16
+_FSUM_CHUNK = 1 << 15
 # Unit roundoff of float64.
 _U = 2.0**-53
 # Covers every result that underflows below the normal range, summed over at
@@ -157,10 +163,13 @@ def zeta_int(s: int) -> BoundedValue:
     with N = 16 and K = 8.  For real s, |R| is at most the first omitted
     term (Edwards, "Riemann's Zeta Function", 6.4), below 1e-21.  The
     rational sum is rounded to float once, so the error bar is that term
-    plus one ulp.
+    plus one ulp.  From s = 54 on, 0 < zeta(s) - 1 <= 2^(1-s) <= 2^-53, so
+    the value is 1.0 within 2u and no sum is built.
     """
     if s < 2:
         raise ValueError("zeta_int requires s >= 2")
+    if s >= 54:
+        return BoundedValue(1.0, 2 * _U)
     n_max = _EM_TERMS
     total = sum(Fraction(1, n**s) for n in range(1, n_max))
     total += Fraction(1, (s - 1) * n_max ** (s - 1)) + Fraction(1, 2 * n_max**s)
@@ -268,61 +277,74 @@ def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
     return LocalFactor(p, float(_interval_factor_fraction(p, pattern)))
 
 
-def local_factor_general(p: int, pattern: ExponentPattern) -> LocalFactor:
-    """Local factor via the forbidden exponents: 1 - (1 - 1/p) * sum p^-i."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    forbidden_sum = Fraction(0)
-    for iv in complement(pattern).intervals:
-        if iv.hi is None:
-            # sum_{i >= lo} p^-i = 1 / (p^(lo-1) (p - 1))
-            forbidden_sum += Fraction(1, p ** (iv.lo - 1) * (p - 1))
-        else:
-            # sum_{i=lo..hi} p^-i = (p^(hi-lo+1) - 1) / (p^hi (p - 1))
-            forbidden_sum += Fraction(
-                p ** (iv.hi - iv.lo + 1) - 1, p**iv.hi * (p - 1)
-            )
-    f = 1 - Fraction(p - 1, p) * forbidden_sum
-    return LocalFactor(p, float(f))
-
-
 # ---------------------------------------------------------------------------
-# Deficiency series: 1 - F(p) as a signed polynomial in 1/p
+# Deficiency series: 1 - F(p; z) as a polynomial in 1/p and z
 
 
 def _deficiency_coeffs(forbidden: tuple) -> np.ndarray:
-    """Coefficients u with 1 - F(p) = sum_t u[t] p^-t, cut at _SERIES_DEGREE."""
-    coef = np.zeros(_SERIES_DEGREE + 1)
+    """Integers u with 1 - F(p) = sum_t u[t, 0] p^-t, cut at _SERIES_DEGREE.
+
+    The single column is the z-free case of the (65, K + 1) deficiency
+    arrays that ``_bracketed_product`` takes.
+    """
+    coef = np.zeros((_SERIES_DEGREE + 1, 1), dtype=np.int64)
     for iv in forbidden:
         if iv.lo <= _SERIES_DEGREE:
-            coef[iv.lo] += 1.0
+            coef[iv.lo, 0] += 1
         if iv.hi is not None and iv.hi + 1 <= _SERIES_DEGREE:
-            coef[iv.hi + 1] -= 1.0
+            coef[iv.hi + 1, 0] -= 1
     return coef
 
 
-def _neglog_coeffs(delta_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power-series coefficients of -log(1 - delta) in 1/p, truncated, and their error.
+def _neglog_coeffs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of -log(1 - delta) in 1/p and z, truncated, and their error.
 
-    delta has integer coefficients in {-1, 0, 1} from degree 2 on, so every
-    power delta^j has integer coefficients below those of (x^2/(1-x))^j,
-    under 2^53 up to degree 64: the convolutions are exact.  Only the
-    divisions by j and the additions round, fewer than 64 steps, so the
-    error of coefficient t is at most 2^-47 sum_j |[x^t] delta^j| / j.
+    delta[t, k] is the coefficient of p^-t z^k; rows 0 and 1 are zero and
+    every other row holds at most two entries, each -1 or 1.  The powers
+    delta^j are exact int64 arithmetic: the entries of row t of delta^j sum
+    in absolute value to at most [x^t] (2 x^2 / (1 - x))^j < 2^61 up to
+    degree 64.  A power converts to float exactly below 2^53 and with one
+    rounding above it; the divisions by j and the additions round, fewer
+    than 64 steps.  So coefficient (t, k) is within 2^-47 sum_j
+    |[x^t z^k] delta^j| / j, plus 2^-52 times that sum over the powers that
+    reach 2^53.  A z-degree k <= K of delta^j at x^t is at most lambda t,
+    lambda the largest k/t in delta, so the powers are carried only that
+    wide.
     """
-    size = _SERIES_DEGREE + 1
-    out = delta_coef.copy()
-    magnitude = np.abs(delta_coef)
-    power = delta_coef.copy()
+    size, cols = delta.shape
+    entries = [(int(t), int(k)) for t, k in zip(*np.nonzero(delta))]
+    width = 1 + min(cols - 1, max((_SERIES_DEGREE * k // t for t, k in entries), default=0))
+    entries = [(t, k) for t, k in entries if k < width]
+    degrees = sorted({k for _, k in entries})
+    power = delta[:, :width].copy()
+    out = power.astype(np.float64)
+    magnitude = np.abs(out)
+    rounded = np.zeros_like(out)
     j = 2
     while True:
-        power = np.convolve(power, delta_coef)[:size]
+        # exact either way: one shifted add per entry of delta, or one
+        # convolution in x per pair of z-degrees, whichever is fewer calls
+        product = np.zeros_like(power)
+        if len(entries) <= len(degrees) * width:
+            for t, k in entries:
+                product[t:, k:] += delta[t, k] * power[: size - t, : width - k]
+        else:
+            for k in degrees:
+                for i in range(width - k):
+                    product[:, k + i] += np.convolve(power[:, i], delta[:, k])[:size]
+        power = product
         if not power.any():
             break
-        out += power / j
-        magnitude += np.abs(power) / j
+        term = np.abs(power.astype(np.float64)) / j
+        out += power.astype(np.float64) / j
+        magnitude += term
+        rounded += np.where(np.abs(power) >= 2**53, term, 0.0)
         j += 1
-    return out, 2.0**-47 * magnitude
+    neglog = np.zeros((size, cols))
+    err = np.zeros((size, cols))
+    neglog[:, :width] = out
+    err[:, :width] = 2.0**-47 * magnitude + 2.0**-52 * rounded
+    return neglog, err
 
 
 def _delta_from_intervals(forbidden: tuple):
@@ -388,13 +410,15 @@ def _tail_enclosure(
     """(lo, mid, hi) with lo <= sum_{p > P} sum_{t >= 2} c_t p^-t <= hi.
 
     ``coeffs`` holds c_t for t <= _SERIES_DEGREE, each within ``coeff_err``;
-    beyond it |c_t| is at most the coefficient of -log(1 - x^2/(1 - x)).
-    ``heads[t]`` is sum_{p <= P} p^-t within 2^-47 relative, for the t of
-    ``_needed_terms``.  Each tail T_t = sum_{p > P} p^-t lies in
-    [0, P^(1-t)/(t-1)], and for a needed t also in P(t) - head_t plus or
-    minus its error.  The terms t > 64 sum to at most
-    log 2 sum_{p > P} (2/p)^65 <= log 2 2^65 P^-64 / 64.  ``mid`` takes each
-    T_t at P(t) - head_t clamped into its interval, or 0 when not needed.
+    it is one z-degree of ``_neglog_coeffs``, so beyond t = 64 the c_t of
+    all z-degrees together are at most 2^t / t in absolute value, the
+    coefficients of -log(1 - 2 x^2 / (1 - x)).  ``heads[t]`` is
+    sum_{p <= P} p^-t within 2^-47 relative, for the t of ``_needed_terms``.
+    Each tail T_t = sum_{p > P} p^-t lies in [0, P^(1-t)/(t-1)], and for a
+    needed t also in P(t) - head_t plus or minus its error.  With p >= 3
+    the terms t > 64 sum to at most 3/65 sum_{p > P} (2/p)^65, below
+    log 2 2^65 P^-64 / 64.  ``mid`` takes each T_t at P(t) - head_t clamped
+    into its interval, or 0 when not needed.
     """
     lo_terms: list[float] = []
     mid_terms: list[float] = []
@@ -423,7 +447,150 @@ def _tail_enclosure(
     )
 
 
+def _exp_series(s: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(s[1] z + ... + s[K] z^K) up to z^K; s[0] is ignored.
+
+    By the recurrence k e_k = sum_{j=1..k} j s_j e_{k-j}.  Each e_k takes
+    at most k + 2 roundings, so its error is within (K + 1)(K + 8) u of
+    the same recurrence run on |s|, the majorant exp(|s|).
+    """
+    js = np.arange(s.size) * s
+    out = np.zeros(s.size)
+    out[0] = 1.0
+    for k in range(1, s.size):
+        out[k] = np.dot(js[1 : k + 1], out[k - 1 :: -1]) / k
+    return out
+
+
+@dataclass(frozen=True)
+class _Bracket:
+    """The coefficients d_0..d_K of a product over all primes, each bracketed."""
+
+    value: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+
+
 def _bracketed_product(
+    rows_of,
+    log_rel_err,
+    deficiency: np.ndarray,
+    m: int,
+    P: int,
+    *,
+    exceptional: dict[int, float] | None = None,
+) -> _Bracket:
+    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta.
+
+    The factors p <= P are summed as logs and the rest enclosed through
+    prime zeta values, per z-degree; ``density()`` is the case K = 0.
+
+    ``rows_of`` maps a float64 array of n primes to ``(logs, majorant)``:
+    ``logs`` is (K + 1, n), row k holding the computed coefficient of z^k in
+    log F(p; z), and ``majorant`` is (K, n) and nonnegative.  Row 0 must be
+    <= 0 and within ``log_rel_err[0]`` relative; for k >= 1 row k must lie
+    within ``log_rel_err[k]`` times majorant row k - 1 of the exact value,
+    and within 1 + ``log_rel_err[k]`` times it in absolute value.
+    ``deficiency`` gives delta(p; z) as integers per p^-t z^k, t <= 64, as
+    ``_neglog_coeffs`` takes them.  Beyond every exceptional prime,
+    0 <= delta(p; 0) <= p^-m with m >= 2.  Exceptional primes contribute
+    fixed factors, constant in z, and are excluded from the rows.
+
+    Degree 0 is bracketed by exp of its log enclosure.  For k >= 1, with
+    S = log of the whole product, S~ its computed centre and |S - S~| <= E
+    coefficient by coefficient,
+        |d - e^S~_0 exp(S~ - S~_0)| << e^S~_0 exp(|S~ - S~_0|) (exp(E) - 1)
+    as majorant series, since every coefficient of the right side is
+    nonnegative.  Both series come from ``_exp_series``.
+    """
+    exceptional = exceptional or {}
+    if any(v <= 0.0 for v in exceptional.values()):
+        # A zero factor would make the whole product zero exactly.
+        raise ValueError("exceptional factors must be positive")
+    K = deficiency.shape[1] - 1
+    chunk = max(_FSUM_CHUNK // (K + 1), 1)
+    neglog, neglog_err = _neglog_coeffs(deficiency)
+    needed = sorted({t for k in range(K + 1) for t in _needed_terms(neglog[:, k], P)})
+    exc_arr = np.array(sorted(exceptional), dtype=np.int64)
+    log_parts: list[np.ndarray] = []
+    majorant_parts: list[np.ndarray] = []
+    head_parts: dict[int, list[float]] = {t: [] for t in needed}
+    n_primes = 0
+    for seg in prime_segments(P):
+        # prime zeta runs over all primes, so the heads count the
+        # exceptional ones even though the product takes their own factors
+        for t in needed:
+            head_parts[t].append(float(np.sum(seg.astype(np.float64) ** -float(t))))
+        n_primes += seg.size
+        if exc_arr.size and seg[0] <= exc_arr[-1]:
+            seg = seg[~np.isin(seg, exc_arr)]
+        # floats chunk by chunk: a (K + 1, chunk) row block is the largest array
+        for i in range(0, seg.size, chunk):
+            logs, majorant = (
+                np.sum(rows, axis=1) for rows in rows_of(seg[i : i + chunk].astype(np.float64))
+            )
+            log_parts.append(logs)
+            majorant_parts.append(majorant)
+    heads = {t: math.fsum(parts) for t, parts in head_parts.items()}
+    generic = [math.fsum(p[k] for p in log_parts) for k in range(K + 1)]
+    tails = [_tail_enclosure(neglog[:, k], neglog_err[:, k], P, heads) for k in range(K + 1)]
+
+    # Every log is <= 0, so |generic| is the sum of their magnitudes.  Each
+    # is within log_rel_err; numpy's pairwise chunk sums add at most 32 ulp
+    # and the fsum one.  An exceptional factor is rounded once (one ulp of
+    # the log) and its log is within 2 ulp.
+    exc_logs = [math.log(v) for v in exceptional.values()]
+    exc_sum = math.fsum(exc_logs)
+    log_sum = generic[0] + exc_sum
+    roundoff = (log_rel_err[0] + 34 * _U) * abs(generic[0]) + _UNDERFLOW
+    roundoff += 2 * _U * len(exc_logs) + 3 * _U * abs(exc_sum)
+
+    tail_lo, tail_mid, tail_hi = tails[0]
+    tail_lo = max(tail_lo, 0.0)
+    tail_hi = min(tail_hi, _tail_logbound_formula(P, m, n_primes))
+    tail_mid = min(max(tail_mid, tail_lo), tail_hi)
+    # the additions below and exp round by at most a few ulp
+    roundoff += 4 * _U * (abs(log_sum) + tail_hi)
+    upper = math.exp(log_sum + roundoff - tail_lo) * (1.0 + 2.0**-50)
+    lower = math.exp(log_sum - roundoff - tail_hi) * (1.0 - 2.0**-50)
+    centre = math.exp(log_sum - tail_mid)
+    value = min(max(centre, lower), upper)
+    if K == 0:
+        return _Bracket((value,), (lower,), (upper,))
+
+    # |S - S~| per degree: the log-sum roundoff (from the majorant sums, for
+    # k >= 1), the tail's half-width, and one rounding of S~.
+    s = np.zeros(K + 1)
+    err = np.zeros(K + 1)
+    s0 = log_sum - tail_mid
+    e0 = (roundoff + max(tail_hi - tail_mid, tail_mid - tail_lo)) * (1.0 + 2.0**-50)
+    e0 += 2 * _U * abs(s0)
+    for k in range(1, K + 1):
+        lo, mid, hi = tails[k]
+        rel = log_rel_err[k]
+        bound = math.fsum(p[k - 1] for p in majorant_parts)
+        head_err = (rel + 34 * _U * (1 + rel)) * (1 + 34 * _U) * bound + _UNDERFLOW
+        s[k] = generic[k] - mid
+        err[k] = (head_err + max(hi - mid, mid - lo)) * (1.0 + 2.0**-50) + 2 * _U * abs(s[k])
+    series = _exp_series(s)
+    majorant = _exp_series(np.abs(s))
+    excess = math.exp(e0) * _exp_series(err)  # exp(E) - 1
+    excess[0] = math.expm1(e0)
+    eps = (K + 1) * (K + 8) * _U
+    spread = np.convolve(majorant, excess)[: K + 1] + eps * majorant
+    # 8 eps covers the float error of both series, their product and exp
+    radius = centre * spread * (1.0 + 8 * eps) + _UNDERFLOW
+    values, lowers, uppers = [value], [lower], [upper]
+    for k in range(1, K + 1):
+        mid = centre * float(series[k])
+        pad = float(radius[k]) * (1.0 + 2.0**-50) + 2 * _U * abs(mid)
+        lowers.append(max(mid - pad, 0.0))
+        uppers.append(mid + pad)
+        values.append(min(max(mid, lowers[-1]), uppers[-1]))
+    return _Bracket(tuple(values), tuple(lowers), tuple(uppers))
+
+
+def _estimate(
     delta_of,
     log_rel_err: float,
     deficiency: np.ndarray,
@@ -433,69 +600,31 @@ def _bracketed_product(
     exceptional: dict[int, float] | None = None,
     truncation_prime: int | None = None,
 ) -> DensityEstimate:
-    """Evaluate prod_p F(p) with F = 1 - delta and a rigorous bracket.
+    """prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``delta_of`` maps a float64 array of primes to 1 - F(p); beyond every
-    exceptional prime it must satisfy 0 <= delta(p) <= p^-m, and log1p of
-    its negation must be within ``log_rel_err`` relative.  ``deficiency``
-    gives delta as a series in 1/p with coefficients in {-1, 0, 1}, for the
-    tail.  Exceptional primes contribute fixed factors and are excluded
-    from the generic array path.  The product is evaluated once, at
+    ``delta_of`` maps a float64 array of primes to 1 - F(p), and log1p of
+    its negation must be within ``log_rel_err`` relative; the other inputs
+    are those of ``_bracketed_product``.  The product is evaluated once, at
     ``truncation_prime`` or else at max(MIN_TRUNCATION, largest exceptional
     prime + 1); without a pinned prime, a bracket wider than
     ``target_error`` raises UnreachableTargetError.
     """
     exceptional = exceptional or {}
-    if any(v <= 0.0 for v in exceptional.values()):
-        # A zero factor would make the whole product zero exactly.
-        raise ValueError("exceptional factors must be positive")
     start = max(MIN_TRUNCATION, max(exceptional, default=0) + 1)
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
             f"truncation prime {truncation_prime} below required minimum {start}"
         )
-    neglog, neglog_err = _neglog_coeffs(deficiency)
     P = start if truncation_prime is None else truncation_prime
-    needed = _needed_terms(neglog, P)
-    exc_arr = np.array(sorted(exceptional), dtype=np.int64)
-    partials: list[float] = []
-    head_parts: dict[int, list[float]] = {t: [] for t in needed}
-    n_primes = 0
-    for seg in prime_segments(P):
-        pf = seg.astype(np.float64)
-        # prime zeta runs over all primes, so the heads count the
-        # exceptional ones even though the product takes their own factors
-        for t in needed:
-            head_parts[t].append(float(np.sum(pf ** -float(t))))
-        n_primes += seg.size
-        if exc_arr.size and seg[0] <= exc_arr[-1]:
-            pf = pf[~np.isin(seg, exc_arr)]
-        logs = np.log1p(-delta_of(pf))
-        for i in range(0, logs.size, _FSUM_CHUNK):
-            partials.append(float(np.sum(logs[i : i + _FSUM_CHUNK])))
-    heads = {t: math.fsum(parts) for t, parts in head_parts.items()}
 
-    # Every log is <= 0, so |generic| is the sum of their magnitudes.  Each
-    # is within log_rel_err; numpy's pairwise chunk sums add at most 32 ulp
-    # and the fsum one.  An exceptional factor is rounded once (one ulp of
-    # the log) and its log is within 2 ulp.
-    generic = math.fsum(partials)
-    exc_logs = [math.log(v) for v in exceptional.values()]
-    exc_sum = math.fsum(exc_logs)
-    log_sum = generic + exc_sum
-    roundoff = (log_rel_err + 34 * _U) * abs(generic) + _UNDERFLOW
-    roundoff += 2 * _U * len(exc_logs) + 3 * _U * abs(exc_sum)
+    def rows_of(pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.log1p(-delta_of(pf))[None, :], np.empty((0, pf.size))
 
-    tail_lo, tail_mid, tail_hi = _tail_enclosure(neglog, neglog_err, P, heads)
-    tail_lo = max(tail_lo, 0.0)
-    tail_hi = min(tail_hi, _tail_logbound_formula(P, m, n_primes))
-    tail_mid = min(max(tail_mid, tail_lo), tail_hi)
-    # the additions below and exp round by at most a few ulp
-    roundoff += 4 * _U * (abs(log_sum) + tail_hi)
-    upper = math.exp(log_sum + roundoff - tail_lo) * (1.0 + 2.0**-50)
-    lower = math.exp(log_sum - roundoff - tail_hi) * (1.0 - 2.0**-50)
-    value = min(max(math.exp(log_sum - tail_mid), lower), upper)
-    est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
+    b = _bracketed_product(
+        rows_of, (log_rel_err,), deficiency, m, P, exceptional=exceptional
+    )
+    lower, upper = b.lower[0], b.upper[0]
+    est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
         raise UnreachableTargetError(
             f"bracket width {est.width:.3e} > target {target_error:.3e} "
@@ -557,7 +686,7 @@ def density(
 
     forbidden = complement(pap.default).intervals
     delta, log_rel_err = _delta_from_intervals(forbidden)
-    return _bracketed_product(
+    return _estimate(
         delta,
         log_rel_err,
         _deficiency_coeffs(forbidden),
@@ -614,9 +743,7 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
         ExponentInterval(ell * (j - 1) + 2, ell * j)
         for j in range(1, _SERIES_DEGREE // ell + 2)
     )
-    return _bracketed_product(
-        delta, log_rel_err, _deficiency_coeffs(forbidden), 2, target_error
-    )
+    return _estimate(delta, log_rel_err, _deficiency_coeffs(forbidden), 2, target_error)
 
 
 def closed_form(

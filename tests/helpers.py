@@ -16,13 +16,15 @@ import hypothesis.strategies as st
 import mpmath
 import numpy as np
 
+from expdens.euler import LocalFactor
 from expdens.patterns import (
     ExponentPattern,
     PrimeAwarePattern,
+    complement,
     min_forbidden,
     normalize_intervals,
 )
-from expdens.series import DensitySeries, DivergentWeightError, ExponentWeight, LocalPoly
+from expdens.series import DivergentWeightError, ExponentWeight
 
 
 def brute_factorize(n: int) -> list[tuple[int, int]]:
@@ -101,6 +103,37 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def local_factor_general(p: int, pattern: ExponentPattern) -> LocalFactor:
+    """Local factor via the forbidden exponents: 1 - (1 - 1/p) * sum p^-i.
+
+    The complement form of the local factor, in exact rationals; the
+    library computes the interval form.
+    """
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    forbidden_sum = Fraction(0)
+    for iv in complement(pattern).intervals:
+        if iv.hi is None:
+            # sum_{i >= lo} p^-i = 1 / (p^(lo-1) (p - 1))
+            forbidden_sum += Fraction(1, p ** (iv.lo - 1) * (p - 1))
+        else:
+            # sum_{i=lo..hi} p^-i = (p^(hi-lo+1) - 1) / (p^hi (p - 1))
+            forbidden_sum += Fraction(
+                p ** (iv.hi - iv.lo + 1) - 1, p**iv.hi * (p - 1)
+            )
+    f = 1 - Fraction(p - 1, p) * forbidden_sum
+    return LocalFactor(p, float(f))
+
+
+@dataclass(frozen=True)
+class LocalPoly:
+    """One prime's factor collected by powers of z, truncated at degree K."""
+
+    prime: int
+    coeffs: tuple[float, ...]
+    dropped: float
+
+
 def reference_local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
     """The scalar local polynomial, one prime at a time, as first written."""
     if p < 2 or K < 0:
@@ -131,12 +164,24 @@ def reference_local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
     return LocalPoly(p, tuple(float(c) for c in coeffs), dropped * scale)
 
 
+@dataclass(frozen=True)
+class TruncatedSeries:
+    """The product of the local polynomials over p <= P, and over p <= P // 2."""
+
+    coeffs: tuple[float, ...]
+    half_coeffs: tuple[float, ...]
+
+
 def reference_density_series(
     w: ExponentWeight,
     K: int = 8,
     truncation_prime: int = 100_000,
-) -> DensitySeries:
-    """The density series by the per-prime loop, as first written."""
+) -> TruncatedSeries:
+    """The truncated series by the per-prime convolution loop, as first written.
+
+    Every row is nonnegative, so each coefficient is within
+    pi(P) (K + 3) u relative of the exact truncated product.
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
     if truncation_prime < 2:
@@ -157,14 +202,7 @@ def reference_density_series(
         coeffs = np.convolve(coeffs, np.asarray(lp.coeffs))[: K + 1]
     if half_coeffs is None:
         half_coeffs = coeffs.copy()
-    stability = coeffs - half_coeffs
-    mass_deficit = 1.0 - float(coeffs.sum())
-    return DensitySeries(
-        tuple(float(c) for c in coeffs),
-        truncation_prime,
-        mass_deficit,
-        tuple(float(d) for d in stability),
-    )
+    return TruncatedSeries(tuple(coeffs.tolist()), tuple(half_coeffs.tolist()))
 
 
 def gap_factor(p: np.ndarray) -> np.ndarray:
@@ -407,3 +445,128 @@ def oracle_closed_form(form: str, **kw) -> mpmath.mpf:
         if form == "ex3":
             return (1 + oracle_prime_sum(k)) / mpmath.zeta(k)
         raise ValueError(f"no oracle for {form!r}")
+
+
+# ---------------------------------------------------------------------------
+# 40-digit density series: the exact product of the local polynomials over
+# p < ORACLE_SPLIT times exp(-tail(z)), where tail(z) = sum over p >= the
+# split of -log F(p; z) = sum_t c_t(z) (primezeta(t) - head_t) and the c_t(z)
+# are exact.  Beyond the split, the c_t of all z-degrees together are below
+# 2^t / t, so the terms past ORACLE_DEGREE are below 1e-75.
+
+
+def _weight_key(w: ExponentWeight) -> tuple:
+    return (tuple(w.exceptions.items()), w.tail_start, w.tail_slope, w.tail_offset)
+
+
+def _local_series(p: int, w: ExponentWeight, K: int) -> list[mpmath.mpf]:
+    """F(p; z) = (1 - 1/p) (1 + sum_i z^w(i) p^-i) mod z^(K+1), in mpmath."""
+    x = mpmath.mpf(1) / p
+    a = [mpmath.mpf(0)] * (K + 1)
+    a[0] += 1
+    for i, wi in w.exceptions.items():
+        if wi <= K:
+            a[wi] += x**i
+    i0 = w.tail_start
+    if w.tail_slope == 0:
+        if w.tail_offset <= K:
+            a[w.tail_offset] += x**i0 / (1 - x)
+    else:
+        for i in range(i0, K - w.tail_offset + 1):
+            a[i + w.tail_offset] += x**i
+    return [(1 - x) * c for c in a]
+
+
+def _times(a: list, b: list) -> list:
+    """Product of two series, truncated to the length of a."""
+    return [mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+
+
+def _neglog_series_z(w: ExponentWeight, K: int) -> list[list[Fraction]]:
+    """c[t][k] with -log F(p; z) = sum_{t, k} c[t][k] p^-t z^k, t <= ORACLE_DEGREE.
+
+    1 - F(p; z) = sum_t (z^w(t-1) - z^w(t)) p^-t with w(0) = 0; its powers
+    are exact integers, divided by j once each.
+    """
+    n = ORACLE_DEGREE + 1
+    delta = np.zeros((n, K + 1), dtype=object)
+    delta[:] = 0
+    for t in range(1, n):
+        for k, sign in ((w.weight(t - 1) if t > 1 else 0, 1), (w.weight(t), -1)):
+            if k <= K:
+                delta[t, k] += sign
+    out = [[Fraction(0)] * (K + 1) for _ in range(n)]
+    power = delta.copy()
+    j = 1
+    while any(power.flat):
+        for t in range(n):
+            for k in range(K + 1):
+                if power[t, k]:
+                    out[t][k] += Fraction(int(power[t, k]), j)
+        nxt = np.zeros_like(power)
+        nxt[:] = 0
+        for t, k in zip(*np.nonzero(delta)):
+            nxt[t:, k:] += delta[t, k] * power[: n - t, : K + 1 - k]
+        power = nxt
+        j += 1
+    return out
+
+
+def _exp_series_mp(s: list) -> list:
+    """Coefficients of exp(s(z)) by k e_k = sum_j j s_j e_{k-j}."""
+    e = [mpmath.exp(s[0])]
+    for k in range(1, len(s)):
+        e.append(mpmath.fsum(j * s[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
+@lru_cache(maxsize=None)
+def _neglog_cached(key: tuple, K: int) -> list[list[Fraction]]:
+    return _neglog_series_z(ExponentWeight(dict(key[0]), *key[1:]), K)
+
+
+@lru_cache(maxsize=None)
+def _prime_zeta_beyond(P: int, t_max: int) -> tuple:
+    """sum over primes p > P of p^-t for t = 0..t_max, for P >= ORACLE_SPLIT - 1."""
+    # fixed point: each term is floored to a multiple of 10^-80
+    scale = 10**80
+    heads = [0] * (t_max + 1)
+    for p in primes_upto(P).tolist():
+        if p >= ORACLE_SPLIT:
+            power = 1
+            for t in range(1, t_max + 1):
+                power *= p
+                heads[t] += scale // power
+    with mpmath.workdps(ORACLE_DPS + 20):
+        return tuple(
+            _prime_zeta_tail(t) - mpmath.mpf(heads[t]) / scale if t >= 2 else None
+            for t in range(t_max + 1)
+        )
+
+
+@lru_cache(maxsize=None)
+def _oracle_series(key: tuple, K: int, P: int) -> tuple:
+    w = ExponentWeight(dict(key[0]), *key[1:])
+    split = max(P, ORACLE_SPLIT - 1)
+    with mpmath.workdps(ORACLE_DPS + 10):
+        c = _neglog_cached(key, K)
+        # a t with 2^t split^(1-t) < 1e-60 adds less than that
+        ts = [t for t in range(2, len(c)) if (t - 1) * math.log(split) - t * math.log(2) < 138]
+        beyond = _prime_zeta_beyond(split, ts[-1])
+        tail = [
+            -mpmath.fsum(_mpf(c[t][k]) * beyond[t] for t in ts if c[t][k])
+            for k in range(K + 1)
+        ]
+        d = _exp_series_mp(tail)
+        for p in _small_primes():
+            if p > P:
+                d = _times(d, _local_series(p, w, K))
+        return tuple(d)
+
+
+def oracle_series(w: ExponentWeight, K: int, beyond: int = 1) -> list[mpmath.mpf]:
+    """prod_{p > beyond} F(p; z) mod z^(K+1) to 40 digits; w(1) must be 0.
+
+    With ``beyond`` = 1 these are the densities d_0..d_K of the weight.
+    """
+    return list(_oracle_series(_weight_key(w), K, beyond))

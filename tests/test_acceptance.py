@@ -13,7 +13,6 @@ from expdens.euler import (
     brackets_overlap,
     closed_form,
     density,
-    local_factor_general,
     local_factor_interval,
     zeta_int,
 )
@@ -29,6 +28,7 @@ from helpers import (
     assert_below_partial,
     exp_odd_factor,
     gap_factor,
+    local_factor_general,
     partial_euler_product,
     random_pattern,
     random_small_pap,

@@ -1,12 +1,14 @@
 """Every published bracket holds a 40-digit value computed without expdens's product code."""
 
 import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expdens.euler import MIN_TRUNCATION, closed_form, density
-from expdens.patterns import PrimeAwarePattern, min_forbidden, normalize_intervals
-from helpers import oracle_closed_form, oracle_density, primes_upto
+from expdens.patterns import PrimeAwarePattern, min_forbidden, normalize_intervals, parse_pattern
+from expdens.series import ExponentWeight, density_series
+from helpers import oracle_closed_form, oracle_density, oracle_series, primes_upto
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 97, 997]
 LARGE_PRIMES = [int(p) for p in primes_upto(3000) if p > 1000][::25]
@@ -88,3 +90,37 @@ def test_closed_form_bracket_holds_the_truth(request):
     est = closed_form(form, target_error=1e-12, **kwargs)
     assert est.width <= 1e-12
     _assert_holds(est, oracle_closed_form(form, **kwargs))
+
+
+series_weights = st.one_of(
+    st.just(ExponentWeight.excess()),
+    st.builds(ExponentWeight.threshold, st.integers(2, 8)),
+    default_patterns().map(ExponentWeight.outside_pattern),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    series_weights,
+    st.integers(0, 16),
+    st.one_of(st.sampled_from([2, 3, 1000]), st.integers(2, 10**5)),
+)
+def test_series_brackets_hold_the_truth(w, K, truncation):
+    ds = density_series(w, K, truncation)
+    for k, truth in enumerate(oracle_series(w, K)):
+        assert mpmath.mpf(ds.lower[k]) <= truth <= mpmath.mpf(ds.upper[k]), (k, ds, truth)
+
+
+@pytest.mark.parametrize("P", [10**5, 10**6])
+@pytest.mark.parametrize(
+    "w",
+    [
+        ExponentWeight.excess(),
+        ExponentWeight.outside_pattern(parse_pattern("1..1")),
+        ExponentWeight.outside_pattern(parse_pattern("1..2")),
+    ],
+    ids=["excess", "1..1", "1..2"],
+)
+def test_series_brackets_are_narrow(w, P):
+    ds = density_series(w, 16, P)
+    assert max(hi - lo for lo, hi in zip(ds.lower, ds.upper)) <= 1e-13

@@ -204,7 +204,9 @@ class TestCountAndSeries:
         )
         assert code == EXIT_OK
         record = json.loads(text)
-        assert set(record) == {"coeffs", "truncation_prime", "mass_deficit", "stability"}
+        assert set(record) == {
+            "coeffs", "lower", "upper", "truncation_prime", "mass_deficit", "stability"
+        }
         assert len(record["coeffs"]) == 4
         assert record["coeffs"][0] == pytest.approx(0.6079, abs=1e-3)
 
@@ -270,7 +272,9 @@ class TestMachineOutput:
         monkeypatch.setattr(
             expdens.series,
             "density_series",
-            lambda w, K, P: expdens.series.DensitySeries((nan,), P, nan, (nan,)),
+            lambda w, K, P: expdens.series.DensitySeries(
+                (nan,), (nan,), (nan,), P, nan, (nan,)
+            ),
         )
         assert main(["series", "--pattern", "1..1", "--output", "machine"]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -14,7 +14,6 @@ from expdens.euler import (
     brackets_overlap,
     closed_form,
     density,
-    local_factor_general,
     local_factor_interval,
     prime_sum,
     zeta_int,
@@ -32,6 +31,7 @@ from helpers import (
     assert_below_partial,
     exp_odd_factor,
     gap_factor,
+    local_factor_general,
     mod_periodic_factor,
     oracle_mod_periodic,
     partial_euler_product,

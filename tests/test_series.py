@@ -1,5 +1,7 @@
 import hypothesis.strategies as st
+import numpy as np
 import pytest
+from helpers import LocalPoly, reference_local_poly
 from hypothesis import given, settings
 
 from expdens.euler import density, zeta_int
@@ -8,10 +10,16 @@ from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
     density_series,
-    local_poly,
+    local_polys,
 )
 
 SQUAREFREE_W = ExponentWeight.outside_pattern(parse_pattern("1..1"))
+
+
+def local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
+    """The library's row for one prime, with the mass the reference drops past K."""
+    coeffs = tuple(local_polys(np.array([p]), w, K)[:, 0].tolist())
+    return LocalPoly(p, coeffs, reference_local_poly(p, w, K).dropped)
 
 
 small_weights = st.builds(
