@@ -61,7 +61,7 @@ MIN_TRUNCATION = 1000
 
 # Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
-_FSUM_CHUNK = 1 << 15
+_FSUM_CHUNK = 1 << 16
 # Unit roundoff of float64.
 _U = 2.0**-53
 # Covers every result that underflows below the normal range, summed over at
@@ -314,24 +314,16 @@ def _neglog_coeffs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size, cols = delta.shape
     entries = [(int(t), int(k)) for t, k in zip(*np.nonzero(delta))]
     width = 1 + min(cols - 1, max((_SERIES_DEGREE * k // t for t, k in entries), default=0))
-    entries = [(t, k) for t, k in entries if k < width]
-    degrees = sorted({k for _, k in entries})
     power = delta[:, :width].copy()
     out = power.astype(np.float64)
     magnitude = np.abs(out)
     rounded = np.zeros_like(out)
     j = 2
     while True:
-        # exact either way: one shifted add per entry of delta, or one
-        # convolution in x per pair of z-degrees, whichever is fewer calls
+        # power * delta, exactly: one shifted add per entry of delta
         product = np.zeros_like(power)
-        if len(entries) <= len(degrees) * width:
-            for t, k in entries:
-                product[t:, k:] += delta[t, k] * power[: size - t, : width - k]
-        else:
-            for k in degrees:
-                for i in range(width - k):
-                    product[:, k + i] += np.convolve(power[:, i], delta[:, k])[:size]
+        for t, k in entries:
+            product[t:, k:] += delta[t, k] * power[: size - t, : width - k]
         power = product
         if not power.any():
             break
@@ -508,7 +500,8 @@ def _bracketed_product(
         # A zero factor would make the whole product zero exactly.
         raise ValueError("exceptional factors must be positive")
     K = deficiency.shape[1] - 1
-    chunk = max(_FSUM_CHUNK // (K + 1), 1)
+    # K + 1 log rows and K majorant rows per prime share one chunk budget
+    chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
     neglog, neglog_err = _neglog_coeffs(deficiency)
     needed = sorted({t for k in range(K + 1) for t in _needed_terms(neglog[:, k], P)})
     exc_arr = np.array(sorted(exceptional), dtype=np.int64)
@@ -524,7 +517,7 @@ def _bracketed_product(
         n_primes += seg.size
         if exc_arr.size and seg[0] <= exc_arr[-1]:
             seg = seg[~np.isin(seg, exc_arr)]
-        # floats chunk by chunk: a (K + 1, chunk) row block is the largest array
+        # floats chunk by chunk: a (2K + 1, chunk) row block is the largest array
         for i in range(0, seg.size, chunk):
             logs, majorant = (
                 np.sum(rows, axis=1) for rows in rows_of(seg[i : i + chunk].astype(np.float64))

@@ -62,7 +62,7 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("block, P", BLOCK_CASES)
 def test_density_series_matches_per_prime_loop(name, K, P, block, monkeypatch):
     # `block` primes per chunk
-    monkeypatch.setattr(expdens.euler, "_FSUM_CHUNK", block * (K + 1))
+    monkeypatch.setattr(expdens.euler, "_FSUM_CHUNK", block * (2 * K + 1))
     w = WEIGHTS[name]
     got = density_series(w, K, P)
     # reduction mod z^(K+1) is a ring homomorphism, so one K = 16 oracle serves every K
