@@ -117,11 +117,8 @@ def _cmd_series(config: RunConfig, out) -> int:
     else:
         out.write(f"series   truncation_prime={ds.truncation_prime}  "
                   f"mass_deficit={ds.mass_deficit!r}\n")
-        for k, (c, lo, hi, d) in enumerate(
-            zip(ds.coeffs, ds.lower, ds.upper, ds.stability)
-        ):
-            out.write(f"  d_{k} = {c!r}   in [{lo!r}, {hi!r}]   "
-                      f"(half-truncation delta {d:+.3e})\n")
+        for k, (c, lo, hi) in enumerate(zip(ds.coeffs, ds.lower, ds.upper)):
+            out.write(f"  d_{k} = {c!r}   in [{lo!r}, {hi!r}]\n")
     return EXIT_OK
 
 

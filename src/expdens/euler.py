@@ -45,14 +45,14 @@ from functools import lru_cache
 import numpy as np
 
 from .patterns import (
-    ExponentInterval,
     ExponentPattern,
     PrimeAwarePattern,
     complement,
+    contains,
     min_forbidden,
     normalize_intervals,
 )
-from .primes import RS_UPPER, is_prime, prime_segments, sieve_primes
+from .primes import RS_UPPER, _check_budget, is_prime, prime_segments, sieve_primes
 
 DEFAULT_TARGET_ERROR = 1e-8
 # Smallest truncation prime.  Beyond it the terms t > _SERIES_DEGREE of every
@@ -281,18 +281,23 @@ def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
 # Deficiency series: 1 - F(p; z) as a polynomial in 1/p and z
 
 
-def _deficiency_coeffs(forbidden: tuple) -> np.ndarray:
-    """Integers u with 1 - F(p) = sum_t u[t, 0] p^-t, cut at _SERIES_DEGREE.
+def _deficiency(weight, K: int) -> np.ndarray:
+    """Integers u with 1 - F(p; z) = sum_{t, k} u[t, k] p^-t z^k, t <= 64, k <= K.
 
-    The single column is the z-free case of the (65, K + 1) deficiency
-    arrays that ``_bracketed_product`` takes.
+    ``weight`` maps t >= 1 to its z-degree w(t), an int or bool; w(0) = 0.
+    F(p; z) = (1 - 1/p) sum_{i >= 0} z^w(i) p^-i = 1 - sum_t (z^w(t-1) - z^w(t)) p^-t,
+    so u[t, w(t-1)] += 1 and u[t, w(t)] -= 1 for degrees up to K.  A density
+    is the case K = 0 with weight 1 on the forbidden exponents.
     """
-    coef = np.zeros((_SERIES_DEGREE + 1, 1), dtype=np.int64)
-    for iv in forbidden:
-        if iv.lo <= _SERIES_DEGREE:
-            coef[iv.lo, 0] += 1
-        if iv.hi is not None and iv.hi + 1 <= _SERIES_DEGREE:
-            coef[iv.hi + 1, 0] -= 1
+    coef = np.zeros((_SERIES_DEGREE + 1, K + 1), dtype=np.int64)
+    prev = 0
+    for t in range(1, _SERIES_DEGREE + 1):
+        cur = int(weight(t))  # a bool would index numpy as a mask
+        if prev <= K:
+            coef[t, prev] += 1
+        if cur <= K:
+            coef[t, cur] -= 1
+        prev = cur
     return coef
 
 
@@ -339,6 +344,18 @@ def _neglog_coeffs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return neglog, err
 
 
+def _inverse_power(pf: np.ndarray, e: int) -> np.ndarray:
+    """pf ** -e, left at 0 wherever p^e >= 2^1076, as it rounds to 0 there.
+
+    Results below the normal range take libm's slow path, about 17 times the
+    cost of a normal power.  From e = 1076 on, e may be too large for a float.
+    """
+    if e >= 1076:
+        return np.zeros(pf.shape)
+    bound = 2.0 ** min(1076 / e, 1000)
+    return np.power(pf, -float(e), out=np.zeros(pf.shape), where=pf < bound)
+
+
 def _delta_from_intervals(forbidden: tuple):
     """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), and its log error.
 
@@ -352,9 +369,9 @@ def _delta_from_intervals(forbidden: tuple):
     def delta(pf: np.ndarray) -> np.ndarray:
         d = np.zeros_like(pf)
         for iv in forbidden:
-            d += pf ** -float(iv.lo)
+            d += _inverse_power(pf, iv.lo)
             if iv.hi is not None:
-                d -= pf ** -float(iv.hi + 1)
+                d -= _inverse_power(pf, iv.hi + 1)
         return d
 
     n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
@@ -372,8 +389,10 @@ def _tail_logbound_formula(P: int, m: int, pi_exact: int) -> float:
     the integral comparison with all integers, P^(1-m)/(m-1), and a
     prime-counting refinement using pi(x) < 1.25506 x/ln x (x > 1) and the
     exact count pi(P).  Both are scaled by 1/(1 - 2^-m), which dominates the
-    -log expansion.
+    -log expansion.  An m above 1076 gives the same floats as 1076, where
+    every power below has underflowed to 0, and may be too large for a float.
     """
+    m = min(m, 1076)
     scale = 1.0 / (1.0 - 2.0 ** (-m))
     coarse = float(P) ** (1 - m) / (m - 1)
     log_p = math.log(P)
@@ -609,6 +628,8 @@ def _estimate(
             f"truncation prime {truncation_prime} below required minimum {start}"
         )
     P = start if truncation_prime is None else truncation_prime
+    # before any float of P: a P of hundreds of digits would overflow
+    _check_budget(P)
 
     def rows_of(pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.log1p(-delta_of(pf))[None, :], np.empty((0, pf.size))
@@ -677,12 +698,11 @@ def density(
             prod *= _interval_factor_fraction(p, pat)
         return _exact_estimate(prod, max(pap.exceptions, default=2))
 
-    forbidden = complement(pap.default).intervals
-    delta, log_rel_err = _delta_from_intervals(forbidden)
+    delta, log_rel_err = _delta_from_intervals(complement(pap.default).intervals)
     return _estimate(
         delta,
         log_rel_err,
-        _deficiency_coeffs(forbidden),
+        _deficiency(lambda t: not contains(pap.default, t), 0),
         m,
         target_error,
         exceptional=exceptional,
@@ -730,13 +750,9 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     # of error, so the numerator is within 13 u, the denominator within 6 u
     # and delta within 20 u; log1p then gives (4/3) 20 u + 8 u < 36 u.
     log_rel_err = 64 * _U
-    # Forbidden exponents are [ell (j-1) + 2, ell j] for j >= 1; those
-    # starting beyond _SERIES_DEGREE leave the series untouched.
-    forbidden = tuple(
-        ExponentInterval(ell * (j - 1) + 2, ell * j)
-        for j in range(1, _SERIES_DEGREE // ell + 2)
-    )
-    return _estimate(delta, log_rel_err, _deficiency_coeffs(forbidden), 2, target_error)
+    # weight 1 on the forbidden exponents, those not = 1 mod ell
+    deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)
+    return _estimate(delta, log_rel_err, deficiency, 2, target_error)
 
 
 def closed_form(

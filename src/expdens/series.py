@@ -12,46 +12,49 @@ reduced mod z^(K+1), a ring homomorphism that loses nothing below degree K.
 Each full factor is 1 at z = 1, so the d_k sum to 1 over all k, and
 ``mass_deficit`` = 1 - sum_{k <= K} d_k is the density of {n : g(n) > K}.
 
-``density_series`` runs the Euler-product engine of ``euler``: per chunk of
-primes, ``local_polys`` builds the coefficient rows of F(p; z) with numpy
-powers, ``_log_rows`` takes the log of each row as a series in z, the engine
-sums the logs over p <= P, encloses the factors p > P through prime zeta
-values per z-degree, and takes one exp of the series.  Every d_k comes with
-``lower`` and ``upper`` that hold the true density, the tail beyond P and
-all float roundoff included.  ``stability`` is d_k(P) - d_k(P // 2), the
-change from a second engine call at half the truncation prime.  Work is
-estimated as pi(P) (K + 9)^2 before any sieving and capped at
-``SERIES_WORK_CAP``.
+A weight is a few pieces, exponent intervals on which w is constant or rises
+by one per exponent, and the work per prime follows their count.
+
+``density_series`` makes one call of the Euler-product engine of ``euler``:
+per chunk of primes, ``local_polys`` builds the coefficient rows of F(p; z)
+with numpy powers, ``_log_rows`` takes the log of each row as a series in z,
+the engine sums the logs over p <= P, encloses the factors p > P through
+prime zeta values per z-degree, and takes one exp of the series.  Every d_k
+comes with ``lower`` and ``upper`` that hold the true density, the tail
+beyond P and all float roundoff included.  Work is estimated from P, K and
+the piece count before any sieving and capped at ``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import euler
 from .euler import _U
 from .patterns import (
+    ExponentInterval,
     ExponentPattern,
     complement,
-    contains,
     min_forbidden,
     normalize_intervals,
 )
 
 # sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it
 # by name.
-from .primes import RS_UPPER, ResourceBudgetError, sieve_primes  # noqa: F401
+from .primes import RS_UPPER, ResourceBudgetError, _check_budget, sieve_primes  # noqa: F401
 
 # Truncation prime when none is given, for the library, the CLI and scripts.
 DEFAULT_TRUNCATION = 100_000
-# Largest admitted work estimate pi(P) (K + 9)^2: the log of a row costs
-# about K^2 / 2 products per prime for the value and as many for its
-# majorant, and the 9 stands for the per-prime powers, log1p and head sums.
-# P = 1e7 at K = 16 is about 4.87e8 and passes; P = 1e8 at K = 0 is about
-# 5.52e8 and does not.
+# Largest admitted work estimate pi(P) ((K + 9)^2 + 16 (n - 1)) for n pieces:
+# a row's log and majorant cost about K^2 products per prime, the 9 stands
+# for the powers, log1p and head sums, and each boundary between pieces adds
+# about 12 ns per prime, 10 units.  numpy calls cost microseconds whatever
+# the chunk, so pi(P) counts as at least 1000.  P = 1e7 at K = 16 passes for
+# up to two pieces; P = 1e8 at K = 0 does not.
 SERIES_WORK_CAP = 5 * 10**8
 
 
@@ -61,88 +64,68 @@ class DivergentWeightError(ValueError):
 
 @dataclass(frozen=True)
 class ExponentWeight:
-    """Prime-independent integer weight on exponents with a structured tail.
+    """Prime-independent integer weight on exponents, piecewise linear.
 
-    weight(i) = exceptions[i] for 1 <= i < tail_start and
-    weight(i) = tail_slope * i + tail_offset for i >= tail_start.  The slope
-    is 0 (binary-style weights) or 1 (excess-style weights); all weights must
-    be >= 0 and the exceptions must cover [1, tail_start) exactly.
+    ``pieces`` holds ``(interval, slope, offset)`` with intervals that cover
+    1, 2, ... in order, the last unbounded; weight(i) = slope * i + offset
+    on each, with slope 0 or 1 and no weight below 0.
     """
 
-    exceptions: dict[int, int] = field(default_factory=dict)
-    tail_start: int = 1
-    tail_slope: int = 0
-    tail_offset: int = 0
+    pieces: tuple[tuple[ExponentInterval, int, int], ...]
 
     def __post_init__(self):
-        if self.tail_start < 1:
-            raise ValueError("tail_start must be >= 1")
-        if self.tail_slope not in (0, 1):
-            raise ValueError("tail_slope must be 0 or 1")
-        if self.tail_slope * self.tail_start + self.tail_offset < 0:
-            raise ValueError("tail weights must be >= 0")
-        covered = set(self.exceptions)
-        expected = set(range(1, self.tail_start))
-        if covered != expected:
-            raise ValueError(
-                f"exceptions must cover exponents {sorted(expected)}, got {sorted(covered)}"
-            )
-        if any(v < 0 for v in self.exceptions.values()):
-            raise ValueError("weights must be >= 0")
-        object.__setattr__(self, "exceptions", dict(sorted(self.exceptions.items())))
+        nxt = 1
+        for iv, slope, offset in self.pieces:
+            if nxt is None or iv.lo != nxt:
+                raise ValueError(f"piece {iv} breaks the cover of 1, 2, ... in order")
+            if slope not in (0, 1):
+                raise ValueError("slopes must be 0 or 1")
+            if slope * iv.lo + offset < 0:
+                raise ValueError("weights must be >= 0")
+            nxt = None if iv.hi is None else iv.hi + 1
+        if nxt is not None:
+            raise ValueError("the last piece must be unbounded")
 
     def weight(self, i: int) -> int:
         if i < 1:
             raise ValueError("exponents are >= 1")
-        if i < self.tail_start:
-            return self.exceptions[i]
-        return self.tail_slope * i + self.tail_offset
+        _, slope, offset = self.pieces[
+            bisect_right(self.pieces, i, key=lambda piece: piece[0].lo) - 1
+        ]
+        return slope * i + offset
 
     def induced_pattern(self) -> ExponentPattern:
         """The allowed-exponent pattern {i : weight(i) = 0}."""
-        ivs: list[tuple[int, int | None]] = [
-            (i, i) for i, v in self.exceptions.items() if v == 0
-        ]
-        if self.tail_slope == 0 and self.tail_offset == 0:
-            ivs.append((self.tail_start, None))
-        elif self.tail_slope == 1 and -self.tail_offset >= self.tail_start:
-            ivs.append((-self.tail_offset, -self.tail_offset))
+        ivs: list[tuple[int, int | None]] = []
+        for iv, slope, offset in self.pieces:
+            if slope == 0 and offset == 0:
+                ivs.append((iv.lo, iv.hi))
+            elif slope == 1 and -offset in iv:
+                ivs.append((-offset, -offset))
         return normalize_intervals(ivs)
 
     @classmethod
     def zero(cls) -> "ExponentWeight":
-        return cls()
+        return cls(((ExponentInterval(1, None), 0, 0),))
 
     @classmethod
     def excess(cls) -> "ExponentWeight":
         """weight(i) = i - 1; g(n) counts exponent excess over squarefree."""
-        return cls(tail_start=1, tail_slope=1, tail_offset=-1)
+        return cls(((ExponentInterval(1, None), 1, -1),))
 
     @classmethod
     def outside_pattern(cls, pattern: ExponentPattern) -> "ExponentWeight":
         """Binary weight: 1 on exponents the pattern forbids, 0 on allowed ones."""
-        if pattern.intervals and pattern.intervals[-1].hi is None:
-            tail_start = pattern.intervals[-1].lo
-            slope_offset = 0
-        elif pattern.intervals:
-            tail_start = pattern.intervals[-1].hi + 1
-            slope_offset = 1
-        else:
-            tail_start = 1
-            slope_offset = 1
-        exceptions = {
-            i: 0 if contains(pattern, i) else 1 for i in range(1, tail_start)
-        }
-        return cls(exceptions=exceptions, tail_start=tail_start, tail_offset=slope_offset)
+        pieces = [(iv, 0, 0) for iv in pattern.intervals]
+        pieces += [(iv, 0, 1) for iv in complement(pattern).intervals]
+        return cls(tuple(sorted(pieces, key=lambda piece: piece[0].lo)))
 
     @classmethod
     def threshold(cls, k: int) -> "ExponentWeight":
         """Binary weight: 1 exactly when the exponent is >= k."""
         if k < 1:
             raise ValueError("threshold needs k >= 1")
-        if k == 1:
-            return cls(tail_offset=1)
-        return cls.outside_pattern(normalize_intervals([(1, k - 1)]))
+        return cls.outside_pattern(normalize_intervals([(1, k - 1)] if k > 1 else []))
 
 
 @dataclass(frozen=True)
@@ -150,9 +133,7 @@ class DensitySeries:
     """d_0..d_K, each with a bracket lower[k] <= d_k <= upper[k].
 
     ``coeffs[k]`` is the point value of d_k, clamped into its bracket.
-    ``mass_deficit`` = 1 - sum(coeffs), the density of {n : g(n) > K};
-    ``stability[k]`` = d_k(P) - d_k(P // 2), with P // 2 raised to 2 when
-    P < 4.
+    ``mass_deficit`` = 1 - sum(coeffs), the density of {n : g(n) > K}.
     """
 
     coeffs: tuple[float, ...]
@@ -160,7 +141,6 @@ class DensitySeries:
     upper: tuple[float, ...]
     truncation_prime: int
     mass_deficit: float
-    stability: tuple[float, ...]
 
     def __post_init__(self):
         if not len(self.lower) == len(self.upper) == len(self.coeffs):
@@ -176,31 +156,31 @@ class DensitySeries:
 def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
     """Coefficient rows a_0..a_K of F(p; z), one column per prime.
 
-    Row k holds a_k = (1 - 1/p) ([k = 0] + sum over i with w(i) = k of p^-i);
-    a tail of constant weight enters in closed geometric form, and exponents
-    whose weight exceeds K are left out.  Returns a (K + 1, len(primes))
-    array.  Each power is within 4 ulp, a geometric tail term within 8, and
-    1 - 1/p within 3, so with one rounding per added term, row k is within
-    (n_k + 13) u relative, n_k the number of terms of weight k.
+    Row k holds a_k = (1 - 1/p) ([k = 0] + sum over i with w(i) = k of p^-i).
+    A constant piece [lo, hi] of weight k <= K adds one block
+    p^-lo - p^-(hi+1), its geometric sum times 1 - 1/p, and shares each power
+    with its neighbours; a slope-1 piece adds (1 - 1/p) p^-i for each i of
+    weight at most K.  Weights above K are left out.  Returns a
+    (K + 1, len(primes)) array.
     """
     pf = np.asarray(primes, dtype=np.float64)
     if K < 0 or (pf.size and pf.min() < 2):
         raise ValueError("need p >= 2 and K >= 0")
     scale = 1.0 - 1.0 / pf
-    raw = np.zeros((K + 1, pf.size))
-    for i, wi in w.exceptions.items():
-        if wi <= K:
-            raw[wi] += pf ** -float(i)
-    i0 = w.tail_start
-    if w.tail_slope == 0:
-        if w.tail_offset <= K:
-            raw[w.tail_offset] += pf ** -float(i0) / scale
-    else:
-        for deg in range(max(0, i0 + w.tail_offset), K + 1):
-            raw[deg] += pf ** -float(deg - w.tail_offset)
-    raw *= scale
-    raw[0] += scale
-    return raw
+    rows = np.zeros((K + 1, pf.size))
+    rows[0] = scale
+    head = 1.0 / pf  # p^-lo of the current piece
+    for iv, slope, offset in w.pieces:
+        nxt = 0.0 if iv.hi is None else euler._inverse_power(pf, iv.hi + 1)
+        if slope == 0:
+            if offset <= K:
+                rows[offset] += head - nxt
+        else:
+            top = K if iv.hi is None else min(K, iv.hi + offset)
+            for deg in range(iv.lo + offset, top + 1):
+                rows[deg] += scale * euler._inverse_power(pf, deg - offset)
+        head = nxt
+    return rows
 
 
 def _log_rows(log0: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,26 +233,24 @@ def _log_row_errors(K: int, rho: float) -> list[float]:
     return out
 
 
-def _deficiency(w: ExponentWeight, K: int) -> np.ndarray:
-    """1 - F(p; z) as integers per p^-t z^k, for t <= 64 and k <= K."""
-    coef = np.zeros((euler._SERIES_DEGREE + 1, K + 1), dtype=np.int64)
-    prev = 0
-    for t in range(1, euler._SERIES_DEGREE + 1):
-        cur = w.weight(t)
-        if prev <= K:
-            coef[t, prev] += 1
-        if cur <= K:
-            coef[t, cur] -= 1
-        prev = cur
-    return coef
-
-
 def _enclose(w: ExponentWeight, K: int, m: int, P: int) -> euler._Bracket:
-    """One engine call: d_0..d_K bracketed, factors p <= P multiplied out."""
+    """One engine call: d_0..d_K bracketed, factors p <= P multiplied out.
+
+    Row error: each power is within 4 ulp, 1/p within 1 and 1 - 1/p within
+    2.  A block b = p^-lo - p^-(hi+1) has p^-(hi+1) <= p^-lo / 2 <= b, so
+    its inputs err by at most 4 u (p^-lo + p^-(hi+1)) <= 12 u b and it is
+    within 13 u; a slope term (1 - 1/p) p^-i is within 7 u.  Adding n
+    nonnegative terms rounds n times at most, so a_k is within (n_k + 13) u
+    relative and r_k = a_k / a_0 within (n_k + n_0 + 27) u.  A piece puts at
+    most one term in each row and a constant piece in one row only, so
+    n_k + n_0 is at most the piece count plus the slope-piece count; 3 u
+    more cover the second-order terms.  Powers that round to 0 leave out
+    less than 2^-1074 per row, inside the engine's underflow allowance.
+    """
     forbidden = complement(w.induced_pattern()).intervals
     delta, log_rel_err = euler._delta_from_intervals(forbidden)
-    # r_k = a_k / a_0 is within (n_k + n_0 + 27) u, n_k + n_0 <= len(exceptions) + 2
-    rho = (len(w.exceptions) + 32) * _U
+    terms = sum(1 + slope for _, slope, _ in w.pieces)
+    rho = (terms + 30) * _U
 
     def rows_of(pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = local_polys(pf, w, K)
@@ -280,7 +258,7 @@ def _enclose(w: ExponentWeight, K: int, m: int, P: int) -> euler._Bracket:
         return _log_rows(np.log1p(-delta(pf)), rows[1:])
 
     rel = [log_rel_err, *_log_row_errors(K, rho)]
-    return euler._bracketed_product(rows_of, rel, _deficiency(w, K), m, P)
+    return euler._bracketed_product(rows_of, rel, euler._deficiency(w.weight, K), m, P)
 
 
 def density_series(
@@ -294,8 +272,9 @@ def density_series(
     enclosed through prime zeta values.  Raises DivergentWeightError when
     w(1) > 0 (the induced pattern forbids exponent 1), since then d_0 and
     every finite-k density vanish.  Raises ResourceBudgetError when the
-    work estimate pi(P) (K + 9)^2, with pi(P) bounded by RS_UPPER P / ln P,
-    exceeds SERIES_WORK_CAP.
+    work estimate pi(P) ((K + 9)^2 + 16 (n - 1)), with n the piece count and
+    pi(P) bounded by RS_UPPER P / ln P but at least 1000, exceeds
+    SERIES_WORK_CAP.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -306,8 +285,11 @@ def density_series(
         raise DivergentWeightError(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
-    per_prime = (K + 9) ** 2
-    work = RS_UPPER * truncation_prime / math.log(truncation_prime) * per_prime
+    # P and K may have hundreds of digits: test both before any float of them
+    _check_budget(truncation_prime)
+    per_prime = (K + 9) ** 2 + 16 * (len(w.pieces) - 1)
+    primes = max(RS_UPPER * truncation_prime / math.log(truncation_prime), 1000)
+    work = primes * per_prime if per_prime <= SERIES_WORK_CAP else math.inf
     if work > SERIES_WORK_CAP:
         raise ResourceBudgetError(
             f"series work estimate {work:.3g} (primes up to {truncation_prime} "
@@ -316,14 +298,6 @@ def density_series(
     if m is None:
         # w is 0 on every exponent, so every factor is 1
         one = (1.0,) + (0.0,) * K
-        return DensitySeries(one, one, one, truncation_prime, 0.0, (0.0,) * (K + 1))
-    full = _enclose(w, K, m, truncation_prime)
-    half = _enclose(w, K, m, max(truncation_prime // 2, 2))
-    return DensitySeries(
-        full.value,
-        full.lower,
-        full.upper,
-        truncation_prime,
-        1.0 - math.fsum(full.value),
-        tuple(a - b for a, b in zip(full.value, half.value)),
-    )
+        return DensitySeries(one, one, one, truncation_prime, 0.0)
+    b = _enclose(w, K, m, truncation_prime)
+    return DensitySeries(b.value, b.lower, b.upper, truncation_prime, 1.0 - math.fsum(b.value))

@@ -18,6 +18,7 @@ import numpy as np
 
 from expdens.euler import LocalFactor
 from expdens.patterns import (
+    ExponentInterval,
     ExponentPattern,
     PrimeAwarePattern,
     complement,
@@ -125,58 +126,42 @@ def local_factor_general(p: int, pattern: ExponentPattern) -> LocalFactor:
     return LocalFactor(p, float(f))
 
 
-@dataclass(frozen=True)
-class LocalPoly:
-    """One prime's factor collected by powers of z, truncated at degree K."""
+def table_weight(values, tail_slope: int = 0, tail_offset: int = 0) -> ExponentWeight:
+    """weight(i) = values[i - 1] for i <= len(values), else tail_slope * i + tail_offset.
 
-    prime: int
-    coeffs: tuple[float, ...]
-    dropped: float
+    One piece per listed value and one unbounded tail piece.
+    """
+    n = len(values)
+    pieces = [(ExponentInterval(i, i), 0, v) for i, v in enumerate(values, start=1)]
+    pieces.append((ExponentInterval(n + 1, None), tail_slope, tail_offset))
+    return ExponentWeight(tuple(pieces))
 
 
-def reference_local_poly(p: int, w: ExponentWeight, K: int) -> LocalPoly:
-    """The scalar local polynomial, one prime at a time, as first written."""
+def reference_local_poly(p: int, w: ExponentWeight, K: int) -> tuple[float, ...]:
+    """The scalar local polynomial a_0..a_K, one prime at a time, per piece."""
     if p < 2 or K < 0:
         raise ValueError("need p >= 2 and K >= 0")
     x = 1.0 / p
     raw = np.zeros(K + 1)
-    dropped = 0.0
-    for i, wi in w.exceptions.items():
-        if wi <= K:
-            raw[wi] += x**i
+    raw[0] = 1.0
+    for iv, slope, offset in w.pieces:
+        if slope == 0:
+            if offset <= K:
+                # sum_{i=lo..hi} x^i
+                tail = 0.0 if iv.hi is None else x ** (iv.hi + 1)
+                raw[offset] += (x**iv.lo - tail) / (1.0 - x)
         else:
-            dropped += x**i
-    i0 = w.tail_start
-    if w.tail_slope == 0:
-        geom = x**i0 / (1.0 - x)
-        if w.tail_offset <= K:
-            raw[w.tail_offset] += geom
-        else:
-            dropped += geom
-    else:
-        for deg in range(max(0, i0 + w.tail_offset), K + 1):
-            raw[deg] += x ** (deg - w.tail_offset)
-        cut = max(i0, K + 1 - w.tail_offset)
-        dropped += x**cut / (1.0 - x)
-    scale = 1.0 - x
-    coeffs = raw * scale
-    coeffs[0] += scale
-    return LocalPoly(p, tuple(float(c) for c in coeffs), dropped * scale)
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """The product of the local polynomials over p <= P, and over p <= P // 2."""
-
-    coeffs: tuple[float, ...]
-    half_coeffs: tuple[float, ...]
+            for i in range(iv.lo, K - offset + 1):
+                if iv.hi is None or i <= iv.hi:
+                    raw[i + offset] += x**i
+    return tuple(float(c) for c in raw * (1.0 - x))
 
 
 def reference_density_series(
     w: ExponentWeight,
     K: int = 8,
     truncation_prime: int = 100_000,
-) -> TruncatedSeries:
+) -> tuple[float, ...]:
     """The truncated series by the per-prime convolution loop, as first written.
 
     Every row is nonnegative, so each coefficient is within
@@ -190,19 +175,11 @@ def reference_density_series(
         raise DivergentWeightError(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
-    primes = primes_upto(truncation_prime)
     coeffs = np.zeros(K + 1)
     coeffs[0] = 1.0
-    half_point = truncation_prime // 2
-    half_coeffs: np.ndarray | None = None
-    for p in primes.tolist():
-        if half_coeffs is None and p > half_point:
-            half_coeffs = coeffs.copy()
-        lp = reference_local_poly(p, w, K)
-        coeffs = np.convolve(coeffs, np.asarray(lp.coeffs))[: K + 1]
-    if half_coeffs is None:
-        half_coeffs = coeffs.copy()
-    return TruncatedSeries(tuple(coeffs.tolist()), tuple(half_coeffs.tolist()))
+    for p in primes_upto(truncation_prime).tolist():
+        coeffs = np.convolve(coeffs, reference_local_poly(p, w, K))[: K + 1]
+    return tuple(coeffs.tolist())
 
 
 def gap_factor(p: np.ndarray) -> np.ndarray:
@@ -455,25 +432,20 @@ def oracle_closed_form(form: str, **kw) -> mpmath.mpf:
 # 2^t / t, so the terms past ORACLE_DEGREE are below 1e-75.
 
 
-def _weight_key(w: ExponentWeight) -> tuple:
-    return (tuple(w.exceptions.items()), w.tail_start, w.tail_slope, w.tail_offset)
-
-
 def _local_series(p: int, w: ExponentWeight, K: int) -> list[mpmath.mpf]:
     """F(p; z) = (1 - 1/p) (1 + sum_i z^w(i) p^-i) mod z^(K+1), in mpmath."""
     x = mpmath.mpf(1) / p
     a = [mpmath.mpf(0)] * (K + 1)
     a[0] += 1
-    for i, wi in w.exceptions.items():
-        if wi <= K:
-            a[wi] += x**i
-    i0 = w.tail_start
-    if w.tail_slope == 0:
-        if w.tail_offset <= K:
-            a[w.tail_offset] += x**i0 / (1 - x)
-    else:
-        for i in range(i0, K - w.tail_offset + 1):
-            a[i + w.tail_offset] += x**i
+    for iv, slope, offset in w.pieces:
+        if slope == 0:
+            if offset <= K:
+                tail = 0 if iv.hi is None else x ** (iv.hi + 1)
+                a[offset] += (x**iv.lo - tail) / (1 - x)
+        else:
+            for i in range(iv.lo, K - offset + 1):
+                if iv.hi is None or i <= iv.hi:
+                    a[i + offset] += x**i
     return [(1 - x) * c for c in a]
 
 
@@ -482,6 +454,7 @@ def _times(a: list, b: list) -> list:
     return [mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
 
+@lru_cache(maxsize=None)
 def _neglog_series_z(w: ExponentWeight, K: int) -> list[list[Fraction]]:
     """c[t][k] with -log F(p; z) = sum_{t, k} c[t][k] p^-t z^k, t <= ORACLE_DEGREE.
 
@@ -521,11 +494,6 @@ def _exp_series_mp(s: list) -> list:
 
 
 @lru_cache(maxsize=None)
-def _neglog_cached(key: tuple, K: int) -> list[list[Fraction]]:
-    return _neglog_series_z(ExponentWeight(dict(key[0]), *key[1:]), K)
-
-
-@lru_cache(maxsize=None)
 def _prime_zeta_beyond(P: int, t_max: int) -> tuple:
     """sum over primes p > P of p^-t for t = 0..t_max, for P >= ORACLE_SPLIT - 1."""
     # fixed point: each term is floored to a multiple of 10^-80
@@ -545,11 +513,10 @@ def _prime_zeta_beyond(P: int, t_max: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _oracle_series(key: tuple, K: int, P: int) -> tuple:
-    w = ExponentWeight(dict(key[0]), *key[1:])
+def _oracle_series(w: ExponentWeight, K: int, P: int) -> tuple:
     split = max(P, ORACLE_SPLIT - 1)
     with mpmath.workdps(ORACLE_DPS + 10):
-        c = _neglog_cached(key, K)
+        c = _neglog_series_z(w, K)
         # a t with 2^t split^(1-t) < 1e-60 adds less than that
         ts = [t for t in range(2, len(c)) if (t - 1) * math.log(split) - t * math.log(2) < 138]
         beyond = _prime_zeta_beyond(split, ts[-1])
@@ -569,4 +536,4 @@ def oracle_series(w: ExponentWeight, K: int, beyond: int = 1) -> list[mpmath.mpf
 
     With ``beyond`` = 1 these are the densities d_0..d_K of the weight.
     """
-    return list(_oracle_series(_weight_key(w), K, beyond))
+    return list(_oracle_series(w, K, beyond))

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from expdens.euler import MIN_TRUNCATION, closed_form, density
 from expdens.patterns import PrimeAwarePattern, min_forbidden, normalize_intervals, parse_pattern
 from expdens.series import ExponentWeight, density_series
-from helpers import oracle_closed_form, oracle_density, oracle_series, primes_upto
+from helpers import (
+    oracle_closed_form,
+    oracle_density,
+    oracle_series,
+    primes_upto,
+    table_weight,
+)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 97, 997]
 LARGE_PRIMES = [int(p) for p in primes_upto(3000) if p > 1000][::25]
@@ -92,14 +98,34 @@ def test_closed_form_bracket_holds_the_truth(request):
     _assert_holds(est, oracle_closed_form(form, **kwargs))
 
 
+@st.composite
+def far_patterns(draw):
+    """Patterns as above whose last interval starts between 10^3 and 10^30."""
+    near = [(iv.lo, iv.hi) for iv in draw(default_patterns()).intervals if iv.hi is not None]
+    lo = draw(st.integers(10**3, 10**30))
+    hi = draw(st.one_of(st.none(), st.integers(lo, lo + 10**6)))
+    return normalize_intervals([*near, (lo, hi)])
+
+
+# weight 0 at exponent 1, up to six more listed weights, then a tail of slope
+# 0 or 1 whose first weight is 0..4.  The zero weight is left out: its series
+# is exactly 1, which the oracle's rounded factors miss by about 4e-50.
+table_weights = (
+    st.tuples(st.lists(st.integers(0, 6), max_size=6), st.sampled_from([0, 1]), st.integers(0, 4))
+    .map(lambda t: table_weight([0, *t[0]], t[1], t[2] - t[1] * (len(t[0]) + 2)))
+    .filter(lambda w: min_forbidden(w.induced_pattern()) is not None)
+)
+
 series_weights = st.one_of(
     st.just(ExponentWeight.excess()),
     st.builds(ExponentWeight.threshold, st.integers(2, 8)),
     default_patterns().map(ExponentWeight.outside_pattern),
+    far_patterns().map(ExponentWeight.outside_pattern),
+    table_weights,
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     series_weights,
     st.integers(0, 16),

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expdens.euler
 import expdens.series
@@ -26,6 +29,21 @@ def run_capture(config):
     out = io.StringIO()
     code = run(config, out)
     return code, out.getvalue()
+
+
+def run_fresh(*argv):
+    """``python -m expdens argv`` in a new process; the process and its seconds."""
+    # the child must import the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(expdens.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "expdens", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc, time.perf_counter() - start
 
 
 class TestDensity:
@@ -130,17 +148,8 @@ class TestComputationalExits:
 
     def test_unreachable_target_exits_fast(self):
         # a fresh process: import, one evaluation at the starting prime, exit 2
-        src = os.path.dirname(os.path.dirname(expdens.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "expdens", "density", "--pattern", "1..1",
-             "--error", "1e-16"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
-        assert time.perf_counter() - start < 1.0
+        proc, seconds = run_fresh("density", "--pattern", "1..1", "--error", "1e-16")
+        assert seconds < 1.0
         assert proc.returncode == EXIT_UNREACHABLE
         assert "bracket width" in proc.stderr and "> target 1.000e-16" in proc.stderr
 
@@ -205,7 +214,7 @@ class TestCountAndSeries:
         assert code == EXIT_OK
         record = json.loads(text)
         assert set(record) == {
-            "coeffs", "lower", "upper", "truncation_prime", "mass_deficit", "stability"
+            "coeffs", "lower", "upper", "truncation_prime", "mass_deficit"
         }
         assert len(record["coeffs"]) == 4
         assert record["coeffs"][0] == pytest.approx(0.6079, abs=1e-3)
@@ -218,6 +227,19 @@ class TestCountAndSeries:
         record = json.loads(text)
         assert record["coeffs"][0] == pytest.approx(0.6079, abs=1e-3)
         assert record["coeffs"][1] == pytest.approx(0.2007, abs=1e-3)
+
+    def test_series_far_interval_is_bounded(self):
+        # the weight has one piece per interval, however far out the last starts
+        proc, seconds = run_fresh(
+            "series", "--pattern", "1..1,99999999999999999999..inf", "--degree", "2",
+            "--output", "machine",
+        )
+        assert proc.returncode == EXIT_OK
+        assert seconds < 1.0
+        near, _ = run_fresh("series", "--pattern", "1..1", "--degree", "2", "--output", "machine")
+        got, want = json.loads(proc.stdout), json.loads(near.stdout)
+        for c, lo, hi in zip(got["coeffs"], want["lower"], want["upper"], strict=True):
+            assert lo <= c <= hi
 
     def test_series_rejects_exceptions(self, tmp_path):
         spec = tmp_path / "s.json"
@@ -273,7 +295,7 @@ class TestMachineOutput:
             expdens.series,
             "density_series",
             lambda w, K, P: expdens.series.DensitySeries(
-                (nan,), (nan,), (nan,), P, nan, (nan,)
+                (nan,), (nan,), (nan,), P, nan
             ),
         )
         assert main(["series", "--pattern", "1..1", "--output", "machine"]) == EXIT_USAGE
@@ -290,15 +312,75 @@ class TestMachineOutput:
 
 
 def test_console_entry_point():
-    # the child must import the package under test, installed or not
-    src = os.path.dirname(os.path.dirname(expdens.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "expdens", "count", "--pattern", "1..1", "--x", "1000",
-         "--output", "machine"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc, _ = run_fresh("count", "--pattern", "1..1", "--x", "1000", "--output", "machine")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 608
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed argv: every call ends in a documented exit code, quickly.
+
+_WILD = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", str(10**30), "1" * 400]
+# ends up to 10^30, and one past any float
+_ENDS = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(1, 10**30), st.just(10**400))
+
+
+@st.composite
+def _dsl(draw):
+    # most patterns allow exponent 1, so that their products converge
+    terms = [draw(st.sampled_from(["1", "1..2", "1..inf", "2", ""]))]
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(_ENDS)
+        hi = draw(st.one_of(st.none(), st.just("inf"), _ENDS))
+        terms.append(str(lo) if hi is None else f"{lo}..{hi}")
+    return ",".join(filter(None, terms))
+
+
+def _sane_or_wild(sane):
+    # one value in ten is wild
+    wild = st.sampled_from(_WILD)
+    return st.sampled_from([False] * 9 + [True]).flatmap(lambda w: wild if w else sane).map(str)
+
+
+_FLAGS = {
+    "--pattern": st.sampled_from([False] * 5 + [True]).flatmap(
+        lambda raw: st.text("0123456789.,inf ", max_size=10) if raw else _dsl()
+    ),
+    "--x": _sane_or_wild(st.integers(1, 10**5)),
+    "--error": _sane_or_wild(st.floats(1e-16, 1.0)),
+    "--degree": _sane_or_wild(st.integers(0, 64)),
+    "--truncation": _sane_or_wild(
+        st.one_of(st.integers(2, 999), st.integers(1000, 10**5), st.integers(10**11, 10**30))
+    ),
+    "--tol": _sane_or_wild(st.floats(1e-9, 1.0)),
+    "--output": _sane_or_wild(st.sampled_from(["human", "machine"])),
+}
+_NEEDED = {"density": ["--pattern"], "series": [], "count": ["--pattern", "--x"],
+           "verify": ["--pattern", "--x"], "examples": []}
+
+
+@st.composite
+def _argv(draw):
+    subcommand = draw(st.sampled_from(sorted(_NEEDED)))
+    flags = dict(_FLAGS)
+    if subcommand == "series":
+        source = st.sampled_from([("--weight", "delta"), ("--pattern", draw(_FLAGS["--pattern"]))])
+        flags.pop("--pattern")
+        argv = ["series", *draw(source)]
+    else:
+        argv = [subcommand]
+    needed = {name: flags.pop(name) for name in _NEEDED[subcommand]}
+    chosen = draw(st.fixed_dictionaries(needed, optional=flags))
+    return argv + [part for flag in chosen.items() for part in flag]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_ends_in_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0, argv
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue()

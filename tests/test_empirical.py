@@ -21,6 +21,7 @@ from helpers import (
     pap_allows,
     random_small_pap,
     spf_sieve,
+    table_weight,
 )
 
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
@@ -177,9 +178,7 @@ class TestGHistogram:
         assert gh.overflow > 0
 
     def test_matches_brute_force(self):
-        w = ExponentWeight(
-            exceptions={1: 0, 2: 2}, tail_start=3, tail_slope=1, tail_offset=0
-        )
+        w = table_weight([0, 2], tail_slope=1)
         x, K = 3000, 6
         buckets = [0] * (K + 1)
         overflow = 0
@@ -218,9 +217,7 @@ class TestPrimePowerWalk:
 
     def test_non_monotone_weight(self):
         # weights fall and rise with the exponent, and exponent 1 is weighted
-        w = ExponentWeight(
-            exceptions={1: 2, 2: 0, 3: 5, 4: 1}, tail_start=5, tail_slope=0, tail_offset=3
-        )
+        w = table_weight([2, 0, 5, 1], tail_offset=3)
         x, K = 3000, 5
         buckets = [0] * (K + 1)
         overflow = 0
@@ -235,7 +232,7 @@ class TestPrimePowerWalk:
         assert gh.overflow == overflow
 
     def test_huge_weight_goes_to_overflow(self):
-        w = ExponentWeight(exceptions={1: 0, 2: 10**30}, tail_start=3)
+        w = table_weight([0, 10**30])
         x = 1000
         with_square = sum(
             any(a == 2 for _, a in brute_factorize(n)) for n in range(2, x + 1)
@@ -245,7 +242,7 @@ class TestPrimePowerWalk:
         assert gh.buckets == (x - with_square, 0, 0, 0)
         # a huge weight on exponent 1 also reaches the leftover prime factors
         powerful = brute_count(x, lambda p, a: a >= 2)
-        gh = g_histogram(x, ExponentWeight(exceptions={1: 10**30}, tail_start=2), 3)
+        gh = g_histogram(x, table_weight([10**30]), 3)
         assert gh.buckets == (powerful, 0, 0, 0)
         assert gh.overflow == x - powerful
 

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from helpers import table_weight
 from hypothesis import given, settings
 
-from expdens.euler import density, zeta_int
-from expdens.patterns import PrimeAwarePattern, min_forbidden, parse_pattern
+from expdens.euler import brackets_overlap, density, zeta_int
+from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden, parse_pattern
 from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
@@ -20,24 +23,10 @@ def local_row(p: int, w: ExponentWeight, K: int) -> list[float]:
     return local_polys(np.array([p]), w, K)[:, 0].tolist()
 
 
-small_weights = st.builds(
-    ExponentWeight,
-    exceptions=st.just({}),
-    tail_start=st.just(1),
-    tail_slope=st.sampled_from([0, 1]),
-    tail_offset=st.integers(0, 3),
-).flatmap(
-    lambda base: st.lists(st.integers(0, 4), min_size=0, max_size=4).map(
-        lambda exc: ExponentWeight(
-            exceptions={i + 1: v for i, v in enumerate(exc)},
-            tail_start=len(exc) + 1,
-            tail_slope=base.tail_slope,
-            tail_offset=base.tail_offset
-            if base.tail_slope == 0
-            else base.tail_offset - len(exc) - 1,
-        )
-    )
-)
+# weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3
+small_weights = st.tuples(
+    st.lists(st.integers(0, 4), max_size=4), st.sampled_from([0, 1]), st.integers(0, 3)
+).map(lambda t: table_weight(t[0], t[1], t[2] - t[1] * (len(t[0]) + 1)))
 
 
 class TestExponentWeight:
@@ -66,11 +55,11 @@ class TestExponentWeight:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            ExponentWeight(tail_slope=1, tail_offset=-2, tail_start=1)
+            ExponentWeight(((ExponentInterval(1, None), 1, -2),))
 
     def test_uncovered_exceptions_rejected(self):
         with pytest.raises(ValueError):
-            ExponentWeight(exceptions={2: 1}, tail_start=4)
+            ExponentWeight(((ExponentInterval(2, 3), 0, 1), (ExponentInterval(4, None), 0, 0)))
 
 
 class TestLocalPoly:
@@ -106,7 +95,6 @@ class TestDensitySeries:
         ds = density_series(SQUAREFREE_W, K=3, truncation_prime=10**5)
         assert ds.coeffs[0] == pytest.approx(1.0 / zeta_int(2).value, abs=1e-4)
         assert ds.coeffs[1] > ds.coeffs[2] > 0.0
-        assert len(ds.stability) == 4
 
     def test_excess_k0_is_squarefree_density(self):
         ds = density_series(ExponentWeight.excess(), K=0, truncation_prime=10**5)
@@ -135,13 +123,8 @@ class TestDensitySeries:
             assert min_forbidden(pattern) not in (None, 1)
             est = density(PrimeAwarePattern(default=pattern), 1e-8)
             ds = density_series(w, K=4, truncation_prime=10**5)
-            slack = est.width + 1e-6
-            assert est.lower - slack <= ds.coeffs[0] <= est.upper + slack
-
-    def test_stability_shrinks_with_truncation(self):
-        ds = density_series(SQUAREFREE_W, K=2, truncation_prime=10**5)
-        # the half-truncation rerun drifts by less than the known tail scale
-        assert all(abs(d) < 1e-5 for d in ds.stability)
+            d0 = SimpleNamespace(lower=ds.lower[0], upper=ds.upper[0])
+            assert brackets_overlap(est, d0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
