@@ -149,8 +149,10 @@ class DensitySeries:
             raise ValueError("series coefficients must lie in their brackets")
         if any(c < -1e-12 for c in self.coeffs):
             raise ValueError("series coefficients must be nonnegative up to roundoff")
-        if sum(self.coeffs) > 1.0 + 1e-9:
-            raise ValueError("series coefficients must sum to at most 1")
+        # Only the brackets are proven, so only their lower ends must sum to
+        # at most 1; fsum rounds correctly, so that sum stays <= 1.0.
+        if math.fsum(self.lower) > 1.0:
+            raise ValueError("series coefficient brackets must sum to at most 1")
 
 
 def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import hypothesis.strategies as st
 import mpmath
@@ -82,6 +82,33 @@ def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
             e += 1
         out.append((p, e))
     return out
+
+
+# Largest x whose factorizations brute_g_counts keeps between calls.
+BRUTE_LIMIT = 2 * 10**4
+
+
+@lru_cache(maxsize=1)
+def _factor_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    table = spf_sieve(BRUTE_LIMIT)
+    return ((),) + tuple(tuple(factorize(n, table)) for n in range(2, BRUTE_LIMIT + 1))
+
+
+def brute_g_counts(x: int, weight, K: int) -> list[int]:
+    """Counts of n <= x by g(n) = sum of weight(p, alpha): k = 0..K, then overflow.
+
+    Every n is factored from a smallest-prime-factor table.
+    """
+    weight = cache(weight)
+    if x <= BRUTE_LIMIT:
+        rows = _factor_table()[:x]
+    else:
+        table = spf_sieve(x)
+        rows = (factorize(n, table) if n > 1 else () for n in range(1, x + 1))
+    counts = [0] * (K + 2)
+    for factors in rows:
+        counts[min(sum(weight(p, a) for p, a in factors), K + 1)] += 1
+    return counts
 
 
 def partial_euler_product(local_factor, limit: int = 2 * 10**6) -> float:

@@ -23,6 +23,8 @@ from expdens.cli import (
     main,
     run,
 )
+from expdens.patterns import parse_pattern
+from helpers import oracle_series
 
 
 def run_capture(config):
@@ -241,11 +243,32 @@ class TestCountAndSeries:
         for c, lo, hi in zip(got["coeffs"], want["lower"], want["upper"], strict=True):
             assert lo <= c <= hi
 
+    def test_series_wide_brackets_at_tiny_truncation(self):
+        # At P = 2 the brackets are up to 0.05 wide and the point values may
+        # sum past 1; the request is still valid and each bracket holds d_k.
+        code, text = run_capture(
+            RunConfig("series", pattern="1,3,5", degree=8, truncation=2, output="machine")
+        )
+        assert code == EXIT_OK
+        record = json.loads(text)
+        w = expdens.series.ExponentWeight.outside_pattern(parse_pattern("1,3,5"))
+        for lo, hi, truth in zip(record["lower"], record["upper"], oracle_series(w, 8),
+                                 strict=True):
+            assert lo <= truth <= hi
+
     def test_series_rejects_exceptions(self, tmp_path):
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"default": "1..1", "exceptions": {"2": ""}}))
         code, _ = run_capture(RunConfig("series", spec_path=str(spec)))
         assert code == EXIT_USAGE
+
+
+    def test_count_powerful_at_the_bound(self):
+        # 21 044 = sum over squarefree b of isqrt(1e8 // b^3), as a^2 b^3
+        proc, seconds = run_fresh("count", "--pattern", "2..inf", "--x", "100000000")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == "count    x=100000000  count=21044  ratio=0.00021044\n"
+        assert seconds < 5.0
 
 
 class TestExamples:

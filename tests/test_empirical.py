@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expdens.empirical
 from expdens.empirical import (
@@ -11,14 +13,22 @@ from expdens.empirical import (
     g_histogram,
 )
 from expdens.euler import density
-from expdens.patterns import EMPTY_PATTERN, PrimeAwarePattern, parse_pattern
+from expdens.patterns import (
+    EMPTY_PATTERN,
+    PrimeAwarePattern,
+    parse_pattern,
+    parse_prime_aware,
+)
 from expdens.primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError
 from expdens.series import ExponentWeight
 from helpers import (
+    BRUTE_LIMIT,
     brute_count,
     brute_factorize,
+    brute_g_counts,
     factorize,
     pap_allows,
+    primes_upto,
     random_small_pap,
     spf_sieve,
     table_weight,
@@ -27,6 +37,38 @@ from helpers import (
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
 ALL = PrimeAwarePattern(default=parse_pattern("1..inf"))
 POWERFUL = PrimeAwarePattern(default=parse_pattern("2..inf"))
+
+
+def walk(x, weight, leftover, K=0, exceptional=()):
+    """Counts by min(g, K + 1) from the fallback walk, over a test-side prime list."""
+    plist = sorted({*primes_upto(math.isqrt(x)).tolist(), *exceptional})
+    return expdens.empirical._walk(x, plist, weight, leftover, K).tolist()
+
+
+def mobius(n):
+    """mu(0..n) by trial division; mu[0] is unused."""
+    mu = [1] * (n + 1)
+    for p in range(2, n + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            for m in range(p, n + 1, p):
+                mu[m] = -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Records each call of the fallback walk; the list of its x values."""
+    calls = []
+    real = expdens.empirical._walk
+
+    def spy(x, *args):
+        calls.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(expdens.empirical, "_walk", spy)
+    return calls
 
 
 class TestCountPattern:
@@ -93,11 +135,14 @@ class TestCountPattern:
         assert count_pattern(x, pap).count == total
 
     def test_segmentation_invariance(self, monkeypatch):
-        pap = PrimeAwarePattern(default=parse_pattern("1..2"))
-        full = count_pattern(10**5, pap)
+        def weight(p, e):
+            return int(e > 2)
+
+        full = walk(10**5, weight, 0)
         monkeypatch.setattr(expdens.empirical, "SEGMENT_SIZE", 1 << 10)
-        segmented = count_pattern(10**5, pap)
-        assert full.count == segmented.count
+        segmented = walk(10**5, weight, 0)
+        assert full == segmented
+        assert full[0] == count_pattern(10**5, PrimeAwarePattern(parse_pattern("1..2"))).count
 
     def test_monotone_in_x(self):
         counts = [count_pattern(x, SQUAREFREE).count for x in range(90, 111)]
@@ -111,16 +156,22 @@ class TestCountPattern:
     def test_squarefree_at_sieve_budget(self):
         x = DEFAULT_SIEVE_BUDGET
         root = math.isqrt(x)
-        mu = [1] * (root + 1)
-        for p in range(2, root + 1):
-            if all(p % q for q in range(2, math.isqrt(p) + 1)):
-                for m in range(p, root + 1, p):
-                    mu[m] = -mu[m]
-                for m in range(p * p, root + 1, p * p):
-                    mu[m] = 0
+        mu = mobius(root)
         mobius_sum = sum(mu[d] * (x // (d * d)) for d in range(1, root + 1))
         assert mobius_sum == 60_792_694
         assert count_pattern(x, SQUAREFREE).count == mobius_sum
+
+    def test_powerful_at_sieve_budget(self):
+        # each powerful n is a^2 b^3 for exactly one squarefree b
+        x = DEFAULT_SIEVE_BUDGET
+        cubes = [b for b in range(1, 500) if b**3 <= x]
+        assert cubes[-1] == 464
+        reference = sum(
+            math.isqrt(x // b**3) for b in cubes
+            if all(b % (d * d) for d in range(2, math.isqrt(b) + 1))
+        )
+        assert reference == 21_044
+        assert count_pattern(x, POWERFUL).count == reference
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
@@ -194,7 +245,8 @@ class TestGHistogram:
 
 
 class TestPrimePowerWalk:
-    """Segments of 97 integers start off the p^e grid and split every slice."""
+    """The fallback walk, in segments of 97 integers that start off the p^e
+    grid and split every slice."""
 
     @pytest.fixture(autouse=True)
     def small_segments(self, monkeypatch):
@@ -208,28 +260,21 @@ class TestPrimePowerWalk:
                 default=parse_pattern("2..inf"), exceptions={97: parse_pattern(exc)}
             )
             oracle = brute_count(2000, lambda p, a: pap_allows(pap, p, a))
-            assert count_pattern(2000, pap).count == oracle
+            counts = walk(2000, lambda p, e: int(not pap_allows(pap, p, e)), 1,
+                          exceptional=[97])
+            assert counts[0] == oracle
 
     def test_periodic_matches_brute_force(self):
         for ell in (2, 3, 4):
             oracle = brute_count(3000, lambda p, a: a % ell == 1 % ell)
-            assert count_periodic(3000, ell).count == oracle
+            assert walk(3000, lambda p, e: int((e - 1) % ell != 0), 0)[0] == oracle
 
     def test_non_monotone_weight(self):
         # weights fall and rise with the exponent, and exponent 1 is weighted
         w = table_weight([2, 0, 5, 1], tail_offset=3)
         x, K = 3000, 5
-        buckets = [0] * (K + 1)
-        overflow = 0
-        for n in range(1, x + 1):
-            g = sum(w.weight(a) for _, a in brute_factorize(n))
-            if g <= K:
-                buckets[g] += 1
-            else:
-                overflow += 1
-        gh = g_histogram(x, w, K)
-        assert gh.buckets == tuple(buckets)
-        assert gh.overflow == overflow
+        counts = walk(x, lambda p, e: w.weight(e), w.weight(1), K)
+        assert counts == brute_g_counts(x, lambda p, a: w.weight(a), K)
 
     def test_huge_weight_goes_to_overflow(self):
         w = table_weight([0, 10**30])
@@ -237,14 +282,99 @@ class TestPrimePowerWalk:
         with_square = sum(
             any(a == 2 for _, a in brute_factorize(n)) for n in range(2, x + 1)
         )
-        gh = g_histogram(x, w, 3)
-        assert gh.overflow == with_square
-        assert gh.buckets == (x - with_square, 0, 0, 0)
+        assert walk(x, lambda p, e: w.weight(e), 0, 3) == [x - with_square, 0, 0, 0,
+                                                           with_square]
         # a huge weight on exponent 1 also reaches the leftover prime factors
         powerful = brute_count(x, lambda p, a: a >= 2)
-        gh = g_histogram(x, table_weight([10**30]), 3)
-        assert gh.buckets == (powerful, 0, 0, 0)
-        assert gh.overflow == x - powerful
+        w = table_weight([10**30])
+        assert walk(x, lambda p, e: w.weight(e), 10**30, 3) == [powerful, 0, 0, 0,
+                                                                x - powerful]
+
+
+class TestRoute:
+    """The enumeration serves every input it can bound; the walk the rest."""
+
+    def test_benchmark_requests_enumerate(self, walks):
+        x = 10**7
+        mu = mobius(216)
+        cubefree = sum(mu[d] * (x // d**3) for d in range(1, 216) if d**3 <= x)
+        assert count_pattern(x, PrimeAwarePattern(parse_pattern("1..2"))).count == cubefree
+        count_pattern(x, PrimeAwarePattern(parse_pattern("1..1,3..inf")))
+        spec = {"default": "1..1", "exceptions": {"2": "", "p in [3,5,7]": "1..2"}}
+        count_pattern(x, parse_prime_aware(spec))
+        gh = g_histogram(x, ExponentWeight.excess(), 8)
+        assert gh.buckets[0] == count_pattern(x, SQUAREFREE).count
+        assert walks == []
+
+    def test_flipped_primes_within_budget_enumerate(self, walks):
+        spec = {"default": "1..1", "exceptions": {"2": "", "p in [3,5,7]": "1..2",
+                                                  "9973": "", "19997": "2..inf"}}
+        pap = parse_prime_aware(spec)
+        x = BRUTE_LIMIT
+        assert count_pattern(x, pap).count == brute_g_counts(
+            x, lambda p, a: int(not pap_allows(pap, p, a)), 0)[0]
+        assert walks == []
+
+    def test_many_flipped_primes_walk(self, walks):
+        # every prime to 1e5 forbids exponent 1: the squarefree products of
+        # those primes below x put the node bound past the budget
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000": ""}})
+        x = 5 * 10**5
+        assert count_pattern(x, pap).count == brute_g_counts(
+            x, lambda p, a: int(not pap_allows(pap, p, a)), 0)[0]
+        assert walks == [x]
+
+    def test_weighted_exponent_one_walks(self, walks):
+        # 1 <= w(1) <= K: f(p) is a power of z other than 1, so h has no
+        # powerful support
+        w = table_weight([2, 0, 1], tail_slope=1)
+        x, K = 5000, 4
+        gh = g_histogram(x, w, K)
+        assert [*gh.buckets, gh.overflow] == brute_g_counts(x, lambda p, a: w.weight(a), K)
+        assert walks == [x]
+
+
+_EXAMPLES = settings(max_examples=15, deadline=None)
+_BIG_EXCEPTIONS = st.sampled_from([(), (97,), (151, 9973), (19997,)])
+_SMALL_PATTERNS = st.sampled_from(["", "1..1", "1..inf", "2..3", "2..inf", "1,3..4"])
+
+
+class TestAgainstBruteForce:
+    """Library counts equal counts over brute factorizations, x <= 2e4."""
+
+    @_EXAMPLES
+    @given(seed=st.integers(0, 2**32), x=st.integers(1, BRUTE_LIMIT),
+           big=_BIG_EXCEPTIONS, dsl=_SMALL_PATTERNS,
+           default=st.sampled_from([None, "", "2..inf", "2,4..5"]))
+    def test_count_pattern(self, seed, x, big, dsl, default):
+        # the random defaults allow exponent 1; the listed ones forbid it
+        base = random_small_pap(random.Random(seed))
+        exceptions = dict(base.exceptions)
+        exceptions.update(dict.fromkeys(big, parse_pattern(dsl)))
+        pap = PrimeAwarePattern(
+            default=base.default if default is None else parse_pattern(default),
+            exceptions=exceptions,
+        )
+        expected = brute_g_counts(x, lambda p, a: int(not pap_allows(pap, p, a)), 0)
+        assert count_pattern(x, pap).count == expected[0]
+
+    @_EXAMPLES
+    @given(x=st.integers(1, BRUTE_LIMIT), ell=st.integers(1, 6))
+    def test_count_periodic(self, x, ell):
+        expected = brute_g_counts(x, lambda p, a: int((a - 1) % ell != 0), 0)
+        assert count_periodic(x, ell).count == expected[0]
+
+    @_EXAMPLES
+    @given(x=st.integers(1, BRUTE_LIMIT), K=st.integers(0, 6),
+           rest=st.lists(st.integers(0, 9), max_size=4), tail_slope=st.integers(0, 1),
+           tail_offset=st.integers(0, 9), data=st.data())
+    def test_g_histogram(self, x, K, rest, tail_slope, tail_offset, data):
+        # w(1) = 0 and w(1) > K enumerate; 1 <= w(1) <= K walks
+        w1 = data.draw(st.one_of(st.just(0), st.integers(1, K + 9)))
+        w = table_weight([w1, *rest], tail_slope, tail_offset)
+        gh = g_histogram(x, w, K)
+        expected = brute_g_counts(x, lambda p, a: w.weight(a), K)
+        assert [*gh.buckets, gh.overflow] == expected
 
 
 class TestCompare:
