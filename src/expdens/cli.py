@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import empirical, euler, series
+from . import euler
 from .patterns import PatternSyntaxError, PrimeAwarePattern, load_spec, parse_pattern
 from .primes import ResourceBudgetError
 
@@ -101,6 +101,8 @@ def _cmd_density(config: RunConfig, out) -> int:
 
 
 def _cmd_series(config: RunConfig, out) -> int:
+    from . import series  # its kernels load numpy
+
     if config.weight == "delta":
         if config.pattern is not None or config.spec_path is not None:
             raise UsageError("--weight delta takes no pattern source")
@@ -123,6 +125,8 @@ def _cmd_series(config: RunConfig, out) -> int:
 
 
 def _cmd_count(config: RunConfig, out) -> int:
+    from . import empirical
+
     if config.x is None:
         raise UsageError("count needs --x")
     pap = _load_pattern(config)
@@ -135,6 +139,8 @@ def _cmd_count(config: RunConfig, out) -> int:
 
 
 def _cmd_verify(config: RunConfig, out) -> int:
+    from . import empirical
+
     if config.x is None:
         raise UsageError("verify needs --x")
     pap = _load_pattern(config)

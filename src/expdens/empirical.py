@@ -31,8 +31,7 @@ import functools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .euler import DensityEstimate
 from .patterns import PrimeAwarePattern, contains
@@ -42,7 +41,11 @@ from .primes import (
     ResourceBudgetError,
     sieve_primes,
 )
-from .series import ExponentWeight
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .series import ExponentWeight
 
 # Largest node bound the enumeration may take on; larger bounds take the
 # walk.  A unit of the bound cost 0.2 to 1 us, so the enumeration stays
@@ -113,8 +116,11 @@ def _walk(
     K+1), so the gains telescope to the capped weight at the exact exponent
     and nothing is divided.  A factor outside ``plist`` is a single prime
     above sqrt(x) with exponent 1; it adds ``leftover_weight`` and shows as
-    a smooth part (the product of the p^e found) below n.
+    a smooth part (the product of the p^e found) below n.  It is the one
+    user of numpy here, imported on the first walk.
     """
+    import numpy as np
+
     cap = K + 1
     leftover = min(leftover_weight, cap)
     buckets = np.zeros(cap + 1, dtype=np.int64)

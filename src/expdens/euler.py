@@ -38,11 +38,10 @@ case K = 0.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .patterns import (
     ExponentPattern,
@@ -64,6 +63,9 @@ _SERIES_DEGREE = 64
 _FSUM_CHUNK = 1 << 16
 # Unit roundoff of float64.
 _U = 2.0**-53
+# Relative error of an fsum of 1 / p^t, each one correctly rounded division
+# of exact integers: u of the terms and u of the result.
+_HEAD_ERR = 2 * _U * (1 + _U)
 # Covers every result that underflows below the normal range, summed over at
 # most 1e8 primes and 10^4 terms per prime.
 _UNDERFLOW = 2.0**-1000
@@ -239,19 +241,18 @@ def prime_sum(k: int) -> BoundedValue:
     Primes up to ``MIN_TRUNCATION`` are summed directly; the rest is
     sum_{p > P} sum_j p^(-jk), a prime-zeta tail with c_t = 1 for k | t,
     enclosed by ``_tail_enclosure`` exactly as the tail of a density.  Each
-    direct term is within 13 ulp (power, subtraction, reciprocal) and their
-    pairwise sum adds at most 32 ulp, so 2^-47 of the direct sum covers both.
+    direct term x / (1 - x), x = p^-k <= 1/4, is within 8 ulp (power,
+    subtraction, division) and their fsum adds one, so 2^-47 of the direct
+    sum covers both; the head sums are those of the density callback.
     """
     if k < 2:
         raise ValueError("prime_sum requires k >= 2")
     P = MIN_TRUNCATION
-    pf = sieve_primes(P).primes.astype(np.float64)
-    with np.errstate(over="ignore"):
-        direct = float(np.sum(1.0 / (pf**k - 1.0)))
-    coeffs = np.zeros(_SERIES_DEGREE + 1)
-    coeffs[k::k] = 1.0
-    heads = {t: float(np.sum(pf ** -float(t))) for t in _needed_terms(coeffs, P)}
-    lo, mid, hi = _tail_enclosure(coeffs, np.zeros_like(coeffs), P, heads)
+    primes = sieve_primes(P).primes
+    direct = math.fsum([x / (1.0 - x) for x in (_inv_pow(float(p), k) for p in primes)])
+    coeffs = [float(t > 0 and t % k == 0) for t in range(_SERIES_DEGREE + 1)]
+    heads = {t: math.fsum([1 / p**t for p in primes]) for t in _needed_terms(coeffs, P)}
+    lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, heads, _HEAD_ERR)
     value = direct + mid
     error = max(hi - mid, mid - max(lo, 0.0)) + 2.0**-47 * direct
     return BoundedValue(value, error + _U * value + _UNDERFLOW)
@@ -281,97 +282,82 @@ def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
 # Deficiency series: 1 - F(p; z) as a polynomial in 1/p and z
 
 
-def _deficiency(weight, K: int) -> np.ndarray:
-    """Integers u with 1 - F(p; z) = sum_{t, k} u[t, k] p^-t z^k, t <= 64, k <= K.
+def _deficiency(weight, K: int) -> list[list[int]]:
+    """Integers u with 1 - F(p; z) = sum_{t, k} u[t][k] p^-t z^k, t <= 64, k <= K.
 
     ``weight`` maps t >= 1 to its z-degree w(t), an int or bool; w(0) = 0.
     F(p; z) = (1 - 1/p) sum_{i >= 0} z^w(i) p^-i = 1 - sum_t (z^w(t-1) - z^w(t)) p^-t,
-    so u[t, w(t-1)] += 1 and u[t, w(t)] -= 1 for degrees up to K.  A density
+    so u[t][w(t-1)] += 1 and u[t][w(t)] -= 1 for degrees up to K.  A density
     is the case K = 0 with weight 1 on the forbidden exponents.
     """
-    coef = np.zeros((_SERIES_DEGREE + 1, K + 1), dtype=np.int64)
+    coef = [[0] * (K + 1) for _ in range(_SERIES_DEGREE + 1)]
     prev = 0
     for t in range(1, _SERIES_DEGREE + 1):
-        cur = int(weight(t))  # a bool would index numpy as a mask
+        cur = int(weight(t))
         if prev <= K:
-            coef[t, prev] += 1
+            coef[t][prev] += 1
         if cur <= K:
-            coef[t, cur] -= 1
+            coef[t][cur] -= 1
         prev = cur
     return coef
 
 
-def _neglog_coeffs(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _neglog_coeffs(delta: list[list[int]]) -> tuple[list[list[float]], list[list[float]]]:
     """Coefficients of -log(1 - delta) in 1/p and z, truncated, and their error.
 
-    delta[t, k] is the coefficient of p^-t z^k; rows 0 and 1 are zero and
-    every other row holds at most two entries, each -1 or 1.  The powers
-    delta^j are exact int64 arithmetic: the entries of row t of delta^j sum
-    in absolute value to at most [x^t] (2 x^2 / (1 - x))^j < 2^61 up to
-    degree 64.  A power converts to float exactly below 2^53 and with one
-    rounding above it; the divisions by j and the additions round, fewer
-    than 64 steps.  So coefficient (t, k) is within 2^-47 sum_j
-    |[x^t z^k] delta^j| / j, plus 2^-52 times that sum over the powers that
-    reach 2^53.  A z-degree k <= K of delta^j at x^t is at most lambda t,
-    lambda the largest k/t in delta, so the powers are carried only that
-    wide.
+    delta[t][k] is the integer coefficient of p^-t z^k, with delta[0] = 0.
+    Returns ``(neglog, err)`` indexed [k][t].  For A = 1 - delta = sum_t a_t
+    p^-t, the identity x A' = A x (log A)' gives b_t = t [p^-t] log A as
+
+        b_t = t a_t - sum_{0 < j < t} b_j a_{t-j},
+
+    products of z-polynomials cut at z^K, in exact integers.  Each
+    coefficient -b_t / t is one correctly rounded division, so it is within
+    u of its own magnitude.
     """
-    size, cols = delta.shape
-    entries = [(int(t), int(k)) for t, k in zip(*np.nonzero(delta))]
-    width = 1 + min(cols - 1, max((_SERIES_DEGREE * k // t for t, k in entries), default=0))
-    power = delta[:, :width].copy()
-    out = power.astype(np.float64)
-    magnitude = np.abs(out)
-    rounded = np.zeros_like(out)
-    j = 2
-    while True:
-        # power * delta, exactly: one shifted add per entry of delta
-        product = np.zeros_like(power)
-        for t, k in entries:
-            product[t:, k:] += delta[t, k] * power[: size - t, : width - k]
-        power = product
-        if not power.any():
-            break
-        term = np.abs(power.astype(np.float64)) / j
-        out += power.astype(np.float64) / j
-        magnitude += term
-        rounded += np.where(np.abs(power) >= 2**53, term, 0.0)
-        j += 1
-    neglog = np.zeros((size, cols))
-    err = np.zeros((size, cols))
-    neglog[:, :width] = out
-    err[:, :width] = 2.0**-47 * magnitude + 2.0**-52 * rounded
+    K = len(delta[0]) - 1
+    # a_t = -delta_t for t >= 1, kept as its nonzero (degree, value) pairs
+    terms = [[(k, -v) for k, v in enumerate(row) if v] for row in delta]
+    b: list[list[int]] = [[0] * (K + 1)]
+    for t in range(1, len(delta)):
+        bt = [0] * (K + 1)
+        for k, v in terms[t]:
+            bt[k] += t * v
+        for j in range(1, t):
+            bj = b[j]
+            if not any(bj):
+                continue
+            for d, v in terms[t - j]:
+                for i in range(K + 1 - d):
+                    bt[i + d] -= v * bj[i]
+        b.append(bt)
+    neglog = [[-b[t][k] / t if t else 0.0 for t in range(len(b))] for k in range(K + 1)]
+    err = [[_U * abs(c) for c in row] for row in neglog]
     return neglog, err
 
 
-def _inverse_power(pf: np.ndarray, e: int) -> np.ndarray:
-    """pf ** -e, left at 0 wherever p^e >= 2^1076, as it rounds to 0 there.
-
-    Results below the normal range take libm's slow path, about 17 times the
-    cost of a normal power.  From e = 1076 on, e may be too large for a float.
-    """
-    if e >= 1076:
-        return np.zeros(pf.shape)
-    bound = 2.0 ** min(1076 / e, 1000)
-    return np.power(pf, -float(e), out=np.zeros(pf.shape), where=pf < bound)
+def _inv_pow(p: float, e: int) -> float:
+    """p ** -e for p >= 2; 0 from e = 1076 on, where it rounds to 0 anyway
+    and e may be too large for a float."""
+    return 0.0 if e >= 1076 else p**-e
 
 
 def _delta_from_intervals(forbidden: tuple):
     """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), and its log error.
 
-    Returns the array function and a bound on the relative error of
-    log1p(-delta) as computed.  Each power is within 4 ulp and n terms sum
-    with n roundings, while sum |terms| <= 6 delta (the first forbidden
+    Returns the function of one float p and a bound on the relative error
+    of log1p(-delta) as computed.  Each power is within 4 ulp and n terms
+    sum with n roundings, while sum |terms| <= 6 delta (the first forbidden
     interval gives delta >= p^-m (1 - 1/p)), so delta is within
     6 (n + 8) u; log1p adds 4 ulp and |log F| >= delta, giving (8n + 72) u.
     """
 
-    def delta(pf: np.ndarray) -> np.ndarray:
-        d = np.zeros_like(pf)
+    def delta(p: float) -> float:
+        d = 0.0
         for iv in forbidden:
-            d += _inverse_power(pf, iv.lo)
+            d += _inv_pow(p, iv.lo)
             if iv.hi is not None:
-                d -= _inverse_power(pf, iv.hi + 1)
+                d -= _inv_pow(p, iv.hi + 1)
         return d
 
     n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
@@ -406,17 +392,21 @@ def _integral_tail(P: int, t: int) -> float:
     return float(P) ** (1 - t) / (t - 1) * (1.0 + 2.0**-48)
 
 
-def _needed_terms(coeffs: np.ndarray, P: int) -> list[int]:
+def _needed_terms(coeffs: list[float], P: int) -> list[int]:
     """The t whose tail P(t) - head_t(P) is worth taking from prime zeta.
 
     Below double precision the integral bound is as tight as P(t) - head_t,
     whose error is at least a few 1e-16, so those t need no head sum.
     """
-    return [int(t) for t in np.flatnonzero(coeffs) if _integral_tail(P, int(t)) > 2 * _U]
+    return [t for t, c in enumerate(coeffs) if c and _integral_tail(P, t) > 2 * _U]
 
 
 def _tail_enclosure(
-    coeffs: np.ndarray, coeff_err: np.ndarray, P: int, heads: dict[int, float]
+    coeffs: list[float],
+    coeff_err: list[float],
+    P: int,
+    heads: dict[int, float],
+    head_err: float,
 ) -> tuple[float, float, float]:
     """(lo, mid, hi) with lo <= sum_{p > P} sum_{t >= 2} c_t p^-t <= hi.
 
@@ -424,7 +414,8 @@ def _tail_enclosure(
     it is one z-degree of ``_neglog_coeffs``, so beyond t = 64 the c_t of
     all z-degrees together are at most 2^t / t in absolute value, the
     coefficients of -log(1 - 2 x^2 / (1 - x)).  ``heads[t]`` is
-    sum_{p <= P} p^-t within 2^-47 relative, for the t of ``_needed_terms``.
+    sum_{p <= P} p^-t within ``head_err`` relative, for the t of
+    ``_needed_terms``.
     Each tail T_t = sum_{p > P} p^-t lies in [0, P^(1-t)/(t-1)], and for a
     needed t also in P(t) - head_t plus or minus its error.  With p >= 3
     the terms t > 64 sum to at most 3/65 sum_{p > P} (2/p)^65, below
@@ -435,22 +426,21 @@ def _tail_enclosure(
     mid_terms: list[float] = []
     hi_terms: list[float] = []
     slack = math.log(2.0) * 2.0**65 * float(P) ** -64 / 64 + _UNDERFLOW
-    # a c_t that rounded to 0 still carries its error bar
-    for t in np.flatnonzero((coeffs != 0) | (coeff_err != 0)):
-        t = int(t)
-        c = float(coeffs[t])
+    for t, c in enumerate(coeffs):
+        if not c:
+            continue
         lo, mid, hi = 0.0, 0.0, _integral_tail(P, t)
         if t in heads:
             pz = _prime_zeta(t)
             d = pz.value - heads[t]
-            e = pz.error + 2.0**-47 * heads[t] + _U * abs(d)
+            e = pz.error + head_err * heads[t] + _U * abs(d)
             lo, hi = max(lo, d - e), min(hi, d + e)
             mid = min(max(d, lo), hi)
         lo_terms.append(c * (lo if c > 0 else hi))
         mid_terms.append(c * mid)
         hi_terms.append(c * (hi if c > 0 else lo))
         # the products and the fsum each round by at most one unit
-        slack += (float(coeff_err[t]) + 2 * _U * abs(c)) * hi
+        slack += (coeff_err[t] + 2 * _U * abs(c)) * hi
     return (
         math.fsum(lo_terms) - slack,
         math.fsum(mid_terms),
@@ -458,18 +448,17 @@ def _tail_enclosure(
     )
 
 
-def _exp_series(s: np.ndarray) -> np.ndarray:
+def _exp_series(s: list[float]) -> list[float]:
     """Coefficients of exp(s[1] z + ... + s[K] z^K) up to z^K; s[0] is ignored.
 
     By the recurrence k e_k = sum_{j=1..k} j s_j e_{k-j}.  Each e_k takes
     at most k + 2 roundings, so its error is within (K + 1)(K + 8) u of
     the same recurrence run on |s|, the majorant exp(|s|).
     """
-    js = np.arange(s.size) * s
-    out = np.zeros(s.size)
-    out[0] = 1.0
-    for k in range(1, s.size):
-        out[k] = np.dot(js[1 : k + 1], out[k - 1 :: -1]) / k
+    js = [j * v for j, v in enumerate(s)]
+    out = [1.0]
+    for k in range(1, len(s)):
+        out.append(sum(js[j] * out[k - j] for j in range(1, k + 1)) / k)
     return out
 
 
@@ -485,10 +474,11 @@ class _Bracket:
 def _bracketed_product(
     rows_of,
     log_rel_err,
-    deficiency: np.ndarray,
+    deficiency: list[list[int]],
     m: int,
     P: int,
     *,
+    head_err: float = _HEAD_ERR,
     exceptional: dict[int, float] | None = None,
 ) -> _Bracket:
     """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta.
@@ -496,16 +486,27 @@ def _bracketed_product(
     The factors p <= P are summed as logs and the rest enclosed through
     prime zeta values, per z-degree; ``density()`` is the case K = 0.
 
-    ``rows_of`` maps a float64 array of n primes to ``(logs, majorant)``:
-    ``logs`` is (K + 1, n), row k holding the computed coefficient of z^k in
-    log F(p; z), and ``majorant`` is (K, n) and nonnegative.  Row 0 must be
-    <= 0 and within ``log_rel_err[0]`` relative; for k >= 1 row k must lie
-    within ``log_rel_err[k]`` times majorant row k - 1 of the exact value,
-    and within 1 + ``log_rel_err[k]`` times it in absolute value.
-    ``deficiency`` gives delta(p; z) as integers per p^-t z^k, t <= 64, as
-    ``_neglog_coeffs`` takes them.  Beyond every exceptional prime,
-    0 <= delta(p; 0) <= p^-m with m >= 2.  Exceptional primes contribute
-    fixed factors, constant in z, and are excluded from the rows.
+    ``rows_of(primes, needed)`` takes an ``array('q')`` of primes and the
+    list of t whose head sums the tail needs, and returns per-chunk sums
+    ``(logs, majorant, heads)``: ``logs[k]`` the computed sum over the
+    chunk of the coefficient of z^k in log F(p; z), k = 0..K; ``majorant``
+    K nonnegative sums; ``heads`` the sums of p^-t for the needed t, each
+    within ``head_err`` relative.  ``logs[0]`` sums terms <= 0 and lies
+    within ``log_rel_err[0]`` times its own magnitude of the exact sum; for
+    k >= 1, ``logs[k]`` lies within ``log_rel_err[k]`` times
+    ``majorant[k - 1]`` of it.  ``deficiency`` gives delta(p; z) as
+    integers per p^-t z^k, t <= 64, as ``_neglog_coeffs`` takes them.
+    Beyond every exceptional prime, 0 <= delta(p; 0) <= p^-m with m >= 2.
+    Exceptional primes contribute fixed factors, constant in z, and are
+    left out of the chunks; the engine adds their p^-t to the heads.
+
+    The chunk sums are added by fsum, which rounds once, within u of its
+    result.  For degree 0 the computed sum G of chunk sums L_j has
+    |G - sum_j L_j| <= u |G|, and sum_j |L_j| = |sum_j L_j| <= (1 + u) |G|
+    as all L_j <= 0, so G is within (r (1 + u) + u) |G| of the exact log
+    sum, r = ``log_rel_err[0]``.  A caller whose chunk sums are themselves
+    fsums of logs within e relative has r = (u + e / (1 - e)) / (1 - u),
+    so the whole bound is (e + 2u) |G| to first order.
 
     Degree 0 is bracketed by exp of its log enclosure.  For k >= 1, with
     S = log of the whole product, S~ its computed centre and |S - S~| <= E
@@ -518,84 +519,81 @@ def _bracketed_product(
     if any(v <= 0.0 for v in exceptional.values()):
         # A zero factor would make the whole product zero exactly.
         raise ValueError("exceptional factors must be positive")
-    K = deficiency.shape[1] - 1
+    K = len(deficiency[0]) - 1
     # K + 1 log rows and K majorant rows per prime share one chunk budget
     chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
     neglog, neglog_err = _neglog_coeffs(deficiency)
-    needed = sorted({t for k in range(K + 1) for t in _needed_terms(neglog[:, k], P)})
-    exc_arr = np.array(sorted(exceptional), dtype=np.int64)
-    log_parts: list[np.ndarray] = []
-    majorant_parts: list[np.ndarray] = []
-    head_parts: dict[int, list[float]] = {t: [] for t in needed}
+    needed = sorted({t for k in range(K + 1) for t in _needed_terms(neglog[k], P)})
+    last_exceptional = max(exceptional, default=0)
+    parts = []
     n_primes = 0
     for seg in prime_segments(P):
-        # prime zeta runs over all primes, so the heads count the
-        # exceptional ones even though the product takes their own factors
-        for t in needed:
-            head_parts[t].append(float(np.sum(seg.astype(np.float64) ** -float(t))))
-        n_primes += seg.size
-        if exc_arr.size and seg[0] <= exc_arr[-1]:
-            seg = seg[~np.isin(seg, exc_arr)]
-        # floats chunk by chunk: a (2K + 1, chunk) row block is the largest array
-        for i in range(0, seg.size, chunk):
-            logs, majorant = (
-                np.sum(rows, axis=1) for rows in rows_of(seg[i : i + chunk].astype(np.float64))
-            )
-            log_parts.append(logs)
-            majorant_parts.append(majorant)
-    heads = {t: math.fsum(parts) for t, parts in head_parts.items()}
-    generic = [math.fsum(p[k] for p in log_parts) for k in range(K + 1)]
-    tails = [_tail_enclosure(neglog[:, k], neglog_err[:, k], P, heads) for k in range(K + 1)]
+        n_primes += len(seg)
+        if seg and seg[0] <= last_exceptional:
+            seg = array("q", [p for p in seg if p not in exceptional])
+        for i in range(0, len(seg), chunk):
+            parts.append(rows_of(seg[i : i + chunk], needed))
+    # prime zeta runs over all primes, so the heads count the exceptional
+    # ones even though the product takes their own factors
+    heads = {
+        t: math.fsum([h[i] for _, _, h in parts] + [1 / p**t for p in exceptional])
+        for i, t in enumerate(needed)
+    }
+    # the exceptional terms are within u and the fsum adds one rounding
+    head_err = head_err * (1 + _U) + _U
+    generic = [math.fsum([logs[k] for logs, _, _ in parts]) for k in range(K + 1)]
+    tails = [
+        _tail_enclosure(neglog[k], neglog_err[k], P, heads, head_err) for k in range(K + 1)
+    ]
 
-    # Every log is <= 0, so |generic| is the sum of their magnitudes.  Each
-    # is within log_rel_err; numpy's pairwise chunk sums add at most 32 ulp
-    # and the fsum one.  An exceptional factor is rounded once (one ulp of
-    # the log) and its log is within 2 ulp.
+    # An exceptional factor is rounded once (one ulp of the log) and its
+    # log is within 2 ulp.
     exc_logs = [math.log(v) for v in exceptional.values()]
     exc_sum = math.fsum(exc_logs)
     log_sum = generic[0] + exc_sum
-    roundoff = (log_rel_err[0] + 34 * _U) * abs(generic[0]) + _UNDERFLOW
+    rel = log_rel_err[0]
+    roundoff = (rel * (1 + _U) + _U) * abs(generic[0]) + _UNDERFLOW
     roundoff += 2 * _U * len(exc_logs) + 3 * _U * abs(exc_sum)
 
     tail_lo, tail_mid, tail_hi = tails[0]
     tail_lo = max(tail_lo, 0.0)
     tail_hi = min(tail_hi, _tail_logbound_formula(P, m, n_primes))
     tail_mid = min(max(tail_mid, tail_lo), tail_hi)
-    # the additions below and exp round by at most a few ulp
+    # the sums below and exp round by at most a few ulp
     roundoff += 4 * _U * (abs(log_sum) + tail_hi)
-    upper = math.exp(log_sum + roundoff - tail_lo) * (1.0 + 2.0**-50)
-    lower = math.exp(log_sum - roundoff - tail_hi) * (1.0 - 2.0**-50)
+    upper = math.exp(math.fsum([generic[0], exc_sum, roundoff, -tail_lo])) * (1.0 + 2.0**-50)
+    lower = math.exp(math.fsum([generic[0], exc_sum, -roundoff, -tail_hi])) * (1.0 - 2.0**-50)
     centre = math.exp(log_sum - tail_mid)
     value = min(max(centre, lower), upper)
     if K == 0:
         return _Bracket((value,), (lower,), (upper,))
 
-    # |S - S~| per degree: the log-sum roundoff (from the majorant sums, for
-    # k >= 1), the tail's half-width, and one rounding of S~.
-    s = np.zeros(K + 1)
-    err = np.zeros(K + 1)
+    # |S - S~| per degree: the log-sum roundoff (the chunk sums against
+    # their majorant, and the fsum within u of its result), the tail's
+    # half-width, and one rounding of S~.
+    s = [0.0] * (K + 1)
+    err = [0.0] * (K + 1)
     s0 = log_sum - tail_mid
     e0 = (roundoff + max(tail_hi - tail_mid, tail_mid - tail_lo)) * (1.0 + 2.0**-50)
     e0 += 2 * _U * abs(s0)
     for k in range(1, K + 1):
         lo, mid, hi = tails[k]
-        rel = log_rel_err[k]
-        bound = math.fsum(p[k - 1] for p in majorant_parts)
-        head_err = (rel + 34 * _U * (1 + rel)) * (1 + 34 * _U) * bound + _UNDERFLOW
+        bound = math.fsum([majorant[k - 1] for _, majorant, _ in parts])
+        sum_err = log_rel_err[k] * (1 + _U) * bound + _U * abs(generic[k]) + _UNDERFLOW
         s[k] = generic[k] - mid
-        err[k] = (head_err + max(hi - mid, mid - lo)) * (1.0 + 2.0**-50) + 2 * _U * abs(s[k])
+        err[k] = (sum_err + max(hi - mid, mid - lo)) * (1.0 + 2.0**-50) + 2 * _U * abs(s[k])
     series = _exp_series(s)
-    majorant = _exp_series(np.abs(s))
-    excess = math.exp(e0) * _exp_series(err)  # exp(E) - 1
+    majorant = _exp_series([abs(v) for v in s])
+    excess = [math.exp(e0) * v for v in _exp_series(err)]  # exp(E) - 1
     excess[0] = math.expm1(e0)
     eps = (K + 1) * (K + 8) * _U
-    spread = np.convolve(majorant, excess)[: K + 1] + eps * majorant
-    # 8 eps covers the float error of both series, their product and exp
-    radius = centre * spread * (1.0 + 8 * eps) + _UNDERFLOW
     values, lowers, uppers = [value], [lower], [upper]
     for k in range(1, K + 1):
-        mid = centre * float(series[k])
-        pad = float(radius[k]) * (1.0 + 2.0**-50) + 2 * _U * abs(mid)
+        spread = sum(majorant[j] * excess[k - j] for j in range(k + 1)) + eps * majorant[k]
+        # 8 eps covers the float error of both series, their product and exp
+        radius = centre * spread * (1.0 + 8 * eps) + _UNDERFLOW
+        mid = centre * series[k]
+        pad = radius * (1.0 + 2.0**-50) + 2 * _U * abs(mid)
         lowers.append(max(mid - pad, 0.0))
         uppers.append(mid + pad)
         values.append(min(max(mid, lowers[-1]), uppers[-1]))
@@ -605,7 +603,7 @@ def _bracketed_product(
 def _estimate(
     delta_of,
     log_rel_err: float,
-    deficiency: np.ndarray,
+    deficiency: list[list[int]],
     m: int,
     target_error: float,
     *,
@@ -614,9 +612,9 @@ def _estimate(
 ) -> DensityEstimate:
     """prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``delta_of`` maps a float64 array of primes to 1 - F(p), and log1p of
-    its negation must be within ``log_rel_err`` relative; the other inputs
-    are those of ``_bracketed_product``.  The product is evaluated once, at
+    ``delta_of`` maps a float prime to 1 - F(p), and log1p of its negation
+    must be within ``log_rel_err`` relative; the other inputs are those of
+    ``_bracketed_product``.  The product is evaluated once, at
     ``truncation_prime`` or else at max(MIN_TRUNCATION, largest exceptional
     prime + 1); without a pinned prime, a bracket wider than
     ``target_error`` raises UnreachableTargetError.
@@ -631,11 +629,15 @@ def _estimate(
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
 
-    def rows_of(pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.log1p(-delta_of(pf))[None, :], np.empty((0, pf.size))
+    def rows_of(primes: array, needed: list[int]) -> tuple:
+        pf = [float(p) for p in primes]
+        logs = math.fsum([math.log1p(-delta_of(p)) for p in pf])
+        return [logs], [], [math.fsum([1 / p**t for p in primes]) for t in needed]
 
+    # the chunk fsum rounds once more; see _bracketed_product
+    chunk_rel = (_U + log_rel_err / (1 - log_rel_err)) / (1 - _U)
     b = _bracketed_product(
-        rows_of, (log_rel_err,), deficiency, m, P, exceptional=exceptional
+        rows_of, (chunk_rel,), deficiency, m, P, exceptional=exceptional
     )
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
@@ -742,13 +744,13 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
-    def delta(pf: np.ndarray) -> np.ndarray:
-        inv = 1.0 / pf
-        return (inv - inv**ell) / (pf * (1.0 - inv**ell))
+    def delta(p: float) -> float:
+        inv, pe = 1.0 / p, _inv_pow(p, ell)
+        return (inv - pe) / (p * (1.0 - pe))
 
-    # With inv <= 1/2 and ell >= 2, inv^ell <= inv / 2 carries at most 5u inv
-    # of error, so the numerator is within 13 u, the denominator within 6 u
-    # and delta within 20 u; log1p then gives (4/3) 20 u + 8 u < 36 u.
+    # With inv <= 1/2 and ell >= 2, p^-ell <= inv / 2 is within 4 ulp, at
+    # most 2u inv, so the numerator is within 13 u, the denominator within
+    # 6 u and delta within 20 u; log1p then gives (4/3) 20 u + 8 u < 36 u.
     log_rel_err = 64 * _U
     # weight 1 on the forbidden exponents, those not = 1 mod ell
     deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)

@@ -16,16 +16,17 @@ from __future__ import annotations
 import json
 import numbers
 import re
-from bisect import bisect_right
-from collections.abc import Iterable, Mapping
-from dataclasses import InitVar, dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import and_, rshift
 
-import numpy as np
+from .primes import _odd_flags, is_prime, sieve_primes
 
-from .primes import PrimeTable, is_prime, sieve_primes
-
-# Exception keys up to this bound are checked against one sieve; larger keys
-# get a Miller-Rabin test each.
+# Exception keys up to this bound are checked against one sieve's flags;
+# larger keys get a Miller-Rabin test each.
 _KEY_SIEVE_LIMIT = 10**7
 
 
@@ -95,45 +96,43 @@ class ExponentPattern:
 
 @dataclass(frozen=True)
 class PrimeAwarePattern:
-    """One default pattern plus a finite map of exceptional primes.
-
-    ``known_primes``, when given, is a sieve table that callers already
-    hold; keys up to its limit are checked against it instead of a new sieve.
-    """
+    """One default pattern plus a finite map of exceptional primes."""
 
     default: ExponentPattern
     exceptions: Mapping[int, ExponentPattern] = field(default_factory=dict)
-    known_primes: InitVar[PrimeTable | None] = None
 
-    def __post_init__(self, known_primes: PrimeTable | None):
-        keys = np.array(list(self.exceptions))
-        if keys.dtype.kind not in "iu":
-            # numpy turns ints beyond 64 bits into floats; keep them exact
-            keys = np.array(list(self.exceptions), dtype=object)
+    def __post_init__(self):
+        if isinstance(self.exceptions, _PrimeRange):
+            return  # parse_prime_aware built it from a sieve, ascending
+        keys = list(self.exceptions)
+        if not set(map(type, keys)) <= {int}:
             for p in keys:
                 if not isinstance(p, numbers.Integral):
                     raise ValueError(f"exception key {p!r} is not an integer")
-        in_sieve = (keys >= 0) & (keys <= _KEY_SIEVE_LIMIT)
-        small = keys[in_sieve].astype(np.int64)
-        if small.size:
-            limit = int(small.max())
-            table = known_primes
-            if table is None or table.limit < limit:
-                table = sieve_primes(max(limit, 2))
-            is_listed = np.zeros(limit + 1, dtype=bool)
-            is_listed[table.primes[table.primes <= limit]] = True
-            bad = small[~is_listed[small]]
-            if bad.size:
-                raise ValueError(f"exception key {bad[0]} is not prime")
-        for p in keys[~in_sieve].tolist():
+        ordered = sorted(keys)
+        if ordered and ordered[0] < 2:
+            raise ValueError(f"exception key {ordered[0]} is not prime")
+        end = bisect_right(ordered, _KEY_SIEVE_LIMIT)
+        if end:
+            flags = _odd_flags(ordered[end - 1])
+            # 2 is the one even prime; flags[p >> 1] marks an odd p
+            odd = ordered[1:end] if ordered[0] == 2 else ordered[:end]
+            if not (
+                all(map(and_, odd, repeat(1)))
+                and all(map(flags.__getitem__, map(rshift, odd, repeat(1))))
+            ):
+                bad = next(p for p in odd if not (p & 1 and flags[p >> 1]))
+                raise ValueError(f"exception key {bad} is not prime")
+        for p in ordered[end:]:
             if not is_prime(p):
                 raise ValueError(f"exception key {p} is not prime")
         # Defensive copy with deterministic iteration order.
-        ascending = bool(np.all(keys[1:] > keys[:-1]))
         object.__setattr__(
             self,
             "exceptions",
-            dict(self.exceptions) if ascending else dict(sorted(self.exceptions.items())),
+            dict(self.exceptions)
+            if ordered == keys
+            else {p: self.exceptions[p] for p in ordered},
         )
 
 
@@ -264,20 +263,14 @@ def _range_bound(key: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _expand_prime_key(key: str, table: PrimeTable | None) -> list[int]:
-    """The primes a key names; ``table`` covers every "p<=q" bound."""
+def _expand_prime_key(key: str) -> list[int]:
+    """The primes a single-prime or "p in [...]" key names."""
     key = key.strip()
     if key.isdigit():
         p = int(key)
         if not is_prime(p):
             raise ValueError(f"exception key {p} is not prime")
         return [p]
-    q = _range_bound(key)
-    if q is not None:
-        if q < 2:
-            return []
-        end = int(np.searchsorted(table.primes, q, side="right"))
-        return table.primes[:end].tolist()
     m = _PRIME_IN_RE.match(key)
     if m:
         body = m.group(1).strip()
@@ -293,35 +286,76 @@ def _expand_prime_key(key: str, table: PrimeTable | None) -> list[int]:
     raise ValueError(f"unrecognized exception key {key!r}")
 
 
+class _PrimeRange(Mapping):
+    """Exceptions of a "p<=q" key: every prime in ``primes`` maps to ``pattern``.
+
+    ``rest`` maps the primes of the other keys, all above q.  The sieve's
+    array stands for the range, so a large q costs no per-prime entry.
+    Keys iterate ascending.
+    """
+
+    def __init__(self, primes: array, pattern: ExponentPattern, rest: dict):
+        self.primes, self.pattern, self.rest = primes, pattern, rest
+
+    def __getitem__(self, p: int) -> ExponentPattern:
+        i = bisect_left(self.primes, p)
+        if i < len(self.primes) and self.primes[i] == p:
+            return self.pattern
+        return self.rest[p]
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(self.primes, self.rest)
+
+    def __len__(self) -> int:
+        return len(self.primes) + len(self.rest)
+
+    def items(self) -> ItemsView:
+        return _PrimeRangeItems(self)
+
+
+class _PrimeRangeItems(ItemsView):
+    # pairs the array with its one pattern, with no lookup per key
+    def __iter__(self):
+        m = self._mapping
+        return chain(zip(m.primes, repeat(m.pattern)), m.rest.items())
+
+
 def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
     """Build a PrimeAwarePattern from a spec document.
 
     Schema: ``{"default": "<DSL>", "exceptions": {"<key>": "<DSL>"}}``, where
     a key is a prime ("7"), "p<=q" (all primes up to q) or "p in [2,3,5]".
-    Duplicate primes arising from overlapping keys are rejected.
+    Duplicate primes arising from overlapping keys are rejected; two "p<=q"
+    keys with q >= 2 always share the prime 2.
     """
     if "default" not in doc:
         raise ValueError('pattern spec needs a "default" entry')
     default = parse_pattern(doc["default"])
-    keys = doc.get("exceptions", {})
-    # One sieve serves every "p<=q" key and then the check of all the keys.
-    bound = max((_range_bound(str(key)) or 0 for key in keys), default=0)
-    table = sieve_primes(bound) if bound >= 2 else None
     exceptions: dict[int, ExponentPattern] = {}
-    for key, dsl in keys.items():
-        primes = _expand_prime_key(str(key), table)
-        fresh = dict.fromkeys(primes, parse_pattern(dsl))
-        if len(fresh) < len(primes) or not fresh.keys().isdisjoint(exceptions):
-            seen = set(exceptions)
-            for p in primes:
-                if p in seen:
-                    raise ValueError(f"prime {p} assigned by more than one exception key")
-                seen.add(p)
-        if exceptions:
-            exceptions.update(fresh)
-        else:
-            exceptions = fresh
-    return PrimeAwarePattern(default=default, exceptions=exceptions, known_primes=table)
+    ranges: list[tuple[int, ExponentPattern]] = []
+    for key, dsl in doc.get("exceptions", {}).items():
+        pattern = parse_pattern(dsl)
+        q = _range_bound(str(key))
+        if q is not None:
+            if q >= 2:
+                ranges.append((q, pattern))
+            continue
+        for p in _expand_prime_key(str(key)):
+            if p in exceptions:
+                raise ValueError(f"prime {p} assigned by more than one exception key")
+            exceptions[p] = pattern
+    if len(ranges) > 1:
+        raise ValueError("prime 2 assigned by more than one exception key")
+    if not ranges:
+        return PrimeAwarePattern(default=default, exceptions=exceptions)
+    (q, pattern), = ranges
+    clash = min((p for p in exceptions if p <= q), default=None)
+    if clash is not None:
+        raise ValueError(f"prime {clash} assigned by more than one exception key")
+    rest = dict(sorted(exceptions.items()))
+    return PrimeAwarePattern(
+        default=default, exceptions=_PrimeRange(sieve_primes(q).primes, pattern, rest)
+    )
 
 
 def load_spec(path: str) -> PrimeAwarePattern:

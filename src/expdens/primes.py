@@ -1,17 +1,19 @@
 """Prime sieves and a primality test.
 
-numpy-backed Eratosthenes sieves, segmented above a threshold so that large
-limits never allocate one giant boolean block, and a deterministic
-Miller-Rabin test for validating individual primes.
+An odd-only Eratosthenes sieve over a bytearray, segmented above a
+threshold so that large limits never allocate one giant block, and a
+deterministic Miller-Rabin test for validating individual primes.  Primes
+come back as ``array('q')``: it supports ``len``, ``tolist`` and ``bisect``,
+and numpy wraps it without a copy (``np.frombuffer(a, dtype=np.int64)``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 # Allocation guard: no sieve or count covers more than this many integers.
 DEFAULT_SIEVE_BUDGET = 10**8
@@ -32,10 +34,10 @@ class ResourceBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit``, ascending int64."""
+    """All primes up to ``limit``, ascending."""
 
     limit: int
-    primes: np.ndarray
+    primes: array
 
 
 def is_prime(n: int) -> bool:
@@ -75,16 +77,28 @@ def _check_budget(limit: int) -> None:
         )
 
 
-def _sieve_block(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+def _odd_flags(limit: int) -> bytearray:
+    """flags[i] = 1 exactly when 2i + 1 <= limit is prime.
+
+    The multiples of an odd p from p^2 on sit p entries apart.
+    """
+    n = (limit + 1) // 2
+    flags = bytearray([1]) * n
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            start = (2 * i + 1) ** 2 >> 1
+            flags[start :: 2 * i + 1] = bytes(len(range(start, n, 2 * i + 1)))
+    return flags
 
 
-def prime_segments(limit: int) -> Iterator[np.ndarray]:
+def _block(limit: int) -> array:
+    primes = array("q", [2])
+    primes.extend(compress(range(1, limit + 1, 2), _odd_flags(limit)))
+    return primes
+
+
+def prime_segments(limit: int) -> Iterator[array]:
     """Yield ascending arrays of primes that together cover [2, limit].
 
     Small limits come back as a single block; large ones are produced segment
@@ -94,23 +108,25 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
         return
     _check_budget(limit)
     if limit <= _ONE_SHOT_LIMIT:
-        yield _sieve_block(limit)
+        yield _block(limit)
         return
-    s = max(math.isqrt(limit), 2)
-    base = _sieve_block(s)
+    s = math.isqrt(limit)
+    base = _block(s)
     yield base
-    lo = s + 1
+    lo = (s + 1) | 1  # segments hold odd numbers only; 2 is in the base
     while lo <= limit:
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base.tolist():
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                flags[start - lo :: p] = False
-        seg = np.flatnonzero(flags).astype(np.int64)
-        seg += lo
-        yield seg
-        lo = hi
+        n = (hi - lo + 1) // 2  # the odd numbers lo, lo + 2, ... below hi
+        flags = bytearray([1]) * n
+        for p in base[1:]:
+            if p * p >= hi:
+                break
+            start = max(p * p, (lo + p - 1) // p * p)
+            start += p * (start % 2 == 0)  # the first odd multiple
+            i = (start - lo) >> 1
+            flags[i::p] = bytes(len(range(i, n, p)))
+        yield array("q", compress(range(lo, hi, 2), flags))
+        lo = hi | 1
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -119,6 +135,8 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise ValueError("sieve limit must be >= 2")
     _check_budget(limit)
     if limit <= _ONE_SHOT_LIMIT:
-        return PrimeTable(limit, _sieve_block(limit))
-    parts = list(prime_segments(limit))
-    return PrimeTable(limit, np.concatenate(parts))
+        return PrimeTable(limit, _block(limit))
+    primes = array("q")
+    for seg in prime_segments(limit):
+        primes.extend(seg)
+    return PrimeTable(limit, primes)

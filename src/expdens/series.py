@@ -18,20 +18,22 @@ by one per exponent, and the work per prime follows their count.
 ``density_series`` makes one call of the Euler-product engine of ``euler``:
 per chunk of primes, ``local_polys`` builds the coefficient rows of F(p; z)
 with numpy powers, ``_log_rows`` takes the log of each row as a series in z,
-the engine sums the logs over p <= P, encloses the factors p > P through
-prime zeta values per z-degree, and takes one exp of the series.  Every d_k
-comes with ``lower`` and ``upper`` that hold the true density, the tail
-beyond P and all float roundoff included.  Work is estimated from P, K and
+and the chunk's sums go to the engine, which adds them over p <= P,
+encloses the factors p > P through prime zeta values per z-degree, and
+takes one exp of the series.  numpy is imported by these kernels on first
+use, so importing this module does not load it.  Every d_k comes with
+``lower`` and ``upper`` that hold the true density, the tail beyond P and
+all float roundoff included.  Work is estimated from P, K and
 the piece count before any sieving and capped at ``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import euler
 from .euler import _U
@@ -46,6 +48,9 @@ from .patterns import (
 # sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it
 # by name.
 from .primes import RS_UPPER, ResourceBudgetError, _check_budget, sieve_primes  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Truncation prime when none is given, for the library, the CLI and scripts.
 DEFAULT_TRUNCATION = 100_000
@@ -155,6 +160,32 @@ class DensitySeries:
             raise ValueError("series coefficient brackets must sum to at most 1")
 
 
+def _inverse_power(pf: np.ndarray, e: int) -> np.ndarray:
+    """pf ** -e, left at 0 wherever p^e >= 2^1076, as it rounds to 0 there.
+
+    Results below the normal range take libm's slow path, about 17 times the
+    cost of a normal power.  From e = 1076 on, e may be too large for a float.
+    """
+    import numpy as np
+
+    if e >= 1076:
+        return np.zeros(pf.shape)
+    bound = 2.0 ** min(1076 / e, 1000)
+    return np.power(pf, -float(e), out=np.zeros(pf.shape), where=pf < bound)
+
+
+def _delta(pf: np.ndarray, forbidden: tuple) -> np.ndarray:
+    """delta(p) of ``euler._delta_from_intervals`` for an array of primes."""
+    import numpy as np
+
+    d = np.zeros_like(pf)
+    for iv in forbidden:
+        d += _inverse_power(pf, iv.lo)
+        if iv.hi is not None:
+            d -= _inverse_power(pf, iv.hi + 1)
+    return d
+
+
 def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
     """Coefficient rows a_0..a_K of F(p; z), one column per prime.
 
@@ -165,6 +196,8 @@ def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
     weight at most K.  Weights above K are left out.  Returns a
     (K + 1, len(primes)) array.
     """
+    import numpy as np
+
     pf = np.asarray(primes, dtype=np.float64)
     if K < 0 or (pf.size and pf.min() < 2):
         raise ValueError("need p >= 2 and K >= 0")
@@ -173,14 +206,14 @@ def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
     rows[0] = scale
     head = 1.0 / pf  # p^-lo of the current piece
     for iv, slope, offset in w.pieces:
-        nxt = 0.0 if iv.hi is None else euler._inverse_power(pf, iv.hi + 1)
+        nxt = 0.0 if iv.hi is None else _inverse_power(pf, iv.hi + 1)
         if slope == 0:
             if offset <= K:
                 rows[offset] += head - nxt
         else:
             top = K if iv.hi is None else min(K, iv.hi + offset)
             for deg in range(iv.lo + offset, top + 1):
-                rows[deg] += scale * euler._inverse_power(pf, deg - offset)
+                rows[deg] += scale * _inverse_power(pf, deg - offset)
         head = nxt
     return rows
 
@@ -195,6 +228,8 @@ def _log_rows(log0: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |b_k| <= B_k; both are divided by k at the end.  Returns the (K + 1, n)
     logs and the (K, n) majorant.
     """
+    import numpy as np
+
     K, n = r.shape
     # out[0] holds the logs and out[1, 1:] the majorant, as c_k until the end
     out = np.empty((2, K + 1, n))
@@ -248,19 +283,36 @@ def _enclose(w: ExponentWeight, K: int, m: int, P: int) -> euler._Bracket:
     n_k + n_0 is at most the piece count plus the slope-piece count; 3 u
     more cover the second-order terms.  Powers that round to 0 leave out
     less than 2^-1074 per row, inside the engine's underflow allowance.
+
+    Chunk sums: numpy's pairwise sum over a chunk adds at most g = 32 u of
+    the summed magnitudes.  A log row 0 within e relative per prime sums to
+    within (g + e / (1 - e)) / (1 - g) of its own magnitude; a row k >= 1
+    within r of its majorant, and at most 1 + r times it, sums to within
+    (r + g (1 + r)) / (1 - g) of the majorant's computed sum.
     """
     forbidden = complement(w.induced_pattern()).intervals
-    delta, log_rel_err = euler._delta_from_intervals(forbidden)
+    _, log_rel_err = euler._delta_from_intervals(forbidden)
     terms = sum(1 + slope for _, slope, _ in w.pieces)
     rho = (terms + 30) * _U
 
-    def rows_of(pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows_of(primes: array, needed: list[int]) -> tuple:
+        import numpy as np
+
+        pf = np.frombuffer(primes, dtype=np.int64).astype(np.float64)
         rows = local_polys(pf, w, K)
         rows[1:] /= rows[0]
-        return _log_rows(np.log1p(-delta(pf)), rows[1:])
+        logs, majorant = _log_rows(np.log1p(-_delta(pf, forbidden)), rows[1:])
+        heads = [float(np.sum(_inverse_power(pf, t))) for t in needed]
+        return logs.sum(axis=1).tolist(), majorant.sum(axis=1).tolist(), heads
 
-    rel = [log_rel_err, *_log_row_errors(K, rho)]
-    return euler._bracketed_product(rows_of, rel, euler._deficiency(w.weight, K), m, P)
+    g = 32 * _U
+    rel = [(g + log_rel_err / (1 - log_rel_err)) / (1 - g)]
+    rel += [(r + g * (1 + r)) / (1 - g) for r in _log_row_errors(K, rho)]
+    # each power within 4 ulp, then the pairwise sum
+    head_err = 4 * _U + g * (1 + 4 * _U) + _U
+    return euler._bracketed_product(
+        rows_of, rel, euler._deficiency(w.weight, K), m, P, head_err=head_err
+    )
 
 
 def density_series(

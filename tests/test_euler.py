@@ -27,12 +27,14 @@ from expdens.patterns import (
     parse_pattern,
 )
 from expdens.primes import sieve_primes
+from expdens.series import ExponentWeight
 from helpers import (
     assert_below_partial,
     exp_odd_factor,
     gap_factor,
     local_factor_general,
     mod_periodic_factor,
+    oracle_density,
     oracle_mod_periodic,
     partial_euler_product,
     random_pattern,
@@ -91,7 +93,7 @@ class TestPrimeSum:
         assert Fraction(1, 3) + Fraction(1, 8) + Fraction(1, 24) == Fraction(1, 2)
 
     def test_k2_against_direct_summation(self):
-        p = sieve_primes(10**7).primes.astype(np.float64)
+        p = np.asarray(sieve_primes(10**7).primes, dtype=np.float64)
         oracle = float(np.sum(1.0 / (p**2 - 1.0)))
         # the oracle itself misses ~7e-9 of tail beyond 1e7
         assert abs(prime_sum(2).value - oracle) <= 1e-8
@@ -290,6 +292,59 @@ class TestDensity:
         est = density(pap, 1e-6)
         assert est.truncation_prime > 104729
 
+    def test_probe_no_wider_than_pairwise_sums(self):
+        # the benchmark's bracket probe; 1.4210854715202004e-14 wide when the
+        # log-sum was a numpy pairwise sum charged 34 u
+        est = density(SQUAREFREE, truncation_prime=10**5)
+        assert est.width <= 1.4210854715202004e-14
+        assert est.lower <= oracle_density(SQUAREFREE) <= est.upper
+
+
+def exact_neglog(delta, K):
+    """-log(1 - delta) = sum_j delta^j / j in exact rationals, cut at p^-64 and z^K.
+
+    The powers delta^j are exact int64 shifted adds (every entry stays below
+    2^61), independent of the recurrence under test.
+    """
+    delta = np.array(delta, dtype=np.int64)
+    size = delta.shape[0]
+    entries = list(zip(*np.nonzero(delta)))
+    out = {}
+    power, j = delta.copy(), 1
+    while power.any():
+        for t, k in zip(*np.nonzero(power)):
+            out[t, k] = out.get((t, k), 0) + Fraction(int(power[t, k]), j)
+        product = np.zeros_like(power)
+        for t, k in entries:
+            product[t:, k:] += delta[t, k] * power[: size - t, : K + 1 - k]
+        power, j = product, j + 1
+    return out
+
+
+NEGLOG_WEIGHTS = {
+    "1..1": lambda t: not contains(parse_pattern("1..1"), t),
+    "1..1,3..inf": lambda t: not contains(parse_pattern("1..1,3..inf"), t),
+    "excess": ExponentWeight.excess().weight,
+    "threshold2": ExponentWeight.threshold(2).weight,
+    "gaps": ExponentWeight.outside_pattern(parse_pattern("1..1,3..5,9..inf")).weight,
+}
+
+
+class TestNeglogCoeffs:
+    @pytest.mark.parametrize("K", [0, 8, 16])
+    @pytest.mark.parametrize("name", sorted(NEGLOG_WEIGHTS))
+    def test_correctly_rounded_against_fractions(self, name, K):
+        delta = expdens.euler._deficiency(NEGLOG_WEIGHTS[name], K)
+        neglog, err = expdens.euler._neglog_coeffs(delta)
+        exact = exact_neglog(delta, K)
+        for k in range(K + 1):
+            for t in range(len(delta)):
+                truth = exact.get((t, k), Fraction(0))
+                # one correctly rounded division per coefficient
+                assert neglog[k][t] == float(truth)
+                assert abs(Fraction(neglog[k][t]) - truth) <= Fraction(err[k][t])
+                assert err[k][t] == expdens.euler._U * abs(neglog[k][t])
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
@@ -315,7 +370,7 @@ class TestClosedForms:
         # the 40-digit product over p < 1000 times its prime-zeta tail (A065463)
         assert est.value == pytest.approx(float(oracle_mod_periodic(2)), abs=1e-13)
         # and cross-checked against a direct partial product
-        p = sieve_primes(2 * 10**6).primes.astype(np.float64)
+        p = np.asarray(sieve_primes(2 * 10**6).primes, dtype=np.float64)
         partial = float(np.exp(np.sum(np.log1p(-1.0 / (p * (p + 1.0))))))
         assert est.value <= partial
         assert abs(est.value - partial) <= 1e-7

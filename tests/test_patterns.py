@@ -221,7 +221,6 @@ class TestPrimeAware:
             PrimeAwarePattern(
                 default=EMPTY_PATTERN,
                 exceptions={7: EMPTY_PATTERN, 9: EMPTY_PATTERN},
-                known_primes=sieve_primes(10),
             )
 
 
@@ -236,6 +235,21 @@ class TestSpecDocument:
     def test_prime_class_upper_bound(self):
         pap = parse_prime_aware({"default": "1..2", "exceptions": {"p<=7": ""}})
         assert set(pap.exceptions) == {2, 3, 5, 7}
+
+    def test_range_key_acts_as_its_dict(self):
+        doc = {"default": "1..1", "exceptions": {"101": "", "p<=100": "1..2", "103": "2"}}
+        pap = parse_prime_aware(doc)
+        expected = {p: parse_pattern("1..2") for p in sieve_primes(100).primes.tolist()}
+        expected.update({101: EMPTY_PATTERN, 103: parse_pattern("2")})
+        assert pap.exceptions == expected
+        assert list(pap.exceptions) == sorted(expected)
+        assert list(pap.exceptions.items()) == sorted(expected.items())
+        assert len(pap.exceptions) == len(expected)
+        assert 97 in pap.exceptions and 99 not in pap.exceptions
+        assert pattern_for_prime(pap, 97) == parse_pattern("1..2")
+        assert pattern_for_prime(pap, 103) == parse_pattern("2")
+        assert pattern_for_prime(pap, 107) == pap.default
+        assert pap == PrimeAwarePattern(default=pap.default, exceptions=expected)
 
     def test_prime_class_explicit_set(self):
         pap = parse_prime_aware({"default": "1..2", "exceptions": {"p in [3, 11]": "2..2"}})

@@ -44,7 +44,7 @@ class TestSievePrimes:
         ref = reference_primes(10**6)
         assert len(ref) == 78498
         got = sieve_primes(10**6).primes
-        assert got.size == 78498
+        assert len(got) == 78498
         assert got.tolist() == ref
 
     def test_budget_enforced(self):
