@@ -501,7 +501,7 @@ def _bracketed_product(
     left out of the chunks; the engine adds their p^-t to the heads.
 
     The chunk sums are added by fsum, which rounds once, within u of its
-    result.  For degree 0 the computed sum G of chunk sums L_j has
+    result (Shewchuk, Discrete Comput. Geom. 18, 1997).  For degree 0 the computed sum G of chunk sums L_j has
     |G - sum_j L_j| <= u |G|, and sum_j |L_j| = |sum_j L_j| <= (1 + u) |G|
     as all L_j <= 0, so G is within (r (1 + u) + u) |G| of the exact log
     sum, r = ``log_rel_err[0]``.  A caller whose chunk sums are themselves
