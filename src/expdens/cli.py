@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import euler
+from . import euler  # empirical and series load in the subcommands that use them
 from .patterns import PatternSyntaxError, PrimeAwarePattern, load_spec, parse_pattern
 from .primes import ResourceBudgetError
 
@@ -101,7 +101,7 @@ def _cmd_density(config: RunConfig, out) -> int:
 
 
 def _cmd_series(config: RunConfig, out) -> int:
-    from . import series  # its kernels load numpy
+    from . import series
 
     if config.weight == "delta":
         if config.pattern is not None or config.spec_path is not None:

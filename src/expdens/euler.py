@@ -343,13 +343,10 @@ def _inv_pow(p: float, e: int) -> float:
 
 
 def _delta_from_intervals(forbidden: tuple):
-    """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), and its log error.
+    """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), for one float p.
 
-    Returns the function of one float p and a bound on the relative error
-    of log1p(-delta) as computed.  Each power is within 4 ulp and n terms
-    sum with n roundings, while sum |terms| <= 6 delta (the first forbidden
-    interval gives delta >= p^-m (1 - 1/p)), so delta is within
-    6 (n + 8) u; log1p adds 4 ulp and |log F| >= delta, giving (8n + 72) u.
+    ``series._delta`` takes the same terms in the same order over an array;
+    ``_delta_log_err`` bounds the error of both.
     """
 
     def delta(p: float) -> float:
@@ -360,8 +357,19 @@ def _delta_from_intervals(forbidden: tuple):
                 d -= _inv_pow(p, iv.hi + 1)
         return d
 
+    return delta
+
+
+def _delta_log_err(forbidden: tuple) -> float:
+    """Bound on the relative error of log1p(-delta) as computed.
+
+    Each power is within 4 ulp and n terms sum with n roundings, while
+    sum |terms| <= 6 delta (the first forbidden interval gives
+    delta >= p^-m (1 - 1/p)), so delta is within 6 (n + 8) u; log1p adds
+    4 ulp and |log F| >= delta, giving (8n + 72) u.
+    """
     n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
-    return delta, (8 * n_terms + 72) * _U
+    return (8 * n_terms + 72) * _U
 
 
 # ---------------------------------------------------------------------------
@@ -700,10 +708,10 @@ def density(
             prod *= _interval_factor_fraction(p, pat)
         return _exact_estimate(prod, max(pap.exceptions, default=2))
 
-    delta, log_rel_err = _delta_from_intervals(complement(pap.default).intervals)
+    forbidden = complement(pap.default).intervals
     return _estimate(
-        delta,
-        log_rel_err,
+        _delta_from_intervals(forbidden),
+        _delta_log_err(forbidden),
         _deficiency(lambda t: not contains(pap.default, t), 0),
         m,
         target_error,

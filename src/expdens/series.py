@@ -175,7 +175,11 @@ def _inverse_power(pf: np.ndarray, e: int) -> np.ndarray:
 
 
 def _delta(pf: np.ndarray, forbidden: tuple) -> np.ndarray:
-    """delta(p) of ``euler._delta_from_intervals`` for an array of primes."""
+    """delta(p) of ``euler._delta_from_intervals`` for an array of primes.
+
+    Its terms and their order must stay those of the scalar version, since
+    ``euler._delta_log_err`` bounds the error of both.
+    """
     import numpy as np
 
     d = np.zeros_like(pf)
@@ -291,7 +295,7 @@ def _enclose(w: ExponentWeight, K: int, m: int, P: int) -> euler._Bracket:
     (r + g (1 + r)) / (1 - g) of the majorant's computed sum.
     """
     forbidden = complement(w.induced_pattern()).intervals
-    _, log_rel_err = euler._delta_from_intervals(forbidden)
+    log_rel_err = euler._delta_log_err(forbidden)
     terms = sum(1 + slope for _, slope, _ in w.pieces)
     rho = (terms + 30) * _U
 

@@ -88,6 +88,8 @@ class TestSegments:
         assert len(segs) > 1
         joined = np.concatenate(segs)
         assert np.array_equal(joined, reference)
+        # the reference is segmented too; the unsegmented sieve checks both
+        assert np.array_equal(joined, expdens.primes._block(limit))
         assert int(joined[-1]) <= limit
 
     def test_empty_below_two(self):
