@@ -1,14 +1,15 @@
 """Euler products over primes with proven brackets.
 
-The density of {n : every prime exponent of n is allowed} is an infinite
-product of per-prime local factors.  Two equivalent closed forms exist for
-one local factor:
+The density of {n : every prime exponent is allowed} is an infinite
+product of per-prime local factors
 
-  interval form:    F(p) = (1 - 1/p) + sum_j (p^-a_j - p^-(b_j+1))
-                    over the allowed intervals [a_j, b_j] (the second term
-                    drops when b_j is unbounded);
-  complement form:  F(p) = 1 - (1 - 1/p) * sum over forbidden exponents i
-                    of p^-i, with the forbidden sum in closed geometric form.
+    F(p) = 1 - delta(p),  delta(p) = sum over forbidden [lo, hi] of
+                          p^-lo - p^-(hi+1)
+
+(the second term drops when hi is unbounded).  Every prime's delta, with
+its own pattern or the default, is one exact integer quotient num / p^E
+rounded once to float (``_delta``), so one error constant covers the
+log-sum of every scalar product.
 
 A product is evaluated once, at a truncation prime P (``MIN_TRUNCATION`` =
 1000, or just above the largest exceptional prime).  The factors p <= P are
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,8 +68,9 @@ _U = 2.0**-53
 # Relative error of an fsum of 1 / p^t, each one correctly rounded division
 # of exact integers: u of the terms and u of the result.
 _HEAD_ERR = 2 * _U * (1 + _U)
-# Covers every result that underflows below the normal range, summed over at
-# most 1e8 primes and 10^4 terms per prime.
+# Covers every result that underflows below the normal range and every term
+# that ``_delta_quotient`` drops, summed over at most 1e8 primes and 10^4
+# terms per prime.
 _UNDERFLOW = 2.0**-1000
 # Euler-Maclaurin summation for zeta_int: terms n < _EM_TERMS are summed
 # directly, then the corrections with B_2 .. B_16; B_18 bounds the remainder.
@@ -259,23 +262,59 @@ def prime_sum(k: int) -> BoundedValue:
 
 
 # ---------------------------------------------------------------------------
-# Scalar local factors (exact rational arithmetic, rounded once to float)
+# Local factors: delta(p) = 1 - F(p) as one correctly rounded integer quotient
+
+# delta(p) drops its terms p^-e with p^e >= 2^_CAP_BITS.
+_CAP_BITS = 1100
+# Relative error of log1p(-delta(p)) against log F(p), for every prime and
+# local factor of a scalar product; derived at ``_delta``.
+_LOG_ERR = 6 * _U * (1 + 4 * _U)
 
 
-def _interval_factor_fraction(p: int, pattern: ExponentPattern) -> Fraction:
-    f = Fraction(p - 1, p)
-    for iv in pattern.intervals:
-        f += Fraction(1, p**iv.lo)
-        if iv.hi is not None:
-            f -= Fraction(1, p ** (iv.hi + 1))
-    return f
+@lru_cache(maxsize=None)
+def _delta_exponents(pattern: ExponentPattern) -> tuple[int, ...]:
+    """e_0 < e_1 < ... with delta(p) = sum_j (-1)^j p^-e_j under ``pattern``."""
+    ivs = complement(pattern).intervals
+    return tuple(e for iv in ivs for e in ((iv.lo,) if iv.hi is None else (iv.lo, iv.hi + 1)))
+
+
+def _delta_quotient(p: int, exps: tuple[int, ...]) -> tuple[int, int]:
+    """(num, p^E) with num / p^E = sum_j (-1)^j p^-e_j over the e_j with p^e_j < 2^1100.
+
+    An e_j is kept when below c = ceil(1100 / (b - 1)), b the bit length
+    of p; since p >= 2^(b - 1), p^c >= 2^1100.  The dropped terms alternate
+    in sign and fall in magnitude, so they sum to at most the first, below
+    2^-1100.  E is the last kept exponent, and p^E < 2^2200.
+    """
+    n = bisect_left(exps, -(-_CAP_BITS // (p.bit_length() - 1)))
+    if not n:
+        return 0, 1
+    num = 1
+    for j in range(1, n):
+        num = num * p ** (exps[j] - exps[j - 1]) + (-1 if j & 1 else 1)
+    return num, p ** exps[n - 1]
+
+
+def _delta(p: int, exps: tuple[int, ...]) -> float:
+    """delta(p) for the exponents of ``_delta_exponents``, correctly rounded.
+
+    The float is within u of the kept terms, which are within 2^-1100 of
+    delta (below the normal range the rounding is within 2^-1075 instead);
+    ``_UNDERFLOW`` covers both absolute errors.  As delta <= 1/p <= 1/2,
+    log1p(-delta~) is within 2u (1 + 2u) delta <= 2u (1 + 2u) |log F| of
+    log F; log1p adds 2 ulp (glibc lists 1), 4u of its result, so the
+    total is within ``_LOG_ERR`` |log F|.
+    """
+    num, den = _delta_quotient(p, exps)
+    return num / den
 
 
 def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
-    """Local factor from the allowed intervals, sentinel exponent-0 included."""
+    """F(p) = (p^E - num) / p^E, one correctly rounded quotient."""
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    return LocalFactor(p, float(_interval_factor_fraction(p, pattern)))
+    num, den = _delta_quotient(p, _delta_exponents(pattern))
+    return LocalFactor(p, (den - num) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -340,36 +379,6 @@ def _inv_pow(p: float, e: int) -> float:
     """p ** -e for p >= 2; 0 from e = 1076 on, where it rounds to 0 anyway
     and e may be too large for a float."""
     return 0.0 if e >= 1076 else p**-e
-
-
-def _delta_from_intervals(forbidden: tuple):
-    """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), for one float p.
-
-    ``series._delta`` takes the same terms in the same order over an array;
-    ``_delta_log_err`` bounds the error of both.
-    """
-
-    def delta(p: float) -> float:
-        d = 0.0
-        for iv in forbidden:
-            d += _inv_pow(p, iv.lo)
-            if iv.hi is not None:
-                d -= _inv_pow(p, iv.hi + 1)
-        return d
-
-    return delta
-
-
-def _delta_log_err(forbidden: tuple) -> float:
-    """Bound on the relative error of log1p(-delta) as computed.
-
-    Each power is within 4 ulp and n terms sum with n roundings, while
-    sum |terms| <= 6 delta (the first forbidden interval gives
-    delta >= p^-m (1 - 1/p)), so delta is within 6 (n + 8) u; log1p adds
-    4 ulp and |log F| >= delta, giving (8n + 72) u.
-    """
-    n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
-    return (8 * n_terms + 72) * _U
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +496,6 @@ def _bracketed_product(
     P: int,
     *,
     head_err: float = _HEAD_ERR,
-    exceptional: dict[int, float] | None = None,
 ) -> _Bracket:
     """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta.
 
@@ -503,10 +511,9 @@ def _bracketed_product(
     within ``log_rel_err[0]`` times its own magnitude of the exact sum; for
     k >= 1, ``logs[k]`` lies within ``log_rel_err[k]`` times
     ``majorant[k - 1]`` of it.  ``deficiency`` gives delta(p; z) as
-    integers per p^-t z^k, t <= 64, as ``_neglog_coeffs`` takes them.
-    Beyond every exceptional prime, 0 <= delta(p; 0) <= p^-m with m >= 2.
-    Exceptional primes contribute fixed factors, constant in z, and are
-    left out of the chunks; the engine adds their p^-t to the heads.
+    integers per p^-t z^k, t <= 64, as ``_neglog_coeffs`` takes them,
+    for every p > P, and there 0 <= delta(p; 0) <= p^-m with m >= 2; a
+    prime p <= P may have a factor of its own, as ``rows_of`` gives it.
 
     The chunk sums are added by fsum, which rounds once, within u of its
     result (Shewchuk, Discrete Comput. Geom. 18, 1997).  For degree 0 the computed sum G of chunk sums L_j has
@@ -523,45 +530,27 @@ def _bracketed_product(
     as majorant series, since every coefficient of the right side is
     nonnegative.  Both series come from ``_exp_series``.
     """
-    exceptional = exceptional or {}
-    if any(v <= 0.0 for v in exceptional.values()):
-        # A zero factor would make the whole product zero exactly.
-        raise ValueError("exceptional factors must be positive")
     K = len(deficiency[0]) - 1
     # K + 1 log rows and K majorant rows per prime share one chunk budget
     chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
     neglog, neglog_err = _neglog_coeffs(deficiency)
     needed = sorted({t for k in range(K + 1) for t in _needed_terms(neglog[k], P)})
-    last_exceptional = max(exceptional, default=0)
     parts = []
     n_primes = 0
     for seg in prime_segments(P):
         n_primes += len(seg)
-        if seg and seg[0] <= last_exceptional:
-            seg = array("q", [p for p in seg if p not in exceptional])
         for i in range(0, len(seg), chunk):
             parts.append(rows_of(seg[i : i + chunk], needed))
-    # prime zeta runs over all primes, so the heads count the exceptional
-    # ones even though the product takes their own factors
-    heads = {
-        t: math.fsum([h[i] for _, _, h in parts] + [1 / p**t for p in exceptional])
-        for i, t in enumerate(needed)
-    }
-    # the exceptional terms are within u and the fsum adds one rounding
+    heads = {t: math.fsum([h[i] for _, _, h in parts]) for i, t in enumerate(needed)}
+    # the fsum over the chunks rounds once more
     head_err = head_err * (1 + _U) + _U
     generic = [math.fsum([logs[k] for logs, _, _ in parts]) for k in range(K + 1)]
     tails = [
         _tail_enclosure(neglog[k], neglog_err[k], P, heads, head_err) for k in range(K + 1)
     ]
 
-    # An exceptional factor is rounded once (one ulp of the log) and its
-    # log is within 2 ulp.
-    exc_logs = [math.log(v) for v in exceptional.values()]
-    exc_sum = math.fsum(exc_logs)
-    log_sum = generic[0] + exc_sum
-    rel = log_rel_err[0]
-    roundoff = (rel * (1 + _U) + _U) * abs(generic[0]) + _UNDERFLOW
-    roundoff += 2 * _U * len(exc_logs) + 3 * _U * abs(exc_sum)
+    log_sum = generic[0]
+    roundoff = (log_rel_err[0] * (1 + _U) + _U) * abs(log_sum) + _UNDERFLOW
 
     tail_lo, tail_mid, tail_hi = tails[0]
     tail_lo = max(tail_lo, 0.0)
@@ -569,8 +558,8 @@ def _bracketed_product(
     tail_mid = min(max(tail_mid, tail_lo), tail_hi)
     # the sums below and exp round by at most a few ulp
     roundoff += 4 * _U * (abs(log_sum) + tail_hi)
-    upper = math.exp(math.fsum([generic[0], exc_sum, roundoff, -tail_lo])) * (1.0 + 2.0**-50)
-    lower = math.exp(math.fsum([generic[0], exc_sum, -roundoff, -tail_hi])) * (1.0 - 2.0**-50)
+    upper = math.exp(math.fsum([log_sum, roundoff, -tail_lo])) * (1.0 + 2.0**-50)
+    lower = math.exp(math.fsum([log_sum, -roundoff, -tail_hi])) * (1.0 - 2.0**-50)
     centre = math.exp(log_sum - tail_mid)
     value = min(max(centre, lower), upper)
     if K == 0:
@@ -610,25 +599,21 @@ def _bracketed_product(
 
 def _estimate(
     delta_of,
-    log_rel_err: float,
     deficiency: list[list[int]],
     m: int,
     target_error: float,
     *,
-    exceptional: dict[int, float] | None = None,
+    start: int = MIN_TRUNCATION,
     truncation_prime: int | None = None,
 ) -> DensityEstimate:
     """prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``delta_of`` maps a float prime to 1 - F(p), and log1p of its negation
-    must be within ``log_rel_err`` relative; the other inputs are those of
-    ``_bracketed_product``.  The product is evaluated once, at
-    ``truncation_prime`` or else at max(MIN_TRUNCATION, largest exceptional
-    prime + 1); without a pinned prime, a bracket wider than
-    ``target_error`` raises UnreachableTargetError.
+    ``delta_of`` maps a prime to delta(p) within the error of ``_delta``;
+    beyond ``start`` it follows ``deficiency`` and ``m`` as
+    ``_bracketed_product`` takes them.  The product is evaluated once, at
+    ``truncation_prime`` or else at ``start``; without a pinned prime, a
+    bracket wider than ``target_error`` raises UnreachableTargetError.
     """
-    exceptional = exceptional or {}
-    start = max(MIN_TRUNCATION, max(exceptional, default=0) + 1)
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
             f"truncation prime {truncation_prime} below required minimum {start}"
@@ -638,15 +623,12 @@ def _estimate(
     _check_budget(P)
 
     def rows_of(primes: array, needed: list[int]) -> tuple:
-        pf = [float(p) for p in primes]
-        logs = math.fsum([math.log1p(-delta_of(p)) for p in pf])
+        logs = math.fsum([math.log1p(-delta_of(p)) for p in primes])
         return [logs], [], [math.fsum([1 / p**t for p in primes]) for t in needed]
 
     # the chunk fsum rounds once more; see _bracketed_product
-    chunk_rel = (_U + log_rel_err / (1 - log_rel_err)) / (1 - _U)
-    b = _bracketed_product(
-        rows_of, (chunk_rel,), deficiency, m, P, exceptional=exceptional
-    )
+    chunk_rel = (_U + _LOG_ERR / (1 - _LOG_ERR)) / (1 - _U)
+    b = _bracketed_product(rows_of, (chunk_rel,), deficiency, m, P)
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -656,20 +638,6 @@ def _estimate(
             est,
         )
     return est
-
-
-def _exact_estimate(value: Fraction, truncation_prime: int = 1) -> DensityEstimate:
-    """Estimate for an exactly known rational density (finite products)."""
-    v = float(value)
-    if v == 0.0:
-        return DensityEstimate(0.0, 0.0, 0.0, truncation_prime, 0.0, True)
-    if value == 1:
-        return DensityEstimate(1.0, 1.0, 1.0, truncation_prime, 0.0)
-    # One float rounding of an exact rational: bracket by a relative ulp pad.
-    tail_logbound = 2.0**-50
-    upper = v * (1.0 + 2.0**-51)
-    lower = upper * math.exp(-tail_logbound)
-    return DensityEstimate(v, lower, upper, truncation_prime, tail_logbound)
 
 
 def _check_target(target_error: float) -> None:
@@ -689,7 +657,8 @@ def density(
     The product is evaluated once, at max(MIN_TRUNCATION, largest exceptional
     prime + 1), and a bracket wider than ``target_error`` raises
     UnreachableTargetError; pass ``truncation_prime`` to pin the prime
-    instead, in which case no width check is applied.  If the default
+    instead, in which case no width check is applied.  Every prime's factor,
+    exceptional or not, is 1 - ``_delta`` of its own pattern.  If the default
     pattern forbids exponent 1 the product diverges to zero and the estimate
     is exactly 0 with ``diverges_to_zero`` set.
     """
@@ -697,27 +666,45 @@ def density(
     m = min_forbidden(pap.default)
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
-
-    exceptional = {
-        p: local_factor_interval(p, pat).value for p, pat in pap.exceptions.items()
-    }
+    exceptions = pap.exceptions
+    last = max(exceptions, default=0)
     if m is None:
-        # Only finitely many factors differ from 1; the product is exact.
-        prod = Fraction(1)
-        for p, pat in sorted(pap.exceptions.items()):
-            prod *= _interval_factor_fraction(p, pat)
-        return _exact_estimate(prod, max(pap.exceptions, default=2))
+        return _finite_product(exceptions, max(last, 2))
 
-    forbidden = complement(pap.default).intervals
+    default = _delta_exponents(pap.default)
+
+    def delta_of(p: int) -> float:
+        pattern = exceptions.get(p) if p <= last else None
+        return _delta(p, default if pattern is None else _delta_exponents(pattern))
+
     return _estimate(
-        _delta_from_intervals(forbidden),
-        _delta_log_err(forbidden),
+        delta_of,
         _deficiency(lambda t: not contains(pap.default, t), 0),
         m,
         target_error,
-        exceptional=exceptional,
+        start=max(MIN_TRUNCATION, last + 1),
         truncation_prime=truncation_prime,
     )
+
+
+def _finite_product(exceptions, truncation_prime: int) -> DensityEstimate:
+    """The product of the exceptional factors, when the default allows everything.
+
+    Their logs are summed as in ``_estimate``, with no tail: each is within
+    ``_LOG_ERR`` of its own magnitude and all are <= 0, so the fsum G is
+    within (_LOG_ERR + 2u) |G| of the exact sum, and 4u |G| more cover the
+    sums and exp below, as in ``_bracketed_product``.  Every factor is at
+    most 1, and so is the product.
+    """
+    rules = [(p, e) for p, pattern in exceptions.items() if (e := _delta_exponents(pattern))]
+    if not rules:
+        return DensityEstimate(1.0, 1.0, 1.0, truncation_prime, 0.0)
+    log_sum = math.fsum([math.log1p(-_delta(p, e)) for p, e in rules])
+    err = (_LOG_ERR + 6 * _U) * abs(log_sum) + _UNDERFLOW
+    upper = min(math.exp(log_sum + err) * (1.0 + 2.0**-50), 1.0)
+    lower = math.exp(log_sum - err) * (1.0 - 2.0**-50)
+    value = min(max(math.exp(log_sum), lower), upper)
+    return DensityEstimate(value, lower, upper, truncation_prime, math.log(upper / lower))
 
 
 # ---------------------------------------------------------------------------
@@ -752,17 +739,15 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
-    def delta(p: float) -> float:
-        inv, pe = 1.0 / p, _inv_pow(p, ell)
-        return (inv - pe) / (p * (1.0 - pe))
+    def delta(p: int) -> float:
+        # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotient
+        if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS:
+            return 1 / p**2
+        return (p ** (ell - 1) - 1) / (p * (p**ell - 1))
 
-    # With inv <= 1/2 and ell >= 2, p^-ell <= inv / 2 is within 4 ulp, at
-    # most 2u inv, so the numerator is within 13 u, the denominator within
-    # 6 u and delta within 20 u; log1p then gives (4/3) 20 u + 8 u < 36 u.
-    log_rel_err = 64 * _U
     # weight 1 on the forbidden exponents, those not = 1 mod ell
     deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)
-    return _estimate(delta, log_rel_err, deficiency, 2, target_error)
+    return _estimate(delta, deficiency, 2, target_error)
 
 
 def closed_form(

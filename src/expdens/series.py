@@ -175,10 +175,9 @@ def _inverse_power(pf: np.ndarray, e: int) -> np.ndarray:
 
 
 def _delta(pf: np.ndarray, forbidden: tuple) -> np.ndarray:
-    """delta(p) of ``euler._delta_from_intervals`` for an array of primes.
+    """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), per prime.
 
-    Its terms and their order must stay those of the scalar version, since
-    ``euler._delta_log_err`` bounds the error of both.
+    ``_delta_log_err`` bounds the error of log1p(-delta) as computed here.
     """
     import numpy as np
 
@@ -188,6 +187,18 @@ def _delta(pf: np.ndarray, forbidden: tuple) -> np.ndarray:
         if iv.hi is not None:
             d -= _inverse_power(pf, iv.hi + 1)
     return d
+
+
+def _delta_log_err(forbidden: tuple) -> float:
+    """Bound on the relative error of log1p(-_delta) as computed.
+
+    Each power is within 4 ulp and n terms sum with n roundings, while
+    sum |terms| <= 6 delta (the first forbidden interval gives
+    delta >= p^-m (1 - 1/p)), so delta is within 6 (n + 8) u; log1p adds
+    4 ulp and |log F| >= delta, giving (8n + 72) u.
+    """
+    n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
+    return (8 * n_terms + 72) * _U
 
 
 def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
@@ -295,7 +306,7 @@ def _enclose(w: ExponentWeight, K: int, m: int, P: int) -> euler._Bracket:
     (r + g (1 + r)) / (1 - g) of the majorant's computed sum.
     """
     forbidden = complement(w.induced_pattern()).intervals
-    log_rel_err = euler._delta_log_err(forbidden)
+    log_rel_err = _delta_log_err(forbidden)
     terms = sum(1 + slope for _, slope, _ in w.pieces)
     rho = (terms + 30) * _U
 

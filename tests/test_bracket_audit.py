@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expdens.euler import MIN_TRUNCATION, closed_form, density
-from expdens.patterns import PrimeAwarePattern, min_forbidden, normalize_intervals, parse_pattern
+from expdens.patterns import (
+    PrimeAwarePattern,
+    min_forbidden,
+    normalize_intervals,
+    parse_pattern,
+    parse_prime_aware,
+)
 from expdens.series import ExponentWeight, density_series
 from helpers import (
     oracle_closed_form,
@@ -43,6 +49,10 @@ exception_patterns = st.one_of(
     st.tuples(st.integers(1, 5), st.one_of(st.none(), st.integers(0, 4))).map(
         lambda t: normalize_intervals([(t[0], None if t[1] is None else t[0] + t[1])])
     ),
+    # a run that ends far out: every term past p^e >= 2^1100 is dropped
+    st.tuples(st.integers(1, 3), st.integers(10**3, 10**30)).map(
+        lambda t: normalize_intervals([(1, t[0]), (t[0] + 2, t[1])])
+    ),
 )
 
 
@@ -71,7 +81,7 @@ catalog_requests = st.one_of(
     st.builds(lambda k: ("squarefree_or_high", dict(k=k)), st.integers(2, 8)),
     st.builds(lambda k: ("skip_one", dict(k=k)), st.integers(2, 8)),
     st.just(("exp_odd", {})),
-    st.builds(lambda ell: ("mod_periodic", dict(ell=ell)), st.integers(1, 9)),
+    st.builds(lambda ell: ("mod_periodic", dict(ell=ell)), st.integers(1, 11)),
     st.builds(
         lambda q, k: ("ex1", dict(q=q, k=k)), st.sampled_from(SMALL_PRIMES), st.integers(2, 5)
     ),
@@ -96,6 +106,24 @@ def test_closed_form_bracket_holds_the_truth(request):
     est = closed_form(form, target_error=1e-12, **kwargs)
     assert est.width <= 1e-12
     _assert_holds(est, oracle_closed_form(form, **kwargs))
+
+
+@pytest.mark.parametrize("default", ["1..1", "1..2,5..inf"])
+@pytest.mark.parametrize("exception", ["", "2..3"])
+def test_range_of_exceptional_primes_holds_the_truth(default, exception):
+    # 303 exceptional primes p <= 2000, none allowing exponent 1, as chunk members
+    pap = parse_prime_aware({"default": default, "exceptions": {"p<=2000": exception}})
+    assert len(pap.exceptions) == 303
+    est = density(pap, 1e-12)
+    _assert_holds(est, oracle_density(pap))
+
+
+@pytest.mark.parametrize("ell", [150, 2003])
+def test_mod_periodic_far_period_holds_the_truth(ell):
+    # p^-(ell+1) is dropped where p^(ell+1) >= 2^1100: at ell = 150 from
+    # p = 257 on, at ell = 2003 for every prime
+    est = closed_form("mod_periodic", ell=ell, target_error=1e-12)
+    _assert_holds(est, oracle_closed_form("mod_periodic", ell=ell))
 
 
 @st.composite

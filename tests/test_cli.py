@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import expdens.euler
@@ -23,8 +23,8 @@ from expdens.cli import (
     main,
     run,
 )
-from expdens.patterns import parse_pattern
-from helpers import oracle_series
+from expdens.patterns import load_spec, parse_pattern
+from helpers import oracle_density, oracle_series
 
 
 def run_capture(config):
@@ -46,6 +46,15 @@ def run_fresh(*argv):
         env=dict(os.environ, PYTHONPATH=path),
     )
     return proc, time.perf_counter() - start
+
+
+def main_timed(argv):
+    """``main(argv)`` in this process: exit code, stdout, stderr and seconds."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 class TestDensity:
@@ -334,6 +343,26 @@ class TestMachineOutput:
         assert captured.err.startswith("error:")
 
 
+class TestFarExceptionEnds:
+    # an allowed run of 3 ending at 10^20 - 1: no power of 3 that large is taken
+    @pytest.mark.parametrize("default", ["1..1", "1..inf"])
+    @pytest.mark.parametrize("subcommand", ["density", "verify"])
+    def test_far_end_answers_fast(self, tmp_path, subcommand, default):
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps(
+            {"default": default, "exceptions": {"3": "1..99999999999999999999"}}
+        ))
+        argv = [subcommand, "--spec", str(spec), "--output", "machine"]
+        if subcommand == "verify":
+            argv += ["--x", "100000"]
+        code, out, _, seconds = main_timed(argv)
+        assert code == EXIT_OK
+        assert seconds < 2.0
+        record = json.loads(out.splitlines()[0])
+        truth = oracle_density(load_spec(str(spec)))
+        assert record["lower"] <= truth <= record["upper"]
+
+
 def test_console_entry_point():
     proc, _ = run_fresh("count", "--pattern", "1..1", "--x", "1000", "--output", "machine")
     assert proc.returncode == 0
@@ -349,12 +378,15 @@ _ENDS = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(1, 10**30)
 
 
 @st.composite
-def _dsl(draw):
-    # most patterns allow exponent 1, so that their products converge
+def _dsl(draw, ordered=False):
+    # most patterns allow exponent 1, so that their products converge;
+    # ``ordered`` swaps reversed ends, so that every term parses
     terms = [draw(st.sampled_from(["1", "1..2", "1..inf", "2", ""]))]
     for _ in range(draw(st.integers(0, 4))):
         lo = draw(_ENDS)
         hi = draw(st.one_of(st.none(), st.just("inf"), _ENDS))
+        if ordered and isinstance(hi, int):
+            lo, hi = sorted((lo, hi))
         terms.append(str(lo) if hi is None else f"{lo}..{hi}")
     return ",".join(filter(None, terms))
 
@@ -400,10 +432,48 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_argv())
 def test_fuzzed_argv_ends_in_a_documented_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert time.perf_counter() - start < 2.0, argv
+    code, _, err, seconds = main_timed(argv)
+    assert seconds < 2.0, argv
     assert code in range(5), argv
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed spec documents: single-prime, "p in [...]" and "p<=q" keys with DSL
+# values, through density, count and verify.
+
+_SPEC_PRIMES = [2, 3, 5, 7, 97, 997, 7919, 99991, 100003, 1000003]
+# malformed DSL is the argv fuzz's business; here one value in ten may be
+_spec_dsl = st.sampled_from([True] * 9 + [False]).flatmap(lambda ordered: _dsl(ordered))
+
+
+@st.composite
+def _spec(draw):
+    exceptions = {}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["prime", "in", "le"]))
+        if kind == "prime":
+            key = str(draw(st.sampled_from(_SPEC_PRIMES)))
+        elif kind == "in":
+            listed = draw(st.lists(st.sampled_from(_SPEC_PRIMES), max_size=4))
+            key = f"p in [{','.join(map(str, listed))}]"
+        else:
+            key = f"p<={draw(st.integers(0, 10**5))}"
+        exceptions[key] = draw(_spec_dsl)
+    return {"default": draw(_spec_dsl), "exceptions": exceptions}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(subcommand=st.sampled_from(["density", "count", "verify"]), doc=_spec(),
+       x=st.integers(1, 10**5))
+def test_fuzzed_spec_ends_in_a_documented_code(tmp_path, subcommand, doc, x):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    argv = [subcommand, "--spec", str(spec)]
+    if subcommand != "density":
+        argv += ["--x", str(x)]
+    code, _, err, seconds = main_timed(argv)
+    assert seconds < 2.0, doc
+    assert code in range(5), doc
+    assert "Traceback" not in err

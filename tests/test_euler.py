@@ -21,6 +21,7 @@ from expdens.euler import (
 from expdens.patterns import (
     EMPTY_PATTERN,
     PrimeAwarePattern,
+    complement,
     contains,
     min_forbidden,
     normalize_intervals,
@@ -198,6 +199,61 @@ class TestLocalFactors:
                 )
 
 
+def exact_delta(p, pattern):
+    """1 - F(p) in exact rationals, from the forbidden intervals."""
+    delta = Fraction(0)
+    for iv in complement(pattern).intervals:
+        delta += Fraction(1, p**iv.lo)
+        if iv.hi is not None:
+            delta -= Fraction(1, p ** (iv.hi + 1))
+    return delta
+
+
+DELTA_PATTERNS = ["1..1", "1..2", "1..1,3..inf", "1..2,5..inf", "1,3,5", "", "2..inf",
+                  "1..1,4..6,9..inf", "1..inf"]
+
+
+class TestDelta:
+    @pytest.mark.parametrize("text", DELTA_PATTERNS)
+    @pytest.mark.parametrize("p", [2, 3, 997, 9999991])
+    def test_correctly_rounded(self, p, text):
+        pattern = parse_pattern(text)
+        exps = expdens.euler._delta_exponents(pattern)
+        truth = exact_delta(p, pattern)
+        assert expdens.euler._delta(p, exps) == float(truth)
+        assert local_factor_interval(p, pattern).value == float(1 - truth)
+
+    @pytest.mark.parametrize("p", [2, 3, 997, 9999991])
+    @pytest.mark.parametrize("text", ["1..1,40..60,70..inf", "1..1,600..inf", "1..1,1100..2000",
+                                      "1..1097", "1..1,3..3000"])
+    def test_dropped_terms_stay_below_the_charged_bound(self, p, text):
+        pattern = parse_pattern(text)
+        num, den = expdens.euler._delta_quotient(p, expdens.euler._delta_exponents(pattern))
+        dropped = abs(Fraction(num, den) - exact_delta(p, pattern))
+        assert dropped <= Fraction(1, 2**1100)
+        assert den < 2**2200
+        # 1e8 primes, each dropping at most 2^-1100 from delta and so at most
+        # twice that from log F, fit in the underflow allowance many times over
+        assert 10**8 * 2 * 2.0**-1100 <= expdens.euler._UNDERFLOW * 2.0**-40
+
+    def test_far_ends_cost_nothing(self):
+        # every term of an end of 10^20 is dropped, and no such power is taken
+        pattern = parse_pattern("1..99999999999999999999")
+        for p in (2, 3, 9999991):
+            assert expdens.euler._delta(p, expdens.euler._delta_exponents(pattern)) == 0.0
+            assert local_factor_interval(p, pattern).value == 1.0
+
+    def test_log1p_within_its_charge(self):
+        # the 2 ulp charged to log1p, against 40 digits on sampled deltas
+        rng = random.Random(7)
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                d = rng.uniform(0.0, 0.5) * 2.0 ** -rng.randrange(0, 60)
+                exact = mpmath.log1p(-mpmath.mpf(d))
+                err = abs(mpmath.mpf(math.log1p(-d)) - exact)
+                assert err <= 4 * expdens.euler._U * abs(exact)
+
+
 class TestDensity:
     def test_squarefree_against_zeta(self):
         est = density(SQUAREFREE, 1e-9)
@@ -236,17 +292,25 @@ class TestDensity:
         assert est.width <= 1e-14
 
     def test_bracket_nesting_under_4x_truncation(self):
+        # Beyond P0 the proven width is nearly flat in P: the log-sum
+        # roundoff grows with |log| while the prime-zeta error bars stay.  With
+        # t = 5 in the tail (needed up to P = 5.8e3) 16 P0 is strictly
+        # narrower; the odd-t coefficients of 1..1 vanish, and only t = 6,
+        # about a third of an ulp of the bound, separates P0 from 4 P0.
         for pat in ("1..1", "1..1,3..inf", "1..2,5..inf"):
             pap = PrimeAwarePattern(default=parse_pattern(pat))
             coarse = density(pap, 1e-6)
-            fine = density(
-                pap, 1e-6, truncation_prime=4 * coarse.truncation_prime
-            )
+            P0 = coarse.truncation_prime
+            fine = density(pap, 1e-6, truncation_prime=4 * P0)
+            finest = density(pap, 1e-6, truncation_prime=16 * P0)
             assert coarse.lower <= fine.value <= coarse.upper
-            assert fine.width < coarse.width
+            assert coarse.lower <= finest.value <= coarse.upper
+            assert finest.width <= fine.width <= coarse.width
+            if pat != "1..1":
+                assert finest.width < coarse.width
 
     def test_unreachable_target_carries_best(self):
-        # 1e-16 is below the roundoff floor of the enclosure (about 1.5e-14)
+        # 1e-16 is below the roundoff floor of the enclosure (about 3.8e-15)
         with pytest.raises(UnreachableTargetError) as exc:
             density(SQUAREFREE, 1e-16)
         best = exc.value.best
