@@ -11,23 +11,30 @@ its own pattern or the default, is one exact integer quotient num / p^E
 rounded once to float (``_delta``), so one error constant covers the
 log-sum of every scalar product.
 
-A product is evaluated once, at a truncation prime P (``MIN_TRUNCATION`` =
-1000, or just above the largest exceptional prime).  The factors p <= P are
-multiplied out in floating point, as a sum of logs with a stated roundoff
-bound.  The omitted factors are enclosed through prime zeta values: with
--log F(p) = sum_t c_t p^-t,
+A product is evaluated once, at a truncation prime P.  Its factors split at
+P0 = max(``MIN_TRUNCATION``, largest exceptional prime + 1): each prime
+p <= P0 contributes the log of its own factor, summed in floating point with
+a stated roundoff bound, and every prime above P0 has the default factor,
+with -log F(p) = sum_t c_t p^-t for exact integers c_t.  So the primes above
+P0 enter only through the power sums T_t = sum_{p > P0} p^-t:
 
-    sum_{p > P} -log F(p) = sum_{t <= 64} c_t (P(t) - head_t(P)) + cut,
+    sum_{p > P0} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
-where P(t) = sum_p p^-t, head_t(P) = sum_{p <= P} p^-t, and the cut (the
-terms t > 64) is below 1e-170.  Each P(t) carries the error bars of
-``zeta_int`` through the Moebius inversion of log zeta; each tail
-P(t) - head_t(P) is also at most P^(1-t)/(t-1), which alone bounds the t
-whose tail is below double precision.  The published [lower, upper] holds
-the true density with every error term and all float roundoff included
-(Ettahri, Ramare and Surel, "Fast multi-precision computation of some Euler
-products", Math. Comp. 2021; H. Cohen, "High precision computation of
-Hardy-Littlewood constants", 1998).
+where the cut (the terms t > 64) is below 1e-170.  Each T_t lies in
+[0, P0^(1-t)/(t-1)], and is narrowed two ways.  Through prime zeta,
+T_t = P(t) - head_t(P0), with P(t) = sum_p p^-t carrying the error bars of
+``zeta_int`` through the Moebius inversion of log zeta; this is taken for
+the t whose tail beyond P is above double precision.  Through the primes up
+to P, T_t = H_t + sum_{p > P} p^-t with the float power sum
+H_t = sum_{P0 < p <= P} p^-t, and the rest at most P^(1-t)/(t-1); this is
+taken for the t with a small tail beyond P, and only while P0^(1-t)/(t-1)
+is above 2^-60 (t <= 6 at P0 = 1000).  A pinned P thus changes which t
+take which enclosure, but no prime above P0 needs a factor of its own.  The
+published [lower, upper] holds the true density with every error term and
+all float roundoff included (Ettahri, Ramare and Surel, "Fast
+multi-precision computation of some Euler products", Math. Comp. 2021;
+H. Cohen, "High precision computation of Hardy-Littlewood constants",
+1998).
 
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
@@ -40,10 +47,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .patterns import (
     ExponentPattern,
@@ -52,6 +60,7 @@ from .patterns import (
     contains,
     min_forbidden,
     normalize_intervals,
+    _PrimeRange,
 )
 from .primes import RS_UPPER, _check_budget, is_prime, prime_segments, sieve_primes
 
@@ -63,11 +72,19 @@ MIN_TRUNCATION = 1000
 # Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
 _FSUM_CHUNK = 1 << 16
+# Primes per pass of ``_power_sums``, which keeps two lists of floats of this
+# length, at 32 bytes a float.
+_POWER_CHUNK = 1 << 12
 # Unit roundoff of float64.
 _U = 2.0**-53
 # Relative error of an fsum of 1 / p^t, each one correctly rounded division
 # of exact integers: u of the terms and u of the result.
 _HEAD_ERR = 2 * _U * (1 + _U)
+# A t takes the power sum over (P0, P] when its tail beyond P is at most
+# _POWER_TAIL, near the error bars of prime zeta, and T_t may exceed
+# _POWER_CUT; the other t keep P0^(1-t)/(t-1) as their bound.
+_POWER_TAIL = 2.0**-45
+_POWER_CUT = 2.0**-60
 # Covers every result that underflows below the normal range and every term
 # that ``_delta_quotient`` drops, summed over at most 1e8 primes and 10^4
 # terms per prime.
@@ -254,8 +271,10 @@ def prime_sum(k: int) -> BoundedValue:
     primes = sieve_primes(P).primes
     direct = math.fsum([x / (1.0 - x) for x in (_inv_pow(float(p), k) for p in primes)])
     coeffs = [float(t > 0 and t % k == 0) for t in range(_SERIES_DEGREE + 1)]
-    heads = {t: math.fsum([1 / p**t for p in primes]) for t in _needed_terms(coeffs, P)}
-    lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, heads, _HEAD_ERR)
+    ts = _live_terms([coeffs])
+    heads = {t: math.fsum([1 / p**t for p in primes]) for t in _needed_terms(ts, P)}
+    sums = _tail_sums(ts, P, P, heads, _HEAD_ERR, {})
+    lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, sums)
     value = direct + mid
     error = max(hi - mid, mid - max(lo, 0.0)) + 2.0**-47 * direct
     return BoundedValue(value, error + _U * value + _UNDERFLOW)
@@ -269,13 +288,23 @@ _CAP_BITS = 1100
 # Relative error of log1p(-delta(p)) against log F(p), for every prime and
 # local factor of a scalar product; derived at ``_delta``.
 _LOG_ERR = 6 * _U * (1 + 4 * _U)
+# Relative error of an fsum of such logs, as ``_bracketed_product`` takes it.
+_CHUNK_LOG_ERR = (_U + _LOG_ERR / (1 - _LOG_ERR)) / (1 - _U)
+
+
+def _interval_exponents(ivs) -> tuple[int, ...]:
+    """e_0 < e_1 < ... with sum_j (-1)^j p^-e_j = (1 - 1/p) sum_{i in ivs} p^-i.
+
+    Each of the disjoint, non-adjacent intervals [lo, hi] gives
+    p^-lo - p^-(hi+1), or p^-lo when unbounded.
+    """
+    return tuple(e for iv in ivs for e in ((iv.lo,) if iv.hi is None else (iv.lo, iv.hi + 1)))
 
 
 @lru_cache(maxsize=None)
 def _delta_exponents(pattern: ExponentPattern) -> tuple[int, ...]:
     """e_0 < e_1 < ... with delta(p) = sum_j (-1)^j p^-e_j under ``pattern``."""
-    ivs = complement(pattern).intervals
-    return tuple(e for iv in ivs for e in ((iv.lo,) if iv.hi is None else (iv.lo, iv.hi + 1)))
+    return _interval_exponents(complement(pattern).intervals)
 
 
 def _delta_quotient(p: int, exps: tuple[int, ...]) -> tuple[int, int]:
@@ -409,50 +438,111 @@ def _integral_tail(P: int, t: int) -> float:
     return float(P) ** (1 - t) / (t - 1) * (1.0 + 2.0**-48)
 
 
-def _needed_terms(coeffs: list[float], P: int) -> list[int]:
-    """The t whose tail P(t) - head_t(P) is worth taking from prime zeta.
+def _live_terms(neglog: list[list[float]]) -> list[int]:
+    """The t >= 2, ascending, with c_t != 0 in some z-degree of ``neglog``."""
+    return [t for t in range(2, len(neglog[0])) if any(row[t] for row in neglog)]
 
-    Below double precision the integral bound is as tight as P(t) - head_t,
-    whose error is at least a few 1e-16, so those t need no head sum.
+
+def _needed_terms(ts: list[int], P: int) -> list[int]:
+    """The t of ``ts`` whose tail P(t) - head_t(P0) is worth taking from prime zeta.
+
+    Once the tail beyond P is below double precision, the power sum up to P
+    encloses T_t as tightly, so those t need no head sum.
     """
-    return [t for t, c in enumerate(coeffs) if c and _integral_tail(P, t) > 2 * _U]
+    return [t for t in ts if _integral_tail(P, t) > 2 * _U]
+
+
+def _power_terms(ts: list[int], P0: int, P: int) -> list[int]:
+    """The t of ``ts`` whose T_t takes the power sum over the primes in (P0, P].
+
+    Every P0 that has such t is at least ``MIN_TRUNCATION``, so t <= 6 and
+    no p^-t with p <= 1e8 leaves the normal range.
+    """
+    if P <= P0:
+        return []
+    return [
+        t
+        for t in ts
+        if _integral_tail(P, t) <= _POWER_TAIL and _integral_tail(P0, t) > _POWER_CUT
+    ]
+
+
+def _power_sums(primes: array, ts: list[int]) -> list[float]:
+    """fsum of p^-t over ``primes`` for each t of the ascending ``ts``.
+
+    x = 1/p rounds once and each power is the previous one times x, so p^-t
+    is within (1 + u)^(2t - 1) - 1 relative; the fsum adds one rounding.
+    """
+    x = [1.0 / p for p in primes]
+    power, t, out = x, 1, []
+    for target in ts:
+        while t < target:
+            power, t = list(map(mul, power, x)), t + 1
+        out.append(math.fsum(power))
+    return out
+
+
+def _tail_sums(
+    ts: list[int],
+    P0: int,
+    P: int,
+    heads: dict[int, float],
+    head_err: float,
+    powers: dict[int, float],
+) -> dict[int, tuple[float, float, float]]:
+    """(lo, mid, hi) with lo <= T_t = sum_{p > P0} p^-t <= hi, for each t of ``ts``.
+
+    Every T_t lies in [0, P0^(1-t)/(t-1)].  ``heads[t]`` is
+    sum_{p <= P0} p^-t within ``head_err`` relative, and puts T_t in
+    P(t) - head_t plus or minus its error; ``powers[t]`` is the fsum over
+    the primes in (P0, P] of ``_power_sums``, within (1 + u)^(2t + 1) - 1
+    relative after the fsum over chunks, and puts T_t in it plus
+    [0, P^(1-t)/(t-1)].  ``mid`` is P(t) - head_t where there is a head,
+    else the power sum, else 0, clamped into [lo, hi].
+    """
+    out = {}
+    for t in ts:
+        lo, mid, hi = 0.0, 0.0, _integral_tail(P0, t)
+        if t in heads:
+            pz = _prime_zeta(t)
+            mid = pz.value - heads[t]
+            e = pz.error + head_err * heads[t] + _U * abs(mid)
+            lo, hi = max(lo, mid - e), min(hi, mid + e)
+        if t in powers:
+            h = powers[t]
+            # 2t + 1 roundings, and the rest covers e itself and h -/+ e
+            e = (2 * t + 4) * _U * h
+            lo, hi = max(lo, h - e), min(hi, h + e + _integral_tail(P, t))
+            if t not in heads:
+                mid = h
+        out[t] = (lo, min(max(mid, lo), hi), hi)
+    return out
 
 
 def _tail_enclosure(
     coeffs: list[float],
     coeff_err: list[float],
-    P: int,
-    heads: dict[int, float],
-    head_err: float,
+    P0: int,
+    sums: dict[int, tuple[float, float, float]],
 ) -> tuple[float, float, float]:
-    """(lo, mid, hi) with lo <= sum_{p > P} sum_{t >= 2} c_t p^-t <= hi.
+    """(lo, mid, hi) with lo <= sum_{p > P0} sum_{t >= 2} c_t p^-t <= hi.
 
     ``coeffs`` holds c_t for t <= _SERIES_DEGREE, each within ``coeff_err``;
     it is one z-degree of ``_neglog_coeffs``, so beyond t = 64 the c_t of
     all z-degrees together are at most 2^t / t in absolute value, the
-    coefficients of -log(1 - 2 x^2 / (1 - x)).  ``heads[t]`` is
-    sum_{p <= P} p^-t within ``head_err`` relative, for the t of
-    ``_needed_terms``.
-    Each tail T_t = sum_{p > P} p^-t lies in [0, P^(1-t)/(t-1)], and for a
-    needed t also in P(t) - head_t plus or minus its error.  With p >= 3
-    the terms t > 64 sum to at most 3/65 sum_{p > P} (2/p)^65, below
-    log 2 2^65 P^-64 / 64.  ``mid`` takes each T_t at P(t) - head_t clamped
-    into its interval, or 0 when not needed.
+    coefficients of -log(1 - 2 x^2 / (1 - x)).  ``sums`` encloses T_t for
+    every t with c_t != 0, as ``_tail_sums`` gives it.  With p >= 3 the
+    terms t > 64 sum to at most 3/65 sum_{p > P0} (2/p)^65, below
+    log 2 2^65 P0^-64 / 64.
     """
     lo_terms: list[float] = []
     mid_terms: list[float] = []
     hi_terms: list[float] = []
-    slack = math.log(2.0) * 2.0**65 * float(P) ** -64 / 64 + _UNDERFLOW
+    slack = math.log(2.0) * 2.0**65 * float(P0) ** -64 / 64 + _UNDERFLOW
     for t, c in enumerate(coeffs):
         if not c:
             continue
-        lo, mid, hi = 0.0, 0.0, _integral_tail(P, t)
-        if t in heads:
-            pz = _prime_zeta(t)
-            d = pz.value - heads[t]
-            e = pz.error + head_err * heads[t] + _U * abs(d)
-            lo, hi = max(lo, d - e), min(hi, d + e)
-            mid = min(max(d, lo), hi)
+        lo, mid, hi = sums[t]
         lo_terms.append(c * (lo if c > 0 else hi))
         mid_terms.append(c * mid)
         hi_terms.append(c * (hi if c > 0 else lo))
@@ -491,32 +581,33 @@ class _Bracket:
 def _bracketed_product(
     rows_of,
     log_rel_err,
-    deficiency: list[list[int]],
+    neglog: tuple[list[list[float]], list[list[float]]],
     m: int,
+    P0: int,
     P: int,
-    *,
-    head_err: float = _HEAD_ERR,
 ) -> _Bracket:
-    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta.
+    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta, at truncation P.
 
-    The factors p <= P are summed as logs and the rest enclosed through
-    prime zeta values, per z-degree; ``density()`` is the case K = 0.
+    The factors p <= P0 are summed as logs; the rest are enclosed per
+    z-degree through the T_t = sum_{p > P0} p^-t of ``_tail_sums``, with
+    heads over p <= P0 for prime zeta and power sums over (P0, P]; the
+    primes above P0 are sieved only for those sums.  ``density()`` is the
+    case K = 0.
 
-    ``rows_of(primes, needed)`` takes an ``array('q')`` of primes and the
-    list of t whose head sums the tail needs, and returns per-chunk sums
-    ``(logs, majorant, heads)``: ``logs[k]`` the computed sum over the
-    chunk of the coefficient of z^k in log F(p; z), k = 0..K; ``majorant``
-    K nonnegative sums; ``heads`` the sums of p^-t for the needed t, each
-    within ``head_err`` relative.  ``logs[0]`` sums terms <= 0 and lies
-    within ``log_rel_err[0]`` times its own magnitude of the exact sum; for
-    k >= 1, ``logs[k]`` lies within ``log_rel_err[k]`` times
-    ``majorant[k - 1]`` of it.  ``deficiency`` gives delta(p; z) as
-    integers per p^-t z^k, t <= 64, as ``_neglog_coeffs`` takes them,
-    for every p > P, and there 0 <= delta(p; 0) <= p^-m with m >= 2; a
-    prime p <= P may have a factor of its own, as ``rows_of`` gives it.
+    ``rows_of(primes)`` takes an ``array('q')`` of primes p <= P0 and
+    returns per-chunk sums ``(logs, majorant)``: ``logs[k]`` the computed
+    sum over the chunk of the coefficient of z^k in log F(p; z),
+    k = 0..K, and ``majorant`` K nonnegative sums.  ``logs[0]`` sums terms
+    <= 0 and lies within ``log_rel_err[0]`` times its own magnitude of the
+    exact sum; for k >= 1, ``logs[k]`` lies within ``log_rel_err[k]`` times
+    ``majorant[k - 1]`` of it.  ``neglog`` is ``_neglog_coeffs`` of
+    delta(p; z) for every p > P0, and there 0 <= delta(p; 0) <= p^-m with
+    m >= 2; a prime p <= P0 may have a factor of its own, as ``rows_of``
+    gives it.
 
     The chunk sums are added by fsum, which rounds once, within u of its
-    result (Shewchuk, Discrete Comput. Geom. 18, 1997).  For degree 0 the computed sum G of chunk sums L_j has
+    result (Shewchuk, Discrete Comput. Geom. 18, 1997).  For degree 0 the
+    computed sum G of chunk sums L_j has
     |G - sum_j L_j| <= u |G|, and sum_j |L_j| = |sum_j L_j| <= (1 + u) |G|
     as all L_j <= 0, so G is within (r (1 + u) + u) |G| of the exact log
     sum, r = ``log_rel_err[0]``.  A caller whose chunk sums are themselves
@@ -530,31 +621,38 @@ def _bracketed_product(
     as majorant series, since every coefficient of the right side is
     nonnegative.  Both series come from ``_exp_series``.
     """
-    K = len(deficiency[0]) - 1
+    neglog, neglog_err = neglog
+    K = len(neglog) - 1
     # K + 1 log rows and K majorant rows per prime share one chunk budget
     chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
-    neglog, neglog_err = _neglog_coeffs(deficiency)
-    needed = sorted({t for k in range(K + 1) for t in _needed_terms(neglog[k], P)})
-    parts = []
+    ts = _live_terms(neglog)
+    needed = _needed_terms(ts, P)
+    powers = _power_terms(ts, P0, P)
+    parts, head_parts, power_parts = [], [], []
     n_primes = 0
-    for seg in prime_segments(P):
-        n_primes += len(seg)
-        for i in range(0, len(seg), chunk):
-            parts.append(rows_of(seg[i : i + chunk], needed))
-    heads = {t: math.fsum([h[i] for _, _, h in parts]) for i, t in enumerate(needed)}
+    for seg in prime_segments(P if powers else P0):
+        n_low = bisect_right(seg, P0)
+        n_primes += n_low
+        for i in range(0, n_low, chunk):
+            piece = seg[i : min(i + chunk, n_low)]
+            parts.append(rows_of(piece))
+            head_parts.append([math.fsum([1 / p**t for p in piece]) for t in needed])
+        for i in range(n_low, len(seg), _POWER_CHUNK):
+            power_parts.append(_power_sums(seg[i : i + _POWER_CHUNK], powers))
+    heads = {t: math.fsum([h[i] for h in head_parts]) for i, t in enumerate(needed)}
+    power_sums = {t: math.fsum([h[i] for h in power_parts]) for i, t in enumerate(powers)}
     # the fsum over the chunks rounds once more
-    head_err = head_err * (1 + _U) + _U
-    generic = [math.fsum([logs[k] for logs, _, _ in parts]) for k in range(K + 1)]
-    tails = [
-        _tail_enclosure(neglog[k], neglog_err[k], P, heads, head_err) for k in range(K + 1)
-    ]
+    head_err = _HEAD_ERR * (1 + _U) + _U
+    generic = [math.fsum([logs[k] for logs, _ in parts]) for k in range(K + 1)]
+    sums = _tail_sums(ts, P0, P, heads, head_err, power_sums)
+    tails = [_tail_enclosure(neglog[k], neglog_err[k], P0, sums) for k in range(K + 1)]
 
     log_sum = generic[0]
     roundoff = (log_rel_err[0] * (1 + _U) + _U) * abs(log_sum) + _UNDERFLOW
 
     tail_lo, tail_mid, tail_hi = tails[0]
     tail_lo = max(tail_lo, 0.0)
-    tail_hi = min(tail_hi, _tail_logbound_formula(P, m, n_primes))
+    tail_hi = min(tail_hi, _tail_logbound_formula(P0, m, n_primes))
     tail_mid = min(max(tail_mid, tail_lo), tail_hi)
     # the sums below and exp round by at most a few ulp
     roundoff += 4 * _U * (abs(log_sum) + tail_hi)
@@ -575,7 +673,7 @@ def _bracketed_product(
     e0 += 2 * _U * abs(s0)
     for k in range(1, K + 1):
         lo, mid, hi = tails[k]
-        bound = math.fsum([majorant[k - 1] for _, majorant, _ in parts])
+        bound = math.fsum([majorant[k - 1] for _, majorant in parts])
         sum_err = log_rel_err[k] * (1 + _U) * bound + _U * abs(generic[k]) + _UNDERFLOW
         s[k] = generic[k] - mid
         err[k] = (sum_err + max(hi - mid, mid - lo)) * (1.0 + 2.0**-50) + 2 * _U * abs(s[k])
@@ -608,8 +706,8 @@ def _estimate(
 ) -> DensityEstimate:
     """prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``delta_of`` maps a prime to delta(p) within the error of ``_delta``;
-    beyond ``start`` it follows ``deficiency`` and ``m`` as
+    ``delta_of`` maps a prime p <= ``start`` to delta(p) within the error of
+    ``_delta``; beyond ``start`` delta follows ``deficiency`` and ``m`` as
     ``_bracketed_product`` takes them.  The product is evaluated once, at
     ``truncation_prime`` or else at ``start``; without a pinned prime, a
     bracket wider than ``target_error`` raises UnreachableTargetError.
@@ -622,13 +720,12 @@ def _estimate(
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
 
-    def rows_of(primes: array, needed: list[int]) -> tuple:
-        logs = math.fsum([math.log1p(-delta_of(p)) for p in primes])
-        return [logs], [], [math.fsum([1 / p**t for p in primes]) for t in needed]
+    def rows_of(primes: array) -> tuple:
+        return [math.fsum([math.log1p(-delta_of(p)) for p in primes])], []
 
-    # the chunk fsum rounds once more; see _bracketed_product
-    chunk_rel = (_U + _LOG_ERR / (1 - _LOG_ERR)) / (1 - _U)
-    b = _bracketed_product(rows_of, (chunk_rel,), deficiency, m, P)
+    b = _bracketed_product(
+        rows_of, (_CHUNK_LOG_ERR,), _neglog_coeffs(deficiency), m, start, P
+    )
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -667,13 +764,20 @@ def density(
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
     exceptions = pap.exceptions
-    last = max(exceptions, default=0)
+    # every prime up to the end of a "p<=q" range shares the range's pattern
+    span, span_pattern = 0, pap.default
+    if isinstance(exceptions, _PrimeRange) and exceptions.primes:
+        span, span_pattern, exceptions = exceptions.primes[-1], exceptions.pattern, exceptions.rest
+    last = max(span, max(exceptions, default=0))
     if m is None:
-        return _finite_product(exceptions, max(last, 2))
+        return _finite_product(pap.exceptions, max(last, 2))
 
     default = _delta_exponents(pap.default)
+    spanned = _delta_exponents(span_pattern)
 
     def delta_of(p: int) -> float:
+        if p <= span:
+            return _delta(p, spanned)
         pattern = exceptions.get(p) if p <= last else None
         return _delta(p, default if pattern is None else _delta_exponents(pattern))
 

@@ -13,18 +13,19 @@ Each full factor is 1 at z = 1, so the d_k sum to 1 over all k, and
 ``mass_deficit`` = 1 - sum_{k <= K} d_k is the density of {n : g(n) > K}.
 
 A weight is a few pieces, exponent intervals on which w is constant or rises
-by one per exponent, and the work per prime follows their count.
+by one per exponent.
 
-``density_series`` makes one call of the Euler-product engine of ``euler``:
-per chunk of primes, ``local_polys`` builds the coefficient rows of F(p; z)
-with numpy powers, ``_log_rows`` takes the log of each row as a series in z,
-and the chunk's sums go to the engine, which adds them over p <= P,
-encloses the factors p > P through prime zeta values per z-degree, and
-takes one exp of the series.  numpy is imported by these kernels on first
-use, so importing this module does not load it.  Every d_k comes with
-``lower`` and ``upper`` that hold the true density, the tail beyond P and
-all float roundoff included.  Work is estimated from P, K and
-the piece count before any sieving and capped at ``SERIES_WORK_CAP``.
+``density_series`` makes one call of the Euler-product engine of ``euler``.
+Only the primes p <= P0 = min(1000, P) get rows of their own: every row a_k
+of F(p; z) is an exact integer quotient (``_local_poly``), a_0 = 1 - delta(p)
+the same one as in ``density()``, and ``_log_series`` takes the log of the
+row as a float series in z.  The engine adds the logs over p <= P0, encloses
+the factors p > P0 per z-degree through prime zeta values and power sums
+over the primes in (P0, P], and takes one exp of the series.  Nothing here
+imports numpy.  Every d_k comes with ``lower`` and ``upper`` that hold the
+true density, the tail beyond P0 and all float roundoff included.  Work is
+estimated from P and K before any sieving and capped at
+``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import add, mul, sub
 
 from . import euler
 from .euler import _U
@@ -49,18 +50,16 @@ from .patterns import (
 # by name.
 from .primes import RS_UPPER, ResourceBudgetError, _check_budget, sieve_primes  # noqa: F401
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Truncation prime when none is given, for the library, the CLI and scripts.
 DEFAULT_TRUNCATION = 100_000
-# Largest admitted work estimate pi(P) ((K + 9)^2 + 16 (n - 1)) for n pieces:
-# a row's log and majorant cost about K^2 products per prime, the 9 stands
-# for the powers, log1p and head sums, and each boundary between pieces adds
-# about 12 ns per prime, 10 units.  numpy calls cost microseconds whatever
-# the chunk, so pi(P) counts as at least 1000.  P = 1e7 at K = 16 passes for
-# up to two pieces; P = 1e8 at K = 0 does not.
-SERIES_WORK_CAP = 5 * 10**8
+# Largest admitted work estimate, in float operations of a Python loop (about
+# 50 ns each).  The rows cost pi(P0) (K + 9)^2: a row's log and majorant take
+# about K^2 products per prime, and the 9 stands for the quotients and log1p;
+# the engine's own series in 1/p and z cost about as much as 64 more rows.
+# n > 0 power sums cost pi(P) (n + 4): one product and one fsum term per prime
+# and t, and about 4 for the sieve.  P = 1e7 at K = 16 passes; P = 1e8 with
+# any power sum does not, nor does K = 200 at P >= 1000.
+SERIES_WORK_CAP = 10**7
 
 
 class DivergentWeightError(ValueError):
@@ -160,109 +159,78 @@ class DensitySeries:
             raise ValueError("series coefficient brackets must sum to at most 1")
 
 
-def _inverse_power(pf: np.ndarray, e: int) -> np.ndarray:
-    """pf ** -e, left at 0 wherever p^e >= 2^1076, as it rounds to 0 there.
+def _row_exponents(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
+    """Exponents e_0 < e_1 < ... of each row of F(p; z), for ``_local_poly``.
 
-    Results below the normal range take libm's slow path, about 17 times the
-    cost of a normal power.  From e = 1076 on, e may be too large for a float.
+    Entry 0 gives delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, from the induced
+    pattern as in ``euler._delta_exponents``; entry k = 1..K gives
+    a_k = (1 - 1/p) sum over i with w(i) = k of p^-i in the same form.  A
+    constant piece [lo, hi] of weight k adds the block [lo, hi] to that set,
+    and a slope-1 piece adds the one i of weight k if it has one; each
+    maximal block [lo, hi] gives p^-lo - p^-(hi+1).  Weights above K are
+    left out.
     """
-    import numpy as np
-
-    if e >= 1076:
-        return np.zeros(pf.shape)
-    bound = 2.0 ** min(1076 / e, 1000)
-    return np.power(pf, -float(e), out=np.zeros(pf.shape), where=pf < bound)
-
-
-def _delta(pf: np.ndarray, forbidden: tuple) -> np.ndarray:
-    """delta(p) = sum over forbidden [lo, hi] of p^-lo - p^-(hi+1), per prime.
-
-    ``_delta_log_err`` bounds the error of log1p(-delta) as computed here.
-    """
-    import numpy as np
-
-    d = np.zeros_like(pf)
-    for iv in forbidden:
-        d += _inverse_power(pf, iv.lo)
-        if iv.hi is not None:
-            d -= _inverse_power(pf, iv.hi + 1)
-    return d
-
-
-def _delta_log_err(forbidden: tuple) -> float:
-    """Bound on the relative error of log1p(-_delta) as computed.
-
-    Each power is within 4 ulp and n terms sum with n roundings, while
-    sum |terms| <= 6 delta (the first forbidden interval gives
-    delta >= p^-m (1 - 1/p)), so delta is within 6 (n + 8) u; log1p adds
-    4 ulp and |log F| >= delta, giving (8n + 72) u.
-    """
-    n_terms = sum(1 if iv.hi is None else 2 for iv in forbidden)
-    return (8 * n_terms + 72) * _U
-
-
-def local_polys(primes: np.ndarray, w: ExponentWeight, K: int) -> np.ndarray:
-    """Coefficient rows a_0..a_K of F(p; z), one column per prime.
-
-    Row k holds a_k = (1 - 1/p) ([k = 0] + sum over i with w(i) = k of p^-i).
-    A constant piece [lo, hi] of weight k <= K adds one block
-    p^-lo - p^-(hi+1), its geometric sum times 1 - 1/p, and shares each power
-    with its neighbours; a slope-1 piece adds (1 - 1/p) p^-i for each i of
-    weight at most K.  Weights above K are left out.  Returns a
-    (K + 1, len(primes)) array.
-    """
-    import numpy as np
-
-    pf = np.asarray(primes, dtype=np.float64)
-    if K < 0 or (pf.size and pf.min() < 2):
-        raise ValueError("need p >= 2 and K >= 0")
-    scale = 1.0 - 1.0 / pf
-    rows = np.zeros((K + 1, pf.size))
-    rows[0] = scale
-    head = 1.0 / pf  # p^-lo of the current piece
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    blocks: list[list[tuple[int, int | None]]] = [[] for _ in range(K + 1)]
     for iv, slope, offset in w.pieces:
-        nxt = 0.0 if iv.hi is None else _inverse_power(pf, iv.hi + 1)
         if slope == 0:
-            if offset <= K:
-                rows[offset] += head - nxt
-        else:
-            top = K if iv.hi is None else min(K, iv.hi + offset)
-            for deg in range(iv.lo + offset, top + 1):
-                rows[deg] += scale * _inverse_power(pf, deg - offset)
-        head = nxt
-    return rows
+            if 1 <= offset <= K:
+                blocks[offset].append((iv.lo, iv.hi))
+            continue
+        top = K if iv.hi is None else min(K, iv.hi + offset)
+        for k in range(max(1, iv.lo + offset), top + 1):
+            blocks[k].append((k - offset, k - offset))
+    rows = [euler._interval_exponents(normalize_intervals(b).intervals) for b in blocks[1:]]
+    return [euler._delta_exponents(w.induced_pattern()), *rows]
 
 
-def _log_rows(log0: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log F(p; z) = log a_0 + log(1 + r(z)) per prime, and its majorant.
+def _local_poly(p: int, exps: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """(A_k, D_k) with a_k = A_k / D_k, k = 0..K, the rows of F(p; z) for a prime p.
 
-    ``log0`` is log a_0, one entry per prime, and r[k - 1] holds
-    r_k = a_k / a_0 >= 0 for k = 1..K.  The coefficients b_k of log(1 + r)
-    follow c_k = k b_k = k r_k - sum_{0<j<k} c_j r_{k-j}, and those of the
-    majorant B = -log(1 - r) the same recurrence with a plus sign, so that
-    |b_k| <= B_k; both are divided by k at the end.  Returns the (K + 1, n)
-    logs and the (K, n) majorant.
+    ``exps`` is ``_row_exponents``; each row is the exact quotient of
+    ``euler._delta_quotient``, which drops the terms p^-e <= 2^-1100.
     """
-    import numpy as np
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    num, den = euler._delta_quotient(p, exps[0])
+    return [(den - num, den), *(euler._delta_quotient(p, e) if e else (0, 1) for e in exps[1:])]
 
-    K, n = r.shape
-    # out[0] holds the logs and out[1, 1:] the majorant, as c_k until the end
-    out = np.empty((2, K + 1, n))
-    out[0, 0] = log0
-    if K:
-        out[:, 1] = r[0]
-    for k in range(2, K + 1):
-        # c_1, ..., c_{k-1} against r_{k-1}, ..., r_1
-        acc = np.einsum("ajn,jn->an", out[:, 1:k], r[k - 2 :: -1])
-        np.multiply(r[k - 1], k, out=out[0, k])
-        np.add(out[0, k], acc[1], out=out[1, k])
-        out[0, k] -= acc[0]
-    out[:, 1:] /= np.arange(1.0, K + 1)[:, None]
-    return out[0], out[1, 1:]
+
+def _log_series(r: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """log(1 + r(z)) and its majorant -log(1 - r(z)) per prime, for z^1..z^K.
+
+    r[k] holds r_k = a_k / a_0 >= 0 of each prime for k = 1..K; r[0] is not
+    read.  The coefficients b_k of log(1 + r) follow c_k = k b_k =
+    k r_k - sum_{0<i<k} c_{k-i} r_i, and those of the majorant B the same
+    recurrence with a plus sign, so that |b_k| <= B_k;
+    both are divided by k at the end.  Each step rounds every term at most
+    k + 2 times.  The work runs down the primes of a column at once; a
+    column r_i that is 0 for every prime adds exact zeros and is skipped.
+    Returns the b_k and the B_k, one list over the primes for each k.
+    """
+    K = len(r) - 1
+    live = [i for i in range(1, K + 1) if any(r[i])]
+    c: list[list[float]] = [[]]
+    cm: list[list[float]] = [[]]
+    for k in range(1, K + 1):
+        acc = acc_m = [0.0] * len(r[k])
+        for i in live:
+            if i >= k:
+                break
+            acc = list(map(add, acc, map(mul, c[k - i], r[i])))
+            acc_m = list(map(add, acc_m, map(mul, cm[k - i], r[i])))
+        kr = [k * v for v in r[k]]
+        c.append(list(map(sub, kr, acc)))
+        cm.append(list(map(add, kr, acc_m)))
+    return (
+        [[v / k for v in c[k]] for k in range(1, K + 1)],
+        [[v / k for v in cm[k]] for k in range(1, K + 1)],
+    )
 
 
 def _log_row_errors(K: int, rho: float) -> list[float]:
-    """Relative error bounds of ``_log_rows`` for k = 1..K, against its majorant.
+    """Relative error bounds of ``_log_series`` for k = 1..K, against its majorant.
 
     With each r_k within rho relative, induction on the recurrence (at most
     k + 2 roundings per step, the division by k included) gives
@@ -285,49 +253,44 @@ def _log_row_errors(K: int, rho: float) -> list[float]:
     return out
 
 
-def _enclose(w: ExponentWeight, K: int, m: int, P: int) -> euler._Bracket:
-    """One engine call: d_0..d_K bracketed, factors p <= P multiplied out.
+def _enclose(
+    w: ExponentWeight, K: int, m: int, P0: int, P: int, neglog: tuple
+) -> euler._Bracket:
+    """One engine call: d_0..d_K bracketed, with a log row per prime p <= P0.
 
-    Row error: each power is within 4 ulp, 1/p within 1 and 1 - 1/p within
-    2.  A block b = p^-lo - p^-(hi+1) has p^-(hi+1) <= p^-lo / 2 <= b, so
-    its inputs err by at most 4 u (p^-lo + p^-(hi+1)) <= 12 u b and it is
-    within 13 u; a slope term (1 - 1/p) p^-i is within 7 u.  Adding n
-    nonnegative terms rounds n times at most, so a_k is within (n_k + 13) u
-    relative and r_k = a_k / a_0 within (n_k + n_0 + 27) u.  A piece puts at
-    most one term in each row and a constant piece in one row only, so
-    n_k + n_0 is at most the piece count plus the slope-piece count; 3 u
-    more cover the second-order terms.  Powers that round to 0 leave out
-    less than 2^-1074 per row, inside the engine's underflow allowance.
+    Rows: delta(p) = 1 - a_0 is ``euler._delta`` of the induced pattern,
+    the exact quotient of the density, so log a_0 = log1p(-delta) is within
+    ``euler._LOG_ERR`` of its magnitude.  Every a_k is an exact quotient
+    A_k / p^E_k of the same kind, and r_k = a_k / a_0 one correctly rounded
+    division of integers.  The terms p^-e <= 2^-1100 that the quotients drop
+    move a_0 by at most 2^-1099 relative (a_0 >= 3/4), inside
+    rho = u (1 + 2^-50), and each r_k by at most 2^-1099 absolute.  Those
+    shifts and the roundings below the normal range change each log
+    coefficient by at most (K + 1)^2 2^-1072 a prime, which over the at most
+    168 rows and the K that the work cap admits stays inside the engine's
+    underflow allowance.
 
-    Chunk sums: numpy's pairwise sum over a chunk adds at most g = 32 u of
-    the summed magnitudes.  A log row 0 within e relative per prime sums to
-    within (g + e / (1 - e)) / (1 - g) of its own magnitude; a row k >= 1
-    within r of its majorant, and at most 1 + r times it, sums to within
-    (r + g (1 + r)) / (1 - g) of the majorant's computed sum.
+    Chunk sums: fsum rounds once, so a log row 0 within e relative per prime
+    sums to within (u + e / (1 - e)) / (1 - u) of its own magnitude, and a
+    row k >= 1 within r of its majorant, and at most 1 + r times it, sums
+    to within (r + u (1 + r)) / (1 - u) of the majorant's computed sum.
     """
-    forbidden = complement(w.induced_pattern()).intervals
-    log_rel_err = _delta_log_err(forbidden)
-    terms = sum(1 + slope for _, slope, _ in w.pieces)
-    rho = (terms + 30) * _U
+    exps = _row_exponents(w, K)
 
-    def rows_of(primes: array, needed: list[int]) -> tuple:
-        import numpy as np
+    def rows_of(primes: array) -> tuple:
+        logs = []
+        ratios = []
+        for p in primes:
+            (a0, den), *rest = _local_poly(p, exps)
+            logs.append(math.log1p(-((den - a0) / den)))
+            ratios.append([num * den / (d * a0) if num else 0.0 for num, d in rest])
+        b, bound = _log_series([[], *map(list, zip(*ratios))] if K else [[]])
+        return [math.fsum(row) for row in (logs, *b)], [math.fsum(row) for row in bound]
 
-        pf = np.frombuffer(primes, dtype=np.int64).astype(np.float64)
-        rows = local_polys(pf, w, K)
-        rows[1:] /= rows[0]
-        logs, majorant = _log_rows(np.log1p(-_delta(pf, forbidden)), rows[1:])
-        heads = [float(np.sum(_inverse_power(pf, t))) for t in needed]
-        return logs.sum(axis=1).tolist(), majorant.sum(axis=1).tolist(), heads
-
-    g = 32 * _U
-    rel = [(g + log_rel_err / (1 - log_rel_err)) / (1 - g)]
-    rel += [(r + g * (1 + r)) / (1 - g) for r in _log_row_errors(K, rho)]
-    # each power within 4 ulp, then the pairwise sum
-    head_err = 4 * _U + g * (1 + 4 * _U) + _U
-    return euler._bracketed_product(
-        rows_of, rel, euler._deficiency(w.weight, K), m, P, head_err=head_err
-    )
+    rho = _U * (1 + 2.0**-50)
+    rel = [euler._CHUNK_LOG_ERR]
+    rel += [(r + _U * (1 + r)) / (1 - _U) for r in _log_row_errors(K, rho)]
+    return euler._bracketed_product(rows_of, rel, neglog, m, P0, P)
 
 
 def density_series(
@@ -337,13 +300,15 @@ def density_series(
 ) -> DensitySeries:
     """d_0..d_K of the weight w, each with a proven bracket.
 
-    The factors p <= truncation_prime are multiplied out and the rest
-    enclosed through prime zeta values.  Raises DivergentWeightError when
-    w(1) > 0 (the induced pattern forbids exponent 1), since then d_0 and
-    every finite-k density vanish.  Raises ResourceBudgetError when the
-    work estimate pi(P) ((K + 9)^2 + 16 (n - 1)), with n the piece count and
-    pi(P) bounded by RS_UPPER P / ln P but at least 1000, exceeds
-    SERIES_WORK_CAP.
+    The factors p <= P0 = min(1000, truncation_prime) are multiplied out as
+    rows; the rest are enclosed through prime zeta values and through power
+    sums over the primes in (P0, truncation_prime].  Raises
+    DivergentWeightError when w(1) > 0 (the induced pattern forbids exponent
+    1), since then d_0 and every finite-k density vanish.  Raises
+    ResourceBudgetError when the work estimate, (pi(P0) + 64) (K + 9)^2 for
+    the rows and the engine plus pi(P) (n + 4) for n > 0 power sums over the
+    primes up to P = truncation_prime (each pi bounded by RS_UPPER x / ln x),
+    exceeds SERIES_WORK_CAP.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -356,17 +321,32 @@ def density_series(
         )
     # P and K may have hundreds of digits: test both before any float of them
     _check_budget(truncation_prime)
-    per_prime = (K + 9) ** 2 + 16 * (len(w.pieces) - 1)
-    primes = max(RS_UPPER * truncation_prime / math.log(truncation_prime), 1000)
-    work = primes * per_prime if per_prime <= SERIES_WORK_CAP else math.inf
+    P = truncation_prime
+    P0 = min(euler.MIN_TRUNCATION, P)
+    row_work = (_pi_bound(P0) + 64) * (K + 9) ** 2 if K <= SERIES_WORK_CAP else math.inf
+    if row_work > SERIES_WORK_CAP:
+        _refuse(row_work, K, P0, 0, P)
+    neglog = euler._neglog_coeffs(euler._deficiency(w.weight, K))
+    n_power = len(euler._power_terms(euler._live_terms(neglog[0]), P0, P))
+    work = row_work + (_pi_bound(P) * (n_power + 4) if n_power else 0.0)
     if work > SERIES_WORK_CAP:
-        raise ResourceBudgetError(
-            f"series work estimate {work:.3g} (primes up to {truncation_prime} "
-            f"times {per_prime} units) exceeds cap {SERIES_WORK_CAP:.3g}"
-        )
+        _refuse(work, K, P0, n_power, P)
     if m is None:
         # w is 0 on every exponent, so every factor is 1
         one = (1.0,) + (0.0,) * K
-        return DensitySeries(one, one, one, truncation_prime, 0.0)
-    b = _enclose(w, K, m, truncation_prime)
-    return DensitySeries(b.value, b.lower, b.upper, truncation_prime, 1.0 - math.fsum(b.value))
+        return DensitySeries(one, one, one, P, 0.0)
+    b = _enclose(w, K, m, P0, P, neglog)
+    return DensitySeries(b.value, b.lower, b.upper, P, 1.0 - math.fsum(b.value))
+
+
+def _pi_bound(x: int) -> float:
+    """pi(x) < RS_UPPER x / ln x for x >= 2."""
+    return RS_UPPER * x / math.log(x)
+
+
+def _refuse(work: float, K: int, P0: int, n_power: int, P: int) -> None:
+    raise ResourceBudgetError(
+        f"series work estimate {work:.3g} (rows of degree {K} for the primes up to "
+        f"{P0}, {n_power} power sums over the primes up to {P}) exceeds cap "
+        f"{SERIES_WORK_CAP:.3g}"
+    )

@@ -1,8 +1,9 @@
 """Published brackets never widen: each lies inside its recorded counterpart.
 
 ``data/published_brackets.json`` holds the machine-output brackets of the
-benchmark's density requests and of the ``examples`` rows.  A change that
-widens one of them has to edit that file.
+benchmark's density and series requests, one per d_k for a series, and of
+the ``examples`` rows.  A change that widens one of them has to edit that
+file.
 """
 
 import contextlib
@@ -36,4 +37,25 @@ def test_brackets_nest_in_the_recorded_ones(argv):
     assert len(got) == len(recorded)
     for now, before in zip(got, recorded, strict=True):
         assert now.get("id") == before.get("id")
-        assert before["lower"] <= now["lower"] <= now["upper"] <= before["upper"], (now, before)
+        for k, lo, hi, was_lo, was_hi in zip(
+            *_coefficients(now, before), strict=True
+        ):
+            assert was_lo <= lo <= hi <= was_hi, (k, now, before)
+
+
+def _coefficients(now: dict, before: dict) -> tuple:
+    """Index, lower, upper, recorded lower and upper of each bracket of a record."""
+    columns = [now["lower"], now["upper"], before["lower"], before["upper"]]
+    if not isinstance(columns[0], list):
+        columns = [[c] for c in columns]
+    return range(len(columns[0])), *columns
+
+
+@pytest.mark.parametrize("truncation", ["1000", "100000"])
+@pytest.mark.parametrize("pattern", ["1..1", "1..2", "1..1,3..inf"])
+def test_series_d0_nests_in_the_density(pattern, truncation):
+    # d_0 of a pattern's binary weight is the pattern's density
+    flags = ["--pattern", pattern, "--truncation", truncation]
+    (series,) = _records(["series", *flags, "--degree", "4"])
+    (product,) = _records(["density", *flags])
+    assert product["lower"] <= series["lower"][0] <= series["upper"][0] <= product["upper"]

@@ -168,6 +168,13 @@ class TestComputationalExits:
         code, _ = run_capture(RunConfig("count", pattern="1..1", x=10**10))
         assert code == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("default, code", [("1..inf", EXIT_OK), ("1..1", EXIT_RESOURCE)])
+    def test_exceptional_prime_above_the_sieve_budget(self, tmp_path, default, code):
+        # only a default that forbids an exponent sieves up to the prime
+        spec = tmp_path / "far_prime.json"
+        spec.write_text(json.dumps({"default": default, "exceptions": {"1000000007": "1"}}))
+        assert main_timed(["density", "--spec", str(spec)])[0] == code
+
     def test_verify_failure(self):
         code, _ = run_capture(
             RunConfig(

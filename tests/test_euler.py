@@ -30,6 +30,7 @@ from expdens.patterns import (
 from expdens.primes import sieve_primes
 from expdens.series import ExponentWeight
 from helpers import (
+    _prime_zeta_tail,
     assert_below_partial,
     exp_odd_factor,
     gap_factor,
@@ -87,6 +88,32 @@ class TestZeta:
                 pz = expdens.euler._prime_zeta(s)
                 assert abs(mpmath.mpf(pz.value) - mpmath.primezeta(s)) <= pz.error
                 assert pz.error <= 2e-15
+
+
+class TestTailSums:
+    """Each T_t = sum_{p > 1000} p^-t lies in its enclosure, at every truncation."""
+
+    @pytest.mark.parametrize("P", [1000, 10**4, 10**5, 10**6])
+    def test_enclosures_hold_against_mpmath(self, P):
+        euler = expdens.euler
+        P0 = euler.MIN_TRUNCATION
+        coeffs = [0.0, 0.0] + [1.0] * (euler._SERIES_DEGREE - 1)
+        primes = sieve_primes(P).primes.tolist()
+        low = [p for p in primes if p <= P0]
+        ts = euler._live_terms([coeffs])
+        powers = euler._power_terms(ts, P0, P)
+        assert (powers == []) == (P == P0)
+        heads = {t: math.fsum([1 / p**t for p in low]) for t in euler._needed_terms(ts, P)}
+        sums = dict(zip(powers, euler._power_sums(primes[len(low):], powers)))
+        enclosures = euler._tail_sums(ts, P0, P, heads, euler._HEAD_ERR, sums)
+        with mpmath.workdps(40):
+            for t, (lo, mid, hi) in enclosures.items():
+                truth = _prime_zeta_tail(t)
+                assert lo <= mid <= hi
+                assert lo <= truth <= hi, (t, lo, hi, truth)
+                if t in powers:
+                    # the power sum leaves only the tail beyond P
+                    assert hi - lo <= 1.01 * euler._integral_tail(P, t) + 1e-30
 
 
 class TestPrimeSum:

@@ -63,20 +63,42 @@ def _command(argv: list[str]) -> str:
     )
 
 
+def _script(path: str, argv: list[str]) -> str:
+    script = str(SRC.parent / path)
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = [{script!r}, *{argv!r}]\n"
+        f"runpy.run_path({script!r}, run_name='__main__')\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--pattern", "1..1", "--error", "1e-12"],
     ["examples"],
     ["count", "--pattern", "1..2", "--x", "1000000"],
     ["verify", "--pattern", "1..1,3..inf", "--x", "1000000"],
+    ["series", "--weight", "delta", "--degree", "8", "--truncation", "1000000"],
+    ["series", "--pattern", "1..2", "--degree", "16", "--truncation", "1000000"],
+    ["series", "--pattern", "1..1", "--degree", "8"],
 ])
 def test_command_leaves_numpy_out(argv):
     assert not _loads_numpy(_command(argv))
+
+
+def test_series_script_leaves_numpy_out():
+    argv = ["--weight", "delta", "--x", "10000000"]
+    assert not _loads_numpy(_script("scripts/series_vs_histogram.py", argv))
 
 
 def test_import_leaves_numpy_out():
     assert not _loads_numpy("import expdens")
 
 
-def test_series_loads_numpy():
-    # the same check sees numpy when a vectorised kernel runs
-    assert _loads_numpy(_command(["series", "--pattern", "1..1", "--degree", "2"]))
+def test_walk_fallback_loads_numpy():
+    # the same check sees numpy when the oracle's segment walk runs: every
+    # prime to 1e5 flips exponent 1, past the enumeration's node budget
+    assert _loads_numpy(
+        "from expdens import count_pattern, parse_prime_aware\n"
+        "spec = {'default': '1..1', 'exceptions': {'p<=100000': ''}}\n"
+        "count_pattern(500000, parse_prime_aware(spec))"
+    )

@@ -1,7 +1,6 @@
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from helpers import table_weight
 from hypothesis import given, settings
@@ -11,16 +10,17 @@ from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden,
 from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
+    _local_poly,
+    _row_exponents,
     density_series,
-    local_polys,
 )
 
 SQUAREFREE_W = ExponentWeight.outside_pattern(parse_pattern("1..1"))
 
 
 def local_row(p: int, w: ExponentWeight, K: int) -> list[float]:
-    """The library's coefficients a_0..a_K of F(p; z) for one prime."""
-    return local_polys(np.array([p]), w, K)[:, 0].tolist()
+    """The library's coefficients a_0..a_K of F(p; z) for one prime, each rounded once."""
+    return [a / d for a, d in _local_poly(p, _row_exponents(w, K))]
 
 
 # weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3

@@ -1,4 +1,4 @@
-"""The series engine against the per-prime loop it replaced, and `local_polys`.
+"""The series engine against the per-prime loop it replaced, and its row builder.
 
 The engine multiplies out the primes p <= P and encloses the rest, so its
 d_k are full densities with brackets; the loop gave the truncated product
@@ -10,10 +10,11 @@ roundoff.
 
 import functools
 import math
+import random
 import time
+from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from helpers import (
     oracle_series,
@@ -26,7 +27,14 @@ import expdens.euler
 from expdens.cli import EXIT_RESOURCE, main
 from expdens.patterns import parse_pattern
 from expdens.primes import ResourceBudgetError
-from expdens.series import ExponentWeight, density_series, local_polys
+from expdens.series import (
+    ExponentWeight,
+    _local_poly,
+    _log_row_errors,
+    _log_series,
+    _row_exponents,
+    density_series,
+)
 
 WEIGHTS = {
     "excess": ExponentWeight.excess(),
@@ -82,25 +90,49 @@ def test_density_series_matches_per_prime_loop(name, K, P, block, monkeypatch):
 @pytest.mark.parametrize("K", [0, 1, 2, 8, 16])
 @pytest.mark.parametrize("name", sorted(KERNEL_WEIGHTS))
 def test_local_polys_match_scalar_reference(name, K):
+    # the rows a_0..a_K of F(p; z) as `_local_poly` gives them to the engine
     w = KERNEL_WEIGHTS[name]
-    primes = np.concatenate(
-        [primes_upto(20_000), [999_983, 1_000_003, 10**9 + 7, 2**61 - 1]]
-    )
-    rows = local_polys(primes, w, K)
-    assert rows.shape == (K + 1, len(primes))
-    # numpy powers and the scalar loop's x**i differ by a few ulp at most
-    for p, row in zip(primes.tolist(), rows.T):
+    exps = _row_exponents(w, K)
+    assert len(exps) == K + 1
+    primes = primes_upto(20_000).tolist() + [999_983, 1_000_003, 10**9 + 7, 2**61 - 1]
+    # each row is exact to 2^-1100 and rounds once; the scalar loop's x**i
+    # differ by a few ulp at most
+    for p in primes:
+        row = [a / d for a, d in _local_poly(p, exps)]
         want = reference_local_poly(p, w, K)
-        assert row.tolist() == pytest.approx(want, rel=64 * U, abs=1e-300)
+        assert row == pytest.approx(want, rel=64 * U, abs=1e-300)
 
 
 def test_local_polys_validation():
     with pytest.raises(ValueError):
-        local_polys(np.array([2, 1]), WEIGHTS["excess"], 3)
+        _local_poly(1, _row_exponents(WEIGHTS["excess"], 3))
     with pytest.raises(ValueError):
-        local_polys(np.array([2]), WEIGHTS["excess"], -1)
-    rows = local_polys(np.array([], dtype=np.int64), WEIGHTS["excess"], 3)
-    assert rows.shape == (4, 0)
+        _row_exponents(WEIGHTS["excess"], -1)
+    assert _row_exponents(WEIGHTS["excess"], 0) == [(2,)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 16, 40])
+def test_log_series_within_its_error_bound(K):
+    # exact rational recurrence on the same float ratios, one column per prime
+    rng = random.Random(K)
+    primes = [2, 3, 5, 97, 997]
+    r = [[]] + [[rng.random() * p ** -(k + 1) for p in primes] for k in range(1, K + 1)]
+    r[K // 2 + 1] = [0.0] * len(primes)  # a column of zeros is skipped
+    logs, majorant = _log_series(r)
+    bound = _log_row_errors(K, 0.0)
+    for i in range(len(primes)):
+        c, cm = [Fraction(0)], [Fraction(0)]
+        for k in range(1, K + 1):
+            rk = [Fraction(0)] + [Fraction(r[j][i]) for j in range(1, k + 1)]
+            c.append(k * rk[k] - sum(c[k - j] * rk[j] for j in range(1, k)))
+            cm.append(k * rk[k] + sum(cm[k - j] * rk[j] for j in range(1, k)))
+        for k in range(1, K + 1):
+            exact, exact_major = c[k] / k, cm[k] / k
+            assert abs(Fraction(logs[k - 1][i]) - exact) <= bound[k - 1] * Fraction(
+                majorant[k - 1][i]
+            )
+            assert abs(exact) <= exact_major
+            assert abs(Fraction(majorant[k - 1][i]) - exact_major) <= bound[k - 1] * exact_major
 
 
 class _Admitted(Exception):
@@ -131,10 +163,19 @@ class TestWorkCap:
         # two pieces still fit at P = 1e7 and K = 16
         with pytest.raises(_Admitted):
             density_series(WEIGHTS["threshold2"], 16, 10**7)
-        # 2000 terms make 4000 pieces, about 7e8 units at the default P and K
+        # 2000 terms make 4000 pieces; a row keeps only the exponents below
+        # its 2^1100 cut, so the pieces add no work per prime
         odd = parse_pattern(",".join(str(i) for i in range(1, 4000, 2)))
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(_Admitted):
             density_series(ExponentWeight.outside_pattern(odd))
+
+    @pytest.mark.parametrize("K, P, admitted", [(190, 1000, True), (200, 1000, False),
+                                                (200, 10**5, False), (400, 2, False)])
+    def test_degree_alone(self, K, P, admitted, monkeypatch):
+        # the rows and the engine's series cost about K^2 whatever P is
+        monkeypatch.setattr(expdens.euler, "prime_segments", _refuse_to_sieve)
+        with pytest.raises(_Admitted if admitted else ResourceBudgetError):
+            density_series(WEIGHTS["excess"], K, P)
 
     def test_cli_exits_3_fast(self, capsys):
         start = time.perf_counter()
