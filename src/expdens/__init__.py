@@ -2,7 +2,7 @@
 
 The names below are re-exported lazily (PEP 562): each submodule is
 imported on first access to one of its names, so ``import expdens`` itself
-loads none of them, and numpy only comes in with the oracle's fallback walk.
+loads none of them.  Every module is pure Python.
 """
 
 import importlib

@@ -7,55 +7,41 @@ powers p^e exactly dividing n, tallied as min(g(n), K + 1); a pattern
 count is the K = 0 case with rule(e) = [e forbidden].
 
 The tally is a convolution over powerful numbers.  With z^w cut at degree K,
-f(n) = z^g(n) is multiplicative.  When the default rule gives exponent 1
-weight 0, f = 1 * h with h(p^e) = f(p^e) - f(p^(e-1)), so h(p) = 0 for every
-default prime and sum_{n <= x} f(n) = sum_m h(m) floor(x / m) over the m <= x
-with h(m) != 0 (Golomb 1970; Bateman and Grosswald 1958).  When exponent 1
-has weight above K, f(p) = 0 and f is itself enumerated, each m adding f(m).
-Either way only the exponents where h changes enter, and the m are powerful
-apart from exceptional primes whose exponent-1 rule differs from the
-default.  A depth-first enumeration over the primes up to sqrt(x), and those
-exceptional primes up to x, visits O(sqrt(x)) nodes in exact integers.
+f(n) = z^g(n) is multiplicative, and every rule gives exponent 1 the weight
+0 or a weight above K, so f(p) is 1 or 0.  Write f = b * h with b(p^e) =
+f(p) for e >= 1: b(n) = 1 when every prime factor of n allows exponent 1.
+Then h(p^e) = f(p^e) - f(p) f(p^(e-1)), so h(p) = 0 for every prime, and
+sum_{n <= x} f(n) = sum_m h(m) B(floor(x / m)) with B(v) = sum_{n <= v} b(n),
+over the powerful m <= x with h(m) != 0 (Golomb 1970; Bateman and Grosswald
+1958).  A depth-first enumeration over the primes up to sqrt(x) visits
+O(sqrt(x)) of them in exact integers.
 
-The segment walk ``_walk`` remains for the inputs the enumeration cannot
-bound.  A weight with 1 <= rule(1) <= K makes f(p) a nonzero power of z that
-is not 1, so neither form has powerful support.  Many exceptional primes that
-flip exponent 1 multiply the node count by the squarefree products of those
-primes; the count is bounded before any enumeration and above
-``_NODE_BUDGET`` the walk, whose cost is linear in x, runs instead.
+B(v) is v when every prime allows exponent 1 and 1 when none does.  The
+flipped primes S, the exceptional primes whose exponent-1 rule differs
+from the default's, change it by Legendre's recurrence on the quotients
+v = floor(x / k) (Lagarias, Miller and Odlyzko, Math. Comp. 1985): one pass
+per flipped prime up to sqrt(x), and one bisection of S's runs per pair
+(k, j) for those above it, which divide each n <= x at most once.  A weight
+with 1 <= w(1) <= K makes f(p) a power of z other than 1 and 0, so the
+histogram refuses it, as ``density_series`` refuses any w(1) > 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Mapping
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 from .euler import DensityEstimate
-from .patterns import PrimeAwarePattern, contains
-from .primes import (
-    DEFAULT_SIEVE_BUDGET,
-    SEGMENT_SIZE,
-    ResourceBudgetError,
-    sieve_primes,
-)
+from .patterns import PrimeAwarePattern, _PrimeRange, contains
+from .primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError, sieve_primes
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .series import ExponentWeight
-
-# Largest node bound the enumeration may take on; larger bounds take the
-# walk.  A unit of the bound cost 0.2 to 1 us, so the enumeration stays
-# within about 1 s, the walk's time over 1e8 integers for `1..1` (1.2 s; 10
-# s for `2..inf` with the primes to 30 flipped).  Without flipped primes the
-# bound is at most 26 124, at x = 1e8.
-_NODE_BUDGET = 1 << 20
-# The powerful numbers up to y are u^2 v^3 with v squarefree, at most
-# sum_v sqrt(y / v^3) <= zeta(3/2) sqrt(y) of them.
-_ZETA_3_2 = 2.6124
 
 # A rule maps an exponent e >= 1 to its weight.
 Rule = Callable[[int], int]
@@ -103,93 +89,93 @@ def _check_x(x: int) -> None:
         )
 
 
-def _walk(
-    x: int,
-    plist: list[int],
-    weight: Callable[[int, int], int],
-    leftover_weight: int,
-    K: int,
-) -> np.ndarray:
-    """Counts of n in [1, x] by min(g(n), K+1); g sums weight(p, exponent).
+def _local_terms(rule: Rule, K: int, top: int) -> list[tuple]:
+    """h(p^e) for e = 2..top as (degree, coefficient) pairs mod z^(K+1).
 
-    The multiples of p^e gain min(weight(p, e), K+1) - min(weight(p, e-1),
-    K+1), so the gains telescope to the capped weight at the exact exponent
-    and nothing is divided.  A factor outside ``plist`` is a single prime
-    above sqrt(x) with exponent 1; it adds ``leftover_weight`` and shows as
-    a smooth part (the product of the p^e found) below n.  It is the one
-    user of numpy here, imported on the first walk.
-    """
-    import numpy as np
-
-    cap = K + 1
-    leftover = min(leftover_weight, cap)
-    buckets = np.zeros(cap + 1, dtype=np.int64)
-    for lo in range(1, x + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, x + 1)
-        g = np.zeros(hi - lo, dtype=np.int64)
-        smooth = np.ones(hi - lo, dtype=np.int64) if leftover else None
-        for p in plist:
-            if p >= hi:
-                break
-            pe, prev, e = p, 0, 1
-            while pe < hi:
-                cur = min(weight(p, e), cap)
-                offset = -lo % pe
-                if cur != prev:
-                    g[offset::pe] += cur - prev
-                if smooth is not None:
-                    smooth[offset::pe] *= p
-                pe, prev, e = pe * p, cur, e + 1
-        if leftover:
-            g[smooth < np.arange(lo, hi, dtype=np.int64)] += leftover
-        buckets += np.bincount(np.minimum(g, cap), minlength=cap + 1)
-    return buckets
-
-
-def _local_terms(rule: Rule, K: int, base_one: bool, top: int) -> list[tuple]:
-    """h(p^e) for e = 1..top as (degree, coefficient) pairs mod z^(K+1).
-
-    f(p^e) = z^rule(e), or 0 when rule(e) > K.  With ``base_one``,
-    h(p^e) = f(p^e) - f(p^(e-1)) and f(p^0) = 1; otherwise h = f.
+    f(p^e) = z^rule(e), or 0 when rule(e) > K.  When rule(1) = 0, f(p) = 1
+    and h(p^e) = f(p^e) - f(p^(e-1)); otherwise f(p) = 0 and h = f.
     """
     out: list[tuple] = []
-    prev = 0
-    for e in range(1, top + 1):
+    prev = rule(1)
+    differ = prev == 0
+    for e in range(2, top + 1):
         w = rule(e)
         h = {w: 1} if w <= K else {}
-        if base_one and prev <= K:
+        if differ and prev <= K:
             h[prev] = h.get(prev, 0) - 1
         out.append(tuple((d, c) for d, c in h.items() if c))
         prev = w
     return out
 
 
-def _within_budget(x: int, flipped: list[int]) -> bool:
-    """Whether the enumeration's node bound stays within ``_NODE_BUDGET``.
+def _each_p_times(values: list[int], p: int) -> Iterator[int]:
+    """values[0] p times, then values[1] p times, and so on: values[i // p]."""
+    return chain.from_iterable(map(repeat, values, repeat(p)))
 
-    A node is a squarefree product a of ``flipped`` primes (those with
-    h(p) != 0) times a powerful number up to x / a, so there are at most
-    zeta(3/2) sum_a sqrt(x / a) nodes.  The sum stops as soon as it passes
-    the budget, and each a adds at least zeta(3/2), so this costs at most
-    ``_NODE_BUDGET`` / 2.6 steps.
+
+def _quotient_table(
+    x: int, allows_one: bool, flipped: list[Sequence[int]]
+) -> tuple[list[int], list[int]]:
+    """B on the quotients of x: small[v] = B(v) for v <= r = isqrt(x), and
+    large[k] = B(x // k) for 1 <= k <= r.
+
+    ``flipped`` holds S as ascending runs.  With ``allows_one``, b(n) = [no
+    prime of S divides n] and each p in S up to r sets B(v) - B(v // p) from
+    the old values (v descending); otherwise b(n) = [every prime of n is in
+    S] and p sets B(v) + B(v // p) from the new values (v ascending, one
+    block [p^i, p^(i+1)) at a time).  The primes of S above r divide each
+    n <= x at most once, so together they move B(v) by -/+ the sum over the
+    j <= v / (r + 1) with b(j) = 1 of #{p in S : r < p <= v / j}.
     """
-    bound = _ZETA_3_2 * math.sqrt(x)
-    stack = [(1, 0)]
-    while stack:
-        a, start = stack.pop()
-        for j in range(start, len(flipped)):
-            b = a * flipped[j]
-            if b > x:
-                break
-            bound += _ZETA_3_2 * math.sqrt(x / b)
-            if bound > _NODE_BUDGET:
-                return False
-            stack.append((b, j + 1))
-    return True
+    r = math.isqrt(x)
+    quotients = [0] + [x // k for k in range(1, r + 1)]
+    if allows_one:
+        small, large = list(range(r + 1)), quotients[:]
+    else:
+        small, large = [0] + [1] * r, [0] + [1] * r
+    for p in sorted(p for run in flipped for p in run[: bisect_right(run, r)]):
+        t = r // p  # large[k * p] holds B(x // (k p)) for k <= t, small beyond
+        if allows_one:
+            large[1:] = [a - b for a, b in zip(large[1 : t + 1], large[p::p])] + [
+                a - small[v // p] for a, v in zip(large[t + 1 :], quotients[t + 1 :])
+            ]
+            small[p:] = [a - b for a, b in zip(small[p:], _each_p_times(small[1:], p))]
+            continue
+        lo = p
+        while lo <= r:
+            block = small[lo : lo * p]
+            small[lo : lo * p] = [
+                a + b for a, b in zip(block, _each_p_times(small[lo // p :], p))
+            ]
+            lo *= p
+        large[t + 1 :] = [
+            a + small[v // p] for a, v in zip(large[t + 1 :], quotients[t + 1 :])
+        ]
+        while t:
+            lo = t // p
+            block = large[lo + 1 : t + 1]
+            large[lo + 1 : t + 1] = [
+                a + b for a, b in zip(block, large[(lo + 1) * p :: p])
+            ]
+            t = lo
+    high = [(run, bisect_right(run, r)) for run in flipped]
+    high = [(run, i) for run, i in high if i < len(run) and run[i] <= x]
+    if high:
+        ones = [j for j in range(1, r + 1) if small[j] != small[j - 1]]
+        sign = -1 if allows_one else 1
+        for k in range(1, r + 1):
+            v = x // k
+            js = ones[: bisect_right(ones, v // (r + 1))]
+            large[k] += sign * sum(
+                bisect_right(run, v // j) - i for j in js for run, i in high
+            )
+    return small, large
 
 
-def _convolve(x: int, K: int, base_one: bool, entries: list[tuple]) -> list[int]:
-    """sum over nodes m of h(m) (floor(x / m) with ``base_one``, else 1).
+def _convolve(
+    x: int, K: int, entries: list[tuple], small: list[int], large: list[int]
+) -> list[int]:
+    """sum over nodes m of h(m) B(x // m), B from ``_quotient_table``.
 
     ``entries`` holds per prime (first power, [(p^e, h(p^e)), ...]) sorted
     by first power, so a node's children stop at the first prime whose
@@ -198,10 +184,11 @@ def _convolve(x: int, K: int, base_one: bool, entries: list[tuple]) -> list[int]
     """
     total = [0] * (K + 1)
     count = len(entries)
+    r = len(small) - 1
 
     def visit(m: int, c: list[int], start: int) -> None:
         q = x // m
-        scale = q if base_one else 1
+        scale = large[m] if m <= r else small[q]
         for k, ck in enumerate(c):
             total[k] += ck * scale
         for j in range(start, count):
@@ -223,45 +210,35 @@ def _convolve(x: int, K: int, base_one: bool, entries: list[tuple]) -> list[int]
 
 
 def _tally(
-    x: int, K: int, default: Rule, exceptions: Mapping[int, Rule]
+    x: int, K: int, default: Rule, runs: Sequence[tuple[Sequence[int], Rule]] = ()
 ) -> list[int]:
     """Counts of n in [1, x] by min(g(n), K + 1), K + 2 integers.
 
-    ``default`` rules every prime not in ``exceptions``.  The enumeration
-    runs when default(1) is 0 or above K and the node bound of the primes
-    that flip exponent 1 is within budget; otherwise the walk runs.
+    ``runs`` pairs ascending exceptional primes with the rule they share;
+    ``default`` rules every other prime.  Every rule gives exponent 1 the
+    weight 0 or a weight above K.
     """
-    primes = sieve_primes(math.isqrt(x)).primes.tolist() if x >= 4 else []
-    w1 = default(1)
-    base_one = w1 == 0
-    if base_one or w1 > K:
-        # Rules hash by identity: one list of terms per rule object.
-        terms = functools.cache(
-            lambda rule: _local_terms(rule, K, base_one, x.bit_length())
-        )
-        # Exceptional primes above sqrt(x) enter only when h(p) != 0.
-        root = math.isqrt(x)
-        flipped = sorted(
-            p for p, rule in exceptions.items() if p <= x and terms(rule)[0]
-        )
-        if _within_budget(x, flipped):
-            entries = []
-            for p in set(primes).union(q for q in flipped if q > root):
-                powers, pe = [], p
-                for h in terms(exceptions.get(p, default)):
-                    if pe > x:
-                        break
-                    if h:
-                        powers.append((pe, h))
-                    pe *= p
-                if powers:
-                    entries.append((powers[0][0], powers))
-            entries.sort(key=lambda entry: entry[0])
-            total = _convolve(x, K, base_one, entries)
-            return total + [x - sum(total)]
-    plist = sorted(set(primes).union(p for p in exceptions if p <= x))
-    buckets = _walk(x, plist, lambda p, e: exceptions.get(p, default)(e), w1, K)
-    return buckets.tolist()
+    r = math.isqrt(x)
+    allows_one = default(1) == 0
+    flipped = [run for run, rule in runs if (rule(1) == 0) != allows_one]
+    small, large = _quotient_table(x, allows_one, flipped)
+    rules = {p: rule for run, rule in runs for p in run[: bisect_right(run, r)]}
+    # Rules hash by identity: one list of terms per rule object.
+    terms = functools.cache(lambda rule: _local_terms(rule, K, x.bit_length()))
+    entries = []
+    for p in sieve_primes(r).primes if r >= 2 else ():
+        powers, pe = [], p
+        for h in terms(rules.get(p, default)):
+            pe *= p
+            if pe > x:
+                break
+            if h:
+                powers.append((pe, h))
+        if powers:
+            entries.append((powers[0][0], powers))
+    entries.sort(key=lambda entry: entry[0])
+    total = _convolve(x, K, entries, small, large)
+    return total + [x - sum(total)]
 
 
 def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
@@ -274,8 +251,18 @@ def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
             rules[id(pattern)] = functools.cache(lambda e: int(not contains(pattern, e)))
         return rules[id(pattern)]
 
-    exceptions = {p: forbidden(pat) for p, pat in pap.exceptions.items()}
-    count = _tally(x, 0, forbidden(pap.default), exceptions)[0]
+    # The exceptional primes as ascending runs, one per rule; a "p<=q"
+    # range is its own sieve array.
+    exceptions = pap.exceptions
+    runs: list[tuple[Sequence[int], Rule]] = []
+    if isinstance(exceptions, _PrimeRange):
+        runs.append((exceptions.primes, forbidden(exceptions.pattern)))
+        exceptions = exceptions.rest
+    grouped: dict[Rule, list[int]] = {}
+    for p, pattern in exceptions.items():
+        grouped.setdefault(forbidden(pattern), []).append(p)
+    runs.extend((primes, rule) for rule, primes in grouped.items())
+    count = _tally(x, 0, forbidden(pap.default), runs)[0]
     return CountReport(x, count, count / x)
 
 
@@ -284,16 +271,24 @@ def count_periodic(x: int, ell: int) -> CountReport:
     _check_x(x)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    count = _tally(x, 0, lambda e: int((e - 1) % ell != 0), {})[0]
+    count = _tally(x, 0, lambda e: int((e - 1) % ell != 0))[0]
     return CountReport(x, count, count / x)
 
 
 def g_histogram(x: int, w: ExponentWeight, K: int) -> GHistogram:
-    """Histogram of g(n) = sum of w(exponent) over the factorization, n <= x."""
+    """Histogram of g(n) = sum of w(exponent) over the factorization, n <= x.
+
+    The weight must give exponent 1 the weight 0 or a weight above K.
+    """
     _check_x(x)
     if K < 0:
         raise ValueError("K must be >= 0")
-    buckets = _tally(x, K, functools.cache(w.weight), {})
+    rule = functools.cache(w.weight)
+    if 1 <= rule(1) <= K:
+        raise ValueError(
+            f"w(1) = {rule(1)} lies in [1, K]: only w(1) = 0 or w(1) > K is counted"
+        )
+    buckets = _tally(x, K, rule)
     return GHistogram(x, tuple(buckets[: K + 1]), buckets[K + 1])
 
 

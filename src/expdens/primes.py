@@ -3,8 +3,9 @@
 An odd-only Eratosthenes sieve over a bytearray, segmented above a
 threshold so that large limits never allocate one giant block, and a
 deterministic Miller-Rabin test for validating individual primes.  Primes
-come back as ``array('q')``: it supports ``len``, ``tolist`` and ``bisect``,
-and numpy wraps it without a copy (``np.frombuffer(a, dtype=np.int64)``).
+come back as ``array('q')``, compact and sorted: it supports ``len``,
+slicing, ``tolist`` and ``bisect``, which the oracle uses to count the
+primes of a "p<=q" range between two bounds.
 """
 
 from __future__ import annotations

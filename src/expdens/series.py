@@ -21,11 +21,10 @@ of F(p; z) is an exact integer quotient (``_local_poly``), a_0 = 1 - delta(p)
 the same one as in ``density()``, and ``_log_series`` takes the log of the
 row as a float series in z.  The engine adds the logs over p <= P0, encloses
 the factors p > P0 per z-degree through prime zeta values and power sums
-over the primes in (P0, P], and takes one exp of the series.  Nothing here
-imports numpy.  Every d_k comes with ``lower`` and ``upper`` that hold the
-true density, the tail beyond P0 and all float roundoff included.  Work is
-estimated from P and K before any sieving and capped at
-``SERIES_WORK_CAP``.
+over the primes in (P0, P], and takes one exp of the series.  Every d_k
+comes with ``lower`` and ``upper`` that hold the true density, the tail
+beyond P0 and all float roundoff included.  Work is estimated from P and K
+before any sieving and capped at ``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations

@@ -84,6 +84,43 @@ def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
     return out
 
 
+def segment_walk(x: int, plist: list[int], weight, leftover_weight: int, K: int,
+                 segment: int = 1 << 22) -> list[int]:
+    """Counts of n in [1, x] by min(g(n), K+1); g sums weight(p, exponent).
+
+    Segments of ``segment`` integers gain, at the multiples of each p^e,
+    min(weight(p, e), K+1) - min(weight(p, e-1), K+1), so the gains telescope
+    to the capped weight at the exact exponent and nothing is divided.  A
+    factor outside ``plist`` is a single prime above sqrt(x) with exponent
+    1; it adds ``leftover_weight`` and shows as a smooth part (the product of
+    the p^e found) below n.  Linear in x, and exact for every weight, w(1)
+    between 1 and K included, which the library's enumeration refuses.
+    """
+    cap = K + 1
+    leftover = min(leftover_weight, cap)
+    buckets = np.zeros(cap + 1, dtype=np.int64)
+    for lo in range(1, x + 1, segment):
+        hi = min(lo + segment, x + 1)
+        g = np.zeros(hi - lo, dtype=np.int64)
+        smooth = np.ones(hi - lo, dtype=np.int64) if leftover else None
+        for p in plist:
+            if p >= hi:
+                break
+            pe, prev, e = p, 0, 1
+            while pe < hi:
+                cur = min(weight(p, e), cap)
+                offset = -lo % pe
+                if cur != prev:
+                    g[offset::pe] += cur - prev
+                if smooth is not None:
+                    smooth[offset::pe] *= p
+                pe, prev, e = pe * p, cur, e + 1
+        if leftover:
+            g[smooth < np.arange(lo, hi, dtype=np.int64)] += leftover
+        buckets += np.bincount(np.minimum(g, cap), minlength=cap + 1)
+    return buckets.tolist()
+
+
 # Largest x whose factorizations brute_g_counts keeps between calls.
 BRUTE_LIMIT = 2 * 10**4
 

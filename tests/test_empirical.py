@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import expdens.empirical
 from expdens.empirical import (
     compare,
     count_pattern,
@@ -16,6 +15,7 @@ from expdens.euler import density
 from expdens.patterns import (
     EMPTY_PATTERN,
     PrimeAwarePattern,
+    contains,
     parse_pattern,
     parse_prime_aware,
 )
@@ -30,6 +30,7 @@ from helpers import (
     pap_allows,
     primes_upto,
     random_small_pap,
+    segment_walk,
     spf_sieve,
     table_weight,
 )
@@ -39,10 +40,12 @@ ALL = PrimeAwarePattern(default=parse_pattern("1..inf"))
 POWERFUL = PrimeAwarePattern(default=parse_pattern("2..inf"))
 
 
-def walk(x, weight, leftover, K=0, exceptional=()):
-    """Counts by min(g, K + 1) from the fallback walk, over a test-side prime list."""
+def walk(x, weight, leftover, K=0, exceptional=(), segment=97):
+    """Counts by min(g, K + 1) from the segment walk of ``helpers``, over a
+    test-side prime list, in segments of 97 integers by default: they start
+    off the p^e grid and split every slice."""
     plist = sorted({*primes_upto(math.isqrt(x)).tolist(), *exceptional})
-    return expdens.empirical._walk(x, plist, weight, leftover, K).tolist()
+    return segment_walk(x, plist, weight, leftover, K, segment)
 
 
 def mobius(n):
@@ -55,20 +58,6 @@ def mobius(n):
             for m in range(p * p, n + 1, p * p):
                 mu[m] = 0
     return mu
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """Records each call of the fallback walk; the list of its x values."""
-    calls = []
-    real = expdens.empirical._walk
-
-    def spy(x, *args):
-        calls.append(x)
-        return real(x, *args)
-
-    monkeypatch.setattr(expdens.empirical, "_walk", spy)
-    return calls
 
 
 class TestCountPattern:
@@ -134,13 +123,12 @@ class TestCountPattern:
                 total += 1
         assert count_pattern(x, pap).count == total
 
-    def test_segmentation_invariance(self, monkeypatch):
+    def test_segmentation_invariance(self):
         def weight(p, e):
             return int(e > 2)
 
-        full = walk(10**5, weight, 0)
-        monkeypatch.setattr(expdens.empirical, "SEGMENT_SIZE", 1 << 10)
-        segmented = walk(10**5, weight, 0)
+        full = walk(10**5, weight, 0, segment=1 << 22)
+        segmented = walk(10**5, weight, 0, segment=1 << 10)
         assert full == segmented
         assert full[0] == count_pattern(10**5, PrimeAwarePattern(parse_pattern("1..2"))).count
 
@@ -243,14 +231,19 @@ class TestGHistogram:
         assert gh.buckets == tuple(buckets)
         assert gh.overflow == overflow
 
+    def test_weighted_exponent_one_refused(self):
+        # 1 <= w(1) <= K has no powerful-part sum; the walk of helpers
+        # counts it instead (TestPrimePowerWalk)
+        for K in range(1, 5):
+            for w1 in range(1, K + 1):
+                with pytest.raises(ValueError, match=r"w\(1\)"):
+                    g_histogram(100, table_weight([w1, 0]), K)
+        assert g_histogram(100, table_weight([5, 0]), 4).buckets[0] > 0
+
 
 class TestPrimePowerWalk:
-    """The fallback walk, in segments of 97 integers that start off the p^e
-    grid and split every slice."""
-
-    @pytest.fixture(autouse=True)
-    def small_segments(self, monkeypatch):
-        monkeypatch.setattr(expdens.empirical, "SEGMENT_SIZE", 97)
+    """The segment walk of ``helpers``, the differential oracle of
+    ``TestAgainstWalk``, against brute force."""
 
     def test_leftover_prime_judged_by_default(self):
         # 2..inf forbids exponent 1, so each n with a prime factor above
@@ -292,9 +285,10 @@ class TestPrimePowerWalk:
 
 
 class TestRoute:
-    """The enumeration serves every input it can bound; the walk the rest."""
+    """Every library count enumerates, flipped primes through the quotient
+    table; the weights the library refuses go to the walk of ``helpers``."""
 
-    def test_benchmark_requests_enumerate(self, walks):
+    def test_benchmark_requests_enumerate(self):
         x = 10**7
         mu = mobius(216)
         cubefree = sum(mu[d] * (x // d**3) for d in range(1, 216) if d**3 <= x)
@@ -304,34 +298,69 @@ class TestRoute:
         count_pattern(x, parse_prime_aware(spec))
         gh = g_histogram(x, ExponentWeight.excess(), 8)
         assert gh.buckets[0] == count_pattern(x, SQUAREFREE).count
-        assert walks == []
 
-    def test_flipped_primes_within_budget_enumerate(self, walks):
+    def test_few_flipped_primes(self):
         spec = {"default": "1..1", "exceptions": {"2": "", "p in [3,5,7]": "1..2",
                                                   "9973": "", "19997": "2..inf"}}
         pap = parse_prime_aware(spec)
         x = BRUTE_LIMIT
         assert count_pattern(x, pap).count == brute_g_counts(
             x, lambda p, a: int(not pap_allows(pap, p, a)), 0)[0]
-        assert walks == []
 
-    def test_many_flipped_primes_walk(self, walks):
-        # every prime to 1e5 forbids exponent 1: the squarefree products of
-        # those primes below x put the node bound past the budget
+    def test_many_flipped_primes(self):
+        # every prime to 1e5 forbids exponent 1, on both sides of sqrt(x)
         pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000": ""}})
         x = 5 * 10**5
         assert count_pattern(x, pap).count == brute_g_counts(
             x, lambda p, a: int(not pap_allows(pap, p, a)), 0)[0]
-        assert walks == [x]
 
-    def test_weighted_exponent_one_walks(self, walks):
+    def test_weighted_exponent_one_walks(self):
         # 1 <= w(1) <= K: f(p) is a power of z other than 1, so h has no
-        # powerful support
+        # powerful support; the histogram refuses it and the walk counts it
         w = table_weight([2, 0, 1], tail_slope=1)
         x, K = 5000, 4
-        gh = g_histogram(x, w, K)
-        assert [*gh.buckets, gh.overflow] == brute_g_counts(x, lambda p, a: w.weight(a), K)
-        assert walks == [x]
+        with pytest.raises(ValueError):
+            g_histogram(x, w, K)
+        counts = walk(x, lambda p, e: w.weight(e), w.weight(1), K)
+        assert counts == brute_g_counts(x, lambda p, a: w.weight(a), K)
+
+
+# Ranges with q below and above sqrt(x) = 1000, over defaults that allow and
+# that forbid exponent 1, with and without single keys past q.
+_WALK_SPECS = [
+    {"default": "1..1", "exceptions": {"p<=300": ""}},
+    {"default": "1..1", "exceptions": {"p<=50000": ""}},
+    {"default": "1..1,3..inf", "exceptions": {"p<=100000": "2..4", "999983": "1..inf"}},
+    {"default": "1..2", "exceptions": {"p<=2000": "1..inf", "2003": ""}},
+    {"default": "2..inf", "exceptions": {"p<=500": "1..inf"}},
+    {"default": "2..inf", "exceptions": {"p<=20000": "1..2", "65537": "1", "999983": "1"}},
+    {"default": "2,4..5", "exceptions": {"p<=999999": "1,3"}},
+    {"default": "", "exceptions": {"p<=1000": "1..inf", "1009": "1"}},
+]
+
+
+class TestAgainstWalk:
+    """``count_pattern`` equals the segment walk at x <= 1e6."""
+
+    @pytest.mark.parametrize("doc", _WALK_SPECS)
+    @pytest.mark.parametrize("x", [10**6, 123_457])
+    def test_count_pattern(self, doc, x):
+        pap = parse_prime_aware(doc)
+        exceptional = [p for p in pap.exceptions if p <= x]
+        counts = walk(x, lambda p, e: int(not pap_allows(pap, p, e)),
+                      int(not contains(pap.default, 1)), exceptional=exceptional,
+                      segment=1 << 22)
+        assert count_pattern(x, pap).count == counts[0]
+
+    @pytest.mark.parametrize("x, q", [(10**6, 1000), (10**6, 4999), (10**6, 10**6),
+                                      (10**7, 3163), (10**7, 10**5), (999_999, 997)])
+    def test_range_leaves_one_and_the_primes_above_q(self, x, q):
+        # no prime above q is at most sqrt(x), so every n > 1 left by
+        # "p<=q: ''" over 1..1 is a prime p > q: the count is 1 + pi(x) - pi(q)
+        pi = primes_upto(x)
+        expected = 1 + len(pi) - int((pi <= q).sum())
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {f"p<={q}": ""}})
+        assert count_pattern(x, pap).count == expected
 
 
 _EXAMPLES = settings(max_examples=15, deadline=None)
@@ -369,8 +398,8 @@ class TestAgainstBruteForce:
            rest=st.lists(st.integers(0, 9), max_size=4), tail_slope=st.integers(0, 1),
            tail_offset=st.integers(0, 9), data=st.data())
     def test_g_histogram(self, x, K, rest, tail_slope, tail_offset, data):
-        # w(1) = 0 and w(1) > K enumerate; 1 <= w(1) <= K walks
-        w1 = data.draw(st.one_of(st.just(0), st.integers(1, K + 9)))
+        # the histogram counts w(1) = 0 and w(1) > K; it refuses the rest
+        w1 = data.draw(st.one_of(st.just(0), st.integers(K + 1, K + 9)))
         w = table_weight([w1, *rest], tail_slope, tail_offset)
         gh = g_histogram(x, w, K)
         expected = brute_g_counts(x, lambda p, a: w.weight(a), K)
