@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -76,7 +75,12 @@ def _load_pattern(config: RunConfig) -> PrimeAwarePattern:
 
 
 def _emit(record, out) -> None:
-    out.write(json.dumps(dataclasses.asdict(record), allow_nan=False) + "\n")
+    """One JSON line of a result dataclass, or of a dict."""
+    import json  # only machine output needs it
+
+    if dataclasses.is_dataclass(record):
+        record = dataclasses.asdict(record)
+    out.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _print_density(est: euler.DensityEstimate, label: str, out) -> None:
@@ -185,7 +189,7 @@ def _cmd_examples(config: RunConfig, out) -> int:
         if config.output == "machine":
             record = dataclasses.asdict(est)
             record["id"] = label
-            out.write(json.dumps(record, allow_nan=False) + "\n")
+            _emit(record, out)
         else:
             out.write(
                 f"{label:<24} value={est.value:.12f}  "

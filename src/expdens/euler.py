@@ -20,21 +20,19 @@ P0 enter only through the power sums T_t = sum_{p > P0} p^-t:
 
     sum_{p > P0} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
-where the cut (the terms t > 64) is below 1e-170.  Each T_t lies in
-[0, P0^(1-t)/(t-1)], and is narrowed two ways.  Through prime zeta,
-T_t = P(t) - head_t(P0), with P(t) = sum_p p^-t carrying the error bars of
-``zeta_int`` through the Moebius inversion of log zeta; this is taken for
-the t whose tail beyond P is above double precision.  Through the primes up
-to P, T_t = H_t + sum_{p > P} p^-t with the float power sum
-H_t = sum_{P0 < p <= P} p^-t, and the rest at most P^(1-t)/(t-1); this is
-taken for the t with a small tail beyond P, and only while P0^(1-t)/(t-1)
-is above 2^-60 (t <= 6 at P0 = 1000).  A pinned P thus changes which t
-take which enclosure, but no prime above P0 needs a factor of its own.  The
-published [lower, upper] holds the true density with every error term and
-all float roundoff included (Ettahri, Ramare and Surel, "Fast
-multi-precision computation of some Euler products", Math. Comp. 2021;
-H. Cohen, "High precision computation of Hardy-Littlewood constants",
-1998).
+where the cut (the terms t > 64) is below 1e-170.  T_t does not depend on
+the pattern.  ``_TAIL_1000`` holds T_t(1000) for t = 2..64 between two
+adjacent floats, computed once from prime zeta at high precision and
+checked by the tests.  At P0 = 1000 the table is the enclosure; at another
+P0 the float sum of p^-t over the primes between 1000 and P0 is taken off
+or added, for the t whose bound [0, P0^(1-t)/(t-1)] is above 2^-60, and
+the other t keep that bound.  So the sieve runs only to max(P0, 1000), no
+zeta value is computed at run time, and a pinned truncation prime P >= P0
+changes no bracket.  The published [lower, upper] holds the true density
+with every error term and all float roundoff included (Ettahri, Ramare and
+Surel, "Fast multi-precision computation of some Euler products", Math.
+Comp. 2021; H. Cohen, "High precision computation of Hardy-Littlewood
+constants", 1998).
 
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
@@ -49,9 +47,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .patterns import (
     ExponentPattern,
@@ -72,18 +68,10 @@ MIN_TRUNCATION = 1000
 # Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
 _FSUM_CHUNK = 1 << 16
-# Primes per pass of ``_power_sums``, which keeps two lists of floats of this
-# length, at 32 bytes a float.
-_POWER_CHUNK = 1 << 12
 # Unit roundoff of float64.
 _U = 2.0**-53
-# Relative error of an fsum of 1 / p^t, each one correctly rounded division
-# of exact integers: u of the terms and u of the result.
-_HEAD_ERR = 2 * _U * (1 + _U)
-# A t takes the power sum over (P0, P] when its tail beyond P is at most
-# _POWER_TAIL, near the error bars of prime zeta, and T_t may exceed
-# _POWER_CUT; the other t keep P0^(1-t)/(t-1) as their bound.
-_POWER_TAIL = 2.0**-45
+# A T_t whose bound P0^(1-t)/(t-1) is at most _POWER_CUT keeps that bound;
+# the others are taken from ``_TAIL_1000`` and the primes between 1000 and P0.
 _POWER_CUT = 2.0**-60
 # Covers every result that underflows below the normal range and every term
 # that ``_delta_quotient`` drops, summed over at most 1e8 primes and 10^4
@@ -91,17 +79,87 @@ _POWER_CUT = 2.0**-60
 _UNDERFLOW = 2.0**-1000
 # Euler-Maclaurin summation for zeta_int: terms n < _EM_TERMS are summed
 # directly, then the corrections with B_2 .. B_16; B_18 bounds the remainder.
+# Each Bernoulli number is a (numerator, denominator) pair.
 _EM_TERMS = 16
 _BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+)
+# [lo_t, hi_t] for t = 2..64: two adjacent floats with
+# lo_t <= T_t(1000) = sum_{p > 1000} p^-t <= hi_t, from P(t) - sum_{p <= 1000} p^-t
+# with mpmath's prime zeta P at 40 + 3t digits.  tests/test_euler.py
+# regenerates the table and checks it against a Moebius inversion of log zeta.
+_TAIL_1000 = (
+    (0.0001269897917609165, 0.00012698979176091653),
+    (6.73103585358403e-08, 6.731035853584031e-08),
+    (4.598951336162165e-11, 4.5989513361621654e-11),
+    (3.502178948875813e-14, 3.5021789488758134e-14),
+    (2.833469569598374e-17, 2.8334695695983746e-17),
+    (2.3828278392800024e-20, 2.3828278392800027e-20),
+    (2.0582708842361322e-23, 2.0582708842361325e-23),
+    (1.8131349764718284e-26, 1.8131349764718287e-26),
+    (1.6212315568187997e-29, 1.6212315568188e-29),
+    (1.4667346393678526e-32, 1.466734639367853e-32),
+    (1.339522996432001e-35, 1.3395229964320013e-35),
+    (1.2328266029872387e-38, 1.232826602987239e-38),
+    (1.1419484411175392e-41, 1.1419484411175393e-41),
+    (1.0635290243024604e-44, 1.0635290243024605e-44),
+    (9.951026950222047e-48, 9.951026950222048e-48),
+    (9.348191666046256e-51, 9.348191666046257e-51),
+    (8.812628198101401e-54, 8.812628198101403e-54),
+    (8.333320093985673e-57, 8.333320093985674e-57),
+    (7.901564014943757e-60, 7.901564014943758e-60),
+    (7.51039090044641e-63, 7.510390900446411e-63),
+    (7.154152570985872e-66, 7.154152570985873e-66),
+    (6.828221211003198e-69, 6.828221211003199e-69),
+    (6.528767387355914e-72, 6.528767387355915e-72),
+    (6.252593680556179e-75, 6.25259368055618e-75),
+    (5.997008333971572e-78, 5.9970083339715725e-78),
+    (5.759728125230212e-81, 5.7597281252302125e-81),
+    (5.538802866148937e-84, 5.538802866148938e-84),
+    (5.332556110818556e-87, 5.332556110818557e-87),
+    (5.139538149924381e-90, 5.139538149924382e-90),
+    (4.958488417661442e-93, 4.958488417661443e-93),
+    (4.788305180947256e-96, 4.788305180947257e-96),
+    (4.628020914435308e-99, 4.628020914435309e-99),
+    (4.47678215270324e-102, 4.476782152703241e-102),
+    (4.3338328959508475e-105, 4.333832895950848e-105),
+    (4.1985008570725226e-108, 4.198500857072523e-108),
+    (4.070185996516788e-111, 4.070185996516789e-111),
+    (3.94835091126587e-114, 3.9483509112658706e-114),
+    (3.8325127357472705e-117, 3.832512735747271e-117),
+    (3.7222362828320046e-120, 3.722236282832005e-120),
+    (3.6171282075715116e-123, 3.617128207571512e-123),
+    (3.516832018845308e-126, 3.5168320188453084e-126),
+    (3.4210237974876096e-129, 3.42102379748761e-129),
+    (3.3294085058559416e-132, 3.329408505855942e-132),
+    (3.2417167947898086e-135, 3.241716794789809e-135),
+    (3.157702230685278e-138, 3.1577022306852784e-138),
+    (3.0771388788969107e-141, 3.077138878896911e-141),
+    (2.9998191905728696e-144, 2.99981919057287e-144),
+    (2.9255521488726815e-147, 2.925552148872682e-147),
+    (2.8541616377293714e-150, 2.854161637729372e-150),
+    (2.7854850022254723e-153, 2.785485002225473e-153),
+    (2.719371774512392e-156, 2.7193717745123926e-156),
+    (2.655682543216971e-159, 2.6556825432169716e-159),
+    (2.5942879476081076e-162, 2.594287947608108e-162),
+    (2.535067780567568e-165, 2.5350677805675684e-165),
+    (2.4779101867245786e-168, 2.477910186724579e-168),
+    (2.422710944055366e-171, 2.4227109440553664e-171),
+    (2.369372818882542e-174, 2.3693728188825422e-174),
+    (2.3178049855885453e-177, 2.3178049855885458e-177),
+    (2.26792250352569e-180, 2.2679225035256902e-180),
+    (2.2196458445981395e-183, 2.21964584459814e-183),
+    (2.172900465837334e-186, 2.1729004658373343e-186),
+    (2.127616422015805e-189, 2.1276164220158055e-189),
+    (2.083728013964588e-192, 2.0837280139645883e-192),
 )
 
 
@@ -192,13 +250,15 @@ def zeta_int(s: int) -> BoundedValue:
         raise ValueError("zeta_int requires s >= 2")
     if s >= 54:
         return BoundedValue(1.0, 2 * _U)
+    from fractions import Fraction
+
     n_max = _EM_TERMS
     total = sum(Fraction(1, n**s) for n in range(1, n_max))
     total += Fraction(1, (s - 1) * n_max ** (s - 1)) + Fraction(1, 2 * n_max**s)
     rising = Fraction(s)  # s (s+1) ... (s+2k-2)
     factorial = 2  # (2k)!
     for k, bernoulli in enumerate(_BERNOULLI, start=1):
-        term = bernoulli * rising / (factorial * n_max ** (s + 2 * k - 1))
+        term = Fraction(*bernoulli) * rising / (factorial * n_max ** (s + 2 * k - 1))
         if k < len(_BERNOULLI):
             total += term
         rising *= (s + 2 * k - 1) * (s + 2 * k)
@@ -263,7 +323,7 @@ def prime_sum(k: int) -> BoundedValue:
     enclosed by ``_tail_enclosure`` exactly as the tail of a density.  Each
     direct term x / (1 - x), x = p^-k <= 1/4, is within 8 ulp (power,
     subtraction, division) and their fsum adds one, so 2^-47 of the direct
-    sum covers both; the head sums are those of the density callback.
+    sum covers both.
     """
     if k < 2:
         raise ValueError("prime_sum requires k >= 2")
@@ -271,9 +331,7 @@ def prime_sum(k: int) -> BoundedValue:
     primes = sieve_primes(P).primes
     direct = math.fsum([x / (1.0 - x) for x in (_inv_pow(float(p), k) for p in primes)])
     coeffs = [float(t > 0 and t % k == 0) for t in range(_SERIES_DEGREE + 1)]
-    ts = _live_terms([coeffs])
-    heads = {t: math.fsum([1 / p**t for p in primes]) for t in _needed_terms(ts, P)}
-    sums = _tail_sums(ts, P, P, heads, _HEAD_ERR, {})
+    sums = _tail_sums(_live_terms([coeffs]), P, {})
     lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, sums)
     value = direct + mid
     error = max(hi - mid, mid - max(lo, 0.0)) + 2.0**-47 * direct
@@ -350,7 +408,7 @@ def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
 # Deficiency series: 1 - F(p; z) as a polynomial in 1/p and z
 
 
-def _deficiency(weight, K: int) -> list[list[int]]:
+def _deficiency(weight, K: int) -> tuple[tuple[int, ...], ...]:
     """Integers u with 1 - F(p; z) = sum_{t, k} u[t][k] p^-t z^k, t <= 64, k <= K.
 
     ``weight`` maps t >= 1 to its z-degree w(t), an int or bool; w(0) = 0.
@@ -367,15 +425,21 @@ def _deficiency(weight, K: int) -> list[list[int]]:
         if cur <= K:
             coef[t][cur] -= 1
         prev = cur
-    return coef
+    return tuple(map(tuple, coef))
 
 
-def _neglog_coeffs(delta: list[list[int]]) -> tuple[list[list[float]], list[list[float]]]:
+# bounded: a library caller may build many distinct patterns
+@lru_cache(maxsize=256)
+def _neglog_coeffs(
+    delta: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
     """Coefficients of -log(1 - delta) in 1/p and z, truncated, and their error.
 
-    delta[t][k] is the integer coefficient of p^-t z^k, with delta[0] = 0.
-    Returns ``(neglog, err)`` indexed [k][t].  For A = 1 - delta = sum_t a_t
-    p^-t, the identity x A' = A x (log A)' gives b_t = t [p^-t] log A as
+    delta[t][k] is the integer coefficient of p^-t z^k, with delta[0] = 0,
+    as ``_deficiency`` gives it.  Returns ``(neglog, err)`` indexed [k][t],
+    as tuples, since every call with the same delta shares them.  For
+    A = 1 - delta = sum_t a_t p^-t, the identity x A' = A x (log A)' gives
+    b_t = t [p^-t] log A as
 
         b_t = t a_t - sum_{0 < j < t} b_j a_{t-j},
 
@@ -399,8 +463,10 @@ def _neglog_coeffs(delta: list[list[int]]) -> tuple[list[list[float]], list[list
                 for i in range(K + 1 - d):
                     bt[i + d] -= v * bj[i]
         b.append(bt)
-    neglog = [[-b[t][k] / t if t else 0.0 for t in range(len(b))] for k in range(K + 1)]
-    err = [[_U * abs(c) for c in row] for row in neglog]
+    neglog = tuple(
+        tuple(-b[t][k] / t if t else 0.0 for t in range(len(b))) for k in range(K + 1)
+    )
+    err = tuple(tuple(_U * abs(c) for c in row) for row in neglog)
     return neglog, err
 
 
@@ -434,88 +500,63 @@ def _tail_logbound_formula(P: int, m: int, pi_exact: int) -> float:
 
 
 def _integral_tail(P: int, t: int) -> float:
-    """Upper bound on sum_{p > P} p^-t: the integral of x^-t from P, rounded up."""
-    return float(P) ** (1 - t) / (t - 1) * (1.0 + 2.0**-48)
+    """Upper bound on sum_{p > P} p^-t: the integral of x^-t from P, rounded up.
+
+    2^-1070 covers the roundings of a result below the normal range.
+    """
+    return float(P) ** (1 - t) / (t - 1) * (1.0 + 2.0**-48) + 2.0**-1070
 
 
-def _live_terms(neglog: list[list[float]]) -> list[int]:
+def _live_terms(neglog) -> list[int]:
     """The t >= 2, ascending, with c_t != 0 in some z-degree of ``neglog``."""
     return [t for t in range(2, len(neglog[0])) if any(row[t] for row in neglog)]
 
 
-def _needed_terms(ts: list[int], P: int) -> list[int]:
-    """The t of ``ts`` whose tail P(t) - head_t(P0) is worth taking from prime zeta.
+def _span_terms(ts: list[int], P0: int) -> list[int]:
+    """The t of ``ts`` whose T_t(P0) takes the primes between 1000 and P0.
 
-    Once the tail beyond P is below double precision, the power sum up to P
-    encloses T_t as tightly, so those t need no head sum.
+    These are the t whose bound P0^(1-t)/(t-1) is above ``_POWER_CUT``; at
+    P0 > 1000 that is t <= 6, so no p^-t with p <= 1e8 leaves the normal
+    range, and at P0 < 1000 no p^-t with p <= 1000 and t <= 64 does.
     """
-    return [t for t in ts if _integral_tail(P, t) > 2 * _U]
-
-
-def _power_terms(ts: list[int], P0: int, P: int) -> list[int]:
-    """The t of ``ts`` whose T_t takes the power sum over the primes in (P0, P].
-
-    Every P0 that has such t is at least ``MIN_TRUNCATION``, so t <= 6 and
-    no p^-t with p <= 1e8 leaves the normal range.
-    """
-    if P <= P0:
+    if P0 == MIN_TRUNCATION:
         return []
-    return [
-        t
-        for t in ts
-        if _integral_tail(P, t) <= _POWER_TAIL and _integral_tail(P0, t) > _POWER_CUT
-    ]
-
-
-def _power_sums(primes: array, ts: list[int]) -> list[float]:
-    """fsum of p^-t over ``primes`` for each t of the ascending ``ts``.
-
-    x = 1/p rounds once and each power is the previous one times x, so p^-t
-    is within (1 + u)^(2t - 1) - 1 relative; the fsum adds one rounding.
-    """
-    x = [1.0 / p for p in primes]
-    power, t, out = x, 1, []
-    for target in ts:
-        while t < target:
-            power, t = list(map(mul, power, x)), t + 1
-        out.append(math.fsum(power))
-    return out
+    return [t for t in ts if _integral_tail(P0, t) > _POWER_CUT]
 
 
 def _tail_sums(
-    ts: list[int],
-    P0: int,
-    P: int,
-    heads: dict[int, float],
-    head_err: float,
-    powers: dict[int, float],
+    ts: list[int], P0: int, span: dict[int, float]
 ) -> dict[int, tuple[float, float, float]]:
     """(lo, mid, hi) with lo <= T_t = sum_{p > P0} p^-t <= hi, for each t of ``ts``.
 
-    Every T_t lies in [0, P0^(1-t)/(t-1)].  ``heads[t]`` is
-    sum_{p <= P0} p^-t within ``head_err`` relative, and puts T_t in
-    P(t) - head_t plus or minus its error; ``powers[t]`` is the fsum over
-    the primes in (P0, P] of ``_power_sums``, within (1 + u)^(2t + 1) - 1
-    relative after the fsum over chunks, and puts T_t in it plus
-    [0, P^(1-t)/(t-1)].  ``mid`` is P(t) - head_t where there is a head,
-    else the power sum, else 0, clamped into [lo, hi].
+    Every T_t lies in [0, P0^(1-t)/(t-1)], and T_t(1000) in [lo_t, hi_t] of
+    ``_TAIL_1000``.  ``span[t]``, for the t of ``_span_terms``, is the sum of
+    p^-t over the primes between 1000 and P0: each term one correctly
+    rounded division, then a chunk fsum and an fsum of the chunks, within
+    (1 + u)^3 - 1 < 3.01u of the exact positive sum.  It is taken off
+    T_t(1000) when P0 > 1000 and added when P0 < 1000.  A t without a span
+    sum keeps T_t(1000) as the bound it gives: an upper bound when
+    P0 > 1000, a lower bound when P0 < 1000.  ``mid`` is the midpoint.
     """
     out = {}
     for t in ts:
-        lo, mid, hi = 0.0, 0.0, _integral_tail(P0, t)
-        if t in heads:
-            pz = _prime_zeta(t)
-            mid = pz.value - heads[t]
-            e = pz.error + head_err * heads[t] + _U * abs(mid)
-            lo, hi = max(lo, mid - e), min(hi, mid + e)
-        if t in powers:
-            h = powers[t]
-            # 2t + 1 roundings, and the rest covers e itself and h -/+ e
-            e = (2 * t + 4) * _U * h
-            lo, hi = max(lo, h - e), min(hi, h + e + _integral_tail(P, t))
-            if t not in heads:
-                mid = h
-        out[t] = (lo, min(max(mid, lo), hi), hi)
+        lo, hi = _TAIL_1000[t - 2]
+        if t in span:
+            s = span[t]
+            # covers the 3.01u of s and the roundings of s -/+ e
+            e = 5 * _U * s
+            if P0 > MIN_TRUNCATION:
+                lo, hi = lo - (s + e), hi - (s - e)
+            else:
+                lo, hi = lo + (s - e), hi + (s + e)
+            # the difference or sum above rounds once
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        elif P0 > MIN_TRUNCATION:
+            lo = 0.0
+        elif P0 < MIN_TRUNCATION:
+            hi = math.inf
+        lo, hi = max(lo, 0.0), min(hi, _integral_tail(P0, t))
+        out[t] = (lo, min(max((lo + hi) / 2, lo), hi), hi)
     return out
 
 
@@ -581,18 +622,16 @@ class _Bracket:
 def _bracketed_product(
     rows_of,
     log_rel_err,
-    neglog: tuple[list[list[float]], list[list[float]]],
+    neglog: tuple,
     m: int,
     P0: int,
-    P: int,
 ) -> _Bracket:
-    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta, at truncation P.
+    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta, over all primes.
 
     The factors p <= P0 are summed as logs; the rest are enclosed per
-    z-degree through the T_t = sum_{p > P0} p^-t of ``_tail_sums``, with
-    heads over p <= P0 for prime zeta and power sums over (P0, P]; the
-    primes above P0 are sieved only for those sums.  ``density()`` is the
-    case K = 0.
+    z-degree through the T_t = sum_{p > P0} p^-t of ``_tail_sums``, from
+    ``_TAIL_1000`` and the primes between 1000 and P0, the only primes
+    sieved.  ``density()`` is the case K = 0.
 
     ``rows_of(primes)`` takes an ``array('q')`` of primes p <= P0 and
     returns per-chunk sums ``(logs, majorant)``: ``logs[k]`` the computed
@@ -626,25 +665,23 @@ def _bracketed_product(
     # K + 1 log rows and K majorant rows per prime share one chunk budget
     chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
     ts = _live_terms(neglog)
-    needed = _needed_terms(ts, P)
-    powers = _power_terms(ts, P0, P)
-    parts, head_parts, power_parts = [], [], []
+    span_ts = _span_terms(ts, P0)
+    # the primes in (low, high] are those between 1000 and P0
+    low, high = sorted((P0, MIN_TRUNCATION))
+    parts, span_parts = [], []
     n_primes = 0
-    for seg in prime_segments(P if powers else P0):
+    for seg in prime_segments(high):
         n_low = bisect_right(seg, P0)
         n_primes += n_low
         for i in range(0, n_low, chunk):
-            piece = seg[i : min(i + chunk, n_low)]
-            parts.append(rows_of(piece))
-            head_parts.append([math.fsum([1 / p**t for p in piece]) for t in needed])
-        for i in range(n_low, len(seg), _POWER_CHUNK):
-            power_parts.append(_power_sums(seg[i : i + _POWER_CHUNK], powers))
-    heads = {t: math.fsum([h[i] for h in head_parts]) for i, t in enumerate(needed)}
-    power_sums = {t: math.fsum([h[i] for h in power_parts]) for i, t in enumerate(powers)}
-    # the fsum over the chunks rounds once more
-    head_err = _HEAD_ERR * (1 + _U) + _U
+            parts.append(rows_of(seg[i : min(i + chunk, n_low)]))
+        if span_ts:
+            for i in range(bisect_right(seg, low), len(seg), _FSUM_CHUNK):
+                piece = seg[i : i + _FSUM_CHUNK]
+                span_parts.append([math.fsum([1 / p**t for p in piece]) for t in span_ts])
+    span = {t: math.fsum([h[i] for h in span_parts]) for i, t in enumerate(span_ts)}
     generic = [math.fsum([logs[k] for logs, _ in parts]) for k in range(K + 1)]
-    sums = _tail_sums(ts, P0, P, heads, head_err, power_sums)
+    sums = _tail_sums(ts, P0, span)
     tails = [_tail_enclosure(neglog[k], neglog_err[k], P0, sums) for k in range(K + 1)]
 
     log_sum = generic[0]
@@ -697,7 +734,7 @@ def _bracketed_product(
 
 def _estimate(
     delta_of,
-    deficiency: list[list[int]],
+    deficiency: tuple[tuple[int, ...], ...],
     m: int,
     target_error: float,
     *,
@@ -708,9 +745,11 @@ def _estimate(
 
     ``delta_of`` maps a prime p <= ``start`` to delta(p) within the error of
     ``_delta``; beyond ``start`` delta follows ``deficiency`` and ``m`` as
-    ``_bracketed_product`` takes them.  The product is evaluated once, at
-    ``truncation_prime`` or else at ``start``; without a pinned prime, a
-    bracket wider than ``target_error`` raises UnreachableTargetError.
+    ``_bracketed_product`` takes them.  The product is evaluated once, with
+    its factors split at ``start``; ``truncation_prime``, at least
+    ``start``, is only reported, since the tail beyond ``start`` is enclosed
+    whatever it is.  Without a pinned prime, a bracket wider than
+    ``target_error`` raises UnreachableTargetError.
     """
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
@@ -723,9 +762,7 @@ def _estimate(
     def rows_of(primes: array) -> tuple:
         return [math.fsum([math.log1p(-delta_of(p)) for p in primes])], []
 
-    b = _bracketed_product(
-        rows_of, (_CHUNK_LOG_ERR,), _neglog_coeffs(deficiency), m, start, P
-    )
+    b = _bracketed_product(rows_of, (_CHUNK_LOG_ERR,), _neglog_coeffs(deficiency), m, start)
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -754,7 +791,9 @@ def density(
     The product is evaluated once, at max(MIN_TRUNCATION, largest exceptional
     prime + 1), and a bracket wider than ``target_error`` raises
     UnreachableTargetError; pass ``truncation_prime`` to pin the prime
-    instead, in which case no width check is applied.  Every prime's factor,
+    instead, in which case no width check is applied.  The pinned prime is
+    reported but changes no bracket: the primes above the split enter
+    through ``_TAIL_1000`` whatever it is.  Every prime's factor,
     exceptional or not, is 1 - ``_delta`` of its own pattern.  If the default
     pattern forbids exponent 1 the product diverges to zero and the estimate
     is exactly 0 with ``diverges_to_zero`` set.
@@ -890,6 +929,8 @@ def closed_form(
     - ``ex3`` (k >= 2): at most one prime with exponent >= k;
       (1/zeta(k)) (1 + sum_p 1/(p^k - 1)).
     """
+    from fractions import Fraction
+
     _check_target(target_error)
     if form == "powerfree":
         if k is None or k < 1:

@@ -13,7 +13,6 @@ string denotes the empty pattern (no positive exponent allowed).
 
 from __future__ import annotations
 
-import json
 import numbers
 import re
 from array import array
@@ -360,6 +359,8 @@ def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
 
 def load_spec(path: str) -> PrimeAwarePattern:
     """Load a JSON pattern spec file (schema as in parse_prime_aware)."""
+    import json  # only spec files need it
+
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return parse_prime_aware(doc)

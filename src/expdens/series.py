@@ -20,11 +20,13 @@ Only the primes p <= P0 = min(1000, P) get rows of their own: every row a_k
 of F(p; z) is an exact integer quotient (``_local_poly``), a_0 = 1 - delta(p)
 the same one as in ``density()``, and ``_log_series`` takes the log of the
 row as a float series in z.  The engine adds the logs over p <= P0, encloses
-the factors p > P0 per z-degree through prime zeta values and power sums
-over the primes in (P0, P], and takes one exp of the series.  Every d_k
-comes with ``lower`` and ``upper`` that hold the true density, the tail
-beyond P0 and all float roundoff included.  Work is estimated from P and K
-before any sieving and capped at ``SERIES_WORK_CAP``.
+the factors p > P0 per z-degree through the committed prime tails
+``euler._TAIL_1000`` (plus the primes in (P0, 1000] when P < 1000), and
+takes one exp of the series.  No prime above 1000 is sieved, so a P above
+1000 changes no bracket.  Every d_k comes with ``lower`` and ``upper`` that
+hold the true density, the tail beyond P0 and all float roundoff included.
+Work is estimated from K and P0 before any sieving and capped at
+``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ DEFAULT_TRUNCATION = 100_000
 # 50 ns each).  The rows cost pi(P0) (K + 9)^2: a row's log and majorant take
 # about K^2 products per prime, and the 9 stands for the quotients and log1p;
 # the engine's own series in 1/p and z cost about as much as 64 more rows.
-# n > 0 power sums cost pi(P) (n + 4): one product and one fsum term per prime
-# and t, and about 4 for the sieve.  P = 1e7 at K = 16 passes; P = 1e8 with
-# any power sum does not, nor does K = 200 at P >= 1000.
+# Nothing depends on P beyond P0 = 1000, so every P the sieve budget admits
+# passes at K <= 190, and K = 200 at P >= 1000 does not.
 SERIES_WORK_CAP = 10**7
 
 
@@ -252,9 +253,7 @@ def _log_row_errors(K: int, rho: float) -> list[float]:
     return out
 
 
-def _enclose(
-    w: ExponentWeight, K: int, m: int, P0: int, P: int, neglog: tuple
-) -> euler._Bracket:
+def _enclose(w: ExponentWeight, K: int, m: int, P0: int) -> euler._Bracket:
     """One engine call: d_0..d_K bracketed, with a log row per prime p <= P0.
 
     Rows: delta(p) = 1 - a_0 is ``euler._delta`` of the induced pattern,
@@ -289,7 +288,8 @@ def _enclose(
     rho = _U * (1 + 2.0**-50)
     rel = [euler._CHUNK_LOG_ERR]
     rel += [(r + _U * (1 + r)) / (1 - _U) for r in _log_row_errors(K, rho)]
-    return euler._bracketed_product(rows_of, rel, neglog, m, P0, P)
+    neglog = euler._neglog_coeffs(euler._deficiency(w.weight, K))
+    return euler._bracketed_product(rows_of, rel, neglog, m, P0)
 
 
 def density_series(
@@ -300,14 +300,14 @@ def density_series(
     """d_0..d_K of the weight w, each with a proven bracket.
 
     The factors p <= P0 = min(1000, truncation_prime) are multiplied out as
-    rows; the rest are enclosed through prime zeta values and through power
-    sums over the primes in (P0, truncation_prime].  Raises
-    DivergentWeightError when w(1) > 0 (the induced pattern forbids exponent
-    1), since then d_0 and every finite-k density vanish.  Raises
-    ResourceBudgetError when the work estimate, (pi(P0) + 64) (K + 9)^2 for
-    the rows and the engine plus pi(P) (n + 4) for n > 0 power sums over the
-    primes up to P = truncation_prime (each pi bounded by RS_UPPER x / ln x),
-    exceeds SERIES_WORK_CAP.
+    rows; the rest are enclosed through the committed table of
+    sum_{p > 1000} p^-t, so a truncation_prime above 1000 changes no
+    bracket.  Raises DivergentWeightError when w(1) > 0 (the induced pattern
+    forbids exponent 1), since then d_0 and every finite-k density vanish.
+    Raises ResourceBudgetError when truncation_prime exceeds the sieve
+    budget, or when the work estimate (pi(P0) + 64) (K + 9)^2 for the rows
+    and the engine (pi bounded by RS_UPPER x / ln x) exceeds
+    SERIES_WORK_CAP.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -322,19 +322,17 @@ def density_series(
     _check_budget(truncation_prime)
     P = truncation_prime
     P0 = min(euler.MIN_TRUNCATION, P)
-    row_work = (_pi_bound(P0) + 64) * (K + 9) ** 2 if K <= SERIES_WORK_CAP else math.inf
-    if row_work > SERIES_WORK_CAP:
-        _refuse(row_work, K, P0, 0, P)
-    neglog = euler._neglog_coeffs(euler._deficiency(w.weight, K))
-    n_power = len(euler._power_terms(euler._live_terms(neglog[0]), P0, P))
-    work = row_work + (_pi_bound(P) * (n_power + 4) if n_power else 0.0)
+    work = (_pi_bound(P0) + 64) * (K + 9) ** 2 if K <= SERIES_WORK_CAP else math.inf
     if work > SERIES_WORK_CAP:
-        _refuse(work, K, P0, n_power, P)
+        raise ResourceBudgetError(
+            f"series work estimate {work:.3g} (rows of degree {K} for the primes up "
+            f"to {P0}) exceeds cap {SERIES_WORK_CAP:.3g}"
+        )
     if m is None:
         # w is 0 on every exponent, so every factor is 1
         one = (1.0,) + (0.0,) * K
         return DensitySeries(one, one, one, P, 0.0)
-    b = _enclose(w, K, m, P0, P, neglog)
+    b = _enclose(w, K, m, P0)
     return DensitySeries(b.value, b.lower, b.upper, P, 1.0 - math.fsum(b.value))
 
 
@@ -342,10 +340,3 @@ def _pi_bound(x: int) -> float:
     """pi(x) < RS_UPPER x / ln x for x >= 2."""
     return RS_UPPER * x / math.log(x)
 
-
-def _refuse(work: float, K: int, P0: int, n_power: int, P: int) -> None:
-    raise ResourceBudgetError(
-        f"series work estimate {work:.3g} (rows of degree {K} for the primes up to "
-        f"{P0}, {n_power} power sums over the primes up to {P}) exceeds cap "
-        f"{SERIES_WORK_CAP:.3g}"
-    )

@@ -601,3 +601,72 @@ def oracle_series(w: ExponentWeight, K: int, beyond: int = 1) -> list[mpmath.mpf
     With ``beyond`` = 1 these are the densities d_0..d_K of the weight.
     """
     return list(_oracle_series(w, K, beyond))
+
+
+# ---------------------------------------------------------------------------
+# Prime tails T_t(P0) = sum_{p > P0} p^-t with relative accuracy at every t.
+# T_t(1000) is about 10^-3t while P(t) is about 2^-t, so P(t) - head_t loses
+# about 2.7 t digits to cancellation; 40 + 3t working digits keep 40 of them.
+
+TAIL_SPLIT = 1000
+
+
+def _tail_dps(t: int) -> int:
+    return 40 + 3 * t
+
+
+@lru_cache(maxsize=None)
+def tail_1000(t: int) -> mpmath.mpf:
+    """T_t(1000) as mpmath's prime zeta P(t) minus the head sum_{p <= 1000} p^-t."""
+    with mpmath.workdps(_tail_dps(t)):
+        head = mpmath.fsum(mpmath.mpf(p) ** -t for p in _small_primes())
+        return mpmath.primezeta(t) - head
+
+
+def tail_1000_by_moebius(t: int) -> mpmath.mpf:
+    """T_t(1000) from P(t) = sum_r mu(r)/r log zeta(rt), summed here at 20 more digits.
+
+    The terms with 2^-rt below 10^-(dps + 20) are dropped; log zeta(u) is
+    below 2^(1-u) for u >= 2.
+    """
+    dps = _tail_dps(t) + 20
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        r = 1
+        while r * t * math.log10(2) <= dps + 20:
+            factors = brute_factorize(r)
+            if all(e == 1 for _, e in factors):
+                mu = (-1) ** len(factors)
+                total += mu * mpmath.log(mpmath.zeta(r * t)) / r
+            r += 1
+        return total - mpmath.fsum(mpmath.mpf(p) ** -t for p in _small_primes())
+
+
+def tail_table() -> list[tuple[float, float]]:
+    """The two adjacent floats around T_t(1000) for t = 2..64, as euler._TAIL_1000."""
+    rows = []
+    for t in range(2, 65):
+        exact = tail_1000(t)
+        lo = float(exact)
+        if mpmath.mpf(lo) > exact:
+            lo = math.nextafter(lo, 0.0)
+        rows.append((lo, math.nextafter(lo, math.inf)))
+    return rows
+
+
+def prime_tail(P0: int, t: int) -> mpmath.mpf:
+    """T_t(P0) = T_t(1000) -/+ the primes between 1000 and P0.
+
+    The primes in (1000, P0] are summed in fixed point, each term floored
+    to a multiple of 10^-(dps + 10).  Above 1000 the result keeps 30 digits
+    or more while T_t(P0) / T_t(1000) is above 10^-10, which holds for the t
+    that ``euler._span_terms`` takes at P0 <= 1e6; below 1000 it keeps 40.
+    """
+    dps = _tail_dps(t)
+    with mpmath.workdps(dps):
+        if P0 <= TAIL_SPLIT:
+            span = mpmath.fsum(mpmath.mpf(p) ** -t for p in _small_primes() if p > P0)
+            return tail_1000(t) + span
+        scale = 10 ** (dps + 10)
+        span = sum(scale // p**t for p in primes_upto(P0).tolist() if p > TAIL_SPLIT)
+        return tail_1000(t) - mpmath.mpf(span) / scale

@@ -308,11 +308,12 @@ class TestRoute:
             x, lambda p, a: int(not pap_allows(pap, p, a)), 0)[0]
 
     def test_many_flipped_primes(self):
-        # every prime to 1e5 forbids exponent 1, on both sides of sqrt(x)
-        pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000": ""}})
-        x = 5 * 10**5
-        assert count_pattern(x, pap).count == brute_g_counts(
-            x, lambda p, a: int(not pap_allows(pap, p, a)), 0)[0]
+        # every prime to 1e5 forbids exponent 1, on both sides of sqrt(x); no
+        # two primes above q fit under x, so the count is 1 + pi(x) - pi(q)
+        x, q = 5 * 10**5, 10**5
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {f"p<={q}": ""}})
+        pi = primes_upto(x)
+        assert count_pattern(x, pap).count == 1 + len(pi) - int((pi <= q).sum())
 
     def test_weighted_exponent_one_walks(self):
         # 1 <= w(1) <= K: f(p) is a power of z other than 1, so h has no

@@ -30,7 +30,6 @@ from expdens.patterns import (
 from expdens.primes import sieve_primes
 from expdens.series import ExponentWeight
 from helpers import (
-    _prime_zeta_tail,
     assert_below_partial,
     exp_odd_factor,
     gap_factor,
@@ -39,7 +38,11 @@ from helpers import (
     oracle_density,
     oracle_mod_periodic,
     partial_euler_product,
+    prime_tail,
     random_pattern,
+    tail_1000,
+    tail_1000_by_moebius,
+    tail_table,
 )
 
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
@@ -73,7 +76,7 @@ class TestZeta:
 
     def test_bernoulli_table(self):
         for k, b in enumerate(expdens.euler._BERNOULLI, start=1):
-            assert (b.numerator, b.denominator) == mpmath.bernfrac(2 * k)
+            assert b == mpmath.bernfrac(2 * k)
 
     def test_error_bars_hold_against_mpmath(self):
         with mpmath.workdps(40):
@@ -90,30 +93,55 @@ class TestZeta:
                 assert pz.error <= 2e-15
 
 
-class TestTailSums:
-    """Each T_t = sum_{p > 1000} p^-t lies in its enclosure, at every truncation."""
+class TestTailTable:
+    """``_TAIL_1000`` holds T_t(1000) = sum_{p > 1000} p^-t between adjacent floats."""
 
-    @pytest.mark.parametrize("P", [1000, 10**4, 10**5, 10**6])
+    def test_regenerated_from_mpmath(self):
+        assert list(expdens.euler._TAIL_1000) == tail_table()
+
+    def test_rows_enclose_the_tail(self):
+        for t, (lo, hi) in enumerate(expdens.euler._TAIL_1000, start=2):
+            assert hi == math.nextafter(lo, math.inf)
+            assert lo <= tail_1000(t) <= hi
+
+    @pytest.mark.parametrize("t", range(2, 65))
+    def test_prime_zeta_against_moebius_inversion(self, t):
+        exact = tail_1000(t)
+        with mpmath.workdps(60):
+            assert abs(tail_1000_by_moebius(t) - exact) <= 1e-40 * exact
+
+
+class TestTailSums:
+    """Each T_t = sum_{p > P0} p^-t lies in its enclosure, at every split P0."""
+
+    @pytest.mark.parametrize("P", [2, 100, 1000, 10**4, 10**5, 10**6])
     def test_enclosures_hold_against_mpmath(self, P):
         euler = expdens.euler
-        P0 = euler.MIN_TRUNCATION
-        coeffs = [0.0, 0.0] + [1.0] * (euler._SERIES_DEGREE - 1)
-        primes = sieve_primes(P).primes.tolist()
-        low = [p for p in primes if p <= P0]
-        ts = euler._live_terms([coeffs])
-        powers = euler._power_terms(ts, P0, P)
-        assert (powers == []) == (P == P0)
-        heads = {t: math.fsum([1 / p**t for p in low]) for t in euler._needed_terms(ts, P)}
-        sums = dict(zip(powers, euler._power_sums(primes[len(low):], powers)))
-        enclosures = euler._tail_sums(ts, P0, P, heads, euler._HEAD_ERR, sums)
-        with mpmath.workdps(40):
-            for t, (lo, mid, hi) in enclosures.items():
-                truth = _prime_zeta_tail(t)
-                assert lo <= mid <= hi
+        ts = list(range(2, euler._SERIES_DEGREE + 1))
+        span_ts = euler._span_terms(ts, P)
+        assert (span_ts == []) == (P == euler.MIN_TRUNCATION)
+        low, high = sorted((P, euler.MIN_TRUNCATION))
+        between = [p for p in sieve_primes(high).primes.tolist() if p > low]
+        span = {t: math.fsum([1 / p**t for p in between]) for t in span_ts}
+        enclosures = euler._tail_sums(ts, P, span)
+        for t, (lo, mid, hi) in enclosures.items():
+            table_lo, table_hi = euler._TAIL_1000[t - 2]
+            assert lo <= mid <= hi
+            if P == euler.MIN_TRUNCATION:
+                assert (lo, hi) == (table_lo, table_hi)
+            if t in span or P <= euler.MIN_TRUNCATION:
+                truth = prime_tail(P, t)
                 assert lo <= truth <= hi, (t, lo, hi, truth)
-                if t in powers:
-                    # the power sum leaves only the tail beyond P
-                    assert hi - lo <= 1.01 * euler._integral_tail(P, t) + 1e-30
+            else:
+                # no sum: [0, bound], and sum_{n > P} n^-t bounds T_t from above
+                assert lo == 0.0
+                with mpmath.workdps(40):
+                    assert min(tail_1000(t), mpmath.zeta(t, P + 1)) <= hi
+            if t in span:
+                # the table's ulp, 2e = 10u s, the roundings of s -/+ e and of
+                # the sum or difference
+                s = span[t]
+                assert hi - lo <= (table_hi - table_lo) + 12 * euler._U * s + 4 * euler._U * hi
 
 
 class TestPrimeSum:
@@ -319,22 +347,19 @@ class TestDensity:
         assert est.width <= 1e-14
 
     def test_bracket_nesting_under_4x_truncation(self):
-        # Beyond P0 the proven width is nearly flat in P: the log-sum
-        # roundoff grows with |log| while the prime-zeta error bars stay.  With
-        # t = 5 in the tail (needed up to P = 5.8e3) 16 P0 is strictly
-        # narrower; the odd-t coefficients of 1..1 vanish, and only t = 6,
-        # about a third of an ulp of the bound, separates P0 from 4 P0.
+        # Beyond P0 every prime enters through the committed tails T_t(1000),
+        # so a pinned truncation prime moves no bracket at all.
         for pat in ("1..1", "1..1,3..inf", "1..2,5..inf"):
             pap = PrimeAwarePattern(default=parse_pattern(pat))
             coarse = density(pap, 1e-6)
             P0 = coarse.truncation_prime
             fine = density(pap, 1e-6, truncation_prime=4 * P0)
             finest = density(pap, 1e-6, truncation_prime=16 * P0)
-            assert coarse.lower <= fine.value <= coarse.upper
-            assert coarse.lower <= finest.value <= coarse.upper
-            assert finest.width <= fine.width <= coarse.width
-            if pat != "1..1":
-                assert finest.width < coarse.width
+            for est in (fine, finest):
+                assert (est.value, est.lower, est.upper) == (
+                    coarse.value, coarse.lower, coarse.upper
+                )
+                assert est.tail_logbound == coarse.tail_logbound
 
     def test_unreachable_target_carries_best(self):
         # 1e-16 is below the roundoff floor of the enclosure (about 3.8e-15)
@@ -363,6 +388,30 @@ class TestDensity:
         assert est.width <= 1e-12
         assert est.lower <= 1.0 / zeta_int(2).value <= est.upper
         assert est.truncation_prime == expdens.euler.MIN_TRUNCATION
+        assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "--pattern", "1..1", "--truncation", "1000000"],
+        ["density", "--pattern", "1..1", "--truncation", "100000"],
+    ])
+    def test_pinned_truncation_sieves_nothing_above_1000(self, argv, monkeypatch, capsys):
+        from expdens.cli import main
+
+        limits = []
+
+        def spy(sieve):
+            def wrapped(limit):
+                limits.append(limit)
+                return sieve(limit)
+
+            return wrapped
+
+        for module in (expdens.euler, expdens.series, expdens.patterns):
+            for name in ("prime_segments", "sieve_primes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        assert main(argv) == 0
+        assert "truncation_prime=" + argv[-1] in capsys.readouterr().out
         assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
 
     def test_rejects_nonpositive_target(self):
@@ -435,6 +484,15 @@ class TestNeglogCoeffs:
                 assert neglog[k][t] == float(truth)
                 assert abs(Fraction(neglog[k][t]) - truth) <= Fraction(err[k][t])
                 assert err[k][t] == expdens.euler._U * abs(neglog[k][t])
+
+    def test_memoized_and_immutable(self):
+        delta = expdens.euler._deficiency(NEGLOG_WEIGHTS["excess"], 8)
+        first = expdens.euler._neglog_coeffs(delta)
+        assert expdens.euler._neglog_coeffs(tuple(map(tuple, map(list, delta)))) is first
+        neglog, err = first
+        assert all(isinstance(row, tuple) for row in (*neglog, *err))
+        with pytest.raises(TypeError):
+            neglog[0][2] = 0.0
 
 
 class TestClosedForms:

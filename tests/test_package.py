@@ -1,5 +1,5 @@
-"""The package loads lazily: its names resolve on demand, and no module of
-it imports numpy."""
+"""The package loads lazily: its names resolve on demand, no module of it
+imports numpy, and the requests that need no fractions or JSON load neither."""
 
 import ast
 import json
@@ -44,20 +44,25 @@ def test_version_dir_and_missing_names():
         expdens.no_such_name
 
 
-def _run(code: str) -> tuple[str, bool]:
-    """The stdout of ``code`` in a fresh interpreter, and whether it loaded numpy."""
+WATCHED = ("fractions", "json", "numpy")
+
+
+def _run(code: str) -> tuple[str, set[str]]:
+    """The stdout of ``code`` in a fresh interpreter, and which WATCHED modules it loaded."""
+    report = f"\nimport sys\nprint('|' + ','.join(m for m in {WATCHED!r} if m in sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('numpy' in sys.modules)"],
+        [sys.executable, "-c", code + report],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert out.returncode == 0, out.stderr
-    text, _, loaded = out.stdout.rstrip().rpartition("\n")
-    return text, loaded == "True"
+    text, _, loaded = out.stdout.rstrip("\n").rpartition("\n")
+    assert loaded.startswith("|"), out.stdout
+    return text, set(filter(None, loaded[1:].split(",")))
 
 
 def _loads_numpy(code: str) -> bool:
-    return _run(code)[1]
+    return "numpy" in _run(code)[1]
 
 
 def _command(argv: list[str]) -> str:
@@ -93,6 +98,25 @@ def test_command_leaves_numpy_out(argv):
     assert not _loads_numpy(_command(argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--pattern", "1..1"],
+    ["series", "--weight", "delta", "--degree", "8", "--truncation", "1000000"],
+    ["series", "--pattern", "1..2", "--degree", "16", "--truncation", "1000000"],
+    ["series", "--pattern", "1..1", "--degree", "8"],
+])
+def test_command_leaves_fractions_and_json_out(argv):
+    assert not _run(_command(argv))[1] & {"fractions", "json"}
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["density", "--pattern", "1..1", "--output", "machine"], "json"),
+    (["examples"], "fractions"),
+])
+def test_fractions_and_json_load_where_used(argv, module):
+    # positive control: machine output needs json, the catalog's zeta fractions
+    assert module in _run(_command(argv))[1]
+
+
 def test_series_script_leaves_numpy_out():
     argv = ["--weight", "delta", "--x", "10000000"]
     assert not _loads_numpy(_script("scripts/series_vs_histogram.py", argv))
@@ -114,7 +138,7 @@ def test_count_with_every_prime_flipped(tmp_path):
     spec.write_text(json.dumps({"default": "1..1", "exceptions": {"p<=10000000": ""}}))
     out, loaded = _run(_command(["count", "--spec", str(spec), "--x", "10000000"]))
     assert "count=1" in out.split()
-    assert not loaded
+    assert "numpy" not in loaded
 
 
 def test_no_module_imports_numpy():

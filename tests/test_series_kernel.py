@@ -144,15 +144,18 @@ def _refuse_to_sieve(limit):
 
 
 class TestWorkCap:
+    # no prime above 1000 is sieved, so any P within the sieve budget passes
     @pytest.mark.parametrize(
-        "K, P", [(16, 10**7), (16, 10**6), (8, 10**6), (8, 10**5), (16, 2 * 10**5)]
+        "K, P", [(16, 10**7), (16, 10**6), (8, 10**6), (8, 10**5), (16, 2 * 10**5),
+                 (8, 10**8), (16, 10**8), (0, 10**8)]
     )
     def test_admits(self, K, P, monkeypatch):
         monkeypatch.setattr(expdens.euler, "prime_segments", _refuse_to_sieve)
-        with pytest.raises(_Admitted):
+        with pytest.raises(_Admitted) as exc:
             density_series(WEIGHTS["excess"], K, P)
+        assert exc.value.args == (1000,)
 
-    @pytest.mark.parametrize("K, P", [(8, 10**8), (16, 10**8), (0, 10**9), (0, 10**8)])
+    @pytest.mark.parametrize("K, P", [(0, 10**9), (8, 10**9), (200, 10**8)])
     def test_refuses_before_sieving(self, K, P, monkeypatch):
         monkeypatch.setattr(expdens.euler, "prime_segments", _refuse_to_sieve)
         with pytest.raises(ResourceBudgetError):
@@ -178,13 +181,25 @@ class TestWorkCap:
             density_series(WEIGHTS["excess"], K, P)
 
     def test_cli_exits_3_fast(self, capsys):
+        # P = 1e9 is past the sieve budget, though nothing above 1000 is sieved
         start = time.perf_counter()
-        code = main(["series", "--pattern", "1..1", "--truncation", "100000000"])
+        code = main(["series", "--pattern", "1..1", "--truncation", "1000000000"])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "exceeds cap" in captured.err
+        assert "exceeds budget" in captured.err
+
+    def test_cli_admits_1e8_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(["series", "--pattern", "1..1", "--truncation", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "truncation_prime=100000000" in capsys.readouterr().out
+        # the brackets are those of P = 1000
+        w = ExponentWeight.outside_pattern(parse_pattern("1..1"))
+        far, near = density_series(w, 8, 10**8), density_series(w, 8, 1000)
+        assert (far.coeffs, far.lower, far.upper) == (near.coeffs, near.lower, near.upper)
 
     def test_cli_high_degree_exits_3_fast(self, capsys):
         # the cost per prime is quadratic in K, so a small P does not save it
