@@ -9,22 +9,25 @@ where a key is a prime ("7"), "p<=q" for all primes up to q, or
 "p in [2,3,5]"; prime-class keys are expanded to explicit primes at load
 time, and the empty DSL string denotes the empty pattern.
 
-Machine mode prints one JSON record per result whose keys mirror the result
-dataclasses exactly; floats round-trip at full precision, and a record
+Machine mode prints one JSON record per result whose keys are the result
+record's fields, in order; floats round-trip at full precision, and a record
 holding NaN or an infinity is refused as a usage error.  Exit codes:
 0 ok, 1 usage, 2 target error unreachable, 3 resource cap, 4 verification
 failure.
+
+The result records are plain classes made by expdens._record, not
+dataclasses, so no request loads dataclasses or inspect; json loads only
+for machine output and fractions only for examples.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
 from . import euler  # empirical and series load in the subcommands that use them
+from ._record import record
 from .patterns import PatternSyntaxError, PrimeAwarePattern, load_spec, parse_pattern
 from .primes import ResourceBudgetError
 
@@ -39,7 +42,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
+@record
 class RunConfig:
     subcommand: str
     pattern: str | None = None
@@ -74,13 +77,18 @@ def _load_pattern(config: RunConfig) -> PrimeAwarePattern:
     return load_spec(config.spec_path)
 
 
-def _emit(record, out) -> None:
-    """One JSON line of a result dataclass, or of a dict."""
+def _fields(result) -> dict:
+    """A result record's fields by name, in field order."""
+    return {name: getattr(result, name) for name in result.__match_args__}
+
+
+def _emit(result, out) -> None:
+    """One JSON line of a result record, or of a dict."""
     import json  # only machine output needs it
 
-    if dataclasses.is_dataclass(record):
-        record = dataclasses.asdict(record)
-    out.write(json.dumps(record, allow_nan=False) + "\n")
+    if not isinstance(result, dict):
+        result = _fields(result)
+    out.write(json.dumps(result, allow_nan=False) + "\n")
 
 
 def _print_density(est: euler.DensityEstimate, label: str, out) -> None:
@@ -187,9 +195,9 @@ def _cmd_examples(config: RunConfig, out) -> int:
     for label, kwargs in _CATALOG_ROWS:
         est = euler.closed_form(target_error=config.target_error, **kwargs)
         if config.output == "machine":
-            record = dataclasses.asdict(est)
-            record["id"] = label
-            _emit(record, out)
+            row = _fields(est)
+            row["id"] = label
+            _emit(row, out)
         else:
             out.write(
                 f"{label:<24} value={est.value:.12f}  "
@@ -229,21 +237,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pattern", help="inline pattern DSL, e.g. '1..1,3..inf'")
+    common.add_argument("--spec", dest="spec_path", help="JSON pattern spec file")
+    common.add_argument("--x", type=int, help="sieve bound for counting")
+    common.add_argument("--error", dest="target_error", type=float,
+                        default=euler.DEFAULT_TARGET_ERROR,
+                        help="target bracket width for the product")
+    common.add_argument("--degree", type=int, default=8, help="series degree K")
+    common.add_argument("--truncation", type=int, help="override truncation prime")
+    common.add_argument("--tol", dest="tolerance", type=float, default=2e-3,
+                        help="verification tolerance")
+    common.add_argument("--output", choices=("human", "machine"), default="human")
     parser = _Parser(prog="expdens", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in ("density", "series", "count", "verify", "examples"):
-        p = sub.add_parser(name)
-        p.add_argument("--pattern", help="inline pattern DSL, e.g. '1..1,3..inf'")
-        p.add_argument("--spec", dest="spec_path", help="JSON pattern spec file")
-        p.add_argument("--x", type=int, help="sieve bound for counting")
-        p.add_argument("--error", dest="target_error", type=float,
-                       default=euler.DEFAULT_TARGET_ERROR,
-                       help="target bracket width for the product")
-        p.add_argument("--degree", type=int, default=8, help="series degree K")
-        p.add_argument("--truncation", type=int, help="override truncation prime")
-        p.add_argument("--tol", dest="tolerance", type=float, default=2e-3,
-                       help="verification tolerance")
-        p.add_argument("--output", choices=("human", "machine"), default="human")
+        p = sub.add_parser(name, parents=[common])
         if name == "series":
             p.add_argument("--weight", choices=("pattern", "delta"),
                            default="pattern",

@@ -32,10 +32,10 @@ import functools
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .euler import DensityEstimate
 from .patterns import PrimeAwarePattern, _PrimeRange, contains
 from .primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError, sieve_primes
@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 Rule = Callable[[int], int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CountReport:
     x: int
     count: int
@@ -58,7 +58,7 @@ class CountReport:
             raise ValueError("count must lie in [0, x]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GHistogram:
     """Counts of n <= x by g(n) value: buckets[k] for k = 0..K plus overflow."""
 
@@ -71,7 +71,7 @@ class GHistogram:
             raise ValueError("histogram must conserve the total count")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComparisonReport:
     deviation: float
     lower: float

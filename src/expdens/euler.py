@@ -46,9 +46,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .patterns import (
     ExponentPattern,
     PrimeAwarePattern,
@@ -174,7 +174,7 @@ class UnreachableTargetError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundedValue:
     """A float with a proven absolute error bound."""
 
@@ -182,7 +182,7 @@ class BoundedValue:
     error: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalFactor:
     """Per-prime term of a density product; always in (0, 1]."""
 
@@ -194,7 +194,7 @@ class LocalFactor:
             raise ValueError(f"local factor {self.value} outside (0, 1]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DensityEstimate:
     """A density value with a rigorous [lower, upper] bracket.
 
@@ -572,14 +572,22 @@ def _tail_enclosure(
     it is one z-degree of ``_neglog_coeffs``, so beyond t = 64 the c_t of
     all z-degrees together are at most 2^t / t in absolute value, the
     coefficients of -log(1 - 2 x^2 / (1 - x)).  ``sums`` encloses T_t for
-    every t with c_t != 0, as ``_tail_sums`` gives it.  With p >= 3 the
-    terms t > 64 sum to at most 3/65 sum_{p > P0} (2/p)^65, below
-    log 2 2^65 P0^-64 / 64.
+    every t with c_t != 0, as ``_tail_sums`` gives it.
+
+    The terms t > 64: every prime p > P0 is at least q = P0 + 1 >= 3, so
+    with x = 2/p <= 2/q < 1 a prime's terms sum to at most
+    sum_{t >= 65} x^t / t <= x^65 / (65 (1 - 2/q)), and
+    sum_{p > P0} p^-65 <= q^-65 + int_q^inf y^-65 dy = q^-65 (1 + q/64).
+    So they sum to at most (2/q)^65 (1 + q/64) / (65 (1 - 2/q)), and 2^-40
+    of it covers its roundings (a result below the normal range falls to
+    ``_UNDERFLOW``).
     """
     lo_terms: list[float] = []
     mid_terms: list[float] = []
     hi_terms: list[float] = []
-    slack = math.log(2.0) * 2.0**65 * float(P0) ** -64 / 64 + _UNDERFLOW
+    q = float(P0 + 1)
+    slack = (2.0 / q) ** 65 * (1.0 + q / 64) / (65 * (1.0 - 2.0 / q)) * (1.0 + 2.0**-40)
+    slack += _UNDERFLOW
     for t, c in enumerate(coeffs):
         if not c:
             continue
@@ -610,7 +618,7 @@ def _exp_series(s: list[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Bracket:
     """The coefficients d_0..d_K of a product over all primes, each bracketed."""
 

@@ -18,10 +18,10 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import and_, rshift
 
+from ._record import record
 from .primes import _odd_flags, is_prime, sieve_primes
 
 # Exception keys up to this bound are checked against one sieve's flags;
@@ -39,7 +39,7 @@ class PatternSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentInterval:
     """Closed exponent interval [lo, hi]; hi=None means unbounded above."""
 
@@ -63,7 +63,7 @@ class ExponentInterval:
         return f"{self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentPattern:
     """Normalized union of allowed-exponent intervals.
 
@@ -93,12 +93,12 @@ class ExponentPattern:
         return len(self.intervals) == 1 and self.intervals[0] == ExponentInterval(1, None)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeAwarePattern:
     """One default pattern plus a finite map of exceptional primes."""
 
     default: ExponentPattern
-    exceptions: Mapping[int, ExponentPattern] = field(default_factory=dict)
+    exceptions: Mapping[int, ExponentPattern] = {}  # __post_init__ copies it
 
     def __post_init__(self):
         if isinstance(self.exceptions, _PrimeRange):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import compress
+
+from ._record import record
 
 # Allocation guard: no sieve or count covers more than this many integers.
 DEFAULT_SIEVE_BUDGET = 10**8
@@ -33,7 +34,7 @@ class ResourceBudgetError(RuntimeError):
     """A sieve or count was requested beyond the configured memory budget."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeTable:
     """All primes up to ``limit``, ascending."""
 

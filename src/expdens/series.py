@@ -34,10 +34,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import add, mul, sub
 
 from . import euler
+from ._record import record
 from .euler import _U
 from .patterns import (
     ExponentInterval,
@@ -66,7 +66,7 @@ class DivergentWeightError(ValueError):
     """Weight whose zero set forbids exponent 1; every coefficient vanishes."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentWeight:
     """Prime-independent integer weight on exponents, piecewise linear.
 
@@ -132,7 +132,7 @@ class ExponentWeight:
         return cls.outside_pattern(normalize_intervals([(1, k - 1)] if k > 1 else []))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DensitySeries:
     """d_0..d_K, each with a bracket lower[k] <= d_k <= upper[k].
 

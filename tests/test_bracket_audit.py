@@ -1,5 +1,8 @@
 """Every published bracket holds a 40-digit value computed without expdens's product code."""
 
+import json
+from pathlib import Path
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -178,3 +181,30 @@ def test_series_brackets_hold_the_truth(w, K, truncation):
 def test_series_brackets_are_narrow(w, P):
     ds = density_series(w, 16, P)
     assert max(hi - lo for lo, hi in zip(ds.lower, ds.upper)) <= 1e-13
+
+
+SMALL_TRUNCATION = json.loads(
+    (Path(__file__).parent / "data" / "small_truncation_brackets.json").read_text()
+)["brackets"]
+NAMED_WEIGHTS = {
+    "excess": ExponentWeight.excess(),
+    "1..1": ExponentWeight.outside_pattern(parse_pattern("1..1")),
+    "1..2": ExponentWeight.outside_pattern(parse_pattern("1..2")),
+}
+
+
+@pytest.mark.parametrize(
+    "before", SMALL_TRUNCATION, ids=lambda r: f"{r['weight']}-P{r['truncation']}"
+)
+def test_small_truncation_brackets_tighten(before):
+    # at P = 2 and 3 the terms t > 64 of the tail are charged from the first
+    # integer above P: every d_k bracket narrows, nests and holds the truth
+    w = NAMED_WEIGHTS[before["weight"]]
+    ds = density_series(w, before["degree"], before["truncation"])
+    truths = oracle_series(w, before["degree"])
+    for k, (lo, hi, was_lo, was_hi) in enumerate(
+        zip(ds.lower, ds.upper, before["lower"], before["upper"], strict=True)
+    ):
+        assert was_lo <= lo <= hi <= was_hi, (k, ds)
+        assert hi - lo < was_hi - was_lo, (k, ds)
+        assert mpmath.mpf(lo) <= truths[k] <= mpmath.mpf(hi), (k, ds, truths[k])

@@ -1,5 +1,6 @@
 """The package loads lazily: its names resolve on demand, no module of it
-imports numpy, and the requests that need no fractions or JSON load neither."""
+imports numpy, no request loads dataclasses or inspect, and the requests
+that need no fractions or JSON load neither."""
 
 import ast
 import json
@@ -44,7 +45,25 @@ def test_version_dir_and_missing_names():
         expdens.no_such_name
 
 
-WATCHED = ("fractions", "json", "numpy")
+WATCHED = ("dataclasses", "fractions", "inspect", "json", "numpy")
+SPEC = "perfbench/odd_squarefree.json"
+X = "10000000"
+# The benchmark's CLI requests; spec paths are relative to the repository root.
+BENCHMARK_REQUESTS = [
+    ["density", "--pattern", "1..1", "--error", "1e-9"],
+    ["density", "--pattern", "1..1", "--error", "1e-12"],
+    ["density", "--pattern", "1..1,3..inf", "--error", "1e-8"],
+    ["density", "--pattern", "1..2", "--error", "1e-9"],
+    ["density", "--spec", SPEC],
+    ["examples"],
+    ["density", "--pattern", "1..1", "--truncation", "100000", "--output", "machine"],
+    ["count", "--pattern", "1..2", "--x", X],
+    ["verify", "--pattern", "1..1,3..inf", "--x", X],
+    ["count", "--spec", SPEC, "--x", X],
+    ["series", "--weight", "delta", "--degree", "8", "--truncation", "1000000"],
+    ["series", "--pattern", "1..2", "--degree", "16", "--truncation", "1000000"],
+    ["series", "--pattern", "1..1", "--degree", "8"],
+]
 
 
 def _run(code: str) -> tuple[str, set[str]]:
@@ -120,6 +139,24 @@ def test_fractions_and_json_load_where_used(argv, module):
 def test_series_script_leaves_numpy_out():
     argv = ["--weight", "delta", "--x", "10000000"]
     assert not _loads_numpy(_script("scripts/series_vs_histogram.py", argv))
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_REQUESTS, ids=" ".join)
+def test_benchmark_request_leaves_dataclasses_and_inspect_out(argv):
+    argv = [str(SRC.parent / a) if a == SPEC else a for a in argv]
+    assert not _run(_command(argv))[1] & {"dataclasses", "inspect"}
+
+
+def test_series_script_leaves_dataclasses_and_inspect_out():
+    argv = ["--weight", "delta", "--x", X]
+    loaded = _run(_script("scripts/series_vs_histogram.py", argv))[1]
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_dataclasses_and_inspect_imports_are_detected(module):
+    # positive control: the same check sees each module when the code imports it
+    assert module in _run(f"import {module}")[1]
 
 
 def test_import_leaves_numpy_out():
