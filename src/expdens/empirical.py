@@ -14,7 +14,11 @@ Then h(p^e) = f(p^e) - f(p) f(p^(e-1)), so h(p) = 0 for every prime, and
 sum_{n <= x} f(n) = sum_m h(m) B(floor(x / m)) with B(v) = sum_{n <= v} b(n),
 over the powerful m <= x with h(m) != 0 (Golomb 1970; Bateman and Grosswald
 1958).  A depth-first enumeration over the primes up to sqrt(x) visits
-O(sqrt(x)) of them in exact integers.
+O(sqrt(x)) of them in exact integers.  Most of them are leaves, nodes with
+no children, which add only h(m) B(floor(x / m)): a node sums B over its
+leaf children per distinct local term h(p^e) and multiplies each sum by its
+own h(m) h(p^e) once.  Integer addition and multiplication distribute
+exactly, so the counts are those of one product per child.
 
 B(v) is v when every prime allows exponent 1 and 1 when none does.  The
 flipped primes S, the exceptional primes whose exponent-1 rule differs
@@ -33,15 +37,11 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
-from typing import TYPE_CHECKING
 
 from ._record import record
 from .euler import DensityEstimate
 from .patterns import PrimeAwarePattern, _PrimeRange, contains
 from .primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError, sieve_primes
-
-if TYPE_CHECKING:
-    from .series import ExponentWeight
 
 # A rule maps an exponent e >= 1 to its weight.
 Rule = Callable[[int], int]
@@ -173,37 +173,59 @@ def _quotient_table(
 
 
 def _convolve(
-    x: int, K: int, entries: list[tuple], small: list[int], large: list[int]
+    x: int, K: int, entries: list, terms: list, small: list[int], large: list[int]
 ) -> list[int]:
     """sum over nodes m of h(m) B(x // m), B from ``_quotient_table``.
 
-    ``entries`` holds per prime (first power, [(p^e, h(p^e)), ...]) sorted
-    by first power, so a node's children stop at the first prime whose
-    smallest power overshoots x / m.  A child whose product vanishes mod
-    z^(K+1) is pruned with its subtree.
+    ``entries`` holds per prime (first power, [(p^e, i), ...]) sorted by
+    first power, where h(p^e) = ``terms[i]``, so a node's children stop at
+    the first prime whose smallest power overshoots x / m.  A child m p^e
+    of entry j is a leaf, a node with no children, exactly when p^e times
+    the next entry's first power exceeds x / m.  A leaf adds h(m) h(p^e)
+    B(x // (m p^e)), so the node sums B over its leaves per distinct h and
+    multiplies each nonzero sum by h(m) h once: integer sums, exact in any
+    order.  Every other child reuses the node's h(m) h, made on first need;
+    one that vanishes mod z^(K+1) is pruned with its subtree.
     """
     total = [0] * (K + 1)
     count = len(entries)
     r = len(small) - 1
+    nexts = [first for first, _ in entries[1:]] + [x + 1]
+
+    def times(c: list[int], h: tuple) -> list[int]:
+        out = [0] * (K + 1)
+        for d, a in h:
+            for i in range(K + 1 - d):
+                out[i + d] += a * c[i]
+        return out
+
+    def add(c: list[int], scale: int) -> None:
+        for k, ck in enumerate(c):
+            total[k] += ck * scale
 
     def visit(m: int, c: list[int], start: int) -> None:
         q = x // m
-        scale = large[m] if m <= r else small[q]
-        for k, ck in enumerate(c):
-            total[k] += ck * scale
+        add(c, large[m] if m <= r else small[q])
+        sums = [0] * len(terms)
+        products = [None] * len(terms)
         for j in range(start, count):
             first, powers = entries[j]
             if first > q:
                 break
-            for pe, h in powers:
+            below = q // nexts[j]  # a child with p^e above this is a leaf
+            for pe, i in powers:
                 if pe > q:
                     break
-                child = [0] * (K + 1)
-                for d, a in h:
-                    for i in range(K + 1 - d):
-                        child[i + d] += a * c[i]
-                if any(child):
-                    visit(m * pe, child, j + 1)
+                if pe > below:
+                    sums[i] += large[m * pe] if m * pe <= r else small[q // pe]
+                    continue
+                if products[i] is None:
+                    products[i] = times(c, terms[i])
+                if any(products[i]):
+                    visit(m * pe, products[i], j + 1)
+        for i, s in enumerate(sums):
+            if s:
+                add(times(c, terms[i]) if products[i] is None else products[i], s)
 
     visit(1, [1] + [0] * K, 0)
     return total
@@ -223,21 +245,28 @@ def _tally(
     flipped = [run for run, rule in runs if (rule(1) == 0) != allows_one]
     small, large = _quotient_table(x, allows_one, flipped)
     rules = {p: rule for run, rule in runs for p in run[: bisect_right(run, r)]}
-    # Rules hash by identity: one list of terms per rule object.
-    terms = functools.cache(lambda rule: _local_terms(rule, K, x.bit_length()))
+    # Rules hash by identity: one list of terms per rule object, and equal
+    # terms share one number, whatever rule or exponent they come from.
+    numbers: dict[tuple, int] = {}
+    terms = functools.cache(
+        lambda rule: [
+            numbers.setdefault(h, len(numbers)) if h else None
+            for h in _local_terms(rule, K, x.bit_length())
+        ]
+    )
     entries = []
     for p in sieve_primes(r).primes if r >= 2 else ():
         powers, pe = [], p
-        for h in terms(rules.get(p, default)):
+        for i in terms(rules.get(p, default)):
             pe *= p
             if pe > x:
                 break
-            if h:
-                powers.append((pe, h))
+            if i is not None:
+                powers.append((pe, i))
         if powers:
             entries.append((powers[0][0], powers))
     entries.sort(key=lambda entry: entry[0])
-    total = _convolve(x, K, entries, small, large)
+    total = _convolve(x, K, entries, list(numbers), small, large)
     return total + [x - sum(total)]
 
 
@@ -252,11 +281,11 @@ def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
         return rules[id(pattern)]
 
     # The exceptional primes as ascending runs, one per rule; a "p<=q"
-    # range is its own sieve array.
+    # range is its own sieve array, up to x at most.
     exceptions = pap.exceptions
     runs: list[tuple[Sequence[int], Rule]] = []
     if isinstance(exceptions, _PrimeRange):
-        runs.append((exceptions.primes, forbidden(exceptions.pattern)))
+        runs.append((exceptions.primes_upto(x), forbidden(exceptions.pattern)))
         exceptions = exceptions.rest
     grouped: dict[Rule, list[int]] = {}
     for p, pattern in exceptions.items():

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from operator import and_, rshift
 
 from ._record import record
-from .primes import _odd_flags, is_prime, sieve_primes
+from .primes import _check_budget, _odd_flags, is_prime, sieve_primes
 
 # Exception keys up to this bound are checked against one sieve's flags;
 # larger keys get a Miller-Rabin test each.
@@ -286,15 +286,30 @@ def _expand_prime_key(key: str) -> list[int]:
 
 
 class _PrimeRange(Mapping):
-    """Exceptions of a "p<=q" key: every prime in ``primes`` maps to ``pattern``.
+    """Exceptions of a "p<=q" key: every prime up to ``q`` maps to ``pattern``.
 
     ``rest`` maps the primes of the other keys, all above q.  The sieve's
-    array stands for the range, so a large q costs no per-prime entry.
+    array stands for the range, so a large q costs no per-prime entry; it is
+    made on first use, and ``primes_upto`` sieves only as far as it asks.
     Keys iterate ascending.
     """
 
-    def __init__(self, primes: array, pattern: ExponentPattern, rest: dict):
-        self.primes, self.pattern, self.rest = primes, pattern, rest
+    def __init__(self, q: int, pattern: ExponentPattern, rest: dict):
+        _check_budget(q)
+        self.q, self.pattern, self.rest = q, pattern, rest
+        self._primes: array | None = None
+
+    @property
+    def primes(self) -> array:
+        if self._primes is None:
+            self._primes = sieve_primes(self.q).primes
+        return self._primes
+
+    def primes_upto(self, limit: int) -> array:
+        """The primes of the range up to ``limit``, ascending."""
+        if limit >= self.q or self._primes is not None:
+            return self.primes[: bisect_right(self.primes, limit)]
+        return sieve_primes(limit).primes if limit >= 2 else array("q")
 
     def __getitem__(self, p: int) -> ExponentPattern:
         i = bisect_left(self.primes, p)
@@ -353,7 +368,7 @@ def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
         raise ValueError(f"prime {clash} assigned by more than one exception key")
     rest = dict(sorted(exceptions.items()))
     return PrimeAwarePattern(
-        default=default, exceptions=_PrimeRange(sieve_primes(q).primes, pattern, rest)
+        default=default, exceptions=_PrimeRange(q, pattern, rest)
     )
 
 

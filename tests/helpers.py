@@ -148,6 +148,41 @@ def brute_g_counts(x: int, weight, K: int) -> list[int]:
     return counts
 
 
+def convolve_reference(x: int, K: int, entries: list, terms: list, small: list[int],
+                       large: list[int]) -> list[int]:
+    """``empirical._convolve`` as one product per child: every node m, leaf or
+    not, adds h(m) B(x // m) with its own copy of h(m).
+
+    ``entries`` holds per prime (first power, [(p^e, i), ...]) with h(p^e) =
+    ``terms[i]`` as (degree, coefficient) pairs; B(x // m) is ``large[m]``
+    for m <= r = len(small) - 1 and ``small[x // m]`` above.
+    """
+    total = [0] * (K + 1)
+    r = len(small) - 1
+
+    def visit(m: int, c: list[int], start: int) -> None:
+        q = x // m
+        scale = large[m] if m <= r else small[q]
+        for k, ck in enumerate(c):
+            total[k] += ck * scale
+        for j in range(start, len(entries)):
+            first, powers = entries[j]
+            if first > q:
+                break
+            for pe, i in powers:
+                if pe > q:
+                    break
+                child = [0] * (K + 1)
+                for d, a in terms[i]:
+                    for k in range(K + 1 - d):
+                        child[k + d] += a * c[k]
+                if any(child):
+                    visit(m * pe, child, j + 1)
+
+    visit(1, [1] + [0] * K, 0)
+    return total
+
+
 def partial_euler_product(local_factor, limit: int = 2 * 10**6) -> float:
     """prod over primes p <= limit of local_factor(p), from its own sieve.
 

@@ -1,10 +1,13 @@
+import functools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expdens import empirical
 from expdens.empirical import (
     compare,
     count_pattern,
@@ -16,6 +19,7 @@ from expdens.patterns import (
     EMPTY_PATTERN,
     PrimeAwarePattern,
     contains,
+    load_spec,
     parse_pattern,
     parse_prime_aware,
 )
@@ -26,6 +30,7 @@ from helpers import (
     brute_count,
     brute_factorize,
     brute_g_counts,
+    convolve_reference,
     factorize,
     pap_allows,
     primes_upto,
@@ -405,6 +410,67 @@ class TestAgainstBruteForce:
         gh = g_histogram(x, w, K)
         expected = brute_g_counts(x, lambda p, a: w.weight(a), K)
         assert [*gh.buckets, gh.overflow] == expected
+
+
+def _rule(data, K):
+    """A weight rule with w(1) = 0 or w(1) > K, a table and a linear tail."""
+    w1 = data.draw(st.one_of(st.just(0), st.integers(K + 1, K + 9)))
+    rest = data.draw(st.lists(st.integers(0, 9), max_size=4))
+    w = table_weight([w1, *rest], data.draw(st.integers(0, 1)), data.draw(st.integers(0, 9)))
+    return functools.cache(w.weight)
+
+
+def _primes(data, pool, most):
+    return sorted(data.draw(st.lists(st.sampled_from(pool), max_size=most, unique=True))
+                  if pool else [])
+
+
+def _by_reference(call, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(empirical, "_convolve", convolve_reference)
+        return call(*args)
+
+
+SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "odd_squarefree.json"
+
+
+class TestEnumeration:
+    """``_convolve`` batches leaves; ``helpers.convolve_reference`` makes one
+    product per child.  ``_tally`` gives the same list with either."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.integers(1, 2 * 10**5), K=st.integers(0, 12), data=st.data())
+    def test_matches_reference(self, x, K, data):
+        # flipped primes come from the rules: a rule whose w(1) = 0 differs
+        # from the default's flips its primes, below or above sqrt(x)
+        r = math.isqrt(x)
+        pool = primes_upto(x).tolist()
+        runs = []
+        q = data.draw(st.one_of(st.just(1), st.integers(2, max(r, 2)), st.integers(r, x)))
+        if q >= 2:
+            runs.append((primes_upto(q).tolist(), _rule(data, K)))
+        below = [p for p in pool if q < p <= r]
+        above = [p for p in pool if max(q, r) < p]
+        singles = _primes(data, below, 3) + _primes(data, above, 3)
+        split = data.draw(st.integers(0, len(singles)))
+        for run in (singles[:split], singles[split:]):
+            if run:
+                runs.append((run, _rule(data, K)))
+        default = _rule(data, K)
+        expected = _by_reference(empirical._tally, x, K, default, runs)
+        assert empirical._tally(x, K, default, runs) == expected
+
+    @pytest.mark.parametrize("x, call, arg", [
+        (10**7, count_pattern, PrimeAwarePattern(parse_pattern("1..2"))),
+        (10**7, count_pattern, PrimeAwarePattern(parse_pattern("1..1,3..inf"))),
+        (10**7, count_pattern, load_spec(str(SPEC))),
+        (10**7, lambda x, w: g_histogram(x, w, 8), ExponentWeight.excess()),
+        (10**8, count_pattern, PrimeAwarePattern(parse_pattern("2..inf"))),
+        (10**8, count_pattern, PrimeAwarePattern(parse_pattern("1..1,3..inf"))),
+    ], ids=["1..2", "1..1,3..inf", "odd_squarefree", "excess-K8",
+            "2..inf-1e8", "1..1,3..inf-1e8"])
+    def test_benchmark_calls(self, x, call, arg):
+        assert call(x, arg) == _by_reference(call, x, arg)
 
 
 class TestCompare:

@@ -1,12 +1,14 @@
 """The package loads lazily: its names resolve on demand, no module of it
-imports numpy, no request loads dataclasses or inspect, and the requests
-that need no fractions or JSON load neither."""
+imports numpy, no request loads dataclasses or inspect, the requests
+that need no fractions or JSON load neither, and the oracle requests load
+no typing."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,7 +47,7 @@ def test_version_dir_and_missing_names():
         expdens.no_such_name
 
 
-WATCHED = ("dataclasses", "fractions", "inspect", "json", "numpy")
+WATCHED = ("dataclasses", "fractions", "inspect", "json", "numpy", "typing")
 SPEC = "perfbench/odd_squarefree.json"
 X = "10000000"
 # The benchmark's CLI requests; spec paths are relative to the repository root.
@@ -66,11 +68,12 @@ BENCHMARK_REQUESTS = [
 ]
 
 
-def _run(code: str) -> tuple[str, set[str]]:
-    """The stdout of ``code`` in a fresh interpreter, and which WATCHED modules it loaded."""
+def _run(code: str, *options: str) -> tuple[str, set[str]]:
+    """The stdout of ``code`` in a fresh interpreter started with ``options``,
+    and which WATCHED modules it loaded."""
     report = f"\nimport sys\nprint('|' + ','.join(m for m in {WATCHED!r} if m in sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", code + report],
+        [sys.executable, *options, "-c", code + report],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
@@ -159,6 +162,20 @@ def test_dataclasses_and_inspect_imports_are_detected(module):
     assert module in _run(f"import {module}")[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--pattern", "1..2", "--x", "1000000"],
+    ["verify", "--pattern", "1..1,3..inf", "--x", "1000000"],
+])
+def test_oracle_request_leaves_typing_out(argv):
+    # -S skips site, whose .pth files may import typing on their own
+    assert "typing" not in _run(_command(argv), "-S")[1]
+
+
+def test_typing_import_is_detected():
+    # positive control: the same check under -S sees typing when the code imports it
+    assert "typing" in _run("import typing", "-S")[1]
+
+
 def test_import_leaves_numpy_out():
     assert not _loads_numpy("import expdens")
 
@@ -176,6 +193,17 @@ def test_count_with_every_prime_flipped(tmp_path):
     out, loaded = _run(_command(["count", "--spec", str(spec), "--x", "10000000"]))
     assert "count=1" in out.split()
     assert "numpy" not in loaded
+
+
+def test_count_sieves_a_range_only_to_x(tmp_path):
+    # "p<=1e8" at x = 10: the range is sieved to 10, not to 1e8, and only
+    # n = 1 is left
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"default": "1..1", "exceptions": {"p<=100000000": ""}}))
+    start = time.perf_counter()
+    out, _ = _run(_command(["count", "--spec", str(spec), "--x", "10"]))
+    assert time.perf_counter() - start < 0.5
+    assert "count=1" in out.split()
 
 
 def test_no_module_imports_numpy():

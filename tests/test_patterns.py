@@ -18,7 +18,7 @@ from expdens.patterns import (
     parse_prime_aware,
     pattern_for_prime,
 )
-from expdens.primes import sieve_primes
+from expdens.primes import ResourceBudgetError, sieve_primes
 from helpers import in_raw_union, raw_intervals
 
 
@@ -193,7 +193,8 @@ class TestPrimeAware:
         assert len(pap.exceptions) == 78498
 
     def test_range_key_to_1e7_parses_in_one_sieve(self, monkeypatch):
-        # 664 579 keys: one sieve for the expansion and the check, no sort
+        # 664 579 keys: the parse sieves nothing; the first use makes one
+        # sieve for the expansion and the check, no sort
         limits = []
         sieve = expdens.patterns.sieve_primes
 
@@ -204,10 +205,31 @@ class TestPrimeAware:
         monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
         start = time.perf_counter()
         pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=10000000": "1..1"}})
-        assert time.perf_counter() - start < 0.5
-        assert limits == [10**7]
+        assert limits == []
         assert len(pap.exceptions) == 664579
+        assert time.perf_counter() - start < 0.5
         assert list(pap.exceptions)[-1] == 9999991
+        assert limits == [10**7]
+
+    def test_range_is_sieved_only_as_far_as_asked(self, monkeypatch):
+        limits = []
+        sieve = expdens.patterns.sieve_primes
+
+        def recording(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000000": ""}})
+        assert pap.exceptions.primes_upto(100).tolist() == sieve(100).primes.tolist()
+        assert pap.exceptions.primes_upto(1).tolist() == []
+        assert limits == [100]
+        with pytest.raises(ResourceBudgetError):
+            parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000001": ""}})
+        small = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100": ""}})
+        assert small.exceptions.primes_upto(10**6).tolist() == sieve(100).primes.tolist()
+        assert small.exceptions.primes_upto(50).tolist() == sieve(50).primes.tolist()
+        assert limits == [100, 100]
 
     def test_non_integer_key_rejected(self):
         for key in (7.0, "7"):
