@@ -22,7 +22,6 @@ for machine output and fractions only for examples.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 
@@ -231,42 +230,63 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_RESOURCE
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+# Each flag's RunConfig field and converter; only series takes --weight.
+_FLAGS = {
+    "--pattern": ("pattern", str), "--spec": ("spec_path", str),
+    "--x": ("x", int), "--error": ("target_error", float),
+    "--degree": ("degree", int), "--truncation": ("truncation", int),
+    "--tol": ("tolerance", float), "--output": ("output", str),
+    "--weight": ("weight", str),
+}
+_USAGE = """usage: expdens {density,series,count,verify,examples} [--pattern DSL | --spec FILE]
+  [--x N] [--error WIDTH] [--degree K] [--truncation P] [--tol T] [--output human|machine]
+  [--weight pattern|delta (series only)]; a flag takes its value as --flag VALUE or
+  --flag=VALUE and may be shortened to a unique prefix; -h or --help prints this text\n"""
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pattern", help="inline pattern DSL, e.g. '1..1,3..inf'")
-    common.add_argument("--spec", dest="spec_path", help="JSON pattern spec file")
-    common.add_argument("--x", type=int, help="sieve bound for counting")
-    common.add_argument("--error", dest="target_error", type=float,
-                        default=euler.DEFAULT_TARGET_ERROR,
-                        help="target bracket width for the product")
-    common.add_argument("--degree", type=int, default=8, help="series degree K")
-    common.add_argument("--truncation", type=int, help="override truncation prime")
-    common.add_argument("--tol", dest="tolerance", type=float, default=2e-3,
-                        help="verification tolerance")
-    common.add_argument("--output", choices=("human", "machine"), default="human")
-    parser = _Parser(prog="expdens", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("density", "series", "count", "verify", "examples"):
-        p = sub.add_parser(name, parents=[common])
-        if name == "series":
-            p.add_argument("--weight", choices=("pattern", "delta"),
-                           default="pattern",
-                           help="binary weight from the pattern, or the excess weight")
-    return parser
+def _is_value(arg: str) -> bool:
+    # no leading "-", unless "-" alone, spaced or a negative number (-1, -.5)
+    negative = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+    return not arg.startswith("-") or arg == "-" or " " in arg or negative
+
+
+def _parse(argv: list[str]) -> RunConfig | None:
+    """The RunConfig of ``argv``, or None where -h or --help asks for usage."""
+    args = iter(argv)
+    subcommand, given = next(args, ""), {}
+    flags = [f for f in _FLAGS if f != "--weight" or subcommand == "series"]
+    for arg in args if subcommand in _DISPATCH else [subcommand]:
+        if arg == "-h" or len(arg) > 2 and "--help".startswith(arg):
+            return None
+        if subcommand not in _DISPATCH:
+            raise UsageError(f"the first argument must be one of: {', '.join(_DISPATCH)}")
+        name, eq, value = arg.partition("=")
+        # no flag is a prefix of another, so a whole name matches only itself
+        matches = [f for f in flags if f.startswith(name) and len(name) > 2]
+        if len(matches) != 1:
+            raise UsageError(f"{'ambiguous' if matches else 'unrecognized'} argument {arg!r}")
+        flag = matches[0]
+        if not eq:
+            value = next(args, None)
+            if value is None or not _is_value(value):
+                raise UsageError(f"{flag} expects a value")
+        field, convert = _FLAGS[flag]
+        try:
+            given[field] = convert(value)
+        except ValueError:
+            raise UsageError(f"{flag}: invalid value {value!r}") from None
+    return RunConfig(subcommand, **given)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        config = RunConfig(**vars(ns))
+        config = _parse(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if config is None:
+        sys.stdout.write(_USAGE)
+        return EXIT_OK
     return run(config)
 
 

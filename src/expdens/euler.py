@@ -8,7 +8,7 @@ product of per-prime local factors
 
 (the second term drops when hi is unbounded).  Every prime's delta, with
 its own pattern or the default, is one exact integer quotient num / p^E
-rounded once to float (``_delta``), so one error constant covers the
+rounded once to float (``_deltas``), so one error constant covers the
 log-sum of every scalar product.
 
 A product is evaluated once, at a truncation prime P.  Its factors split at
@@ -47,6 +47,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import groupby, repeat
 
 from ._record import record
 from .patterns import (
@@ -74,7 +75,7 @@ _U = 2.0**-53
 # the others are taken from ``_TAIL_1000`` and the primes between 1000 and P0.
 _POWER_CUT = 2.0**-60
 # Covers every result that underflows below the normal range and every term
-# that ``_delta_quotient`` drops, summed over at most 1e8 primes and 10^4
+# that ``_delta_quotients`` drops, summed over at most 1e8 primes and 10^4
 # terms per prime.
 _UNDERFLOW = 2.0**-1000
 # Euler-Maclaurin summation for zeta_int: terms n < _EM_TERMS are summed
@@ -344,7 +345,7 @@ def prime_sum(k: int) -> BoundedValue:
 # delta(p) drops its terms p^-e with p^e >= 2^_CAP_BITS.
 _CAP_BITS = 1100
 # Relative error of log1p(-delta(p)) against log F(p), for every prime and
-# local factor of a scalar product; derived at ``_delta``.
+# local factor of a scalar product; derived at ``_deltas``.
 _LOG_ERR = 6 * _U * (1 + 4 * _U)
 # Relative error of an fsum of such logs, as ``_bracketed_product`` takes it.
 _CHUNK_LOG_ERR = (_U + _LOG_ERR / (1 - _LOG_ERR)) / (1 - _U)
@@ -365,25 +366,30 @@ def _delta_exponents(pattern: ExponentPattern) -> tuple[int, ...]:
     return _interval_exponents(complement(pattern).intervals)
 
 
-def _delta_quotient(p: int, exps: tuple[int, ...]) -> tuple[int, int]:
-    """(num, p^E) with num / p^E = sum_j (-1)^j p^-e_j over the e_j with p^e_j < 2^1100.
+def _delta_quotients(primes, exps: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(nums, dens), num / p^E = sum_j (-1)^j p^-e_j over p^e_j < 2^1100 per p of ``primes``.
 
     An e_j is kept when below c = ceil(1100 / (b - 1)), b the bit length
     of p; since p >= 2^(b - 1), p^c >= 2^1100.  The dropped terms alternate
     in sign and fall in magnitude, so they sum to at most the first, below
-    2^-1100.  E is the last kept exponent, and p^E < 2^2200.
+    2^-1100.  E is the last kept exponent, and den = p^E < 2^2200.  The cut is
+    found once per bit length, and a Horner step is one comprehension.
     """
-    n = bisect_left(exps, -(-_CAP_BITS // (p.bit_length() - 1)))
-    if not n:
-        return 0, 1
-    num = 1
-    for j in range(1, n):
-        num = num * p ** (exps[j] - exps[j - 1]) + (-1 if j & 1 else 1)
-    return num, p ** exps[n - 1]
+    nums, dens = [], []
+    for b, group in groupby(primes, int.bit_length):
+        group = list(group)
+        n = bisect_left(exps, -(-_CAP_BITS // (b - 1)))
+        row = [min(n, 1)] * len(group)
+        for k in range(1, n):
+            step, sign = exps[k] - exps[k - 1], (-1 if k & 1 else 1)
+            row = [num * p**step + sign for num, p in zip(row, group)]
+        nums += row
+        dens += map(pow, group, repeat(exps[n - 1] if n else 0))
+    return nums, dens
 
 
-def _delta(p: int, exps: tuple[int, ...]) -> float:
-    """delta(p) for the exponents of ``_delta_exponents``, correctly rounded.
+def _deltas(primes, exps: tuple[int, ...]) -> list[float]:
+    """delta(p) of each of ``primes`` for exponents of ``_delta_exponents``, correctly rounded.
 
     The float is within u of the kept terms, which are within 2^-1100 of
     delta (below the normal range the rounding is within 2^-1075 instead);
@@ -392,15 +398,14 @@ def _delta(p: int, exps: tuple[int, ...]) -> float:
     log F; log1p adds 2 ulp (glibc lists 1), 4u of its result, so the
     total is within ``_LOG_ERR`` |log F|.
     """
-    num, den = _delta_quotient(p, exps)
-    return num / den
+    return [num / den for num, den in zip(*_delta_quotients(primes, exps))]
 
 
 def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
     """F(p) = (p^E - num) / p^E, one correctly rounded quotient."""
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    num, den = _delta_quotient(p, _delta_exponents(pattern))
+    (num,), (den,) = _delta_quotients((p,), _delta_exponents(pattern))
     return LocalFactor(p, (den - num) / den)
 
 
@@ -741,7 +746,7 @@ def _bracketed_product(
 
 
 def _estimate(
-    delta_of,
+    deltas,
     deficiency: tuple[tuple[int, ...], ...],
     m: int,
     target_error: float,
@@ -751,13 +756,13 @@ def _estimate(
 ) -> DensityEstimate:
     """prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``delta_of`` maps a prime p <= ``start`` to delta(p) within the error of
-    ``_delta``; beyond ``start`` delta follows ``deficiency`` and ``m`` as
-    ``_bracketed_product`` takes them.  The product is evaluated once, with
-    its factors split at ``start``; ``truncation_prime``, at least
-    ``start``, is only reported, since the tail beyond ``start`` is enclosed
-    whatever it is.  Without a pinned prime, a bracket wider than
-    ``target_error`` raises UnreachableTargetError.
+    ``deltas`` maps a chunk of primes p <= ``start`` to their delta(p), each
+    within the error of ``_deltas``; beyond ``start`` delta follows
+    ``deficiency`` and ``m`` as ``_bracketed_product`` takes them.  The
+    product is evaluated once, with its factors split at ``start``;
+    ``truncation_prime``, at least ``start``, is only reported, since the tail
+    beyond ``start`` is enclosed whatever it is.  Without a pinned prime, a
+    bracket wider than ``target_error`` raises UnreachableTargetError.
     """
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
@@ -768,7 +773,7 @@ def _estimate(
     _check_budget(P)
 
     def rows_of(primes: array) -> tuple:
-        return [math.fsum([math.log1p(-delta_of(p)) for p in primes])], []
+        return [math.fsum([math.log1p(-d) for d in deltas(primes)])], []
 
     b = _bracketed_product(rows_of, (_CHUNK_LOG_ERR,), _neglog_coeffs(deficiency), m, start)
     lower, upper = b.lower[0], b.upper[0]
@@ -802,7 +807,7 @@ def density(
     instead, in which case no width check is applied.  The pinned prime is
     reported but changes no bracket: the primes above the split enter
     through ``_TAIL_1000`` whatever it is.  Every prime's factor,
-    exceptional or not, is 1 - ``_delta`` of its own pattern.  If the default
+    exceptional or not, is 1 - ``_deltas`` of its own pattern.  If the default
     pattern forbids exponent 1 the product diverges to zero and the estimate
     is exactly 0 with ``diverges_to_zero`` set.
     """
@@ -819,17 +824,17 @@ def density(
     if m is None:
         return _finite_product(pap.exceptions, max(last, 2))
 
-    default = _delta_exponents(pap.default)
-    spanned = _delta_exponents(span_pattern)
-
-    def delta_of(p: int) -> float:
-        if p <= span:
-            return _delta(p, spanned)
-        pattern = exceptions.get(p) if p <= last else None
-        return _delta(p, default if pattern is None else _delta_exponents(pattern))
+    def deltas(primes: array) -> list[float]:
+        # fsum adds the logs in any order: the span's primes and the default's go in bulk
+        k = bisect_right(primes, span)
+        plain = [p for p in primes[k:] if p not in exceptions]
+        own = [_deltas((p,), _delta_exponents(exceptions[p]))[0]
+               for p in primes[k:] if p in exceptions]
+        spanned = _deltas(primes[:k], _delta_exponents(span_pattern))
+        return spanned + _deltas(plain, _delta_exponents(pap.default)) + own
 
     return _estimate(
-        delta_of,
+        deltas,
         _deficiency(lambda t: not contains(pap.default, t), 0),
         m,
         target_error,
@@ -850,7 +855,7 @@ def _finite_product(exceptions, truncation_prime: int) -> DensityEstimate:
     rules = [(p, e) for p, pattern in exceptions.items() if (e := _delta_exponents(pattern))]
     if not rules:
         return DensityEstimate(1.0, 1.0, 1.0, truncation_prime, 0.0)
-    log_sum = math.fsum([math.log1p(-_delta(p, e)) for p, e in rules])
+    log_sum = math.fsum([math.log1p(-_deltas((p,), e)[0]) for p, e in rules])
     err = (_LOG_ERR + 6 * _U) * abs(log_sum) + _UNDERFLOW
     upper = min(math.exp(log_sum + err) * (1.0 + 2.0**-50), 1.0)
     lower = math.exp(log_sum - err) * (1.0 - 2.0**-50)
@@ -891,14 +896,14 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
     def delta(p: int) -> float:
-        # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotient
+        # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotients
         if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS:
             return 1 / p**2
         return (p ** (ell - 1) - 1) / (p * (p**ell - 1))
 
     # weight 1 on the forbidden exponents, those not = 1 mod ell
     deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)
-    return _estimate(delta, deficiency, 2, target_error)
+    return _estimate(lambda primes: map(delta, primes), deficiency, 2, target_error)
 
 
 def closed_form(

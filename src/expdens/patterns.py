@@ -13,7 +13,6 @@ string denotes the empty pattern (no positive exponent allowed).
 
 from __future__ import annotations
 
-import numbers
 import re
 from array import array
 from bisect import bisect_left, bisect_right
@@ -105,6 +104,7 @@ class PrimeAwarePattern:
             return  # parse_prime_aware built it from a sieve, ascending
         keys = list(self.exceptions)
         if not set(map(type, keys)) <= {int}:
+            import numbers  # only a key of another type needs it
             for p in keys:
                 if not isinstance(p, numbers.Integral):
                     raise ValueError(f"exception key {p!r} is not an integer")

@@ -17,7 +17,7 @@ by one per exponent.
 
 ``density_series`` makes one call of the Euler-product engine of ``euler``.
 Only the primes p <= P0 = min(1000, P) get rows of their own: every row a_k
-of F(p; z) is an exact integer quotient (``_local_poly``), a_0 = 1 - delta(p)
+of F(p; z) is an exact integer quotient (``_local_polys``), a_0 = 1 - delta(p)
 the same one as in ``density()``, and ``_log_series`` takes the log of the
 row as a float series in z.  The engine adds the logs over p <= P0, encloses
 the factors p > P0 per z-degree through the committed prime tails
@@ -160,7 +160,7 @@ class DensitySeries:
 
 
 def _row_exponents(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
-    """Exponents e_0 < e_1 < ... of each row of F(p; z), for ``_local_poly``.
+    """Exponents e_0 < e_1 < ... of each row of F(p; z), for ``_local_polys``.
 
     Entry 0 gives delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, from the induced
     pattern as in ``euler._delta_exponents``; entry k = 1..K gives
@@ -185,16 +185,17 @@ def _row_exponents(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
     return [euler._delta_exponents(w.induced_pattern()), *rows]
 
 
-def _local_poly(p: int, exps: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """(A_k, D_k) with a_k = A_k / D_k, k = 0..K, the rows of F(p; z) for a prime p.
+def _local_polys(primes, exps: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
+    """(A_k, D_k) with a_k = A_k / D_k, k = 0..K, the rows of F(p; z) for
+    each of the ascending ``primes``.
 
     ``exps`` is ``_row_exponents``; each row is the exact quotient of
-    ``euler._delta_quotient``, which drops the terms p^-e <= 2^-1100.
+    ``euler._delta_quotients``, which drops the terms p^-e <= 2^-1100.
     """
-    if p < 2:
+    if primes and primes[0] < 2:
         raise ValueError("p must be a prime >= 2")
-    num, den = euler._delta_quotient(p, exps[0])
-    return [(den - num, den), *(euler._delta_quotient(p, e) if e else (0, 1) for e in exps[1:])]
+    rows = [zip(*euler._delta_quotients(primes, e)) if e else [(0, 1)] * len(primes) for e in exps]
+    return [[(den - num, den), *rest] for (num, den), *rest in zip(*rows)]
 
 
 def _log_series(r: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
@@ -256,7 +257,7 @@ def _log_row_errors(K: int, rho: float) -> list[float]:
 def _enclose(w: ExponentWeight, K: int, m: int, P0: int) -> euler._Bracket:
     """One engine call: d_0..d_K bracketed, with a log row per prime p <= P0.
 
-    Rows: delta(p) = 1 - a_0 is ``euler._delta`` of the induced pattern,
+    Rows: delta(p) = 1 - a_0 is ``euler._deltas`` of the induced pattern,
     the exact quotient of the density, so log a_0 = log1p(-delta) is within
     ``euler._LOG_ERR`` of its magnitude.  Every a_k is an exact quotient
     A_k / p^E_k of the same kind, and r_k = a_k / a_0 one correctly rounded
@@ -278,8 +279,7 @@ def _enclose(w: ExponentWeight, K: int, m: int, P0: int) -> euler._Bracket:
     def rows_of(primes: array) -> tuple:
         logs = []
         ratios = []
-        for p in primes:
-            (a0, den), *rest = _local_poly(p, exps)
+        for (a0, den), *rest in _local_polys(primes, exps):
             logs.append(math.log1p(-((den - a0) / den)))
             ratios.append([num * den / (d * a0) if num else 0.0 for num, d in rest])
         b, bound = _log_series([[], *map(list, zip(*ratios))] if K else [[]])

@@ -6,6 +6,7 @@ paths, so agreement between a helper and the library is genuine evidence.
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ import hypothesis.strategies as st
 import mpmath
 import numpy as np
 
-from expdens.euler import LocalFactor
+from expdens.cli import RunConfig, UsageError
+from expdens.euler import DEFAULT_TARGET_ERROR, LocalFactor
 from expdens.patterns import (
     ExponentInterval,
     ExponentPattern,
@@ -705,3 +707,42 @@ def prime_tail(P0: int, t: int) -> mpmath.mpf:
         scale = 10 ** (dps + 10)
         span = sum(scale // p**t for p in primes_upto(P0).tolist() if p > TAIL_SPLIT)
         return tail_1000(t) - mpmath.mpf(span) / scale
+
+
+# ---------------------------------------------------------------------------
+# The CLI's former argparse parser, the reference for expdens.cli._parse.
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _reference_parser() -> _ReferenceParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pattern", help="inline pattern DSL, e.g. '1..1,3..inf'")
+    common.add_argument("--spec", dest="spec_path", help="JSON pattern spec file")
+    common.add_argument("--x", type=int, help="sieve bound for counting")
+    common.add_argument("--error", dest="target_error", type=float,
+                        default=DEFAULT_TARGET_ERROR,
+                        help="target bracket width for the product")
+    common.add_argument("--degree", type=int, default=8, help="series degree K")
+    common.add_argument("--truncation", type=int, help="override truncation prime")
+    common.add_argument("--tol", dest="tolerance", type=float, default=2e-3,
+                        help="verification tolerance")
+    common.add_argument("--output", choices=("human", "machine"), default="human")
+    parser = _ReferenceParser(prog="expdens")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in ("density", "series", "count", "verify", "examples"):
+        p = sub.add_parser(name, parents=[common])
+        if name == "series":
+            p.add_argument("--weight", choices=("pattern", "delta"),
+                           default="pattern",
+                           help="binary weight from the pattern, or the excess weight")
+    return parser
+
+
+def argparse_reference(argv: list[str]) -> RunConfig:
+    """``argv``'s RunConfig as the argparse parser built it; a usage error
+    raises UsageError, and -h or --help exits through SystemExit(0)."""
+    return RunConfig(**vars(_reference_parser().parse_args(argv)))

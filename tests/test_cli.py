@@ -14,17 +14,21 @@ from hypothesis import strategies as st
 import expdens.euler
 import expdens.series
 from expdens.cli import (
+    _DISPATCH,
+    _FLAGS,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_UNREACHABLE,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     RunConfig,
+    UsageError,
+    _parse,
     main,
     run,
 )
 from expdens.patterns import load_spec, parse_pattern
-from helpers import oracle_density, oracle_series
+from helpers import argparse_reference, oracle_density, oracle_series
 
 
 def run_capture(config):
@@ -484,3 +488,73 @@ def test_fuzzed_spec_ends_in_a_documented_code(tmp_path, subcommand, doc, x):
     assert seconds < 2.0, doc
     assert code in range(5), doc
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# The flag parser against the former argparse parser (tests/helpers.py): the
+# same RunConfig for every argv, or a usage error from both.
+
+
+def _outcome(parse, argv):
+    """``parse(argv)``, or EXIT_USAGE when it ends in a usage error."""
+    try:
+        return parse(argv)
+    except UsageError:
+        return EXIT_USAGE
+
+
+@st.composite
+def _respelled_argv(draw):
+    """An argv of ``_argv`` whose flags may be cut to a prefix of at least
+    three characters, unique or not, or joined to their value by "="."""
+    subcommand, *rest = draw(_argv())
+    argv = [subcommand]
+    for flag, value in zip(rest[::2], rest[1::2]):
+        flag = flag[: draw(st.integers(3, len(flag)))]
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_argv(), _respelled_argv()))
+def test_parse_agrees_with_argparse(argv):
+    assert _outcome(_parse, argv) == _outcome(argparse_reference, argv)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["density", "--pattern=1..1"], RunConfig("density", pattern="1..1")),
+    (["density", "--pat", "1..1"], RunConfig("density", pattern="1..1")),
+    (["count", "--pattern", "1..1", "--x", "10", "--x=20"], RunConfig("count", pattern="1..1", x=20)),
+    (["series", "--weight", "delta"], RunConfig("series", weight="delta")),
+    (["density", "--pattern", "-1"], RunConfig("density", pattern="-1")),  # a negative number
+    (["density", "--pattern", "-.5"], RunConfig("density", pattern="-.5")),
+    (["density", "--pattern", "-5."], EXIT_USAGE),  # not a negative number, so a flag
+    (["density", "--pattern", "- 1"], RunConfig("density", pattern="- 1")),
+    (["density", "--spec", "-"], RunConfig("density", spec_path="-")),
+    (["density", "--pattern", ""], RunConfig("density", pattern="")),
+    (["density", "--pattern", "1..1", "--t", "5"], EXIT_USAGE),  # --truncation or --tol
+    (["density", "--nope"], EXIT_USAGE),
+    (["density", "--pattern"], EXIT_USAGE),
+    (["density", "--pattern", "--x", "5"], EXIT_USAGE),
+    (["density", "--weight", "delta"], EXIT_USAGE),
+    (["density", "--pattern", "1..1", "stray"], EXIT_USAGE),
+    (["density", "--"], EXIT_USAGE),
+    (["dens", "--pattern", "1..1"], EXIT_USAGE),
+    (["--pattern", "1..1", "density"], EXIT_USAGE),
+    ([], EXIT_USAGE),
+    (["density", "--pattern", "1..1", "--error=-inf"], EXIT_USAGE),
+    (["density", "--pattern", "1..1", "--error", "-inf"], EXIT_USAGE),
+    (["density", "--x", "1e3"], EXIT_USAGE),
+], ids=repr)
+def test_parse_hand_written_cases(argv, config):
+    assert _outcome(_parse, argv) == config
+    assert _outcome(argparse_reference, argv) == config
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["density", "-h"], ["series", "--he"],
+                                  ["count", "--pattern", "1..1", "--help"]])
+def test_help_prints_the_usage(argv, capsys):
+    assert main(argv) == EXIT_OK  # and no SystemExit
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(name in captured.out for name in [*_DISPATCH, *_FLAGS])  # --weight included

@@ -275,7 +275,7 @@ class TestDelta:
         pattern = parse_pattern(text)
         exps = expdens.euler._delta_exponents(pattern)
         truth = exact_delta(p, pattern)
-        assert expdens.euler._delta(p, exps) == float(truth)
+        assert expdens.euler._deltas((p,), exps) == [float(truth)]
         assert local_factor_interval(p, pattern).value == float(1 - truth)
 
     @pytest.mark.parametrize("p", [2, 3, 997, 9999991])
@@ -283,7 +283,8 @@ class TestDelta:
                                       "1..1097", "1..1,3..3000"])
     def test_dropped_terms_stay_below_the_charged_bound(self, p, text):
         pattern = parse_pattern(text)
-        num, den = expdens.euler._delta_quotient(p, expdens.euler._delta_exponents(pattern))
+        exps = expdens.euler._delta_exponents(pattern)
+        (num,), (den,) = expdens.euler._delta_quotients((p,), exps)
         dropped = abs(Fraction(num, den) - exact_delta(p, pattern))
         assert dropped <= Fraction(1, 2**1100)
         assert den < 2**2200
@@ -291,11 +292,25 @@ class TestDelta:
         # twice that from log F, fit in the underflow allowance many times over
         assert 10**8 * 2 * 2.0**-1100 <= expdens.euler._UNDERFLOW * 2.0**-40
 
+    @pytest.mark.parametrize("text", DELTA_PATTERNS + ["1..1,40..60,70..inf", "1..1,600..inf",
+                                                       "1..1,3..3000"])
+    def test_chunk_matches_one_prime_at_a_time(self, text):
+        # a chunk across bit lengths 2 to 17 takes each length's own cut
+        pattern = parse_pattern(text)
+        exps = expdens.euler._delta_exponents(pattern)
+        primes = sieve_primes(100_000).primes
+        chunk = expdens.euler._deltas(primes, exps)
+        assert chunk == [d for p in primes for d in expdens.euler._deltas((p,), exps)]
+        for p, d in zip(primes[::97], chunk[::97]):
+            # within u of the kept terms, which are within 2^-1100 of delta
+            bound = Fraction(d) / 2**53 + Fraction(1, 2**1100)
+            assert abs(Fraction(d) - exact_delta(p, pattern)) <= bound
+
     def test_far_ends_cost_nothing(self):
         # every term of an end of 10^20 is dropped, and no such power is taken
         pattern = parse_pattern("1..99999999999999999999")
         for p in (2, 3, 9999991):
-            assert expdens.euler._delta(p, expdens.euler._delta_exponents(pattern)) == 0.0
+            assert expdens.euler._deltas((p,), expdens.euler._delta_exponents(pattern)) == [0.0]
             assert local_factor_interval(p, pattern).value == 1.0
 
     def test_log1p_within_its_charge(self):

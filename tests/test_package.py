@@ -1,7 +1,7 @@
 """The package loads lazily: its names resolve on demand, no module of it
 imports numpy, no request loads dataclasses or inspect, the requests
-that need no fractions or JSON load neither, and the oracle requests load
-no typing."""
+that need no fractions or JSON load neither, the oracle requests load
+no typing, and no benchmark request loads argparse, gettext or locale."""
 
 import ast
 import json
@@ -47,7 +47,8 @@ def test_version_dir_and_missing_names():
         expdens.no_such_name
 
 
-WATCHED = ("dataclasses", "fractions", "inspect", "json", "numpy", "typing")
+WATCHED = ("argparse", "dataclasses", "fractions", "gettext", "inspect", "json", "locale",
+           "numpy", "typing")
 SPEC = "perfbench/odd_squarefree.json"
 X = "10000000"
 # The benchmark's CLI requests; spec paths are relative to the repository root.
@@ -174,6 +175,22 @@ def test_oracle_request_leaves_typing_out(argv):
 def test_typing_import_is_detected():
     # positive control: the same check under -S sees typing when the code imports it
     assert "typing" in _run("import typing", "-S")[1]
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_REQUESTS, ids=" ".join)
+def test_benchmark_request_leaves_argparse_out(argv):
+    # -S skips site, whose .pth files may import these modules on their own
+    argv = [str(SRC.parent / a) if a == SPEC else a for a in argv]
+    assert not _run(_command(argv), "-S")[1] & ARGPARSE
+
+
+@pytest.mark.parametrize("module", sorted(ARGPARSE))
+def test_argparse_imports_are_detected(module):
+    # positive control: the same check under -S sees each module when the code imports it
+    assert module in _run(f"import {module}", "-S")[1]
 
 
 def test_import_leaves_numpy_out():

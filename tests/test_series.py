@@ -10,7 +10,7 @@ from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden,
 from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
-    _local_poly,
+    _local_polys,
     _row_exponents,
     density_series,
 )
@@ -20,7 +20,7 @@ SQUAREFREE_W = ExponentWeight.outside_pattern(parse_pattern("1..1"))
 
 def local_row(p: int, w: ExponentWeight, K: int) -> list[float]:
     """The library's coefficients a_0..a_K of F(p; z) for one prime, each rounded once."""
-    return [a / d for a, d in _local_poly(p, _row_exponents(w, K))]
+    return [a / d for a, d in _local_polys([p], _row_exponents(w, K))[0]]
 
 
 # weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3

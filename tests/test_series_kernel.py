@@ -29,7 +29,7 @@ from expdens.patterns import parse_pattern
 from expdens.primes import ResourceBudgetError
 from expdens.series import (
     ExponentWeight,
-    _local_poly,
+    _local_polys,
     _log_row_errors,
     _log_series,
     _row_exponents,
@@ -90,22 +90,22 @@ def test_density_series_matches_per_prime_loop(name, K, P, block, monkeypatch):
 @pytest.mark.parametrize("K", [0, 1, 2, 8, 16])
 @pytest.mark.parametrize("name", sorted(KERNEL_WEIGHTS))
 def test_local_polys_match_scalar_reference(name, K):
-    # the rows a_0..a_K of F(p; z) as `_local_poly` gives them to the engine
+    # the rows a_0..a_K of F(p; z) as `_local_polys` gives them to the engine
     w = KERNEL_WEIGHTS[name]
     exps = _row_exponents(w, K)
     assert len(exps) == K + 1
     primes = primes_upto(20_000).tolist() + [999_983, 1_000_003, 10**9 + 7, 2**61 - 1]
     # each row is exact to 2^-1100 and rounds once; the scalar loop's x**i
     # differ by a few ulp at most
-    for p in primes:
-        row = [a / d for a, d in _local_poly(p, exps)]
+    for p, poly in zip(primes, _local_polys(primes, exps), strict=True):
+        row = [a / d for a, d in poly]
         want = reference_local_poly(p, w, K)
         assert row == pytest.approx(want, rel=64 * U, abs=1e-300)
 
 
 def test_local_polys_validation():
     with pytest.raises(ValueError):
-        _local_poly(1, _row_exponents(WEIGHTS["excess"], 3))
+        _local_polys([1], _row_exponents(WEIGHTS["excess"], 3))
     with pytest.raises(ValueError):
         _row_exponents(WEIGHTS["excess"], -1)
     assert _row_exponents(WEIGHTS["excess"], 0) == [(2,)]
