@@ -8,15 +8,16 @@ product of per-prime local factors
 
 (the second term drops when hi is unbounded).  Every prime's delta, with
 its own pattern or the default, is one exact integer quotient num / p^E
-rounded once to float (``_deltas``), so one error constant covers the
-log-sum of every scalar product.
+(``_delta_quotients``).
 
 A product is evaluated once, at a truncation prime P.  Its factors split at
-P0 = max(``MIN_TRUNCATION``, largest exceptional prime + 1): each prime
-p <= P0 contributes the log of its own factor, summed in floating point with
-a stated roundoff bound, and every prime above P0 has the default factor,
-with -log F(p) = sum_t c_t p^-t for exact integers c_t.  So the primes above
-P0 enter only through the power sums T_t = sum_{p > P0} p^-t:
+P0 = max(``MIN_TRUNCATION``, largest exceptional prime + 1).  The factors of
+the primes p <= 1000 are multiplied exactly, as W-bit fixed-point integers
+rounded outward at each step; each prime in (1000, P0] contributes the float
+log of its own factor, summed with a stated roundoff bound; and every prime
+above P0 has the default factor, with -log F(p) = sum_t c_t p^-t for exact
+integers c_t.  So the primes above P0 enter only through the power sums
+T_t = sum_{p > P0} p^-t:
 
     sum_{p > P0} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
@@ -28,17 +29,21 @@ P0 the float sum of p^-t over the primes between 1000 and P0 is taken off
 or added, for the t whose bound [0, P0^(1-t)/(t-1)] is above 2^-60, and
 the other t keep that bound.  So the sieve runs only to max(P0, 1000), no
 zeta value is computed at run time, and a pinned truncation prime P >= P0
-changes no bracket.  The published [lower, upper] holds the true density
-with every error term and all float roundoff included (Ettahri, Ramare and
-Surel, "Fast multi-precision computation of some Euler products", Math.
-Comp. 2021; H. Cohen, "High precision computation of Hardy-Littlewood
-constants", 1998).
+changes no bracket.  The two ends of the log enclosure are taken exactly
+in fixed point, exponentiated there with a counted error, multiplied by
+the exact head and rounded outward to float once, so a bracket is one ulp
+wide unless the primes in (1000, P0] widen it.  The published
+[lower, upper] holds the true density with every error term and all float
+roundoff included (Ettahri, Ramare and Surel, "Fast multi-precision
+computation of some Euler products", Math. Comp. 2021; H. Cohen, "High
+precision computation of Hardy-Littlewood constants", 1998; Brent and
+Zimmermann, "Modern Computer Arithmetic", 2010, ch. 4).
 
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
-cut at z^K, and the log-sum, the tail enclosure and the bracket run per
-z-degree, with one exp of a series in z at the end.  ``density()`` is its
-case K = 0.
+cut at z^K.  Degree 0 is the density's bracket; for k >= 1 the log-sum, the
+tail enclosure and the bracket run per z-degree in floating point, with one
+exp of a series in z at the end.  ``density()`` is its case K = 0.
 """
 
 from __future__ import annotations
@@ -59,11 +64,12 @@ from .patterns import (
     normalize_intervals,
     _PrimeRange,
 )
-from .primes import RS_UPPER, _check_budget, is_prime, prime_segments, sieve_primes
+from .primes import _check_budget, is_prime, prime_segments, sieve_primes
 
 DEFAULT_TARGET_ERROR = 1e-8
-# Smallest truncation prime.  Beyond it the terms t > _SERIES_DEGREE of every
-# tail are below 1e-170, and the tail enclosure is about 1e-15 wide.
+# Smallest truncation prime, and the end of the exact head.  Beyond it the
+# terms t > _SERIES_DEGREE of every tail are below 1e-170, and the tail
+# enclosure is about 1e-19 wide.
 MIN_TRUNCATION = 1000
 
 # Degree at which power series in 1/p are cut.
@@ -340,12 +346,17 @@ def prime_sum(k: int) -> BoundedValue:
 
 
 # ---------------------------------------------------------------------------
-# Local factors: delta(p) = 1 - F(p) as one correctly rounded integer quotient
+# Local factors: delta(p) = 1 - F(p) as one exact integer quotient
 
 # delta(p) drops its terms p^-e with p^e >= 2^_CAP_BITS.
 _CAP_BITS = 1100
-# Relative error of log1p(-delta(p)) against log F(p), for every prime and
-# local factor of a scalar product; derived at ``_deltas``.
+# Relative error of log1p(-num / den) against log F(p), for a prime above
+# 1000 whose factor enters a product as a float log.  num / den rounds once,
+# within u of the kept terms of delta, which are within 2^-1100 of it (below
+# the normal range the rounding is within 2^-1075 instead); ``_UNDERFLOW``
+# covers both absolute errors.  As delta <= 1/p <= 1/2, log1p(-delta~) is
+# within 2u (1 + 2u) delta <= 2u (1 + 2u) |log F| of log F; log1p adds
+# 2 ulp (glibc lists 1), 4u of its result.
 _LOG_ERR = 6 * _U * (1 + 4 * _U)
 # Relative error of an fsum of such logs, as ``_bracketed_product`` takes it.
 _CHUNK_LOG_ERR = (_U + _LOG_ERR / (1 - _LOG_ERR)) / (1 - _U)
@@ -386,19 +397,6 @@ def _delta_quotients(primes, exps: tuple[int, ...]) -> tuple[list[int], list[int
         nums += row
         dens += map(pow, group, repeat(exps[n - 1] if n else 0))
     return nums, dens
-
-
-def _deltas(primes, exps: tuple[int, ...]) -> list[float]:
-    """delta(p) of each of ``primes`` for exponents of ``_delta_exponents``, correctly rounded.
-
-    The float is within u of the kept terms, which are within 2^-1100 of
-    delta (below the normal range the rounding is within 2^-1075 instead);
-    ``_UNDERFLOW`` covers both absolute errors.  As delta <= 1/p <= 1/2,
-    log1p(-delta~) is within 2u (1 + 2u) delta <= 2u (1 + 2u) |log F| of
-    log F; log1p adds 2 ulp (glibc lists 1), 4u of its result, so the
-    total is within ``_LOG_ERR`` |log F|.
-    """
-    return [num / den for num, den in zip(*_delta_quotients(primes, exps))]
 
 
 def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
@@ -482,26 +480,97 @@ def _inv_pow(p: float, e: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bracketed product engine
+# Fixed point: the small primes' factors and exp, rounded to float once
+
+# Fraction bits of a fixed-point number: the integer X stands for X 2^-_W.
+_W = 128
+# floor(2^_W ln 2); tests/test_euler.py checks it against mpmath.
+_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
 
 
-def _tail_logbound_formula(P: int, m: int, pi_exact: int) -> float:
-    """Upper bound on sum_{p > P} -log F(p) when 1 - F(p) <= p^-m, m >= 2.
+def _fixed(x: float, up: bool) -> int:
+    """x 2^_W rounded down, or up when ``up``, to an integer; any finite float."""
+    n, d = x.as_integer_ratio()
+    return -(-(n << _W) // d) if up else (n << _W) // d
 
-    The fallback to the prime-zeta enclosure.  Minimum of two proven bounds:
-    the integral comparison with all integers, P^(1-m)/(m-1), and a
-    prime-counting refinement using pi(x) < 1.25506 x/ln x (x > 1) and the
-    exact count pi(P).  Both are scaled by 1/(1 - 2^-m), which dominates the
-    -log expansion.  An m above 1076 gives the same floats as 1076, where
-    every power below has underflowed to 0, and may be too large for a float.
+
+def _head_product(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] times prod_j (den_j - num_j) / den_j, enclosed in integers.
+
+    The lower end is rounded down at each step.  Each floor loses less than
+    1, and every factor lies in [0, 1], so it never grows what was lost
+    before: the exact product of any start in [lo, hi] lies within
+    hi - lo + len(nums) above the lower end.
     """
-    m = min(m, 1076)
-    scale = 1.0 / (1.0 - 2.0 ** (-m))
-    coarse = float(P) ** (1 - m) / (m - 1)
-    log_p = math.log(P)
-    refined = (m * RS_UPPER / (m - 1)) * float(P) ** (1 - m) / log_p
-    refined -= pi_exact * float(P) ** (-m)
-    return scale * min(coarse, max(refined, 0.0))
+    slack = hi - lo + len(nums)
+    for num, den in zip(nums, dens):
+        lo = lo * (den - num) // den
+    return lo, lo + slack
+
+
+def _exp_fixed(X: int, up: bool) -> tuple[int, int]:
+    """(M, k) with M 2^(k - _W) >= exp(X 2^-_W) when ``up``, else <= it.
+
+    x = X 2^-_W reduces to r = x - k ln 2, k the integer nearest x / ln 2.
+    As _LN2 <= 2^_W ln 2 < _LN2 + 1, 2^_W r lies in [R - k, R] for k >= 0
+    and in [R, R - k] for k < 0, R = X - k _LN2, and the end taken keeps
+    |r| < 1/2.  The Taylor series of exp(r) runs on |R|, with terms
+    A_n = floor(A_{n-1} |R| / (n 2^_W)) below their exact values
+    a_n = 2^_W |r|^n / n! by e_n < 1 + e_{n-1} / 2 < 2, and stops at the
+    first A_N = 0, where a_N = e_N < 2 and the terms after it add up to less
+    than a_N.  So the signed sum is within 2N + 2 of 2^_W exp(r) (Brent and
+    Zimmermann, "Modern Computer Arithmetic", 2010, ch. 4).
+    """
+    k = (2 * X + _LN2) // (2 * _LN2)
+    R = X - k * _LN2
+    R = R + max(-k, 0) if up else R - max(k, 0)
+    term = total = 1 << _W
+    n = 0
+    while term:
+        n += 1
+        term = term * abs(R) // (n << _W)
+        total += -term if R < 0 and n & 1 else term
+    return (total + 2 * n + 2 if up else total - 2 * n - 2), k
+
+
+def _to_float(M: int, e: int, up: bool) -> float:
+    """M 2^e, M >= 0, rounded down to a float, or up when ``up``."""
+    shift = max(M.bit_length() - 53, -1074 - e)
+    if shift > 0:
+        M = -(-M >> shift) if up else M >> shift
+        e += shift
+    return math.ldexp(M, e)
+
+
+def _degree0(
+    head: tuple[int, int], log_sum: float, tail_lo: float, tail_hi: float
+) -> tuple[float, float, float]:
+    """(value, lower, upper) of H exp(L - T), with lower <= H exp(L - T) <= upper.
+
+    H lies in [head[0], head[1]] 2^-_W.  L is the exact sum that
+    ``log_sum`` stands for: an fsum of chunk fsums of logs <= 0, each log
+    within ``_LOG_ERR`` of its magnitude, so |log_sum - L| is within
+    (r (1 + u) + u) |log_sum|, r = ``_CHUNK_LOG_ERR``, as
+    ``_bracketed_product`` derives; ``_UNDERFLOW`` more covers the terms
+    that every quotient drops.  T lies in [tail_lo, tail_hi].  Both ends of
+    the exponent are taken exactly in fixed point, rounded outward at
+    2^-_W, and the products with H are rounded outward to float once.
+    ``value`` is the float nearest the midpoint, within the bracket.  The
+    products this serves are at most 1, and so is ``upper``.
+    """
+    roundoff = (_CHUNK_LOG_ERR * (1 + _U) + _U) * abs(log_sum) + _UNDERFLOW
+    x_hi = _fixed(log_sum, True) + _fixed(roundoff, True) - _fixed(tail_lo, False)
+    x_lo = _fixed(log_sum, False) - _fixed(roundoff, True) - _fixed(tail_hi, True)
+    (m_lo, k_lo), (m_hi, k_hi) = _exp_fixed(x_lo, False), _exp_fixed(x_hi, True)
+    lo, hi = head[0] * m_lo, head[1] * m_hi
+    lower = _to_float(lo, k_lo - 2 * _W, False)
+    upper = min(_to_float(hi, k_hi - 2 * _W, True), 1.0)
+    mid = (math.ldexp(float(lo), k_lo - 2 * _W) + math.ldexp(float(hi), k_hi - 2 * _W)) / 2
+    return min(max(mid, lower), upper), lower, upper
+
+
+# ---------------------------------------------------------------------------
+# Bracketed product engine
 
 
 def _integral_tail(P: int, t: int) -> float:
@@ -633,59 +702,70 @@ class _Bracket:
 
 
 def _bracketed_product(
+    quotients,
     rows_of,
     log_rel_err,
     neglog: tuple,
-    m: int,
     P0: int,
+    primes: array | None = None,
 ) -> _Bracket:
     """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta, over all primes.
 
-    The factors p <= P0 are summed as logs; the rest are enclosed per
-    z-degree through the T_t = sum_{p > P0} p^-t of ``_tail_sums``, from
-    ``_TAIL_1000`` and the primes between 1000 and P0, the only primes
-    sieved.  ``density()`` is the case K = 0.
+    Degree 0 splits at P1 = max(P0, 1000).  The factors of the primes
+    p <= 1000 are multiplied exactly in fixed point, the logs of those in
+    (1000, P1] are summed in floating point, and the rest enter through the
+    T_t = sum_{p > P1} p^-t of ``_tail_sums``; exp of the log enclosure is
+    taken in fixed point too, and the bracket is rounded to float once
+    (``_degree0``).  Degree k >= 1 splits at P0: the primes p <= P0 give
+    float log rows, and the rest enter through T_t(P0), from ``_TAIL_1000``
+    and the primes between 1000 and P0.  The only primes sieved are those up
+    to max(P0, 1000), and none when ``primes``, every prime up to that
+    bound, is given.  ``density()`` is the case K = 0.
 
-    ``rows_of(primes)`` takes an ``array('q')`` of primes p <= P0 and
-    returns per-chunk sums ``(logs, majorant)``: ``logs[k]`` the computed
-    sum over the chunk of the coefficient of z^k in log F(p; z),
-    k = 0..K, and ``majorant`` K nonnegative sums.  ``logs[0]`` sums terms
-    <= 0 and lies within ``log_rel_err[0]`` times its own magnitude of the
-    exact sum; for k >= 1, ``logs[k]`` lies within ``log_rel_err[k]`` times
-    ``majorant[k - 1]`` of it.  ``neglog`` is ``_neglog_coeffs`` of
-    delta(p; z) for every p > P0, and there 0 <= delta(p; 0) <= p^-m with
-    m >= 2; a prime p <= P0 may have a factor of its own, as ``rows_of``
-    gives it.
+    ``quotients(primes)`` takes an ``array('q')`` of primes and returns
+    ``(nums, dens)``, with delta(p; 0) within 2^-1100 of num / den for each
+    prime, in any order.  ``rows_of(primes)``, for K >= 1 only, takes primes
+    p <= P0 and returns per-chunk sums ``(logs, majorant)``: ``logs[k - 1]``
+    the computed sum over the chunk of the coefficient of z^k in
+    log F(p; z), k = 1..K, within ``log_rel_err[k - 1]`` times
+    ``majorant[k - 1]`` of the exact sum, and ``majorant`` K nonnegative
+    sums.  ``neglog`` is ``_neglog_coeffs`` of delta(p; z) for every p > P0;
+    a prime p <= P0 may have a factor of its own, as ``quotients`` and
+    ``rows_of`` give it.
 
     The chunk sums are added by fsum, which rounds once, within u of its
     result (Shewchuk, Discrete Comput. Geom. 18, 1997).  For degree 0 the
-    computed sum G of chunk sums L_j has
-    |G - sum_j L_j| <= u |G|, and sum_j |L_j| = |sum_j L_j| <= (1 + u) |G|
-    as all L_j <= 0, so G is within (r (1 + u) + u) |G| of the exact log
-    sum, r = ``log_rel_err[0]``.  A caller whose chunk sums are themselves
-    fsums of logs within e relative has r = (u + e / (1 - e)) / (1 - u),
-    so the whole bound is (e + 2u) |G| to first order.
+    computed sum G of chunk sums L_j has |G - sum_j L_j| <= u |G|, and
+    sum_j |L_j| = |sum_j L_j| <= (1 + u) |G| as all L_j <= 0, so G is
+    within (r (1 + u) + u) |G| of the exact log sum, where a chunk sum, an
+    fsum of logs within e = ``_LOG_ERR`` relative, is within
+    r = (u + e / (1 - e)) / (1 - u) = ``_CHUNK_LOG_ERR`` of its own.
 
-    Degree 0 is bracketed by exp of its log enclosure.  For k >= 1, with
-    S = log of the whole product, S~ its computed centre and |S - S~| <= E
-    coefficient by coefficient,
-        |d - e^S~_0 exp(S~ - S~_0)| << e^S~_0 exp(|S~ - S~_0|) (exp(E) - 1)
+    For k >= 1, with S = log of the whole product, S~ its computed centre,
+    S~_0 = log d~_0 for the point value d~_0 of degree 0, and
+    |S - S~| <= E coefficient by coefficient,
+        |d - d~_0 exp(S~ - S~_0)| << d~_0 exp(|S~ - S~_0|) (exp(E) - 1)
     as majorant series, since every coefficient of the right side is
-    nonnegative.  Both series come from ``_exp_series``.
+    nonnegative.  E_0 bounds |log(d_0 / d~_0)| through the degree-0
+    bracket.  Both series come from ``_exp_series``.
     """
     neglog, neglog_err = neglog
     K = len(neglog) - 1
-    # K + 1 log rows and K majorant rows per prime share one chunk budget
+    # K log rows and K majorant rows per prime share one chunk budget
     chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
     ts = _live_terms(neglog)
     span_ts = _span_terms(ts, P0)
     # the primes in (low, high] are those between 1000 and P0
     low, high = sorted((P0, MIN_TRUNCATION))
-    parts, span_parts = [], []
-    n_primes = 0
-    for seg in prime_segments(high):
-        n_low = bisect_right(seg, P0)
-        n_primes += n_low
+    head = (1 << _W, 1 << _W)
+    logs, parts, span_parts = [], [], []
+    for seg in [primes] if primes is not None else prime_segments(high):
+        n_head = bisect_right(seg, MIN_TRUNCATION)
+        head = _head_product(*quotients(seg[:n_head]), *head)
+        for i in range(n_head, len(seg), _FSUM_CHUNK):
+            nums, dens = quotients(seg[i : i + _FSUM_CHUNK])
+            logs.append(math.fsum([math.log1p(-num / den) for num, den in zip(nums, dens)]))
+        n_low = bisect_right(seg, P0) if K else 0
         for i in range(0, n_low, chunk):
             parts.append(rows_of(seg[i : min(i + chunk, n_low)]))
         if span_ts:
@@ -693,39 +773,32 @@ def _bracketed_product(
                 piece = seg[i : i + _FSUM_CHUNK]
                 span_parts.append([math.fsum([1 / p**t for p in piece]) for t in span_ts])
     span = {t: math.fsum([h[i] for h in span_parts]) for i, t in enumerate(span_ts)}
-    generic = [math.fsum([logs[k] for logs, _ in parts]) for k in range(K + 1)]
     sums = _tail_sums(ts, P0, span)
-    tails = [_tail_enclosure(neglog[k], neglog_err[k], P0, sums) for k in range(K + 1)]
+    tails = [_tail_enclosure(neglog[k], neglog_err[k], P0, sums) for k in range(1, K + 1)]
 
-    log_sum = generic[0]
-    roundoff = (log_rel_err[0] * (1 + _U) + _U) * abs(log_sum) + _UNDERFLOW
-
-    tail_lo, tail_mid, tail_hi = tails[0]
-    tail_lo = max(tail_lo, 0.0)
-    tail_hi = min(tail_hi, _tail_logbound_formula(P0, m, n_primes))
-    tail_mid = min(max(tail_mid, tail_lo), tail_hi)
-    # the sums below and exp round by at most a few ulp
-    roundoff += 4 * _U * (abs(log_sum) + tail_hi)
-    upper = math.exp(math.fsum([log_sum, roundoff, -tail_lo])) * (1.0 + 2.0**-50)
-    lower = math.exp(math.fsum([log_sum, -roundoff, -tail_hi])) * (1.0 - 2.0**-50)
-    centre = math.exp(log_sum - tail_mid)
-    value = min(max(centre, lower), upper)
+    if P0 < high:
+        sums = _tail_sums(ts, high, {})
+    tail_lo, _, tail_hi = _tail_enclosure(neglog[0], neglog_err[0], high, sums)
+    value, lower, upper = _degree0(head, math.fsum(logs), max(tail_lo, 0.0), tail_hi)
     if K == 0:
         return _Bracket((value,), (lower,), (upper,))
 
     # |S - S~| per degree: the log-sum roundoff (the chunk sums against
     # their majorant, and the fsum within u of its result), the tail's
-    # half-width, and one rounding of S~.
+    # half-width, and one rounding of S~.  d_0 = exp(S_0) lies in
+    # [lower, upper], so |S_0 - log value| <= max(upper - value,
+    # value - lower) / lower; the subtraction and the division round by at
+    # most u each.  lower > 0: a series' d_0 is at least
+    # prod_p (1 - p^-2) = 6 / pi^2, and its bracket is far narrower.
     s = [0.0] * (K + 1)
     err = [0.0] * (K + 1)
-    s0 = log_sum - tail_mid
-    e0 = (roundoff + max(tail_hi - tail_mid, tail_mid - tail_lo)) * (1.0 + 2.0**-50)
-    e0 += 2 * _U * abs(s0)
+    e0 = max(upper - value, value - lower) / lower * (1 + 4 * _U)
     for k in range(1, K + 1):
-        lo, mid, hi = tails[k]
+        lo, mid, hi = tails[k - 1]
         bound = math.fsum([majorant[k - 1] for _, majorant in parts])
-        sum_err = log_rel_err[k] * (1 + _U) * bound + _U * abs(generic[k]) + _UNDERFLOW
-        s[k] = generic[k] - mid
+        generic = math.fsum([row[k - 1] for row, _ in parts])
+        sum_err = log_rel_err[k - 1] * (1 + _U) * bound + _U * abs(generic) + _UNDERFLOW
+        s[k] = generic - mid
         err[k] = (sum_err + max(hi - mid, mid - lo)) * (1.0 + 2.0**-50) + 2 * _U * abs(s[k])
     series = _exp_series(s)
     majorant = _exp_series([abs(v) for v in s])
@@ -736,8 +809,8 @@ def _bracketed_product(
     for k in range(1, K + 1):
         spread = sum(majorant[j] * excess[k - j] for j in range(k + 1)) + eps * majorant[k]
         # 8 eps covers the float error of both series, their product and exp
-        radius = centre * spread * (1.0 + 8 * eps) + _UNDERFLOW
-        mid = centre * series[k]
+        radius = value * spread * (1.0 + 8 * eps) + _UNDERFLOW
+        mid = value * series[k]
         pad = radius * (1.0 + 2.0**-50) + 2 * _U * abs(mid)
         lowers.append(max(mid - pad, 0.0))
         uppers.append(mid + pad)
@@ -746,20 +819,21 @@ def _bracketed_product(
 
 
 def _estimate(
-    deltas,
+    quotients,
     deficiency: tuple[tuple[int, ...], ...],
-    m: int,
     target_error: float,
     *,
     start: int = MIN_TRUNCATION,
     truncation_prime: int | None = None,
+    primes: array | None = None,
 ) -> DensityEstimate:
     """prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``deltas`` maps a chunk of primes p <= ``start`` to their delta(p), each
-    within the error of ``_deltas``; beyond ``start`` delta follows
-    ``deficiency`` and ``m`` as ``_bracketed_product`` takes them.  The
-    product is evaluated once, with its factors split at ``start``;
+    ``quotients`` maps a chunk of primes p <= ``start`` to the exact
+    quotients of their delta(p); beyond ``start`` delta follows
+    ``deficiency``, and ``primes`` may hold every prime up to
+    ``start``, as ``_bracketed_product`` takes them.  The product is
+    evaluated once, with its factors split at ``start``;
     ``truncation_prime``, at least ``start``, is only reported, since the tail
     beyond ``start`` is enclosed whatever it is.  Without a pinned prime, a
     bracket wider than ``target_error`` raises UnreachableTargetError.
@@ -772,10 +846,7 @@ def _estimate(
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
 
-    def rows_of(primes: array) -> tuple:
-        return [math.fsum([math.log1p(-d) for d in deltas(primes)])], []
-
-    b = _bracketed_product(rows_of, (_CHUNK_LOG_ERR,), _neglog_coeffs(deficiency), m, start)
+    b = _bracketed_product(quotients, None, (), _neglog_coeffs(deficiency), start, primes)
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -807,7 +878,8 @@ def density(
     instead, in which case no width check is applied.  The pinned prime is
     reported but changes no bracket: the primes above the split enter
     through ``_TAIL_1000`` whatever it is.  Every prime's factor,
-    exceptional or not, is 1 - ``_deltas`` of its own pattern.  If the default
+    exceptional or not, is the exact quotient of ``_delta_quotients`` for
+    its own pattern.  If the default
     pattern forbids exponent 1 the product diverges to zero and the estimate
     is exactly 0 with ``diverges_to_zero`` set.
     """
@@ -824,42 +896,52 @@ def density(
     if m is None:
         return _finite_product(pap.exceptions, max(last, 2))
 
-    def deltas(primes: array) -> list[float]:
-        # fsum adds the logs in any order: the span's primes and the default's go in bulk
+    def quotients(primes: array) -> tuple[list[int], list[int]]:
+        # the product and the fsum take the primes in any order: the span's
+        # primes and the default's go in bulk
         k = bisect_right(primes, span)
-        plain = [p for p in primes[k:] if p not in exceptions]
-        own = [_deltas((p,), _delta_exponents(exceptions[p]))[0]
-               for p in primes[k:] if p in exceptions]
-        spanned = _deltas(primes[:k], _delta_exponents(span_pattern))
-        return spanned + _deltas(plain, _delta_exponents(pap.default)) + own
+        rest = primes[k:]
+        groups = [(primes[:k], span_pattern), ([p for p in rest if p not in exceptions], pap.default)]
+        groups += [((p,), exceptions[p]) for p in rest if p in exceptions]
+        nums, dens = [], []
+        for group, pattern in groups:
+            group_nums, group_dens = _delta_quotients(group, _delta_exponents(pattern))
+            nums += group_nums
+            dens += group_dens
+        return nums, dens
 
+    # With no key above the range and its last prime past 1000, the split is
+    # that prime + 1, and the range's array holds every prime up to it.
+    known = pap.exceptions.primes if span > MIN_TRUNCATION and last == span else None
     return _estimate(
-        deltas,
+        quotients,
         _deficiency(lambda t: not contains(pap.default, t), 0),
-        m,
         target_error,
         start=max(MIN_TRUNCATION, last + 1),
         truncation_prime=truncation_prime,
+        primes=known,
     )
 
 
 def _finite_product(exceptions, truncation_prime: int) -> DensityEstimate:
     """The product of the exceptional factors, when the default allows everything.
 
-    Their logs are summed as in ``_estimate``, with no tail: each is within
-    ``_LOG_ERR`` of its own magnitude and all are <= 0, so the fsum G is
-    within (_LOG_ERR + 2u) |G| of the exact sum, and 4u |G| more cover the
-    sums and exp below, as in ``_bracketed_product``.  Every factor is at
-    most 1, and so is the product.
+    As degree 0 of ``_bracketed_product``, with no tail: the factors of the
+    primes p <= 1000 are multiplied exactly in fixed point, and the logs of
+    the others, each within ``_LOG_ERR`` of its own magnitude, form one
+    fsum, a single chunk sum.
     """
     rules = [(p, e) for p, pattern in exceptions.items() if (e := _delta_exponents(pattern))]
     if not rules:
         return DensityEstimate(1.0, 1.0, 1.0, truncation_prime, 0.0)
-    log_sum = math.fsum([math.log1p(-_deltas((p,), e)[0]) for p, e in rules])
-    err = (_LOG_ERR + 6 * _U) * abs(log_sum) + _UNDERFLOW
-    upper = min(math.exp(log_sum + err) * (1.0 + 2.0**-50), 1.0)
-    lower = math.exp(log_sum - err) * (1.0 - 2.0**-50)
-    value = min(max(math.exp(log_sum), lower), upper)
+    head, logs = (1 << _W, 1 << _W), []
+    for p, e in rules:
+        (num,), (den,) = _delta_quotients((p,), e)
+        if p <= MIN_TRUNCATION:
+            head = _head_product((num,), (den,), *head)
+        else:
+            logs.append(math.log1p(-num / den))
+    value, lower, upper = _degree0(head, math.fsum(logs), 0.0, 0.0)
     return DensityEstimate(value, lower, upper, truncation_prime, math.log(upper / lower))
 
 
@@ -895,15 +977,18 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
-    def delta(p: int) -> float:
+    def quotients(primes: array) -> tuple[list[int], list[int]]:
         # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotients
-        if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS:
-            return 1 / p**2
-        return (p ** (ell - 1) - 1) / (p * (p**ell - 1))
+        pairs = [
+            (1, p * p) if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS
+            else (p ** (ell - 1) - 1, p * (p**ell - 1))
+            for p in primes
+        ]
+        return [num for num, _ in pairs], [den for _, den in pairs]
 
     # weight 1 on the forbidden exponents, those not = 1 mod ell
     deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)
-    return _estimate(lambda primes: map(delta, primes), deficiency, 2, target_error)
+    return _estimate(quotients, deficiency, target_error)
 
 
 def closed_form(

@@ -16,11 +16,13 @@ A weight is a few pieces, exponent intervals on which w is constant or rises
 by one per exponent.
 
 ``density_series`` makes one call of the Euler-product engine of ``euler``.
-Only the primes p <= P0 = min(1000, P) get rows of their own: every row a_k
-of F(p; z) is an exact integer quotient (``_local_polys``), a_0 = 1 - delta(p)
-the same one as in ``density()``, and ``_log_series`` takes the log of the
-row as a float series in z.  The engine adds the logs over p <= P0, encloses
-the factors p > P0 per z-degree through the committed prime tails
+d_0 is the density of the induced pattern, from the same exact product of
+a_0 = 1 - delta(p) over the primes up to 1000 and the same table as
+``density()``, whatever P is.  For k >= 1 only the primes p <= P0 =
+min(1000, P) get rows of their own: every row a_k of F(p; z) is an exact
+integer quotient (``_local_polys``), and ``_log_series`` takes the log of
+the row as a float series in z.  The engine adds the logs over p <= P0,
+encloses the factors p > P0 per z-degree through the committed prime tails
 ``euler._TAIL_1000`` (plus the primes in (P0, 1000] when P < 1000), and
 takes one exp of the series.  No prime above 1000 is sieved, so a P above
 1000 changes no bracket.  Every d_k comes with ``lower`` and ``upper`` that
@@ -55,7 +57,7 @@ from .primes import RS_UPPER, ResourceBudgetError, _check_budget, sieve_primes  
 DEFAULT_TRUNCATION = 100_000
 # Largest admitted work estimate, in float operations of a Python loop (about
 # 50 ns each).  The rows cost pi(P0) (K + 9)^2: a row's log and majorant take
-# about K^2 products per prime, and the 9 stands for the quotients and log1p;
+# about K^2 products per prime, and the 9 stands for the quotients and ratios;
 # the engine's own series in 1/p and z cost about as much as 64 more rows.
 # Nothing depends on P beyond P0 = 1000, so every P the sieve budget admits
 # passes at K <= 190, and K = 200 at P >= 1000 does not.
@@ -254,42 +256,43 @@ def _log_row_errors(K: int, rho: float) -> list[float]:
     return out
 
 
-def _enclose(w: ExponentWeight, K: int, m: int, P0: int) -> euler._Bracket:
+def _enclose(w: ExponentWeight, K: int, P0: int) -> euler._Bracket:
     """One engine call: d_0..d_K bracketed, with a log row per prime p <= P0.
 
-    Rows: delta(p) = 1 - a_0 is ``euler._deltas`` of the induced pattern,
-    the exact quotient of the density, so log a_0 = log1p(-delta) is within
-    ``euler._LOG_ERR`` of its magnitude.  Every a_k is an exact quotient
-    A_k / p^E_k of the same kind, and r_k = a_k / a_0 one correctly rounded
-    division of integers.  The terms p^-e <= 2^-1100 that the quotients drop
-    move a_0 by at most 2^-1099 relative (a_0 >= 3/4), inside
-    rho = u (1 + 2^-50), and each r_k by at most 2^-1099 absolute.  Those
-    shifts and the roundings below the normal range change each log
-    coefficient by at most (K + 1)^2 2^-1072 a prime, which over the at most
-    168 rows and the K that the work cap admits stays inside the engine's
-    underflow allowance.
+    Degree 0: 1 - a_0 = delta(p) is the exact quotient
+    ``euler._delta_quotients`` of the induced pattern, the one of the
+    density, and the engine multiplies the a_0 of the primes up to 1000
+    exactly, whatever P0 is; so d_0 is the pattern's ``density()`` bracket.
+    Rows k >= 1: every a_k is an exact quotient A_k / p^E_k of the same
+    kind, and r_k = a_k / a_0 one correctly rounded division of integers.
+    The terms p^-e <= 2^-1100 that the quotients drop move a_0 by at most
+    2^-1099 relative (a_0 >= 3/4), inside rho = u (1 + 2^-50), and each r_k
+    by at most 2^-1099 absolute.  Those shifts and the roundings below the
+    normal range change each log coefficient by at most (K + 1)^2 2^-1072 a
+    prime, which over the at most 168 rows and the K that the work cap
+    admits stays inside the engine's underflow allowance.
 
-    Chunk sums: fsum rounds once, so a log row 0 within e relative per prime
-    sums to within (u + e / (1 - e)) / (1 - u) of its own magnitude, and a
-    row k >= 1 within r of its majorant, and at most 1 + r times it, sums
-    to within (r + u (1 + r)) / (1 - u) of the majorant's computed sum.
+    Chunk sums: fsum rounds once, so a row k >= 1 within r of its majorant,
+    and at most 1 + r times it, sums to within (r + u (1 + r)) / (1 - u) of
+    the majorant's computed sum.
     """
     exps = _row_exponents(w, K)
 
+    def quotients(primes: array) -> tuple[list[int], list[int]]:
+        return euler._delta_quotients(primes, exps[0])
+
     def rows_of(primes: array) -> tuple:
-        logs = []
-        ratios = []
-        for (a0, den), *rest in _local_polys(primes, exps):
-            logs.append(math.log1p(-((den - a0) / den)))
-            ratios.append([num * den / (d * a0) if num else 0.0 for num, d in rest])
-        b, bound = _log_series([[], *map(list, zip(*ratios))] if K else [[]])
-        return [math.fsum(row) for row in (logs, *b)], [math.fsum(row) for row in bound]
+        ratios = [
+            [num * den / (d * a0) if num else 0.0 for num, d in rest]
+            for (a0, den), *rest in _local_polys(primes, exps)
+        ]
+        b, bound = _log_series([[], *map(list, zip(*ratios))])
+        return [math.fsum(row) for row in b], [math.fsum(row) for row in bound]
 
     rho = _U * (1 + 2.0**-50)
-    rel = [euler._CHUNK_LOG_ERR]
-    rel += [(r + _U * (1 + r)) / (1 - _U) for r in _log_row_errors(K, rho)]
+    rel = [(r + _U * (1 + r)) / (1 - _U) for r in _log_row_errors(K, rho)]
     neglog = euler._neglog_coeffs(euler._deficiency(w.weight, K))
-    return euler._bracketed_product(rows_of, rel, neglog, m, P0)
+    return euler._bracketed_product(quotients, rows_of, rel, neglog, P0)
 
 
 def density_series(
@@ -332,7 +335,7 @@ def density_series(
         # w is 0 on every exponent, so every factor is 1
         one = (1.0,) + (0.0,) * K
         return DensitySeries(one, one, one, P, 0.0)
-    b = _enclose(w, K, m, P0)
+    b = _enclose(w, K, P0)
     return DensitySeries(b.value, b.lower, b.upper, P, 1.0 - math.fsum(b.value))
 
 

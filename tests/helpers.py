@@ -447,6 +447,23 @@ def _interval_factor(p: int, pattern: ExponentPattern) -> mpmath.mpf:
     return f
 
 
+def exact_head(pap: PrimeAwarePattern, limit: int = ORACLE_SPLIT) -> Fraction:
+    """prod_{p <= limit} F(p) in exact rationals, each prime under its own pattern.
+
+    F(p) = 1 - 1/p + sum over allowed [lo, hi] of p^-lo - p^-(hi+1), with
+    every term kept.
+    """
+    value = Fraction(1)
+    for p in map(int, primes_upto(limit)):
+        f = 1 - Fraction(1, p)
+        for iv in pap.exceptions.get(p, pap.default).intervals:
+            f += Fraction(1, p**iv.lo)
+            if iv.hi is not None:
+                f -= Fraction(1, p ** (iv.hi + 1))
+        value *= f
+    return value
+
+
 def oracle_density(pap: PrimeAwarePattern) -> mpmath.mpf:
     """The density of ``pap`` to 40 digits; its default must forbid some m >= 2."""
     with mpmath.workdps(ORACLE_DPS):

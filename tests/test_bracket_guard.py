@@ -9,6 +9,7 @@ file.
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -51,11 +52,32 @@ def _coefficients(now: dict, before: dict) -> tuple:
     return range(len(columns[0])), *columns
 
 
-@pytest.mark.parametrize("truncation", ["1000", "100000"])
+@pytest.mark.parametrize("truncation", ["2", "3", "1000", "100000"])
 @pytest.mark.parametrize("pattern", ["1..1", "1..2", "1..1,3..inf"])
 def test_series_d0_nests_in_the_density(pattern, truncation):
-    # d_0 of a pattern's binary weight is the pattern's density
-    flags = ["--pattern", pattern, "--truncation", truncation]
-    (series,) = _records(["series", *flags, "--degree", "4"])
-    (product,) = _records(["density", *flags])
+    # d_0 of a pattern's binary weight is the pattern's density, from the
+    # same exact head up to 1000 and the same table; a density splits at
+    # 1000 or above
+    (series,) = _records(["series", "--pattern", pattern, "--truncation", truncation,
+                          "--degree", "4"])
+    (product,) = _records(["density", "--pattern", pattern,
+                           "--truncation", str(max(int(truncation), 1000))])
     assert product["lower"] <= series["lower"][0] <= series["upper"][0] <= product["upper"]
+
+
+# The benchmark's density requests and its bracket probe.
+BENCHMARK_DENSITIES = [
+    ["--pattern", "1..1", "--error", "1e-9"],
+    ["--pattern", "1..1", "--error", "1e-12"],
+    ["--pattern", "1..1,3..inf", "--error", "1e-8"],
+    ["--pattern", "1..2", "--error", "1e-9"],
+    ["--spec", "perfbench/odd_squarefree.json"],
+    ["--pattern", "1..1", "--truncation", "100000"],
+]
+
+
+@pytest.mark.parametrize("flags", BENCHMARK_DENSITIES, ids=" ".join)
+def test_density_brackets_are_at_most_two_ulp(flags):
+    (record,) = _records(["density", *flags])
+    lower, upper = record["lower"], record["upper"]
+    assert lower < upper <= math.nextafter(math.nextafter(lower, math.inf), math.inf), record

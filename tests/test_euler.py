@@ -1,11 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expdens.euler
 from expdens.euler import (
@@ -23,14 +26,17 @@ from expdens.patterns import (
     PrimeAwarePattern,
     complement,
     contains,
+    load_spec,
     min_forbidden,
     normalize_intervals,
     parse_pattern,
+    parse_prime_aware,
 )
 from expdens.primes import sieve_primes
 from expdens.series import ExponentWeight
 from helpers import (
     assert_below_partial,
+    exact_head,
     exp_odd_factor,
     gap_factor,
     local_factor_general,
@@ -254,6 +260,11 @@ class TestLocalFactors:
                 )
 
 
+def deltas(primes, exps):
+    """delta(p) of each prime as the product engine rounds it: num / den, once."""
+    return [num / den for num, den in zip(*expdens.euler._delta_quotients(primes, exps))]
+
+
 def exact_delta(p, pattern):
     """1 - F(p) in exact rationals, from the forbidden intervals."""
     delta = Fraction(0)
@@ -275,7 +286,7 @@ class TestDelta:
         pattern = parse_pattern(text)
         exps = expdens.euler._delta_exponents(pattern)
         truth = exact_delta(p, pattern)
-        assert expdens.euler._deltas((p,), exps) == [float(truth)]
+        assert deltas((p,), exps) == [float(truth)]
         assert local_factor_interval(p, pattern).value == float(1 - truth)
 
     @pytest.mark.parametrize("p", [2, 3, 997, 9999991])
@@ -299,8 +310,8 @@ class TestDelta:
         pattern = parse_pattern(text)
         exps = expdens.euler._delta_exponents(pattern)
         primes = sieve_primes(100_000).primes
-        chunk = expdens.euler._deltas(primes, exps)
-        assert chunk == [d for p in primes for d in expdens.euler._deltas((p,), exps)]
+        chunk = deltas(primes, exps)
+        assert chunk == [d for p in primes for d in deltas((p,), exps)]
         for p, d in zip(primes[::97], chunk[::97]):
             # within u of the kept terms, which are within 2^-1100 of delta
             bound = Fraction(d) / 2**53 + Fraction(1, 2**1100)
@@ -310,7 +321,7 @@ class TestDelta:
         # every term of an end of 10^20 is dropped, and no such power is taken
         pattern = parse_pattern("1..99999999999999999999")
         for p in (2, 3, 9999991):
-            assert expdens.euler._deltas((p,), expdens.euler._delta_exponents(pattern)) == [0.0]
+            assert deltas((p,), expdens.euler._delta_exponents(pattern)) == [0.0]
             assert local_factor_interval(p, pattern).value == 1.0
 
     def test_log1p_within_its_charge(self):
@@ -377,7 +388,8 @@ class TestDensity:
                 assert est.tail_logbound == coarse.tail_logbound
 
     def test_unreachable_target_carries_best(self):
-        # 1e-16 is below the roundoff floor of the enclosure (about 3.8e-15)
+        # 1e-16 is below one ulp of the density, 2^-53 ~ 1.11e-16 in [0.5, 1),
+        # and no bracket is narrower than one ulp
         with pytest.raises(UnreachableTargetError) as exc:
             density(SQUAREFREE, 1e-16)
         best = exc.value.best
@@ -453,6 +465,119 @@ class TestDensity:
         est = density(SQUAREFREE, truncation_prime=10**5)
         assert est.width <= 1.4210854715202004e-14
         assert est.lower <= oracle_density(SQUAREFREE) <= est.upper
+
+
+class TestFixedPoint:
+    def test_ln2_constant(self):
+        with mpmath.workprec(400):
+            assert expdens.euler._LN2 == int(mpmath.floor(mpmath.log(2) * 2**expdens.euler._W))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.floats(-745.0, 0.0), st.floats(-(2.0**-20), 2.0**-20)))
+    def test_exp_encloses_the_true_value(self, x):
+        euler, W = expdens.euler, expdens.euler._W
+        m_lo, k_lo = euler._exp_fixed(euler._fixed(x, False), False)
+        m_hi, k_hi = euler._exp_fixed(euler._fixed(x, True), True)
+        lower = euler._to_float(m_lo, k_lo - W, False)
+        upper = euler._to_float(m_hi, k_hi - W, True)
+        with mpmath.workdps(60):
+            truth = mpmath.exp(mpmath.mpf(x))
+            assert mpmath.ldexp(m_lo, k_lo - W) <= truth <= mpmath.ldexp(m_hi, k_hi - W)
+            assert mpmath.mpf(lower) <= truth <= mpmath.mpf(upper)
+        assert upper <= math.nextafter(math.nextafter(lower, math.inf), math.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_fixed_rounds_outward_once(self, x):
+        down, up = expdens.euler._fixed(x, False), expdens.euler._fixed(x, True)
+        exact = Fraction(x) * 2**expdens.euler._W
+        assert down <= exact <= up <= down + 1
+        assert (down == up) == (exact.denominator == 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**600), st.integers(-1300, 100))
+    def test_to_float_rounds_outward_once(self, M, e):
+        euler = expdens.euler
+        exact = Fraction(M) * Fraction(2) ** e
+        down, up = euler._to_float(M, e, False), euler._to_float(M, e, True)
+        assert Fraction(down) <= exact <= Fraction(up)
+        assert up == down or up == math.nextafter(down, math.inf)
+
+    @staticmethod
+    def _head(pap, monkeypatch) -> tuple[int, int] | None:
+        """The head the product took, or None when it took none (every factor 1)."""
+        heads = []
+        inner = expdens.euler._degree0
+
+        def spy(head, *rest):
+            heads.append(head)
+            return inner(head, *rest)
+
+        monkeypatch.setattr(expdens.euler, "_degree0", spy)
+        density(pap, 1.0)
+        assert len(heads) <= 1
+        return heads[0] if heads else None
+
+    def test_head_against_exact_product(self, monkeypatch):
+        rng = random.Random(18)
+        spec = load_spec(str(Path(__file__).resolve().parents[1] / "perfbench" / "odd_squarefree.json"))
+        paps = [spec]
+        while len(paps) < 40:
+            default = random_pattern(rng)
+            keys = rng.sample([2, 3, 5, 7, 97, 991, 997], rng.randint(0, 3))
+            exceptions = {q: random_pattern(rng, max_lo=5) if rng.random() < 0.8 else EMPTY_PATTERN
+                          for q in keys}
+            if contains(default, 1):
+                paps.append(PrimeAwarePattern(default=default, exceptions=exceptions))
+        for pap in paps:
+            head = self._head(pap, monkeypatch)
+            if head is None:
+                assert exact_head(pap) == 1
+                continue
+            lo, hi = head
+            exact = exact_head(pap) * 2**expdens.euler._W
+            assert lo <= exact <= hi, pap
+            # one unit per prime up to 1000
+            assert hi - lo <= 168
+
+    def test_degree_zero_calls_no_libm_exp_or_log1p(self, monkeypatch):
+        class NoExp:
+            def __getattr__(self, name):
+                assert name not in ("exp", "expm1", "log1p"), name
+                return getattr(math, name)
+
+        monkeypatch.setattr(expdens.euler, "math", NoExp())
+        est = density(SQUAREFREE, 1e-12)
+        assert est.lower <= oracle_density(SQUAREFREE) <= est.upper
+        # the default allows everything: only the two exceptional factors
+        finite = PrimeAwarePattern(
+            default=parse_pattern("1..inf"), exceptions={2: EMPTY_PATTERN, 997: SQUAREFREE.default}
+        )
+        est = density(finite, 1e-12)
+        assert Fraction(est.lower) <= Fraction(1, 2) * (1 - Fraction(1, 997**2)) <= Fraction(est.upper)
+
+    @pytest.mark.parametrize("exceptions, split, sieved", [
+        ({"p<=100000": "1..2"}, 99992, False),
+        # a key above the range: the primes between them are sieved
+        ({"p<=2000": "1..2", "7919": ""}, 7920, True),
+    ])
+    def test_range_primes_are_not_sieved_again(self, exceptions, split, sieved, monkeypatch):
+        limits = []
+        inner = expdens.euler.prime_segments
+
+        def recording(limit):
+            limits.append(limit)
+            return inner(limit)
+
+        monkeypatch.setattr(expdens.euler, "prime_segments", recording)
+        spec = parse_prime_aware({"default": "1..1", "exceptions": exceptions})
+        est = density(spec)
+        assert max(limits, default=0) == (split if sieved else 0)
+        # the same exceptions as a plain mapping sieve the product's primes again
+        spelled = PrimeAwarePattern(default=spec.default, exceptions=dict(spec.exceptions.items()))
+        again = density(spelled)
+        assert max(limits) == again.truncation_prime == est.truncation_prime == split
+        assert repr(again) == repr(est)
 
 
 def exact_neglog(delta, K):
