@@ -30,7 +30,6 @@ from expdens.patterns import (
     min_forbidden,
     normalize_intervals,
     parse_pattern,
-    parse_prime_aware,
 )
 from expdens.primes import sieve_primes
 from expdens.series import ExponentWeight
@@ -549,35 +548,16 @@ class TestFixedPoint:
         monkeypatch.setattr(expdens.euler, "math", NoExp())
         est = density(SQUAREFREE, 1e-12)
         assert est.lower <= oracle_density(SQUAREFREE) <= est.upper
-        # the default allows everything: only the two exceptional factors
+        # the default allows everything: only the exceptional factors, all in
+        # the exact head, 1009 too
         finite = PrimeAwarePattern(
-            default=parse_pattern("1..inf"), exceptions={2: EMPTY_PATTERN, 997: SQUAREFREE.default}
+            default=parse_pattern("1..inf"),
+            exceptions={2: EMPTY_PATTERN, 997: SQUAREFREE.default, 1009: SQUAREFREE.default},
         )
         est = density(finite, 1e-12)
-        assert Fraction(est.lower) <= Fraction(1, 2) * (1 - Fraction(1, 997**2)) <= Fraction(est.upper)
-
-    @pytest.mark.parametrize("exceptions, split, sieved", [
-        ({"p<=100000": "1..2"}, 99992, False),
-        # a key above the range: the primes between them are sieved
-        ({"p<=2000": "1..2", "7919": ""}, 7920, True),
-    ])
-    def test_range_primes_are_not_sieved_again(self, exceptions, split, sieved, monkeypatch):
-        limits = []
-        inner = expdens.euler.prime_segments
-
-        def recording(limit):
-            limits.append(limit)
-            return inner(limit)
-
-        monkeypatch.setattr(expdens.euler, "prime_segments", recording)
-        spec = parse_prime_aware({"default": "1..1", "exceptions": exceptions})
-        est = density(spec)
-        assert max(limits, default=0) == (split if sieved else 0)
-        # the same exceptions as a plain mapping sieve the product's primes again
-        spelled = PrimeAwarePattern(default=spec.default, exceptions=dict(spec.exceptions.items()))
-        again = density(spelled)
-        assert max(limits) == again.truncation_prime == est.truncation_prime == split
-        assert repr(again) == repr(est)
+        exact = Fraction(1, 2) * (1 - Fraction(1, 997**2)) * (1 - Fraction(1, 1009**2))
+        assert Fraction(est.lower) <= exact <= Fraction(est.upper)
+        assert est.upper <= math.nextafter(est.lower, math.inf)
 
 
 def exact_neglog(delta, K):
