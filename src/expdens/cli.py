@@ -16,8 +16,8 @@ holding NaN or an infinity is refused as a usage error.  Exit codes:
 failure.
 
 The result records are plain classes made by expdens._record, not
-dataclasses, so no request loads dataclasses or inspect; json loads only
-for machine output and fractions only for examples.
+dataclasses, so no request loads dataclasses or inspect, nor fractions;
+json loads only for machine output.
 """
 
 from __future__ import annotations

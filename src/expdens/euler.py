@@ -56,6 +56,7 @@ from itertools import groupby, repeat
 
 from ._record import record
 from .patterns import (
+    EMPTY_PATTERN,
     ExponentPattern,
     PrimeAwarePattern,
     complement,
@@ -274,75 +275,39 @@ def zeta_int(s: int) -> BoundedValue:
     return BoundedValue(value, 2 * _U * value + float(abs(term)) * (1 + 4 * _U))
 
 
-def _mobius(r: int) -> int:
-    if r == 1:
-        return 1
-    result = 1
-    n = r
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
+def _all_primes_sum(den, ts: range) -> BoundedValue:
+    """sum over all primes of 1 / den(p), whose series in 1/p has coefficient 1
+    at each t <= 64 of ``ts`` and 0 at every other t <= 64.
+
+    Primes up to ``MIN_TRUNCATION`` are summed directly, each term one
+    correctly rounded division of integers and the fsum one more rounding,
+    so 3u of the direct sum covers both.  The rest is the prime-zeta tail
+    sum_{p > P} sum_t c_t p^-t, enclosed by ``_tail_enclosure`` exactly as
+    the tail of a density, its cut covering the terms t > 64.
+    """
+    P = MIN_TRUNCATION
+    direct = math.fsum([1 / den(p) for p in sieve_primes(P).primes.tolist()])
+    coeffs = [float(t in ts) for t in range(_SERIES_DEGREE + 1)]
+    sums = _tail_sums(_live_terms([coeffs]), P, {})
+    lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, sums)
+    value = direct + mid
+    error = max(hi - mid, mid - max(lo, 0.0)) + 3 * _U * direct
+    return BoundedValue(value, error + _U * value + _UNDERFLOW)
 
 
 @lru_cache(maxsize=None)
 def _prime_zeta(s: int) -> BoundedValue:
-    """sum over primes of p^-s, via the Moebius inversion of log zeta.
-
-    P(s) = sum_r mu(r)/r log zeta(rs).  Each log zeta carries the error bar
-    of ``zeta_int`` (e / (z - e)) and the roundoff of log, of mu/r and of the
-    product; the sum is an fsum.  The terms rs > _SERIES_DEGREE are dropped:
-    with log zeta(u) <= zeta(u) - 1 <= 1.04 2^-u for u > 64, they sum to at
-    most 1.4 2^(-r0 s) / r0, r0 the first dropped r.
-    """
+    """sum over all primes of p^-s, s >= 2."""
     if s < 2:
         raise ValueError("prime zeta evaluated only for s >= 2")
-    terms: list[float] = []
-    error = 0.0
-    r = 1
-    while r * s <= _SERIES_DEGREE:
-        mu = _mobius(r)
-        if mu != 0:
-            z = zeta_int(r * s)
-            log_z = math.log(z.value)
-            term = mu / r * log_z
-            terms.append(term)
-            error += (z.error / (z.value - z.error) + 2 * _U * abs(log_z)) / r
-            error += 2 * _U * abs(term)
-        r += 1
-    total = math.fsum(terms)
-    error += 1.4 * 2.0 ** (-r * s) / r + _U * abs(total)
-    return BoundedValue(total, error)
+    return _all_primes_sum(lambda p: p**s, range(s, s + 1))
 
 
 def prime_sum(k: int) -> BoundedValue:
-    """sum over all primes of 1 / (p^k - 1), k >= 2.
-
-    Primes up to ``MIN_TRUNCATION`` are summed directly; the rest is
-    sum_{p > P} sum_j p^(-jk), a prime-zeta tail with c_t = 1 for k | t,
-    enclosed by ``_tail_enclosure`` exactly as the tail of a density.  Each
-    direct term x / (1 - x), x = p^-k <= 1/4, is within 8 ulp (power,
-    subtraction, division) and their fsum adds one, so 2^-47 of the direct
-    sum covers both.
-    """
+    """sum over all primes of 1 / (p^k - 1) = sum_{j >= 1} p^-jk, k >= 2."""
     if k < 2:
         raise ValueError("prime_sum requires k >= 2")
-    P = MIN_TRUNCATION
-    primes = sieve_primes(P).primes
-    direct = math.fsum([x / (1.0 - x) for x in (_inv_pow(float(p), k) for p in primes)])
-    coeffs = [float(t > 0 and t % k == 0) for t in range(_SERIES_DEGREE + 1)]
-    sums = _tail_sums(_live_terms([coeffs]), P, {})
-    lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, sums)
-    value = direct + mid
-    error = max(hi - mid, mid - max(lo, 0.0)) + 2.0**-47 * direct
-    return BoundedValue(value, error + _U * value + _UNDERFLOW)
+    return _all_primes_sum(lambda p: p**k - 1, range(k, _SERIES_DEGREE + 1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +436,6 @@ def _neglog_coeffs(
     )
     err = tuple(tuple(_U * abs(c) for c in row) for row in neglog)
     return neglog, err
-
-
-def _inv_pow(p: float, e: int) -> float:
-    """p ** -e for p >= 2; 0 from e = 1076 on, where it rounds to 0 anyway
-    and e may be too large for a float."""
-    return 0.0 if e >= 1076 else p**-e
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +840,10 @@ def density(
     reported but changes no bracket: the primes above the split enter
     through ``_TAIL_1000`` whatever it is.  Every prime's factor,
     exceptional or not, is the exact quotient of ``_delta_quotients`` for
-    its own pattern.  If the default
-    pattern forbids exponent 1 the product diverges to zero and the estimate
-    is exactly 0 with ``diverges_to_zero`` set.
+    its own pattern.  If the default pattern allows everything, only the
+    exceptional factors are below 1, all taken in the exact head, and no
+    width check applies; if it forbids exponent 1 the product diverges to
+    zero and the estimate is exactly 0 with ``diverges_to_zero`` set.
     """
     _check_target(target_error)
     m = min_forbidden(pap.default)
@@ -895,10 +855,8 @@ def density(
     if isinstance(exceptions, _PrimeRange) and exceptions.primes:
         span, span_pattern, exceptions = exceptions.primes[-1], exceptions.pattern, exceptions.rest
     last = max(span, max(exceptions, default=0))
-    if m is None:
-        return _finite_product(pap.exceptions, max(last, 2))
 
-    def quotients(primes: array) -> tuple[list[int], list[int]]:
+    def quotients(primes) -> tuple[list[int], list[int]]:
         # the product and the fsum take the primes in any order: the span's
         # primes and the default's go in bulk
         k = bisect_right(primes, span)
@@ -912,6 +870,21 @@ def density(
             dens += group_dens
         return nums, dens
 
+    if m is None:
+        # Only the exceptional factors are below 1: degree 0 of the engine
+        # with all of them in the exact head, whatever their primes, and no
+        # log sum or tail.  The range's array goes in chunks, the other keys
+        # as a list, since a key may pass 2^63.
+        P = max(last, 2)
+        if all(map(ExponentPattern.allows_everything, (span_pattern, *exceptions.values()))):
+            return DensityEstimate(1.0, 1.0, 1.0, P, 0.0)
+        head = (1 << _W, 1 << _W)
+        for group in (pap.exceptions.primes if span else (), list(exceptions)):
+            for i in range(0, len(group), _FSUM_CHUNK):
+                head = _head_product(*quotients(group[i : i + _FSUM_CHUNK]), *head)
+        value, lower, upper = _degree0(head, 0.0, 0.0, 0.0)
+        return DensityEstimate(value, lower, upper, P, math.log(upper / lower))
+
     return _estimate(
         quotients,
         _deficiency(lambda t: not contains(pap.default, t), 0),
@@ -921,43 +894,8 @@ def density(
     )
 
 
-def _finite_product(exceptions, truncation_prime: int) -> DensityEstimate:
-    """The product of the exceptional factors, when the default allows everything.
-
-    As degree 0 of ``_bracketed_product``, with every factor in the exact
-    fixed-point head, whatever its prime, and no log sum or tail.
-    """
-    nums, dens = [], []
-    for p, pattern in exceptions.items():
-        if e := _delta_exponents(pattern):
-            (num,), (den,) = _delta_quotients((p,), e)
-            nums.append(num)
-            dens.append(den)
-    if not nums:
-        return DensityEstimate(1.0, 1.0, 1.0, truncation_prime, 0.0)
-    head = _head_product(nums, dens, 1 << _W, 1 << _W)
-    value, lower, upper = _degree0(head, 0.0, 0.0, 0.0)
-    return DensityEstimate(value, lower, upper, truncation_prime, math.log(upper / lower))
-
-
 # ---------------------------------------------------------------------------
 # Closed-form catalog
-
-
-def _zeta_quotient(numerator: BoundedValue, k: int, truncation_prime: int = 1) -> DensityEstimate:
-    """numerator / zeta(k), bracketed by both error bars and a 1e-15 relative pad."""
-    z = zeta_int(k)
-    value = numerator.value / z.value
-    lower = (numerator.value - numerator.error) / (z.value + z.error) * (1 - 1e-15)
-    upper = (numerator.value + numerator.error) / (z.value - z.error) * (1 + 1e-15)
-    lower = min(lower, value)
-    upper = max(upper, value)
-    if lower <= 0.0:
-        raise ValueError("closed-form bounds must stay positive")
-    tail_logbound = math.log(upper / lower) if upper > lower else 0.0
-    lower = upper * math.exp(-tail_logbound)
-    value = min(max(value, lower), upper)
-    return DensityEstimate(value, lower, upper, truncation_prime, tail_logbound)
 
 
 # The catalog names some products twice (squarefree_or_high k=3 is skip_one
@@ -998,10 +936,11 @@ def closed_form(
 ) -> DensityEstimate:
     """Evaluate a cataloged density constant.
 
-    ``squarefree_or_high`` and ``skip_one`` are interval patterns and are
-    computed by ``density()``; ``exp_odd`` is ``mod_periodic`` with ell = 2,
-    an Euler product over its own closed-form local factor.  The other forms
-    are zeta quotients and serve as independent cross-checks of ``density()``.
+    Every form is one Euler product over an exponent pattern, some with
+    exceptional primes, and is computed by ``density()``; ``exp_odd`` is
+    ``mod_periodic`` with ell = 2, a product over its own closed-form local
+    factor, and ``ex3`` is d_0 + d_1 of a density series.  A bracket wider
+    than ``target_error`` raises UnreachableTargetError, except for ``ex3``.
 
     Forms and parameters:
 
@@ -1013,22 +952,23 @@ def closed_form(
     - ``exp_odd``: every exponent odd; prod (1 - 1/(p(p+1))).
     - ``mod_periodic`` (ell >= 1): every exponent = 1 mod ell;
       prod (1 - (p^(ell-1) - 1)/(p (p^ell - 1))).
-    - ``ex1`` (q prime, k >= 2): k-free and coprime to every prime <= q;
+    - ``ex1`` (q prime, k >= 2): k-free and coprime to every prime <= q,
+      the pattern 1..k-1 with p<=q: "";
       prod_{p<=q}(1 - 1/p) / (zeta(k) prod_{p<=q}(1 - p^-k)).
-    - ``ex2`` (primes=S, k >= 2): k-free and coprime to the primes in S;
+    - ``ex2`` (primes=S, k >= 2): k-free and coprime to the primes in S,
+      the pattern 1..k-1 with "" at each prime of S;
       (1/zeta(k)) prod_{q in S} (q^k - q^(k-1)) / (q^k - 1).
-    - ``ex3_single`` (p prime, k >= 2): p unrestricted, everything else < k;
-      (1/zeta(k)) p^k / (p^k - 1).
-    - ``ex3`` (k >= 2): at most one prime with exponent >= k;
-      (1/zeta(k)) (1 + sum_p 1/(p^k - 1)).
+    - ``ex3_single`` (p prime, k >= 2): p unrestricted, everything else < k,
+      the pattern 1..k-1 with p: 1..inf; (1/zeta(k)) p^k / (p^k - 1).
+    - ``ex3`` (k >= 2): at most one prime with exponent >= k; d_0 + d_1 of
+      the series of the weight 1 on the exponents >= k, added with outward
+      rounding; (1/zeta(k)) (1 + sum_p 1/(p^k - 1)).
     """
-    from fractions import Fraction
-
     _check_target(target_error)
     if form == "powerfree":
         if k is None or k < 1:
             raise ValueError("powerfree needs k >= 1")
-        return _zeta_quotient(BoundedValue(1.0, 0.0), k + 1)
+        return _interval_density(normalize_intervals([(1, k)]), target_error)
 
     if form == "squarefree_or_high":
         if k is None or k < 2:
@@ -1053,38 +993,26 @@ def closed_form(
     if form == "ex1":
         if q is None or not is_prime(q) or k is None or k < 2:
             raise ValueError("ex1 needs prime q and k >= 2")
-        num = Fraction(1)
-        den = Fraction(1)
-        for r in sieve_primes(q).primes.tolist():
-            num *= Fraction(r - 1, r)
-            den *= 1 - Fraction(1, r**k)
-        ratio = num / den
-        return _zeta_quotient(BoundedValue(float(ratio), float(ratio) * 1e-15), k)
-
-    if form == "ex2":
+        exceptions = _PrimeRange(q, EMPTY_PATTERN, {})
+    elif form == "ex2":
         if primes is None or k is None or k < 2:
             raise ValueError("ex2 needs a prime set and k >= 2")
-        prod = Fraction(1)
-        for r in sorted(set(primes)):
-            if not is_prime(r):
-                raise ValueError(f"ex2 set contains non-prime {r}")
-            prod *= Fraction(r**k - r ** (k - 1), r**k - 1)
-        return _zeta_quotient(BoundedValue(float(prod), float(prod) * 1e-15), k)
-
-    if form == "ex3_single":
+        exceptions = dict.fromkeys(primes, EMPTY_PATTERN)
+    elif form == "ex3_single":
         if p is None or not is_prime(p) or k is None or k < 2:
             raise ValueError("ex3_single needs prime p and k >= 2")
-        ratio = Fraction(p**k, p**k - 1)
-        return _zeta_quotient(BoundedValue(float(ratio), float(ratio) * 1e-15), k)
-
-    if form == "ex3":
+        exceptions = {p: normalize_intervals([(1, None)])}
+    elif form == "ex3":
         if k is None or k < 2:
             raise ValueError("ex3 needs k >= 2")
-        s = prime_sum(k)
-        return _zeta_quotient(
-            BoundedValue(1.0 + s.value, s.error + 1e-15),
-            k,
-            truncation_prime=MIN_TRUNCATION,
-        )
+        from . import series  # only ex3 needs the series engine
 
-    raise ValueError(f"unknown closed form {form!r}")
+        ds = series.density_series(series.ExponentWeight.threshold(k), 1, MIN_TRUNCATION)
+        lower = math.nextafter(ds.lower[0] + ds.lower[1], -math.inf)
+        upper = math.nextafter(ds.upper[0] + ds.upper[1], math.inf)
+        value = min(max(ds.coeffs[0] + ds.coeffs[1], lower), upper)
+        return DensityEstimate(value, lower, upper, MIN_TRUNCATION, math.log(upper / lower))
+    else:
+        raise ValueError(f"unknown closed form {form!r}")
+    pap = PrimeAwarePattern(default=normalize_intervals([(1, k - 1)]), exceptions=exceptions)
+    return density(pap, target_error)

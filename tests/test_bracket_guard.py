@@ -76,8 +76,16 @@ BENCHMARK_DENSITIES = [
 ]
 
 
-@pytest.mark.parametrize("flags", BENCHMARK_DENSITIES, ids=" ".join)
-def test_density_brackets_are_at_most_two_ulp(flags):
-    (record,) = _records(["density", *flags])
+# Every examples row but ex3 is one product's density; ex3 adds two series
+# coefficients.
+PRODUCT_ROWS = [r["id"] for r in RECORDED if r["argv"] == ["examples"] and r["id"] != "ex3 k=2"]
+
+
+@pytest.mark.parametrize("argv, row", [
+    *(pytest.param(["density", *flags], None, id=" ".join(flags)) for flags in BENCHMARK_DENSITIES),
+    *(pytest.param(["examples"], row, id=f"examples {row}") for row in PRODUCT_ROWS),
+])
+def test_density_brackets_are_at_most_two_ulp(argv, row):
+    (record,) = [r for r in _records(argv) if r.get("id") == row]
     lower, upper = record["lower"], record["upper"]
     assert lower < upper <= math.nextafter(math.nextafter(lower, math.inf), math.inf), record

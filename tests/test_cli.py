@@ -310,7 +310,8 @@ class TestExamples:
 
 
     def test_each_product_computed_once(self, monkeypatch, capsys):
-        # squarefree_or_high k=3 is skip_one k=2; exp_odd is mod_periodic ell=2
+        # 11 rows, 9 products: squarefree_or_high k=3 is skip_one k=2 and
+        # exp_odd is mod_periodic ell=2
         calls = []
         inner = expdens.euler._bracketed_product
 
@@ -322,8 +323,22 @@ class TestExamples:
         expdens.euler._interval_density.cache_clear()
         expdens.euler._mod_periodic.cache_clear()
         assert main(["examples"]) == EXIT_OK
-        assert len(calls) == 3
+        assert len(calls) == 9
         assert len(capsys.readouterr().out.splitlines()) == 11
+
+    @pytest.mark.parametrize("error", ["1e-15", "2e-16"])
+    def test_one_ulp_rows_meet_a_tight_target(self, error):
+        # every row but ex3 is one ulp wide, and ex3 is not held to the target
+        code, out, err, _ = main_timed(["examples", "--error", error])
+        assert code == EXIT_OK, err
+        assert len(out.splitlines()) == 11
+
+    def test_unreachable_target_fails_before_any_row(self):
+        # the first row, powerfree k=1, is one ulp of 0.61 wide: 1.1e-16
+        code, out, err, _ = main_timed(["examples", "--error", "1e-16"])
+        assert code == EXIT_UNREACHABLE
+        assert out == ""
+        assert err.startswith("error: bracket width 1.110e-16 > target 1.000e-16")
 
 
 @dataclasses.dataclass

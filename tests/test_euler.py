@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import expdens.euler
 from expdens.euler import (
+    MIN_TRUNCATION,
     DensityEstimate,
     UnreachableTargetError,
     brackets_overlap,
@@ -30,9 +31,10 @@ from expdens.patterns import (
     min_forbidden,
     normalize_intervals,
     parse_pattern,
+    parse_prime_aware,
 )
 from expdens.primes import sieve_primes
-from expdens.series import ExponentWeight
+from expdens.series import ExponentWeight, density_series
 from helpers import (
     assert_below_partial,
     exact_head,
@@ -42,6 +44,7 @@ from helpers import (
     mod_periodic_factor,
     oracle_density,
     oracle_mod_periodic,
+    oracle_prime_sum,
     partial_euler_product,
     prime_tail,
     random_pattern,
@@ -371,6 +374,40 @@ class TestDensity:
         assert est.value == pytest.approx(0.5, rel=1e-14)
         assert est.width <= 1e-14
 
+    def test_range_over_free_default_goes_in_bulk(self, monkeypatch):
+        # one quotient call per sieve chunk of the range, none per prime
+        calls = []
+        inner = expdens.euler._delta_quotients
+
+        def counting(primes, exps):
+            calls.append(len(primes))
+            return inner(primes, exps)
+
+        monkeypatch.setattr(expdens.euler, "_delta_quotients", counting)
+        pap = parse_prime_aware({"default": "1..inf", "exceptions": {"p<=10000": "1..2", "10007": ""}})
+        est = density(pap)
+        assert [n for n in calls if n] == [1229, 1]
+        exact = Fraction(10006, 10007)
+        for p in sieve_primes(10**4).primes.tolist():
+            exact *= 1 - Fraction(1, p**3)
+        assert Fraction(est.lower) <= exact <= Fraction(est.upper)
+        assert est.upper <= math.nextafter(est.lower, math.inf)
+        assert est.truncation_prime == 10007
+
+    def test_free_default_takes_keys_past_int64(self):
+        # the finite product keeps the keys in a list, not an int64 array
+        big = 2**64 - 59
+        est = density(PrimeAwarePattern(parse_pattern("1..inf"), {big: EMPTY_PATTERN}))
+        assert Fraction(est.lower) <= 1 - Fraction(1, big) <= Fraction(est.upper)
+        assert est.truncation_prime == big
+
+    def test_far_forbidden_exponent_is_not_exact_one(self):
+        # delta(2) = 2^-(10^20) is cut from the quotient, so the factor is
+        # enclosed below 1, not returned as an exact 1
+        pap = PrimeAwarePattern(parse_pattern("1..inf"), {2: parse_pattern("1..99999999999999999999")})
+        est = density(pap)
+        assert est.lower < 1.0 == est.upper
+
     def test_bracket_nesting_under_4x_truncation(self):
         # Beyond P0 every prime enters through the committed tails T_t(1000),
         # so a pinned truncation prime moves no bracket at all.
@@ -695,12 +732,13 @@ class TestClosedForms:
 
 
 class TestGenericVsCatalog:
+    """The catalog computes each pattern row by ``density()`` itself, so the
+    records are equal, not just overlapping."""
+
     def test_powerfree_patterns(self):
         for k in (1, 2, 3):
             generic = density(PrimeAwarePattern(default=normalize_intervals([(1, k)])))
-            catalog = closed_form("powerfree", k=k)
-            assert brackets_overlap(generic, catalog)
-            assert abs(generic.value - catalog.value) <= 1e-9
+            assert closed_form("powerfree", k=k) == generic
 
     def test_gap_pattern(self):
         generic = density(PrimeAwarePattern(default=parse_pattern("1..1,3..inf")))
@@ -722,9 +760,10 @@ class TestGenericVsCatalog:
                 exceptions={2: EMPTY_PATTERN, 3: EMPTY_PATTERN},
             )
         )
-        catalog = closed_form("ex1", q=3, k=2)
-        assert brackets_overlap(generic, catalog)
-        assert abs(generic.value - catalog.value) <= 1e-9
+        assert closed_form("ex1", q=3, k=2) == generic
+        # the catalog's "p<=q" range, as a spec file gives it
+        ranged = parse_prime_aware({"default": "1..2", "exceptions": {"p<=1000": ""}})
+        assert closed_form("ex1", q=997, k=3) == density(ranged)
 
     def test_ex2_pattern(self):
         generic = density(
@@ -732,6 +771,39 @@ class TestGenericVsCatalog:
                 default=parse_pattern("1..1"), exceptions={2: EMPTY_PATTERN}
             )
         )
-        catalog = closed_form("ex2", primes={2}, k=2)
-        assert brackets_overlap(generic, catalog)
-        assert abs(generic.value - catalog.value) <= 1e-9
+        assert closed_form("ex2", primes={2}, k=2) == generic
+        generic = density(
+            PrimeAwarePattern(
+                default=parse_pattern("1..2"),
+                exceptions={3: EMPTY_PATTERN, 1009: EMPTY_PATTERN},
+            )
+        )
+        assert closed_form("ex2", primes={3, 1009}, k=3) == generic
+
+    def test_ex3_single_pattern(self):
+        for p, k in ((2, 2), (3, 2), (1009, 3)):
+            generic = density(
+                PrimeAwarePattern(
+                    default=normalize_intervals([(1, k - 1)]),
+                    exceptions={p: parse_pattern("1..inf")},
+                )
+            )
+            assert closed_form("ex3_single", p=p, k=k) == generic
+
+    def test_ex3_is_the_outward_sum_of_d0_and_d1(self):
+        # at most one prime with exponent >= k: g(n) <= 1 for the weight 1 on
+        # the exponents >= k
+        for k in (2, 3):
+            ds = density_series(ExponentWeight.threshold(k), 1, MIN_TRUNCATION)
+            est = closed_form("ex3", k=k)
+            assert est.lower == math.nextafter(ds.lower[0] + ds.lower[1], -math.inf)
+            assert est.upper == math.nextafter(ds.upper[0] + ds.upper[1], math.inf)
+            assert Fraction(est.lower) <= Fraction(ds.lower[0]) + Fraction(ds.lower[1])
+            assert Fraction(est.upper) >= Fraction(ds.upper[0]) + Fraction(ds.upper[1])
+            assert est.lower <= est.value <= est.upper
+            assert est.truncation_prime == MIN_TRUNCATION
+            # narrower than the zeta quotient it replaced (8.33e-15 at k = 2)
+            assert est.width < 8.33e-15
+            with mpmath.workdps(40):
+                truth = (1 + oracle_prime_sum(k)) / mpmath.zeta(k)
+                assert est.lower <= truth <= est.upper

@@ -1,6 +1,6 @@
 """The package loads lazily: its names resolve on demand, no module of it
-imports numpy, no request loads dataclasses or inspect, the requests
-that need no fractions or JSON load neither, the oracle requests load
+imports numpy, no request loads dataclasses or inspect, no request loads
+fractions, the requests that need no JSON load none, the oracle requests load
 no typing, and no benchmark request loads argparse, gettext or locale.
 The command-line entry points freeze the start-up heap; a library import
 or an in-process ``cli.main`` call leaves gc alone."""
@@ -131,6 +131,7 @@ def test_command_leaves_numpy_out(argv):
     ["series", "--weight", "delta", "--degree", "8", "--truncation", "1000000"],
     ["series", "--pattern", "1..2", "--degree", "16", "--truncation", "1000000"],
     ["series", "--pattern", "1..1", "--degree", "8"],
+    ["examples"],
 ])
 def test_command_leaves_fractions_and_json_out(argv):
     assert not _run(_command(argv))[1] & {"fractions", "json"}
@@ -138,11 +139,15 @@ def test_command_leaves_fractions_and_json_out(argv):
 
 @pytest.mark.parametrize("argv, module", [
     (["density", "--pattern", "1..1", "--output", "machine"], "json"),
-    (["examples"], "fractions"),
 ])
 def test_fractions_and_json_load_where_used(argv, module):
-    # positive control: machine output needs json, the catalog's zeta fractions
+    # positive control: machine output needs json
     assert module in _run(_command(argv))[1]
+
+
+def test_fractions_import_is_detected():
+    # positive control: zeta_int, which no request calls, sums in fractions
+    assert "fractions" in _run("from expdens import zeta_int\nzeta_int(3)")[1]
 
 
 def test_series_script_leaves_numpy_out():
