@@ -10,40 +10,40 @@ product of per-prime local factors
 its own pattern or the default, is one exact integer quotient num / p^E
 (``_delta_quotients``).
 
-A product is evaluated once, at a truncation prime P.  Its factors split at
-P0 = max(``MIN_TRUNCATION``, largest exceptional prime + 1).  The factors of
-the primes p <= 1000 are multiplied exactly, as W-bit fixed-point integers
-rounded outward at each step; each prime in (1000, P0] contributes the float
-log of its own factor, summed with a stated roundoff bound; and every prime
-above P0 has the default factor, with -log F(p) = sum_t c_t p^-t for exact
-integers c_t.  So the primes above P0 enter only through the power sums
-T_t = sum_{p > P0} p^-t:
+A density follows the default pattern at every prime but a finite set E
+of exceptional primes, so it is the default's product times the finite
+correction prod_{p in E} F_E(p) / F(p).  Both products of the correction
+are taken exactly in fixed point, and the correction is the start of the
+default's product.  That product is evaluated once, at P0 = 1000: the
+factors of the primes p <= 1000 are multiplied exactly, as W-bit
+fixed-point integers rounded outward at each step, and every prime above
+1000 enters through -log F(p) = sum_t c_t p^-t, for exact integers c_t,
+and the power sums T_t = sum_{p > 1000} p^-t:
 
-    sum_{p > P0} -log F(p) = sum_{t <= 64} c_t T_t + cut,
+    sum_{p > 1000} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
 where the cut (the terms t > 64) is below 1e-170.  T_t does not depend on
 the pattern.  ``_TAIL_1000`` holds T_t(1000) for t = 2..64 between two
 adjacent floats, computed once from prime zeta at high precision and
-checked by the tests.  At P0 = 1000 the table is the enclosure; at another
-P0 the float sum of p^-t over the primes between 1000 and P0 is taken off
-or added, for the t whose bound [0, P0^(1-t)/(t-1)] is above 2^-60, and
-the other t keep that bound.  So the sieve runs only to max(P0, 1000), no
-zeta value is computed at run time, and a pinned truncation prime P >= P0
-changes no bracket.  The two ends of the log enclosure are taken exactly
-in fixed point, exponentiated there with a counted error, multiplied by
-the exact head and rounded outward to float once, so a bracket is one ulp
-wide unless the primes in (1000, P0] widen it.  The published
-[lower, upper] holds the true density with every error term and all float
-roundoff included (Ettahri, Ramare and Surel, "Fast multi-precision
-computation of some Euler products", Math. Comp. 2021; H. Cohen, "High
-precision computation of Hardy-Littlewood constants", 1998; Brent and
-Zimmermann, "Modern Computer Arithmetic", 2010, ch. 4).
+checked by the tests.  So the sieve runs only to 1000, no zeta value is
+computed at run time, and neither an exceptional prime nor a pinned
+truncation prime moves the split.  The two ends of the log enclosure are
+taken exactly in fixed point, exponentiated there with a counted error,
+multiplied by the exact head and rounded outward to float once, so a
+bracket is one or two ulp wide.  The published [lower, upper] holds the
+true density with every error term and all float roundoff included
+(Ettahri, Ramare and Surel, "Fast multi-precision computation of some
+Euler products", Math. Comp. 2021; H. Cohen, "High precision computation
+of Hardy-Littlewood constants", 1998; Brent and Zimmermann, "Modern
+Computer Arithmetic", 2010, ch. 4).
 
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
 cut at z^K.  Degree 0 is the density's bracket; for k >= 1 the log-sum, the
 tail enclosure and the bracket run per z-degree in floating point, with one
-exp of a series in z at the end.  ``density()`` is its case K = 0.
+exp of a series in z at the end; their split may be below 1000, and the
+primes between it and 1000 are then added to T_t(1000).  ``density()`` is
+its case K = 0.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import repeat
 
 from ._record import record
 from .patterns import (
@@ -78,8 +78,8 @@ _SERIES_DEGREE = 64
 _FSUM_CHUNK = 1 << 16
 # Unit roundoff of float64.
 _U = 2.0**-53
-# A T_t whose bound P0^(1-t)/(t-1) is at most _POWER_CUT keeps that bound;
-# the others are taken from ``_TAIL_1000`` and the primes between 1000 and P0.
+# Below 1000, a T_t(P0) whose bound P0^(1-t)/(t-1) is at most _POWER_CUT
+# keeps that bound; the others are ``_TAIL_1000`` plus the primes up to 1000.
 _POWER_CUT = 2.0**-60
 # Covers every result that underflows below the normal range and every term
 # that ``_delta_quotients`` drops, summed over at most 1e8 primes and 10^4
@@ -315,16 +315,6 @@ def prime_sum(k: int) -> BoundedValue:
 
 # delta(p) drops its terms p^-e with p^e >= 2^_CAP_BITS.
 _CAP_BITS = 1100
-# Relative error of log1p(-num / den) against log F(p), for a prime above
-# 1000 whose factor enters a product as a float log.  num / den rounds once,
-# within u of the kept terms of delta, which are within 2^-1100 of it (below
-# the normal range the rounding is within 2^-1075 instead); ``_UNDERFLOW``
-# covers both absolute errors.  As delta <= 1/p <= 1/2, log1p(-delta~) is
-# within 2u (1 + 2u) delta <= 2u (1 + 2u) |log F| of log F; log1p adds
-# 2 ulp (glibc lists 1), 4u of its result.
-_LOG_ERR = 6 * _U * (1 + 4 * _U)
-# Relative error of an fsum of such logs, as ``_bracketed_product`` takes it.
-_CHUNK_LOG_ERR = (_U + _LOG_ERR / (1 - _LOG_ERR)) / (1 - _U)
 
 
 def _interval_exponents(ivs) -> tuple[int, ...]:
@@ -348,12 +338,16 @@ def _delta_quotients(primes, exps: tuple[int, ...]) -> tuple[list[int], list[int
     An e_j is kept when below c = ceil(1100 / (b - 1)), b the bit length
     of p; since p >= 2^(b - 1), p^c >= 2^1100.  The dropped terms alternate
     in sign and fall in magnitude, so they sum to at most the first, below
-    2^-1100.  E is the last kept exponent, and den = p^E < 2^2200.  The cut is
-    found once per bit length, and a Horner step is one comprehension.
+    2^-1100.  E is the last kept exponent, and den = p^E < 2^2200.  The
+    primes ascend, so the cut is found once per bit length, on a slice, and
+    a Horner step is one comprehension.
     """
     nums, dens = [], []
-    for b, group in groupby(primes, int.bit_length):
-        group = list(group)
+    i = 0
+    while i < len(primes):
+        b = primes[i].bit_length()
+        j = bisect_left(primes, 1 << b, i)
+        group, i = primes[i:j], j
         n = bisect_left(exps, -(-_CAP_BITS // (b - 1)))
         row = [min(n, 1)] * len(group)
         for k in range(1, n):
@@ -501,25 +495,20 @@ def _to_float(M: int, e: int, up: bool) -> float:
     return math.ldexp(M, e)
 
 
-def _degree0(
-    head: tuple[int, int], log_sum: float, tail_lo: float, tail_hi: float
-) -> tuple[float, float, float]:
-    """(value, lower, upper) of H exp(L - T), with lower <= H exp(L - T) <= upper.
+def _degree0(head: tuple[int, int], tail_lo: float, tail_hi: float) -> tuple[float, float, float]:
+    """(value, lower, upper) of H exp(-T), with lower <= H exp(-T) <= upper.
 
-    H lies in [head[0], head[1]] 2^-_W.  L is the exact sum that
-    ``log_sum`` stands for: an fsum of chunk fsums of logs <= 0, each log
-    within ``_LOG_ERR`` of its magnitude, so |log_sum - L| is within
-    (r (1 + u) + u) |log_sum|, r = ``_CHUNK_LOG_ERR``, as
-    ``_bracketed_product`` derives; ``_UNDERFLOW`` more covers the terms
-    that every quotient drops.  T lies in [tail_lo, tail_hi].  Both ends of
-    the exponent are taken exactly in fixed point, rounded outward at
-    2^-_W, and the products with H are rounded outward to float once.
-    ``value`` is the float nearest the midpoint, within the bracket.  The
-    products this serves are at most 1, and so is ``upper``.
+    H lies in [head[0], head[1]] 2^-_W, up to the terms that the quotients
+    of its factors drop, which ``_UNDERFLOW`` in the exponent covers.  T
+    lies in [tail_lo, tail_hi].  Both ends of the exponent are taken exactly
+    in fixed point, rounded outward at 2^-_W, and the products with H are
+    rounded outward to float once.  ``value`` is the float nearest the
+    midpoint, within the bracket.  The products this serves are at most 1,
+    and so is ``upper``.
     """
-    roundoff = (_CHUNK_LOG_ERR * (1 + _U) + _U) * abs(log_sum) + _UNDERFLOW
-    x_hi = _fixed(log_sum, True) + _fixed(roundoff, True) - _fixed(tail_lo, False)
-    x_lo = _fixed(log_sum, False) - _fixed(roundoff, True) - _fixed(tail_hi, True)
+    roundoff = _fixed(_UNDERFLOW, True)
+    x_hi = roundoff - _fixed(tail_lo, False)
+    x_lo = -roundoff - _fixed(tail_hi, True)
     (m_lo, k_lo), (m_hi, k_hi) = _exp_fixed(x_lo, False), _exp_fixed(x_hi, True)
     lo, hi = head[0] * m_lo, head[1] * m_hi
     lower = _to_float(lo, k_lo - 2 * _W, False)
@@ -546,11 +535,10 @@ def _live_terms(neglog) -> list[int]:
 
 
 def _span_terms(ts: list[int], P0: int) -> list[int]:
-    """The t of ``ts`` whose T_t(P0) takes the primes between 1000 and P0.
+    """The t of ``ts`` whose T_t(P0), P0 < 1000, adds the primes between P0 and 1000.
 
-    These are the t whose bound P0^(1-t)/(t-1) is above ``_POWER_CUT``; at
-    P0 > 1000 that is t <= 6, so no p^-t with p <= 1e8 leaves the normal
-    range, and at P0 < 1000 no p^-t with p <= 1000 and t <= 64 does.
+    These are the t whose bound P0^(1-t)/(t-1) is above ``_POWER_CUT``; no
+    p^-t with p <= 1000 and t <= 64 leaves the normal range.
     """
     if P0 == MIN_TRUNCATION:
         return []
@@ -560,32 +548,25 @@ def _span_terms(ts: list[int], P0: int) -> list[int]:
 def _tail_sums(
     ts: list[int], P0: int, span: dict[int, float]
 ) -> dict[int, tuple[float, float, float]]:
-    """(lo, mid, hi) with lo <= T_t = sum_{p > P0} p^-t <= hi, for each t of ``ts``.
+    """(lo, mid, hi) with lo <= T_t = sum_{p > P0} p^-t <= hi, for each t of ``ts``, P0 <= 1000.
 
     Every T_t lies in [0, P0^(1-t)/(t-1)], and T_t(1000) in [lo_t, hi_t] of
     ``_TAIL_1000``.  ``span[t]``, for the t of ``_span_terms``, is the sum of
-    p^-t over the primes between 1000 and P0: each term one correctly
-    rounded division, then a chunk fsum and an fsum of the chunks, within
-    (1 + u)^3 - 1 < 3.01u of the exact positive sum.  It is taken off
-    T_t(1000) when P0 > 1000 and added when P0 < 1000.  A t without a span
-    sum keeps T_t(1000) as the bound it gives: an upper bound when
-    P0 > 1000, a lower bound when P0 < 1000.  ``mid`` is the midpoint.
+    p^-t over the primes in (P0, 1000]: each term one correctly rounded
+    division, then an fsum, within (1 + u)^2 - 1 < 2.01u of the exact
+    positive sum, and it is added to T_t(1000).  A t without a span sum
+    keeps T_t(1000) as a lower bound.  ``mid`` is the midpoint.
     """
     out = {}
     for t in ts:
         lo, hi = _TAIL_1000[t - 2]
         if t in span:
             s = span[t]
-            # covers the 3.01u of s and the roundings of s -/+ e
+            # covers the 2.01u of s and the roundings of s -/+ e
             e = 5 * _U * s
-            if P0 > MIN_TRUNCATION:
-                lo, hi = lo - (s + e), hi - (s - e)
-            else:
-                lo, hi = lo + (s - e), hi + (s + e)
-            # the difference or sum above rounds once
-            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-        elif P0 > MIN_TRUNCATION:
-            lo = 0.0
+            # the sum rounds once
+            lo = math.nextafter(lo + (s - e), -math.inf)
+            hi = math.nextafter(hi + (s + e), math.inf)
         elif P0 < MIN_TRUNCATION:
             hi = math.inf
         lo, hi = max(lo, 0.0), min(hi, _integral_tail(P0, t))
@@ -666,18 +647,19 @@ def _bracketed_product(
     log_rel_err,
     neglog: tuple,
     P0: int,
+    head: tuple[int, int] = (1 << _W, 1 << _W),
 ) -> _Bracket:
-    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1), F = 1 - delta, over all primes.
+    """Enclose d_0..d_K of H prod_p F(p; z) mod z^(K+1), F = 1 - delta, over all primes.
 
-    Degree 0 splits at P1 = max(P0, 1000).  The factors of the primes
-    p <= 1000 are multiplied exactly in fixed point, the logs of those in
-    (1000, P1] are summed in floating point, and the rest enter through the
-    T_t = sum_{p > P1} p^-t of ``_tail_sums``; exp of the log enclosure is
-    taken in fixed point too, and the bracket is rounded to float once
-    (``_degree0``).  Degree k >= 1 splits at P0: the primes p <= P0 give
-    float log rows, and the rest enter through T_t(P0), from ``_TAIL_1000``
-    and the primes between 1000 and P0.  The only primes sieved are those up
-    to max(P0, 1000).  ``density()`` is the case K = 0.
+    Degree 0 splits at 1000: the factors of the primes p <= 1000 are
+    multiplied exactly in fixed point, from ``head`` = [lo, hi], H 2^_W in
+    [lo, hi], and the rest enter through the T_t = sum_{p > 1000} p^-t of
+    ``_TAIL_1000``; exp of the tail enclosure is taken in fixed point too,
+    and the bracket is rounded to float once (``_degree0``).  Degree k >= 1
+    splits at P0 <= 1000: the primes p <= P0 give float log rows, and the
+    rest enter through T_t(P0), ``_TAIL_1000`` and the primes between P0
+    and 1000.  The only primes sieved are those up to 1000.  ``density()``
+    is the case K = 0, P0 = 1000, H its exceptional primes' correction.
 
     ``quotients(primes)`` takes an ``array('q')`` of primes and returns
     ``(nums, dens)``, with delta(p; 0) within 2^-1100 of num / den for each
@@ -688,15 +670,8 @@ def _bracketed_product(
     ``majorant[k - 1]`` of the exact sum, and ``majorant`` K nonnegative
     sums.  ``neglog`` is ``_neglog_coeffs`` of delta(p; z) for every p > P0;
     a prime p <= P0 may have a factor of its own, as ``quotients`` and
-    ``rows_of`` give it.
-
-    The chunk sums are added by fsum, which rounds once, within u of its
-    result (Shewchuk, Discrete Comput. Geom. 18, 1997).  For degree 0 the
-    computed sum G of chunk sums L_j has |G - sum_j L_j| <= u |G|, and
-    sum_j |L_j| = |sum_j L_j| <= (1 + u) |G| as all L_j <= 0, so G is
-    within (r (1 + u) + u) |G| of the exact log sum, where a chunk sum, an
-    fsum of logs within e = ``_LOG_ERR`` relative, is within
-    r = (u + e / (1 - e)) / (1 - u) = ``_CHUNK_LOG_ERR`` of its own.
+    ``rows_of`` give it.  The chunk sums are added by fsum, which rounds
+    once, within u of its result (Shewchuk, Discrete Comput. Geom. 18, 1997).
 
     For k >= 1, with S = log of the whole product, S~ its computed centre,
     S~_0 = log d~_0 for the point value d~_0 of degree 0, and
@@ -711,38 +686,21 @@ def _bracketed_product(
     # K log rows and K majorant rows per prime share one chunk budget
     chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
     ts = _live_terms(neglog)
-    span_ts = _span_terms(ts, P0)
-    # the primes in (low, high] are those between 1000 and P0
-    low, high = sorted((P0, MIN_TRUNCATION))
-    head = (1 << _W, 1 << _W)
-    logs, parts, span_parts = [], [], []
-    for seg in prime_segments(high):
-        n_head = bisect_right(seg, MIN_TRUNCATION)
-        head = _head_product(*quotients(seg[:n_head]), *head)
-        # The primes above 1000 stay float logs: in the exact head they
-        # would cost up to 3 times as much per prime (0.09 to 0.13 s more
-        # end to end for the 664 579 primes to 1e7) and narrow only a range
-        # that forbids exponent 1 (8 ulp to 1 for p<=10000000: "").
-        for i in range(n_head, len(seg), _FSUM_CHUNK):
-            nums, dens = quotients(seg[i : i + _FSUM_CHUNK])
-            logs.append(math.fsum([math.log1p(-num / den) for num, den in zip(nums, dens)]))
-            # freed before the next chunk's quotients are built
-            del nums, dens
-        n_low = bisect_right(seg, P0) if K else 0
-        for i in range(0, n_low, chunk):
+    parts, above = [], []
+    for seg in prime_segments(MIN_TRUNCATION):
+        head = _head_product(*quotients(seg), *head)
+        n_low = bisect_right(seg, P0)
+        for i in range(0, n_low if K else 0, chunk):
             parts.append(rows_of(seg[i : min(i + chunk, n_low)]))
-        if span_ts:
-            for i in range(bisect_right(seg, low), len(seg), _FSUM_CHUNK):
-                piece = seg[i : i + _FSUM_CHUNK]
-                span_parts.append([math.fsum([1 / p**t for p in piece]) for t in span_ts])
-    span = {t: math.fsum([h[i] for h in span_parts]) for i, t in enumerate(span_ts)}
+        above += seg[n_low:]
+    span = {t: math.fsum([1 / p**t for p in above]) for t in _span_terms(ts, P0)}
     sums = _tail_sums(ts, P0, span)
     tails = [_tail_enclosure(neglog[k], neglog_err[k], P0, sums) for k in range(1, K + 1)]
 
-    if P0 < high:
-        sums = _tail_sums(ts, high, {})
-    tail_lo, _, tail_hi = _tail_enclosure(neglog[0], neglog_err[0], high, sums)
-    value, lower, upper = _degree0(head, math.fsum(logs), max(tail_lo, 0.0), tail_hi)
+    if P0 < MIN_TRUNCATION:
+        sums = _tail_sums(ts, MIN_TRUNCATION, {})
+    tail_lo, _, tail_hi = _tail_enclosure(neglog[0], neglog_err[0], MIN_TRUNCATION, sums)
+    value, lower, upper = _degree0(head, max(tail_lo, 0.0), tail_hi)
     if K == 0:
         return _Bracket((value,), (lower,), (upper,))
 
@@ -788,16 +746,17 @@ def _estimate(
     *,
     start: int = MIN_TRUNCATION,
     truncation_prime: int | None = None,
+    head: tuple[int, int] = (1 << _W, 1 << _W),
 ) -> DensityEstimate:
-    """prod_p F(p) with F = 1 - delta and a rigorous bracket.
+    """H prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``quotients`` maps a chunk of primes p <= ``start`` to the exact
-    quotients of their delta(p); beyond ``start`` delta follows
-    ``deficiency``, as ``_bracketed_product`` takes them.  The product is
-    evaluated once, with its factors split at ``start``;
-    ``truncation_prime``, at least ``start``, is only reported, since the tail
-    beyond ``start`` is enclosed whatever it is.  Without a pinned prime, a
-    bracket wider than ``target_error`` raises UnreachableTargetError.
+    ``quotients`` maps a chunk of primes p <= 1000 to the exact quotients
+    of their delta(p); beyond 1000 delta follows ``deficiency``, and H 2^_W
+    lies in ``head``, as ``_bracketed_product`` takes them.  The product is
+    reported at ``start``, or at ``truncation_prime``, at least ``start``,
+    when one is pinned: it moves no bracket, since the tail beyond 1000 is
+    enclosed whatever it is.  Without a pinned prime, a bracket wider than
+    ``target_error`` raises UnreachableTargetError.
     """
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
@@ -807,7 +766,7 @@ def _estimate(
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
 
-    b = _bracketed_product(quotients, None, (), _neglog_coeffs(deficiency), start)
+    b = _bracketed_product(quotients, None, (), _neglog_coeffs(deficiency), MIN_TRUNCATION, head)
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -825,6 +784,31 @@ def _check_target(target_error: float) -> None:
         raise ValueError("target_error must be positive and finite")
 
 
+def _exception_groups(exceptions) -> list[tuple[list[int] | array, ExponentPattern]]:
+    """The exceptional primes as ascending (primes, pattern) chunks of one pattern each.
+
+    A "p<=q" range's array goes in chunks, and the other keys one sorted
+    list per distinct pattern, grouped first by the pattern object, so that
+    no pattern is hashed per key; a key may pass 2^63, so it stays in a list.
+    """
+    groups = []
+    if isinstance(exceptions, _PrimeRange):
+        groups.append((exceptions.primes, exceptions.pattern))
+        exceptions = exceptions.rest
+    by_object: dict[int, tuple[ExponentPattern, list[int]]] = {}
+    for p, pattern in exceptions.items():
+        by_object.setdefault(id(pattern), (pattern, []))[1].append(p)
+    by_pattern: dict[ExponentPattern, list[int]] = {}
+    for pattern, keys in by_object.values():
+        by_pattern.setdefault(pattern, []).extend(keys)
+    groups += [(sorted(keys), pattern) for pattern, keys in by_pattern.items()]
+    return [
+        (primes[i : i + _FSUM_CHUNK], pattern)
+        for primes, pattern in groups
+        for i in range(0, len(primes), _FSUM_CHUNK)
+    ]
+
+
 def density(
     pap: PrimeAwarePattern,
     target_error: float = DEFAULT_TARGET_ERROR,
@@ -833,15 +817,20 @@ def density(
 ) -> DensityEstimate:
     """Natural density of {n : every prime exponent allowed by ``pap``}.
 
-    The product is evaluated once, at max(MIN_TRUNCATION, largest exceptional
-    prime + 1), and a bracket wider than ``target_error`` raises
-    UnreachableTargetError; pass ``truncation_prime`` to pin the prime
-    instead, in which case no width check is applied.  The pinned prime is
-    reported but changes no bracket: the primes above the split enter
-    through ``_TAIL_1000`` whatever it is.  Every prime's factor,
-    exceptional or not, is the exact quotient of ``_delta_quotients`` for
-    its own pattern.  If the default pattern allows everything, only the
-    exceptional factors are below 1, all taken in the exact head, and no
+    The density is the default's product times the correction
+    C = N / D over the exceptional primes, N the product of their own
+    factors and D of their default factors.  Both are taken exactly in
+    fixed point (``_head_product``), each enclosed between an integer and
+    that integer plus its number of factors, and C 2^_W lies in
+    [floor(N_lo 2^_W / D_hi), ceil(N_hi 2^_W / D_lo)], where D > 0.6: a
+    default that allows exponent 1 has every factor at least 1 - p^-2.
+    C is the start of the default's product, evaluated once at 1000
+    (``_bracketed_product``); the estimate is reported at
+    max(MIN_TRUNCATION, largest exceptional prime + 1), and a bracket wider
+    than ``target_error`` raises UnreachableTargetError; pass
+    ``truncation_prime`` to pin the reported prime instead, in which case
+    no width check is applied.  If the
+    default pattern allows everything, D = 1, the density is C, and no
     width check applies; if it forbids exponent 1 the product diverges to
     zero and the estimate is exactly 0 with ``diverges_to_zero`` set.
     """
@@ -849,48 +838,29 @@ def density(
     m = min_forbidden(pap.default)
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
-    exceptions = pap.exceptions
-    # every prime up to the end of a "p<=q" range shares the range's pattern
-    span, span_pattern = 0, pap.default
-    if isinstance(exceptions, _PrimeRange) and exceptions.primes:
-        span, span_pattern, exceptions = exceptions.primes[-1], exceptions.pattern, exceptions.rest
-    last = max(span, max(exceptions, default=0))
+    groups = _exception_groups(pap.exceptions)
+    last = max((primes[-1] for primes, _ in groups), default=0)
+    if m is None and all(pattern.allows_everything() for _, pattern in groups):
+        return DensityEstimate(1.0, 1.0, 1.0, max(last, 2), 0.0)
 
-    def quotients(primes) -> tuple[list[int], list[int]]:
-        # the product and the fsum take the primes in any order: the span's
-        # primes and the default's go in bulk
-        k = bisect_right(primes, span)
-        rest = primes[k:]
-        groups = [(primes[:k], span_pattern), ([p for p in rest if p not in exceptions], pap.default)]
-        groups += [((p,), exceptions[p]) for p in rest if p in exceptions]
-        nums, dens = [], []
-        for group, pattern in groups:
-            group_nums, group_dens = _delta_quotients(group, _delta_exponents(pattern))
-            nums += group_nums
-            dens += group_dens
-        return nums, dens
-
+    default_exps = _delta_exponents(pap.default)
+    num = den = (1 << _W, 1 << _W)
+    for primes, pattern in groups:
+        num = _head_product(*_delta_quotients(primes, _delta_exponents(pattern)), *num)
+        if m is not None:
+            den = _head_product(*_delta_quotients(primes, default_exps), *den)
+    head = ((num[0] << _W) // den[1], -(-(num[1] << _W) // den[0]))
     if m is None:
-        # Only the exceptional factors are below 1: degree 0 of the engine
-        # with all of them in the exact head, whatever their primes, and no
-        # log sum or tail.  The range's array goes in chunks, the other keys
-        # as a list, since a key may pass 2^63.
-        P = max(last, 2)
-        if all(map(ExponentPattern.allows_everything, (span_pattern, *exceptions.values()))):
-            return DensityEstimate(1.0, 1.0, 1.0, P, 0.0)
-        head = (1 << _W, 1 << _W)
-        for group in (pap.exceptions.primes if span else (), list(exceptions)):
-            for i in range(0, len(group), _FSUM_CHUNK):
-                head = _head_product(*quotients(group[i : i + _FSUM_CHUNK]), *head)
-        value, lower, upper = _degree0(head, 0.0, 0.0, 0.0)
-        return DensityEstimate(value, lower, upper, P, math.log(upper / lower))
+        value, lower, upper = _degree0(head, 0.0, 0.0)
+        return DensityEstimate(value, lower, upper, max(last, 2), math.log(upper / lower))
 
     return _estimate(
-        quotients,
+        lambda primes: _delta_quotients(primes, default_exps),
         _deficiency(lambda t: not contains(pap.default, t), 0),
         target_error,
         start=max(MIN_TRUNCATION, last + 1),
         truncation_prime=truncation_prime,
+        head=head,
     )
 
 

@@ -663,8 +663,6 @@ def oracle_series(w: ExponentWeight, K: int, beyond: int = 1) -> list[mpmath.mpf
 # T_t(1000) is about 10^-3t while P(t) is about 2^-t, so P(t) - head_t loses
 # about 2.7 t digits to cancellation; 40 + 3t working digits keep 40 of them.
 
-TAIL_SPLIT = 1000
-
 
 def _tail_dps(t: int) -> int:
     return 40 + 3 * t
@@ -710,21 +708,10 @@ def tail_table() -> list[tuple[float, float]]:
 
 
 def prime_tail(P0: int, t: int) -> mpmath.mpf:
-    """T_t(P0) = T_t(1000) -/+ the primes between 1000 and P0.
-
-    The primes in (1000, P0] are summed in fixed point, each term floored
-    to a multiple of 10^-(dps + 10).  Above 1000 the result keeps 30 digits
-    or more while T_t(P0) / T_t(1000) is above 10^-10, which holds for the t
-    that ``euler._span_terms`` takes at P0 <= 1e6; below 1000 it keeps 40.
-    """
-    dps = _tail_dps(t)
-    with mpmath.workdps(dps):
-        if P0 <= TAIL_SPLIT:
-            span = mpmath.fsum(mpmath.mpf(p) ** -t for p in _small_primes() if p > P0)
-            return tail_1000(t) + span
-        scale = 10 ** (dps + 10)
-        span = sum(scale // p**t for p in primes_upto(P0).tolist() if p > TAIL_SPLIT)
-        return tail_1000(t) - mpmath.mpf(span) / scale
+    """T_t(P0) = T_t(1000) + the primes between P0 and 1000, for P0 <= 1000, to 40 digits."""
+    with mpmath.workdps(_tail_dps(t)):
+        span = mpmath.fsum(mpmath.mpf(p) ** -t for p in _small_primes() if p > P0)
+        return tail_1000(t) + span
 
 
 # ---------------------------------------------------------------------------

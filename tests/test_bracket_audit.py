@@ -121,6 +121,16 @@ def test_range_of_exceptional_primes_holds_the_truth(default, exception):
     _assert_holds(est, oracle_density(pap))
 
 
+@pytest.mark.parametrize("default", ["1..1", "1..2,5..inf"])
+@pytest.mark.parametrize("exception", ["", "1..2", "1..inf"])
+@pytest.mark.parametrize("q", [1009, 10007])
+def test_range_across_1000_holds_the_truth(q, exception, default):
+    # the range's primes above 1000 enter only through the exact correction
+    pap = parse_prime_aware({"default": default, "exceptions": {f"p<={q}": exception}})
+    est = density(pap, 1e-12)
+    _assert_holds(est, oracle_density(pap))
+
+
 @pytest.mark.parametrize("ell", [150, 2003])
 def test_mod_periodic_far_period_holds_the_truth(ell):
     # p^-(ell+1) is dropped where p^(ell+1) >= 2^1100: at ell = 150 from

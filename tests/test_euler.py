@@ -120,16 +120,15 @@ class TestTailTable:
 
 
 class TestTailSums:
-    """Each T_t = sum_{p > P0} p^-t lies in its enclosure, at every split P0."""
+    """Each T_t = sum_{p > P0} p^-t lies in its enclosure, at every split P0 <= 1000."""
 
-    @pytest.mark.parametrize("P", [2, 100, 1000, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("P", [2, 100, 1000])
     def test_enclosures_hold_against_mpmath(self, P):
         euler = expdens.euler
         ts = list(range(2, euler._SERIES_DEGREE + 1))
         span_ts = euler._span_terms(ts, P)
         assert (span_ts == []) == (P == euler.MIN_TRUNCATION)
-        low, high = sorted((P, euler.MIN_TRUNCATION))
-        between = [p for p in sieve_primes(high).primes.tolist() if p > low]
+        between = [p for p in sieve_primes(euler.MIN_TRUNCATION).primes.tolist() if p > P]
         span = {t: math.fsum([1 / p**t for p in between]) for t in span_ts}
         enclosures = euler._tail_sums(ts, P, span)
         for t, (lo, mid, hi) in enclosures.items():
@@ -137,17 +136,11 @@ class TestTailSums:
             assert lo <= mid <= hi
             if P == euler.MIN_TRUNCATION:
                 assert (lo, hi) == (table_lo, table_hi)
-            if t in span or P <= euler.MIN_TRUNCATION:
-                truth = prime_tail(P, t)
-                assert lo <= truth <= hi, (t, lo, hi, truth)
-            else:
-                # no sum: [0, bound], and sum_{n > P} n^-t bounds T_t from above
-                assert lo == 0.0
-                with mpmath.workdps(40):
-                    assert min(tail_1000(t), mpmath.zeta(t, P + 1)) <= hi
+            truth = prime_tail(P, t)
+            assert lo <= truth <= hi, (t, lo, hi, truth)
             if t in span:
-                # the table's ulp, 2e = 10u s, the roundings of s -/+ e and of
-                # the sum or difference
+                # the table's ulp, 2e = 10u s, the roundings of s -/+ e and of the
+                # sum
                 s = span[t]
                 assert hi - lo <= (table_hi - table_lo) + 12 * euler._U * s + 4 * euler._U * hi
 
@@ -477,6 +470,61 @@ class TestDensity:
         assert "truncation_prime=" + argv[-1] in capsys.readouterr().out
         assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
 
+    @pytest.mark.parametrize("doc", [
+        {"default": "1..1", "exceptions": {"p<=10000000": "1..2"}},
+        {"default": "1..1", "exceptions": {"p<=10000000": ""}},
+        {"default": "1..1", "exceptions": {"104729": "1..inf"}},
+    ], ids=["range 1..2", "range empty", "one key"])
+    def test_exceptional_primes_sieve_nothing_above_1000(self, doc, monkeypatch):
+        # the range's primes come from its own array; the product sieves only
+        # to 1000, and every factor is exact: one or two ulp, even for a range
+        # that forbids exponent 1
+        pap = parse_prime_aware(doc)
+        limits = []
+
+        def spy(sieve):
+            def wrapped(limit):
+                limits.append(limit)
+                return sieve(limit)
+
+            return wrapped
+
+        for name in ("prime_segments", "sieve_primes"):
+            monkeypatch.setattr(expdens.euler, name, spy(getattr(expdens.euler, name)))
+        est = density(pap)
+        assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
+        assert est.upper <= math.nextafter(math.nextafter(est.lower, math.inf), math.inf)
+
+    @pytest.mark.parametrize("default", ["1..inf", "1..1"])
+    def test_keys_go_in_bulk_like_a_range(self, default, monkeypatch):
+        # the primes to 1e5 as dict keys of one pattern take the calls of the
+        # same primes as "p<=100000" and give the same estimate, byte for byte
+        primes = sieve_primes(10**5).primes.tolist()
+        pattern = parse_pattern("1..2")
+        as_range = parse_prime_aware({"default": default, "exceptions": {"p<=100000": "1..2"}})
+        as_keys = PrimeAwarePattern(parse_pattern(default), dict.fromkeys(primes, pattern))
+        # two equal pattern objects are one distinct pattern
+        twins = (pattern, parse_pattern("1..2"))
+        as_twins = PrimeAwarePattern(
+            parse_pattern(default), {p: twins[i % 2] for i, p in enumerate(primes)}
+        )
+        calls = []
+        inner = expdens.euler._delta_quotients
+
+        def counting(primes, exps):
+            calls.append(len(primes))
+            return inner(primes, exps)
+
+        monkeypatch.setattr(expdens.euler, "_delta_quotients", counting)
+        expected = [len(primes)] if default == "1..inf" else [len(primes)] * 2 + [168]
+        estimates = []
+        for pap in (as_range, as_keys, as_twins):
+            calls.clear()
+            estimates.append(density(pap))
+            assert calls == expected
+        assert repr(estimates[0]) == repr(estimates[1])
+        assert estimates[2] == estimates[0]
+
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             density(SQUAREFREE, 0.0)
@@ -573,8 +621,10 @@ class TestFixedPoint:
             lo, hi = head
             exact = exact_head(pap) * 2**expdens.euler._W
             assert lo <= exact <= hi, pap
-            # one unit per prime up to 1000
-            assert hi - lo <= 168
+            # one unit per prime up to 1000, and the correction's width for k
+            # exceptional primes: the k units of N over D and of D times N / D^2,
+            # with D > 0.6 and N / D < 1 / 0.6, and one unit for each rounding
+            assert hi - lo <= 168 + 5 * len(pap.exceptions) + 2
 
     def test_degree_zero_calls_no_libm_exp_or_log1p(self, monkeypatch):
         class NoExp:
@@ -595,6 +645,14 @@ class TestFixedPoint:
         exact = Fraction(1, 2) * (1 - Fraction(1, 997**2)) * (1 - Fraction(1, 1009**2))
         assert Fraction(est.lower) <= exact <= Fraction(est.upper)
         assert est.upper <= math.nextafter(est.lower, math.inf)
+        # exceptional primes above 1000 that the default restricts: their
+        # correction is exact too
+        far = PrimeAwarePattern(
+            default=SQUAREFREE.default,
+            exceptions={1009: EMPTY_PATTERN, 104729: parse_pattern("1..inf")},
+        )
+        est = density(far, 1e-12)
+        assert est.lower <= oracle_density(far) <= est.upper
 
 
 def exact_neglog(delta, K):
