@@ -14,11 +14,11 @@ A density follows the default pattern at every prime but a finite set E
 of exceptional primes, so it is the default's product times the finite
 correction prod_{p in E} F_E(p) / F(p).  Both products of the correction
 are taken exactly in fixed point, and the correction is the start of the
-default's product.  That product is evaluated once, at P0 = 1000: the
-factors of the primes p <= 1000 are multiplied exactly, as W-bit
-fixed-point integers rounded outward at each step, and every prime above
-1000 enters through -log F(p) = sum_t c_t p^-t, for exact integers c_t,
-and the power sums T_t = sum_{p > 1000} p^-t:
+default's product.  That product splits once, at 1000: the factors of
+the primes p <= 1000 are multiplied as W-bit fixed-point integers rounded
+outward at each step, and every prime above 1000 enters through
+-log F(p) = sum_t c_t p^-t, for exact rationals c_t = -b_t / t, and the
+power sums T_t = sum_{p > 1000} p^-t:
 
     sum_{p > 1000} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
@@ -27,30 +27,30 @@ the pattern.  ``_TAIL_1000`` holds T_t(1000) for t = 2..64 between two
 adjacent floats, computed once from prime zeta at high precision and
 checked by the tests.  So the sieve runs only to 1000, no zeta value is
 computed at run time, and neither an exceptional prime nor a pinned
-truncation prime moves the split.  The two ends of the log enclosure are
-taken exactly in fixed point, exponentiated there with a counted error,
-multiplied by the exact head and rounded outward to float once, so a
-bracket is one or two ulp wide.  The published [lower, upper] holds the
-true density with every error term and all float roundoff included
-(Ettahri, Ramare and Surel, "Fast multi-precision computation of some
-Euler products", Math. Comp. 2021; H. Cohen, "High precision computation
-of Hardy-Littlewood constants", 1998; Brent and Zimmermann, "Modern
-Computer Arithmetic", 2010, ch. 4).
+truncation prime moves the split.  The log enclosure is taken in fixed
+point, exponentiated there with a counted error, multiplied by the head
+and rounded outward to float once, so a bracket is one or two ulp wide.
+The published [lower, upper] holds the true density with every error term
+and all float roundoff included (Ettahri, Ramare and Surel, "Fast
+multi-precision computation of some Euler products", Math. Comp. 2021;
+H. Cohen, "High precision computation of Hardy-Littlewood constants",
+1998; Brent and Zimmermann, "Modern Computer Arithmetic", 2010, ch. 4).
 
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
-cut at z^K.  Degree 0 is the density's bracket; for k >= 1 the log-sum, the
-tail enclosure and the bracket run per z-degree in floating point, with one
-exp of a series in z at the end; their split may be below 1000, and the
-primes between it and 1000 are then added to T_t(1000).  ``density()`` is
-its case K = 0.
+cut at z^K, with exact quotients as coefficients.  The head multiplies the
+polynomials of the primes up to 1000 in W-bit fixed point, every z-degree
+of the tail's log is enclosed through the same table, and the exp of the
+tail series is taken in integer interval arithmetic, so each d_k is rounded
+to float once.  W is 256 bits, or up to 640 where the head's rounding would
+widen a small coefficient.  ``density()`` is its case K = 0.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
 
@@ -75,16 +75,10 @@ MIN_TRUNCATION = 1000
 
 # Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
-_FSUM_CHUNK = 1 << 16
+# Exceptional primes per chunk of quotients.
+_CHUNK = 1 << 16
 # Unit roundoff of float64.
 _U = 2.0**-53
-# Below 1000, a T_t(P0) whose bound P0^(1-t)/(t-1) is at most _POWER_CUT
-# keeps that bound; the others are ``_TAIL_1000`` plus the primes up to 1000.
-_POWER_CUT = 2.0**-60
-# Covers every result that underflows below the normal range and every term
-# that ``_delta_quotients`` drops, summed over at most 1e8 primes and 10^4
-# terms per prime.
-_UNDERFLOW = 2.0**-1000
 # Euler-Maclaurin summation for zeta_int: terms n < _EM_TERMS are summed
 # directly, then the corrections with B_2 .. B_16; B_18 bounds the remainder.
 # Each Bernoulli number is a (numerator, denominator) pair.
@@ -282,17 +276,18 @@ def _all_primes_sum(den, ts: range) -> BoundedValue:
     Primes up to ``MIN_TRUNCATION`` are summed directly, each term one
     correctly rounded division of integers and the fsum one more rounding,
     so 3u of the direct sum covers both.  The rest is the prime-zeta tail
-    sum_{p > P} sum_t c_t p^-t, enclosed by ``_tail_enclosure`` exactly as
-    the tail of a density, its cut covering the terms t > 64.
+    sum_{p > P} sum_t c_t p^-t, enclosed by ``_tail_fixed`` exactly as the
+    tail of a density, its cut covering the terms t > 64.  The tail's width
+    covers its half-width, and 4u of direct + value the direct sum, the
+    roundings of the tail's midpoint, of the sum and of the bound itself.
     """
     P = MIN_TRUNCATION
     direct = math.fsum([1 / den(p) for p in sieve_primes(P).primes.tolist()])
-    coeffs = [float(t in ts) for t in range(_SERIES_DEGREE + 1)]
-    sums = _tail_sums(_live_terms([coeffs]), P, {})
-    lo, mid, hi = _tail_enclosure(coeffs, [0.0] * len(coeffs), P, sums)
-    value = direct + mid
-    error = max(hi - mid, mid - max(lo, 0.0)) + 3 * _U * direct
-    return BoundedValue(value, error + _U * value + _UNDERFLOW)
+    # c_t = -b_t / t = 1
+    lo, hi = _tail_fixed([-t * (t in ts) for t in range(_SERIES_DEGREE + 1)], _W_FIRST)
+    lo = max(lo, 0)
+    value = direct + (lo + hi) / (2 << _W_FIRST)
+    return BoundedValue(value, (hi - lo) / (1 << _W_FIRST) + 4 * _U * (direct + value))
 
 
 @lru_cache(maxsize=None)
@@ -392,22 +387,18 @@ def _deficiency(weight, K: int) -> tuple[tuple[int, ...], ...]:
 
 # bounded: a library caller may build many distinct patterns
 @lru_cache(maxsize=256)
-def _neglog_coeffs(
-    delta: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
-    """Coefficients of -log(1 - delta) in 1/p and z, truncated, and their error.
+def _neglog_coeffs(delta: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Integers b with -log(1 - delta) = sum_{t, k} (-b[k][t] / t) p^-t z^k, truncated.
 
     delta[t][k] is the integer coefficient of p^-t z^k, with delta[0] = 0,
-    as ``_deficiency`` gives it.  Returns ``(neglog, err)`` indexed [k][t],
-    as tuples, since every call with the same delta shares them.  For
+    as ``_deficiency`` gives it.  The rows are indexed [k][t], as tuples,
+    since every call with the same delta shares them.  For
     A = 1 - delta = sum_t a_t p^-t, the identity x A' = A x (log A)' gives
     b_t = t [p^-t] log A as
 
         b_t = t a_t - sum_{0 < j < t} b_j a_{t-j},
 
-    products of z-polynomials cut at z^K, in exact integers.  Each
-    coefficient -b_t / t is one correctly rounded division, so it is within
-    u of its own magnitude.
+    products of z-polynomials cut at z^K, in exact integers.
     """
     K = len(delta[0]) - 1
     # a_t = -delta_t for t >= 1, kept as its nonzero (degree, value) pairs
@@ -425,26 +416,39 @@ def _neglog_coeffs(
                 for i in range(K + 1 - d):
                     bt[i + d] -= v * bj[i]
         b.append(bt)
-    neglog = tuple(
-        tuple(-b[t][k] / t if t else 0.0 for t in range(len(b))) for k in range(K + 1)
-    )
-    err = tuple(tuple(_U * abs(c) for c in row) for row in neglog)
-    return neglog, err
+    return tuple(zip(*b))
 
 
 # ---------------------------------------------------------------------------
-# Fixed point: the small primes' factors and exp, rounded to float once
+# Fixed point: exact heads, the tail and its exp, rounded to float once
 
-# Fraction bits of a fixed-point number: the integer X stands for X 2^-_W.
+# Fraction bits of a density's correction: the integer X stands for X 2^-_W.
 _W = 128
-# floor(2^_W ln 2); tests/test_euler.py checks it against mpmath.
-_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
-
-
-def _fixed(x: float, up: bool) -> int:
-    """x 2^_W rounded down, or up when ``up``, to an integer; any finite float."""
-    n, d = x.as_integer_ratio()
-    return -(-(n << _W) // d) if up else (n << _W) // d
+# Fraction bits of the engine's first pass, and the most its one rerun takes:
+# beyond 640 the cut ``_CUT`` outweighs the head's rounding.
+_W_FIRST = 256
+_W_CAP = 640
+# floor(2^_W_CAP ln 2); tests/test_euler.py checks it against mpmath.
+_LN2 = int(
+    "B17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D8A0D175B8BAAFA2BE7B87620"
+    "6DEBAC98559552FB4AFA1B10ED2EAE35C138214427573B291169B8253E96CA16224AE8C5"
+    "1ACBDA11317C387E",
+    16,
+)
+# The terms t > 64 of a tail beyond 1000.  Beyond t = 64 the coefficients of
+# -log F(p; z), all z-degrees together, are at most 2^t / t in absolute value,
+# those of -log(1 - 2 x^2 / (1 - x)).  Every prime p > 1000 is at least
+# q = 1001, so with x = 2/p <= 2/q a prime's terms sum to at most
+# sum_{t >= 65} x^t / t <= x^65 / (65 (1 - 2/q)), and
+# sum_{p > 1000} p^-65 <= q^-65 + int_q^inf y^-65 dy = q^-65 (1 + q/64).  So
+# they sum to at most (2/q)^65 (1 + q/64) / (65 (1 - 2/q)), the ratio below,
+# about 2^-583.
+_CUT = (1065 << 59, 65 * 999 * 1001**64)
+# The ends of each T_t(1000) of ``_TAIL_1000`` as (n, q), the end being n 2^-q.
+_TAIL_ENDS = tuple(
+    tuple((n, d.bit_length() - 1) for n, d in (lo.as_integer_ratio(), hi.as_integer_ratio()))
+    for lo, hi in _TAIL_1000
+)
 
 
 def _head_product(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[int, int]:
@@ -461,27 +465,84 @@ def _head_product(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[i
     return lo, lo + slack
 
 
-def _exp_fixed(X: int, up: bool) -> tuple[int, int]:
-    """(M, k) with M 2^(k - _W) >= exp(X 2^-_W) when ``up``, else <= it.
+def _head_poly(polys: list, head: tuple[int, int], W: int, K: int) -> tuple[list[int], int]:
+    """(H, S) with each coefficient of C prod_p sum_k a_k(p) z^k in [H_k - 1, H_k + S] 2^-W.
 
-    x = X 2^-_W reduces to r = x - k ln 2, k the integer nearest x / ln 2.
-    As _LN2 <= 2^_W ln 2 < _LN2 + 1, 2^_W r lies in [R - k, R] for k >= 0
-    and in [R, R - k] for k < 0, R = X - k _LN2, and the end taken keeps
-    |r| < 1/2.  The Taylor series of exp(r) runs on |R|, with terms
-    A_n = floor(A_{n-1} |R| / (n 2^_W)) below their exact values
-    a_n = 2^_W |r|^n / n! by e_n < 1 + e_{n-1} / 2 < 2, and stops at the
-    first A_N = 0, where a_N = e_N < 2 and the terms after it add up to less
-    than a_N.  So the signed sum is within 2N + 2 of 2^_W exp(r) (Brent and
-    Zimmermann, "Modern Computer Arithmetic", 2010, ch. 4).
+    The product is cut at z^K, and C 2^_W lies in ``head``.  Each of
+    ``polys`` lists a prime's coefficients a_k >= 0 as exact quotients
+    (A_k, D_k), which sum to at most 1; those past z^K are not read.  Each
+    a_k is floored to alpha_k = floor(a_k 2^W), and each coefficient
+    sum_j H_j alpha_{k-j} 2^-W of the product is floored too.  C is below 2
+    (a correction is below 1 / 0.6), and so are the coefficients of every
+    product taken together, so a step loses less than 2 units through the
+    alpha_k and 1 through its own floor; as the a_k sum to at most 1, it
+    never grows what was lost before.  So S is the start's width, 3 units a prime, and one unit, which
+    with the 1 below H_k covers the terms the quotients drop: at most
+    2^-1100 a coefficient, relative for C.
+
+    Kronecker packing: the H_j and the alpha_k are packed into one integer
+    each, in fields of 2W + 8 bits.  Every field of their product,
+    sum_j H_j alpha_{k-j} < 2 2^W 2^W, fits its own, so one multiplication
+    gives every coefficient, and one mask and one shift floor the first
+    K + 1 of them in place.  Trailing zero alpha_k are left out.
     """
-    k = (2 * X + _LN2) // (2 * _LN2)
-    R = X - k * _LN2
+    width = 2 * W + 8
+    mask = int.from_bytes((bytes(W // 8) + b"\xff" * (W // 8 + 1)) * (K + 1), "little")
+    shift = W - _W
+    H = head[0] << shift
+    for poly in polys:
+        alpha = [(A << W) // D for A, D in poly[: K + 1]]
+        while len(alpha) > 1 and not alpha[-1]:
+            alpha.pop()
+        packed = int.from_bytes(b"".join(a.to_bytes(width // 8, "little") for a in alpha), "little")
+        H = (H * packed & mask) >> W
+    field = (1 << width) - 1
+    slack = ((head[1] - head[0]) << shift) + 3 * len(polys) + 1
+    return [H >> (width * k) & field for k in range(K + 1)], slack
+
+
+def _tail_fixed(b: tuple[int, ...], W: int) -> tuple[int, int]:
+    """[lo, hi] with lo <= 2^W sum_{p > 1000} sum_{t >= 2} (-b_t / t) p^-t <= hi.
+
+    ``b`` holds exact integers b_t for t <= 64, one z-degree of
+    ``_neglog_coeffs``.  Each term takes the end of T_t(1000) from
+    ``_TAIL_1000`` that bounds it, n 2^-q, and is floored or ceiled once
+    (floor(floor(x) / t) = floor(x / t)); ``_CUT`` covers the terms t > 64.
+    """
+    lo = hi = 0
+    for t, ends in enumerate(_TAIL_ENDS, start=2):
+        c = -b[t]
+        if c:
+            (n_lo, q_lo), (n_hi, q_hi) = ends if c > 0 else ends[::-1]
+            lo += (c * n_lo << W >> q_lo) // t
+            hi -= (-c * n_hi << W >> q_hi) // t
+    cut = -(-(_CUT[0] << W) // _CUT[1])
+    return lo - cut, hi + cut
+
+
+def _exp_fixed(X: int, W: int, up: bool) -> tuple[int, int]:
+    """(M, k) with M 2^(k - W) >= exp(X 2^-W) when ``up``, else <= it; W <= 640.
+
+    x = X 2^-W reduces to r = x - k ln 2, k the integer nearest x / ln 2.
+    With L = floor(2^W ln 2), taken from ``_LN2``, L <= 2^W ln 2 < L + 1,
+    so 2^W r lies in [R - k, R] for k >= 0 and in [R, R - k] for k < 0,
+    R = X - k L, and the end taken keeps |r| < 1/2.  The Taylor series of
+    exp(r) runs on |R|, with terms A_n = floor(A_{n-1} |R| / (n 2^W)) below
+    their exact values a_n = 2^W |r|^n / n! by e_n < 1 + e_{n-1} / 2 < 2,
+    and stops at the first A_N = 0, where a_N = e_N < 2 and the terms after
+    it add up to less than a_N.  So the signed sum is within 2N + 2 of
+    2^W exp(r) (Brent and Zimmermann, "Modern Computer Arithmetic", 2010,
+    ch. 4).
+    """
+    ln2 = _LN2 >> (_W_CAP - W)
+    k = (2 * X + ln2) // (2 * ln2)
+    R = X - k * ln2
     R = R + max(-k, 0) if up else R - max(k, 0)
-    term = total = 1 << _W
+    term = total = 1 << W
     n = 0
     while term:
         n += 1
-        term = term * abs(R) // (n << _W)
+        term = term * abs(R) // (n << W)
         total += -term if R < 0 and n & 1 else term
     return (total + 2 * n + 2 if up else total - 2 * n - 2), k
 
@@ -495,141 +556,22 @@ def _to_float(M: int, e: int, up: bool) -> float:
     return math.ldexp(M, e)
 
 
-def _degree0(head: tuple[int, int], tail_lo: float, tail_hi: float) -> tuple[float, float, float]:
-    """(value, lower, upper) of H exp(-T), with lower <= H exp(-T) <= upper.
+def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
+    """(value, lower, upper) for [lo, hi] 2^e, with 0 <= lo <= hi and e < 0.
 
-    H lies in [head[0], head[1]] 2^-_W, up to the terms that the quotients
-    of its factors drop, which ``_UNDERFLOW`` in the exponent covers.  T
-    lies in [tail_lo, tail_hi].  Both ends of the exponent are taken exactly
-    in fixed point, rounded outward at 2^-_W, and the products with H are
-    rounded outward to float once.  ``value`` is the float nearest the
-    midpoint, within the bracket.  The products this serves are at most 1,
-    and so is ``upper``.
+    The ends are rounded outward to float, and ``upper`` is capped at 1,
+    which no product this serves exceeds.  ``value`` is the mean of the
+    floats nearest the two ends (int division rounds correctly), within the
+    bracket.
     """
-    roundoff = _fixed(_UNDERFLOW, True)
-    x_hi = roundoff - _fixed(tail_lo, False)
-    x_lo = -roundoff - _fixed(tail_hi, True)
-    (m_lo, k_lo), (m_hi, k_hi) = _exp_fixed(x_lo, False), _exp_fixed(x_hi, True)
-    lo, hi = head[0] * m_lo, head[1] * m_hi
-    lower = _to_float(lo, k_lo - 2 * _W, False)
-    upper = min(_to_float(hi, k_hi - 2 * _W, True), 1.0)
-    mid = (math.ldexp(float(lo), k_lo - 2 * _W) + math.ldexp(float(hi), k_hi - 2 * _W)) / 2
+    lower = _to_float(lo, e, False)
+    upper = min(_to_float(hi, e, True), 1.0)
+    mid = (lo / (1 << -e) + hi / (1 << -e)) / 2
     return min(max(mid, lower), upper), lower, upper
 
 
 # ---------------------------------------------------------------------------
 # Bracketed product engine
-
-
-def _integral_tail(P: int, t: int) -> float:
-    """Upper bound on sum_{p > P} p^-t: the integral of x^-t from P, rounded up.
-
-    2^-1070 covers the roundings of a result below the normal range.
-    """
-    return float(P) ** (1 - t) / (t - 1) * (1.0 + 2.0**-48) + 2.0**-1070
-
-
-def _live_terms(neglog) -> list[int]:
-    """The t >= 2, ascending, with c_t != 0 in some z-degree of ``neglog``."""
-    return [t for t in range(2, len(neglog[0])) if any(row[t] for row in neglog)]
-
-
-def _span_terms(ts: list[int], P0: int) -> list[int]:
-    """The t of ``ts`` whose T_t(P0), P0 < 1000, adds the primes between P0 and 1000.
-
-    These are the t whose bound P0^(1-t)/(t-1) is above ``_POWER_CUT``; no
-    p^-t with p <= 1000 and t <= 64 leaves the normal range.
-    """
-    if P0 == MIN_TRUNCATION:
-        return []
-    return [t for t in ts if _integral_tail(P0, t) > _POWER_CUT]
-
-
-def _tail_sums(
-    ts: list[int], P0: int, span: dict[int, float]
-) -> dict[int, tuple[float, float, float]]:
-    """(lo, mid, hi) with lo <= T_t = sum_{p > P0} p^-t <= hi, for each t of ``ts``, P0 <= 1000.
-
-    Every T_t lies in [0, P0^(1-t)/(t-1)], and T_t(1000) in [lo_t, hi_t] of
-    ``_TAIL_1000``.  ``span[t]``, for the t of ``_span_terms``, is the sum of
-    p^-t over the primes in (P0, 1000]: each term one correctly rounded
-    division, then an fsum, within (1 + u)^2 - 1 < 2.01u of the exact
-    positive sum, and it is added to T_t(1000).  A t without a span sum
-    keeps T_t(1000) as a lower bound.  ``mid`` is the midpoint.
-    """
-    out = {}
-    for t in ts:
-        lo, hi = _TAIL_1000[t - 2]
-        if t in span:
-            s = span[t]
-            # covers the 2.01u of s and the roundings of s -/+ e
-            e = 5 * _U * s
-            # the sum rounds once
-            lo = math.nextafter(lo + (s - e), -math.inf)
-            hi = math.nextafter(hi + (s + e), math.inf)
-        elif P0 < MIN_TRUNCATION:
-            hi = math.inf
-        lo, hi = max(lo, 0.0), min(hi, _integral_tail(P0, t))
-        out[t] = (lo, min(max((lo + hi) / 2, lo), hi), hi)
-    return out
-
-
-def _tail_enclosure(
-    coeffs: list[float],
-    coeff_err: list[float],
-    P0: int,
-    sums: dict[int, tuple[float, float, float]],
-) -> tuple[float, float, float]:
-    """(lo, mid, hi) with lo <= sum_{p > P0} sum_{t >= 2} c_t p^-t <= hi.
-
-    ``coeffs`` holds c_t for t <= _SERIES_DEGREE, each within ``coeff_err``;
-    it is one z-degree of ``_neglog_coeffs``, so beyond t = 64 the c_t of
-    all z-degrees together are at most 2^t / t in absolute value, the
-    coefficients of -log(1 - 2 x^2 / (1 - x)).  ``sums`` encloses T_t for
-    every t with c_t != 0, as ``_tail_sums`` gives it.
-
-    The terms t > 64: every prime p > P0 is at least q = P0 + 1 >= 3, so
-    with x = 2/p <= 2/q < 1 a prime's terms sum to at most
-    sum_{t >= 65} x^t / t <= x^65 / (65 (1 - 2/q)), and
-    sum_{p > P0} p^-65 <= q^-65 + int_q^inf y^-65 dy = q^-65 (1 + q/64).
-    So they sum to at most (2/q)^65 (1 + q/64) / (65 (1 - 2/q)), and 2^-40
-    of it covers its roundings (a result below the normal range falls to
-    ``_UNDERFLOW``).
-    """
-    lo_terms: list[float] = []
-    mid_terms: list[float] = []
-    hi_terms: list[float] = []
-    q = float(P0 + 1)
-    slack = (2.0 / q) ** 65 * (1.0 + q / 64) / (65 * (1.0 - 2.0 / q)) * (1.0 + 2.0**-40)
-    slack += _UNDERFLOW
-    for t, c in enumerate(coeffs):
-        if not c:
-            continue
-        lo, mid, hi = sums[t]
-        lo_terms.append(c * (lo if c > 0 else hi))
-        mid_terms.append(c * mid)
-        hi_terms.append(c * (hi if c > 0 else lo))
-        # the products and the fsum each round by at most one unit
-        slack += (coeff_err[t] + 2 * _U * abs(c)) * hi
-    return (
-        math.fsum(lo_terms) - slack,
-        math.fsum(mid_terms),
-        math.fsum(hi_terms) + slack,
-    )
-
-
-def _exp_series(s: list[float]) -> list[float]:
-    """Coefficients of exp(s[1] z + ... + s[K] z^K) up to z^K; s[0] is ignored.
-
-    By the recurrence k e_k = sum_{j=1..k} j s_j e_{k-j}.  Each e_k takes
-    at most k + 2 roundings, so its error is within (K + 1)(K + 8) u of
-    the same recurrence run on |s|, the majorant exp(|s|).
-    """
-    js = [j * v for j, v in enumerate(s)]
-    out = [1.0]
-    for k in range(1, len(s)):
-        out.append(sum(js[j] * out[k - j] for j in range(1, k + 1)) / k)
-    return out
 
 
 @record(frozen=True)
@@ -641,102 +583,69 @@ class _Bracket:
     upper: tuple[float, ...]
 
 
-def _bracketed_product(
-    quotients,
-    rows_of,
-    log_rel_err,
-    neglog: tuple,
-    P0: int,
-    head: tuple[int, int] = (1 << _W, 1 << _W),
-) -> _Bracket:
-    """Enclose d_0..d_K of H prod_p F(p; z) mod z^(K+1), F = 1 - delta, over all primes.
+def _product_at(polys: list, b: tuple, head: tuple[int, int], W: int) -> tuple[list[tuple], int]:
+    """Each d_k of ``_bracketed_product`` as (value, lower, upper) at W bits, and the slack."""
+    K = len(b) - 1
+    H, slack = _head_poly(polys, head, W, K)
+    L = [_tail_fixed(row, W) for row in b]
+    # exp(-L_0) <= 1, as L_0 >= 0
+    m_lo, k_lo = _exp_fixed(-L[0][1], W, False)
+    m_hi, k_hi = _exp_fixed(-max(L[0][0], 0), W, True)
+    e_lo = m_lo << k_lo if k_lo >= 0 else m_lo >> -k_lo
+    e_hi = m_hi << k_hi if k_hi >= 0 else -(-m_hi >> -k_hi)
+    g = [(1 << W, 1 << W)]
+    for k in range(1, K + 1):
+        lo = hi = 0
+        for j in range(1, k + 1):
+            ends = [-s * e for s in L[j] for e in g[k - j]]
+            lo += j * min(ends)
+            hi += j * max(ends)
+        g.append((lo // (k << W), -(-hi // (k << W))))
+    out = []
+    for k in range(K + 1):
+        lo = hi = 0
+        for h, (g_lo, g_hi) in zip(H[k::-1], g):
+            h_lo, h_hi = max(h - 1, 0), h + slack
+            lo += min(h_lo * g_lo, h_hi * g_lo)
+            hi += max(h_lo * g_hi, h_hi * g_hi)
+        out.append(_round_out(max(lo, 0) * e_lo, hi * e_hi, -3 * W))
+    return out, slack
 
-    Degree 0 splits at 1000: the factors of the primes p <= 1000 are
-    multiplied exactly in fixed point, from ``head`` = [lo, hi], H 2^_W in
-    [lo, hi], and the rest enter through the T_t = sum_{p > 1000} p^-t of
-    ``_TAIL_1000``; exp of the tail enclosure is taken in fixed point too,
-    and the bracket is rounded to float once (``_degree0``).  Degree k >= 1
-    splits at P0 <= 1000: the primes p <= P0 give float log rows, and the
-    rest enter through T_t(P0), ``_TAIL_1000`` and the primes between P0
-    and 1000.  The only primes sieved are those up to 1000.  ``density()``
-    is the case K = 0, P0 = 1000, H its exceptional primes' correction.
 
-    ``quotients(primes)`` takes an ``array('q')`` of primes and returns
-    ``(nums, dens)``, with delta(p; 0) within 2^-1100 of num / den for each
-    prime, in any order.  ``rows_of(primes)``, for K >= 1 only, takes primes
-    p <= P0 and returns per-chunk sums ``(logs, majorant)``: ``logs[k - 1]``
-    the computed sum over the chunk of the coefficient of z^k in
-    log F(p; z), k = 1..K, within ``log_rel_err[k - 1]`` times
-    ``majorant[k - 1]`` of the exact sum, and ``majorant`` K nonnegative
-    sums.  ``neglog`` is ``_neglog_coeffs`` of delta(p; z) for every p > P0;
-    a prime p <= P0 may have a factor of its own, as ``quotients`` and
-    ``rows_of`` give it.  The chunk sums are added by fsum, which rounds
-    once, within u of its result (Shewchuk, Discrete Comput. Geom. 18, 1997).
+def _bracketed_product(rows, b: tuple, head: tuple[int, int] = (1 << _W, 1 << _W)) -> _Bracket:
+    """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
 
-    For k >= 1, with S = log of the whole product, S~ its computed centre,
-    S~_0 = log d~_0 for the point value d~_0 of degree 0, and
-    |S - S~| <= E coefficient by coefficient,
-        |d - d~_0 exp(S~ - S~_0)| << d~_0 exp(|S~ - S~_0|) (exp(E) - 1)
-    as majorant series, since every coefficient of the right side is
-    nonnegative.  E_0 bounds |log(d_0 / d~_0)| through the degree-0
-    bracket.  Both series come from ``_exp_series``.
+    ``rows(primes)`` takes an ``array('q')`` of the primes up to 1000 and
+    returns, for each, the coefficients a_0..a_K of F(p; z) as exact
+    quotients (A_k, D_k), each within 2^-1100 of the true one; ``b`` is
+    ``_neglog_coeffs`` of 1 - F(p; z) for every p > 1000.  The primes up to
+    1000 are multiplied into the head H (``_head_poly``).  The rest enter
+    through L = sum_{p > 1000} -log F(p; z), each z-degree enclosed by
+    ``_tail_fixed``, and exp(-L) = exp(-L_0) g(z): exp(-L_0) from
+    ``_exp_fixed``, and g_0 = 1, k g_k = sum_{j=1..k} j s_j g_{k-j} with
+    s = -L, in integer intervals; the signs are mixed, so each product takes
+    the min and the max of its ends' products.  d_k = exp(-L_0)
+    sum_j H_j g_{k-j} is rounded outward to float once.  ``density()`` is
+    the case K = 0, C its exceptional primes' correction.
+
+    The first pass takes W = 256 fraction bits.  The head's slack S is below
+    2^-60 of a coefficient 2^(e-1) <= d_k at W >= bits(S) + 61 - e, and
+    apart from a correction's width it is the same count at any W.  The
+    coefficients that need a wider W than the first, or whose lower end is
+    0, are computed once more, up to the highest of them, at the widest W
+    they need, a multiple of 64 and at most 640.
     """
-    neglog, neglog_err = neglog
-    K = len(neglog) - 1
-    # K log rows and K majorant rows per prime share one chunk budget
-    chunk = max(_FSUM_CHUNK // (2 * K + 1), 1)
-    ts = _live_terms(neglog)
-    parts, above = [], []
-    for seg in prime_segments(MIN_TRUNCATION):
-        head = _head_product(*quotients(seg), *head)
-        n_low = bisect_right(seg, P0)
-        for i in range(0, n_low if K else 0, chunk):
-            parts.append(rows_of(seg[i : min(i + chunk, n_low)]))
-        above += seg[n_low:]
-    span = {t: math.fsum([1 / p**t for p in above]) for t in _span_terms(ts, P0)}
-    sums = _tail_sums(ts, P0, span)
-    tails = [_tail_enclosure(neglog[k], neglog_err[k], P0, sums) for k in range(1, K + 1)]
-
-    if P0 < MIN_TRUNCATION:
-        sums = _tail_sums(ts, MIN_TRUNCATION, {})
-    tail_lo, _, tail_hi = _tail_enclosure(neglog[0], neglog_err[0], MIN_TRUNCATION, sums)
-    value, lower, upper = _degree0(head, max(tail_lo, 0.0), tail_hi)
-    if K == 0:
-        return _Bracket((value,), (lower,), (upper,))
-
-    # |S - S~| per degree: the log-sum roundoff (the chunk sums against
-    # their majorant, and the fsum within u of its result), the tail's
-    # half-width, and one rounding of S~.  d_0 = exp(S_0) lies in
-    # [lower, upper], so |S_0 - log value| <= max(upper - value,
-    # value - lower) / lower; the subtraction and the division round by at
-    # most u each.  lower > 0: a series' d_0 is at least
-    # prod_p (1 - p^-2) = 6 / pi^2, and its bracket is far narrower.
-    s = [0.0] * (K + 1)
-    err = [0.0] * (K + 1)
-    e0 = max(upper - value, value - lower) / lower * (1 + 4 * _U)
-    for k in range(1, K + 1):
-        lo, mid, hi = tails[k - 1]
-        bound = math.fsum([majorant[k - 1] for _, majorant in parts])
-        generic = math.fsum([row[k - 1] for row, _ in parts])
-        sum_err = log_rel_err[k - 1] * (1 + _U) * bound + _U * abs(generic) + _UNDERFLOW
-        s[k] = generic - mid
-        err[k] = (sum_err + max(hi - mid, mid - lo)) * (1.0 + 2.0**-50) + 2 * _U * abs(s[k])
-    series = _exp_series(s)
-    majorant = _exp_series([abs(v) for v in s])
-    excess = [math.exp(e0) * v for v in _exp_series(err)]  # exp(E) - 1
-    excess[0] = math.expm1(e0)
-    eps = (K + 1) * (K + 8) * _U
-    values, lowers, uppers = [value], [lower], [upper]
-    for k in range(1, K + 1):
-        spread = sum(majorant[j] * excess[k - j] for j in range(k + 1)) + eps * majorant[k]
-        # 8 eps covers the float error of both series, their product and exp
-        radius = value * spread * (1.0 + 8 * eps) + _UNDERFLOW
-        mid = value * series[k]
-        pad = radius * (1.0 + 2.0**-50) + 2 * _U * abs(mid)
-        lowers.append(max(mid - pad, 0.0))
-        uppers.append(mid + pad)
-        values.append(min(max(mid, lowers[-1]), uppers[-1]))
-    return _Bracket(tuple(values), tuple(lowers), tuple(uppers))
+    polys = [poly for seg in prime_segments(MIN_TRUNCATION) for poly in rows(seg)]
+    out, slack = _product_at(polys, b, head, _W_FIRST)
+    bits = slack.bit_length()
+    need = [bits + 61 - math.frexp(lower)[1] if lower else _W_CAP for _, lower, _ in out]
+    wider = [k for k, n in enumerate(need) if n > _W_FIRST]
+    if wider:
+        W = min(-(-max(need) // 64) * 64, _W_CAP)
+        again, _ = _product_at(polys, b[: wider[-1] + 1], head, W)
+        for k in wider:
+            out[k] = again[k]
+    return _Bracket(*map(tuple, zip(*out)))
 
 
 def _estimate(
@@ -751,8 +660,9 @@ def _estimate(
     """H prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
     ``quotients`` maps a chunk of primes p <= 1000 to the exact quotients
-    of their delta(p); beyond 1000 delta follows ``deficiency``, and H 2^_W
-    lies in ``head``, as ``_bracketed_product`` takes them.  The product is
+    of their delta(p), and each prime's row is 1 - delta(p); beyond 1000
+    delta follows ``deficiency``, and H 2^_W lies in ``head``, as
+    ``_bracketed_product`` takes them.  The product is
     reported at ``start``, or at ``truncation_prime``, at least ``start``,
     when one is pinned: it moves no bracket, since the tail beyond 1000 is
     enclosed whatever it is.  Without a pinned prime, a bracket wider than
@@ -766,7 +676,10 @@ def _estimate(
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
 
-    b = _bracketed_product(quotients, None, (), _neglog_coeffs(deficiency), MIN_TRUNCATION, head)
+    def rows(primes: array) -> list[list[tuple[int, int]]]:
+        return [[(den - num, den)] for num, den in zip(*quotients(primes))]
+
+    b = _bracketed_product(rows, _neglog_coeffs(deficiency), head)
     lower, upper = b.lower[0], b.upper[0]
     est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -803,9 +716,9 @@ def _exception_groups(exceptions) -> list[tuple[list[int] | array, ExponentPatte
         by_pattern.setdefault(pattern, []).extend(keys)
     groups += [(sorted(keys), pattern) for pattern, keys in by_pattern.items()]
     return [
-        (primes[i : i + _FSUM_CHUNK], pattern)
+        (primes[i : i + _CHUNK], pattern)
         for primes, pattern in groups
-        for i in range(0, len(primes), _FSUM_CHUNK)
+        for i in range(0, len(primes), _CHUNK)
     ]
 
 
@@ -851,7 +764,8 @@ def density(
             den = _head_product(*_delta_quotients(primes, default_exps), *den)
     head = ((num[0] << _W) // den[1], -(-(num[1] << _W) // den[0]))
     if m is None:
-        value, lower, upper = _degree0(head, 0.0, 0.0)
+        # one unit each way for the terms the quotients drop
+        value, lower, upper = _round_out(max(head[0] - 1, 0), head[1] + 1, -_W)
         return DensityEstimate(value, lower, upper, max(last, 2), math.log(upper / lower))
 
     return _estimate(

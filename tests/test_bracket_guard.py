@@ -2,8 +2,10 @@
 
 ``data/published_brackets.json`` holds the machine-output brackets of the
 benchmark's density and series requests, one per d_k for a series, and of
-the ``examples`` rows.  A change that widens one of them has to edit that
-file.
+the ``examples`` rows.  ``data/series_parent_brackets.json`` holds the
+``density_series`` brackets of a sweep of weights, degrees and truncation
+primes, recorded while degrees k >= 1 were taken in floating point.  A
+change that widens one of them has to edit its file.
 """
 
 import contextlib
@@ -12,9 +14,13 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import pytest
+from helpers import oracle_series
 
 from expdens.cli import EXIT_OK, main
+from expdens.patterns import parse_pattern
+from expdens.series import ExponentWeight, density_series
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "tests" / "data" / "published_brackets.json").read_text())["brackets"]
@@ -63,6 +69,9 @@ def test_series_d0_nests_in_the_density(pattern, truncation):
     (product,) = _records(["density", "--pattern", pattern,
                            "--truncation", str(max(int(truncation), 1000))])
     assert product["lower"] <= series["lower"][0] <= series["upper"][0] <= product["upper"]
+    # the same head, table and rounding: the same floats
+    assert (series["coeffs"][0], series["lower"][0], series["upper"][0]) == (
+        product["value"], product["lower"], product["upper"])
 
 
 # The benchmark's density requests and its bracket probe.
@@ -89,3 +98,47 @@ def test_density_brackets_are_at_most_two_ulp(argv, row):
     (record,) = [r for r in _records(argv) if r.get("id") == row]
     lower, upper = record["lower"], record["upper"]
     assert lower < upper <= math.nextafter(math.nextafter(lower, math.inf), math.inf), record
+
+
+def test_ex3_is_the_outward_sum_of_two_one_ulp_brackets():
+    (record,) = [r for r in _records(["examples"]) if r.get("id") == "ex3 k=2"]
+    lower, upper = record["lower"], record["upper"]
+    assert lower < upper <= lower + 4 * math.ulp(lower), record
+
+
+PARENT_SERIES = json.loads(
+    (ROOT / "tests" / "data" / "series_parent_brackets.json").read_text()
+)["brackets"]
+SWEEP_WEIGHTS = {
+    "excess": ExponentWeight.excess(),
+    **{f"threshold{k}": ExponentWeight.threshold(k) for k in range(2, 9)},
+    **{p: ExponentWeight.outside_pattern(parse_pattern(p))
+       for p in ("1..1", "1..2", "1..1,3..5,9..inf")},
+}
+
+
+@pytest.mark.parametrize(
+    "before", PARENT_SERIES, ids=lambda r: f"{r['weight']}-K{r['degree']}-P{r['truncation']}"
+)
+def test_series_nests_in_the_recorded_sweep(before):
+    # every d_k nests, holds the 40-digit value and, above 1e-150, is at
+    # most 4 ulp wide
+    w = SWEEP_WEIGHTS[before["weight"]]
+    ds = density_series(w, before["degree"], before["truncation"])
+    # reduction mod z^(K+1) is a ring homomorphism, so one K = 16 oracle serves every K
+    truths = oracle_series(w, 16)[: before["degree"] + 1]
+    for k, (lo, hi, was_lo, was_hi, truth) in enumerate(
+        zip(ds.lower, ds.upper, before["lower"], before["upper"], truths, strict=True)
+    ):
+        assert was_lo <= lo <= hi <= was_hi, (k, ds)
+        assert mpmath.mpf(lo) <= truth <= mpmath.mpf(hi), (k, ds, truth)
+        if truth > 1e-150:
+            assert hi - lo <= 4 * math.ulp(hi), (k, ds)
+
+
+@pytest.mark.parametrize("name", ["threshold2", "1..2"])
+def test_small_coefficients_are_resolved(name):
+    # d_12 .. d_16 of these weights are 1e-23 to 1e-57
+    ds = density_series(SWEEP_WEIGHTS[name], 16, 10**6)
+    assert all(lo > 0 for lo in ds.lower[12:]), ds
+

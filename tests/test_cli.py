@@ -263,16 +263,20 @@ class TestCountAndSeries:
         for c, lo, hi in zip(got["coeffs"], want["lower"], want["upper"], strict=True):
             assert lo <= c <= hi
 
-    def test_series_wide_brackets_at_tiny_truncation(self):
-        # At P = 2 the brackets are up to 0.05 wide and the point values may
-        # sum past 1; the request is still valid and each bracket holds d_k.
-        code, text = run_capture(
-            RunConfig("series", pattern="1,3,5", degree=8, truncation=2, output="machine")
-        )
-        assert code == EXIT_OK
-        record = json.loads(text)
+    def test_series_truncation_moves_no_bracket(self):
+        # --truncation is validated and reported; no prime above 1000 is
+        # sieved, and those below it are all in the head at any P
+        records = []
+        for truncation in (2, 1000000):
+            code, text = run_capture(RunConfig("series", pattern="1,3,5", degree=8,
+                                               truncation=truncation, output="machine"))
+            assert code == EXIT_OK
+            records.append(json.loads(text))
+            assert records[-1]["truncation_prime"] == truncation
+        small, large = records
+        assert (small["lower"], small["upper"]) == (large["lower"], large["upper"])
         w = expdens.series.ExponentWeight.outside_pattern(parse_pattern("1,3,5"))
-        for lo, hi, truth in zip(record["lower"], record["upper"], oracle_series(w, 8),
+        for lo, hi, truth in zip(small["lower"], small["upper"], oracle_series(w, 8),
                                  strict=True):
             assert lo <= truth <= hi
 

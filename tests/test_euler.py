@@ -120,29 +120,22 @@ class TestTailTable:
 
 
 class TestTailSums:
-    """Each T_t = sum_{p > P0} p^-t lies in its enclosure, at every split P0 <= 1000."""
+    """Each T_t = sum_{p > 1000} p^-t lies in its fixed-point tail enclosure."""
 
-    @pytest.mark.parametrize("P", [2, 100, 1000])
+    @pytest.mark.parametrize("P", [1000])
     def test_enclosures_hold_against_mpmath(self, P):
         euler = expdens.euler
-        ts = list(range(2, euler._SERIES_DEGREE + 1))
-        span_ts = euler._span_terms(ts, P)
-        assert (span_ts == []) == (P == euler.MIN_TRUNCATION)
-        between = [p for p in sieve_primes(euler.MIN_TRUNCATION).primes.tolist() if p > P]
-        span = {t: math.fsum([1 / p**t for p in between]) for t in span_ts}
-        enclosures = euler._tail_sums(ts, P, span)
-        for t, (lo, mid, hi) in enclosures.items():
+        W = euler._W_FIRST
+        cut = -(-(euler._CUT[0] << W) // euler._CUT[1])
+        for t in range(2, euler._SERIES_DEGREE + 1):
+            # -b_t / t = 1 at t alone
+            lo, hi = euler._tail_fixed([-t * (s == t) for s in range(65)], W)
             table_lo, table_hi = euler._TAIL_1000[t - 2]
-            assert lo <= mid <= hi
-            if P == euler.MIN_TRUNCATION:
-                assert (lo, hi) == (table_lo, table_hi)
-            truth = prime_tail(P, t)
-            assert lo <= truth <= hi, (t, lo, hi, truth)
-            if t in span:
-                # the table's ulp, 2e = 10u s, the roundings of s -/+ e and of the
-                # sum
-                s = span[t]
-                assert hi - lo <= (table_hi - table_lo) + 12 * euler._U * s + 4 * euler._U * hi
+            with mpmath.workdps(60):
+                truth = prime_tail(P, t) * 2**W
+                assert lo <= truth <= hi, (t, lo, hi, truth)
+            # the table's ulp, one rounding at each end, and the cut
+            assert hi - lo <= (Fraction(table_hi) - Fraction(table_lo)) * 2**W + 2 + 2 * cut
 
 
 class TestPrimeSum:
@@ -294,9 +287,10 @@ class TestDelta:
         dropped = abs(Fraction(num, den) - exact_delta(p, pattern))
         assert dropped <= Fraction(1, 2**1100)
         assert den < 2**2200
-        # 1e8 primes, each dropping at most 2^-1100 from delta and so at most
-        # twice that from log F, fit in the underflow allowance many times over
-        assert 10**8 * 2 * 2.0**-1100 <= expdens.euler._UNDERFLOW * 2.0**-40
+        # 1e8 exceptional primes, each dropping at most 2^-1100 from delta and
+        # so at most 2^-1100 / 0.6 relative from its factor, stay below the
+        # one unit charged at the widest W
+        assert Fraction(10**8 * 2, 2**1100) / Fraction(3, 5) <= Fraction(1, 2**expdens.euler._W_CAP)
 
     @pytest.mark.parametrize("text", DELTA_PATTERNS + ["1..1,40..60,70..inf", "1..1,600..inf",
                                                        "1..1,3..3000"])
@@ -318,16 +312,6 @@ class TestDelta:
         for p in (2, 3, 9999991):
             assert deltas((p,), expdens.euler._delta_exponents(pattern)) == [0.0]
             assert local_factor_interval(p, pattern).value == 1.0
-
-    def test_log1p_within_its_charge(self):
-        # the 2 ulp charged to log1p, against 40 digits on sampled deltas
-        rng = random.Random(7)
-        with mpmath.workdps(40):
-            for _ in range(2000):
-                d = rng.uniform(0.0, 0.5) * 2.0 ** -rng.randrange(0, 60)
-                exact = mpmath.log1p(-mpmath.mpf(d))
-                err = abs(mpmath.mpf(math.log1p(-d)) - exact)
-                assert err <= 4 * expdens.euler._U * abs(exact)
 
 
 class TestDensity:
@@ -553,30 +537,39 @@ class TestDensity:
 
 class TestFixedPoint:
     def test_ln2_constant(self):
-        with mpmath.workprec(400):
-            assert expdens.euler._LN2 == int(mpmath.floor(mpmath.log(2) * 2**expdens.euler._W))
+        euler = expdens.euler
+        with mpmath.workprec(euler._W_CAP + 100):
+            assert euler._LN2 == int(mpmath.floor(mpmath.log(2) * 2**euler._W_CAP))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(st.floats(-745.0, 0.0), st.floats(-(2.0**-20), 2.0**-20)))
-    def test_exp_encloses_the_true_value(self, x):
-        euler, W = expdens.euler, expdens.euler._W
-        m_lo, k_lo = euler._exp_fixed(euler._fixed(x, False), False)
-        m_hi, k_hi = euler._exp_fixed(euler._fixed(x, True), True)
+    @given(
+        st.one_of(st.floats(-745.0, 0.0), st.floats(-(2.0**-20), 2.0**-20)),
+        st.sampled_from(range(256, 641, 64)),
+    )
+    def test_exp_encloses_the_true_value(self, x, W):
+        euler = expdens.euler
+        X = math.floor(Fraction(x) * 2**W)
+        m_lo, k_lo = euler._exp_fixed(X, W, False)
+        m_hi, k_hi = euler._exp_fixed(X + (X != Fraction(x) * 2**W), W, True)
         lower = euler._to_float(m_lo, k_lo - W, False)
         upper = euler._to_float(m_hi, k_hi - W, True)
-        with mpmath.workdps(60):
+        with mpmath.workprec(W + 64):
             truth = mpmath.exp(mpmath.mpf(x))
             assert mpmath.ldexp(m_lo, k_lo - W) <= truth <= mpmath.ldexp(m_hi, k_hi - W)
             assert mpmath.mpf(lower) <= truth <= mpmath.mpf(upper)
         assert upper <= math.nextafter(math.nextafter(lower, math.inf), math.inf)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_fixed_rounds_outward_once(self, x):
-        down, up = expdens.euler._fixed(x, False), expdens.euler._fixed(x, True)
-        exact = Fraction(x) * 2**expdens.euler._W
-        assert down <= exact <= up <= down + 1
-        assert (down == up) == (exact.denominator == 1)
+    @given(st.integers(1, 1900), st.fractions(0, 1), st.fractions(0, 1))
+    def test_fixed_rounds_outward_once(self, n, x, y):
+        # a fixed-point interval [lo, hi] 2^-n within [0, 1] becomes its
+        # float bracket
+        lo, hi = sorted((math.floor(x * 2**n), math.ceil(y * 2**n)))
+        value, lower, upper = expdens.euler._round_out(lo, hi, -n)
+        assert lower <= value <= upper
+        assert Fraction(lower) <= Fraction(lo, 2**n) <= Fraction(hi, 2**n) <= Fraction(upper)
+        assert lower == expdens.euler._to_float(lo, -n, False)
+        assert upper == expdens.euler._to_float(hi, -n, True)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**600), st.integers(-1300, 100))
@@ -588,16 +581,17 @@ class TestFixedPoint:
         assert up == down or up == math.nextafter(down, math.inf)
 
     @staticmethod
-    def _head(pap, monkeypatch) -> tuple[int, int] | None:
-        """The head the product took, or None when it took none (every factor 1)."""
+    def _head(pap, monkeypatch) -> tuple[int, int, int] | None:
+        """(H_0, S, W) of the product's head, or None when it took none (no default product)."""
         heads = []
-        inner = expdens.euler._degree0
+        inner = expdens.euler._head_poly
 
-        def spy(head, *rest):
-            heads.append(head)
-            return inner(head, *rest)
+        def spy(polys, head, W, K):
+            H, slack = inner(polys, head, W, K)
+            heads.append((H[0], slack, W))
+            return H, slack
 
-        monkeypatch.setattr(expdens.euler, "_degree0", spy)
+        monkeypatch.setattr(expdens.euler, "_head_poly", spy)
         density(pap, 1.0)
         assert len(heads) <= 1
         return heads[0] if heads else None
@@ -616,15 +610,19 @@ class TestFixedPoint:
         for pap in paps:
             head = self._head(pap, monkeypatch)
             if head is None:
-                assert exact_head(pap) == 1
+                # the default allows everything: the density is the correction
+                est = density(pap, 1.0)
+                assert Fraction(est.lower) <= exact_head(pap) <= Fraction(est.upper)
                 continue
-            lo, hi = head
-            exact = exact_head(pap) * 2**expdens.euler._W
-            assert lo <= exact <= hi, pap
-            # one unit per prime up to 1000, and the correction's width for k
-            # exceptional primes: the k units of N over D and of D times N / D^2,
-            # with D > 0.6 and N / D < 1 / 0.6, and one unit for each rounding
-            assert hi - lo <= 168 + 5 * len(pap.exceptions) + 2
+            H, slack, W = head
+            exact = exact_head(pap) * 2**W
+            assert H - 1 <= exact <= H + slack, pap
+            # the correction's width for k exceptional primes at 2^-128: the k
+            # units of N over D and of D times N / D^2, with D > 0.6 and
+            # N / D < 1 / 0.6, and one unit for each rounding; then 3 units
+            # for each prime up to 1000 and one for the dropped terms
+            width = 5 * len(pap.exceptions) + 2
+            assert slack <= (width << (W - expdens.euler._W)) + 3 * 168 + 1
 
     def test_degree_zero_calls_no_libm_exp_or_log1p(self, monkeypatch):
         class NoExp:
@@ -689,25 +687,35 @@ class TestNeglogCoeffs:
     @pytest.mark.parametrize("K", [0, 8, 16])
     @pytest.mark.parametrize("name", sorted(NEGLOG_WEIGHTS))
     def test_correctly_rounded_against_fractions(self, name, K):
-        delta = expdens.euler._deficiency(NEGLOG_WEIGHTS[name], K)
-        neglog, err = expdens.euler._neglog_coeffs(delta)
+        euler = expdens.euler
+        delta = euler._deficiency(NEGLOG_WEIGHTS[name], K)
+        b = euler._neglog_coeffs(delta)
         exact = exact_neglog(delta, K)
+        W = euler._W_FIRST
+        cut = -(-(euler._CUT[0] << W) // euler._CUT[1])
         for k in range(K + 1):
+            # the coefficients are exact: -b_t / t
             for t in range(len(delta)):
-                truth = exact.get((t, k), Fraction(0))
-                # one correctly rounded division per coefficient
-                assert neglog[k][t] == float(truth)
-                assert abs(Fraction(neglog[k][t]) - truth) <= Fraction(err[k][t])
-                assert err[k][t] == expdens.euler._U * abs(neglog[k][t])
+                assert Fraction(-b[k][t], t or 1) == exact.get((t, k), Fraction(0))
+            # the tail takes each term at its bounding end of the table,
+            # rounded outward once, and the cut
+            lo = hi = Fraction(0)
+            for t, (t_lo, t_hi) in enumerate(euler._TAIL_1000, start=2):
+                c = exact.get((t, k), Fraction(0))
+                lo += c * Fraction(t_lo if c > 0 else t_hi)
+                hi += c * Fraction(t_hi if c > 0 else t_lo)
+            terms = sum(1 for t in range(2, len(delta)) if b[k][t])
+            got_lo, got_hi = euler._tail_fixed(b[k], W)
+            assert lo * 2**W - terms - cut <= got_lo <= lo * 2**W - cut
+            assert hi * 2**W + cut <= got_hi <= hi * 2**W + terms + cut
 
     def test_memoized_and_immutable(self):
         delta = expdens.euler._deficiency(NEGLOG_WEIGHTS["excess"], 8)
         first = expdens.euler._neglog_coeffs(delta)
         assert expdens.euler._neglog_coeffs(tuple(map(tuple, map(list, delta)))) is first
-        neglog, err = first
-        assert all(isinstance(row, tuple) for row in (*neglog, *err))
+        assert isinstance(first, tuple) and all(isinstance(row, tuple) for row in first)
         with pytest.raises(TypeError):
-            neglog[0][2] = 0.0
+            first[0][2] = 0
 
 
 class TestClosedForms:

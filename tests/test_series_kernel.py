@@ -1,8 +1,8 @@
 """The series engine against the per-prime loop it replaced, and its row builder.
 
-The engine multiplies out the primes p <= P and encloses the rest, so its
-d_k are full densities with brackets; the loop gave the truncated product
-alone.  Each side is checked against the other's oracle: the engine's
+The engine multiplies out the primes up to 1000 and encloses the rest, so
+its d_k are full densities with brackets whatever P is; the loop gave the
+product over p <= P alone.  Each side is checked against the other's oracle: the engine's
 brackets hold the 40-digit series, and the loop, completed by the 40-digit
 product over p > P, lands in the engine's brackets up to the loop's own
 roundoff.
@@ -10,9 +10,7 @@ roundoff.
 
 import functools
 import math
-import random
 import time
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -30,8 +28,6 @@ from expdens.primes import ResourceBudgetError
 from expdens.series import (
     ExponentWeight,
     _local_polys,
-    _log_row_errors,
-    _log_series,
     _row_exponents,
     density_series,
 )
@@ -54,8 +50,8 @@ def reference(name: str, K: int, P: int):
     return reference_density_series(WEIGHTS[name], K, P)
 
 
-# One-prime chunks stop at P = 1994, where every prime is already a chunk
-# edge; at P = 2e5 they would add several seconds to the suite.
+# `block` primes per segment of the sieve that the engine reads; one-prime
+# segments run with P <= 1994 only.
 BLOCK_CASES = [
     (block, P)
     for block in (1, 7, 4096)
@@ -64,14 +60,27 @@ BLOCK_CASES = [
 ]
 
 
+def _segments_of(block: int):
+    sieve = expdens.euler.prime_segments
+
+    def segments(limit):
+        for seg in sieve(limit):
+            for i in range(0, len(seg), block):
+                yield seg[i : i + block]
+
+    return segments
+
+
 @pytest.mark.parametrize("K", [0, 1, 8, 16])
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 @pytest.mark.parametrize("block, P", BLOCK_CASES)
 def test_density_series_matches_per_prime_loop(name, K, P, block, monkeypatch):
-    # `block` primes per chunk
-    monkeypatch.setattr(expdens.euler, "_FSUM_CHUNK", block * (2 * K + 1))
     w = WEIGHTS[name]
+    whole = density_series(w, K, P)
+    monkeypatch.setattr(expdens.euler, "prime_segments", _segments_of(block))
     got = density_series(w, K, P)
+    # the head is one product over the primes, however they are cut
+    assert (got.coeffs, got.lower, got.upper) == (whole.coeffs, whole.lower, whole.upper)
     # reduction mod z^(K+1) is a ring homomorphism, so one K = 16 oracle serves every K
     truth = oracle_series(w, 16)[: K + 1]
     beyond = oracle_series(w, 16, P)[: K + 1]
@@ -109,30 +118,6 @@ def test_local_polys_validation():
     with pytest.raises(ValueError):
         _row_exponents(WEIGHTS["excess"], -1)
     assert _row_exponents(WEIGHTS["excess"], 0) == [(2,)]
-
-
-@pytest.mark.parametrize("K", [1, 2, 8, 16, 40])
-def test_log_series_within_its_error_bound(K):
-    # exact rational recurrence on the same float ratios, one column per prime
-    rng = random.Random(K)
-    primes = [2, 3, 5, 97, 997]
-    r = [[]] + [[rng.random() * p ** -(k + 1) for p in primes] for k in range(1, K + 1)]
-    r[K // 2 + 1] = [0.0] * len(primes)  # a column of zeros is skipped
-    logs, majorant = _log_series(r)
-    bound = _log_row_errors(K, 0.0)
-    for i in range(len(primes)):
-        c, cm = [Fraction(0)], [Fraction(0)]
-        for k in range(1, K + 1):
-            rk = [Fraction(0)] + [Fraction(r[j][i]) for j in range(1, k + 1)]
-            c.append(k * rk[k] - sum(c[k - j] * rk[j] for j in range(1, k)))
-            cm.append(k * rk[k] + sum(cm[k - j] * rk[j] for j in range(1, k)))
-        for k in range(1, K + 1):
-            exact, exact_major = c[k] / k, cm[k] / k
-            assert abs(Fraction(logs[k - 1][i]) - exact) <= bound[k - 1] * Fraction(
-                majorant[k - 1][i]
-            )
-            assert abs(exact) <= exact_major
-            assert abs(Fraction(majorant[k - 1][i]) - exact_major) <= bound[k - 1] * exact_major
 
 
 class _Admitted(Exception):
@@ -179,6 +164,16 @@ class TestWorkCap:
         monkeypatch.setattr(expdens.euler, "prime_segments", _refuse_to_sieve)
         with pytest.raises(_Admitted if admitted else ResourceBudgetError):
             density_series(WEIGHTS["excess"], K, P)
+
+    @pytest.mark.parametrize("name", ["excess", "threshold2"])
+    def test_largest_degree_in_bounded_time(self, name):
+        # K = 198 is the largest admitted degree, at any P
+        start = time.perf_counter()
+        ds = density_series(WEIGHTS[name], 198, 1000)
+        assert time.perf_counter() - start < 1.5
+        assert len(ds.coeffs) == 199
+        with pytest.raises(ResourceBudgetError):
+            density_series(WEIGHTS[name], 199, 1000)
 
     def test_cli_exits_3_fast(self, capsys):
         # P = 1e9 is past the sieve budget, though nothing above 1000 is sieved
