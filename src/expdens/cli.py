@@ -6,8 +6,9 @@ file (--spec FILE) with the schema
     {"default": "<DSL>", "exceptions": {"<key>": "<DSL>"}}
 
 where a key is a prime ("7"), "p<=q" for all primes up to q, or
-"p in [2,3,5]"; prime-class keys are expanded to explicit primes at load
-time, and the empty DSL string denotes the empty pattern.
+"p in [2,3,5]"; a "p in" key is expanded to explicit primes at load time,
+a "p<=q" key is sieved on first use, and the empty DSL string denotes the
+empty pattern.
 
 Machine mode prints one JSON record per result whose keys are the result
 record's fields, in order; floats round-trip at full precision, and a record

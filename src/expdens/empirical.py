@@ -39,7 +39,7 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
 
 from ._record import record
-from .patterns import PrimeAwarePattern, _PrimeRange, contains
+from .patterns import PrimeAwarePattern, contains
 from .primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError, sieve_primes
 
 # A rule maps an exponent e >= 1 to its weight.
@@ -272,24 +272,11 @@ def _tally(
 def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
     """Count n in [1, x] whose every prime exponent is allowed by ``pap``."""
     _check_x(x)
-    rules: dict[int, Rule] = {}
 
     def forbidden(pattern) -> Rule:
-        if id(pattern) not in rules:
-            rules[id(pattern)] = functools.cache(lambda e: int(not contains(pattern, e)))
-        return rules[id(pattern)]
+        return functools.cache(lambda e: int(not contains(pattern, e)))
 
-    # The exceptional primes as ascending runs, one per rule; a "p<=q"
-    # range is its own sieve array, up to x at most.
-    exceptions = pap.exceptions
-    runs: list[tuple[Sequence[int], Rule]] = []
-    if isinstance(exceptions, _PrimeRange):
-        runs.append((exceptions.primes_upto(x), forbidden(exceptions.pattern)))
-        exceptions = exceptions.rest
-    grouped: dict[Rule, list[int]] = {}
-    for p, pattern in exceptions.items():
-        grouped.setdefault(forbidden(pattern), []).append(p)
-    runs.extend((primes, rule) for rule, primes in grouped.items())
+    runs = [(primes, forbidden(pattern)) for primes, pattern in pap.runs(x)]
     count = _tally(x, 0, forbidden(pap.default), runs)[0]
     return CountReport(x, count, count / x)
 

@@ -63,7 +63,7 @@ from .patterns import (
     contains,
     min_forbidden,
     normalize_intervals,
-    _PrimeRange,
+    parse_prime_aware,
 )
 from .primes import _check_budget, is_prime, prime_segments, sieve_primes
 
@@ -612,7 +612,9 @@ def _product_at(polys: list, b: tuple, head: tuple[int, int], W: int) -> tuple[l
     return out, slack
 
 
-def _bracketed_product(rows, b: tuple, head: tuple[int, int] = (1 << _W, 1 << _W)) -> _Bracket:
+def _bracketed_product(
+    rows, b: tuple, head: tuple[int, int] = (1 << _W, 1 << _W), zeros: tuple[int, ...] = ()
+) -> _Bracket:
     """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
 
     ``rows(primes)`` takes an ``array('q')`` of the primes up to 1000 and
@@ -633,12 +635,15 @@ def _bracketed_product(rows, b: tuple, head: tuple[int, int] = (1 << _W, 1 << _W
     apart from a correction's width it is the same count at any W.  The
     coefficients that need a wider W than the first, or whose lower end is
     0, are computed once more, up to the highest of them, at the widest W
-    they need, a multiple of 64 and at most 640.
+    they need, a multiple of 64 and at most 640.  The d_k named in
+    ``zeros`` are exactly 0: each is published as [0, 0] and never rerun.
     """
     polys = [poly for seg in prime_segments(MIN_TRUNCATION) for poly in rows(seg)]
     out, slack = _product_at(polys, b, head, _W_FIRST)
     bits = slack.bit_length()
     need = [bits + 61 - math.frexp(lower)[1] if lower else _W_CAP for _, lower, _ in out]
+    for k in zeros:
+        out[k], need[k] = (0.0, 0.0, 0.0), 0
     wider = [k for k, n in enumerate(need) if n > _W_FIRST]
     if wider:
         W = min(-(-max(need) // 64) * 64, _W_CAP)
@@ -697,31 +702,6 @@ def _check_target(target_error: float) -> None:
         raise ValueError("target_error must be positive and finite")
 
 
-def _exception_groups(exceptions) -> list[tuple[list[int] | array, ExponentPattern]]:
-    """The exceptional primes as ascending (primes, pattern) chunks of one pattern each.
-
-    A "p<=q" range's array goes in chunks, and the other keys one sorted
-    list per distinct pattern, grouped first by the pattern object, so that
-    no pattern is hashed per key; a key may pass 2^63, so it stays in a list.
-    """
-    groups = []
-    if isinstance(exceptions, _PrimeRange):
-        groups.append((exceptions.primes, exceptions.pattern))
-        exceptions = exceptions.rest
-    by_object: dict[int, tuple[ExponentPattern, list[int]]] = {}
-    for p, pattern in exceptions.items():
-        by_object.setdefault(id(pattern), (pattern, []))[1].append(p)
-    by_pattern: dict[ExponentPattern, list[int]] = {}
-    for pattern, keys in by_object.values():
-        by_pattern.setdefault(pattern, []).extend(keys)
-    groups += [(sorted(keys), pattern) for pattern, keys in by_pattern.items()]
-    return [
-        (primes[i : i + _CHUNK], pattern)
-        for primes, pattern in groups
-        for i in range(0, len(primes), _CHUNK)
-    ]
-
-
 def density(
     pap: PrimeAwarePattern,
     target_error: float = DEFAULT_TARGET_ERROR,
@@ -751,7 +731,11 @@ def density(
     m = min_forbidden(pap.default)
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
-    groups = _exception_groups(pap.exceptions)
+    groups = [
+        (primes[i : i + _CHUNK], pattern)
+        for primes, pattern in pap.runs()
+        for i in range(0, len(primes), _CHUNK)
+    ]
     last = max((primes[-1] for primes, _ in groups), default=0)
     if m is None and all(pattern.allows_everything() for _, pattern in groups):
         return DensityEstimate(1.0, 1.0, 1.0, max(last, 2), 0.0)
@@ -877,7 +861,8 @@ def closed_form(
     if form == "ex1":
         if q is None or not is_prime(q) or k is None or k < 2:
             raise ValueError("ex1 needs prime q and k >= 2")
-        exceptions = _PrimeRange(q, EMPTY_PATTERN, {})
+        doc = {"default": f"1..{k - 1}", "exceptions": {f"p<={q}": ""}}
+        return density(parse_prime_aware(doc), target_error)
     elif form == "ex2":
         if primes is None or k is None or k < 2:
             raise ValueError("ex2 needs a prime set and k >= 2")

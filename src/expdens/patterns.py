@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import and_, rshift
 
@@ -134,6 +134,27 @@ class PrimeAwarePattern:
             else {p: self.exceptions[p] for p in ordered},
         )
 
+    def runs(self, upto: int | None = None) -> list[tuple[Sequence[int], ExponentPattern]]:
+        """The exceptional primes as ascending (primes, pattern) runs.
+
+        A "p<=q" range is the first run, its sieve array, sieved no further
+        than ``upto``.  The other keys form one sorted list per distinct pattern,
+        grouped first by the pattern object, so that no pattern is hashed per
+        key; a key may pass 2^63, so it stays in a list.
+        """
+        exceptions, runs = self.exceptions, []
+        if isinstance(exceptions, _PrimeRange):
+            primes = exceptions.primes if upto is None else exceptions.primes_upto(upto)
+            runs.append((primes, exceptions.pattern))
+            exceptions = exceptions.rest
+        by_object: dict[int, tuple[ExponentPattern, list[int]]] = {}
+        for p, pattern in exceptions.items():
+            by_object.setdefault(id(pattern), (pattern, []))[1].append(p)
+        by_pattern: dict[ExponentPattern, list[int]] = {}
+        for pattern, keys in by_object.values():
+            by_pattern.setdefault(pattern, []).extend(keys)
+        return runs + [(sorted(keys), pattern) for pattern, keys in by_pattern.items()]
+
 
 def normalize_intervals(
     raw: Iterable[tuple[int, int | None]]
@@ -218,6 +239,8 @@ def parse_pattern(text: str) -> ExponentPattern:
     the empty pattern.  Raises PatternSyntaxError with the character offset
     of the offending term.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a pattern is a DSL string, not {type(text).__name__}")
     if text.strip() == "":
         return EMPTY_PATTERN
     raw: list[tuple[int, int | None]] = []
@@ -263,25 +286,14 @@ def _range_bound(key: str) -> int | None:
 
 
 def _expand_prime_key(key: str) -> list[int]:
-    """The primes a single-prime or "p in [...]" key names."""
+    """The integers a single-prime or "p in [...]" key names, unchecked."""
     key = key.strip()
     if key.isdigit():
-        p = int(key)
-        if not is_prime(p):
-            raise ValueError(f"exception key {p} is not prime")
-        return [p]
+        return [int(key)]
     m = _PRIME_IN_RE.match(key)
     if m:
         body = m.group(1).strip()
-        if not body:
-            return []
-        out = []
-        for part in body.split(","):
-            p = int(part.strip())
-            if not is_prime(p):
-                raise ValueError(f"exception key {key!r} lists non-prime {p}")
-            out.append(p)
-        return out
+        return [int(part) for part in body.split(",")] if body else []
     raise ValueError(f"unrecognized exception key {key!r}")
 
 
@@ -323,15 +335,8 @@ class _PrimeRange(Mapping):
     def __len__(self) -> int:
         return len(self.primes) + len(self.rest)
 
-    def items(self) -> ItemsView:
-        return _PrimeRangeItems(self)
-
-
-class _PrimeRangeItems(ItemsView):
-    # pairs the array with its one pattern, with no lookup per key
-    def __iter__(self):
-        m = self._mapping
-        return chain(zip(m.primes, repeat(m.pattern)), m.rest.items())
+    def __bool__(self) -> bool:
+        return True  # q >= 2, so the range holds 2 without a sieve
 
 
 def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
@@ -342,12 +347,17 @@ def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
     Duplicate primes arising from overlapping keys are rejected; two "p<=q"
     keys with q >= 2 always share the prime 2.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"pattern spec must be an object, not {type(doc).__name__}")
     if "default" not in doc:
         raise ValueError('pattern spec needs a "default" entry')
     default = parse_pattern(doc["default"])
+    keys = doc.get("exceptions", {})
+    if not isinstance(keys, Mapping):
+        raise ValueError(f'"exceptions" must be an object, not {type(keys).__name__}')
     exceptions: dict[int, ExponentPattern] = {}
     ranges: list[tuple[int, ExponentPattern]] = []
-    for key, dsl in doc.get("exceptions", {}).items():
+    for key, dsl in keys.items():
         pattern = parse_pattern(dsl)
         q = _range_bound(str(key))
         if q is not None:
@@ -360,15 +370,15 @@ def parse_prime_aware(doc: Mapping) -> PrimeAwarePattern:
             exceptions[p] = pattern
     if len(ranges) > 1:
         raise ValueError("prime 2 assigned by more than one exception key")
+    checked = PrimeAwarePattern(default=default, exceptions=exceptions)
     if not ranges:
-        return PrimeAwarePattern(default=default, exceptions=exceptions)
+        return checked
     (q, pattern), = ranges
-    clash = min((p for p in exceptions if p <= q), default=None)
-    if clash is not None:
-        raise ValueError(f"prime {clash} assigned by more than one exception key")
-    rest = dict(sorted(exceptions.items()))
+    first = next(iter(checked.exceptions), q + 1)
+    if first <= q:
+        raise ValueError(f"prime {first} assigned by more than one exception key")
     return PrimeAwarePattern(
-        default=default, exceptions=_PrimeRange(q, pattern, rest)
+        default=default, exceptions=_PrimeRange(q, pattern, checked.exceptions)
     )
 
 

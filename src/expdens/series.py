@@ -229,8 +229,15 @@ def density_series(
         one = (1.0,) + (0.0,) * K
         return DensitySeries(one, one, one, truncation_prime, 0.0)
     exps = _row_exponents(w, K)
+    # g(n) = k for some n exactly when k is a sum of weights that single
+    # exponents take, the k >= 1 with a row; every other d_k is 0.
+    steps = [j for j in range(1, K + 1) if exps[j]]
+    reach = [True] + [False] * K
+    for k in range(1, K + 1):
+        reach[k] = any(reach[k - j] for j in steps if j <= k)
     b = euler._bracketed_product(
         lambda primes: _local_polys(primes, exps),
         euler._neglog_coeffs(euler._deficiency(w.weight, K)),
+        zeros=tuple(k for k in range(K + 1) if not reach[k]),
     )
     return DensitySeries(b.value, b.lower, b.upper, truncation_prime, 1.0 - math.fsum(b.value))

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import expdens.euler
+import expdens.patterns
 import expdens.series
 from expdens.cli import (
     _DISPATCH,
@@ -125,6 +126,17 @@ class TestUsageErrors:
     def test_malformed_pattern(self):
         code, _ = run_capture(RunConfig("density", pattern="0..2"))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("doc", [
+        None, {"default": 5}, {"default": "1..1", "exceptions": []},
+        {"default": "1..1", "exceptions": {"7": 3}}, {"default": None},
+        {"default": "1..1", "exceptions": None}, {"...": None}, "default",
+    ])
+    def test_malformed_spec_document(self, tmp_path, doc, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_x(self):
         code, _ = run_capture(RunConfig("count", pattern="1..1"))
@@ -286,6 +298,15 @@ class TestCountAndSeries:
         code, _ = run_capture(RunConfig("series", spec_path=str(spec)))
         assert code == EXIT_USAGE
 
+
+    def test_series_refuses_a_range_without_sieving(self, tmp_path, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(expdens.patterns, "sieve_primes", refuse)
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"default": "1..1", "exceptions": {"p<=100000000": ""}}))
+        assert main(["series", "--spec", str(spec)]) == EXIT_USAGE
 
     def test_count_powerful_at_the_bound(self):
         # 21 044 = sum over squarefree b of isqrt(1e8 // b^3), as a^2 b^3

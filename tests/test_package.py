@@ -269,6 +269,17 @@ def test_no_module_imports_numpy():
             assert not any(n.split(".")[0] == "numpy" for n in names), path
 
 
+def test_only_patterns_names_the_prime_range():
+    # every other module reads exceptional primes through PrimeAwarePattern.runs
+    for path in sorted((SRC / "expdens").glob("*.py")):
+        if path.name == "patterns.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+            assert "_PrimeRange" not in names, path
+
+
 def test_numpy_is_a_test_dependency_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from expdens.patterns import (
     pattern_for_prime,
 )
 from expdens.primes import ResourceBudgetError, sieve_primes
-from helpers import in_raw_union, raw_intervals
+from helpers import in_raw_union, random_small_pap, raw_intervals
 
 
 def ivs(pattern):
@@ -244,6 +245,77 @@ class TestPrimeAware:
                 default=EMPTY_PATTERN,
                 exceptions={7: EMPTY_PATTERN, 9: EMPTY_PATTERN},
             )
+
+
+RANGE_DOCS = [
+    {"default": "1..1", "exceptions": {"p<=100": "1..2", "101": "", "103": "1..2",
+                                       "p in [107, 109]": "", "10000019": "1..2"}},
+    {"default": "1..2", "exceptions": {"p<=2": "", "3": "1..inf"}},
+    {"default": "1..1", "exceptions": {"p<=1000": "1..2"}},
+]
+
+
+def check_runs(pap, ranged=False):
+    """runs() against the exceptions: ascending, disjoint, covering, one per pattern."""
+    runs = pap.runs()
+    keys = [p for primes, _ in runs for p in primes]
+    assert sorted(keys) == list(pap.exceptions)
+    assert len(set(keys)) == len(keys)
+    for primes, pattern in runs:
+        assert len(primes) > 0 and list(primes) == sorted(primes)
+        assert all(pattern_for_prime(pap, p) == pattern for p in primes)
+    # a "p<=q" range is its own run, ahead of one run per distinct pattern
+    # of the other keys
+    rest = [pattern for _, pattern in runs[ranged:]]
+    assert len(set(rest)) == len(rest)
+    if not ranged:
+        assert len(runs) == len(set(pap.exceptions.values()))
+
+
+class TestRuns:
+    def test_random_patterns(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            pap = random_small_pap(rng)
+            check_runs(pap)
+
+    @pytest.mark.parametrize("doc", RANGE_DOCS)
+    def test_range_specs(self, doc):
+        check_runs(parse_prime_aware(doc), ranged=True)
+
+    def test_runs_sieve_no_further_than_asked(self, monkeypatch):
+        limits = []
+        sieve = expdens.patterns.sieve_primes
+
+        def recording(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
+        doc = {"default": "1..1", "exceptions": {"p<=100000000": "", "100000007": "1"}}
+        (primes, pattern), far = parse_prime_aware(doc).runs(1000)
+        assert primes.tolist() == sieve(1000).primes.tolist()
+        assert pattern == EMPTY_PATTERN
+        assert far == ([100000007], parse_pattern("1"))
+        assert limits == [1000]
+
+    def test_listed_primes_are_checked_by_one_sieve(self, monkeypatch):
+        # 78 498 listed keys: no Miller-Rabin test for any key below 1e7
+        tested = []
+        is_prime = expdens.patterns.is_prime
+
+        def spy(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(expdens.patterns, "is_prime", spy)
+        listed = sieve_primes(10**6).primes.tolist()
+        key = f"p in [{', '.join(map(str, listed))}]"
+        pap = parse_prime_aware({"default": "1..1", "exceptions": {key: "1..2", "10000019": ""}})
+        assert len(pap.exceptions) == 78499
+        assert tested == [10000019]
+        with pytest.raises(ValueError, match="exception key 4 is not prime"):
+            parse_prime_aware({"default": "1..1", "exceptions": {"p in [3, 4]": ""}})
 
 
 class TestSpecDocument:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import hypothesis.strategies as st
 import pytest
 from helpers import table_weight
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from expdens.euler import brackets_overlap, density, zeta_int
 from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden, parse_pattern
@@ -125,6 +125,22 @@ class TestDensitySeries:
             ds = density_series(w, K=4, truncation_prime=10**5)
             d0 = SimpleNamespace(lower=ds.lower[0], upper=ds.upper[0])
             assert brackets_overlap(est, d0)
+
+    @given(small_weights, st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_zeros_are_the_unreached_degrees(self, w, K):
+        # d_k = 0 exactly when k is no sum of the weights of single exponents;
+        # an exponent i > K + 5 weighs more than K
+        assume(w.weight(1) == 0 and min_forbidden(w.induced_pattern()) is not None)
+        sums = {0}
+        for _ in range(K):
+            sums |= {t for s in sums for i in range(1, K + 6) if (t := s + w.weight(i)) <= K}
+        ds = density_series(w, K)
+        for k in range(K + 1):
+            if k in sums:
+                assert ds.lower[k] > 0.0
+            else:
+                assert (ds.coeffs[k], ds.lower[k], ds.upper[k]) == (0.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
