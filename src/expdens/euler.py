@@ -396,25 +396,27 @@ def _neglog_coeffs(delta: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     A = 1 - delta = sum_t a_t p^-t, the identity x A' = A x (log A)' gives
     b_t = t [p^-t] log A as
 
-        b_t = t a_t - sum_{0 < j < t} b_j a_{t-j},
+        b_t = t a_t - sum_{0 < s < t} a_s b_{t-s},
 
-    products of z-polynomials cut at z^K, in exact integers.
+    products of z-polynomials cut at z^K, in exact integers.  The sum runs
+    over the nonzero a_s alone: a density's delta is nonzero only where its
+    pattern starts or ends a run of allowed exponents.
     """
     K = len(delta[0]) - 1
-    # a_t = -delta_t for t >= 1, kept as its nonzero (degree, value) pairs
-    terms = [[(k, -v) for k, v in enumerate(row) if v] for row in delta]
+    # a_s = -delta_s for the s >= 1 where it is nonzero, as (degree, value) pairs
+    rows = {s: [(k, -v) for k, v in enumerate(row) if v] for s, row in enumerate(delta) if any(row)}
     b: list[list[int]] = [[0] * (K + 1)]
     for t in range(1, len(delta)):
         bt = [0] * (K + 1)
-        for k, v in terms[t]:
+        for k, v in rows.get(t, ()):
             bt[k] += t * v
-        for j in range(1, t):
-            bj = b[j]
-            if not any(bj):
-                continue
-            for d, v in terms[t - j]:
+        for s, a in rows.items():
+            if s >= t:
+                break
+            bs = b[t - s]
+            for d, v in a:
                 for i in range(K + 1 - d):
-                    bt[i + d] -= v * bj[i]
+                    bt[i + d] -= v * bs[i]
         b.append(bt)
     return tuple(zip(*b))
 
@@ -574,15 +576,6 @@ def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
 # Bracketed product engine
 
 
-@record(frozen=True)
-class _Bracket:
-    """The coefficients d_0..d_K of a product over all primes, each bracketed."""
-
-    value: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-
 def _product_at(polys: list, b: tuple, head: tuple[int, int], W: int) -> tuple[list[tuple], int]:
     """Each d_k of ``_bracketed_product`` as (value, lower, upper) at W bits, and the slack."""
     K = len(b) - 1
@@ -614,7 +607,7 @@ def _product_at(polys: list, b: tuple, head: tuple[int, int], W: int) -> tuple[l
 
 def _bracketed_product(
     rows, b: tuple, head: tuple[int, int] = (1 << _W, 1 << _W), zeros: tuple[int, ...] = ()
-) -> _Bracket:
+) -> list[tuple[float, float, float]]:
     """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
 
     ``rows(primes)`` takes an ``array('q')`` of the primes up to 1000 and
@@ -628,7 +621,8 @@ def _bracketed_product(
     s = -L, in integer intervals; the signs are mixed, so each product takes
     the min and the max of its ends' products.  d_k = exp(-L_0)
     sum_j H_j g_{k-j} is rounded outward to float once.  ``density()`` is
-    the case K = 0, C its exceptional primes' correction.
+    the case K = 0, C its exceptional primes' correction.  Each d_k comes
+    back as a (value, lower, upper) triple.
 
     The first pass takes W = 256 fraction bits.  The head's slack S is below
     2^-60 of a coefficient 2^(e-1) <= d_k at W >= bits(S) + 61 - e, and
@@ -650,7 +644,7 @@ def _bracketed_product(
         again, _ = _product_at(polys, b[: wider[-1] + 1], head, W)
         for k in wider:
             out[k] = again[k]
-    return _Bracket(*map(tuple, zip(*out)))
+    return out
 
 
 def _estimate(
@@ -684,9 +678,8 @@ def _estimate(
     def rows(primes: array) -> list[list[tuple[int, int]]]:
         return [[(den - num, den)] for num, den in zip(*quotients(primes))]
 
-    b = _bracketed_product(rows, _neglog_coeffs(deficiency), head)
-    lower, upper = b.lower[0], b.upper[0]
-    est = DensityEstimate(b.value[0], lower, upper, P, math.log(upper / lower))
+    value, lower, upper = _bracketed_product(rows, _neglog_coeffs(deficiency), head)[0]
+    est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
         raise UnreachableTargetError(
             f"bracket width {est.width:.3e} > target {target_error:.3e} "

@@ -1,11 +1,11 @@
-"""Prime sieves and a primality test.
+"""A prime sieve and a primality test.
 
-An odd-only Eratosthenes sieve over a bytearray, segmented above a
-threshold so that large limits never allocate one giant block, and a
-deterministic Miller-Rabin test for validating individual primes.  Primes
-come back as ``array('q')``, compact and sorted: it supports ``len``,
-slicing, ``tolist`` and ``bisect``, which the oracle uses to count the
-primes of a "p<=q" range between two bounds.
+An odd-only Eratosthenes sieve over a bytearray, marked in windows of at
+most ``SEGMENT_SIZE`` integers so that large limits never allocate one
+giant block, and a deterministic Miller-Rabin test for validating
+individual primes.  Primes come back as ``array('q')``, compact and
+sorted: it supports ``len``, slicing, ``tolist`` and ``bisect``, which the
+oracle uses to count the primes of a "p<=q" range between two bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from ._record import record
 # Allocation guard: no sieve or count covers more than this many integers.
 DEFAULT_SIEVE_BUDGET = 10**8
 SEGMENT_SIZE = 1 << 22
-_ONE_SHOT_LIMIT = 10**7
 # The first 13 primes as Miller-Rabin bases decide primality exactly for every
 # n below _MR_EXACT_BELOW (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -100,42 +99,40 @@ def _block(limit: int) -> array:
 def prime_segments(limit: int) -> Iterator[array]:
     """Yield ascending arrays of primes that together cover [2, limit].
 
-    Small limits come back as a single block; large ones are produced segment
-    by segment so peak memory stays bounded by ``SEGMENT_SIZE``.
+    The base primes up to sqrt(limit) mark windows of at most
+    ``SEGMENT_SIZE`` integers, the first starting at 3 and carrying the 2, so
+    every limit up to ``SEGMENT_SIZE`` comes back as a single block and peak
+    memory stays bounded by ``SEGMENT_SIZE`` at any limit.
     """
     if limit < 2:
         return
     _check_budget(limit)
-    if limit <= _ONE_SHOT_LIMIT:
-        yield _block(limit)
-        return
-    s = math.isqrt(limit)
-    base = _block(s)
-    yield base
-    lo = (s + 1) | 1  # segments hold odd numbers only; 2 is in the base
-    while lo <= limit:
+    base = _block(math.isqrt(limit))[1:]
+    lo, primes = 3, array("q", [2])
+    while True:
         hi = min(lo + SEGMENT_SIZE, limit + 1)
         n = (hi - lo + 1) // 2  # the odd numbers lo, lo + 2, ... below hi
         flags = bytearray([1]) * n
-        for p in base[1:]:
+        for p in base:
             if p * p >= hi:
                 break
             start = max(p * p, (lo + p - 1) // p * p)
             start += p * (start % 2 == 0)  # the first odd multiple
             i = (start - lo) >> 1
             flags[i::p] = bytes(len(range(i, n, p)))
-        yield array("q", compress(range(lo, hi, 2), flags))
-        lo = hi | 1
+        primes.extend(compress(range(lo, hi, 2), flags))
+        yield primes
+        if hi > limit:
+            return
+        lo, primes = hi | 1, array("q")
 
 
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    _check_budget(limit)
-    if limit <= _ONE_SHOT_LIMIT:
-        return PrimeTable(limit, _block(limit))
-    primes = array("q")
-    for seg in prime_segments(limit):
+    segments = prime_segments(limit)
+    primes = next(segments)
+    for seg in segments:
         primes.extend(seg)
     return PrimeTable(limit, primes)

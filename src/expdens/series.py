@@ -235,9 +235,10 @@ def density_series(
     reach = [True] + [False] * K
     for k in range(1, K + 1):
         reach[k] = any(reach[k - j] for j in steps if j <= k)
-    b = euler._bracketed_product(
+    out = euler._bracketed_product(
         lambda primes: _local_polys(primes, exps),
         euler._neglog_coeffs(euler._deficiency(w.weight, K)),
         zeros=tuple(k for k in range(K + 1) if not reach[k]),
     )
-    return DensitySeries(b.value, b.lower, b.upper, truncation_prime, 1.0 - math.fsum(b.value))
+    coeffs, lower, upper = map(tuple, zip(*out))
+    return DensitySeries(coeffs, lower, upper, truncation_prime, 1.0 - math.fsum(coeffs))

@@ -284,6 +284,29 @@ def reference_density_series(
     return tuple(coeffs.tolist())
 
 
+def dense_neglog_coeffs(delta: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """``euler._neglog_coeffs`` by the dense recurrence over every j < t, as first written.
+
+    b_t = t a_t - sum_{0 < j < t} b_j a_{t-j}, a = -delta, rows indexed [k][t].
+    """
+    K = len(delta[0]) - 1
+    terms = [[(k, -v) for k, v in enumerate(row) if v] for row in delta]
+    b: list[list[int]] = [[0] * (K + 1)]
+    for t in range(1, len(delta)):
+        bt = [0] * (K + 1)
+        for k, v in terms[t]:
+            bt[k] += t * v
+        for j in range(1, t):
+            bj = b[j]
+            if not any(bj):
+                continue
+            for d, v in terms[t - j]:
+                for i in range(K + 1 - d):
+                    bt[i + d] -= v * bj[i]
+        b.append(bt)
+    return tuple(zip(*b))
+
+
 def gap_factor(p: np.ndarray) -> np.ndarray:
     """Local factor of exponents {1} or >= 3: 1 - p^-2 + p^-3."""
     return 1.0 - p**-2.0 + p**-3.0

@@ -37,6 +37,7 @@ from expdens.primes import sieve_primes
 from expdens.series import ExponentWeight, density_series
 from helpers import (
     assert_below_partial,
+    dense_neglog_coeffs,
     exact_head,
     exp_odd_factor,
     gap_factor,
@@ -51,6 +52,7 @@ from helpers import (
     tail_1000,
     tail_1000_by_moebius,
     tail_table,
+    table_weight,
 )
 
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
@@ -708,6 +710,19 @@ class TestNeglogCoeffs:
             got_lo, got_hi = euler._tail_fixed(b[k], W)
             assert lo * 2**W - terms - cut <= got_lo <= lo * 2**W - cut
             assert hi * 2**W + cut <= got_hi <= hi * 2**W + terms + cut
+
+    @given(
+        st.lists(st.integers(0, 20), max_size=8),
+        st.sampled_from([0, 1]),
+        st.integers(0, 20),
+        st.integers(0, 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_rows_match_the_dense_recurrence(self, values, slope, start, K):
+        # the tail's first weight is start
+        w = table_weight(values, slope, start - slope * (len(values) + 1))
+        delta = expdens.euler._deficiency(w.weight, K)
+        assert expdens.euler._neglog_coeffs(delta) == dense_neglog_coeffs(delta)
 
     def test_memoized_and_immutable(self):
         delta = expdens.euler._deficiency(NEGLOG_WEIGHTS["excess"], 8)

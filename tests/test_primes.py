@@ -81,7 +81,7 @@ class TestIsPrime:
 
 class TestSegments:
     def test_segmented_matches_one_shot(self, monkeypatch):
-        limit = 10**7 + 50_000  # above the one-shot threshold
+        limit = 10**7 + 50_000  # three windows of the default SEGMENT_SIZE
         reference = sieve_primes(limit).primes
         monkeypatch.setattr(expdens.primes, "SEGMENT_SIZE", 1 << 20)
         segs = list(prime_segments(limit))
@@ -94,6 +94,21 @@ class TestSegments:
 
     def test_empty_below_two(self):
         assert list(prime_segments(1)) == []
+
+    def test_one_block_up_to_the_segment_size(self):
+        for limit in range(2, 3001):
+            segs = list(prime_segments(limit))
+            assert len(segs) == 1
+            assert segs[0] == expdens.primes._block(limit)
+
+    @pytest.mark.parametrize("size", [64, 63])
+    def test_small_windows_tile_the_range(self, monkeypatch, size):
+        monkeypatch.setattr(expdens.primes, "SEGMENT_SIZE", size)
+        segs = [seg.tolist() for seg in prime_segments(10**5)]
+        assert len(segs) > 1
+        flat = [p for seg in segs for p in seg]
+        assert flat == sorted(set(flat))  # ascending and disjoint
+        assert flat == expdens.primes._block(10**5).tolist()
 
 
 class TestSpf:

@@ -14,7 +14,7 @@ import pytest
 
 from expdens.cli import RunConfig
 from expdens.empirical import ComparisonReport, CountReport, GHistogram
-from expdens.euler import BoundedValue, DensityEstimate, LocalFactor, _Bracket
+from expdens.euler import BoundedValue, DensityEstimate, LocalFactor
 from expdens.patterns import ExponentInterval, ExponentPattern, PrimeAwarePattern
 from expdens.primes import PrimeTable
 from expdens.series import DensitySeries, ExponentWeight
@@ -43,7 +43,6 @@ SAMPLES = {
         [(0.5, 0.4, 0.6, 1000, 1e-3), (0.0, 0.0, 0.0, 1000, 0.0, True), (0.5, 0.5, 0.5, 7, 0.0)],
         [(0.7, 0.4, 0.6, 1000, 1e-3), (0.5, 0.4, 0.6, 1000, -1.0), (0.5, 0.4, 0.6, 1000, 0.0, True)],
     ),
-    _Bracket: ([((1.0,), (0.9,), (1.1,)), ((1.0, 0.5), (0.9, 0.4), (1.1, 0.6))], []),
     CountReport: ([(10, 5, 0.5), (10, 0, 0.0)], [(10, 11, 1.1), (10, -1, 0.0)]),
     GHistogram: ([(10, (5, 3), 2), (10, (10,), 0)], [(10, (5, 3), 3)]),
     ComparisonReport: ([(0.1, 0.0, 1.0, 0.2, True), (0.3, 0.0, 1.0, 0.2, False)], []),

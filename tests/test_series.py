@@ -24,9 +24,17 @@ def local_row(p: int, w: ExponentWeight, K: int) -> list[float]:
 
 
 # weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3
-small_weights = st.tuples(
+_weight_tables = st.tuples(
     st.lists(st.integers(0, 4), max_size=4), st.sampled_from([0, 1]), st.integers(0, 3)
-).map(lambda t: table_weight(t[0], t[1], t[2] - t[1] * (len(t[0]) + 1)))
+)
+small_weights = _weight_tables.map(
+    lambda t: table_weight(t[0], t[1], t[2] - t[1] * (len(t[0]) + 1))
+)
+# the same shifted one exponent on, after a weight 0 at exponent 1, so that
+# every draw has a series
+free_at_one_weights = _weight_tables.map(
+    lambda t: table_weight([0, *t[0]], t[1], t[2] - t[1] * (len(t[0]) + 2))
+)
 
 
 class TestExponentWeight:
@@ -126,15 +134,15 @@ class TestDensitySeries:
             d0 = SimpleNamespace(lower=ds.lower[0], upper=ds.upper[0])
             assert brackets_overlap(est, d0)
 
-    @given(small_weights, st.integers(0, 12))
+    @given(free_at_one_weights, st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_exact_zeros_are_the_unreached_degrees(self, w, K):
         # d_k = 0 exactly when k is no sum of the weights of single exponents;
-        # an exponent i > K + 5 weighs more than K
-        assume(w.weight(1) == 0 and min_forbidden(w.induced_pattern()) is not None)
+        # an exponent i > K + 6 weighs more than K
+        assume(min_forbidden(w.induced_pattern()) is not None)
         sums = {0}
         for _ in range(K):
-            sums |= {t for s in sums for i in range(1, K + 6) if (t := s + w.weight(i)) <= K}
+            sums |= {t for s in sums for i in range(1, K + 7) if (t := s + w.weight(i)) <= K}
         ds = density_series(w, K)
         for k in range(K + 1):
             if k in sums:
