@@ -1,12 +1,11 @@
-"""The record classes' decorator: a small stand-in for ``dataclasses.dataclass``.
+"""The record classes' decorator: a small stand-in for a frozen ``dataclasses.dataclass``.
 
-``@record`` and ``@record(frozen=True)`` read a class's own annotated
-fields, in order, and their class-level defaults, and add ``__init__``
-(positional or keyword, then ``__post_init__`` if the class has one),
-``__repr__`` and ``__eq__`` as a dataclass would.  A frozen record refuses
-assignment with ``AttributeError`` and hashes by value; a mutable one is
-unhashable.  ``__match_args__`` holds the field names, as on a dataclass;
-machine output reads them for its key order.
+``@record`` reads a class's own annotated fields, in order, and their
+class-level defaults, and adds ``__init__`` (positional or keyword, then
+``__post_init__`` if the class has one), ``__repr__`` and ``__eq__`` as a
+dataclass would.  A record refuses assignment with ``AttributeError`` and
+hashes by value.  ``__match_args__`` holds the field names, as on a
+dataclass; machine output reads them for its key order.
 
 It builds methods as closures: it compiles no code and imports nothing, so a
 CLI request loads neither ``dataclasses`` nor the ``inspect``, ``ast`` and
@@ -17,14 +16,8 @@ CLI request loads neither ``dataclasses`` nor the ``inspect``, ``ast`` and
 _set = object.__setattr__
 
 
-def record(cls=None, /, *, frozen=False):
-    """Make ``cls`` a record class; usable bare or as ``record(frozen=True)``."""
-    if cls is None:
-        return lambda c: _build(c, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen):
+def record(cls):
+    """Make ``cls`` a frozen record class."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
 
@@ -44,12 +37,9 @@ def _build(cls, frozen):
     cls.__repr__ = __repr__
     cls.__eq__ = __eq__
     cls.__match_args__ = names
-    if frozen:
-        cls.__hash__ = lambda self: hash(values(self))
-        cls.__setattr__ = _refuse_assignment
-        cls.__delattr__ = _refuse_deletion
-    else:
-        cls.__hash__ = None
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
     return cls
 
 
@@ -69,7 +59,7 @@ def _make_init(name, names, defaults, post_init):
             if missing:
                 raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
             args = [bound[n] for n in names]
-        # object.__setattr__ bypasses a frozen record's own and, unlike a
+        # object.__setattr__ bypasses the record's own and, unlike a
         # __dict__ update, keeps the attributes in the fast per-class layout
         for n, value in zip(names, args):
             _set(self, n, value)

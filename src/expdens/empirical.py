@@ -46,7 +46,7 @@ from .primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError, sieve_primes
 Rule = Callable[[int], int]
 
 
-@record(frozen=True)
+@record
 class CountReport:
     x: int
     count: int
@@ -57,7 +57,7 @@ class CountReport:
             raise ValueError("count must lie in [0, x]")
 
 
-@record(frozen=True)
+@record
 class GHistogram:
     """Counts of n <= x by g(n) value: buckets[k] for k = 0..K plus overflow."""
 
@@ -70,7 +70,7 @@ class GHistogram:
             raise ValueError("histogram must conserve the total count")
 
 
-@record(frozen=True)
+@record
 class ComparisonReport:
     deviation: float
     lower: float

@@ -49,7 +49,6 @@ widen a small coefficient.  ``density()`` is its case K = 0.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
@@ -176,7 +175,7 @@ class UnreachableTargetError(RuntimeError):
         self.best = best
 
 
-@record(frozen=True)
+@record
 class BoundedValue:
     """A float with a proven absolute error bound."""
 
@@ -184,7 +183,7 @@ class BoundedValue:
     error: float
 
 
-@record(frozen=True)
+@record
 class LocalFactor:
     """Per-prime term of a density product; always in (0, 1]."""
 
@@ -196,7 +195,7 @@ class LocalFactor:
             raise ValueError(f"local factor {self.value} outside (0, 1]")
 
 
-@record(frozen=True)
+@record
 class DensityEstimate:
     """A density value with a rigorous [lower, upper] bracket.
 
@@ -467,39 +466,42 @@ def _head_product(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[i
     return lo, lo + slack
 
 
-def _head_poly(polys: list, head: tuple[int, int], W: int, K: int) -> tuple[list[int], int]:
+def _head_poly(cols: list, head: tuple[int, int], W: int, K: int) -> tuple[list[int], int]:
     """(H, S) with each coefficient of C prod_p sum_k a_k(p) z^k in [H_k - 1, H_k + S] 2^-W.
 
-    The product is cut at z^K, and C 2^_W lies in ``head``.  Each of
-    ``polys`` lists a prime's coefficients a_k >= 0 as exact quotients
-    (A_k, D_k), which sum to at most 1; those past z^K are not read.  Each
-    a_k is floored to alpha_k = floor(a_k 2^W), and each coefficient
+    The product is cut at z^K, and C 2^_W lies in ``head``.  ``cols`` holds
+    one ``_delta_quotients`` column (nums, dens) per z-degree, one entry per
+    prime: column 0 is delta(p) = 1 - a_0, column k >= 1 is a_k >= 0, and
+    the a_k of a prime sum to at most 1; columns past z^K are not read.
+    Each a_k is floored to alpha_k = floor(a_k 2^W), and each coefficient
     sum_j H_j alpha_{k-j} 2^-W of the product is floored too.  C is below 2
     (a correction is below 1 / 0.6), and so are the coefficients of every
     product taken together, so a step loses less than 2 units through the
     alpha_k and 1 through its own floor; as the a_k sum to at most 1, it
-    never grows what was lost before.  So S is the start's width, 3 units a prime, and one unit, which
-    with the 1 below H_k covers the terms the quotients drop: at most
-    2^-1100 a coefficient, relative for C.
+    never grows what was lost before.  So S is the start's width, 3 units a
+    prime, and one unit, which with the 1 below H_k covers the terms the
+    quotients drop: at most 2^-1100 a coefficient, relative for C.
 
-    Kronecker packing: the H_j and the alpha_k are packed into one integer
-    each, in fields of 2W + 8 bits.  Every field of their product,
-    sum_j H_j alpha_{k-j} < 2 2^W 2^W, fits its own, so one multiplication
-    gives every coefficient, and one mask and one shift floor the first
-    K + 1 of them in place.  Trailing zero alpha_k are left out.
+    Kronecker packing: each prime's alpha_k are packed into one integer, and
+    the H_j into another, in fields of 2W + 8 bits.  Every field of their
+    product, sum_j H_j alpha_{k-j} < 2 2^W 2^W, fits its own, so one
+    multiplication gives every coefficient, and one mask and one shift
+    floor the first K + 1 of them in place.  Packing runs from z^K down,
+    so the zero alpha_k atop a large prime's row cost no big-integer step.
     """
     width = 2 * W + 8
     mask = int.from_bytes((bytes(W // 8) + b"\xff" * (W // 8 + 1)) * (K + 1), "little")
     shift = W - _W
+    packed = repeat(0)
+    for nums, dens in cols[K:0:-1]:
+        packed = [(a << width) + (num << W) // den for a, num, den in zip(packed, nums, dens)]
+    nums, dens = cols[0]
+    packed = [(a << width) + (den - num << W) // den for a, num, den in zip(packed, nums, dens)]
     H = head[0] << shift
-    for poly in polys:
-        alpha = [(A << W) // D for A, D in poly[: K + 1]]
-        while len(alpha) > 1 and not alpha[-1]:
-            alpha.pop()
-        packed = int.from_bytes(b"".join(a.to_bytes(width // 8, "little") for a in alpha), "little")
-        H = (H * packed & mask) >> W
+    for a in packed:
+        H = (H * a & mask) >> W
     field = (1 << width) - 1
-    slack = ((head[1] - head[0]) << shift) + 3 * len(polys) + 1
+    slack = ((head[1] - head[0]) << shift) + 3 * len(packed) + 1
     return [H >> (width * k) & field for k in range(K + 1)], slack
 
 
@@ -576,10 +578,10 @@ def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
 # Bracketed product engine
 
 
-def _product_at(polys: list, b: tuple, head: tuple[int, int], W: int) -> tuple[list[tuple], int]:
+def _product_at(cols: list, b: tuple, head: tuple[int, int], W: int) -> tuple[list[tuple], int]:
     """Each d_k of ``_bracketed_product`` as (value, lower, upper) at W bits, and the slack."""
     K = len(b) - 1
-    H, slack = _head_poly(polys, head, W, K)
+    H, slack = _head_poly(cols, head, W, K)
     L = [_tail_fixed(row, W) for row in b]
     # exp(-L_0) <= 1, as L_0 >= 0
     m_lo, k_lo = _exp_fixed(-L[0][1], W, False)
@@ -610,9 +612,11 @@ def _bracketed_product(
 ) -> list[tuple[float, float, float]]:
     """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
 
-    ``rows(primes)`` takes an ``array('q')`` of the primes up to 1000 and
-    returns, for each, the coefficients a_0..a_K of F(p; z) as exact
-    quotients (A_k, D_k), each within 2^-1100 of the true one; ``b`` is
+    ``rows(primes)`` takes the list of the primes up to 1000 and returns one
+    ``_delta_quotients`` column (nums, dens) per z-degree, an entry per
+    prime, each quotient within 2^-1100 of the true one: column 0 is
+    delta(p) = 1 - a_0, and column k = 1..K is the coefficient a_k of
+    F(p; z), all zero where no exponent has weight k.  ``b`` is
     ``_neglog_coeffs`` of 1 - F(p; z) for every p > 1000.  The primes up to
     1000 are multiplied into the head H (``_head_poly``).  The rest enter
     through L = sum_{p > 1000} -log F(p; z), each z-degree enclosed by
@@ -632,8 +636,8 @@ def _bracketed_product(
     they need, a multiple of 64 and at most 640.  The d_k named in
     ``zeros`` are exactly 0: each is published as [0, 0] and never rerun.
     """
-    polys = [poly for seg in prime_segments(MIN_TRUNCATION) for poly in rows(seg)]
-    out, slack = _product_at(polys, b, head, _W_FIRST)
+    cols = rows([p for seg in prime_segments(MIN_TRUNCATION) for p in seg])
+    out, slack = _product_at(cols, b, head, _W_FIRST)
     bits = slack.bit_length()
     need = [bits + 61 - math.frexp(lower)[1] if lower else _W_CAP for _, lower, _ in out]
     for k in zeros:
@@ -641,14 +645,14 @@ def _bracketed_product(
     wider = [k for k, n in enumerate(need) if n > _W_FIRST]
     if wider:
         W = min(-(-max(need) // 64) * 64, _W_CAP)
-        again, _ = _product_at(polys, b[: wider[-1] + 1], head, W)
+        again, _ = _product_at(cols, b[: wider[-1] + 1], head, W)
         for k in wider:
             out[k] = again[k]
     return out
 
 
 def _estimate(
-    quotients,
+    rows,
     deficiency: tuple[tuple[int, ...], ...],
     target_error: float,
     *,
@@ -658,9 +662,9 @@ def _estimate(
 ) -> DensityEstimate:
     """H prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``quotients`` maps a chunk of primes p <= 1000 to the exact quotients
-    of their delta(p), and each prime's row is 1 - delta(p); beyond 1000
-    delta follows ``deficiency``, and H 2^_W lies in ``head``, as
+    ``rows`` maps the primes p <= 1000 to the one column of their delta(p),
+    [(nums, dens)] as ``_delta_quotients`` gives it; beyond 1000 delta
+    follows ``deficiency``, and H 2^_W lies in ``head``, as
     ``_bracketed_product`` takes them.  The product is
     reported at ``start``, or at ``truncation_prime``, at least ``start``,
     when one is pinned: it moves no bracket, since the tail beyond 1000 is
@@ -674,10 +678,6 @@ def _estimate(
     P = start if truncation_prime is None else truncation_prime
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
-
-    def rows(primes: array) -> list[list[tuple[int, int]]]:
-        return [[(den - num, den)] for num, den in zip(*quotients(primes))]
-
     value, lower, upper = _bracketed_product(rows, _neglog_coeffs(deficiency), head)[0]
     est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
@@ -746,7 +746,7 @@ def density(
         return DensityEstimate(value, lower, upper, max(last, 2), math.log(upper / lower))
 
     return _estimate(
-        lambda primes: _delta_quotients(primes, default_exps),
+        lambda primes: [_delta_quotients(primes, default_exps)],
         _deficiency(lambda t: not contains(pap.default, t), 0),
         target_error,
         start=max(MIN_TRUNCATION, last + 1),
@@ -771,18 +771,18 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
-    def quotients(primes: array) -> tuple[list[int], list[int]]:
+    def rows(primes: list[int]) -> list[tuple[list[int], list[int]]]:
         # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotients
         pairs = [
             (1, p * p) if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS
             else (p ** (ell - 1) - 1, p * (p**ell - 1))
             for p in primes
         ]
-        return [num for num, _ in pairs], [den for _, den in pairs]
+        return [([num for num, _ in pairs], [den for _, den in pairs])]
 
     # weight 1 on the forbidden exponents, those not = 1 mod ell
     deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)
-    return _estimate(quotients, deficiency, target_error)
+    return _estimate(rows, deficiency, target_error)
 
 
 def closed_form(

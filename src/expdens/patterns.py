@@ -38,7 +38,7 @@ class PatternSyntaxError(ValueError):
         self.position = position
 
 
-@record(frozen=True)
+@record
 class ExponentInterval:
     """Closed exponent interval [lo, hi]; hi=None means unbounded above."""
 
@@ -62,7 +62,7 @@ class ExponentInterval:
         return f"{self.lo}..{self.hi}"
 
 
-@record(frozen=True)
+@record
 class ExponentPattern:
     """Normalized union of allowed-exponent intervals.
 
@@ -92,7 +92,7 @@ class ExponentPattern:
         return len(self.intervals) == 1 and self.intervals[0] == ExponentInterval(1, None)
 
 
-@record(frozen=True)
+@record
 class PrimeAwarePattern:
     """One default pattern plus a finite map of exceptional primes."""
 
@@ -276,7 +276,7 @@ def pattern_for_prime(pap: PrimeAwarePattern, p: int) -> ExponentPattern:
 
 
 _PRIME_LE_RE = re.compile(r"^p\s*<=\s*(\d+)$")
-_PRIME_IN_RE = re.compile(r"^p\s+in\s+[\[{]([\d\s,]*)[\]}]$")
+_PRIME_IN_RE = re.compile(r"^p\s+in\s+[\[{]\s*((?:\d+\s*,\s*)*\d+)?\s*[\]}]$")
 
 
 def _range_bound(key: str) -> int | None:
@@ -292,7 +292,7 @@ def _expand_prime_key(key: str) -> list[int]:
         return [int(key)]
     m = _PRIME_IN_RE.match(key)
     if m:
-        body = m.group(1).strip()
+        body = m.group(1)
         return [int(part) for part in body.split(",")] if body else []
     raise ValueError(f"unrecognized exception key {key!r}")
 

@@ -30,7 +30,7 @@ class ResourceBudgetError(RuntimeError):
     """A sieve or count was requested beyond the configured memory budget."""
 
 
-@record(frozen=True)
+@record
 class PrimeTable:
     """All primes up to ``limit``, ascending."""
 

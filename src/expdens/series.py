@@ -16,7 +16,8 @@ A weight is a few pieces, exponent intervals on which w is constant or rises
 by one per exponent.
 
 ``density_series`` makes one call of the Euler-product engine of ``euler``.
-Every row a_k of F(p; z) is an exact integer quotient (``_local_polys``);
+Every row a_k of F(p; z) is an exact integer quotient, and ``_local_polys``
+gives each row as one ``euler._delta_quotients`` column over the primes;
 the engine multiplies the rows of the primes up to 1000 into a W-bit
 fixed-point polynomial, encloses each z-degree of the log of the factors
 beyond 1000 through the committed prime tails ``euler._TAIL_1000``, and
@@ -61,7 +62,7 @@ class DivergentWeightError(ValueError):
     """Weight whose zero set forbids exponent 1; every coefficient vanishes."""
 
 
-@record(frozen=True)
+@record
 class ExponentWeight:
     """Prime-independent integer weight on exponents, piecewise linear.
 
@@ -127,7 +128,7 @@ class ExponentWeight:
         return cls.outside_pattern(normalize_intervals([(1, k - 1)] if k > 1 else []))
 
 
-@record(frozen=True)
+@record
 class DensitySeries:
     """d_0..d_K, each with a bracket lower[k] <= d_k <= upper[k].
 
@@ -180,17 +181,17 @@ def _row_exponents(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
     return [euler._delta_exponents(w.induced_pattern()), *rows]
 
 
-def _local_polys(primes, exps: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
-    """(A_k, D_k) with a_k = A_k / D_k, k = 0..K, the rows of F(p; z) for
-    each of the ascending ``primes``.
+def _local_polys(primes, exps: list[tuple[int, ...]]) -> list[tuple[list[int], list[int]]]:
+    """The rows of F(p; z) over the ascending ``primes``, one column per row.
 
-    ``exps`` is ``_row_exponents``; each row is the exact quotient of
-    ``euler._delta_quotients``, which drops the terms p^-e <= 2^-1100.
+    ``exps`` is ``_row_exponents``; column k is ``euler._delta_quotients``
+    of its entry k, (nums, dens) with one exact quotient per prime, which
+    drops the terms p^-e <= 2^-1100: delta(p) = 1 - a_0 for k = 0, a_k for
+    k >= 1, and 0 / 1 where no exponent has weight k.
     """
     if primes and primes[0] < 2:
         raise ValueError("p must be a prime >= 2")
-    rows = [zip(*euler._delta_quotients(primes, e)) if e else [(0, 1)] * len(primes) for e in exps]
-    return [[(den - num, den), *rest] for (num, den), *rest in zip(*rows)]
+    return [euler._delta_quotients(primes, e) for e in exps]
 
 
 def density_series(
@@ -200,8 +201,9 @@ def density_series(
 ) -> DensitySeries:
     """d_0..d_K of the weight w, each with a proven bracket.
 
-    The primes up to 1000 are multiplied out as rows, and the rest are
-    enclosed through the committed table of sum_{p > 1000} p^-t, so
+    The primes up to 1000 are multiplied out from the columns of
+    ``_local_polys``, one per row a_k, and the rest are enclosed through
+    the committed table of sum_{p > 1000} p^-t, so
     truncation_prime is validated and reported but moves no bracket.
     Raises DivergentWeightError when w(1) > 0 (the induced pattern forbids
     exponent 1), since then d_0 and every finite-k density vanish.  Raises

@@ -138,6 +138,13 @@ class TestUsageErrors:
         assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key", ["p in [2,]", "p in [2,,3]", "p in [2 3]"])
+    def test_spec_key_with_an_empty_entry(self, tmp_path, key, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"default": "1..1", "exceptions": {key: ""}}))
+        assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unrecognized exception key {key!r}\n"
+
     def test_missing_x(self):
         code, _ = run_capture(RunConfig("count", pattern="1..1"))
         assert code == EXIT_USAGE

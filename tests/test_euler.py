@@ -588,8 +588,8 @@ class TestFixedPoint:
         heads = []
         inner = expdens.euler._head_poly
 
-        def spy(polys, head, W, K):
-            H, slack = inner(polys, head, W, K)
+        def spy(cols, head, W, K):
+            H, slack = inner(cols, head, W, K)
             heads.append((H[0], slack, W))
             return H, slack
 

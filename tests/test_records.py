@@ -1,8 +1,7 @@
 """Every record class behaves as a stdlib dataclass declared with the same fields.
 
-The stand-in for each class is ``dataclasses.make_dataclass`` over the
-class's own fields, defaults and ``__post_init__``, frozen unless the class
-is ``RunConfig``.  Record and stand-in must agree on repr, equality, hash,
+The stand-in for each class is a frozen ``dataclasses.make_dataclass`` over
+the class's own fields, defaults and ``__post_init__``.  Record and stand-in must agree on repr, equality, hash,
 assignment, defaults, field order and the errors of construction.
 """
 
@@ -61,7 +60,6 @@ SAMPLES = {
          ("series", None, None, None, 1e-8, -1), ("density",) + (None,) * 3 + (1e-8, 8, None, "xml")],
     ),
 }
-MUTABLE = {RunConfig}
 
 
 def _fields(cls) -> list[str]:
@@ -84,9 +82,7 @@ def _stand_in(cls):
     namespace = {}
     if "__post_init__" in cls.__dict__:
         namespace["__post_init__"] = cls.__post_init__
-    return dataclasses.make_dataclass(
-        cls.__name__, specs, namespace=namespace, frozen=cls not in MUTABLE
-    )
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)
 
 
 def _hash_or_error(obj):
@@ -147,11 +143,6 @@ class TestAgainstDataclass:
         a = SAMPLES[cls][0][0]
         rec, ref = cls(*a), std(*a)
         name = _fields(cls)[0]
-        if cls in MUTABLE:
-            setattr(rec, name, "x")
-            setattr(ref, name, "x")
-            assert getattr(rec, name) == getattr(ref, name) == "x"
-            return
         for obj in (rec, ref):
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))

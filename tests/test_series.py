@@ -20,7 +20,8 @@ SQUAREFREE_W = ExponentWeight.outside_pattern(parse_pattern("1..1"))
 
 def local_row(p: int, w: ExponentWeight, K: int) -> list[float]:
     """The library's coefficients a_0..a_K of F(p; z) for one prime, each rounded once."""
-    return [a / d for a, d in _local_polys([p], _row_exponents(w, K))[0]]
+    ((num,), (den,)), *rest = _local_polys([p], _row_exponents(w, K))
+    return [(den - num) / den, *(n / d for (n,), (d,) in rest)]
 
 
 # weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3

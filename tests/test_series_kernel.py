@@ -99,15 +99,19 @@ def test_density_series_matches_per_prime_loop(name, K, P, block, monkeypatch):
 @pytest.mark.parametrize("K", [0, 1, 2, 8, 16])
 @pytest.mark.parametrize("name", sorted(KERNEL_WEIGHTS))
 def test_local_polys_match_scalar_reference(name, K):
-    # the rows a_0..a_K of F(p; z) as `_local_polys` gives them to the engine
+    # the columns of delta(p) = 1 - a_0 and a_1..a_K of F(p; z) as
+    # `_local_polys` gives them to the engine
     w = KERNEL_WEIGHTS[name]
     exps = _row_exponents(w, K)
     assert len(exps) == K + 1
     primes = primes_upto(20_000).tolist() + [999_983, 1_000_003, 10**9 + 7, 2**61 - 1]
-    # each row is exact to 2^-1100 and rounds once; the scalar loop's x**i
-    # differ by a few ulp at most
-    for p, poly in zip(primes, _local_polys(primes, exps), strict=True):
-        row = [a / d for a, d in poly]
+    (nums, dens), *rest = _local_polys(primes, exps)
+    assert len(rest) == K
+    a_0 = [(den - num) / den for num, den in zip(nums, dens, strict=True)]
+    a_k = [[n / d for n, d in zip(*col, strict=True)] for col in rest]
+    # each quotient is exact to 2^-1100 and rounds once; the scalar loop's
+    # x**i differ by a few ulp at most
+    for p, *row in zip(primes, a_0, *a_k, strict=True):
         want = reference_local_poly(p, w, K)
         assert row == pytest.approx(want, rel=64 * U, abs=1e-300)
 
