@@ -6,8 +6,10 @@ product of per-prime local factors
     F(p) = 1 - delta(p),  delta(p) = sum over forbidden [lo, hi] of
                           p^-lo - p^-(hi+1)
 
-(the second term drops when hi is unbounded).  Every prime's delta, with
-its own pattern or the default, is one exact integer quotient num / p^E
+(the second term drops when hi is unbounded).  A factor is described
+once, by the exponents e_0 < e_1 < ... of delta(p) = sum_j (-1)^j p^-e_j
+(``_delta_exponents``), and every prime's delta, with its own pattern or
+the default, is one exact integer quotient num / p^E of them
 (``_delta_quotients``).
 
 A density follows the default pattern at every prime but a finite set E
@@ -17,8 +19,9 @@ are taken exactly in fixed point, and the correction is the start of the
 default's product.  That product splits once, at 1000: the factors of
 the primes p <= 1000 are multiplied as W-bit fixed-point integers rounded
 outward at each step, and every prime above 1000 enters through
--log F(p) = sum_t c_t p^-t, for exact rationals c_t = -b_t / t, and the
-power sums T_t = sum_{p > 1000} p^-t:
+-log F(p) = sum_t c_t p^-t, for exact rationals c_t = -b_t / t derived
+from the same exponents (``_neglog_coeffs``), and the power sums
+T_t = sum_{p > 1000} p^-t:
 
     sum_{p > 1000} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
@@ -38,12 +41,14 @@ H. Cohen, "High precision computation of Hardy-Littlewood constants",
 
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
-cut at z^K, with exact quotients as coefficients.  The head multiplies the
+cut at z^K, described by one row of exponents per z-degree in delta's
+form, and from those rows alone the engine takes the head's exact
+quotients, the tail's log and the exact zeros.  The head multiplies the
 polynomials of the primes up to 1000 in W-bit fixed point, every z-degree
 of the tail's log is enclosed through the same table, and the exp of the
 tail series is taken in integer interval arithmetic, so each d_k is rounded
 to float once.  W is 256 bits, or up to 640 where the head's rounding would
-widen a small coefficient.  ``density()`` is its case K = 0.
+widen a small coefficient.  ``density()`` is its case K = 0, one row.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from .patterns import (
     ExponentPattern,
     PrimeAwarePattern,
     complement,
-    contains,
     min_forbidden,
     normalize_intervals,
     parse_prime_aware,
@@ -235,7 +239,7 @@ def brackets_overlap(a: DensityEstimate, b: DensityEstimate) -> bool:
 # Zeta and prime-zeta constants
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def zeta_int(s: int) -> BoundedValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin summation, in exact rationals.
 
@@ -289,7 +293,7 @@ def _all_primes_sum(den, ts: range) -> BoundedValue:
     return BoundedValue(value, (hi - lo) / (1 << _W_FIRST) + 4 * _U * (direct + value))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _prime_zeta(s: int) -> BoundedValue:
     """sum over all primes of p^-s, s >= 2."""
     if s < 2:
@@ -320,7 +324,7 @@ def _interval_exponents(ivs) -> tuple[int, ...]:
     return tuple(e for iv in ivs for e in ((iv.lo,) if iv.hi is None else (iv.lo, iv.hi + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _delta_exponents(pattern: ExponentPattern) -> tuple[int, ...]:
     """e_0 < e_1 < ... with delta(p) = sum_j (-1)^j p^-e_j under ``pattern``."""
     return _interval_exponents(complement(pattern).intervals)
@@ -361,59 +365,42 @@ def local_factor_interval(p: int, pattern: ExponentPattern) -> LocalFactor:
 
 
 # ---------------------------------------------------------------------------
-# Deficiency series: 1 - F(p; z) as a polynomial in 1/p and z
+# The tail's log: -log F(p; z) as a series in 1/p, from the rows of F
 
 
-def _deficiency(weight, K: int) -> tuple[tuple[int, ...], ...]:
-    """Integers u with 1 - F(p; z) = sum_{t, k} u[t][k] p^-t z^k, t <= 64, k <= K.
-
-    ``weight`` maps t >= 1 to its z-degree w(t), an int or bool; w(0) = 0.
-    F(p; z) = (1 - 1/p) sum_{i >= 0} z^w(i) p^-i = 1 - sum_t (z^w(t-1) - z^w(t)) p^-t,
-    so u[t][w(t-1)] += 1 and u[t][w(t)] -= 1 for degrees up to K.  A density
-    is the case K = 0 with weight 1 on the forbidden exponents.
-    """
-    coef = [[0] * (K + 1) for _ in range(_SERIES_DEGREE + 1)]
-    prev = 0
-    for t in range(1, _SERIES_DEGREE + 1):
-        cur = int(weight(t))
-        if prev <= K:
-            coef[t][prev] += 1
-        if cur <= K:
-            coef[t][cur] -= 1
-        prev = cur
-    return tuple(map(tuple, coef))
-
-
-# bounded: a library caller may build many distinct patterns
 @lru_cache(maxsize=256)
-def _neglog_coeffs(delta: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Integers b with -log(1 - delta) = sum_{t, k} (-b[k][t] / t) p^-t z^k, truncated.
+def _neglog_coeffs(exps: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Integers b with -log F(p; z) = sum_{t, k} (-b[k][t] / t) p^-t z^k, t <= 64, k <= K.
 
-    delta[t][k] is the integer coefficient of p^-t z^k, with delta[0] = 0,
-    as ``_deficiency`` gives it.  The rows are indexed [k][t], as tuples,
-    since every call with the same delta shares them.  For
-    A = 1 - delta = sum_t a_t p^-t, the identity x A' = A x (log A)' gives
-    b_t = t [p^-t] log A as
+    ``exps`` is the one description of F(p; z), its rows as
+    ``_bracketed_product`` takes them, so the coefficient a_t of p^-t in F
+    is -(-1)^j at degree 0 for t = e_j of entry 0, and (-1)^j at degree k
+    for t = e_j of entry k >= 1; only t <= 64 is read.  The rows of b are
+    indexed [k][t], as tuples, since every call with the same exps shares
+    them.  The identity x F' = F x (log F)' gives b_t = t [p^-t] log F as
 
         b_t = t a_t - sum_{0 < s < t} a_s b_{t-s},
 
     products of z-polynomials cut at z^K, in exact integers.  The sum runs
-    over the nonzero a_s alone: a density's delta is nonzero only where its
+    over the nonzero a_s alone: a density's a_t is nonzero only where its
     pattern starts or ends a run of allowed exponents.
     """
-    K = len(delta[0]) - 1
-    # a_s = -delta_s for the s >= 1 where it is nonzero, as (degree, value) pairs
-    rows = {s: [(k, -v) for k, v in enumerate(row) if v] for s, row in enumerate(delta) if any(row)}
+    K = len(exps) - 1
+    # a[s]: the nonzero terms of a_s as (degree, value) pairs
+    a: list[list[tuple[int, int]]] = [[] for _ in range(_SERIES_DEGREE + 1)]
+    for k, row in enumerate(exps):
+        for j, t in enumerate(row):
+            if t <= _SERIES_DEGREE:
+                a[t].append((k, (-1) ** (j + (k == 0))))
+    nonzero = [s for s, a_s in enumerate(a) if a_s]
     b: list[list[int]] = [[0] * (K + 1)]
-    for t in range(1, len(delta)):
+    for t in range(1, _SERIES_DEGREE + 1):
         bt = [0] * (K + 1)
-        for k, v in rows.get(t, ()):
+        for k, v in a[t]:
             bt[k] += t * v
-        for s, a in rows.items():
-            if s >= t:
-                break
+        for s in nonzero[: bisect_left(nonzero, t)]:
             bs = b[t - s]
-            for d, v in a:
+            for d, v in a[s]:
                 for i in range(K + 1 - d):
                     bt[i + d] -= v * bs[i]
         b.append(bt)
@@ -608,40 +595,45 @@ def _product_at(cols: list, b: tuple, head: tuple[int, int], W: int) -> tuple[li
 
 
 def _bracketed_product(
-    rows, b: tuple, head: tuple[int, int] = (1 << _W, 1 << _W), zeros: tuple[int, ...] = ()
+    rows, exps: tuple, head: tuple[int, int] = (1 << _W, 1 << _W)
 ) -> list[tuple[float, float, float]]:
     """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
 
-    ``rows(primes)`` takes the list of the primes up to 1000 and returns one
-    ``_delta_quotients`` column (nums, dens) per z-degree, an entry per
-    prime, each quotient within 2^-1100 of the true one: column 0 is
-    delta(p) = 1 - a_0, and column k = 1..K is the coefficient a_k of
-    F(p; z), all zero where no exponent has weight k.  ``b`` is
-    ``_neglog_coeffs`` of 1 - F(p; z) for every p > 1000.  The primes up to
-    1000 are multiplied into the head H (``_head_poly``).  The rest enter
-    through L = sum_{p > 1000} -log F(p; z), each z-degree enclosed by
-    ``_tail_fixed``, and exp(-L) = exp(-L_0) g(z): exp(-L_0) from
-    ``_exp_fixed``, and g_0 = 1, k g_k = sum_{j=1..k} j s_j g_{k-j} with
-    s = -L, in integer intervals; the signs are mixed, so each product takes
-    the min and the max of its ends' products.  d_k = exp(-L_0)
-    sum_j H_j g_{k-j} is rounded outward to float once.  ``density()`` is
-    the case K = 0, C its exceptional primes' correction.  Each d_k comes
-    back as a (value, lower, upper) triple.
+    A local factor is described once, by its exponent rows ``exps``: entry 0
+    holds e_0 < e_1 < ... with delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, and
+    entry k = 1..K the exponents of the coefficient a_k of F(p; z) in the
+    same form, empty where no exponent has weight k.  ``rows(primes)`` maps
+    the primes up to 1000 to the rows' ``_delta_quotients``, one column
+    (nums, dens) per entry, each quotient within 2^-1100 of the true one,
+    and ``_head_poly`` multiplies them into the head H.  The rest enter through
+    L = sum_{p > 1000} -log F(p; z), whose coefficients ``_neglog_coeffs``
+    derives from ``exps``, each z-degree enclosed by ``_tail_fixed``, and
+    exp(-L) = exp(-L_0) g(z): exp(-L_0) from ``_exp_fixed``, and g_0 = 1,
+    k g_k = sum_{j=1..k} j s_j g_{k-j} with s = -L, in integer intervals;
+    the signs are mixed, so each product takes the min and the max of its
+    ends' products.  d_k = exp(-L_0) sum_j H_j g_{k-j} is rounded outward to
+    float once.  ``density()`` is the case K = 0, C its exceptional primes'
+    correction.  Each d_k comes back as a (value, lower, upper) triple.
 
     The first pass takes W = 256 fraction bits.  The head's slack S is below
     2^-60 of a coefficient 2^(e-1) <= d_k at W >= bits(S) + 61 - e, and
     apart from a correction's width it is the same count at any W.  The
     coefficients that need a wider W than the first, or whose lower end is
     0, are computed once more, up to the highest of them, at the widest W
-    they need, a multiple of 64 and at most 640.  The d_k named in
-    ``zeros`` are exactly 0: each is published as [0, 0] and never rerun.
+    they need, a multiple of 64 and at most 640.  A d_k is exactly 0 when k
+    is no sum of degrees j >= 1 with a non-empty row, since then no product
+    of the a_j reaches z^k: it is published as [0, 0] and never rerun.
     """
+    b = _neglog_coeffs(exps)
     cols = rows([p for seg in prime_segments(MIN_TRUNCATION) for p in seg])
     out, slack = _product_at(cols, b, head, _W_FIRST)
     bits = slack.bit_length()
     need = [bits + 61 - math.frexp(lower)[1] if lower else _W_CAP for _, lower, _ in out]
-    for k in zeros:
-        out[k], need[k] = (0.0, 0.0, 0.0), 0
+    reach = [True]
+    for k in range(1, len(exps)):
+        reach.append(any(reach[k - j] and exps[j] for j in range(1, k + 1)))
+        if not reach[k]:
+            out[k], need[k] = (0.0, 0.0, 0.0), 0
     wider = [k for k, n in enumerate(need) if n > _W_FIRST]
     if wider:
         W = min(-(-max(need) // 64) * 64, _W_CAP)
@@ -653,7 +645,7 @@ def _bracketed_product(
 
 def _estimate(
     rows,
-    deficiency: tuple[tuple[int, ...], ...],
+    exps: tuple,
     target_error: float,
     *,
     start: int = MIN_TRUNCATION,
@@ -662,14 +654,13 @@ def _estimate(
 ) -> DensityEstimate:
     """H prod_p F(p) with F = 1 - delta and a rigorous bracket.
 
-    ``rows`` maps the primes p <= 1000 to the one column of their delta(p),
-    [(nums, dens)] as ``_delta_quotients`` gives it; beyond 1000 delta
-    follows ``deficiency``, and H 2^_W lies in ``head``, as
-    ``_bracketed_product`` takes them.  The product is
-    reported at ``start``, or at ``truncation_prime``, at least ``start``,
-    when one is pinned: it moves no bracket, since the tail beyond 1000 is
-    enclosed whatever it is.  Without a pinned prime, a bracket wider than
-    ``target_error`` raises UnreachableTargetError.
+    ``exps`` is (e,), the one row of delta(p) = sum_j (-1)^j p^-e_j, and
+    ``rows`` maps the primes p <= 1000 to its one column [(nums, dens)];
+    H 2^_W lies in ``head``, as ``_bracketed_product`` takes them.  The
+    product is reported at ``start``, or at ``truncation_prime``, at least
+    ``start``, when one is pinned: it moves no bracket, since the tail
+    beyond 1000 is enclosed whatever it is.  Without a pinned prime, a
+    bracket wider than ``target_error`` raises UnreachableTargetError.
     """
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
@@ -678,7 +669,7 @@ def _estimate(
     P = start if truncation_prime is None else truncation_prime
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
-    value, lower, upper = _bracketed_product(rows, _neglog_coeffs(deficiency), head)[0]
+    value, lower, upper = _bracketed_product(rows, exps, head)[0]
     est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
         raise UnreachableTargetError(
@@ -747,7 +738,7 @@ def density(
 
     return _estimate(
         lambda primes: [_delta_quotients(primes, default_exps)],
-        _deficiency(lambda t: not contains(pap.default, t), 0),
+        (default_exps,),
         target_error,
         start=max(MIN_TRUNCATION, last + 1),
         truncation_prime=truncation_prime,
@@ -761,12 +752,12 @@ def density(
 
 # The catalog names some products twice (squarefree_or_high k=3 is skip_one
 # k=2, exp_odd is mod_periodic ell=2); these caches compute each once.
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _interval_density(pattern: ExponentPattern, target_error: float) -> DensityEstimate:
     return density(PrimeAwarePattern(default=pattern), target_error)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
@@ -780,9 +771,9 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
         ]
         return [([num for num, _ in pairs], [den for _, den in pairs])]
 
-    # weight 1 on the forbidden exponents, those not = 1 mod ell
-    deficiency = _deficiency(lambda t: (t - 1) % ell != 0, 0)
-    return _estimate(rows, deficiency, target_error)
+    # the row of the allowed exponents 1, 1 + ell, ... to 65, all that the tail reads
+    exps = _delta_exponents(normalize_intervals([(e, e) for e in range(1, 66, ell)]))
+    return _estimate(rows, (exps,), target_error)
 
 
 def closed_form(

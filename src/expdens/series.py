@@ -16,12 +16,15 @@ A weight is a few pieces, exponent intervals on which w is constant or rises
 by one per exponent.
 
 ``density_series`` makes one call of the Euler-product engine of ``euler``.
-Every row a_k of F(p; z) is an exact integer quotient, and ``_local_polys``
-gives each row as one ``euler._delta_quotients`` column over the primes;
-the engine multiplies the rows of the primes up to 1000 into a W-bit
-fixed-point polynomial, encloses each z-degree of the log of the factors
-beyond 1000 through the committed prime tails ``euler._TAIL_1000``, and
-takes the exp of that series in integer interval arithmetic.  d_0 is the
+F(p; z) is described once, by its exponent rows (``_row_exponents``): row 0
+holds the exponents of delta(p) = 1 - a_0 and row k those of a_k, each
+sum_j (-1)^j p^-e_j.  From those rows the engine takes everything: it
+multiplies the rows of the primes up to 1000, each an exact
+``euler._delta_quotients`` column, into a W-bit fixed-point polynomial,
+derives the log of the factors beyond 1000 and encloses each z-degree
+through the committed prime tails ``euler._TAIL_1000``, takes the exp of
+that series in integer interval arithmetic, and publishes as [0, 0] each
+d_k whose k no sum of the degrees of non-empty rows reaches.  d_0 is the
 density of the induced pattern, from the same head and table as
 ``density()``.  Every d_k comes with ``lower`` and ``upper`` that hold the
 true density, all rounding included, and no prime above 1000 is sieved, so
@@ -155,8 +158,8 @@ class DensitySeries:
             raise ValueError("series coefficient brackets must sum to at most 1")
 
 
-def _row_exponents(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
-    """Exponents e_0 < e_1 < ... of each row of F(p; z), for ``_local_polys``.
+def _row_exponents(w: ExponentWeight, K: int) -> tuple[tuple[int, ...], ...]:
+    """Exponents e_0 < e_1 < ... of each row of F(p; z), the engine's description of it.
 
     Entry 0 gives delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, from the induced
     pattern as in ``euler._delta_exponents``; entry k = 1..K gives
@@ -177,21 +180,8 @@ def _row_exponents(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
         top = K if iv.hi is None else min(K, iv.hi + offset)
         for k in range(max(1, iv.lo + offset), top + 1):
             blocks[k].append((k - offset, k - offset))
-    rows = [euler._interval_exponents(normalize_intervals(b).intervals) for b in blocks[1:]]
-    return [euler._delta_exponents(w.induced_pattern()), *rows]
-
-
-def _local_polys(primes, exps: list[tuple[int, ...]]) -> list[tuple[list[int], list[int]]]:
-    """The rows of F(p; z) over the ascending ``primes``, one column per row.
-
-    ``exps`` is ``_row_exponents``; column k is ``euler._delta_quotients``
-    of its entry k, (nums, dens) with one exact quotient per prime, which
-    drops the terms p^-e <= 2^-1100: delta(p) = 1 - a_0 for k = 0, a_k for
-    k >= 1, and 0 / 1 where no exponent has weight k.
-    """
-    if primes and primes[0] < 2:
-        raise ValueError("p must be a prime >= 2")
-    return [euler._delta_quotients(primes, e) for e in exps]
+    rows = (euler._interval_exponents(normalize_intervals(b).intervals) for b in blocks[1:])
+    return (euler._delta_exponents(w.induced_pattern()), *rows)
 
 
 def density_series(
@@ -201,9 +191,9 @@ def density_series(
 ) -> DensitySeries:
     """d_0..d_K of the weight w, each with a proven bracket.
 
-    The primes up to 1000 are multiplied out from the columns of
-    ``_local_polys``, one per row a_k, and the rest are enclosed through
-    the committed table of sum_{p > 1000} p^-t, so
+    The primes up to 1000 are multiplied out from the quotients of the
+    rows of ``_row_exponents``, one column per row, and the rest are
+    enclosed through the committed table of sum_{p > 1000} p^-t, so
     truncation_prime is validated and reported but moves no bracket.
     Raises DivergentWeightError when w(1) > 0 (the induced pattern forbids
     exponent 1), since then d_0 and every finite-k density vanish.  Raises
@@ -231,16 +221,8 @@ def density_series(
         one = (1.0,) + (0.0,) * K
         return DensitySeries(one, one, one, truncation_prime, 0.0)
     exps = _row_exponents(w, K)
-    # g(n) = k for some n exactly when k is a sum of weights that single
-    # exponents take, the k >= 1 with a row; every other d_k is 0.
-    steps = [j for j in range(1, K + 1) if exps[j]]
-    reach = [True] + [False] * K
-    for k in range(1, K + 1):
-        reach[k] = any(reach[k - j] for j in steps if j <= k)
     out = euler._bracketed_product(
-        lambda primes: _local_polys(primes, exps),
-        euler._neglog_coeffs(euler._deficiency(w.weight, K)),
-        zeros=tuple(k for k in range(K + 1) if not reach[k]),
+        lambda primes: [euler._delta_quotients(primes, e) for e in exps], exps
     )
     coeffs, lower, upper = map(tuple, zip(*out))
     return DensitySeries(coeffs, lower, upper, truncation_prime, 1.0 - math.fsum(coeffs))

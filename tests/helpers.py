@@ -239,6 +239,20 @@ def table_weight(values, tail_slope: int = 0, tail_offset: int = 0) -> ExponentW
     return ExponentWeight(tuple(pieces))
 
 
+# weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3
+_weight_tables = st.tuples(
+    st.lists(st.integers(0, 4), max_size=4), st.sampled_from([0, 1]), st.integers(0, 3)
+)
+small_weights = _weight_tables.map(
+    lambda t: table_weight(t[0], t[1], t[2] - t[1] * (len(t[0]) + 1))
+)
+# the same shifted one exponent on, after a weight 0 at exponent 1, so that
+# every draw has a series
+free_at_one_weights = _weight_tables.map(
+    lambda t: table_weight([0, *t[0]], t[1], t[2] - t[1] * (len(t[0]) + 2))
+)
+
+
 def reference_local_poly(p: int, w: ExponentWeight, K: int) -> tuple[float, ...]:
     """The scalar local polynomial a_0..a_K, one prime at a time, per piece."""
     if p < 2 or K < 0:
@@ -284,9 +298,31 @@ def reference_density_series(
     return tuple(coeffs.tolist())
 
 
+def deficiency_reference(weight, K: int) -> tuple[tuple[int, ...], ...]:
+    """Integers u with 1 - F(p; z) = sum_{t, k} u[t][k] p^-t z^k, t <= 64, k <= K.
+
+    Built from a weight callable, not from exponent rows: ``weight`` maps
+    t >= 1 to its z-degree w(t), an int or bool; w(0) = 0.
+    F(p; z) = (1 - 1/p) sum_{i >= 0} z^w(i) p^-i = 1 - sum_t (z^w(t-1) - z^w(t)) p^-t,
+    so u[t][w(t-1)] += 1 and u[t][w(t)] -= 1 for degrees up to K.  A density
+    is the case K = 0 with weight 1 on the forbidden exponents.
+    """
+    coef = [[0] * (K + 1) for _ in range(65)]
+    prev = 0
+    for t in range(1, 65):
+        cur = int(weight(t))
+        if prev <= K:
+            coef[t][prev] += 1
+        if cur <= K:
+            coef[t][cur] -= 1
+        prev = cur
+    return tuple(map(tuple, coef))
+
+
 def dense_neglog_coeffs(delta: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """``euler._neglog_coeffs`` by the dense recurrence over every j < t, as first written.
 
+    ``delta`` is a table u as ``deficiency_reference`` builds it, and
     b_t = t a_t - sum_{0 < j < t} b_j a_{t-j}, a = -delta, rows indexed [k][t].
     """
     K = len(delta[0]) - 1

@@ -1,13 +1,15 @@
+import functools
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expdens.euler
@@ -34,12 +36,14 @@ from expdens.patterns import (
     parse_prime_aware,
 )
 from expdens.primes import sieve_primes
-from expdens.series import ExponentWeight, density_series
+from expdens.series import ExponentWeight, _row_exponents, density_series
 from helpers import (
     assert_below_partial,
+    deficiency_reference,
     dense_neglog_coeffs,
     exact_head,
     exp_odd_factor,
+    free_at_one_weights,
     gap_factor,
     local_factor_general,
     mod_periodic_factor,
@@ -49,6 +53,7 @@ from helpers import (
     partial_euler_product,
     prime_tail,
     random_pattern,
+    small_weights,
     tail_1000,
     tail_1000_by_moebius,
     tail_table,
@@ -677,12 +682,57 @@ def exact_neglog(delta, K):
 
 
 NEGLOG_WEIGHTS = {
-    "1..1": lambda t: not contains(parse_pattern("1..1"), t),
-    "1..1,3..inf": lambda t: not contains(parse_pattern("1..1,3..inf"), t),
-    "excess": ExponentWeight.excess().weight,
-    "threshold2": ExponentWeight.threshold(2).weight,
-    "gaps": ExponentWeight.outside_pattern(parse_pattern("1..1,3..5,9..inf")).weight,
+    "1..1": ExponentWeight.outside_pattern(parse_pattern("1..1")),
+    "1..1,3..inf": ExponentWeight.outside_pattern(parse_pattern("1..1,3..inf")),
+    "excess": ExponentWeight.excess(),
+    "threshold2": ExponentWeight.threshold(2),
+    "gaps": ExponentWeight.outside_pattern(parse_pattern("1..1,3..5,9..inf")),
 }
+
+
+def pattern_case(pattern):
+    """(exps, weight, K) of a density: the one row ``density`` passes, weight 1 where forbidden."""
+    return (expdens.euler._delta_exponents(pattern),), lambda t: not contains(pattern, t), 0
+
+
+def weight_case(w, K):
+    """(exps, weight, K) of a density series, as ``density_series`` passes its rows."""
+    return _row_exponents(w, K), w.weight, K
+
+
+def mod_periodic_engine_args(ell):
+    """(rows, exps) as ``_mod_periodic`` passes them to the engine."""
+    with mock.patch.object(expdens.euler, "_estimate", lambda rows, exps, target: (rows, exps)):
+        return expdens.euler._mod_periodic.__wrapped__(ell, 1.0)
+
+
+def periodic_case(ell):
+    """(exps, weight, K) of ``mod_periodic``, its rows as ``_mod_periodic`` passes them."""
+    return mod_periodic_engine_args(ell)[1], lambda t: (t - 1) % ell != 0, 0
+
+
+FIXED_NEGLOG_CASES = [
+    weight_case(ExponentWeight.excess(), 198),
+    weight_case(ExponentWeight.threshold(3), 198),
+    *map(periodic_case, range(2, 70)),
+]
+NEGLOG_CASES = st.one_of(
+    st.lists(
+        st.tuples(st.integers(1, 70), st.one_of(st.none(), st.integers(0, 20))).map(
+            lambda t: (t[0], None if t[1] is None else t[0] + t[1])
+        ),
+        max_size=6,
+    ).map(lambda ivs: pattern_case(normalize_intervals(ivs))),
+    st.tuples(st.one_of(small_weights, free_at_one_weights), st.integers(0, 16)).map(
+        lambda t: weight_case(*t)
+    ),
+    st.sampled_from(FIXED_NEGLOG_CASES),
+)
+
+
+def with_examples(cases):
+    """Run each of ``cases`` as an explicit Hypothesis example, besides the drawn ones."""
+    return lambda test: functools.reduce(lambda t, case: example(case)(t), cases, test)
 
 
 class TestNeglogCoeffs:
@@ -690,8 +740,9 @@ class TestNeglogCoeffs:
     @pytest.mark.parametrize("name", sorted(NEGLOG_WEIGHTS))
     def test_correctly_rounded_against_fractions(self, name, K):
         euler = expdens.euler
-        delta = euler._deficiency(NEGLOG_WEIGHTS[name], K)
-        b = euler._neglog_coeffs(delta)
+        w = NEGLOG_WEIGHTS[name]
+        b = euler._neglog_coeffs(_row_exponents(w, K))
+        delta = deficiency_reference(w.weight, K)
         exact = exact_neglog(delta, K)
         W = euler._W_FIRST
         cut = -(-(euler._CUT[0] << W) // euler._CUT[1])
@@ -721,16 +772,36 @@ class TestNeglogCoeffs:
     def test_sparse_rows_match_the_dense_recurrence(self, values, slope, start, K):
         # the tail's first weight is start
         w = table_weight(values, slope, start - slope * (len(values) + 1))
-        delta = expdens.euler._deficiency(w.weight, K)
-        assert expdens.euler._neglog_coeffs(delta) == dense_neglog_coeffs(delta)
+        delta = deficiency_reference(w.weight, K)
+        assert expdens.euler._neglog_coeffs(_row_exponents(w, K)) == dense_neglog_coeffs(delta)
+
+    @given(NEGLOG_CASES)
+    @with_examples(FIXED_NEGLOG_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_give_the_tail_of_the_weight_reference(self, case):
+        # the tail the engine derives from the rows against one built from a
+        # weight callable, which the engine never reads
+        exps, weight, K = case
+        want = dense_neglog_coeffs(deficiency_reference(weight, K))
+        assert expdens.euler._neglog_coeffs(exps) == want
 
     def test_memoized_and_immutable(self):
-        delta = expdens.euler._deficiency(NEGLOG_WEIGHTS["excess"], 8)
-        first = expdens.euler._neglog_coeffs(delta)
-        assert expdens.euler._neglog_coeffs(tuple(map(tuple, map(list, delta)))) is first
+        exps = _row_exponents(NEGLOG_WEIGHTS["excess"], 8)
+        first = expdens.euler._neglog_coeffs(exps)
+        assert expdens.euler._neglog_coeffs(tuple(map(tuple, map(list, exps)))) is first
         assert isinstance(first, tuple) and all(isinstance(row, tuple) for row in first)
         with pytest.raises(TypeError):
             first[0][2] = 0
+
+
+def test_caches_keyed_by_caller_input_are_bounded():
+    # a library loop over many patterns, k, ell or s keeps at most 256 of each
+    euler = expdens.euler
+    sizes = {name: f.cache_info().maxsize for name, f in vars(euler).items()
+             if hasattr(f, "cache_info")}
+    names = ["_delta_exponents", "_interval_density", "_mod_periodic", "_neglog_coeffs",
+             "_prime_zeta", "zeta_int"]
+    assert sizes == dict.fromkeys(names, 256)
 
 
 class TestClosedForms:
@@ -769,6 +840,19 @@ class TestClosedForms:
         assert_below_partial(b.value, partial_euler_product(exp_odd_factor))
         c = closed_form("mod_periodic", ell=3)
         assert_below_partial(c.value, partial_euler_product(mod_periodic_factor(3)))
+
+    @pytest.mark.parametrize("ell", [2, 3, 7, 64, 65, 1100, 10**6])
+    def test_mod_periodic_closed_form_matches_its_rows(self, ell):
+        # the one head column not built from rows: its closed form against the
+        # quotients of the rows of {1, 1 + ell, ...} to exponent 1101
+        primes = sieve_primes(MIN_TRUNCATION).primes.tolist()
+        pattern = normalize_intervals([(e, e) for e in range(1, 1102, ell)])
+        (closed,) = mod_periodic_engine_args(ell)[0](primes)
+        rows = expdens.euler._delta_quotients(primes, expdens.euler._delta_exponents(pattern))
+        assert len(primes) == 168
+        for n, d, m, e in zip(*closed, *rows, strict=True):
+            # |n / d - m / e| < 2^-1100
+            assert abs(n * e - m * d) << 1100 < d * e
 
     def test_mod_periodic_1_is_one(self):
         assert closed_form("mod_periodic", ell=1).value == 1.0

@@ -280,6 +280,27 @@ def test_only_patterns_names_the_prime_range():
             assert "_PrimeRange" not in names, path
 
 
+def test_engine_reads_a_factor_by_its_rows_alone():
+    # the product engine takes each local factor as exponent rows only; a
+    # weight callable describes factors to the oracle, never to the engine
+    trees = {name: ast.parse((SRC / "expdens" / f"{name}.py").read_text())
+             for name in ("euler", "series")}
+    imported = [alias.name for node in ast.walk(trees["euler"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert "contains" not in imported
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                passed = [*node.args, *(kw.value for kw in node.keywords)]
+                assert not any(isinstance(a, ast.Attribute) and a.attr == "weight"
+                               for a in passed), (name, node.lineno)
+    (engine,) = [node for node in ast.walk(trees["euler"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_bracketed_product"]
+    params = engine.args
+    assert [a.arg for a in params.posonlyargs + params.args] == ["rows", "exps", "head"]
+    assert not (params.vararg or params.kwonlyargs or params.kwarg)
+
+
 def test_numpy_is_a_test_dependency_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]

@@ -2,15 +2,14 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from helpers import table_weight
+from helpers import free_at_one_weights, small_weights
 from hypothesis import assume, given, settings
 
-from expdens.euler import brackets_overlap, density, zeta_int
+from expdens.euler import _delta_quotients, brackets_overlap, density, zeta_int
 from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden, parse_pattern
 from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
-    _local_polys,
     _row_exponents,
     density_series,
 )
@@ -20,22 +19,8 @@ SQUAREFREE_W = ExponentWeight.outside_pattern(parse_pattern("1..1"))
 
 def local_row(p: int, w: ExponentWeight, K: int) -> list[float]:
     """The library's coefficients a_0..a_K of F(p; z) for one prime, each rounded once."""
-    ((num,), (den,)), *rest = _local_polys([p], _row_exponents(w, K))
+    ((num,), (den,)), *rest = [_delta_quotients([p], e) for e in _row_exponents(w, K)]
     return [(den - num) / den, *(n / d for (n,), (d,) in rest)]
-
-
-# weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3
-_weight_tables = st.tuples(
-    st.lists(st.integers(0, 4), max_size=4), st.sampled_from([0, 1]), st.integers(0, 3)
-)
-small_weights = _weight_tables.map(
-    lambda t: table_weight(t[0], t[1], t[2] - t[1] * (len(t[0]) + 1))
-)
-# the same shifted one exponent on, after a weight 0 at exponent 1, so that
-# every draw has a series
-free_at_one_weights = _weight_tables.map(
-    lambda t: table_weight([0, *t[0]], t[1], t[2] - t[1] * (len(t[0]) + 2))
-)
 
 
 class TestExponentWeight:
