@@ -42,12 +42,13 @@ H. Cohen, "High precision computation of Hardy-Littlewood constants",
 The same engine, ``_bracketed_product``, serves the density series of
 ``series``: there each local factor is a polynomial in a second variable z,
 cut at z^K, described by one row of exponents per z-degree in delta's
-form, and from those rows alone the engine takes the head's exact
-quotients, the tail's log and the exact zeros.  The head multiplies the
-polynomials of the primes up to 1000 in W-bit fixed point, every z-degree
-of the tail's log is enclosed through the same table, and the exp of the
-tail series is taken in integer interval arithmetic, so each d_k is rounded
-to float once.  W is 256 bits, or up to 640 where the head's rounding would
+form.  The rows are all a caller passes: from them the engine builds the
+head's exact quotients, the tail's log and the exact zeros.  The head
+multiplies the polynomials of the primes up to 1000 in W-bit fixed point,
+every z-degree of the tail's log is enclosed through the same table, and
+the exp of the tail series is taken in integer interval arithmetic, so each
+d_k comes out as one exact integer enclosure, which its publisher rounds to
+float once.  W is 256 bits, or up to 640 where the head's rounding would
 widen a small coefficient.  ``density()`` is its case K = 0, one row.
 """
 
@@ -551,9 +552,9 @@ def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
     """(value, lower, upper) for [lo, hi] 2^e, with 0 <= lo <= hi and e < 0.
 
     The ends are rounded outward to float, and ``upper`` is capped at 1,
-    which no product this serves exceeds.  ``value`` is the mean of the
-    floats nearest the two ends (int division rounds correctly), within the
-    bracket.
+    which no density or sum of densities here exceeds.  ``value`` is the
+    mean of the floats nearest the two ends (int division rounds
+    correctly), within the bracket.
     """
     lower = _to_float(lo, e, False)
     upper = min(_to_float(hi, e, True), 1.0)
@@ -566,7 +567,7 @@ def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
 
 
 def _product_at(cols: list, b: tuple, head: tuple[int, int], W: int) -> tuple[list[tuple], int]:
-    """Each d_k of ``_bracketed_product`` as (value, lower, upper) at W bits, and the slack."""
+    """Each d_k of ``_bracketed_product`` as (lo, hi, e) at W bits, and the slack."""
     K = len(b) - 1
     H, slack = _head_poly(cols, head, W, K)
     L = [_tail_fixed(row, W) for row in b]
@@ -590,50 +591,52 @@ def _product_at(cols: list, b: tuple, head: tuple[int, int], W: int) -> tuple[li
             h_lo, h_hi = max(h - 1, 0), h + slack
             lo += min(h_lo * g_lo, h_hi * g_lo)
             hi += max(h_lo * g_hi, h_hi * g_hi)
-        out.append(_round_out(max(lo, 0) * e_lo, hi * e_hi, -3 * W))
+        out.append((max(lo, 0) * e_lo, hi * e_hi, -3 * W))
     return out, slack
 
 
 def _bracketed_product(
-    rows, exps: tuple, head: tuple[int, int] = (1 << _W, 1 << _W)
-) -> list[tuple[float, float, float]]:
+    exps: tuple, head: tuple[int, int] = (1 << _W, 1 << _W), col0=None
+) -> list[tuple[int, int, int]]:
     """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
 
     A local factor is described once, by its exponent rows ``exps``: entry 0
     holds e_0 < e_1 < ... with delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, and
     entry k = 1..K the exponents of the coefficient a_k of F(p; z) in the
-    same form, empty where no exponent has weight k.  ``rows(primes)`` maps
-    the primes up to 1000 to the rows' ``_delta_quotients``, one column
-    (nums, dens) per entry, each quotient within 2^-1100 of the true one,
-    and ``_head_poly`` multiplies them into the head H.  The rest enter through
+    same form, empty where no exponent has weight k.  ``_head_poly``
+    multiplies their ``_delta_quotients`` over the primes up to 1000, each
+    within 2^-1100 of the true one, into the head H; ``col0(primes)``, if
+    given, is a closed form of column 0.  The rest enter through
     L = sum_{p > 1000} -log F(p; z), whose coefficients ``_neglog_coeffs``
     derives from ``exps``, each z-degree enclosed by ``_tail_fixed``, and
     exp(-L) = exp(-L_0) g(z): exp(-L_0) from ``_exp_fixed``, and g_0 = 1,
     k g_k = sum_{j=1..k} j s_j g_{k-j} with s = -L, in integer intervals;
     the signs are mixed, so each product takes the min and the max of its
-    ends' products.  d_k = exp(-L_0) sum_j H_j g_{k-j} is rounded outward to
-    float once.  ``density()`` is the case K = 0, C its exceptional primes'
-    correction.  Each d_k comes back as a (value, lower, upper) triple.
+    ends' products.  d_k = exp(-L_0) sum_j H_j g_{k-j} comes back as the
+    exact integers (lo, hi, e) of [lo, hi] 2^e, for its publisher to round
+    outward once.  ``density()`` is K = 0, C its exceptional primes' correction.
 
     The first pass takes W = 256 fraction bits.  The head's slack S is below
-    2^-60 of a coefficient 2^(e-1) <= d_k at W >= bits(S) + 61 - e, and
+    2^-60 of d_k >= 2^(n-1), n = bits(lo) + e, at W >= bits(S) + 61 - n, and
     apart from a correction's width it is the same count at any W.  The
-    coefficients that need a wider W than the first, or whose lower end is
-    0, are computed once more, up to the highest of them, at the widest W
+    coefficients that need a wider W than the first (lo = 0 asks for over
+    640) are computed once more, up to the highest of them, at the widest W
     they need, a multiple of 64 and at most 640.  A d_k is exactly 0 when k
     is no sum of degrees j >= 1 with a non-empty row, since then no product
-    of the a_j reaches z^k: it is published as [0, 0] and never rerun.
+    of the a_j reaches z^k: it comes back as (0, 0, e) and is never rerun.
     """
     b = _neglog_coeffs(exps)
-    cols = rows([p for seg in prime_segments(MIN_TRUNCATION) for p in seg])
+    primes = [p for seg in prime_segments(MIN_TRUNCATION) for p in seg]
+    cols = [_delta_quotients(primes, exps[0]) if col0 is None else col0(primes)]
+    cols += [_delta_quotients(primes, e) for e in exps[1:]]
     out, slack = _product_at(cols, b, head, _W_FIRST)
     bits = slack.bit_length()
-    need = [bits + 61 - math.frexp(lower)[1] if lower else _W_CAP for _, lower, _ in out]
+    need = [bits + 61 - lo.bit_length() - e for lo, _, e in out]
     reach = [True]
     for k in range(1, len(exps)):
         reach.append(any(reach[k - j] and exps[j] for j in range(1, k + 1)))
         if not reach[k]:
-            out[k], need[k] = (0.0, 0.0, 0.0), 0
+            out[k], need[k] = (0, 0, out[k][2]), 0
     wider = [k for k, n in enumerate(need) if n > _W_FIRST]
     if wider:
         W = min(-(-max(need) // 64) * 64, _W_CAP)
@@ -644,23 +647,22 @@ def _bracketed_product(
 
 
 def _estimate(
-    rows,
     exps: tuple,
     target_error: float,
     *,
     start: int = MIN_TRUNCATION,
     truncation_prime: int | None = None,
     head: tuple[int, int] = (1 << _W, 1 << _W),
+    col0=None,
 ) -> DensityEstimate:
-    """H prod_p F(p) with F = 1 - delta and a rigorous bracket.
+    """H prod_p F(p) with F = 1 - delta and a bracket rounded outward once.
 
-    ``exps`` is (e,), the one row of delta(p) = sum_j (-1)^j p^-e_j, and
-    ``rows`` maps the primes p <= 1000 to its one column [(nums, dens)];
-    H 2^_W lies in ``head``, as ``_bracketed_product`` takes them.  The
-    product is reported at ``start``, or at ``truncation_prime``, at least
-    ``start``, when one is pinned: it moves no bracket, since the tail
-    beyond 1000 is enclosed whatever it is.  Without a pinned prime, a
-    bracket wider than ``target_error`` raises UnreachableTargetError.
+    ``exps`` is (e,), the one row of delta(p) = sum_j (-1)^j p^-e_j; it,
+    ``head`` and ``col0`` go to ``_bracketed_product``.  The product is
+    reported at ``start``, or at ``truncation_prime``, at least ``start``,
+    when one is pinned: it moves no bracket, since the tail beyond 1000 is
+    enclosed whatever it is.  Without a pinned prime, a bracket wider than
+    ``target_error`` raises UnreachableTargetError.
     """
     if truncation_prime is not None and truncation_prime < start:
         raise ValueError(
@@ -669,7 +671,7 @@ def _estimate(
     P = start if truncation_prime is None else truncation_prime
     # before any float of P: a P of hundreds of digits would overflow
     _check_budget(P)
-    value, lower, upper = _bracketed_product(rows, exps, head)[0]
+    value, lower, upper = _round_out(*_bracketed_product(exps, head, col0)[0])
     est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
     if truncation_prime is None and est.width > target_error:
         raise UnreachableTargetError(
@@ -737,7 +739,6 @@ def density(
         return DensityEstimate(value, lower, upper, max(last, 2), math.log(upper / lower))
 
     return _estimate(
-        lambda primes: [_delta_quotients(primes, default_exps)],
         (default_exps,),
         target_error,
         start=max(MIN_TRUNCATION, last + 1),
@@ -762,18 +763,18 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
         return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
-    def rows(primes: list[int]) -> list[tuple[list[int], list[int]]]:
+    def col0(primes: list[int]) -> tuple[list[int], list[int]]:
         # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotients
         pairs = [
             (1, p * p) if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS
             else (p ** (ell - 1) - 1, p * (p**ell - 1))
             for p in primes
         ]
-        return [([num for num, _ in pairs], [den for _, den in pairs])]
+        return [num for num, _ in pairs], [den for _, den in pairs]
 
     # the row of the allowed exponents 1, 1 + ell, ... to 65, all that the tail reads
     exps = _delta_exponents(normalize_intervals([(e, e) for e in range(1, 66, ell)]))
-    return _estimate(rows, (exps,), target_error)
+    return _estimate((exps,), target_error, col0=col0)
 
 
 def closed_form(
@@ -813,8 +814,8 @@ def closed_form(
     - ``ex3_single`` (p prime, k >= 2): p unrestricted, everything else < k,
       the pattern 1..k-1 with p: 1..inf; (1/zeta(k)) p^k / (p^k - 1).
     - ``ex3`` (k >= 2): at most one prime with exponent >= k; d_0 + d_1 of
-      the series of the weight 1 on the exponents >= k, added with outward
-      rounding; (1/zeta(k)) (1 + sum_p 1/(p^k - 1)).
+      the series of the weight 1 on the exponents >= k, summed exactly and
+      rounded outward once; (1/zeta(k)) (1 + sum_p 1/(p^k - 1)).
     """
     _check_target(target_error)
     if form == "powerfree":
@@ -860,10 +861,11 @@ def closed_form(
             raise ValueError("ex3 needs k >= 2")
         from . import series  # only ex3 needs the series engine
 
-        ds = series.density_series(series.ExponentWeight.threshold(k), 1, MIN_TRUNCATION)
-        lower = math.nextafter(ds.lower[0] + ds.lower[1], -math.inf)
-        upper = math.nextafter(ds.upper[0] + ds.upper[1], math.inf)
-        value = min(max(ds.coeffs[0] + ds.coeffs[1], lower), upper)
+        exps = series._row_exponents(series.ExponentWeight.threshold(k), 1)
+        (lo0, hi0, e0), (lo1, hi1, e1) = _bracketed_product(exps)
+        e = min(e0, e1)
+        lo, hi = (lo0 << e0 - e) + (lo1 << e1 - e), (hi0 << e0 - e) + (hi1 << e1 - e)
+        value, lower, upper = _round_out(lo, hi, e)
         return DensityEstimate(value, lower, upper, MIN_TRUNCATION, math.log(upper / lower))
     else:
         raise ValueError(f"unknown closed form {form!r}")

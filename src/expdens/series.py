@@ -15,21 +15,21 @@ Each full factor is 1 at z = 1, so the d_k sum to 1 over all k, and
 A weight is a few pieces, exponent intervals on which w is constant or rises
 by one per exponent.
 
-``density_series`` makes one call of the Euler-product engine of ``euler``.
-F(p; z) is described once, by its exponent rows (``_row_exponents``): row 0
+``density_series`` makes one call of the Euler-product engine of ``euler``
+and passes it only the exponent rows of F(p; z) (``_row_exponents``): row 0
 holds the exponents of delta(p) = 1 - a_0 and row k those of a_k, each
-sum_j (-1)^j p^-e_j.  From those rows the engine takes everything: it
-multiplies the rows of the primes up to 1000, each an exact
-``euler._delta_quotients`` column, into a W-bit fixed-point polynomial,
-derives the log of the factors beyond 1000 and encloses each z-degree
-through the committed prime tails ``euler._TAIL_1000``, takes the exp of
-that series in integer interval arithmetic, and publishes as [0, 0] each
-d_k whose k no sum of the degrees of non-empty rows reaches.  d_0 is the
-density of the induced pattern, from the same head and table as
-``density()``.  Every d_k comes with ``lower`` and ``upper`` that hold the
-true density, all rounding included, and no prime above 1000 is sieved, so
-the truncation prime P moves no bracket.  Work is estimated from K before
-any sieving and capped at ``SERIES_WORK_CAP``.
+sum_j (-1)^j p^-e_j.  From those rows the engine builds everything: it
+multiplies the exact quotients of the primes up to 1000 into a W-bit
+fixed-point polynomial, derives the log of the factors beyond 1000 and
+encloses each z-degree through the committed prime tails
+``euler._TAIL_1000``, takes the exp of that series in integer interval
+arithmetic, and returns each d_k as exact integers, (0, 0, e) when k is no
+sum of the degrees of non-empty rows.  ``density_series`` rounds each d_k
+outward to float once, into a bracket that holds the true density.  d_0 is
+the density of the induced pattern, from the same head and table as
+``density()``.  No prime above 1000 is sieved, so the truncation prime P
+moves no bracket.  Work is estimated from K before any sieving and capped
+at ``SERIES_WORK_CAP``.
 """
 
 from __future__ import annotations
@@ -191,10 +191,10 @@ def density_series(
 ) -> DensitySeries:
     """d_0..d_K of the weight w, each with a proven bracket.
 
-    The primes up to 1000 are multiplied out from the quotients of the
-    rows of ``_row_exponents``, one column per row, and the rest are
-    enclosed through the committed table of sum_{p > 1000} p^-t, so
-    truncation_prime is validated and reported but moves no bracket.
+    The engine reads the rows of ``_row_exponents`` alone: it multiplies
+    out the primes up to 1000 and encloses the rest through the committed
+    table of sum_{p > 1000} p^-t, so truncation_prime is validated and
+    reported but moves no bracket.  Each d_k is rounded outward once.
     Raises DivergentWeightError when w(1) > 0 (the induced pattern forbids
     exponent 1), since then d_0 and every finite-k density vanish.  Raises
     ResourceBudgetError when truncation_prime exceeds the sieve budget, or
@@ -220,9 +220,6 @@ def density_series(
         # w is 0 on every exponent, so every factor is 1
         one = (1.0,) + (0.0,) * K
         return DensitySeries(one, one, one, truncation_prime, 0.0)
-    exps = _row_exponents(w, K)
-    out = euler._bracketed_product(
-        lambda primes: [euler._delta_quotients(primes, e) for e in exps], exps
-    )
-    coeffs, lower, upper = map(tuple, zip(*out))
+    out = euler._bracketed_product(_row_exponents(w, K))
+    coeffs, lower, upper = zip(*(euler._round_out(*d) for d in out))
     return DensitySeries(coeffs, lower, upper, truncation_prime, 1.0 - math.fsum(coeffs))

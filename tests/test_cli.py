@@ -360,7 +360,7 @@ class TestExamples:
 
     @pytest.mark.parametrize("error", ["1e-15", "2e-16"])
     def test_one_ulp_rows_meet_a_tight_target(self, error):
-        # every row but ex3 is one ulp wide, and ex3 is not held to the target
+        # every row is one ulp wide; ex3, at most two, is not held to the target
         code, out, err, _ = main_timed(["examples", "--error", error])
         assert code == EXIT_OK, err
         assert len(out.splitlines()) == 11

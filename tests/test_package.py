@@ -281,10 +281,10 @@ def test_only_patterns_names_the_prime_range():
 
 
 def test_engine_reads_a_factor_by_its_rows_alone():
-    # the product engine takes each local factor as exponent rows only; a
-    # weight callable describes factors to the oracle, never to the engine
-    trees = {name: ast.parse((SRC / "expdens" / f"{name}.py").read_text())
-             for name in ("euler", "series")}
+    # the product engine takes each local factor as exponent rows only and
+    # builds its quotients itself; a weight callable describes factors to the
+    # oracle, never to the engine, and no caller passes a quotient builder
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "expdens").glob("*.py")}
     imported = [alias.name for node in ast.walk(trees["euler"])
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert "contains" not in imported
@@ -292,12 +292,18 @@ def test_engine_reads_a_factor_by_its_rows_alone():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 passed = [*node.args, *(kw.value for kw in node.keywords)]
-                assert not any(isinstance(a, ast.Attribute) and a.attr == "weight"
-                               for a in passed), (name, node.lineno)
+                assert name not in ("euler", "series") or not any(
+                    isinstance(a, ast.Attribute) and a.attr == "weight" for a in passed
+                ), (name, node.lineno)
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee in ("_bracketed_product", "_estimate"):
+                    assert not any(isinstance(a, ast.Lambda) for a in passed), (name, node.lineno)
+                # the quotient format has one owner
+                assert not (name == "series" and callee == "_delta_quotients"), node.lineno
     (engine,) = [node for node in ast.walk(trees["euler"])
                  if isinstance(node, ast.FunctionDef) and node.name == "_bracketed_product"]
     params = engine.args
-    assert [a.arg for a in params.posonlyargs + params.args] == ["rows", "exps", "head"]
+    assert [a.arg for a in params.posonlyargs + params.args] == ["exps", "head", "col0"]
     assert not (params.vararg or params.kwonlyargs or params.kwarg)
 
 

@@ -136,6 +136,18 @@ class TestDensitySeries:
             else:
                 assert (ds.coeffs[k], ds.lower[k], ds.upper[k]) == (0.0, 0.0, 0.0)
 
+    def test_a_row_past_the_quotient_cap_is_no_exact_zero(self):
+        # weight 1 only at exponent 2000: row 1 holds only exponents past the
+        # 1100 bits the head's quotients keep, yet d_1 and d_2 are positive
+        w = ExponentWeight((
+            (ExponentInterval(1, 1999), 0, 0),
+            (ExponentInterval(2000, 2000), 0, 1),
+            (ExponentInterval(2001, None), 0, 0),
+        ))
+        ds = density_series(w, 2)
+        for k in (1, 2):
+            assert ds.lower[k] == 0.0 < ds.upper[k]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             density_series(SQUAREFREE_W, K=-1)
