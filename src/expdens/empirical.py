@@ -276,8 +276,12 @@ def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
     def forbidden(pattern) -> Rule:
         return functools.cache(lambda e: int(not contains(pattern, e)))
 
-    runs = [(primes, forbidden(pattern)) for primes, pattern in pap.runs(x)]
-    count = _tally(x, 0, forbidden(pap.default), runs)[0]
+    runs = pap.runs(math.isqrt(x))
+    if any(contains(pattern, 1) != contains(pap.default, 1) for _, pattern in runs):
+        # _tally reads a run that flips exponent 1 to x, the others to sqrt(x)
+        runs = pap.runs(x)
+    rules = [(primes, forbidden(pattern)) for primes, pattern in runs]
+    count = _tally(x, 0, forbidden(pap.default), rules)[0]
     return CountReport(x, count, count / x)
 
 

@@ -14,14 +14,14 @@ the default, is one exact integer quotient num / p^E of them
 
 A density follows the default pattern at every prime but a finite set E
 of exceptional primes, so it is the default's product times the finite
-correction prod_{p in E} F_E(p) / F(p).  Both products of the correction
-are taken exactly in fixed point, and the correction is the start of the
-default's product.  That product splits once, at 1000: the factors of
-the primes p <= 1000 are multiplied as W-bit fixed-point integers rounded
-outward at each step, and every prime above 1000 enters through
--log F(p) = sum_t c_t p^-t, for exact rationals c_t = -b_t / t derived
-from the same exponents (``_neglog_coeffs``), and the power sums
-T_t = sum_{p > 1000} p^-t:
+correction C = prod_{p in E} F_E(p) / F(p).  Both products of C are taken
+exactly in fixed point, and C scales the integer enclosure of the
+default's product exactly, after the engine.  That product splits once,
+at 1000: the factors of the primes p <= 1000 are multiplied as W-bit
+fixed-point integers rounded outward at each step, and every prime above
+1000 enters through -log F(p) = sum_t c_t p^-t, for exact rationals
+c_t = -b_t / t derived from the same exponents (``_neglog_coeffs``), and
+the power sums T_t = sum_{p > 1000} p^-t:
 
     sum_{p > 1000} -log F(p) = sum_{t <= 64} c_t T_t + cut,
 
@@ -48,8 +48,9 @@ multiplies the polynomials of the primes up to 1000 in W-bit fixed point,
 every z-degree of the tail's log is enclosed through the same table, and
 the exp of the tail series is taken in integer interval arithmetic, so each
 d_k comes out as one exact integer enclosure, which its publisher rounds to
-float once.  W is 256 bits, or up to 640 where the head's rounding would
-widen a small coefficient.  ``density()`` is its case K = 0, one row.
+float once (``_publish``, or ``series.density_series``).  W is 256 bits,
+or up to 640 where the head's rounding would widen a small coefficient.
+``density()`` is its case K = 0, one row.
 """
 
 from __future__ import annotations
@@ -454,43 +455,44 @@ def _head_product(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[i
     return lo, lo + slack
 
 
-def _head_poly(cols: list, head: tuple[int, int], W: int, K: int) -> tuple[list[int], int]:
-    """(H, S) with each coefficient of C prod_p sum_k a_k(p) z^k in [H_k - 1, H_k + S] 2^-W.
+def _head_poly(cols: list, W: int, K: int) -> tuple[list[int], int]:
+    """(H, S) with each coefficient of prod_p sum_k a_k(p) z^k in [H_k - 1, H_k + S] 2^-W.
 
-    The product is cut at z^K, and C 2^_W lies in ``head``.  ``cols`` holds
-    one ``_delta_quotients`` column (nums, dens) per z-degree, one entry per
-    prime: column 0 is delta(p) = 1 - a_0, column k >= 1 is a_k >= 0, and
-    the a_k of a prime sum to at most 1; columns past z^K are not read.
-    Each a_k is floored to alpha_k = floor(a_k 2^W), and each coefficient
-    sum_j H_j alpha_{k-j} 2^-W of the product is floored too.  C is below 2
-    (a correction is below 1 / 0.6), and so are the coefficients of every
-    product taken together, so a step loses less than 2 units through the
-    alpha_k and 1 through its own floor; as the a_k sum to at most 1, it
-    never grows what was lost before.  So S is the start's width, 3 units a
-    prime, and one unit, which with the 1 below H_k covers the terms the
-    quotients drop: at most 2^-1100 a coefficient, relative for C.
+    The product is cut at z^K and starts at exactly 1, H = 2^W.  ``cols``
+    holds one ``_delta_quotients`` column (nums, dens) per z-degree, one
+    entry per prime: column 0 is delta(p) = 1 - a_0, column k >= 1 is
+    a_k >= 0, and the a_k of a prime sum to at most 1; columns past z^K are
+    not read.  Each a_k is floored to alpha_k = floor(a_k 2^W), and each
+    coefficient sum_j H_j alpha_{k-j} 2^-W of the product is floored too.
+    The coefficients of every partial product sum to at most 1, so a step
+    loses less than 1 unit through the alpha_k and 1 through its own floor;
+    as the a_k sum to at most 1, it never grows what was lost before.  So S
+    counts 3 units a prime, and one unit, which with the 1 below H_k covers
+    the terms the quotients drop, at most 2^-1100 a coefficient.  These two
+    units are relative to H, about 2^-255 of a density's head, so they also
+    cover the terms dropped by the quotients of ``density()``'s correction:
+    each factor is at least 1/2, so the correction over at most 5.8 million
+    primes is within 2^-1075 of its quotients' relatively.
 
     Kronecker packing: each prime's alpha_k are packed into one integer, and
     the H_j into another, in fields of 2W + 8 bits.  Every field of their
-    product, sum_j H_j alpha_{k-j} < 2 2^W 2^W, fits its own, so one
+    product, sum_j H_j alpha_{k-j} <= 2^W 2^W, fits its own, so one
     multiplication gives every coefficient, and one mask and one shift
     floor the first K + 1 of them in place.  Packing runs from z^K down,
     so the zero alpha_k atop a large prime's row cost no big-integer step.
     """
     width = 2 * W + 8
     mask = int.from_bytes((bytes(W // 8) + b"\xff" * (W // 8 + 1)) * (K + 1), "little")
-    shift = W - _W
     packed = repeat(0)
     for nums, dens in cols[K:0:-1]:
         packed = [(a << width) + (num << W) // den for a, num, den in zip(packed, nums, dens)]
     nums, dens = cols[0]
     packed = [(a << width) + (den - num << W) // den for a, num, den in zip(packed, nums, dens)]
-    H = head[0] << shift
+    H = 1 << W
     for a in packed:
         H = (H * a & mask) >> W
     field = (1 << width) - 1
-    slack = ((head[1] - head[0]) << shift) + 3 * len(packed) + 1
-    return [H >> (width * k) & field for k in range(K + 1)], slack
+    return [H >> (width * k) & field for k in range(K + 1)], 3 * len(packed) + 1
 
 
 def _tail_fixed(b: tuple[int, ...], W: int) -> tuple[int, int]:
@@ -566,10 +568,10 @@ def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
 # Bracketed product engine
 
 
-def _product_at(cols: list, b: tuple, head: tuple[int, int], W: int) -> tuple[list[tuple], int]:
+def _product_at(cols: list, b: tuple, W: int) -> tuple[list[tuple], int]:
     """Each d_k of ``_bracketed_product`` as (lo, hi, e) at W bits, and the slack."""
     K = len(b) - 1
-    H, slack = _head_poly(cols, head, W, K)
+    H, slack = _head_poly(cols, W, K)
     L = [_tail_fixed(row, W) for row in b]
     # exp(-L_0) <= 1, as L_0 >= 0
     m_lo, k_lo = _exp_fixed(-L[0][1], W, False)
@@ -595,10 +597,8 @@ def _product_at(cols: list, b: tuple, head: tuple[int, int], W: int) -> tuple[li
     return out, slack
 
 
-def _bracketed_product(
-    exps: tuple, head: tuple[int, int] = (1 << _W, 1 << _W), col0=None
-) -> list[tuple[int, int, int]]:
-    """Enclose d_0..d_K of C prod_p F(p; z) mod z^(K+1) over all primes, C 2^_W in ``head``.
+def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
+    """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1) over all primes.
 
     A local factor is described once, by its exponent rows ``exps``: entry 0
     holds e_0 < e_1 < ... with delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, and
@@ -614,22 +614,22 @@ def _bracketed_product(
     the signs are mixed, so each product takes the min and the max of its
     ends' products.  d_k = exp(-L_0) sum_j H_j g_{k-j} comes back as the
     exact integers (lo, hi, e) of [lo, hi] 2^e, for its publisher to round
-    outward once.  ``density()`` is K = 0, C its exceptional primes' correction.
+    outward once.  ``density()`` is K = 0, its default's one row.
 
     The first pass takes W = 256 fraction bits.  The head's slack S is below
     2^-60 of d_k >= 2^(n-1), n = bits(lo) + e, at W >= bits(S) + 61 - n, and
-    apart from a correction's width it is the same count at any W.  The
-    coefficients that need a wider W than the first (lo = 0 asks for over
-    640) are computed once more, up to the highest of them, at the widest W
-    they need, a multiple of 64 and at most 640.  A d_k is exactly 0 when k
-    is no sum of degrees j >= 1 with a non-empty row, since then no product
-    of the a_j reaches z^k: it comes back as (0, 0, e) and is never rerun.
+    it is the same count at any W.  The coefficients that need a wider W
+    than the first (lo = 0 asks for over 640) are computed once more, up to
+    the highest of them, at the widest W they need, a multiple of 64 and at
+    most 640.  A d_k is exactly 0 when k is no sum of degrees j >= 1 with a
+    non-empty row, since then no product of the a_j reaches z^k: it comes
+    back as (0, 0, e) and is never rerun.
     """
     b = _neglog_coeffs(exps)
     primes = [p for seg in prime_segments(MIN_TRUNCATION) for p in seg]
     cols = [_delta_quotients(primes, exps[0]) if col0 is None else col0(primes)]
     cols += [_delta_quotients(primes, e) for e in exps[1:]]
-    out, slack = _product_at(cols, b, head, _W_FIRST)
+    out, slack = _product_at(cols, b, _W_FIRST)
     bits = slack.bit_length()
     need = [bits + 61 - lo.bit_length() - e for lo, _, e in out]
     reach = [True]
@@ -640,40 +640,20 @@ def _bracketed_product(
     wider = [k for k, n in enumerate(need) if n > _W_FIRST]
     if wider:
         W = min(-(-max(need) // 64) * 64, _W_CAP)
-        again, _ = _product_at(cols, b[: wider[-1] + 1], head, W)
+        again, _ = _product_at(cols, b[: wider[-1] + 1], W)
         for k in wider:
             out[k] = again[k]
     return out
 
 
-def _estimate(
-    exps: tuple,
-    target_error: float,
-    *,
-    start: int = MIN_TRUNCATION,
-    truncation_prime: int | None = None,
-    head: tuple[int, int] = (1 << _W, 1 << _W),
-    col0=None,
-) -> DensityEstimate:
-    """H prod_p F(p) with F = 1 - delta and a bracket rounded outward once.
+def _publish(enclosure: tuple, P: int, target_error: float | None = None) -> DensityEstimate:
+    """``enclosure`` (lo, hi, e), [lo, hi] 2^e, rounded outward once and reported at prime P.
 
-    ``exps`` is (e,), the one row of delta(p) = sum_j (-1)^j p^-e_j; it,
-    ``head`` and ``col0`` go to ``_bracketed_product``.  The product is
-    reported at ``start``, or at ``truncation_prime``, at least ``start``,
-    when one is pinned: it moves no bracket, since the tail beyond 1000 is
-    enclosed whatever it is.  Without a pinned prime, a bracket wider than
-    ``target_error`` raises UnreachableTargetError.
+    A bracket wider than ``target_error``, if given, raises UnreachableTargetError.
     """
-    if truncation_prime is not None and truncation_prime < start:
-        raise ValueError(
-            f"truncation prime {truncation_prime} below required minimum {start}"
-        )
-    P = start if truncation_prime is None else truncation_prime
-    # before any float of P: a P of hundreds of digits would overflow
-    _check_budget(P)
-    value, lower, upper = _round_out(*_bracketed_product(exps, head, col0)[0])
+    value, lower, upper = _round_out(*enclosure)
     est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
-    if truncation_prime is None and est.width > target_error:
+    if target_error is not None and est.width > target_error:
         raise UnreachableTargetError(
             f"bracket width {est.width:.3e} > target {target_error:.3e} "
             f"at truncation prime {P}",
@@ -696,55 +676,58 @@ def density(
 ) -> DensityEstimate:
     """Natural density of {n : every prime exponent allowed by ``pap``}.
 
-    The density is the default's product times the correction
-    C = N / D over the exceptional primes, N the product of their own
-    factors and D of their default factors.  Both are taken exactly in
-    fixed point (``_head_product``), each enclosed between an integer and
-    that integer plus its number of factors, and C 2^_W lies in
-    [floor(N_lo 2^_W / D_hi), ceil(N_hi 2^_W / D_lo)], where D > 0.6: a
-    default that allows exponent 1 has every factor at least 1 - p^-2.
-    C is the start of the default's product, evaluated once at 1000
-    (``_bracketed_product``); the estimate is reported at
+    The density is the default's product, [lo, hi] 2^e from
+    ``_bracketed_product``, times the correction C = N / D over the
+    exceptional primes, N the product of their own factors and D of their
+    default factors.  Both are taken exactly in fixed point
+    (``_head_product``), a chunk of primes at a time, each enclosed between
+    an integer and that integer plus its number of factors, and C 2^_W lies
+    in [c_lo, c_hi] = [floor(N_lo 2^_W / D_hi), ceil(N_hi 2^_W / D_lo)],
+    where D > 0.6: a default that allows exponent 1 has every factor at
+    least 1 - p^-2.  The density is in the exact product [lo c_lo, hi c_hi]
+    2^(e - _W) of the two non-negative enclosures.  The engine never reruns
+    here: d_0 > 0.6 and its slack has 9 bits, so it needs 70 bits of its
+    first 256.  The estimate is reported at
     max(MIN_TRUNCATION, largest exceptional prime + 1), and a bracket wider
     than ``target_error`` raises UnreachableTargetError; pass
     ``truncation_prime`` to pin the reported prime instead, in which case
-    no width check is applied.  If the
-    default pattern allows everything, D = 1, the density is C, and no
-    width check applies; if it forbids exponent 1 the product diverges to
-    zero and the estimate is exactly 0 with ``diverges_to_zero`` set.
+    no width check is applied.  If the default pattern allows everything,
+    D = 1, the density is C, and no width check applies; if it forbids
+    exponent 1 the product diverges to zero and the estimate is exactly 0
+    with ``diverges_to_zero`` set.
     """
     _check_target(target_error)
     m = min_forbidden(pap.default)
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
-    groups = [
-        (primes[i : i + _CHUNK], pattern)
-        for primes, pattern in pap.runs()
-        for i in range(0, len(primes), _CHUNK)
-    ]
-    last = max((primes[-1] for primes, _ in groups), default=0)
-    if m is None and all(pattern.allows_everything() for _, pattern in groups):
+    runs = pap.runs()
+    last = max((primes[-1] for primes, _ in runs), default=0)
+    if m is None and all(pattern.allows_everything() for _, pattern in runs):
         return DensityEstimate(1.0, 1.0, 1.0, max(last, 2), 0.0)
 
     default_exps = _delta_exponents(pap.default)
     num = den = (1 << _W, 1 << _W)
-    for primes, pattern in groups:
-        num = _head_product(*_delta_quotients(primes, _delta_exponents(pattern)), *num)
-        if m is not None:
-            den = _head_product(*_delta_quotients(primes, default_exps), *den)
-    head = ((num[0] << _W) // den[1], -(-(num[1] << _W) // den[0]))
+    for primes, pattern in runs:
+        exps = _delta_exponents(pattern)
+        for i in range(0, len(primes), _CHUNK):
+            chunk = primes[i : i + _CHUNK]
+            num = _head_product(*_delta_quotients(chunk, exps), *num)
+            if m is not None:
+                den = _head_product(*_delta_quotients(chunk, default_exps), *den)
+    c_lo, c_hi = (num[0] << _W) // den[1], -(-(num[1] << _W) // den[0])
     if m is None:
         # one unit each way for the terms the quotients drop
-        value, lower, upper = _round_out(max(head[0] - 1, 0), head[1] + 1, -_W)
-        return DensityEstimate(value, lower, upper, max(last, 2), math.log(upper / lower))
+        return _publish((max(c_lo - 1, 0), c_hi + 1, -_W), max(last, 2))
 
-    return _estimate(
-        (default_exps,),
-        target_error,
-        start=max(MIN_TRUNCATION, last + 1),
-        truncation_prime=truncation_prime,
-        head=head,
-    )
+    start = max(MIN_TRUNCATION, last + 1)
+    P = start if truncation_prime is None else truncation_prime
+    if P < start:
+        raise ValueError(f"truncation prime {P} below required minimum {start}")
+    # before any float of P: a P of hundreds of digits would overflow
+    _check_budget(P)
+    lo, hi, e = _bracketed_product((default_exps,))[0]
+    target = target_error if truncation_prime is None else None
+    return _publish((lo * c_lo, hi * c_hi, e - _W), P, target)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +757,7 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
 
     # the row of the allowed exponents 1, 1 + ell, ... to 65, all that the tail reads
     exps = _delta_exponents(normalize_intervals([(e, e) for e in range(1, 66, ell)]))
-    return _estimate((exps,), target_error, col0=col0)
+    return _publish(_bracketed_product((exps,), col0)[0], MIN_TRUNCATION, target_error)
 
 
 def closed_form(
@@ -865,8 +848,7 @@ def closed_form(
         (lo0, hi0, e0), (lo1, hi1, e1) = _bracketed_product(exps)
         e = min(e0, e1)
         lo, hi = (lo0 << e0 - e) + (lo1 << e1 - e), (hi0 << e0 - e) + (hi1 << e1 - e)
-        value, lower, upper = _round_out(lo, hi, e)
-        return DensityEstimate(value, lower, upper, MIN_TRUNCATION, math.log(upper / lower))
+        return _publish((lo, hi, e), MIN_TRUNCATION)
     else:
         raise ValueError(f"unknown closed form {form!r}")
     pap = PrimeAwarePattern(default=normalize_intervals([(1, k - 1)]), exceptions=exceptions)

@@ -1,9 +1,11 @@
 """Output stays byte-identical: recorded requests print the same stdout and exit code.
 
 ``data/cli_stdout.json`` holds the stdout and exit code of the benchmark's
-CLI requests, of ``examples --output machine`` and of two wide ``series``
-requests, each run in process through ``cli.run``, and the brackets of a
-series whose weight takes no exponent to 1, so that its row 1 is empty.
+CLI requests, of ``examples --output machine``, of two wide ``series``
+requests, of the densities of the spec files under ``data/`` (one with a
+pinned truncation prime) and of two density requests that exit 2 and 1,
+each run in process through ``cli.run``, and the brackets of a series
+whose weight takes no exponent to 1, so that its row 1 is empty.
 """
 
 import io

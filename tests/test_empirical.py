@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expdens import empirical
+from expdens import empirical, patterns
 from expdens.empirical import (
     compare,
     count_pattern,
@@ -165,6 +165,28 @@ class TestCountPattern:
         )
         assert reference == 21_044
         assert count_pattern(x, POWERFUL).count == reference
+
+    def test_range_is_sieved_only_as_far_as_it_is_read(self, monkeypatch):
+        # a range that treats exponent 1 as the default does is read only to
+        # sqrt(x); one that flips exponent 1 is read to x
+        limits = []
+        sieve = patterns.sieve_primes
+
+        def recording(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(patterns, "sieve_primes", recording)
+        x = 10**6
+        kept = parse_prime_aware({"default": "1..1", "exceptions": {"p<=1000000": "1..2"}})
+        # every p with p^2 <= x allows 2, no p^3 divides: the cubefree count
+        mu = mobius(100)
+        assert count_pattern(x, kept).count == sum(mu[d] * (x // d**3) for d in range(1, 101))
+        assert limits and max(limits) <= math.isqrt(x)
+        limits.clear()
+        flipped = parse_prime_aware({"default": "1..1", "exceptions": {"p<=1000000": ""}})
+        assert count_pattern(x, flipped).count == 1
+        assert max(limits) == x
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):

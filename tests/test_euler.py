@@ -593,8 +593,8 @@ class TestFixedPoint:
         heads = []
         inner = expdens.euler._head_poly
 
-        def spy(cols, head, W, K):
-            H, slack = inner(cols, head, W, K)
+        def spy(cols, W, K):
+            H, slack = inner(cols, W, K)
             heads.append((H[0], slack, W))
             return H, slack
 
@@ -603,7 +603,42 @@ class TestFixedPoint:
         assert len(heads) <= 1
         return heads[0] if heads else None
 
-    def test_head_against_exact_product(self, monkeypatch):
+    @staticmethod
+    def _correction(pap, monkeypatch) -> tuple[int, int]:
+        """[c_lo, c_hi], C 2^-128 enclosed, as ``density`` scales the engine's d_0 by it."""
+        engine, published = [], []
+        inner_engine, inner_publish = expdens.euler._bracketed_product, expdens.euler._publish
+
+        def spy_engine(*args):
+            out = inner_engine(*args)
+            engine.extend(out)
+            return out
+
+        def spy_publish(enclosure, *args):
+            published.append(enclosure)
+            return inner_publish(enclosure, *args)
+
+        monkeypatch.setattr(expdens.euler, "_bracketed_product", spy_engine)
+        monkeypatch.setattr(expdens.euler, "_publish", spy_publish)
+        est = density(pap, 1.0)
+        if not published:
+            # every prime allows everything: the density is exactly 1
+            assert est.lower == est.upper == 1.0
+            return 1 << expdens.euler._W, 1 << expdens.euler._W
+        ((pub_lo, pub_hi, pub_e),) = published
+        if not engine:
+            # the default allows everything: the density is the correction,
+            # published one unit wider each way
+            assert pub_e == -expdens.euler._W
+            return pub_lo + 1, pub_hi - 1
+        ((lo, hi, e),) = engine
+        # the published enclosure is the exact product of the two
+        assert pub_e == e - expdens.euler._W
+        assert pub_lo % lo == 0 and pub_hi % hi == 0
+        return pub_lo // lo, pub_hi // hi
+
+    @staticmethod
+    def _head_cases() -> list[PrimeAwarePattern]:
         rng = random.Random(18)
         spec = load_spec(str(Path(__file__).resolve().parents[1] / "perfbench" / "odd_squarefree.json"))
         paps = [spec]
@@ -614,22 +649,30 @@ class TestFixedPoint:
                           for q in keys}
             if contains(default, 1):
                 paps.append(PrimeAwarePattern(default=default, exceptions=exceptions))
-        for pap in paps:
+        return paps
+
+    def test_head_against_exact_product(self, monkeypatch):
+        # the head is the default's product alone: 3 units for each prime up
+        # to 1000 and one for the dropped terms
+        for pap in self._head_cases():
             head = self._head(pap, monkeypatch)
             if head is None:
-                # the default allows everything: the density is the correction
-                est = density(pap, 1.0)
-                assert Fraction(est.lower) <= exact_head(pap) <= Fraction(est.upper)
                 continue
             H, slack, W = head
-            exact = exact_head(pap) * 2**W
+            exact = exact_head(PrimeAwarePattern(default=pap.default)) * 2**W
             assert H - 1 <= exact <= H + slack, pap
+            assert slack <= 3 * 168 + 1
+
+    def test_correction_against_exact_product(self, monkeypatch):
+        for pap in self._head_cases():
+            c_lo, c_hi = self._correction(pap, monkeypatch)
+            # every exceptional prime is below 1000
+            exact = exact_head(pap) / exact_head(PrimeAwarePattern(default=pap.default))
+            assert c_lo <= exact * 2**expdens.euler._W <= c_hi, pap
             # the correction's width for k exceptional primes at 2^-128: the k
             # units of N over D and of D times N / D^2, with D > 0.6 and
-            # N / D < 1 / 0.6, and one unit for each rounding; then 3 units
-            # for each prime up to 1000 and one for the dropped terms
-            width = 5 * len(pap.exceptions) + 2
-            assert slack <= (width << (W - expdens.euler._W)) + 3 * 168 + 1
+            # N / D < 1 / 0.6, and one unit for each rounding
+            assert c_hi - c_lo <= 5 * len(pap.exceptions) + 2
 
     def test_degree_zero_calls_no_libm_exp_or_log1p(self, monkeypatch):
         class NoExp:
@@ -702,8 +745,9 @@ def weight_case(w, K):
 
 def mod_periodic_engine_args(ell):
     """(col0, exps) as ``_mod_periodic`` passes them to the engine."""
-    with mock.patch.object(expdens.euler, "_estimate",
-                           lambda exps, target, *, col0: (col0, exps)):
+    with mock.patch.object(expdens.euler, "_bracketed_product",
+                           lambda exps, col0: [(col0, exps)]), \
+         mock.patch.object(expdens.euler, "_publish", lambda enclosure, P, target: enclosure):
         return expdens.euler._mod_periodic.__wrapped__(ell, 1.0)
 
 

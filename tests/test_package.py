@@ -296,15 +296,30 @@ def test_engine_reads_a_factor_by_its_rows_alone():
                     isinstance(a, ast.Attribute) and a.attr == "weight" for a in passed
                 ), (name, node.lineno)
                 callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if callee in ("_bracketed_product", "_estimate"):
+                if callee == "_bracketed_product":
                     assert not any(isinstance(a, ast.Lambda) for a in passed), (name, node.lineno)
                 # the quotient format has one owner
                 assert not (name == "series" and callee == "_delta_quotients"), node.lineno
     (engine,) = [node for node in ast.walk(trees["euler"])
                  if isinstance(node, ast.FunctionDef) and node.name == "_bracketed_product"]
     params = engine.args
-    assert [a.arg for a in params.posonlyargs + params.args] == ["exps", "head", "col0"]
+    assert [a.arg for a in params.posonlyargs + params.args] == ["exps", "col0"]
     assert not (params.vararg or params.kwonlyargs or params.kwarg)
+    # the engine encloses the product alone, and one step per caller kind
+    # rounds an enclosure: _publish for every estimate, density_series for a
+    # series
+    functions = {(name, node.name): node for name, tree in trees.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert ("euler", "_estimate") not in functions
+
+    def round_outs(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_round_out"]
+
+    owners = [len(round_outs(functions[key])) for key in
+              (("euler", "_publish"), ("series", "density_series"))]
+    assert all(owners)
+    assert sum(owners) == sum(len(round_outs(tree)) for tree in trees.values())
 
 
 def test_numpy_is_a_test_dependency_only():
