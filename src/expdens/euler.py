@@ -50,7 +50,8 @@ the exp of the tail series is taken in integer interval arithmetic, so each
 d_k comes out as one exact integer enclosure, which its publisher rounds to
 float once (``_publish``, or ``series.density_series``).  W is 256 bits,
 or up to 640 where the head's rounding would widen a small coefficient.
-``density()`` is its case K = 0, one row.
+``density()`` is its case K = 0, one row, and ``zeta_int``, ``_prime_zeta``
+and ``prime_sum`` are the engine quotients 1/d_0 and d_1/d_0.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ from .patterns import (
     normalize_intervals,
     parse_prime_aware,
 )
-from .primes import _check_budget, is_prime, prime_segments, sieve_primes
+# sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it by name.
+from .primes import _check_budget, is_prime, prime_segments, sieve_primes  # noqa: F401
 
 DEFAULT_TARGET_ERROR = 1e-8
 # Smallest truncation prime, and the end of the exact head.  Beyond it the
@@ -82,23 +84,6 @@ MIN_TRUNCATION = 1000
 _SERIES_DEGREE = 64
 # Exceptional primes per chunk of quotients.
 _CHUNK = 1 << 16
-# Unit roundoff of float64.
-_U = 2.0**-53
-# Euler-Maclaurin summation for zeta_int: terms n < _EM_TERMS are summed
-# directly, then the corrections with B_2 .. B_16; B_18 bounds the remainder.
-# Each Bernoulli number is a (numerator, denominator) pair.
-_EM_TERMS = 16
-_BERNOULLI = (
-    (1, 6),
-    (-1, 30),
-    (1, 42),
-    (-1, 30),
-    (5, 66),
-    (-691, 2730),
-    (7, 6),
-    (-3617, 510),
-    (43867, 798),
-)
 # [lo_t, hi_t] for t = 2..64: two adjacent floats with
 # lo_t <= T_t(1000) = sum_{p > 1000} p^-t <= hi_t, from P(t) - sum_{p <= 1000} p^-t
 # with mpmath's prime zeta P at 40 + 3t digits.  tests/test_euler.py
@@ -238,61 +223,33 @@ def brackets_overlap(a: DensityEstimate, b: DensityEstimate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Zeta and prime-zeta constants
+# Zeta and prime-zeta constants.  Mod z^2, prod_p (a_0 + a_1 z) is
+# d_0 (1 + z sum_p a_1 / a_0), so d_1 / d_0 = sum_p a_1 / a_0: p^-s for
+# a_1 = p^-s - p^-2s, and 1 / (p^k - 1) for a_1 = p^-k.  Each a_0 + a_1 <= 1,
+# and each p^-t has at most 2 in absolute value over both rows, as ``_CUT`` asks.
+
+
+def _ratio(num: tuple, den: tuple) -> BoundedValue:
+    """num / den for enclosures (lo, hi, e) of [lo, hi] 2^e, den's lo > 0.
+
+    The ends floor(n_lo 2^q / d_hi) and ceil(n_hi 2^q / d_lo), q bits past
+    d_hi's length, are rounded outward to float once.  value is their mean
+    and error their difference, exact by Sterbenz's lemma when upper <= 2
+    lower or when lower is 0, and otherwise far above the mean's rounding.
+    """
+    (n_lo, n_hi, e_n), (d_lo, d_hi, e_d) = num, den
+    q = d_hi.bit_length() + 64
+    lower = _to_float((n_lo << q) // d_hi, e_n - e_d - q, False)
+    upper = _to_float(-(-(n_hi << q) // d_lo), e_n - e_d - q, True)
+    return BoundedValue((lower + upper) / 2, upper - lower)
 
 
 @lru_cache(maxsize=256)
 def zeta_int(s: int) -> BoundedValue:
-    """zeta(s) for integer s >= 2 by Euler-Maclaurin summation, in exact rationals.
-
-    zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
-              + sum_{k=1..K} B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) + R
-    with N = 16 and K = 8.  For real s, |R| is at most the first omitted
-    term (Edwards, "Riemann's Zeta Function", 6.4), below 1e-21.  The
-    rational sum is rounded to float once, so the error bar is that term
-    plus one ulp.  From s = 54 on, 0 < zeta(s) - 1 <= 2^(1-s) <= 2^-53, so
-    the value is 1.0 within 2u and no sum is built.
-    """
+    """zeta(s) for integer s >= 2, as 1 / d_0 of prod_p (1 - p^-s)."""
     if s < 2:
         raise ValueError("zeta_int requires s >= 2")
-    if s >= 54:
-        return BoundedValue(1.0, 2 * _U)
-    from fractions import Fraction
-
-    n_max = _EM_TERMS
-    total = sum(Fraction(1, n**s) for n in range(1, n_max))
-    total += Fraction(1, (s - 1) * n_max ** (s - 1)) + Fraction(1, 2 * n_max**s)
-    rising = Fraction(s)  # s (s+1) ... (s+2k-2)
-    factorial = 2  # (2k)!
-    for k, bernoulli in enumerate(_BERNOULLI, start=1):
-        term = Fraction(*bernoulli) * rising / (factorial * n_max ** (s + 2 * k - 1))
-        if k < len(_BERNOULLI):
-            total += term
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        factorial *= (2 * k + 1) * (2 * k + 2)
-    value = float(total)
-    return BoundedValue(value, 2 * _U * value + float(abs(term)) * (1 + 4 * _U))
-
-
-def _all_primes_sum(den, ts: range) -> BoundedValue:
-    """sum over all primes of 1 / den(p), whose series in 1/p has coefficient 1
-    at each t <= 64 of ``ts`` and 0 at every other t <= 64.
-
-    Primes up to ``MIN_TRUNCATION`` are summed directly, each term one
-    correctly rounded division of integers and the fsum one more rounding,
-    so 3u of the direct sum covers both.  The rest is the prime-zeta tail
-    sum_{p > P} sum_t c_t p^-t, enclosed by ``_tail_fixed`` exactly as the
-    tail of a density, its cut covering the terms t > 64.  The tail's width
-    covers its half-width, and 4u of direct + value the direct sum, the
-    roundings of the tail's midpoint, of the sum and of the bound itself.
-    """
-    P = MIN_TRUNCATION
-    direct = math.fsum([1 / den(p) for p in sieve_primes(P).primes.tolist()])
-    # c_t = -b_t / t = 1
-    lo, hi = _tail_fixed([-t * (t in ts) for t in range(_SERIES_DEGREE + 1)], _W_FIRST)
-    lo = max(lo, 0)
-    value = direct + (lo + hi) / (2 << _W_FIRST)
-    return BoundedValue(value, (hi - lo) / (1 << _W_FIRST) + 4 * _U * (direct + value))
+    return _ratio((1, 1, 0), _bracketed_product(((s,),))[0])
 
 
 @lru_cache(maxsize=256)
@@ -300,14 +257,16 @@ def _prime_zeta(s: int) -> BoundedValue:
     """sum over all primes of p^-s, s >= 2."""
     if s < 2:
         raise ValueError("prime zeta evaluated only for s >= 2")
-    return _all_primes_sum(lambda p: p**s, range(s, s + 1))
+    d_0, d_1 = _bracketed_product(((s,), (s, 2 * s)))
+    return _ratio(d_1, d_0)
 
 
 def prime_sum(k: int) -> BoundedValue:
     """sum over all primes of 1 / (p^k - 1) = sum_{j >= 1} p^-jk, k >= 2."""
     if k < 2:
         raise ValueError("prime_sum requires k >= 2")
-    return _all_primes_sum(lambda p: p**k - 1, range(k, _SERIES_DEGREE + 1, k))
+    d_0, d_1 = _bracketed_product(((k,), (k,)))
+    return _ratio(d_1, d_0)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +715,8 @@ def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
         return [num for num, _ in pairs], [den for _, den in pairs]
 
     # the row of the allowed exponents 1, 1 + ell, ... to 65, all that the tail reads
-    exps = _delta_exponents(normalize_intervals([(e, e) for e in range(1, 66, ell)]))
+    allowed = range(1, _SERIES_DEGREE + 2, ell)
+    exps = _delta_exponents(normalize_intervals([(e, e) for e in allowed]))
     return _publish(_bracketed_product((exps,), col0)[0], MIN_TRUNCATION, target_error)
 
 

@@ -557,6 +557,12 @@ def oracle_mod_periodic(ell: int) -> mpmath.mpf:
         return +value
 
 
+def inverse_zeta(k: int) -> mpmath.mpf:
+    """1 / zeta(k) to 40 digits, from mpmath's zeta, not from the product engine."""
+    with mpmath.workdps(ORACLE_DPS):
+        return 1 / mpmath.zeta(k)
+
+
 def oracle_prime_sum(k: int) -> mpmath.mpf:
     """sum over all primes of 1 / (p^k - 1) to 40 digits."""
     with mpmath.workdps(ORACLE_DPS):

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  Numeric targets are derived from the library's independent
-oracle paths (zeta summation, sieve counts), never asserted from memory.
+oracle paths (mpmath's zeta, sieve counts), never asserted from memory.
 """
 
 import random
@@ -14,7 +14,6 @@ from expdens.euler import (
     closed_form,
     density,
     local_factor_interval,
-    zeta_int,
 )
 from expdens.patterns import (
     EMPTY_PATTERN,
@@ -28,6 +27,7 @@ from helpers import (
     assert_below_partial,
     exp_odd_factor,
     gap_factor,
+    inverse_zeta,
     local_factor_general,
     partial_euler_product,
     random_pattern,
@@ -53,7 +53,7 @@ def test_criterion_1_squarefree():
         pap = PrimeAwarePattern(default=parse_pattern("1..1"))
         est = density(pap, 1e-9)
         assert est.width <= 1e-9
-        assert abs(est.value - 1.0 / zeta_int(2).value) <= 1e-9
+        assert abs(est.value - inverse_zeta(2)) <= 1e-9
         rep = count_pattern(X, pap)
         assert compare(est, rep, COUNT_TOL).passed
 
@@ -63,7 +63,7 @@ def test_criterion_2_cubefree():
         pap = PrimeAwarePattern(default=parse_pattern("1..2"))
         est = density(pap, 1e-9)
         assert est.width <= 1e-9
-        assert abs(est.value - 1.0 / zeta_int(3).value) <= 1e-9
+        assert abs(est.value - inverse_zeta(3)) <= 1e-9
         rep = count_pattern(X, pap)
         assert compare(est, rep, COUNT_TOL).passed
 
@@ -102,7 +102,7 @@ def test_criterion_4_exponentially_odd():
 def test_criterion_5_kfree_coprime_to_primorial():
     with criterion(5, "squarefree coprime to 6: closed form, product, sieve"):
         cf = closed_form("ex1", q=3, k=2)
-        assert abs(cf.value - 0.5 / zeta_int(2).value) <= 1e-10
+        assert abs(cf.value - inverse_zeta(2) / 2) <= 1e-10
         pap = PrimeAwarePattern(
             default=parse_pattern("1..1"),
             exceptions={2: EMPTY_PATTERN, 3: EMPTY_PATTERN},

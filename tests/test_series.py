@@ -2,11 +2,12 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from helpers import free_at_one_weights, small_weights
+from helpers import free_at_one_weights, inverse_zeta, small_weights
 from hypothesis import assume, given, settings
 
-from expdens.euler import _delta_quotients, brackets_overlap, density, zeta_int
+from expdens.euler import _delta_quotients, brackets_overlap, density
 from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden, parse_pattern
+from expdens.primes import sieve_primes
 from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
@@ -87,12 +88,12 @@ class TestLocalPoly:
 class TestDensitySeries:
     def test_squarefree_indicator_series(self):
         ds = density_series(SQUAREFREE_W, K=3, truncation_prime=10**5)
-        assert ds.coeffs[0] == pytest.approx(1.0 / zeta_int(2).value, abs=1e-4)
+        assert ds.coeffs[0] == pytest.approx(float(inverse_zeta(2)), abs=1e-4)
         assert ds.coeffs[1] > ds.coeffs[2] > 0.0
 
     def test_excess_k0_is_squarefree_density(self):
         ds = density_series(ExponentWeight.excess(), K=0, truncation_prime=10**5)
-        assert ds.coeffs[0] == pytest.approx(1.0 / zeta_int(2).value, abs=1e-4)
+        assert ds.coeffs[0] == pytest.approx(float(inverse_zeta(2)), abs=1e-4)
 
     def test_zero_weight_concentrates_at_zero(self):
         ds = density_series(ExponentWeight.zero(), K=4, truncation_prime=10**4)
@@ -147,6 +148,20 @@ class TestDensitySeries:
         ds = density_series(w, 2)
         for k in (1, 2):
             assert ds.lower[k] == 0.0 < ds.upper[k]
+
+    @pytest.mark.parametrize("e", [1100, 1101, 2000])
+    def test_a_weight_whose_quotients_are_all_cut_is_published_above_zero(self, e):
+        # weight 1 only at exponent e: every head quotient of row 1 is cut to
+        # 0, yet d_1 > 0 is published as [0, upper], never as [0, 0]
+        w = ExponentWeight((
+            (ExponentInterval(1, e - 1), 0, 0),
+            (ExponentInterval(e, e), 0, 1),
+            (ExponentInterval(e + 1, None), 0, 0),
+        ))
+        primes = sieve_primes(1000).primes.tolist()
+        assert not any(_delta_quotients(primes, _row_exponents(w, 1)[1])[0])
+        ds = density_series(w, 1)
+        assert ds.lower[1] == 0.0 < ds.upper[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
