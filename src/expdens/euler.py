@@ -30,9 +30,10 @@ the pattern.  ``_TAIL_1000`` holds T_t(1000) for t = 2..64 between two
 adjacent floats, computed once from prime zeta at high precision and
 checked by the tests.  So the sieve runs only to 1000, no zeta value is
 computed at run time, and neither an exceptional prime nor a pinned
-truncation prime moves the split.  The log enclosure is taken in fixed
-point, exponentiated there with a counted error, multiplied by the head
-and rounded outward to float once, so a bracket is one or two ulp wide.
+truncation prime moves the split.  The log enclosure, below 2^-12, is
+taken in fixed point, exponentiated there by its Taylor series with a
+counted error, multiplied by the head and rounded outward to float once,
+so a bracket is one or two ulp wide.
 The published [lower, upper] holds the true density with every error term
 and all float roundoff included (Ettahri, Ramare and Surel, "Fast
 multi-precision computation of some Euler products", Math. Comp. 2021;
@@ -246,10 +247,11 @@ def _ratio(num: tuple, den: tuple) -> BoundedValue:
 
 @lru_cache(maxsize=256)
 def zeta_int(s: int) -> BoundedValue:
-    """zeta(s) for integer s >= 2, as 1 / d_0 of prod_p (1 - p^-s)."""
+    """zeta(s) for integer s >= 2, as 1 / d_0 of prod_p (1 - p^-s) < 1."""
     if s < 2:
         raise ValueError("zeta_int requires s >= 2")
-    return _ratio((1, 1, 0), _bracketed_product(((s,),))[0])
+    lo, hi, e = _bracketed_product(((s,),))[0]
+    return _ratio((1, 1, 0), (lo, min(hi, 1 << -e), e))
 
 
 @lru_cache(maxsize=256)
@@ -377,13 +379,6 @@ _W = 128
 # beyond 640 the cut ``_CUT`` outweighs the head's rounding.
 _W_FIRST = 256
 _W_CAP = 640
-# floor(2^_W_CAP ln 2); tests/test_euler.py checks it against mpmath.
-_LN2 = int(
-    "B17217F7D1CF79ABC9E3B39803F2F6AF40F343267298B62D8A0D175B8BAAFA2BE7B87620"
-    "6DEBAC98559552FB4AFA1B10ED2EAE35C138214427573B291169B8253E96CA16224AE8C5"
-    "1ACBDA11317C387E",
-    16,
-)
 # The terms t > 64 of a tail beyond 1000.  Beyond t = 64 the coefficients of
 # -log F(p; z), all z-degrees together, are at most 2^t / t in absolute value,
 # those of -log(1 - 2 x^2 / (1 - x)).  Every prime p > 1000 is at least
@@ -473,31 +468,28 @@ def _tail_fixed(b: tuple[int, ...], W: int) -> tuple[int, int]:
     return lo - cut, hi + cut
 
 
-def _exp_fixed(X: int, W: int, up: bool) -> tuple[int, int]:
-    """(M, k) with M 2^(k - W) >= exp(X 2^-W) when ``up``, else <= it; W <= 640.
+def _exp_fixed(Y: int, W: int, up: bool) -> int:
+    """M with M 2^-W <= exp(-y), y = Y 2^-W in [0, 1/2], or M 2^-W >= it when ``up``.
 
-    x = X 2^-W reduces to r = x - k ln 2, k the integer nearest x / ln 2.
-    With L = floor(2^W ln 2), taken from ``_LN2``, L <= 2^W ln 2 < L + 1,
-    so 2^W r lies in [R - k, R] for k >= 0 and in [R, R - k] for k < 0,
-    R = X - k L, and the end taken keeps |r| < 1/2.  The Taylor series of
-    exp(r) runs on |R|, with terms A_n = floor(A_{n-1} |R| / (n 2^W)) below
-    their exact values a_n = 2^W |r|^n / n! by e_n < 1 + e_{n-1} / 2 < 2,
-    and stops at the first A_N = 0, where a_N = e_N < 2 and the terms after
-    it add up to less than a_N.  So the signed sum is within 2N + 2 of
-    2^W exp(r) (Brent and Zimmermann, "Modern Computer Arithmetic", 2010,
+    Every caller passes an end of the tail's log L_0 = sum_{p > 1000} -log F(p):
+    each product the engine encloses allows exponent 1, so F(p) >= 1 - p^-2
+    and L_0 < 1.3e-4 < 2^-12; a Y outside [0, 2^(W-1)] raises ValueError.
+    The Taylor terms A_n = floor(A_{n-1} Y / (n 2^W)) lie below their exact
+    values a_n = 2^W y^n / n! by e_n < 1 + e_{n-1} / 2 < 2, and the series
+    stops at the first A_N = 0, where a_N = e_N < 2 and the terms after it
+    add up to less than a_N.  So the alternating sum is within 2N + 2 of
+    2^W exp(-y) (Brent and Zimmermann, "Modern Computer Arithmetic", 2010,
     ch. 4).
     """
-    ln2 = _LN2 >> (_W_CAP - W)
-    k = (2 * X + ln2) // (2 * ln2)
-    R = X - k * ln2
-    R = R + max(-k, 0) if up else R - max(k, 0)
+    if not 0 <= Y <= 1 << (W - 1):
+        raise ValueError(f"exp(-Y 2^-{W}) needs 0 <= Y <= 2^{W - 1}")
     term = total = 1 << W
     n = 0
     while term:
         n += 1
-        term = term * abs(R) // (n << W)
-        total += -term if R < 0 and n & 1 else term
-    return (total + 2 * n + 2 if up else total - 2 * n - 2), k
+        term = term * Y // (n << W)
+        total += -term if n & 1 else term
+    return total + 2 * n + 2 if up else total - 2 * n - 2
 
 
 def _to_float(M: int, e: int, up: bool) -> float:
@@ -532,11 +524,8 @@ def _product_at(cols: list, b: tuple, W: int) -> tuple[list[tuple], int]:
     K = len(b) - 1
     H, slack = _head_poly(cols, W, K)
     L = [_tail_fixed(row, W) for row in b]
-    # exp(-L_0) <= 1, as L_0 >= 0
-    m_lo, k_lo = _exp_fixed(-L[0][1], W, False)
-    m_hi, k_hi = _exp_fixed(-max(L[0][0], 0), W, True)
-    e_lo = m_lo << k_lo if k_lo >= 0 else m_lo >> -k_lo
-    e_hi = m_hi << k_hi if k_hi >= 0 else -(-m_hi >> -k_hi)
+    e_lo = _exp_fixed(L[0][1], W, False)
+    e_hi = _exp_fixed(max(L[0][0], 0), W, True)
     g = [(1 << W, 1 << W)]
     for k in range(1, K + 1):
         lo = hi = 0
@@ -568,7 +557,8 @@ def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
     given, is a closed form of column 0.  The rest enter through
     L = sum_{p > 1000} -log F(p; z), whose coefficients ``_neglog_coeffs``
     derives from ``exps``, each z-degree enclosed by ``_tail_fixed``, and
-    exp(-L) = exp(-L_0) g(z): exp(-L_0) from ``_exp_fixed``, and g_0 = 1,
+    exp(-L) = exp(-L_0) g(z): exp(-L_0) from ``_exp_fixed``, a Taylor
+    series at L_0 < 2^-12 (row 0 allows exponent 1), and g_0 = 1,
     k g_k = sum_{j=1..k} j s_j g_{k-j} with s = -L, in integer intervals;
     the signs are mixed, so each product takes the min and the max of its
     ends' products.  d_k = exp(-L_0) sum_j H_j g_{k-j} comes back as the

@@ -3,9 +3,11 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -605,3 +607,20 @@ def test_help_prints_the_usage(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert all(name in captured.out for name in [*_DISPATCH, *_FLAGS])  # --weight included
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``expdens ...`` lines of README's CLI block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("expdens ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_exits_zero(line, monkeypatch, capsys):
+    # README's examples run from the root of the repository
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(line)[1:]) == EXIT_OK, capsys.readouterr().err

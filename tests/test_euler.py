@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expdens.euler
+from expdens.cli import _CATALOG_ROWS
 from expdens.euler import (
     MIN_TRUNCATION,
     DensityEstimate,
@@ -54,12 +55,14 @@ from helpers import (
     partial_euler_product,
     prime_tail,
     random_pattern,
+    random_small_pap,
     small_weights,
     tail_1000,
     tail_1000_by_moebius,
     tail_table,
     table_weight,
 )
+from test_bracket_guard import SWEEP_WEIGHTS
 
 SQUAREFREE = PrimeAwarePattern(default=parse_pattern("1..1"))
 
@@ -91,9 +94,10 @@ class TestZeta:
             zeta_int(1)
 
     def test_error_bars_hold_against_mpmath(self):
-        # past s = 64 the engine's tail is its cut alone
+        # past s = 64 the engine's tail is its cut alone, and from s = 248 on
+        # zeta(s) rounds to 1.0 with d_0's upper end capped at 1
         with mpmath.workdps(40):
-            for s in range(2, 129):
+            for s in [*range(2, 301), 1000, 2000]:
                 z = zeta_int(s)
                 assert abs(mpmath.mpf(z.value) - mpmath.zeta(s)) <= z.error
                 assert z.error <= 2.5e-16 * z.value
@@ -548,28 +552,59 @@ class TestDensity:
 
 
 class TestFixedPoint:
-    def test_ln2_constant(self):
-        euler = expdens.euler
-        with mpmath.workprec(euler._W_CAP + 100):
-            assert euler._LN2 == int(mpmath.floor(mpmath.log(2) * 2**euler._W_CAP))
-
     @settings(max_examples=400, deadline=None)
     @given(
-        st.one_of(st.floats(-745.0, 0.0), st.floats(-(2.0**-20), 2.0**-20)),
+        st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 2.0**-20)),
         st.sampled_from(range(256, 641, 64)),
     )
-    def test_exp_encloses_the_true_value(self, x, W):
+    def test_exp_encloses_the_true_value(self, y, W):
         euler = expdens.euler
-        X = math.floor(Fraction(x) * 2**W)
-        m_lo, k_lo = euler._exp_fixed(X, W, False)
-        m_hi, k_hi = euler._exp_fixed(X + (X != Fraction(x) * 2**W), W, True)
-        lower = euler._to_float(m_lo, k_lo - W, False)
-        upper = euler._to_float(m_hi, k_hi - W, True)
+        Y = math.floor(Fraction(y) * 2**W)
+        m_lo = euler._exp_fixed(Y + (Y != Fraction(y) * 2**W), W, False)
+        m_hi = euler._exp_fixed(Y, W, True)
+        lower = euler._to_float(m_lo, -W, False)
+        upper = euler._to_float(m_hi, -W, True)
         with mpmath.workprec(W + 64):
-            truth = mpmath.exp(mpmath.mpf(x))
-            assert mpmath.ldexp(m_lo, k_lo - W) <= truth <= mpmath.ldexp(m_hi, k_hi - W)
+            truth = mpmath.exp(-mpmath.mpf(y))
+            assert mpmath.ldexp(m_lo, -W) <= truth <= mpmath.ldexp(m_hi, -W)
             assert mpmath.mpf(lower) <= truth <= mpmath.mpf(upper)
         assert upper <= math.nextafter(math.nextafter(lower, math.inf), math.inf)
+
+    @pytest.mark.parametrize("W", [256, 640])
+    def test_exp_refuses_an_argument_outside_its_range(self, W):
+        for Y in (-1, 2 ** (W - 1) + 1):
+            for up in (False, True):
+                with pytest.raises(ValueError):
+                    expdens.euler._exp_fixed(Y, W, up)
+
+    def test_exp_argument_is_below_two_to_the_minus_twelve(self, monkeypatch):
+        # every product the engine encloses allows exponent 1, so the tail's
+        # log L_0 stays below 1.3e-4 < 2^-12, as _exp_fixed's docstring says
+        euler = expdens.euler
+        seen = []
+        inner = euler._exp_fixed
+
+        def spy(Y, W, up):
+            seen.append((Y, W))
+            return inner(Y, W, up)
+
+        monkeypatch.setattr(euler, "_exp_fixed", spy)
+        for cached in (euler.zeta_int, euler._interval_density, euler._mod_periodic):
+            cached.cache_clear()
+        rng = random.Random(1)
+        for _ in range(40):
+            density(random_small_pap(rng), truncation_prime=MIN_TRUNCATION)
+        for _, kwargs in _CATALOG_ROWS:
+            closed_form(**kwargs)
+        for w in SWEEP_WEIGHTS.values():
+            density_series(w, 8)
+        density_series(ExponentWeight.excess(), 198)
+        for s in range(2, 301):
+            zeta_int(s)
+            prime_sum(s)
+        assert len(seen) >= 2 * 2 * 299
+        for Y, W in seen:
+            assert 0 <= Y < 1 << (W - 12), (Y, W)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 1900), st.fractions(0, 1), st.fractions(0, 1))
