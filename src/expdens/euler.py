@@ -7,10 +7,10 @@ product of per-prime local factors
                           p^-lo - p^-(hi+1)
 
 (the second term drops when hi is unbounded).  A factor is described
-once, by the exponents e_0 < e_1 < ... of delta(p) = sum_j (-1)^j p^-e_j
-(``_delta_exponents``), and every prime's delta, with its own pattern or
-the default, is one exact integer quotient num / p^E of them
-(``_delta_quotients``).
+once, by the exponents e_0 < e_1 < ... of delta(p) = sum_j (-1)^j p^-e_j,
+the forbidden pattern's ends (``_delta_exponents``), and every prime's
+delta, with its own pattern or the default, is one exact integer quotient
+num / p^E of them (``_delta_quotients``).
 
 A density follows the default pattern at every prime but a finite set E
 of exceptional primes, so it is the default's product times the finite
@@ -278,19 +278,14 @@ def prime_sum(k: int) -> BoundedValue:
 _CAP_BITS = 1100
 
 
-def _interval_exponents(ivs) -> tuple[int, ...]:
-    """e_0 < e_1 < ... with sum_j (-1)^j p^-e_j = (1 - 1/p) sum_{i in ivs} p^-i.
-
-    Each of the disjoint, non-adjacent intervals [lo, hi] gives
-    p^-lo - p^-(hi+1), or p^-lo when unbounded.
-    """
-    return tuple(e for iv in ivs for e in ((iv.lo,) if iv.hi is None else (iv.lo, iv.hi + 1)))
-
-
-@lru_cache(maxsize=256)
 def _delta_exponents(pattern: ExponentPattern) -> tuple[int, ...]:
-    """e_0 < e_1 < ... with delta(p) = sum_j (-1)^j p^-e_j under ``pattern``."""
-    return _interval_exponents(complement(pattern).intervals)
+    """e_0 < e_1 < ... with delta(p) = sum_j (-1)^j p^-e_j under ``pattern``.
+
+    These are the forbidden exponents' ends: each forbidden [lo, hi] gives
+    (1 - 1/p) sum_{lo <= i <= hi} p^-i = p^-lo - p^-(hi+1), or p^-lo when
+    unbounded.
+    """
+    return complement(pattern).ends
 
 
 def _delta_quotients(primes, exps: tuple[int, ...]) -> tuple[list[int], list[int]]:

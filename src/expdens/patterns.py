@@ -2,10 +2,11 @@
 
 An integer qualifies for a pattern when the exponent of every prime in its
 factorization is allowed.  Exponent 0 (prime absent) is always allowed and is
-never written explicitly, so n = 1 qualifies for every pattern.  Patterns are
-unions of integer intervals, normalized to a sorted, strictly separated
-canonical form.  Per-prime rules (finitely many exceptional primes on top of
-one default) are captured by PrimeAwarePattern.
+never written explicitly, so n = 1 qualifies for every pattern.  A pattern is
+a union of integer intervals, held as its boundary list: the ascending
+exponents at which allowed and forbidden alternate, from 1 up.  Per-prime
+rules (finitely many exceptional primes on top of one default) are captured
+by PrimeAwarePattern.
 
 The text DSL is comma-separated terms ``a``, ``a..b`` or ``a..inf``; an empty
 string denotes the empty pattern (no positive exponent allowed).
@@ -14,11 +15,12 @@ string denotes the empty pattern (no positive exponent allowed).
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
-from operator import and_, rshift
+from operator import and_, itemgetter, lt, rshift
 
 from ._record import record
 from .primes import _check_budget, _odd_flags, is_prime, sieve_primes
@@ -64,32 +66,33 @@ class ExponentInterval:
 
 @record
 class ExponentPattern:
-    """Normalized union of allowed-exponent intervals.
+    """The allowed exponents, held as the pattern's boundary list ``ends``.
 
-    Invariants: sorted ascending, strictly separated (prev.hi + 1 < next.lo),
-    at most one unbounded interval and only in last position.  The empty
-    tuple is legal and allows no positive exponent.
+    ``ends`` is a_1, b_1 + 1, a_2, b_2 + 1, ... for the allowed intervals
+    [a_i, b_i], strictly ascending from 1 up; an odd length means the last
+    interval is unbounded.  So exponent a is allowed iff an odd number of
+    ends are <= a, and the empty tuple allows no positive exponent.
+    ``intervals`` is the same pattern as ExponentInterval records.
     """
 
-    intervals: tuple[ExponentInterval, ...]
+    ends: tuple[int, ...]
 
     def __post_init__(self):
-        prev: ExponentInterval | None = None
-        for iv in self.intervals:
-            if prev is not None:
-                if prev.hi is None:
-                    raise ValueError("unbounded interval must be last")
-                if prev.hi + 1 >= iv.lo:
-                    raise ValueError(
-                        f"intervals {prev} and {iv} overlap or touch; normalize first"
-                    )
-            prev = iv
+        ends = self.ends
+        if (ends and ends[0] < 1) or not all(map(lt, ends, ends[1:])):
+            raise ValueError("pattern ends must ascend strictly from 1 up")
+
+    @property
+    def intervals(self) -> tuple[ExponentInterval, ...]:
+        # an odd length leaves the last lower end without an end: hi None
+        his = [end - 1 for end in self.ends[1::2]] + [None]
+        return tuple(map(ExponentInterval, self.ends[::2], his))
 
     def __str__(self) -> str:
-        return ",".join(str(iv) for iv in self.intervals)
+        return ",".join(map(str, self.intervals))
 
     def allows_everything(self) -> bool:
-        return len(self.intervals) == 1 and self.intervals[0] == ExponentInterval(1, None)
+        return self.ends == (1,)
 
 
 @record
@@ -165,68 +168,50 @@ def normalize_intervals(
     result covers exactly the union of the inputs.  hi=None marks an
     unbounded interval.  Rejects lo < 1 and bounded hi < lo.
     """
-    items: list[tuple[int, int | None]] = []
-    for lo, hi in raw:
+    ends: list[int] = []
+    for lo, hi in sorted(raw, key=itemgetter(0)):
         if lo < 1:
             raise ValueError(f"exponent intervals start at 1, got lo={lo}")
         if hi is not None and hi < lo:
             raise ValueError(f"interval [{lo}, {hi}] is empty")
-        items.append((lo, hi))
-    items.sort(key=lambda t: t[0])
-    merged: list[tuple[int, int | None]] = []
-    for lo, hi in items:
-        if merged:
-            cur_lo, cur_hi = merged[-1]
-            if cur_hi is None:
-                continue  # an unbounded interval absorbs everything after it
-            if lo <= cur_hi + 1:
-                if hi is None or hi > cur_hi:
-                    merged[-1] = (cur_lo, hi)
-                continue
-        merged.append((lo, hi))
-    return ExponentPattern(tuple(ExponentInterval(lo, hi) for lo, hi in merged))
+        if len(ends) & 1:
+            continue  # an unbounded interval absorbs everything after it
+        if ends and lo <= ends[-1]:
+            end = ends.pop()  # [lo, hi] overlaps or touches the last interval
+            if hi is not None and hi < end:
+                hi = end - 1
+        else:
+            ends.append(lo)
+        if hi is not None:
+            ends.append(hi + 1)
+    return ExponentPattern(tuple(ends))
 
 
-EMPTY_PATTERN = normalize_intervals([])
+EMPTY_PATTERN = ExponentPattern(())
 
 
 def contains(pattern: ExponentPattern, alpha: int) -> bool:
     """True iff exponent alpha (>= 1) is allowed by the pattern."""
     if alpha < 1:
         raise ValueError(f"exponents are >= 1, got {alpha}")
-    ivs = pattern.intervals
-    i = bisect_right([iv.lo for iv in ivs], alpha) - 1
-    return i >= 0 and alpha in ivs[i]
+    return bisect_right(pattern.ends, alpha) & 1 == 1
 
 
 def min_forbidden(pattern: ExponentPattern) -> int | None:
     """Smallest exponent >= 1 not allowed; None iff every exponent is allowed."""
-    candidate = 1
-    for iv in pattern.intervals:
-        if candidate < iv.lo:
-            return candidate
-        if iv.hi is None:
-            return None
-        candidate = iv.hi + 1
-    return candidate
+    ends = pattern.ends
+    if ends[:1] != (1,):
+        return 1
+    return ends[1] if len(ends) > 1 else None
 
 
 def complement(pattern: ExponentPattern) -> ExponentPattern:
     """The pattern of exactly the forbidden exponents {a >= 1 : not allowed}.
 
-    The gaps between allowed intervals are themselves sorted, strictly
-    separated, and unbounded only when last, so they form a valid pattern.
+    The boundaries are the same, so the ends only gain or lose a leading 1.
     """
-    gaps: list[ExponentInterval] = []
-    next_start = 1
-    for iv in pattern.intervals:
-        if iv.lo > next_start:
-            gaps.append(ExponentInterval(next_start, iv.lo - 1))
-        if iv.hi is None:
-            return ExponentPattern(tuple(gaps))
-        next_start = iv.hi + 1
-    gaps.append(ExponentInterval(next_start, None))
-    return ExponentPattern(tuple(gaps))
+    ends = pattern.ends
+    return ExponentPattern(ends[1:] if ends[:1] == (1,) else (1, *ends))
 
 
 _TERM_RE = re.compile(r"^(\d+)(?:\.\.(\d+|inf))?$")
@@ -243,31 +228,30 @@ def parse_pattern(text: str) -> ExponentPattern:
         raise ValueError(f"a pattern is a DSL string, not {type(text).__name__}")
     if text.strip() == "":
         return EMPTY_PATTERN
+    chunks = text.split(",")
     raw: list[tuple[int, int | None]] = []
-    offset = 0
-    for chunk in text.split(","):
-        stripped = chunk.strip()
-        position = offset + (len(chunk) - len(chunk.lstrip()))
-        m = _TERM_RE.match(stripped)
-        if not m:
-            raise PatternSyntaxError(f"malformed term {stripped!r}", position)
-        lo = int(m.group(1))
-        if lo == 0:
-            raise PatternSyntaxError(
-                "exponent 0 is implicit and cannot appear in a pattern", position
-            )
-        hi_text = m.group(2)
-        if hi_text is None:
-            hi: int | None = lo
-        elif hi_text == "inf":
-            hi = None
-        else:
-            hi = int(hi_text)
-            if hi < lo:
-                raise PatternSyntaxError(f"upper end {hi} below lower end {lo}", position)
-        raw.append((lo, hi))
-        offset += len(chunk) + 1
+    for i, term in enumerate(map(str.strip, chunks)):
+        try:
+            raw.append(_parse_term(term))
+        except ValueError as exc:
+            position = sum(map(len, chunks[:i])) + i + len(chunks[i]) - len(chunks[i].lstrip())
+            raise PatternSyntaxError(str(exc), position) from None
     return normalize_intervals(raw)
+
+
+def _parse_term(term: str) -> tuple[int, int | None]:
+    """(lo, hi) of one DSL term, hi = None for ``a..inf``."""
+    m = _TERM_RE.match(term)
+    if not m:
+        raise ValueError(f"malformed term {term!r}")
+    lo_text, hi_text = m.groups()
+    lo = _int(lo_text, "term", term)
+    hi = lo if hi_text is None else None if hi_text == "inf" else _int(hi_text, "term", term)
+    if lo == 0:
+        raise ValueError("exponent 0 is implicit and cannot appear in a pattern")
+    if hi is not None and hi < lo:
+        raise ValueError(f"upper end {hi} below lower end {lo}")
+    return lo, hi
 
 
 def pattern_for_prime(pap: PrimeAwarePattern, p: int) -> ExponentPattern:
@@ -279,21 +263,31 @@ _PRIME_LE_RE = re.compile(r"^p\s*<=\s*(\d+)$")
 _PRIME_IN_RE = re.compile(r"^p\s+in\s+[\[{]\s*((?:\d+\s*,\s*)*\d+)?\s*[\]}]$")
 
 
+def _int(digits: str, kind: str, text: str) -> int:
+    """int(digits), or a ValueError naming the ``kind`` ``text`` when int() refuses its length."""
+    try:
+        return int(digits)
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        message = f"{kind} {text[:20]!r}... holds an integer of more than {limit} digits"
+        raise ValueError(message) from None
+
+
 def _range_bound(key: str) -> int | None:
     """q for a "p<=q" key, else None."""
     m = _PRIME_LE_RE.match(key.strip())
-    return int(m.group(1)) if m else None
+    return _int(m.group(1), "exception key", key) if m else None
 
 
 def _expand_prime_key(key: str) -> list[int]:
     """The integers a single-prime or "p in [...]" key names, unchecked."""
     key = key.strip()
-    if key.isdigit():
-        return [int(key)]
+    if key.isdecimal():
+        return [_int(key, "exception key", key)]
     m = _PRIME_IN_RE.match(key)
     if m:
         body = m.group(1)
-        return [int(part) for part in body.split(",")] if body else []
+        return [_int(part, "exception key", key) for part in body.split(",")] if body else []
     raise ValueError(f"unrecognized exception key {key!r}")
 
 

@@ -36,16 +36,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import cycle
 
 from . import euler
 from ._record import record
-from .patterns import (
-    ExponentInterval,
-    ExponentPattern,
-    complement,
-    min_forbidden,
-    normalize_intervals,
-)
+from .patterns import ExponentInterval, ExponentPattern, complement, min_forbidden
 
 # sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it
 # by name.
@@ -99,13 +94,7 @@ class ExponentWeight:
 
     def induced_pattern(self) -> ExponentPattern:
         """The allowed-exponent pattern {i : weight(i) = 0}."""
-        ivs: list[tuple[int, int | None]] = []
-        for iv, slope, offset in self.pieces:
-            if slope == 0 and offset == 0:
-                ivs.append((iv.lo, iv.hi))
-            elif slope == 1 and -offset in iv:
-                ivs.append((-offset, -offset))
-        return normalize_intervals(ivs)
+        return ExponentPattern(_weight_ends(self, 0)[0])
 
     @classmethod
     def zero(cls) -> "ExponentWeight":
@@ -119,16 +108,21 @@ class ExponentWeight:
     @classmethod
     def outside_pattern(cls, pattern: ExponentPattern) -> "ExponentWeight":
         """Binary weight: 1 on exponents the pattern forbids, 0 on allowed ones."""
-        pieces = [(iv, 0, 0) for iv in pattern.intervals]
-        pieces += [(iv, 0, 1) for iv in complement(pattern).intervals]
-        return cls(tuple(sorted(pieces, key=lambda piece: piece[0].lo)))
+        # the ends of the pattern, or of its complement when that starts at
+        # 1, cut 1, 2, ... into pieces allowed and forbidden by turns
+        forbids_one = min_forbidden(pattern) == 1
+        cuts = complement(pattern).ends if forbids_one else pattern.ends
+        his = [end - 1 for end in cuts[1:]] + [None]
+        turns = cycle((1, 0) if forbids_one else (0, 1))
+        pieces = [(ExponentInterval(lo, hi), 0, w) for lo, hi, w in zip(cuts, his, turns)]
+        return cls(tuple(pieces))
 
     @classmethod
     def threshold(cls, k: int) -> "ExponentWeight":
         """Binary weight: 1 exactly when the exponent is >= k."""
         if k < 1:
             raise ValueError("threshold needs k >= 1")
-        return cls.outside_pattern(normalize_intervals([(1, k - 1)] if k > 1 else []))
+        return cls.outside_pattern(ExponentPattern((1, k) if k > 1 else ()))
 
 
 @record
@@ -158,30 +152,45 @@ class DensitySeries:
             raise ValueError("series coefficient brackets must sum to at most 1")
 
 
+def _weight_ends(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
+    """For k = 0..K, the set {i : w(i) = k} as a pattern's ends.
+
+    A constant piece [lo, hi] of weight k adds the block [lo, hi] to set k,
+    and a slope-1 piece adds the one i of weight k if it has one.  The
+    pieces ascend, so the blocks of a set come in order, and a block that
+    touches the one before it extends it.
+    """
+    sets: list[list[int]] = [[] for _ in range(K + 1)]
+    for iv, slope, offset in w.pieces:
+        if slope == 0:
+            blocks = [(offset, iv.lo, iv.hi)] if offset <= K else []
+        else:
+            top = K if iv.hi is None else min(K, iv.hi + offset)
+            blocks = [(k, k - offset, k - offset) for k in range(max(0, iv.lo + offset), top + 1)]
+        for k, lo, hi in blocks:
+            ends = sets[k]
+            if ends and ends[-1] == lo:
+                ends.pop()
+            else:
+                ends.append(lo)
+            if hi is not None:
+                ends.append(hi + 1)
+    return [tuple(ends) for ends in sets]
+
+
 def _row_exponents(w: ExponentWeight, K: int) -> tuple[tuple[int, ...], ...]:
     """Exponents e_0 < e_1 < ... of each row of F(p; z), the engine's description of it.
 
     Entry 0 gives delta(p) = 1 - a_0 = sum_j (-1)^j p^-e_j, from the induced
     pattern as in ``euler._delta_exponents``; entry k = 1..K gives
-    a_k = (1 - 1/p) sum over i with w(i) = k of p^-i in the same form.  A
-    constant piece [lo, hi] of weight k adds the block [lo, hi] to that set,
-    and a slope-1 piece adds the one i of weight k if it has one; each
-    maximal block [lo, hi] gives p^-lo - p^-(hi+1).  Weights above K are
-    left out.
+    a_k = (1 - 1/p) sum over i with w(i) = k of p^-i in the same form: the
+    ends of that set, since each maximal block [lo, hi] of it gives
+    p^-lo - p^-(hi+1).  Weights above K are left out.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    blocks: list[list[tuple[int, int | None]]] = [[] for _ in range(K + 1)]
-    for iv, slope, offset in w.pieces:
-        if slope == 0:
-            if 1 <= offset <= K:
-                blocks[offset].append((iv.lo, iv.hi))
-            continue
-        top = K if iv.hi is None else min(K, iv.hi + offset)
-        for k in range(max(1, iv.lo + offset), top + 1):
-            blocks[k].append((k - offset, k - offset))
-    rows = (euler._interval_exponents(normalize_intervals(b).intervals) for b in blocks[1:])
-    return (euler._delta_exponents(w.induced_pattern()), *rows)
+    zero, *rows = _weight_ends(w, K)
+    return (euler._delta_exponents(ExponentPattern(zero)), *rows)
 
 
 def density_series(
@@ -204,8 +213,7 @@ def density_series(
         raise ValueError("K must be >= 0")
     if truncation_prime < 2:
         raise ValueError("truncation_prime must be >= 2")
-    m = min_forbidden(w.induced_pattern())
-    if m == 1:
+    if w.weight(1) > 0:
         raise DivergentWeightError(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
@@ -216,10 +224,11 @@ def density_series(
         raise ResourceBudgetError(
             f"series work estimate {work:.3g} (degree {K}) exceeds cap {SERIES_WORK_CAP:.3g}"
         )
-    if m is None:
+    rows = _row_exponents(w, K)
+    if not rows[0]:
         # w is 0 on every exponent, so every factor is 1
         one = (1.0,) + (0.0,) * K
         return DensitySeries(one, one, one, truncation_prime, 0.0)
-    out = euler._bracketed_product(_row_exponents(w, K))
+    out = euler._bracketed_product(rows)
     coeffs, lower, upper = zip(*(euler._round_out(*d) for d in out))
     return DensitySeries(coeffs, lower, upper, truncation_prime, 1.0 - math.fsum(coeffs))

@@ -523,6 +523,27 @@ def exact_head(pap: PrimeAwarePattern, limit: int = ORACLE_SPLIT) -> Fraction:
     return value
 
 
+def exact_head_poly(cols: list, K: int) -> list[Fraction]:
+    """prod_p sum_k a_k(p) z^k mod z^(K+1) in exact rationals, from the head's columns.
+
+    ``cols`` is what ``euler._head_poly`` takes: one ``_delta_quotients``
+    column (nums, dens) per z-degree, a_0 = (den - num) / den and
+    a_k = num / den for k >= 1.  A prime's dens are all powers of it, so
+    the largest is a common denominator of its a_k; the product runs over
+    integers and divides once at the end.
+    """
+    (nums0, dens0), *rest = cols
+    poly, denominator = [1] + [0] * K, 1
+    for i, (num0, den0) in enumerate(zip(nums0, dens0)):
+        terms = [(den0 - num0, den0)] + [(nums[i], dens[i]) for nums, dens in rest[:K]]
+        den = max(d for _, d in terms)
+        assert all(den % d == 0 for _, d in terms)
+        a = [n * (den // d) for n, d in terms] + [0] * (K + 1 - len(terms))
+        poly = [sum(poly[j] * a[k - j] for j in range(k + 1)) for k in range(K + 1)]
+        denominator *= den
+    return [Fraction(c, denominator) for c in poly]
+
+
 def oracle_density(pap: PrimeAwarePattern) -> mpmath.mpf:
     """The density of ``pap`` to 40 digits; its default must forbid some m >= 2."""
     with mpmath.workdps(ORACLE_DPS):

@@ -1,13 +1,20 @@
-"""Every published bracket holds a 40-digit value computed without expdens's product code."""
+"""Every published bracket holds a 40-digit value computed without expdens's product code.
 
+Where both ends of the engine's integer enclosure round to one nearest
+float, the published ``value`` is that value correctly rounded.
+"""
+
+import contextlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expdens import euler
 from expdens.euler import MIN_TRUNCATION, closed_form, density
 from expdens.patterns import (
     PrimeAwarePattern,
@@ -29,8 +36,50 @@ SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 97, 997]
 LARGE_PRIMES = [int(p) for p in primes_upto(3000) if p > 1000][::25]
 
 
-def _assert_holds(est, truth) -> None:
+@contextlib.contextmanager
+def _rounding():
+    """Record (lo, hi, e, value) of each enclosure [lo, hi] 2^e that ``euler._round_out`` rounds."""
+    seen = []
+    inner = euler._round_out
+
+    def spy(lo, hi, e):
+        value, lower, upper = inner(lo, hi, e)
+        seen.append((lo, hi, e, value))
+        return value, lower, upper
+
+    with mock.patch.object(euler, "_round_out", spy):
+        yield seen
+
+
+def _nearest(x) -> float:
+    """x rounded to the nearest float: int true division rounds correctly."""
+    man, exp = mpmath.mpf(x).man_exp
+    return float(man << exp) if exp >= 0 else man / (1 << -exp)
+
+
+def _assert_rounded_to_nearest(seen, truths) -> None:
+    # rounding to nearest is monotone, so when both ends of an enclosure
+    # round to one float, the truth inside rounds to it too, and so must
+    # ``value``; a truth of None is not known to enough digits
+    for (lo, hi, e, value), truth in zip(seen, truths, strict=True):
+        if truth is not None and lo / (1 << -e) == hi / (1 << -e):
+            assert value == _nearest(truth), (lo, hi, e, truth)
+
+
+def _assert_holds(compute, truth):
+    """The estimate of ``compute()``, whose bracket holds ``truth`` and whose value rounds it."""
+    with _rounding() as seen:
+        est = compute()
     assert mpmath.mpf(est.lower) <= truth <= mpmath.mpf(est.upper), (est, truth)
+    assert len(seen) <= 1
+    _assert_rounded_to_nearest(seen, [truth] * len(seen))
+    return est
+
+
+def _series_truths(w, K) -> list:
+    # the series oracle cuts its tail at 1e-60, so below 1e-20 it has fewer
+    # than 40 digits
+    return [truth if truth > 1e-20 else None for truth in oracle_series(w, K)]
 
 
 @st.composite
@@ -75,8 +124,7 @@ def audited_requests(draw):
 @given(audited_requests())
 def test_density_bracket_holds_the_truth(request):
     pap, truncation = request
-    est = density(pap, 1e-12, truncation_prime=truncation)
-    _assert_holds(est, oracle_density(pap))
+    _assert_holds(lambda: density(pap, 1e-12, truncation_prime=truncation), oracle_density(pap))
 
 
 catalog_requests = st.one_of(
@@ -106,9 +154,13 @@ catalog_requests = st.one_of(
 @given(catalog_requests)
 def test_closed_form_bracket_holds_the_truth(request):
     form, kwargs = request
-    est = closed_form(form, target_error=1e-12, **kwargs)
+    # a cached row would round nothing for the value check to see
+    euler._interval_density.cache_clear()
+    euler._mod_periodic.cache_clear()
+    est = _assert_holds(
+        lambda: closed_form(form, target_error=1e-12, **kwargs), oracle_closed_form(form, **kwargs)
+    )
     assert est.width <= 1e-12
-    _assert_holds(est, oracle_closed_form(form, **kwargs))
 
 
 @pytest.mark.parametrize("default", ["1..1", "1..2,5..inf"])
@@ -117,8 +169,7 @@ def test_range_of_exceptional_primes_holds_the_truth(default, exception):
     # 303 exceptional primes p <= 2000, none allowing exponent 1, as chunk members
     pap = parse_prime_aware({"default": default, "exceptions": {"p<=2000": exception}})
     assert len(pap.exceptions) == 303
-    est = density(pap, 1e-12)
-    _assert_holds(est, oracle_density(pap))
+    _assert_holds(lambda: density(pap, 1e-12), oracle_density(pap))
 
 
 @pytest.mark.parametrize("default", ["1..1", "1..2,5..inf"])
@@ -127,16 +178,18 @@ def test_range_of_exceptional_primes_holds_the_truth(default, exception):
 def test_range_across_1000_holds_the_truth(q, exception, default):
     # the range's primes above 1000 enter only through the exact correction
     pap = parse_prime_aware({"default": default, "exceptions": {f"p<={q}": exception}})
-    est = density(pap, 1e-12)
-    _assert_holds(est, oracle_density(pap))
+    _assert_holds(lambda: density(pap, 1e-12), oracle_density(pap))
 
 
 @pytest.mark.parametrize("ell", [150, 2003])
 def test_mod_periodic_far_period_holds_the_truth(ell):
     # p^-(ell+1) is dropped where p^(ell+1) >= 2^1100: at ell = 150 from
     # p = 257 on, at ell = 2003 for every prime
-    est = closed_form("mod_periodic", ell=ell, target_error=1e-12)
-    _assert_holds(est, oracle_closed_form("mod_periodic", ell=ell))
+    euler._mod_periodic.cache_clear()
+    _assert_holds(
+        lambda: closed_form("mod_periodic", ell=ell, target_error=1e-12),
+        oracle_closed_form("mod_periodic", ell=ell),
+    )
 
 
 @st.composite
@@ -173,9 +226,11 @@ series_weights = st.one_of(
     st.one_of(st.sampled_from([2, 3, 1000]), st.integers(2, 10**5)),
 )
 def test_series_brackets_hold_the_truth(w, K, truncation):
-    ds = density_series(w, K, truncation)
+    with _rounding() as seen:
+        ds = density_series(w, K, truncation)
     for k, truth in enumerate(oracle_series(w, K)):
         assert mpmath.mpf(ds.lower[k]) <= truth <= mpmath.mpf(ds.upper[k]), (k, ds, truth)
+    _assert_rounded_to_nearest(seen, _series_truths(w, K))
 
 
 @pytest.mark.parametrize("P", [10**5, 10**6])
@@ -210,7 +265,9 @@ def test_small_truncation_brackets_tighten(before):
     # at P = 2 and 3 the terms t > 64 of the tail are charged from the first
     # integer above P: every d_k bracket narrows, nests and holds the truth
     w = NAMED_WEIGHTS[before["weight"]]
-    ds = density_series(w, before["degree"], before["truncation"])
+    with _rounding() as seen:
+        ds = density_series(w, before["degree"], before["truncation"])
+    _assert_rounded_to_nearest(seen, _series_truths(w, before["degree"]))
     truths = oracle_series(w, before["degree"])
     for k, (lo, hi, was_lo, was_hi) in enumerate(
         zip(ds.lower, ds.upper, before["lower"], before["upper"], strict=True)

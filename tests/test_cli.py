@@ -140,6 +140,18 @@ class TestUsageErrors:
         assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_integers_too_long_to_read(self, tmp_path, capsys):
+        # a term or key of 5000 digits ends in a usage error that names it,
+        # not in the interpreter's own message
+        assert main(["density", "--pattern", "1.." + "9" * 5000]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: term '1..99") and "(at position 0)" in err
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"default": "1..1", "exceptions": {"9" * 5000: ""}}))
+        assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: exception key '999") and "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("key", ["p in [2,]", "p in [2,,3]", "p in [2 3]"])
     def test_spec_key_with_an_empty_entry(self, tmp_path, key, capsys):
         spec = tmp_path / "spec.json"
@@ -537,6 +549,24 @@ def test_fuzzed_spec_ends_in_a_documented_code(tmp_path, subcommand, doc, x):
     assert seconds < 2.0, doc
     assert code in range(5), doc
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density"], ["count", "--x", "100000"], ["verify", "--x", "100000"], ["series", "--degree", "8"],
+], ids=lambda argv: argv[0])
+def test_large_document_in_either_order(tmp_path, argv):
+    # a default of 10^5 terms, 1,3,5,... up and the same terms down: the
+    # same bytes from both, each call within the fuzzers' 2 s
+    terms = [str(e) for e in range(1, 2 * 10**5, 2)]
+    outs = []
+    for order in (terms, terms[::-1]):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"default": ",".join(order)}))
+        code, out, err, seconds = main_timed([argv[0], "--spec", str(spec), *argv[1:]])
+        assert code == EXIT_OK, err
+        assert seconds < 2.0, seconds
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

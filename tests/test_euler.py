@@ -43,6 +43,7 @@ from helpers import (
     deficiency_reference,
     dense_neglog_coeffs,
     exact_head,
+    exact_head_poly,
     exp_odd_factor,
     free_at_one_weights,
     gap_factor,
@@ -628,20 +629,20 @@ class TestFixedPoint:
         assert up == down or up == math.nextafter(down, math.inf)
 
     @staticmethod
-    def _head(pap, monkeypatch) -> tuple[int, int, int] | None:
-        """(H_0, S, W) of the product's head, or None when it took none (no default product)."""
+    def _heads(monkeypatch, compute) -> list[tuple]:
+        """(cols, W, K, H, S) of each ``_head_poly`` call that ``compute()`` makes, H whole."""
         heads = []
         inner = expdens.euler._head_poly
 
         def spy(cols, W, K):
             H, slack = inner(cols, W, K)
-            heads.append((H[0], slack, W))
+            heads.append((cols, W, K, H, slack))
             return H, slack
 
-        monkeypatch.setattr(expdens.euler, "_head_poly", spy)
-        density(pap, 1.0)
-        assert len(heads) <= 1
-        return heads[0] if heads else None
+        with monkeypatch.context() as patch:
+            patch.setattr(expdens.euler, "_head_poly", spy)
+            compute()
+        return heads
 
     @staticmethod
     def _correction(pap, monkeypatch) -> tuple[int, int]:
@@ -695,13 +696,26 @@ class TestFixedPoint:
         # the head is the default's product alone: 3 units for each prime up
         # to 1000 and one for the dropped terms
         for pap in self._head_cases():
-            head = self._head(pap, monkeypatch)
-            if head is None:
-                continue
-            H, slack, W = head
-            exact = exact_head(PrimeAwarePattern(default=pap.default)) * 2**W
-            assert H - 1 <= exact <= H + slack, pap
-            assert slack <= 3 * 168 + 1
+            heads = self._heads(monkeypatch, lambda: density(pap, 1.0))
+            assert len(heads) <= 1
+            for _, W, _, H, slack in heads:
+                exact = exact_head(PrimeAwarePattern(default=pap.default)) * 2**W
+                assert H[0] - 1 <= exact <= H[0] + slack, pap
+                assert slack <= 3 * 168 + 1
+        # a series head, every H_k: the sweep weights, excess among them, at
+        # K = 16, each pass of the engine against the exact product of the
+        # columns it was given, which are the rows' quotients
+        primes = [int(p) for p in sieve_primes(MIN_TRUNCATION).primes]
+        for name, w in SWEEP_WEIGHTS.items():
+            heads = self._heads(monkeypatch, lambda: density_series(w, 16))
+            assert heads, name
+            rows = _row_exponents(w, 16)
+            for cols, W, K, H, slack in heads:
+                assert [tuple(col) for col in cols] == [
+                    expdens.euler._delta_quotients(primes, row) for row in rows
+                ], name
+                for k, exact in enumerate(exact_head_poly(cols, K)):
+                    assert H[k] - 1 <= exact * 2**W <= H[k] + slack, (name, W, k)
 
     def test_correction_against_exact_product(self, monkeypatch):
         for pap in self._head_cases():
@@ -884,8 +898,7 @@ def test_caches_keyed_by_caller_input_are_bounded():
     euler = expdens.euler
     sizes = {name: f.cache_info().maxsize for name, f in vars(euler).items()
              if hasattr(f, "cache_info")}
-    names = ["_delta_exponents", "_interval_density", "_mod_periodic", "_neglog_coeffs",
-             "_prime_zeta", "zeta_int"]
+    names = ["_interval_density", "_mod_periodic", "_neglog_coeffs", "_prime_zeta", "zeta_int"]
     assert sizes == dict.fromkeys(names, 256)
 
 

@@ -279,6 +279,17 @@ def test_no_module_imports_fractions():
         assert "fractions" not in _imported_modules(path), path
 
 
+def test_only_patterns_reads_intervals():
+    # a pattern is one boundary list from parse to engine: no other module
+    # reads the ExponentInterval view of it
+    for path in sorted((SRC / "expdens").glob("*.py")):
+        if path.name == "patterns.py":
+            continue
+        attrs = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+        assert "intervals" not in attrs, path
+
+
 def test_only_patterns_names_the_prime_range():
     # every other module reads exceptional primes through PrimeAwarePattern.runs
     for path in sorted((SRC / "expdens").glob("*.py")):

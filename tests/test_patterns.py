@@ -152,6 +152,21 @@ class TestParse:
         assert parse_pattern(" 1..2 , 4 ") == normalize_intervals([(1, 2), (4, 4)])
 
 
+class TestLongIntegers:
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    def test_long_term_is_a_syntax_error_at_its_position(self):
+        with pytest.raises(PatternSyntaxError, match="more than 4300 digits") as exc:
+            parse_pattern("1, 2.." + "9" * 5000)
+        assert exc.value.position == 3
+
+    @pytest.mark.parametrize("key", ["9" * 5000, "p<=" + "9" * 5000, "p in [3, " + "9" * 5000 + "]"],
+                             ids=["prime", "range", "list"])
+    def test_long_key_is_refused_by_name(self, key):
+        with pytest.raises(ValueError, match="more than 4300 digits") as exc:
+            parse_prime_aware({"default": "1", "exceptions": {key: ""}})
+        assert str(exc.value).startswith(f"exception key {key[:20]!r}")
+
+
 class TestPrimeAware:
     def test_exception_hit(self):
         pap = PrimeAwarePattern(
@@ -366,9 +381,22 @@ class TestSpecDocument:
 
 class TestInvariantEnforcement:
     def test_pattern_ctor_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            ExponentPattern((ExponentInterval(1, 3), ExponentInterval(4, 5)))
+        # [1, 3] and [4, 5] touch: the end 4 appears twice
+        with pytest.raises(ValueError, match="ascend strictly from 1 up"):
+            ExponentPattern((1, 4, 4, 6))
 
-    def test_pattern_ctor_rejects_unbounded_not_last(self):
-        with pytest.raises(ValueError):
-            ExponentPattern((ExponentInterval(1, None), ExponentInterval(5, 6)))
+    def test_pattern_ctor_rejects_descending_ends(self):
+        with pytest.raises(ValueError, match="ascend strictly from 1 up"):
+            ExponentPattern((1, 5, 3))
+
+    def test_pattern_ctor_rejects_an_end_below_one(self):
+        with pytest.raises(ValueError, match="ascend strictly from 1 up"):
+            ExponentPattern((0, 2))
+
+    def test_intervals_view_follows_the_ends(self):
+        pattern = ExponentPattern((1, 2, 3))
+        assert pattern.intervals == (ExponentInterval(1, 1), ExponentInterval(3, None))
+        assert str(pattern) == "1,3..inf"
+        assert ExponentPattern((2, 5)).intervals == (ExponentInterval(2, 4),)
+        assert EMPTY_PATTERN.intervals == () and str(EMPTY_PATTERN) == ""
+        assert hash(pattern) == hash(parse_pattern("1,3..inf")) and pattern == parse_pattern("1,3..inf")

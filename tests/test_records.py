@@ -19,8 +19,8 @@ from expdens.primes import PrimeTable
 from expdens.series import DensitySeries, ExponentWeight
 
 EI = ExponentInterval
-SQUAREFREE = ExponentPattern((EI(1, 1),))
-CUBEFREE = ExponentPattern((EI(1, 2),))
+SQUAREFREE = ExponentPattern((1, 2))
+CUBEFREE = ExponentPattern((1, 3))
 EXCESS = ExponentWeight.excess().pieces
 
 # Per class: valid argument tuples (at least two, unequal), then argument
@@ -29,8 +29,8 @@ SAMPLES = {
     PrimeTable: ([(10, array("q", [2, 3, 5, 7])), (3, array("q", [2, 3]))], []),
     ExponentInterval: ([(1, None), (2, 5), (2, 2)], [(0, None), (3, 2)]),
     ExponentPattern: (
-        [((),), ((EI(1, 1), EI(3, None)),), ((EI(1, 2),),)],
-        [((EI(1, None), EI(3, 4)),), ((EI(1, 2), EI(3, 4)),)],
+        [((),), ((1, 2, 3),), ((1, 3),)],
+        [((1, 3, 3, 5),), ((1, 4, 3),), ((0, 2),)],
     ),
     PrimeAwarePattern: (
         [(SQUAREFREE,), (SQUAREFREE, {3: CUBEFREE, 2: SQUAREFREE}), (CUBEFREE, {})],
