@@ -32,7 +32,6 @@ _EXPORTS = {
         "zeta_int",
     ),
     "patterns": (
-        "ExponentInterval",
         "ExponentPattern",
         "PatternSyntaxError",
         "PrimeAwarePattern",

@@ -41,30 +41,6 @@ class PatternSyntaxError(ValueError):
 
 
 @record
-class ExponentInterval:
-    """Closed exponent interval [lo, hi]; hi=None means unbounded above."""
-
-    lo: int
-    hi: int | None
-
-    def __post_init__(self):
-        if self.lo < 1:
-            raise ValueError(f"interval lower end must be >= 1, got {self.lo}")
-        if self.hi is not None and self.hi < self.lo:
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is empty")
-
-    def __contains__(self, alpha: int) -> bool:
-        return self.lo <= alpha and (self.hi is None or alpha <= self.hi)
-
-    def __str__(self) -> str:
-        if self.hi is None:
-            return f"{self.lo}..inf"
-        if self.hi == self.lo:
-            return str(self.lo)
-        return f"{self.lo}..{self.hi}"
-
-
-@record
 class ExponentPattern:
     """The allowed exponents, held as the pattern's boundary list ``ends``.
 
@@ -72,7 +48,8 @@ class ExponentPattern:
     [a_i, b_i], strictly ascending from 1 up; an odd length means the last
     interval is unbounded.  So exponent a is allowed iff an odd number of
     ends are <= a, and the empty tuple allows no positive exponent.
-    ``intervals`` is the same pattern as ExponentInterval records.
+    ``intervals`` is the same pattern as (lo, hi) pairs, hi None when
+    unbounded, the pairs ``normalize_intervals`` takes.
     """
 
     ends: tuple[int, ...]
@@ -83,13 +60,16 @@ class ExponentPattern:
             raise ValueError("pattern ends must ascend strictly from 1 up")
 
     @property
-    def intervals(self) -> tuple[ExponentInterval, ...]:
+    def intervals(self) -> tuple[tuple[int, int | None], ...]:
         # an odd length leaves the last lower end without an end: hi None
         his = [end - 1 for end in self.ends[1::2]] + [None]
-        return tuple(map(ExponentInterval, self.ends[::2], his))
+        return tuple(zip(self.ends[::2], his))
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.intervals))
+        return ",".join(
+            f"{lo}..inf" if hi is None else str(lo) if hi == lo else f"{lo}..{hi}"
+            for lo, hi in self.intervals
+        )
 
     def allows_everything(self) -> bool:
         return self.ends == (1,)
@@ -381,5 +361,5 @@ def load_spec(path: str) -> PrimeAwarePattern:
     import json  # only spec files need it
 
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=lambda digits: _int(digits, "spec value", digits))
     return parse_prime_aware(doc)

@@ -12,8 +12,9 @@ reduced mod z^(K+1), a ring homomorphism that loses nothing below degree K.
 Each full factor is 1 at z = 1, so the d_k sum to 1 over all k, and
 ``mass_deficit`` = 1 - sum_{k <= K} d_k is the density of {n : g(n) > K}.
 
-A weight is a few pieces, exponent intervals on which w is constant or rises
-by one per exponent.
+A weight is a few pieces, each a lower end ``lo`` with a slope and an
+offset: from its lo up to the next piece's, w is constant or rises by one
+per exponent.
 
 ``density_series`` makes one call of the Euler-product engine of ``euler``
 and passes it only the exponent rows of F(p; z) (``_row_exponents``): row 0
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import cycle
+from itertools import cycle, repeat
+from operator import itemgetter, lt
 
 from . import euler
 from ._record import record
-from .patterns import ExponentInterval, ExponentPattern, complement, min_forbidden
+from .patterns import ExponentPattern, complement, min_forbidden
 
 # sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it
 # by name.
@@ -64,32 +66,28 @@ class DivergentWeightError(ValueError):
 class ExponentWeight:
     """Prime-independent integer weight on exponents, piecewise linear.
 
-    ``pieces`` holds ``(interval, slope, offset)`` with intervals that cover
-    1, 2, ... in order, the last unbounded; weight(i) = slope * i + offset
-    on each, with slope 0 or 1 and no weight below 0.
+    ``pieces`` holds ``(lo, slope, offset)`` triples, ``lo`` strictly
+    ascending from 1; a piece runs up to the next piece's ``lo``, and the
+    last is unbounded.  weight(i) = slope * i + offset on each, with slope
+    0 or 1 and no weight below 0.
     """
 
-    pieces: tuple[tuple[ExponentInterval, int, int], ...]
+    pieces: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        nxt = 1
-        for iv, slope, offset in self.pieces:
-            if nxt is None or iv.lo != nxt:
-                raise ValueError(f"piece {iv} breaks the cover of 1, 2, ... in order")
+        los = list(map(itemgetter(0), self.pieces))
+        if los[:1] != [1] or not all(map(lt, los, los[1:])):
+            raise ValueError("piece lower ends must ascend strictly from 1")
+        for lo, slope, offset in self.pieces:
             if slope not in (0, 1):
                 raise ValueError("slopes must be 0 or 1")
-            if slope * iv.lo + offset < 0:
+            if slope * lo + offset < 0:
                 raise ValueError("weights must be >= 0")
-            nxt = None if iv.hi is None else iv.hi + 1
-        if nxt is not None:
-            raise ValueError("the last piece must be unbounded")
 
     def weight(self, i: int) -> int:
         if i < 1:
             raise ValueError("exponents are >= 1")
-        _, slope, offset = self.pieces[
-            bisect_right(self.pieces, i, key=lambda piece: piece[0].lo) - 1
-        ]
+        _, slope, offset = self.pieces[bisect_right(self.pieces, i, key=itemgetter(0)) - 1]
         return slope * i + offset
 
     def induced_pattern(self) -> ExponentPattern:
@@ -98,12 +96,12 @@ class ExponentWeight:
 
     @classmethod
     def zero(cls) -> "ExponentWeight":
-        return cls(((ExponentInterval(1, None), 0, 0),))
+        return cls(((1, 0, 0),))
 
     @classmethod
     def excess(cls) -> "ExponentWeight":
         """weight(i) = i - 1; g(n) counts exponent excess over squarefree."""
-        return cls(((ExponentInterval(1, None), 1, -1),))
+        return cls(((1, 1, -1),))
 
     @classmethod
     def outside_pattern(cls, pattern: ExponentPattern) -> "ExponentWeight":
@@ -112,10 +110,7 @@ class ExponentWeight:
         # 1, cut 1, 2, ... into pieces allowed and forbidden by turns
         forbids_one = min_forbidden(pattern) == 1
         cuts = complement(pattern).ends if forbids_one else pattern.ends
-        his = [end - 1 for end in cuts[1:]] + [None]
-        turns = cycle((1, 0) if forbids_one else (0, 1))
-        pieces = [(ExponentInterval(lo, hi), 0, w) for lo, hi, w in zip(cuts, his, turns)]
-        return cls(tuple(pieces))
+        return cls(tuple(zip(cuts, repeat(0), cycle((1, 0) if forbids_one else (0, 1)))))
 
     @classmethod
     def threshold(cls, k: int) -> "ExponentWeight":
@@ -155,26 +150,28 @@ class DensitySeries:
 def _weight_ends(w: ExponentWeight, K: int) -> list[tuple[int, ...]]:
     """For k = 0..K, the set {i : w(i) = k} as a pattern's ends.
 
-    A constant piece [lo, hi] of weight k adds the block [lo, hi] to set k,
-    and a slope-1 piece adds the one i of weight k if it has one.  The
-    pieces ascend, so the blocks of a set come in order, and a block that
-    touches the one before it extends it.
+    A piece runs from its lo up to the next piece's lo, its stop (None for
+    the last).  A constant piece of weight k adds the block [lo, stop) to
+    set k, and a slope-1 piece adds the one i of weight k if it has one.
+    The pieces ascend, so the blocks of a set come in order, and a block
+    that touches the one before it extends it.
     """
     sets: list[list[int]] = [[] for _ in range(K + 1)]
-    for iv, slope, offset in w.pieces:
+    stops = [*map(itemgetter(0), w.pieces[1:]), None]
+    for (lo, slope, offset), stop in zip(w.pieces, stops):
         if slope == 0:
-            blocks = [(offset, iv.lo, iv.hi)] if offset <= K else []
+            blocks = [(offset, lo, stop)] if offset <= K else []
         else:
-            top = K if iv.hi is None else min(K, iv.hi + offset)
-            blocks = [(k, k - offset, k - offset) for k in range(max(0, iv.lo + offset), top + 1)]
-        for k, lo, hi in blocks:
+            top = K if stop is None else min(K, stop - 1 + offset)
+            blocks = [(k, k - offset, k - offset + 1) for k in range(max(0, lo + offset), top + 1)]
+        for k, start, end in blocks:
             ends = sets[k]
-            if ends and ends[-1] == lo:
+            if ends and ends[-1] == start:
                 ends.pop()
             else:
-                ends.append(lo)
-            if hi is not None:
-                ends.append(hi + 1)
+                ends.append(start)
+            if end is not None:
+                ends.append(end)
     return [tuple(ends) for ends in sets]
 
 

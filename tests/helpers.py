@@ -20,7 +20,6 @@ import numpy as np
 from expdens.cli import RunConfig, UsageError
 from expdens.euler import DEFAULT_TARGET_ERROR, LocalFactor
 from expdens.patterns import (
-    ExponentInterval,
     ExponentPattern,
     PrimeAwarePattern,
     complement,
@@ -215,15 +214,13 @@ def local_factor_general(p: int, pattern: ExponentPattern) -> LocalFactor:
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     forbidden_sum = Fraction(0)
-    for iv in complement(pattern).intervals:
-        if iv.hi is None:
+    for lo, hi in complement(pattern).intervals:
+        if hi is None:
             # sum_{i >= lo} p^-i = 1 / (p^(lo-1) (p - 1))
-            forbidden_sum += Fraction(1, p ** (iv.lo - 1) * (p - 1))
+            forbidden_sum += Fraction(1, p ** (lo - 1) * (p - 1))
         else:
             # sum_{i=lo..hi} p^-i = (p^(hi-lo+1) - 1) / (p^hi (p - 1))
-            forbidden_sum += Fraction(
-                p ** (iv.hi - iv.lo + 1) - 1, p**iv.hi * (p - 1)
-            )
+            forbidden_sum += Fraction(p ** (hi - lo + 1) - 1, p**hi * (p - 1))
     f = 1 - Fraction(p - 1, p) * forbidden_sum
     return LocalFactor(p, float(f))
 
@@ -234,9 +231,18 @@ def table_weight(values, tail_slope: int = 0, tail_offset: int = 0) -> ExponentW
     One piece per listed value and one unbounded tail piece.
     """
     n = len(values)
-    pieces = [(ExponentInterval(i, i), 0, v) for i, v in enumerate(values, start=1)]
-    pieces.append((ExponentInterval(n + 1, None), tail_slope, tail_offset))
+    pieces = [(i, 0, v) for i, v in enumerate(values, start=1)]
+    pieces.append((n + 1, tail_slope, tail_offset))
     return ExponentWeight(tuple(pieces))
+
+
+def weight_spans(w: ExponentWeight) -> list[tuple[int, int | None, int, int]]:
+    """(lo, hi, slope, offset) per piece of w, hi one below the next piece's lo.
+
+    The last piece is unbounded: its hi is None.
+    """
+    his = [lo - 1 for lo, _, _ in w.pieces[1:]] + [None]
+    return [(lo, hi, slope, offset) for (lo, slope, offset), hi in zip(w.pieces, his)]
 
 
 # weight(i) = values[i - 1], then a tail of slope 0 or 1 whose first weight is 0..3
@@ -260,15 +266,15 @@ def reference_local_poly(p: int, w: ExponentWeight, K: int) -> tuple[float, ...]
     x = 1.0 / p
     raw = np.zeros(K + 1)
     raw[0] = 1.0
-    for iv, slope, offset in w.pieces:
+    for lo, hi, slope, offset in weight_spans(w):
         if slope == 0:
             if offset <= K:
                 # sum_{i=lo..hi} x^i
-                tail = 0.0 if iv.hi is None else x ** (iv.hi + 1)
-                raw[offset] += (x**iv.lo - tail) / (1.0 - x)
+                tail = 0.0 if hi is None else x ** (hi + 1)
+                raw[offset] += (x**lo - tail) / (1.0 - x)
         else:
-            for i in range(iv.lo, K - offset + 1):
-                if iv.hi is None or i <= iv.hi:
+            for i in range(lo, K - offset + 1):
+                if hi is None or i <= hi:
                     raw[i + offset] += x**i
     return tuple(float(c) for c in raw * (1.0 - x))
 
@@ -499,10 +505,10 @@ def _interval_factor(p: int, pattern: ExponentPattern) -> mpmath.mpf:
     """F(p) = 1 - 1/p + sum over allowed [lo, hi] of p^-lo - p^-(hi+1)."""
     x = mpmath.mpf(1) / p
     f = 1 - x
-    for iv in pattern.intervals:
-        f += x**iv.lo
-        if iv.hi is not None:
-            f -= x ** (iv.hi + 1)
+    for lo, hi in pattern.intervals:
+        f += x**lo
+        if hi is not None:
+            f -= x ** (hi + 1)
     return f
 
 
@@ -515,10 +521,10 @@ def exact_head(pap: PrimeAwarePattern, limit: int = ORACLE_SPLIT) -> Fraction:
     value = Fraction(1)
     for p in map(int, primes_upto(limit)):
         f = 1 - Fraction(1, p)
-        for iv in pap.exceptions.get(p, pap.default).intervals:
-            f += Fraction(1, p**iv.lo)
-            if iv.hi is not None:
-                f -= Fraction(1, p ** (iv.hi + 1))
+        for lo, hi in pap.exceptions.get(p, pap.default).intervals:
+            f += Fraction(1, p**lo)
+            if hi is not None:
+                f -= Fraction(1, p ** (hi + 1))
         value *= f
     return value
 
@@ -549,7 +555,7 @@ def oracle_density(pap: PrimeAwarePattern) -> mpmath.mpf:
     with mpmath.workdps(ORACLE_DPS):
         # 1 - F(p) = (1 - x) sum over forbidden i of x^i, from the allowed set
         allowed = [
-            any(iv.lo <= i and (iv.hi is None or i <= iv.hi) for iv in pap.default.intervals)
+            any(lo <= i and (hi is None or i <= hi) for lo, hi in pap.default.intervals)
             for i in range(ORACLE_DEGREE + 1)
         ]
         forbidden = [0] + [0 if a else 1 for a in allowed[1:]]
@@ -642,14 +648,14 @@ def _local_series(p: int, w: ExponentWeight, K: int) -> list[mpmath.mpf]:
     x = mpmath.mpf(1) / p
     a = [mpmath.mpf(0)] * (K + 1)
     a[0] += 1
-    for iv, slope, offset in w.pieces:
+    for lo, hi, slope, offset in weight_spans(w):
         if slope == 0:
             if offset <= K:
-                tail = 0 if iv.hi is None else x ** (iv.hi + 1)
-                a[offset] += (x**iv.lo - tail) / (1 - x)
+                tail = 0 if hi is None else x ** (hi + 1)
+                a[offset] += (x**lo - tail) / (1 - x)
         else:
-            for i in range(iv.lo, K - offset + 1):
-                if iv.hi is None or i <= iv.hi:
+            for i in range(lo, K - offset + 1):
+                if hi is None or i <= hi:
                     a[i + offset] += x**i
     return [(1 - x) * c for c in a]
 

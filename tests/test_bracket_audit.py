@@ -195,7 +195,7 @@ def test_mod_periodic_far_period_holds_the_truth(ell):
 @st.composite
 def far_patterns(draw):
     """Patterns as above whose last interval starts between 10^3 and 10^30."""
-    near = [(iv.lo, iv.hi) for iv in draw(default_patterns()).intervals if iv.hi is not None]
+    near = [(lo, hi) for lo, hi in draw(default_patterns()).intervals if hi is not None]
     lo = draw(st.integers(10**3, 10**30))
     hi = draw(st.one_of(st.none(), st.integers(lo, lo + 10**6)))
     return normalize_intervals([*near, (lo, hi)])

@@ -151,6 +151,15 @@ class TestUsageErrors:
         assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: exception key '999") and "set_int_max_str_digits" not in err
+        # a bare JSON integer of 5000 digits is named as the spec value it is
+        spec.write_text('{"default": "1..1", "exceptions": {"7": ' + "9" * 5000 + "}}")
+        assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec value '999") and "set_int_max_str_digits" not in err
+        # and a small one is still no pattern
+        spec.write_text('{"default": "1..1", "exceptions": {"7": 3}}')
+        assert main(["density", "--spec", str(spec)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: a pattern is a DSL string, not int\n"
 
     @pytest.mark.parametrize("key", ["p in [2,]", "p in [2,,3]", "p in [2 3]"])
     def test_spec_key_with_an_empty_entry(self, tmp_path, key, capsys):

@@ -15,17 +15,12 @@ from pathlib import Path
 import pytest
 
 from expdens import cli
-from expdens.patterns import ExponentInterval
 from expdens.series import ExponentWeight, density_series
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "tests" / "data" / "cli_stdout.json").read_text())
 # weight 0 at exponent 1, 2 at exponent 2, i at every i >= 3: no exponent has weight 1
-EMPTY_ROW_1 = ExponentWeight((
-    (ExponentInterval(1, 1), 0, 0),
-    (ExponentInterval(2, 2), 0, 2),
-    (ExponentInterval(3, None), 1, 0),
-))
+EMPTY_ROW_1 = ExponentWeight(((1, 0, 0), (2, 0, 2), (3, 1, 0)))
 
 
 def stdout_of(argv: list[str]) -> tuple[int, str]:

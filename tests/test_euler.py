@@ -245,7 +245,7 @@ class TestLocalFactors:
             if not big.intervals:
                 continue
             # shrink: drop one interval, or clip the first one
-            ivs = [(iv.lo, iv.hi) for iv in big.intervals]
+            ivs = list(big.intervals)
             if len(ivs) > 1 and rng.random() < 0.5:
                 ivs.pop(rng.randrange(len(ivs)))
             else:
@@ -273,10 +273,10 @@ def deltas(primes, exps):
 def exact_delta(p, pattern):
     """1 - F(p) in exact rationals, from the forbidden intervals."""
     delta = Fraction(0)
-    for iv in complement(pattern).intervals:
-        delta += Fraction(1, p**iv.lo)
-        if iv.hi is not None:
-            delta -= Fraction(1, p ** (iv.hi + 1))
+    for lo, hi in complement(pattern).intervals:
+        delta += Fraction(1, p**lo)
+        if hi is not None:
+            delta -= Fraction(1, p ** (hi + 1))
     return delta
 
 

@@ -23,9 +23,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Every public name the package exported when it imported all submodules eagerly.
 EXPORTED = [
     "BoundedValue", "ComparisonReport", "CountReport", "DensityEstimate",
-    "DensitySeries", "DivergentWeightError", "ExponentInterval",
-    "ExponentPattern", "ExponentWeight", "GHistogram", "LocalFactor",
-    "PatternSyntaxError", "PrimeAwarePattern", "PrimeTable",
+    "DensitySeries", "DivergentWeightError", "ExponentPattern",
+    "ExponentWeight", "GHistogram", "LocalFactor", "PatternSyntaxError",
+    "PrimeAwarePattern", "PrimeTable",
     "ResourceBudgetError", "UnreachableTargetError", "brackets_overlap",
     "closed_form", "compare", "complement", "contains", "count_pattern",
     "count_periodic", "density", "density_series", "g_histogram", "is_prime",
@@ -279,15 +279,24 @@ def test_no_module_imports_fractions():
         assert "fractions" not in _imported_modules(path), path
 
 
+def _attributes_read(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
 def test_only_patterns_reads_intervals():
     # a pattern is one boundary list from parse to engine: no other module
-    # reads the ExponentInterval view of it
+    # reads the (lo, hi) pairs view of it
     for path in sorted((SRC / "expdens").glob("*.py")):
-        if path.name == "patterns.py":
-            continue
-        attrs = {node.attr for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Attribute)}
-        assert "intervals" not in attrs, path
+        if path.name != "patterns.py":
+            assert "intervals" not in _attributes_read(path), path
+
+
+def test_only_series_reads_weight_pieces():
+    # a weight's (lo, slope, offset) triples stay behind the series module
+    for path in sorted((SRC / "expdens").glob("*.py")):
+        if path.name != "series.py":
+            assert "pieces" not in _attributes_read(path), path
 
 
 def test_only_patterns_names_the_prime_range():

@@ -14,11 +14,10 @@ import pytest
 from expdens.cli import RunConfig
 from expdens.empirical import ComparisonReport, CountReport, GHistogram
 from expdens.euler import BoundedValue, DensityEstimate, LocalFactor
-from expdens.patterns import ExponentInterval, ExponentPattern, PrimeAwarePattern
+from expdens.patterns import ExponentPattern, PrimeAwarePattern
 from expdens.primes import PrimeTable
 from expdens.series import DensitySeries, ExponentWeight
 
-EI = ExponentInterval
 SQUAREFREE = ExponentPattern((1, 2))
 CUBEFREE = ExponentPattern((1, 3))
 EXCESS = ExponentWeight.excess().pieces
@@ -27,7 +26,6 @@ EXCESS = ExponentWeight.excess().pieces
 # tuples that __post_init__ refuses.
 SAMPLES = {
     PrimeTable: ([(10, array("q", [2, 3, 5, 7])), (3, array("q", [2, 3]))], []),
-    ExponentInterval: ([(1, None), (2, 5), (2, 2)], [(0, None), (3, 2)]),
     ExponentPattern: (
         [((),), ((1, 2, 3),), ((1, 3),)],
         [((1, 3, 3, 5),), ((1, 4, 3),), ((0, 2),)],
@@ -46,8 +44,9 @@ SAMPLES = {
     GHistogram: ([(10, (5, 3), 2), (10, (10,), 0)], [(10, (5, 3), 3)]),
     ComparisonReport: ([(0.1, 0.0, 1.0, 0.2, True), (0.3, 0.0, 1.0, 0.2, False)], []),
     ExponentWeight: (
-        [(EXCESS,), (((EI(1, 1), 0, 0), (EI(2, None), 0, 1)),)],
-        [(((EI(2, None), 0, 0),),), (((EI(1, None), 2, 0),),), (((EI(1, 3), 0, 0),),)],
+        [(EXCESS,), (((1, 0, 0), (2, 0, 1)),), (((1, 0, 0), (3, 1, -2)),)],
+        [(((2, 0, 0),),), (((1, 2, 0),),), ((),), (((1, 0, 0), (1, 0, 1)),),
+         (((1, 0, 0), (3, 0, 1), (2, 0, 0)),), (((1, 0, 0), (2, 1, -3)),)],
     ),
     DensitySeries: (
         [((0.5,), (0.4,), (0.6,), 1000, 0.5), ((0.5, 0.25), (0.5, 0.2), (0.5, 0.3), 2, 0.25)],

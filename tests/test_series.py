@@ -6,12 +6,19 @@ from helpers import free_at_one_weights, inverse_zeta, small_weights
 from hypothesis import assume, given, settings
 
 from expdens.euler import _delta_quotients, brackets_overlap, density
-from expdens.patterns import ExponentInterval, PrimeAwarePattern, min_forbidden, parse_pattern
+from expdens.patterns import (
+    ExponentPattern,
+    PrimeAwarePattern,
+    contains,
+    min_forbidden,
+    parse_pattern,
+)
 from expdens.primes import sieve_primes
 from expdens.series import (
     DivergentWeightError,
     ExponentWeight,
     _row_exponents,
+    _weight_ends,
     density_series,
 )
 
@@ -50,11 +57,20 @@ class TestExponentWeight:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            ExponentWeight(((ExponentInterval(1, None), 1, -2),))
+            ExponentWeight(((1, 1, -2),))
 
     def test_uncovered_exceptions_rejected(self):
         with pytest.raises(ValueError):
-            ExponentWeight(((ExponentInterval(2, 3), 0, 1), (ExponentInterval(4, None), 0, 0)))
+            ExponentWeight(((2, 0, 1), (4, 0, 0)))
+
+    @given(small_weights, st.integers(0, 6))
+    @settings(max_examples=200)
+    def test_weight_ends_are_the_level_sets(self, w, K):
+        # the ends of set k hold exactly the exponents of weight k
+        for k, ends in enumerate(_weight_ends(w, K)):
+            pattern = ExponentPattern(ends)
+            for i in range(1, 41):
+                assert contains(pattern, i) == (w.weight(i) == k)
 
 
 class TestLocalPoly:
@@ -140,11 +156,7 @@ class TestDensitySeries:
     def test_a_row_past_the_quotient_cap_is_no_exact_zero(self):
         # weight 1 only at exponent 2000: row 1 holds only exponents past the
         # 1100 bits the head's quotients keep, yet d_1 and d_2 are positive
-        w = ExponentWeight((
-            (ExponentInterval(1, 1999), 0, 0),
-            (ExponentInterval(2000, 2000), 0, 1),
-            (ExponentInterval(2001, None), 0, 0),
-        ))
+        w = ExponentWeight(((1, 0, 0), (2000, 0, 1), (2001, 0, 0)))
         ds = density_series(w, 2)
         for k in (1, 2):
             assert ds.lower[k] == 0.0 < ds.upper[k]
@@ -153,11 +165,7 @@ class TestDensitySeries:
     def test_a_weight_whose_quotients_are_all_cut_is_published_above_zero(self, e):
         # weight 1 only at exponent e: every head quotient of row 1 is cut to
         # 0, yet d_1 > 0 is published as [0, upper], never as [0, 0]
-        w = ExponentWeight((
-            (ExponentInterval(1, e - 1), 0, 0),
-            (ExponentInterval(e, e), 0, 1),
-            (ExponentInterval(e + 1, None), 0, 0),
-        ))
+        w = ExponentWeight(((1, 0, 0), (e, 0, 1), (e + 1, 0, 0)))
         primes = sieve_primes(1000).primes.tolist()
         assert not any(_delta_quotients(primes, _row_exponents(w, 1)[1])[0])
         ds = density_series(w, 1)

@@ -23,7 +23,7 @@ from helpers import (
 
 import expdens.euler
 from expdens.cli import EXIT_RESOURCE, main
-from expdens.patterns import ExponentInterval, parse_pattern
+from expdens.patterns import parse_pattern
 from expdens.primes import ResourceBudgetError
 from expdens.series import (
     ExponentWeight,
@@ -179,8 +179,7 @@ class TestWorkCap:
     def test_exact_zero_needs_no_rerun(self):
         # no exponent has weight 1, so d_1 = 0 exactly: it is published as
         # [0, 0], and the rerun's width is set by the other coefficients
-        w = ExponentWeight(((ExponentInterval(1, 1), 0, 0), (ExponentInterval(2, 2), 0, 2),
-                            (ExponentInterval(3, None), 1, 0)))
+        w = ExponentWeight(((1, 0, 0), (2, 0, 2), (3, 1, 0)))
         start = time.perf_counter()
         ds = density_series(w, 198, 1000)
         assert time.perf_counter() - start < 1.5
