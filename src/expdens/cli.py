@@ -7,7 +7,7 @@ file (--spec FILE) with the schema
 
 where a key is a prime ("7"), "p<=q" for all primes up to q, or
 "p in [2,3,5]"; a "p in" key is expanded to explicit primes at load time,
-a "p<=q" key is sieved on first use, and the empty DSL string denotes the
+a "p<=q" key is sieved as it is read, and the empty DSL string denotes the
 empty pattern.
 
 Machine mode prints one JSON record per result whose keys are the result

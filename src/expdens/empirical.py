@@ -37,6 +37,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
+from operator import iadd
 
 from ._record import record
 from .patterns import PrimeAwarePattern, contains
@@ -276,11 +277,16 @@ def count_pattern(x: int, pap: PrimeAwarePattern) -> CountReport:
     def forbidden(pattern) -> Rule:
         return functools.cache(lambda e: int(not contains(pattern, e)))
 
+    def joined(windows) -> Sequence[int]:
+        # one array of a range's segments; listed keys, maybe past 2^63, stay a list
+        windows = iter(windows)
+        return functools.reduce(iadd, windows, next(windows, []))
+
     runs = pap.runs(math.isqrt(x))
     if any(contains(pattern, 1) != contains(pap.default, 1) for _, pattern in runs):
         # _tally reads a run that flips exponent 1 to x, the others to sqrt(x)
         runs = pap.runs(x)
-    rules = [(primes, forbidden(pattern)) for primes, pattern in runs]
+    rules = [(joined(windows), forbidden(pattern)) for windows, pattern in runs]
     count = _tally(x, 0, forbidden(pap.default), rules)[0]
     return CountReport(x, count, count / x)
 

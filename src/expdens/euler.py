@@ -514,6 +514,23 @@ def _round_out(lo: int, hi: int, e: int) -> tuple[float, float, float]:
 # Bracketed product engine
 
 
+def _g_series(L: list[tuple[int, int]], W: int) -> list[tuple[int, int]]:
+    """[g_lo, g_hi] 2^-W around each g_k of exp(L_0 - L(z)), each L_k in [lo, hi] 2^-W.
+
+    g_0 = 1 and k g_k = sum_{j=1..k} j s_j g_{k-j}, s = -L, in integer intervals
+    rounded outward; the signs are mixed, so a product takes its ends' min and max.
+    """
+    g = [(1 << W, 1 << W)]
+    for k in range(1, len(L)):
+        lo = hi = 0
+        for j in range(1, k + 1):
+            ends = [-s * e for s in L[j] for e in g[k - j]]
+            lo += j * min(ends)
+            hi += j * max(ends)
+        g.append((lo // (k << W), -(-hi // (k << W))))
+    return g
+
+
 def _product_at(cols: list, b: tuple, W: int) -> tuple[list[tuple], int]:
     """Each d_k of ``_bracketed_product`` as (lo, hi, e) at W bits, and the slack."""
     K = len(b) - 1
@@ -521,14 +538,7 @@ def _product_at(cols: list, b: tuple, W: int) -> tuple[list[tuple], int]:
     L = [_tail_fixed(row, W) for row in b]
     e_lo = _exp_fixed(L[0][1], W, False)
     e_hi = _exp_fixed(max(L[0][0], 0), W, True)
-    g = [(1 << W, 1 << W)]
-    for k in range(1, K + 1):
-        lo = hi = 0
-        for j in range(1, k + 1):
-            ends = [-s * e for s in L[j] for e in g[k - j]]
-            lo += j * min(ends)
-            hi += j * max(ends)
-        g.append((lo // (k << W), -(-hi // (k << W))))
+    g = _g_series(L, W)
     out = []
     for k in range(K + 1):
         lo = hi = 0
@@ -553,10 +563,8 @@ def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
     L = sum_{p > 1000} -log F(p; z), whose coefficients ``_neglog_coeffs``
     derives from ``exps``, each z-degree enclosed by ``_tail_fixed``, and
     exp(-L) = exp(-L_0) g(z): exp(-L_0) from ``_exp_fixed``, a Taylor
-    series at L_0 < 2^-12 (row 0 allows exponent 1), and g_0 = 1,
-    k g_k = sum_{j=1..k} j s_j g_{k-j} with s = -L, in integer intervals;
-    the signs are mixed, so each product takes the min and the max of its
-    ends' products.  d_k = exp(-L_0) sum_j H_j g_{k-j} comes back as the
+    series at L_0 < 2^-12 (row 0 allows exponent 1), and g from
+    ``_g_series``.  d_k = exp(-L_0) sum_j H_j g_{k-j} comes back as the
     exact integers (lo, hi, e) of [lo, hi] 2^e, for its publisher to round
     outward once.  ``density()`` is K = 0, its default's one row.
 
@@ -624,8 +632,9 @@ def density(
     ``_bracketed_product``, times the correction C = N / D over the
     exceptional primes, N the product of their own factors and D of their
     default factors.  Both are taken exactly in fixed point
-    (``_head_product``), a chunk of primes at a time, each enclosed between
-    an integer and that integer plus its number of factors, and C 2^_W lies
+    (``_head_product``), each enclosed between an integer and that integer
+    plus its number of factors, a chunk of a window of ``pap.runs()`` at a
+    time, so no array of a ``p<=q`` range is held whole; C 2^_W lies
     in [c_lo, c_hi] = [floor(N_lo 2^_W / D_hi), ceil(N_hi 2^_W / D_lo)],
     where D > 0.6: a default that allows exponent 1 has every factor at
     least 1 - p^-2.  The density is in the exact product [lo c_lo, hi c_hi]
@@ -645,19 +654,22 @@ def density(
     if m == 1:
         return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
     runs = pap.runs()
-    last = max((primes[-1] for primes, _ in runs), default=0)
     if m is None and all(pattern.allows_everything() for _, pattern in runs):
-        return DensityEstimate(1.0, 1.0, 1.0, max(last, 2), 0.0)
+        last = max((w[-1] for windows, _ in runs for w in windows), default=2)
+        return DensityEstimate(1.0, 1.0, 1.0, last, 0.0)
 
     default_exps = _delta_exponents(pap.default)
     num = den = (1 << _W, 1 << _W)
-    for primes, pattern in runs:
+    last = 0
+    for windows, pattern in runs:
         exps = _delta_exponents(pattern)
-        for i in range(0, len(primes), _CHUNK):
-            chunk = primes[i : i + _CHUNK]
-            num = _head_product(*_delta_quotients(chunk, exps), *num)
-            if m is not None:
-                den = _head_product(*_delta_quotients(chunk, default_exps), *den)
+        for window in windows:
+            for i in range(0, len(window), _CHUNK):
+                chunk = window[i : i + _CHUNK]
+                num = _head_product(*_delta_quotients(chunk, exps), *num)
+                if m is not None:
+                    den = _head_product(*_delta_quotients(chunk, default_exps), *den)
+            last = max(last, window[-1])
     c_lo, c_hi = (num[0] << _W) // den[1], -(-(num[1] << _W) // den[0])
     if m is None:
         # one unit each way for the terms the quotients drop

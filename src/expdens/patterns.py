@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import re
 import sys
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import and_, itemgetter, lt, rshift
 
 from ._record import record
-from .primes import _check_budget, _odd_flags, is_prime, sieve_primes
+# sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it by name.
+from .primes import _check_budget, _odd_flags, is_prime, prime_segments, sieve_primes  # noqa: F401
 
 # Exception keys up to this bound are checked against one sieve's flags;
 # larger keys get a Miller-Rabin test each.
@@ -84,7 +84,7 @@ class PrimeAwarePattern:
 
     def __post_init__(self):
         if isinstance(self.exceptions, _PrimeRange):
-            return  # parse_prime_aware built it from a sieve, ascending
+            return  # parse_prime_aware checked its keys
         keys = list(self.exceptions)
         if not set(map(type, keys)) <= {int}:
             import numbers  # only a key of another type needs it
@@ -117,18 +117,17 @@ class PrimeAwarePattern:
             else {p: self.exceptions[p] for p in ordered},
         )
 
-    def runs(self, upto: int | None = None) -> list[tuple[Sequence[int], ExponentPattern]]:
-        """The exceptional primes as ascending (primes, pattern) runs.
+    def runs(self, upto: int | None = None) -> list[tuple[Iterable, ExponentPattern]]:
+        """The exceptional primes as (windows, pattern) runs, each window ascending.
 
-        A "p<=q" range is the first run, its sieve array, sieved no further
-        than ``upto``.  The other keys form one sorted list per distinct pattern,
-        grouped first by the pattern object, so that no pattern is hashed per
-        key; a key may pass 2^63, so it stays in a list.
+        A "p<=q" range is the first run, its windows sieve segments made as
+        they are read, up to ``upto``.  The other keys form one window, a sorted
+        list (a key may pass 2^63), per distinct pattern, grouped by pattern
+        object first, so that no pattern is hashed per key.
         """
         exceptions, runs = self.exceptions, []
         if isinstance(exceptions, _PrimeRange):
-            primes = exceptions.primes if upto is None else exceptions.primes_upto(upto)
-            runs.append((primes, exceptions.pattern))
+            runs.append((exceptions.windows(upto), exceptions.pattern))
             exceptions = exceptions.rest
         by_object: dict[int, tuple[ExponentPattern, list[int]]] = {}
         for p, pattern in exceptions.items():
@@ -136,7 +135,7 @@ class PrimeAwarePattern:
         by_pattern: dict[ExponentPattern, list[int]] = {}
         for pattern, keys in by_object.values():
             by_pattern.setdefault(pattern, []).extend(keys)
-        return runs + [(sorted(keys), pattern) for pattern, keys in by_pattern.items()]
+        return runs + [([sorted(keys)], pattern) for pattern, keys in by_pattern.items()]
 
 
 def normalize_intervals(
@@ -274,40 +273,29 @@ def _expand_prime_key(key: str) -> list[int]:
 class _PrimeRange(Mapping):
     """Exceptions of a "p<=q" key: every prime up to ``q`` maps to ``pattern``.
 
-    ``rest`` maps the primes of the other keys, all above q.  The sieve's
-    array stands for the range, so a large q costs no per-prime entry; it is
-    made on first use, and ``primes_upto`` sieves only as far as it asks.
-    Keys iterate ascending.
+    ``rest`` maps the primes of the other keys, all above q.  No prime of
+    the range is kept: ``windows`` sieves it segment by segment as it is
+    read, and a lookup is one primality test.  Keys iterate ascending.
     """
 
     def __init__(self, q: int, pattern: ExponentPattern, rest: dict):
         _check_budget(q)
         self.q, self.pattern, self.rest = q, pattern, rest
-        self._primes: array | None = None
 
-    @property
-    def primes(self) -> array:
-        if self._primes is None:
-            self._primes = sieve_primes(self.q).primes
-        return self._primes
-
-    def primes_upto(self, limit: int) -> array:
-        """The primes of the range up to ``limit``, ascending."""
-        if limit >= self.q or self._primes is not None:
-            return self.primes[: bisect_right(self.primes, limit)]
-        return sieve_primes(limit).primes if limit >= 2 else array("q")
+    def windows(self, upto: int | None = None) -> Iterator[Sequence[int]]:
+        """The primes of the range up to ``upto``, as ascending non-empty sieve segments."""
+        return filter(len, prime_segments(self.q if upto is None else min(self.q, upto)))
 
     def __getitem__(self, p: int) -> ExponentPattern:
-        i = bisect_left(self.primes, p)
-        if i < len(self.primes) and self.primes[i] == p:
+        if 2 <= p <= self.q and is_prime(p):
             return self.pattern
         return self.rest[p]
 
     def __iter__(self) -> Iterator[int]:
-        return chain(self.primes, self.rest)
+        return chain(chain.from_iterable(self.windows()), self.rest)
 
     def __len__(self) -> int:
-        return len(self.primes) + len(self.rest)
+        return sum(map(len, self.windows())) + len(self.rest)
 
     def __bool__(self) -> bool:
         return True  # q >= 2, so the range holds 2 without a sieve

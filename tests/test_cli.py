@@ -30,8 +30,14 @@ from expdens.cli import (
     main,
     run,
 )
-from expdens.patterns import load_spec, parse_pattern
-from helpers import argparse_reference, oracle_density, oracle_series
+from expdens.patterns import load_spec, parse_pattern, parse_prime_aware
+from helpers import (
+    argparse_reference,
+    brute_count,
+    oracle_density,
+    oracle_series,
+    pap_allows,
+)
 
 
 def run_capture(config):
@@ -271,6 +277,21 @@ class TestCountAndSeries:
         assert code == EXIT_OK
         assert json.loads(text) == {"x": 100, "count": 61, "ratio": 0.61}
 
+    @pytest.mark.parametrize("exceptions, count", [
+        ({"18446744073709551629": "1..2"}, 608),
+        ({"18446744073709551629": "1..2", "p<=100": "1..2"}, 833),
+    ])
+    def test_count_with_a_key_above_two_to_the_63(self, tmp_path, exceptions, count):
+        # 2^64 + 13 is prime and fits no array('q'): the listed keys stay ints
+        doc = {"default": "1..1", "exceptions": exceptions}
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err, _ = main_timed(["count", "--spec", str(spec), "--x", "1000"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == f"count    x=1000  count={count}  ratio={count / 1000!r}\n"
+        pap = parse_prime_aware(doc)
+        assert brute_count(1000, lambda p, a: pap_allows(pap, p, a)) == count
+
     def test_series_pattern_weight(self):
         code, text = run_capture(
             RunConfig("series", pattern="1..1", degree=3, truncation=10**4, output="machine")
@@ -333,7 +354,8 @@ class TestCountAndSeries:
         def refuse(limit):
             raise AssertionError(f"sieved to {limit}")
 
-        monkeypatch.setattr(expdens.patterns, "sieve_primes", refuse)
+        for name in ("prime_segments", "sieve_primes"):
+            monkeypatch.setattr(expdens.patterns, name, refuse)
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"default": "1..1", "exceptions": {"p<=100000000": ""}}))
         assert main(["series", "--spec", str(spec)]) == EXIT_USAGE

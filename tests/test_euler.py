@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expdens.euler
+import expdens.patterns
+import expdens.primes
 from expdens.cli import _CATALOG_ROWS
 from expdens.euler import (
     MIN_TRUNCATION,
@@ -477,7 +480,7 @@ class TestDensity:
         {"default": "1..1", "exceptions": {"104729": "1..inf"}},
     ], ids=["range 1..2", "range empty", "one key"])
     def test_exceptional_primes_sieve_nothing_above_1000(self, doc, monkeypatch):
-        # the range's primes come from its own array; the product sieves only
+        # the range's primes come from its own windows; the product sieves only
         # to 1000, and every factor is exact: one or two ulp, even for a range
         # that forbids exponent 1
         pap = parse_prime_aware(doc)
@@ -525,6 +528,40 @@ class TestDensity:
             assert calls == expected
         assert repr(estimates[0]) == repr(estimates[1])
         assert estimates[2] == estimates[0]
+
+    def test_range_is_read_window_by_window(self, monkeypatch):
+        # a "p<=q" range is never one array: density multiplies its correction
+        # a sieve segment at a time, in one pass, and gets the estimate of the
+        # same primes as listed keys, byte for byte
+        primes = sieve_primes(10**5).primes.tolist()
+        pattern = parse_pattern("1..2")
+        expected = density(PrimeAwarePattern(SQUAREFREE.default, dict.fromkeys(primes, pattern)))
+        sizes = []
+        segments = expdens.patterns.prime_segments
+
+        def recording(limit):
+            for window in segments(limit):
+                sizes.append(len(window))
+                yield window
+
+        def refuse(*args):
+            raise AssertionError(f"refused call with {args[:1]}")
+
+        monkeypatch.setattr(expdens.primes, "SEGMENT_SIZE", 1 << 12)
+        monkeypatch.setattr(expdens.patterns, "prime_segments", recording)
+        for module in (expdens.patterns, expdens.euler):
+            monkeypatch.setattr(module, "sieve_primes", refuse)
+        as_range = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000": "1..2"}})
+        assert repr(density(as_range)) == repr(expected)
+        assert sum(sizes) == len(primes) and len(sizes) >= 20
+        assert max(sizes) < len(primes) / 10
+        # every prime allows everything: the early return reads the windows
+        # for the last prime alone and multiplies nothing
+        sizes.clear()
+        monkeypatch.setattr(expdens.euler, "_head_product", refuse)
+        allow = parse_prime_aware({"default": "1..inf", "exceptions": {"p<=100000": "1..inf"}})
+        assert density(allow) == DensityEstimate(1.0, 1.0, 1.0, 99991, 0.0)
+        assert sum(sizes) == len(primes)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
@@ -716,6 +753,40 @@ class TestFixedPoint:
                 ], name
                 for k, exact in enumerate(exact_head_poly(cols, K)):
                     assert H[k] - 1 <= exact * 2**W <= H[k] + slack, (name, W, k)
+
+    @staticmethod
+    def _exact_g(L, W) -> list[Fraction]:
+        """g_0..g_K of exp(L_0 - L(z)) for L_k = L[k] 2^-W, exactly."""
+        s = [Fraction(-l, 1 << W) for l in L]
+        g = [Fraction(1)]
+        for k in range(1, len(L)):
+            g.append(sum(j * s[j] * g[k - j] for j in range(1, k + 1)) / k)
+        return g
+
+    def test_g_series_against_exact_values(self):
+        # every g_k of _g_series holds the exact g_k at each corner and at
+        # random points of its L box: the tails of the sweep weights, and
+        # random boxes, some of them single points, where a lower end
+        # rounded up would lie above the exact value
+        euler = expdens.euler
+        rng = random.Random(14)
+        boxes = []
+        for W in (256, 640):
+            for w in SWEEP_WEIGHTS.values():
+                b = euler._neglog_coeffs(_row_exponents(w, 5))
+                boxes.append(([euler._tail_fixed(row, W) for row in b], W))
+            for _ in range(8):
+                ends = [rng.randint(-(1 << (W - 8)), 1 << (W - 8)) for _ in range(6)]
+                width = rng.choice([0, 1, 1 << 20])
+                boxes.append(([(lo, lo + rng.randint(0, width)) for lo in ends], W))
+        for L, W in boxes:
+            g = euler._g_series(L, W)
+            assert len(g) == len(L)
+            points = [[L[0][0], *corner] for corner in itertools.product(*L[1:])]
+            points += [[rng.randint(lo, hi) for lo, hi in L] for _ in range(4)]
+            for point in points:
+                for (g_lo, g_hi), exact in zip(g, self._exact_g(point, W)):
+                    assert g_lo <= exact * 2**W <= g_hi, (L, W, point)
 
     def test_correction_against_exact_product(self, monkeypatch):
         for pap in self._head_cases():

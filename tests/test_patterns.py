@@ -26,6 +26,24 @@ def ivs(pattern):
     return list(pattern.intervals)
 
 
+def flat(windows):
+    return [p for window in windows for p in window]
+
+
+def spy_segments(monkeypatch):
+    """The limits of the ``prime_segments`` windows patterns hands out, each
+    recorded when its first window is read."""
+    limits = []
+    segments = expdens.patterns.prime_segments
+
+    def recording(limit):
+        limits.append(limit)  # a generator's body runs on the first read
+        yield from segments(limit)
+
+    monkeypatch.setattr(expdens.patterns, "prime_segments", recording)
+    return limits
+
+
 class TestNormalize:
     def test_already_normal(self):
         assert ivs(normalize_intervals([(1, 1), (3, None)])) == [(1, 1), (3, None)]
@@ -214,43 +232,35 @@ class TestPrimeAware:
         assert len(pap.exceptions) == 78498
 
     def test_range_key_to_1e7_parses_in_one_sieve(self, monkeypatch):
-        # 664 579 keys: the parse sieves nothing; the first use makes one
-        # sieve for the expansion and the check, no sort
-        limits = []
-        sieve = expdens.patterns.sieve_primes
-
-        def recording(limit):
-            limits.append(limit)
-            return sieve(limit)
-
-        monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
+        # 664 579 keys: the parse sieves nothing; len and iteration each walk
+        # one segmented sieve to q, no sort, and the range keeps no prime
+        limits = spy_segments(monkeypatch)
         start = time.perf_counter()
         pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=10000000": "1..1"}})
         assert limits == []
         assert len(pap.exceptions) == 664579
         assert time.perf_counter() - start < 0.5
-        assert list(pap.exceptions)[-1] == 9999991
         assert limits == [10**7]
+        assert max(pap.exceptions) == 9999991
+        assert limits == [10**7, 10**7]
+        assert vars(pap.exceptions).keys() == {"q", "pattern", "rest"}
 
     def test_range_is_sieved_only_as_far_as_asked(self, monkeypatch):
-        limits = []
-        sieve = expdens.patterns.sieve_primes
-
-        def recording(limit):
-            limits.append(limit)
-            return sieve(limit)
-
-        monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
+        limits = spy_segments(monkeypatch)
         pap = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000000": ""}})
-        assert pap.exceptions.primes_upto(100).tolist() == sieve(100).primes.tolist()
-        assert pap.exceptions.primes_upto(1).tolist() == []
-        assert limits == [100]
+        assert flat(pap.exceptions.windows(100)) == sieve_primes(100).primes.tolist()
+        assert flat(pap.exceptions.windows(1)) == []
+        assert limits == [100, 1]
+        # a lookup is one primality test: 99 999 989 is the range's last prime
+        assert pap.exceptions[99999989] == EMPTY_PATTERN
+        assert 99999999 not in pap.exceptions and 2 in pap.exceptions
+        assert limits == [100, 1]
         with pytest.raises(ResourceBudgetError):
             parse_prime_aware({"default": "1..1", "exceptions": {"p<=100000001": ""}})
         small = parse_prime_aware({"default": "1..1", "exceptions": {"p<=100": ""}})
-        assert small.exceptions.primes_upto(10**6).tolist() == sieve(100).primes.tolist()
-        assert small.exceptions.primes_upto(50).tolist() == sieve(50).primes.tolist()
-        assert limits == [100, 100]
+        assert flat(small.exceptions.windows(10**6)) == sieve_primes(100).primes.tolist()
+        assert flat(small.exceptions.windows(50)) == sieve_primes(50).primes.tolist()
+        assert limits == [100, 1, 100, 50]
 
     def test_non_integer_key_rejected(self):
         for key in (7.0, "7"):
@@ -276,18 +286,21 @@ RANGE_DOCS = [
 
 
 def check_runs(pap, ranged=False):
-    """runs() against the exceptions: ascending, disjoint, covering, one per pattern."""
-    runs = pap.runs()
-    keys = [p for primes, _ in runs for p in primes]
+    """runs() against the exceptions: non-empty ascending windows, disjoint,
+    covering, one run per pattern."""
+    runs = [([list(window) for window in windows], pattern) for windows, pattern in pap.runs()]
+    keys = [p for windows, _ in runs for p in flat(windows)]
     assert sorted(keys) == list(pap.exceptions)
     assert len(set(keys)) == len(keys)
-    for primes, pattern in runs:
-        assert len(primes) > 0 and list(primes) == sorted(primes)
+    for windows, pattern in runs:
+        primes = flat(windows)
+        assert windows and all(windows) and primes == sorted(primes)
         assert all(pattern_for_prime(pap, p) == pattern for p in primes)
-    # a "p<=q" range is its own run, ahead of one run per distinct pattern
-    # of the other keys
+    # a "p<=q" range is its own run, its windows the sieve's segments, ahead
+    # of one run, a single window, per distinct pattern of the other keys
     rest = [pattern for _, pattern in runs[ranged:]]
     assert len(set(rest)) == len(rest)
+    assert all(len(windows) == 1 for windows, _ in runs[ranged:])
     if not ranged:
         assert len(runs) == len(set(pap.exceptions.values()))
 
@@ -304,19 +317,13 @@ class TestRuns:
         check_runs(parse_prime_aware(doc), ranged=True)
 
     def test_runs_sieve_no_further_than_asked(self, monkeypatch):
-        limits = []
-        sieve = expdens.patterns.sieve_primes
-
-        def recording(limit):
-            limits.append(limit)
-            return sieve(limit)
-
-        monkeypatch.setattr(expdens.patterns, "sieve_primes", recording)
+        limits = spy_segments(monkeypatch)
         doc = {"default": "1..1", "exceptions": {"p<=100000000": "", "100000007": "1"}}
-        (primes, pattern), far = parse_prime_aware(doc).runs(1000)
-        assert primes.tolist() == sieve(1000).primes.tolist()
+        (windows, pattern), far = parse_prime_aware(doc).runs(1000)
         assert pattern == EMPTY_PATTERN
-        assert far == ([100000007], parse_pattern("1"))
+        assert far == ([[100000007]], parse_pattern("1"))
+        assert limits == []  # the range's windows are sieved as they are read
+        assert flat(windows) == sieve_primes(1000).primes.tolist()
         assert limits == [1000]
 
     def test_listed_primes_are_checked_by_one_sieve(self, monkeypatch):
