@@ -10,11 +10,13 @@ where a key is a prime ("7"), "p<=q" for all primes up to q, or
 a "p<=q" key is sieved as it is read, and the empty DSL string denotes the
 empty pattern.
 
-Machine mode prints one JSON record per result whose keys are the result
-record's fields, in order; floats round-trip at full precision, and a record
-holding NaN or an infinity is refused as a usage error.  Exit codes:
+A subcommand returns its exit code and its result records, each with a
+callable for its human text; ``run()`` alone picks the output and writes
+it, once.  Machine mode prints one JSON record per result whose keys are the
+result record's fields, in order; floats round-trip at full precision, and a
+record holding NaN or an infinity is refused as a usage error.  Exit codes:
 0 ok, 1 usage, 2 target error unreachable, 3 resource cap, 4 verification
-failure.
+failure; on 1 to 3 nothing is written.
 
 The result records are plain classes made by expdens._record, not
 dataclasses, so no request loads dataclasses or inspect, nor fractions;
@@ -82,17 +84,8 @@ def _fields(result) -> dict:
     return {name: getattr(result, name) for name in result.__match_args__}
 
 
-def _emit(result, out) -> None:
-    """One JSON line of a result record, or of a dict."""
-    import json  # only machine output needs it
-
-    if not isinstance(result, dict):
-        result = _fields(result)
-    out.write(json.dumps(result, allow_nan=False) + "\n")
-
-
-def _print_density(est: euler.DensityEstimate, label: str, out) -> None:
-    out.write(
+def _density_text(est: euler.DensityEstimate, label: str) -> str:
+    return (
         f"{label}value={est.value!r}  bracket=[{est.lower!r}, {est.upper!r}]\n"
         f"{' ' * len(label)}truncation_prime={est.truncation_prime}  "
         f"tail_logbound={est.tail_logbound:.3e}  "
@@ -100,19 +93,13 @@ def _print_density(est: euler.DensityEstimate, label: str, out) -> None:
     )
 
 
-def _cmd_density(config: RunConfig, out) -> int:
-    pap = _load_pattern(config)
-    est = euler.density(
-        pap, config.target_error, truncation_prime=config.truncation
-    )
-    if config.output == "machine":
-        _emit(est, out)
-    else:
-        _print_density(est, "density  ", out)
-    return EXIT_OK
+def _cmd_density(config: RunConfig) -> tuple[int, list]:
+    est = euler.density(_load_pattern(config), config.target_error,
+                        truncation_prime=config.truncation)
+    return EXIT_OK, [(est, lambda: _density_text(est, "density  "))]
 
 
-def _cmd_series(config: RunConfig, out) -> int:
+def _cmd_series(config: RunConfig) -> tuple[int, list]:
     from . import series
 
     if config.weight == "delta":
@@ -124,56 +111,38 @@ def _cmd_series(config: RunConfig, out) -> int:
         if pap.exceptions:
             raise UsageError("series weights are prime-independent; no exceptions allowed")
         w = series.ExponentWeight.outside_pattern(pap.default)
-    truncation = config.truncation or series.DEFAULT_TRUNCATION
-    ds = series.density_series(w, config.degree, truncation)
-    if config.output == "machine":
-        _emit(ds, out)
-    else:
-        out.write(f"series   truncation_prime={ds.truncation_prime}  "
-                  f"mass_deficit={ds.mass_deficit!r}\n")
-        for k, (c, lo, hi) in enumerate(zip(ds.coeffs, ds.lower, ds.upper)):
-            out.write(f"  d_{k} = {c!r}   in [{lo!r}, {hi!r}]\n")
-    return EXIT_OK
+    ds = series.density_series(w, config.degree, config.truncation or series.DEFAULT_TRUNCATION)
+    return EXIT_OK, [(ds, lambda: (
+        f"series   truncation_prime={ds.truncation_prime}  mass_deficit={ds.mass_deficit!r}\n"
+        + "".join(f"  d_{k} = {c!r}   in [{lo!r}, {hi!r}]\n"
+                  for k, (c, lo, hi) in enumerate(zip(ds.coeffs, ds.lower, ds.upper)))
+    ))]
 
 
-def _cmd_count(config: RunConfig, out) -> int:
+def _cmd_count(config: RunConfig) -> tuple[int, list]:
     from . import empirical
 
     if config.x is None:
         raise UsageError("count needs --x")
-    pap = _load_pattern(config)
-    rep = empirical.count_pattern(config.x, pap)
-    if config.output == "machine":
-        _emit(rep, out)
-    else:
-        out.write(f"count    x={rep.x}  count={rep.count}  ratio={rep.ratio!r}\n")
-    return EXIT_OK
+    rep = empirical.count_pattern(config.x, _load_pattern(config))
+    return EXIT_OK, [(rep, lambda: f"count    x={rep.x}  count={rep.count}  ratio={rep.ratio!r}\n")]
 
 
-def _cmd_verify(config: RunConfig, out) -> int:
+def _cmd_verify(config: RunConfig) -> tuple[int, list]:
     from . import empirical
 
     if config.x is None:
         raise UsageError("verify needs --x")
     pap = _load_pattern(config)
-    est = euler.density(
-        pap, config.target_error, truncation_prime=config.truncation
-    )
+    est = euler.density(pap, config.target_error, truncation_prime=config.truncation)
     rep = empirical.count_pattern(config.x, pap)
-    cmp_report = empirical.compare(est, rep, config.tolerance)
-    if config.output == "machine":
-        _emit(est, out)
-        _emit(rep, out)
-        _emit(cmp_report, out)
-    else:
-        _print_density(est, "product  ", out)
-        out.write(f"sieve    x={rep.x}  count={rep.count}  ratio={rep.ratio!r}\n")
-        verdict = "PASS" if cmp_report.passed else "FAIL"
-        out.write(
-            f"verify   deviation={cmp_report.deviation!r}  "
-            f"tolerance={cmp_report.tolerance!r}  {verdict}\n"
-        )
-    return EXIT_OK if cmp_report.passed else EXIT_VERIFY_FAILED
+    check = empirical.compare(est, rep, config.tolerance)
+    return EXIT_OK if check.passed else EXIT_VERIFY_FAILED, [
+        (est, lambda: _density_text(est, "product  ")),
+        (rep, lambda: f"sieve    x={rep.x}  count={rep.count}  ratio={rep.ratio!r}\n"),
+        (check, lambda: f"verify   deviation={check.deviation!r}  tolerance={check.tolerance!r}"
+                        f"  {'PASS' if check.passed else 'FAIL'}\n"),
+    ]
 
 
 _CATALOG_ROWS = [
@@ -191,19 +160,13 @@ _CATALOG_ROWS = [
 ]
 
 
-def _cmd_examples(config: RunConfig, out) -> int:
-    for label, kwargs in _CATALOG_ROWS:
+def _cmd_examples(config: RunConfig) -> tuple[int, list]:
+    def row(label: str, kwargs: dict):
         est = euler.closed_form(target_error=config.target_error, **kwargs)
-        if config.output == "machine":
-            row = _fields(est)
-            row["id"] = label
-            _emit(row, out)
-        else:
-            out.write(
-                f"{label:<24} value={est.value:.12f}  "
-                f"bracket=[{est.lower:.12f}, {est.upper:.12f}]\n"
-            )
-    return EXIT_OK
+        return {**_fields(est), "id": label}, lambda: (
+            f"{label:<24} value={est.value:.12f}  bracket=[{est.lower:.12f}, {est.upper:.12f}]\n"
+        )
+    return EXIT_OK, [row(label, kwargs) for label, kwargs in _CATALOG_ROWS]
 
 
 _DISPATCH = {
@@ -216,10 +179,23 @@ _DISPATCH = {
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute one configured invocation; returns the process exit code."""
+    """Execute one configured invocation; returns the process exit code.
+
+    The command's records go to ``out`` in one write, as JSON lines or as
+    their human text, which is formatted only in human mode.
+    """
     out = out if out is not None else sys.stdout
     try:
-        return _DISPATCH[config.subcommand](config, out)
+        code, records = _DISPATCH[config.subcommand](config)
+        if config.output == "machine":
+            import json  # only machine output needs it
+
+            lines = [json.dumps(r if isinstance(r, dict) else _fields(r), allow_nan=False) + "\n"
+                     for r, _ in records]
+        else:
+            lines = [text() for _, text in records]
+        out.write("".join(lines))
+        return code
     except (PatternSyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,9 +21,11 @@ from ._record import record
 DEFAULT_SIEVE_BUDGET = 10**8
 SEGMENT_SIZE = 1 << 22
 # The first 13 primes as Miller-Rabin bases decide primality exactly for every
-# n below _MR_EXACT_BELOW (Sorenson and Webster, 2015).
+# n below _MR_EXACT_BELOW (Sorenson and Webster, 2015), and the bases 2, 7
+# and 61 for every n below _MR_SMALL_BELOW (Jaeschke, Math. Comp. 61, 1993).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_MR_SMALL_BELOW = 4_759_123_141
 
 
 class ResourceBudgetError(RuntimeError):
@@ -51,11 +53,13 @@ def is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    if n < 43 * 43:  # no factor up to 41: prime, and 61 is one the base 61 would fail
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in _MR_BASES:
+    for b in (2, 7, 61) if n < _MR_SMALL_BELOW else _MR_BASES:
         y = pow(b, d, n)
         if y == 1 or y == n - 1:
             continue

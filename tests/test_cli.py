@@ -216,6 +216,17 @@ class TestComputationalExits:
         assert proc.returncode == EXIT_UNREACHABLE
         assert "bracket width" in proc.stderr and "> target 1.000e-16" in proc.stderr
 
+    @pytest.mark.parametrize("output", ["human", "machine"])
+    def test_correction_only_density_meets_the_target(self, output):
+        # a default that allows every exponent leaves the correction alone, one
+        # ulp of 0.4 wide; a tighter target exits 2, as for any other density
+        spec = Path(__file__).parent / "data" / "correction_only.json"
+        argv = ["density", "--spec", str(spec), "--error", "1e-30", "--output", output]
+        code, out, err, _ = main_timed(argv)
+        assert code == EXIT_UNREACHABLE
+        assert out == ""
+        assert err.startswith("error: bracket width 5.551e-17 > target 1.000e-30")
+
     def test_resource_cap(self):
         code, _ = run_capture(RunConfig("count", pattern="1..1", x=10**10))
         assert code == EXIT_RESOURCE

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -787,6 +788,55 @@ class TestFixedPoint:
             for point in points:
                 for (g_lo, g_hi), exact in zip(g, self._exact_g(point, W)):
                     assert g_lo <= exact * 2**W <= g_hi, (L, W, point)
+
+    def test_assembly_against_exact_ends(self, monkeypatch):
+        # each d_k of _product_at holds every value its parts allow, all
+        # 2^-W: H_j in [max(H_j - 1, 0), H_j + S], g_j in [g_lo, g_hi] and
+        # exp(-L_0) in [e_lo, e_hi], with e_lo taken at L_0's upper end and
+        # e_hi at its lower end; the sweep weights at K = 16, every pass
+        euler = expdens.euler
+        calls = []
+
+        def spy(name):
+            inner = getattr(euler, name)
+
+            def wrapped(*args):
+                out = inner(*args)
+                # a copy: the engine overwrites the d_k it reruns in place
+                calls.append((name, args, copy.deepcopy(out)))
+                return out
+
+            monkeypatch.setattr(euler, name, wrapped)
+
+        for name in ("_head_poly", "_tail_fixed", "_exp_fixed", "_g_series", "_product_at"):
+            spy(name)
+        for name, w in SWEEP_WEIGHTS.items():
+            calls.clear()
+            density_series(w, 16)
+            passes = [i for i, call in enumerate(calls) if call[0] == "_product_at"]
+            assert passes, name
+            for start, end in zip([-1, *passes], passes):
+                parts = {}
+                for part, args, out in calls[start + 1 : end]:
+                    parts.setdefault(part, []).append((args, out))
+                ((_, (H, S)),) = parts["_head_poly"]
+                L = [out for _, out in parts["_tail_fixed"]]
+                ((lo_args, e_lo), (hi_args, e_hi)) = parts["_exp_fixed"]
+                (((g_L, W), g),) = parts["_g_series"]
+                (_, b, W_pass), (out, slack) = calls[end][1:]
+                assert W_pass == W and slack == S and g_L == L and len(L) == len(b), name
+                assert lo_args == (L[0][1], W, False), name
+                assert hi_args == (max(L[0][0], 0), W, True), name
+                unit = Fraction(1, 1 << W)
+                for k, (lo, hi, e) in enumerate(out):
+                    assert e == -3 * W
+                    low = high = 0
+                    for h, (g_lo, g_hi) in zip(H[k::-1], g):
+                        corners = [a * b * unit**2 for a, b in
+                                   itertools.product((max(h - 1, 0), h + S), (g_lo, g_hi))]
+                        low, high = low + min(corners), high + max(corners)
+                    assert lo * unit**3 <= e_lo * unit * max(low, 0), (name, W, k)
+                    assert hi * unit**3 >= e_hi * unit * high, (name, W, k)
 
     def test_correction_against_exact_product(self, monkeypatch):
         for pap in self._head_cases():

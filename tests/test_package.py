@@ -223,6 +223,17 @@ def test_empirical_leaves_euler_out():
     assert not _loads("import expdens.empirical", "expdens.euler")
 
 
+def test_euler_leaves_series_out():
+    # the engine serves the series module, so euler imports nothing back from it
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "expdens" / "euler.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if name.split(".")[-1] == "series"], imported
+
+
 def test_euler_import_is_detected():
     # positive control: the same check sees euler where the code imports it
     assert _loads("import expdens.series", "expdens.euler")

@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -23,6 +24,15 @@ def reference_primes(limit):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [n for n in range(2, limit + 1) if flags[n]]
+
+
+def strong_probable_prime(n, b):
+    """Whether odd n passes the Miller-Rabin round to base b."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    y = pow(b, d, n)
+    return y in (1, n - 1) or any(pow(y, 2**r, n) == n - 1 for r in range(1, s))
 
 
 class TestSievePrimes:
@@ -66,6 +76,23 @@ class TestIsPrime:
         # a Carmichael number and the smallest strong pseudoprimes to base 2
         # and to bases 2, 3, 5, 7
         assert not is_prime(n)
+
+    def test_three_bases_end_at_their_first_pseudoprime(self):
+        # 4759123141 = 48781 * 97561 passes the strong test to each of 2, 7
+        # and 61, so it must take the 13 bases
+        n = 4759123141
+        assert n == 48781 * 97561
+        assert all(strong_probable_prime(n, b) for b in (2, 7, 61))
+        assert not is_prime(n)
+        assert is_prime(4294967291)  # the largest prime below 2^32, on three bases
+
+    def test_three_bases_agree_with_thirteen(self, monkeypatch):
+        rng = random.Random(5)
+        ns = [rng.randrange(10**9, 4759123141) | 1 for _ in range(3000)]
+        three = [is_prime(n) for n in ns]
+        monkeypatch.setattr(expdens.primes, "_MR_SMALL_BELOW", 0)
+        assert three == [is_prime(n) for n in ns]
+        assert any(three)
 
     def test_large_prime_is_fast(self):
         start = time.perf_counter()
