@@ -849,6 +849,48 @@ class TestFixedPoint:
             # N / D < 1 / 0.6, and one unit for each rounding
             assert c_hi - c_lo <= 5 * len(pap.exceptions) + 2
 
+    @staticmethod
+    def _narrow_cases() -> list[tuple[PrimeAwarePattern, bool]]:
+        """(pap, engine): correction-only densities, and engine ones with keys below 1000."""
+        rng = random.Random(36)
+        everything = parse_pattern("1..inf")
+        spec = load_spec(str(Path(__file__).parent / "data" / "correction_only.json"))
+        # 2^-1101 lies below the quotients' cut, so F(2) is taken as exactly 1
+        cases = [(spec, False), (PrimeAwarePattern(everything, {2: parse_pattern("1..1100")}), False)]
+        keys = [2, 3, 5, 7, 11, 13, 97, 991, 997]
+        while len(cases) < 40:
+            engine = len(cases) % 2 == 0
+            default = random_pattern(rng) if engine else everything
+            exceptions = {q: random_pattern(rng, max_lo=5) if rng.random() < 0.8 else EMPTY_PATTERN
+                          for q in rng.sample(keys + [1009, 7919] * (not engine), rng.randint(1, 6))}
+            if contains(default, 1) and (min_forbidden(default) is not None) == engine:
+                cases.append((PrimeAwarePattern(default=default, exceptions=exceptions), engine))
+        return cases
+
+    @pytest.mark.parametrize("W", [16, 24, 32])
+    def test_narrow_correction_holds_the_exact_product(self, W, monkeypatch):
+        # at W <= 32 one unit of the correction shows through the float, so
+        # a charge dropped from the head product or from the cut quotients
+        # moves an end of the published bracket past the exact value
+        monkeypatch.setattr(expdens.euler, "_W", W)
+        inner = expdens.euler._bracketed_product
+        for pap, engine in self._narrow_cases():
+            enclosures = []
+            monkeypatch.setattr(expdens.euler, "_bracketed_product",
+                                lambda *args: enclosures.extend(inner(*args)) or enclosures)
+            est = density(pap, 1.0)
+            lower, upper = Fraction(est.lower), Fraction(est.upper)
+            if not engine:
+                assert not enclosures
+                assert lower <= exact_head(pap, max(pap.exceptions)) <= upper, pap
+                continue
+            # the engine encloses the default's product in [lo, hi] 2^e, so the
+            # bracket must hold every value of it times the exact correction
+            ((lo, hi, e),) = enclosures
+            exact = exact_head(pap) / exact_head(PrimeAwarePattern(default=pap.default))
+            assert lower <= lo * Fraction(2) ** e * exact, pap
+            assert hi * Fraction(2) ** e * exact <= upper, pap
+
     def test_degree_zero_calls_no_libm_exp_or_log1p(self, monkeypatch):
         class NoExp:
             def __getattr__(self, name):
