@@ -603,10 +603,12 @@ def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
 def _publish(enclosure: tuple, P: int, target_error: float | None = None) -> DensityEstimate:
     """``enclosure`` (lo, hi, e), [lo, hi] 2^e, rounded outward once and reported at prime P.
 
+    hi = 0 marks a product that diverges to zero, as every finite one is positive.
     A bracket wider than ``target_error``, if given, raises UnreachableTargetError.
     """
     value, lower, upper = _round_out(*enclosure)
-    est = DensityEstimate(value, lower, upper, P, math.log(upper / lower))
+    tail = math.log(upper / lower) if upper else 0.0
+    est = DensityEstimate(value, lower, upper, P, tail, upper == 0.0)
     if target_error is not None and est.width > target_error:
         raise UnreachableTargetError(
             f"bracket width {est.width:.3e} > target {target_error:.3e} "
@@ -630,40 +632,46 @@ def density(
 ) -> DensityEstimate:
     """Natural density of {n : every prime exponent allowed by ``pap``}.
 
-    The density is the default's product, [lo, hi] 2^e from
-    ``_bracketed_product``, times the correction C = N / D over the
-    exceptional primes, N the product of their own factors and D of their
-    default factors.  Both are taken exactly in fixed point
-    (``_head_product``), each enclosed between an integer and that integer
-    plus its number of factors, a chunk of a window of ``pap.runs()`` at a
-    time, so no array of a ``p<=q`` range is held whole; C 2^_W lies
-    in [c_lo, c_hi] = [floor(N_lo 2^_W / D_hi), ceil(N_hi 2^_W / D_lo)],
-    where D > 0.6: a default that allows exponent 1 has every factor at
-    least 1 - p^-2.  The density is in the exact product [lo c_lo, hi c_hi]
-    2^(e - _W) of the two non-negative enclosures.  The engine never reruns
-    here: d_0 > 0.6 and its slack has 9 bits, so it needs 70 bits of its
-    first 256.  The estimate is reported at
-    max(MIN_TRUNCATION, largest exceptional prime + 1), and a bracket wider
-    than ``target_error`` raises UnreachableTargetError; pass
-    ``truncation_prime`` to pin the reported prime instead, in which case
-    no width check is applied.  If the default pattern allows everything,
-    D = 1 and the density is C; if it forbids
-    exponent 1 the product diverges to zero and the estimate is exactly 0
-    with ``diverges_to_zero`` set.
+    The density is the default's product D times the correction C = N / D_E
+    over the exceptional primes whose pattern is not the default's, N the
+    product of their own factors and D_E of their default factors.  Both
+    are taken exactly in fixed point (``_head_product``), each enclosed
+    between an integer and that integer plus its number of factors, a chunk
+    of a window of ``pap.runs()`` at a time, so no array of a ``p<=q`` range
+    is held whole; C 2^_W lies in [c_lo, c_hi] = [floor(N_lo 2^_W / D_hi),
+    ceil(N_hi 2^_W / D_lo)], where D_E > 0.6: a default that allows exponent
+    1 has every factor at least 1 - p^-2.  With D in [lo, hi] 2^e, the
+    density is in the exact product [lo c_lo, hi c_hi] 2^(e - _W) of the two
+    non-negative enclosures.  D is exactly 0 when the default forbids
+    exponent 1 (the product diverges to zero), and exactly 1 when it allows
+    everything, where C takes one more unit each way, once a factor was
+    multiplied, for the terms the quotients drop.  Otherwise D comes from
+    ``_bracketed_product``, whose charge covers those terms; it never reruns
+    here: d_0 > 0.6 and its slack has 9 bits, so it needs 70 bits of 256.
+
+    The estimate is reported at 2 for a divergent product, at the largest
+    exceptional prime (or 2) when the default allows everything, and
+    otherwise at max(MIN_TRUNCATION, largest exceptional prime + 1); a
+    ``truncation_prime`` at least that pins the reported prime instead and
+    moves no bracket.  A pinned or engine prime above the sieve budget
+    raises ResourceBudgetError, and a bracket wider than ``target_error``
+    UnreachableTargetError.
     """
     _check_target(target_error)
     m = min_forbidden(pap.default)
-    if m == 1:
-        return DensityEstimate(0.0, 0.0, 0.0, 2, 0.0, True)
-    runs = pap.runs()
-    if m is None and all(pattern.allows_everything() for _, pattern in runs):
-        last = max((w[-1] for windows, _ in runs for w in windows), default=2)
-        return DensityEstimate(1.0, 1.0, 1.0, last, 0.0)
-
+    last = next(reversed(pap.exceptions), 0)
+    start = 2 if m == 1 else max(last, 2) if m is None else max(MIN_TRUNCATION, last + 1)
+    P = start if truncation_prime is None else truncation_prime
+    if P < start:
+        raise ValueError(f"truncation prime {P} below required minimum {start}")
+    if truncation_prime is not None or m is not None:
+        # before any float of P: a P of hundreds of digits would overflow
+        _check_budget(P, "truncation prime")
     default_exps = _delta_exponents(pap.default)
     num = den = (1 << _W, 1 << _W)
-    last = 0
-    for windows, pattern in runs:
+    for windows, pattern in pap.runs() if m != 1 else ():
+        if pattern == pap.default:
+            continue
         exps = _delta_exponents(pattern)
         for window in windows:
             for i in range(0, len(window), _CHUNK):
@@ -671,21 +679,11 @@ def density(
                 num = _head_product(*_delta_quotients(chunk, exps), *num)
                 if m is not None:
                     den = _head_product(*_delta_quotients(chunk, default_exps), *den)
-            last = max(last, window[-1])
     c_lo, c_hi = (num[0] << _W) // den[1], -(-(num[1] << _W) // den[0])
-    target = target_error if truncation_prime is None else None
-    if m is None:
-        # one unit each way for the terms the quotients drop
-        return _publish((max(c_lo - 1, 0), c_hi + 1, -_W), max(last, 2), target)
-
-    start = max(MIN_TRUNCATION, last + 1)
-    P = start if truncation_prime is None else truncation_prime
-    if P < start:
-        raise ValueError(f"truncation prime {P} below required minimum {start}")
-    # before any float of P: a P of hundreds of digits would overflow
-    _check_budget(P)
-    lo, hi, e = _bracketed_product((default_exps,))[0]
-    return _publish((lo * c_lo, hi * c_hi, e - _W), P, target)
+    unit = int(m is None and num[0] < num[1])  # num[0] < num[1]: a factor was multiplied
+    lo, hi, e = ((0, 0, 0) if m == 1 else (1, 1, 0) if m is None
+                 else _bracketed_product((default_exps,))[0])
+    return _publish((lo * max(c_lo - unit, 0), hi * (c_hi + unit), e - _W), P, target_error)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +700,7 @@ def _interval_density(pattern: ExponentPattern, target_error: float) -> DensityE
 @lru_cache(maxsize=256)
 def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
     if ell == 1:
-        return DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
+        return _interval_density(normalize_intervals([(1, None)]), target_error)
 
     def col0(primes: list[int]) -> tuple[list[int], list[int]]:
         # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotients

@@ -71,9 +71,6 @@ class ExponentPattern:
             for lo, hi in self.intervals
         )
 
-    def allows_everything(self) -> bool:
-        return self.ends == (1,)
-
 
 @record
 class PrimeAwarePattern:
@@ -275,7 +272,8 @@ class _PrimeRange(Mapping):
 
     ``rest`` maps the primes of the other keys, all above q.  No prime of
     the range is kept: ``windows`` sieves it segment by segment as it is
-    read, and a lookup is one primality test.  Keys iterate ascending.
+    read, and a lookup is one primality test.  Keys iterate ascending, and
+    ``reversed`` scans the range down from q by primality tests, no sieve.
     """
 
     def __init__(self, q: int, pattern: ExponentPattern, rest: dict):
@@ -284,7 +282,7 @@ class _PrimeRange(Mapping):
 
     def windows(self, upto: int | None = None) -> Iterator[Sequence[int]]:
         """The primes of the range up to ``upto``, as ascending non-empty sieve segments."""
-        return filter(len, prime_segments(self.q if upto is None else min(self.q, upto)))
+        yield from filter(len, prime_segments(self.q if upto is None else min(self.q, upto)))
 
     def __getitem__(self, p: int) -> ExponentPattern:
         if 2 <= p <= self.q and is_prime(p):
@@ -293,6 +291,9 @@ class _PrimeRange(Mapping):
 
     def __iter__(self) -> Iterator[int]:
         return chain(chain.from_iterable(self.windows()), self.rest)
+
+    def __reversed__(self) -> Iterator[int]:
+        return chain(reversed(self.rest), filter(is_prime, range(self.q, 1, -1)))
 
     def __len__(self) -> int:
         return sum(map(len, self.windows())) + len(self.rest)

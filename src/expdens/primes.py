@@ -72,11 +72,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_budget(limit: int) -> None:
+def _check_budget(limit: int, what: str = "sieve limit") -> None:
     if limit > DEFAULT_SIEVE_BUDGET:
-        raise ResourceBudgetError(
-            f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
-        )
+        raise ResourceBudgetError(f"{what} {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}")
 
 
 def _odd_flags(limit: int) -> bytearray:

@@ -215,7 +215,7 @@ def density_series(
             "weight is positive at exponent 1; all finite coefficients are zero"
         )
     # P and K may have hundreds of digits: test both before any float of them
-    _check_budget(truncation_prime)
+    _check_budget(truncation_prime, "truncation prime")
     work = (168 + 64) * (K + 9) ** 2 if K <= SERIES_WORK_CAP else math.inf
     if work > SERIES_WORK_CAP:
         raise ResourceBudgetError(

@@ -119,6 +119,20 @@ class TestDensity:
         assert code == EXIT_OK
         assert json.loads(text)["truncation_prime"] == 5000
 
+    def test_pinned_truncation_keeps_the_width_check(self):
+        # a pinned prime moves no bracket, so a target below one ulp exits 2 either way
+        for extra in ([], ["--truncation", "1000"]):
+            argv = ["density", "--pattern", "1..1", "--error", "1e-30", *extra]
+            code, out, err, _ = main_timed(argv)
+            assert (code, out) == (EXIT_UNREACHABLE, "")
+            assert err.startswith("error: bracket width 1.110e-16 > target 1.000e-30")
+
+    @pytest.mark.parametrize("command", ["density", "series"])
+    def test_truncation_above_the_budget_names_the_prime(self, command):
+        code, out, err, _ = main_timed([command, "--pattern", "1..1", "--truncation", "200000000"])
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "truncation prime 200000000 exceeds budget" in err
+
 
 class TestUsageErrors:
     def test_both_pattern_sources(self):

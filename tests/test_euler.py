@@ -1,8 +1,10 @@
 import copy
 import functools
 import itertools
+import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -240,7 +242,7 @@ class TestLocalFactors:
                     # compare against the exact rational bound: float rounding
                     # is monotone, so the exact inequality survives it
                     assert v >= float(1 - Fraction(1, p**m))
-                assert (v == 1.0) == pattern.allows_everything()
+                assert (v == 1.0) == (m is None)
 
     def test_monotone_under_pattern_inclusion(self):
         rng = random.Random(99)
@@ -451,13 +453,24 @@ class TestDensity:
         assert est.truncation_prime == expdens.euler.MIN_TRUNCATION
         assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
 
-    @pytest.mark.parametrize("argv", [
-        ["series", "--pattern", "1..1", "--truncation", "1000000"],
-        ["density", "--pattern", "1..1", "--truncation", "100000"],
-    ])
-    def test_pinned_truncation_sieves_nothing_above_1000(self, argv, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, prime", [
+        (["series", "--pattern", "1..1", "--truncation", "1000000"], 1000000),
+        (["density", "--pattern", "1..1", "--truncation", "100000"], 100000),
+        (["density", "--pattern", "2..inf", "--truncation", "100000"], 100000),
+        (["density", "--pattern", "1..inf", "--truncation", "100000"], 100000),
+        (["density", "--spec", str(Path(__file__).parent / "data" / "correction_only.json"),
+          "--truncation", "100000"], 100000),
+        # unpinned: the range's last prime, found without its sieve
+        (["density", "--spec", "all_allow_range.json"], 9999991),
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_pinned_truncation_sieves_nothing_above_1000(
+        self, argv, prime, tmp_path, monkeypatch, capsys
+    ):
         from expdens.cli import main
 
+        spec = tmp_path / "all_allow_range.json"
+        spec.write_text(json.dumps({"default": "1..inf", "exceptions": {"p<=10000000": "1..inf"}}))
+        argv = [str(spec) if arg == spec.name else arg for arg in argv]
         limits = []
 
         def spy(sieve):
@@ -472,8 +485,15 @@ class TestDensity:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(getattr(module, name)))
         assert main(argv) == 0
-        assert "truncation_prime=" + argv[-1] in capsys.readouterr().out
-        assert limits and max(limits) <= expdens.euler.MIN_TRUNCATION
+        assert f"truncation_prime={prime} " in capsys.readouterr().out
+        assert max(limits, default=0) <= expdens.euler.MIN_TRUNCATION
+
+    def test_all_allow_range_is_fast(self):
+        pap = parse_prime_aware({"default": "1..inf", "exceptions": {"p<=10000000": "1..inf"}})
+        start = time.perf_counter()
+        est = density(pap)
+        assert time.perf_counter() - start < 0.05
+        assert est == DensityEstimate(1.0, 1.0, 1.0, 9999991, 0.0)
 
     @pytest.mark.parametrize("doc", [
         {"default": "1..1", "exceptions": {"p<=10000000": "1..2"}},
@@ -556,13 +576,14 @@ class TestDensity:
         assert repr(density(as_range)) == repr(expected)
         assert sum(sizes) == len(primes) and len(sizes) >= 20
         assert max(sizes) < len(primes) / 10
-        # every prime allows everything: the early return reads the windows
-        # for the last prime alone and multiplies nothing
+        # every prime allows everything: the range's pattern is the default's,
+        # so no window is read and nothing is multiplied, and its last prime
+        # comes from a primality scan down from q
         sizes.clear()
         monkeypatch.setattr(expdens.euler, "_head_product", refuse)
         allow = parse_prime_aware({"default": "1..inf", "exceptions": {"p<=100000": "1..inf"}})
         assert density(allow) == DensityEstimate(1.0, 1.0, 1.0, 99991, 0.0)
-        assert sum(sizes) == len(primes)
+        assert sizes == []
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
@@ -699,17 +720,15 @@ class TestFixedPoint:
 
         monkeypatch.setattr(expdens.euler, "_bracketed_product", spy_engine)
         monkeypatch.setattr(expdens.euler, "_publish", spy_publish)
-        est = density(pap, 1.0)
-        if not published:
-            # every prime allows everything: the density is exactly 1
-            assert est.lower == est.upper == 1.0
-            return 1 << expdens.euler._W, 1 << expdens.euler._W
+        density(pap, 1.0)
         ((pub_lo, pub_hi, pub_e),) = published
         if not engine:
             # the default allows everything: the density is the correction,
-            # published one unit wider each way
+            # published one unit wider each way once a factor was multiplied,
+            # which leaves c_lo < c_hi, and exactly 1 when none was
             assert pub_e == -expdens.euler._W
-            return pub_lo + 1, pub_hi - 1
+            unit = int(pub_lo < pub_hi)
+            return pub_lo + unit, pub_hi - unit
         ((lo, hi, e),) = engine
         # the published enclosure is the exact product of the two
         assert pub_e == e - expdens.euler._W
@@ -856,13 +875,15 @@ class TestFixedPoint:
         everything = parse_pattern("1..inf")
         spec = load_spec(str(Path(__file__).parent / "data" / "correction_only.json"))
         # 2^-1101 lies below the quotients' cut, so F(2) is taken as exactly 1
-        cases = [(spec, False), (PrimeAwarePattern(everything, {2: parse_pattern("1..1100")}), False)]
+        dropped = PrimeAwarePattern(everything, {2: parse_pattern("1..1100")})
+        cases = [(spec, False), (dropped, False)]
         keys = [2, 3, 5, 7, 11, 13, 97, 991, 997]
         while len(cases) < 40:
             engine = len(cases) % 2 == 0
             default = random_pattern(rng) if engine else everything
+            primes = rng.sample(keys + [1009, 7919] * (not engine), rng.randint(1, 6))
             exceptions = {q: random_pattern(rng, max_lo=5) if rng.random() < 0.8 else EMPTY_PATTERN
-                          for q in rng.sample(keys + [1009, 7919] * (not engine), rng.randint(1, 6))}
+                          for q in primes}
             if contains(default, 1) and (min_forbidden(default) is not None) == engine:
                 cases.append((PrimeAwarePattern(default=default, exceptions=exceptions), engine))
         return cases
@@ -1116,7 +1137,8 @@ class TestClosedForms:
             assert abs(n * e - m * d) << 1100 < d * e
 
     def test_mod_periodic_1_is_one(self):
-        assert closed_form("mod_periodic", ell=1).value == 1.0
+        # the all-allow pattern, through density()
+        assert closed_form("mod_periodic", ell=1) == DensityEstimate(1.0, 1.0, 1.0, 2, 0.0)
 
     def test_catalog_consistency_sq_or_high_vs_skip_one(self):
         a = closed_form("squarefree_or_high", k=3)

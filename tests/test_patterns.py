@@ -291,6 +291,7 @@ def check_runs(pap, ranged=False):
     runs = [([list(window) for window in windows], pattern) for windows, pattern in pap.runs()]
     keys = [p for windows, _ in runs for p in flat(windows)]
     assert sorted(keys) == list(pap.exceptions)
+    assert list(reversed(pap.exceptions)) == sorted(keys, reverse=True)
     assert len(set(keys)) == len(keys)
     for windows, pattern in runs:
         primes = flat(windows)
