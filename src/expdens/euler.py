@@ -552,7 +552,7 @@ def _product_at(cols: list, b: tuple, W: int) -> tuple[list[tuple], int]:
     return out, slack
 
 
-def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
+def _bracketed_product(exps: tuple) -> list[tuple[int, int, int]]:
     """Enclose d_0..d_K of prod_p F(p; z) mod z^(K+1) over all primes.
 
     A local factor is described once, by its exponent rows ``exps``: entry 0
@@ -560,8 +560,7 @@ def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
     entry k = 1..K the exponents of the coefficient a_k of F(p; z) in the
     same form, empty where no exponent has weight k.  ``_head_poly``
     multiplies their ``_delta_quotients`` over the primes up to 1000, each
-    within 2^-1100 of the true one, into the head H; ``col0(primes)``, if
-    given, is a closed form of column 0.  The rest enter through
+    within 2^-1100 of the true one, into the head H.  The rest enter through
     L = sum_{p > 1000} -log F(p; z), whose coefficients ``_neglog_coeffs``
     derives from ``exps``, each z-degree enclosed by ``_tail_fixed``, and
     exp(-L) = exp(-L_0) g(z): exp(-L_0) from ``_exp_fixed``, a Taylor
@@ -569,6 +568,11 @@ def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
     ``_g_series``.  d_k = exp(-L_0) sum_j H_j g_{k-j} comes back as the
     exact integers (lo, hi, e) of [lo, hi] 2^e, for its publisher to round
     outward once.  ``density()`` is K = 0, its default's one row.
+
+    A row is read below exponent 1100 only: the quotients keep the terms
+    p^e < 2^1100, the tail t <= 64, and ``_CUT`` bounds t > 64 for any
+    pattern.  So rows that agree below 1100 share one enclosure, which holds
+    each of their products, the head's unit covering the dropped terms.
 
     The first pass takes W = 256 fraction bits.  The head's slack S is below
     2^-60 of d_k >= 2^(n-1), n = bits(lo) + e, at W >= bits(S) + 61 - n, and
@@ -581,8 +585,7 @@ def _bracketed_product(exps: tuple, col0=None) -> list[tuple[int, int, int]]:
     """
     b = _neglog_coeffs(exps)
     primes = [p for seg in prime_segments(MIN_TRUNCATION) for p in seg]
-    cols = [_delta_quotients(primes, exps[0]) if col0 is None else col0(primes)]
-    cols += [_delta_quotients(primes, e) for e in exps[1:]]
+    cols = [_delta_quotients(primes, e) for e in exps]
     out, slack = _product_at(cols, b, _W_FIRST)
     bits = slack.bit_length()
     need = [bits + 61 - lo.bit_length() - e for lo, _, e in out]
@@ -691,30 +694,23 @@ def density(
 
 
 # The catalog names some products twice (squarefree_or_high k=3 is skip_one
-# k=2, exp_odd is mod_periodic ell=2); these caches compute each once.
+# k=2, exp_odd is mod_periodic ell=2); this cache computes each once.
 @lru_cache(maxsize=256)
 def _interval_density(pattern: ExponentPattern, target_error: float) -> DensityEstimate:
     return density(PrimeAwarePattern(default=pattern), target_error)
 
 
-@lru_cache(maxsize=256)
-def _mod_periodic(ell: int, target_error: float) -> DensityEstimate:
-    if ell == 1:
-        return _interval_density(normalize_intervals([(1, None)]), target_error)
+def _periodic_pattern(ell: int) -> ExponentPattern:
+    """1, 1 + ell, ... below top = 1 + ell ceil(1100 / ell), every exponent from top on.
 
-    def col0(primes: list[int]) -> tuple[list[int], list[int]]:
-        # p^-2 - p^-(ell+1) + p^-(ell+2) - ..., cut as in _delta_quotients
-        pairs = [
-            (1, p * p) if (ell + 1) * (p.bit_length() - 1) >= _CAP_BITS
-            else (p ** (ell - 1) - 1, p * (p**ell - 1))
-            for p in primes
-        ]
-        return [num for num, _ in pairs], [den for _, den in pairs]
-
-    # the row of the allowed exponents 1, 1 + ell, ... to 65, all that the tail reads
-    allowed = range(1, _SERIES_DEGREE + 2, ell)
-    exps = _delta_exponents(normalize_intervals([(e, e) for e in allowed]))
-    return _publish(_bracketed_product((exps,), col0)[0], MIN_TRUNCATION, target_error)
+    top is the first exponent of the class above 1100, so the pattern's
+    delta row agrees with that of {e = 1 mod ell} below 1100, all that the
+    engine reads of a row: its quotients keep the terms p^e < 2^1100, its
+    tail t <= 64, and ``_CUT`` bounds t > 64 for any pattern.  So both get
+    one enclosure, which holds the periodic density (``_bracketed_product``).
+    """
+    top = 1 + ell * -(-_CAP_BITS // ell)
+    return normalize_intervals([*((e, e) for e in range(1, top, ell)), (top, None)])
 
 
 def closed_form(
@@ -729,10 +725,10 @@ def closed_form(
 ) -> DensityEstimate:
     """Evaluate a cataloged density constant.
 
-    Every form is one Euler product over an exponent pattern, some with
-    exceptional primes, and is computed by ``density()``; ``exp_odd`` is
-    ``mod_periodic`` with ell = 2, a product over its own closed-form local
-    factor, and ``ex3`` is d_0 + d_1 of a density series.  A bracket wider
+    Every form but ``ex3`` is the ``density()`` of an exponent pattern, some
+    with exceptional primes: ``mod_periodic``'s pattern is cut at 1100 into
+    one the engine reads alike (``_periodic_pattern``), and ``exp_odd`` is
+    its ell = 2.  ``ex3`` is d_0 + d_1 of a density series.  A bracket wider
     than ``target_error`` raises UnreachableTargetError, except for ``ex3``.
 
     Forms and parameters:
@@ -781,7 +777,7 @@ def closed_form(
     if form == "mod_periodic":
         if ell is None or ell < 1:
             raise ValueError("mod_periodic needs ell >= 1")
-        return _mod_periodic(ell, target_error)
+        return _interval_density(_periodic_pattern(ell), target_error)
 
     if form == "ex1":
         if q is None or not is_prime(q) or k is None or k < 2:

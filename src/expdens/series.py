@@ -219,7 +219,7 @@ def density_series(
     work = (168 + 64) * (K + 9) ** 2 if K <= SERIES_WORK_CAP else math.inf
     if work > SERIES_WORK_CAP:
         raise ResourceBudgetError(
-            f"series work estimate {work:.3g} (degree {K}) exceeds cap {SERIES_WORK_CAP:.3g}"
+            f"series work estimate {work} (degree {K}) exceeds cap {SERIES_WORK_CAP}"
         )
     rows = _row_exponents(w, K)
     if not rows[0]:

@@ -156,7 +156,6 @@ def test_closed_form_bracket_holds_the_truth(request):
     form, kwargs = request
     # a cached row would round nothing for the value check to see
     euler._interval_density.cache_clear()
-    euler._mod_periodic.cache_clear()
     est = _assert_holds(
         lambda: closed_form(form, target_error=1e-12, **kwargs), oracle_closed_form(form, **kwargs)
     )
@@ -185,7 +184,7 @@ def test_range_across_1000_holds_the_truth(q, exception, default):
 def test_mod_periodic_far_period_holds_the_truth(ell):
     # p^-(ell+1) is dropped where p^(ell+1) >= 2^1100: at ell = 150 from
     # p = 257 on, at ell = 2003 for every prime
-    euler._mod_periodic.cache_clear()
+    euler._interval_density.cache_clear()
     _assert_holds(
         lambda: closed_form("mod_periodic", ell=ell, target_error=1e-12),
         oracle_closed_form("mod_periodic", ell=ell),

@@ -4,8 +4,12 @@
 benchmark's density and series requests, one per d_k for a series, and of
 the ``examples`` rows.  ``data/series_parent_brackets.json`` holds the
 ``density_series`` brackets of a sweep of weights, degrees and truncation
-primes, recorded while degrees k >= 1 were taken in floating point.  A
-change that widens one of them has to edit its file.
+primes, recorded while degrees k >= 1 were taken in floating point.
+``data/mod_periodic_parent_brackets.json`` holds the published
+``mod_periodic`` estimates of ell = 1..160, 1099, 1100, 1101, 2003 and 10^6
+at two targets, recorded while the engine took column 0 of that factor from
+a hand-written closed form.  A change that widens one of them has to edit
+its file.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ import pytest
 from helpers import oracle_series
 
 from expdens.cli import EXIT_OK, main
+from expdens.euler import closed_form
 from expdens.patterns import parse_pattern
 from expdens.series import ExponentWeight, density_series
 
@@ -142,3 +147,22 @@ def test_small_coefficients_are_resolved(name):
     ds = density_series(SWEEP_WEIGHTS[name], 16, 10**6)
     assert all(lo > 0 for lo in ds.lower[12:]), ds
 
+
+
+PARENT_PERIODIC = json.loads(
+    (ROOT / "tests" / "data" / "mod_periodic_parent_brackets.json").read_text()
+)["estimates"]
+
+
+@pytest.mark.parametrize(
+    "before", PARENT_PERIODIC,
+    ids=lambda r: f"ell{r['ell']}-t{float.fromhex(r['target_error']):g}",
+)
+def test_mod_periodic_nests_in_the_recorded_brackets(before):
+    # the periodic pattern cut at 1100 reads alike in the engine, so each
+    # bracket is the recorded one or inside it, at the same reported prime
+    est = closed_form("mod_periodic", ell=before["ell"],
+                      target_error=float.fromhex(before["target_error"]))
+    was_lo, was_hi = float.fromhex(before["lower"]), float.fromhex(before["upper"])
+    assert was_lo <= est.lower <= est.upper <= was_hi, (est, before)
+    assert est.truncation_prime == before["truncation_prime"], (est, before)

@@ -423,7 +423,6 @@ class TestExamples:
 
         monkeypatch.setattr(expdens.euler, "_bracketed_product", counting)
         expdens.euler._interval_density.cache_clear()
-        expdens.euler._mod_periodic.cache_clear()
         assert main(["examples"]) == EXIT_OK
         assert len(calls) == 9
         assert len(capsys.readouterr().out.splitlines()) == 11

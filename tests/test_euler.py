@@ -7,7 +7,6 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -649,7 +648,7 @@ class TestFixedPoint:
             return inner(Y, W, up)
 
         monkeypatch.setattr(euler, "_exp_fixed", spy)
-        for cached in (euler.zeta_int, euler._interval_density, euler._mod_periodic):
+        for cached in (euler.zeta_int, euler._interval_density):
             cached.cache_clear()
         rng = random.Random(1)
         for _ in range(40):
@@ -724,11 +723,9 @@ class TestFixedPoint:
         ((pub_lo, pub_hi, pub_e),) = published
         if not engine:
             # the default allows everything: the density is the correction,
-            # published one unit wider each way once a factor was multiplied,
-            # which leaves c_lo < c_hi, and exactly 1 when none was
+            # as published, one unit wider each way once a factor was multiplied
             assert pub_e == -expdens.euler._W
-            unit = int(pub_lo < pub_hi)
-            return pub_lo + unit, pub_hi - unit
+            return pub_lo, pub_hi
         ((lo, hi, e),) = engine
         # the published enclosure is the exact product of the two
         assert pub_e == e - expdens.euler._W
@@ -865,8 +862,9 @@ class TestFixedPoint:
             assert c_lo <= exact * 2**expdens.euler._W <= c_hi, pap
             # the correction's width for k exceptional primes at 2^-128: the k
             # units of N over D and of D times N / D^2, with D > 0.6 and
-            # N / D < 1 / 0.6, and one unit for each rounding
-            assert c_hi - c_lo <= 5 * len(pap.exceptions) + 2
+            # N / D < 1 / 0.6, one unit for each rounding, and a correction-only
+            # density's unit each way
+            assert c_hi - c_lo <= 5 * len(pap.exceptions) + 4
 
     @staticmethod
     def _narrow_cases() -> list[tuple[PrimeAwarePattern, bool]]:
@@ -911,6 +909,20 @@ class TestFixedPoint:
             exact = exact_head(pap) / exact_head(PrimeAwarePattern(default=pap.default))
             assert lower <= lo * Fraction(2) ** e * exact, pap
             assert hi * Fraction(2) ** e * exact <= upper, pap
+
+    def test_upper_unit_covers_a_dropped_negative_term(self, monkeypatch):
+        # scaled down to W = 16 and a cut at 2^20, where the quotient of F(3)
+        # under "2,4,...,18,20..inf" keeps delta's terms to 3^-19 and drops its
+        # last, -3^-20: the exact F(3) lies 4.7e-6 units above the head's
+        # upper end, so only the correction-only upper unit holds it
+        euler = expdens.euler
+        monkeypatch.setattr(euler, "_W", 16)
+        monkeypatch.setattr(euler, "_CAP_BITS", 20)
+        pattern = parse_pattern(",".join(map(str, range(2, 20, 2))) + ",20..inf")
+        est = density(PrimeAwarePattern(parse_pattern("1..inf"), {3: pattern}), 1.0)
+        exact = 1 - sum(Fraction(1, 3**e) - Fraction(1, 3 ** (e + 1)) for e in range(1, 20, 2))
+        assert Fraction(est.lower) <= exact <= Fraction(est.upper)
+        assert exact > Fraction(est.upper) - Fraction(1, 2**16)
 
     def test_degree_zero_calls_no_libm_exp_or_log1p(self, monkeypatch):
         class NoExp:
@@ -981,17 +993,10 @@ def weight_case(w, K):
     return _row_exponents(w, K), w.weight, K
 
 
-def mod_periodic_engine_args(ell):
-    """(col0, exps) as ``_mod_periodic`` passes them to the engine."""
-    with mock.patch.object(expdens.euler, "_bracketed_product",
-                           lambda exps, col0: [(col0, exps)]), \
-         mock.patch.object(expdens.euler, "_publish", lambda enclosure, P, target: enclosure):
-        return expdens.euler._mod_periodic.__wrapped__(ell, 1.0)
-
-
 def periodic_case(ell):
-    """(exps, weight, K) of ``mod_periodic``, its rows as ``_mod_periodic`` passes them."""
-    return mod_periodic_engine_args(ell)[1], lambda t: (t - 1) % ell != 0, 0
+    """(exps, weight, K) of ``mod_periodic``: the one row of its pattern, cut at 1100."""
+    exps = (expdens.euler._delta_exponents(expdens.euler._periodic_pattern(ell)),)
+    return exps, lambda t: (t - 1) % ell != 0, 0
 
 
 FIXED_NEGLOG_CASES = [
@@ -1082,7 +1087,7 @@ def test_caches_keyed_by_caller_input_are_bounded():
     euler = expdens.euler
     sizes = {name: f.cache_info().maxsize for name, f in vars(euler).items()
              if hasattr(f, "cache_info")}
-    names = ["_interval_density", "_mod_periodic", "_neglog_coeffs", "_prime_zeta", "zeta_int"]
+    names = ["_interval_density", "_neglog_coeffs", "_prime_zeta", "zeta_int"]
     assert sizes == dict.fromkeys(names, 256)
 
 
@@ -1122,19 +1127,6 @@ class TestClosedForms:
         assert_below_partial(b.value, partial_euler_product(exp_odd_factor))
         c = closed_form("mod_periodic", ell=3)
         assert_below_partial(c.value, partial_euler_product(mod_periodic_factor(3)))
-
-    @pytest.mark.parametrize("ell", [2, 3, 7, 64, 65, 1100, 10**6])
-    def test_mod_periodic_closed_form_matches_its_rows(self, ell):
-        # the one head column not built from rows: its closed form against the
-        # quotients of the rows of {1, 1 + ell, ...} to exponent 1101
-        primes = sieve_primes(MIN_TRUNCATION).primes.tolist()
-        pattern = normalize_intervals([(e, e) for e in range(1, 1102, ell)])
-        closed = mod_periodic_engine_args(ell)[0](primes)
-        rows = expdens.euler._delta_quotients(primes, expdens.euler._delta_exponents(pattern))
-        assert len(primes) == 168
-        for n, d, m, e in zip(*closed, *rows, strict=True):
-            # |n / d - m / e| < 2^-1100
-            assert abs(n * e - m * d) << 1100 < d * e
 
     def test_mod_periodic_1_is_one(self):
         # the all-allow pattern, through density()

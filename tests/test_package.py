@@ -344,7 +344,7 @@ def test_engine_reads_a_factor_by_its_rows_alone():
     (engine,) = [node for node in ast.walk(trees["euler"])
                  if isinstance(node, ast.FunctionDef) and node.name == "_bracketed_product"]
     params = engine.args
-    assert [a.arg for a in params.posonlyargs + params.args] == ["exps", "col0"]
+    assert [a.arg for a in params.posonlyargs + params.args] == ["exps"]
     assert not (params.vararg or params.kwonlyargs or params.kwarg)
     # the engine encloses the product alone, and one step per caller kind
     # rounds an enclosure: _publish for every estimate, density_series for a

@@ -10,6 +10,7 @@ roundoff.
 
 import functools
 import math
+import re
 import time
 
 import mpmath
@@ -26,6 +27,7 @@ from expdens.cli import EXIT_RESOURCE, main
 from expdens.patterns import parse_pattern
 from expdens.primes import ResourceBudgetError
 from expdens.series import (
+    SERIES_WORK_CAP,
     ExponentWeight,
     _row_exponents,
     density_series,
@@ -217,4 +219,21 @@ class TestWorkCap:
         assert code == EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "exceeds cap" in captured.err
+        _assert_estimate_above_cap(captured.err)
+
+    def test_cli_first_refused_degree_prints_its_estimate(self, capsys):
+        # (168 + 64) (199 + 9)^2 = 10037248 is 0.4% above the cap: printed to
+        # three digits, both numbers read 1e+07
+        assert main(["series", "--weight", "delta", "--degree", "199"]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _assert_estimate_above_cap(captured.err) == (10037248, SERIES_WORK_CAP)
+
+
+def _assert_estimate_above_cap(err: str) -> tuple[int, int]:
+    """The work estimate and cap an exit-3 message prints, as integers, the first above."""
+    found = re.search(r"work estimate (\d+) \(degree \d+\) exceeds cap (\d+)", err)
+    assert found, err
+    estimate, cap = map(int, found.groups())
+    assert estimate > cap, err
+    return estimate, cap
