@@ -8,8 +8,11 @@ primes, recorded while degrees k >= 1 were taken in floating point.
 ``data/mod_periodic_parent_brackets.json`` holds the published
 ``mod_periodic`` estimates of ell = 1..160, 1099, 1100, 1101, 2003 and 10^6
 at two targets, recorded while the engine took column 0 of that factor from
-a hand-written closed form.  A change that widens one of them has to edit
-its file.
+a hand-written closed form.  ``data/correction_parent_brackets.json`` holds
+``density()`` brackets of exceptional-prime corrections, ranges and key sets
+over several defaults at two targets, recorded while the correction was the
+quotient of two enclosed products; ``correction_record`` writes one entry.
+A change that widens one of them has to edit its file.
 """
 
 import contextlib
@@ -23,8 +26,8 @@ import pytest
 from helpers import oracle_series
 
 from expdens.cli import EXIT_OK, main
-from expdens.euler import closed_form
-from expdens.patterns import parse_pattern
+from expdens.euler import UnreachableTargetError, closed_form, density
+from expdens.patterns import parse_pattern, parse_prime_aware
 from expdens.series import ExponentWeight, density_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,3 +169,56 @@ def test_mod_periodic_nests_in_the_recorded_brackets(before):
     was_lo, was_hi = float.fromhex(before["lower"]), float.fromhex(before["upper"])
     assert was_lo <= est.lower <= est.upper <= was_hi, (est, before)
     assert est.truncation_prime == before["truncation_prime"], (est, before)
+
+
+# Exceptional-prime corrections over defaults that allow exponent 1 and
+# forbid something, and over 1..inf, where the density is the correction.
+CORRECTION_DEFAULTS = ["1..1", "1..2", "1..1,3..inf", "1..inf"]
+CORRECTION_EXCEPTIONS = [
+    {"p<=1000": "1..2"},
+    {"p<=10000": ""},
+    {"p<=100000": "1..2"},
+    {"p<=100000": "1..inf"},
+    {"p<=1000": "2..inf", "104729": ""},
+    {"2": "", "3": "1..1", "97": "2..inf", "104729": "1..inf"},
+    {"p in [2,3,5,7,11]": "1..3", "999983": "", "1000003": "1..inf"},
+]
+# 1e-17 is below one ulp of every density here that is not exactly 1
+CORRECTION_TARGETS = [1e-8, 1e-12, 1e-17]
+
+
+def correction_record(default: str, exceptions: dict, target: float) -> dict:
+    """``density()`` of one correction case, floats as float.hex().
+
+    An UnreachableTargetError is recorded as ``"exit": "unreachable"`` with
+    the estimate it carries.
+    """
+    doc = {"default": default, "exceptions": exceptions}
+    try:
+        est, exit_ = density(parse_prime_aware(doc), target), "ok"
+    except UnreachableTargetError as err:
+        est, exit_ = err.best, "unreachable"
+    return {"spec": doc, "target_error": target.hex(), "exit": exit_,
+            "lower": est.lower.hex(), "upper": est.upper.hex(),
+            "truncation_prime": est.truncation_prime}
+
+
+PARENT_CORRECTIONS = json.loads(
+    (ROOT / "tests" / "data" / "correction_parent_brackets.json").read_text()
+)["estimates"]
+
+
+@pytest.mark.parametrize(
+    "before", PARENT_CORRECTIONS,
+    ids=lambda r: f"{r['spec']['default']}-{'+'.join(r['spec']['exceptions'])}"
+                  f"-t{float.fromhex(r['target_error']):g}",
+)
+def test_correction_nests_in_the_recorded_brackets(before):
+    # each bracket is the recorded one or inside it, at the same reported
+    # prime and with the same exit
+    now = correction_record(before["spec"]["default"], before["spec"]["exceptions"],
+                            float.fromhex(before["target_error"]))
+    assert (now["exit"], now["truncation_prime"]) == (before["exit"], before["truncation_prime"])
+    lo, hi = float.fromhex(now["lower"]), float.fromhex(now["upper"])
+    was_lo, was_hi = float.fromhex(before["lower"]), float.fromhex(before["upper"])
+    assert was_lo <= lo <= hi <= was_hi, (now, before)
