@@ -12,7 +12,7 @@ by the expdens CLI.
 import gc
 import sys
 
-from expdens.cli import UsageError, _parse
+from expdens.cli import UsageError, _parse, _report
 from expdens.empirical import g_histogram
 from expdens.patterns import parse_pattern
 from expdens.series import DEFAULT_TRUNCATION, ExponentWeight, density_series
@@ -24,8 +24,7 @@ def main(argv: list[str]) -> int:
     try:
         config = _parse(["series", *argv], FLAGS)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(exc, 2)
     if config is None:
         sys.stdout.write(__doc__)
         return 0

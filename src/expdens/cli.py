@@ -26,6 +26,7 @@ json loads only for machine output.
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 from . import euler  # empirical and series load in the subcommands that use them
@@ -197,14 +198,18 @@ def run(config: RunConfig, out=None) -> int:
         out.write("".join(lines))
         return code
     except (PatternSyntaxError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(exc, EXIT_USAGE)
     except euler.UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
+        return _report(exc, EXIT_UNREACHABLE)
     except ResourceBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _report(exc, EXIT_RESOURCE)
+
+
+def _report(exc: Exception, code: int) -> int:
+    """Write ``exc`` to stderr, each number over 40 digits cut to 20; return ``code``."""
+    message = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}... ({len(m[0])} digits)", str(exc))
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 # Each flag's RunConfig field and converter; only series takes --weight.
@@ -263,8 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _parse(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(exc, EXIT_USAGE)
     if config is None:
         sys.stdout.write(_USAGE)
         return EXIT_OK

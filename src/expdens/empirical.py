@@ -41,7 +41,7 @@ from operator import iadd
 
 from ._record import record
 from .patterns import PrimeAwarePattern, contains
-from .primes import DEFAULT_SIEVE_BUDGET, ResourceBudgetError, sieve_primes
+from .primes import _check_budget, sieve_primes
 
 # A rule maps an exponent e >= 1 to its weight.
 Rule = Callable[[int], int]
@@ -83,10 +83,7 @@ class ComparisonReport:
 def _check_x(x: int) -> None:
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > DEFAULT_SIEVE_BUDGET:
-        raise ResourceBudgetError(
-            f"count bound {x} exceeds budget {DEFAULT_SIEVE_BUDGET}"
-        )
+    _check_budget(x, "count bound")
 
 
 def _local_terms(rule: Rule, K: int, top: int) -> list[tuple]:

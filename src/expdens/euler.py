@@ -14,9 +14,9 @@ num / p^E of them (``_delta_quotients``).
 
 A density follows the default pattern at every prime but a finite set E
 of exceptional primes, so it is the default's product times the finite
-correction C = prod_{p in E} F_E(p) / F(p).  Both products of C are taken
-exactly in fixed point, and C scales the integer enclosure of the
-default's product exactly, after the engine.  That product splits once,
+correction C = prod_{p in E} F_E(p) / F(p).  C is one fixed-point chain of
+per-prime ratios, and it scales the integer enclosure of the default's
+product exactly, after the engine.  That product splits once,
 at 1000: the factors of the primes p <= 1000 are multiplied as W-bit
 fixed-point integers rounded outward at each step, and every prime above
 1000 enters through -log F(p) = sum_t c_t p^-t, for exact rationals
@@ -84,7 +84,7 @@ MIN_TRUNCATION = 1000
 # Degree at which power series in 1/p are cut.
 _SERIES_DEGREE = 64
 # Exceptional primes per chunk of quotients.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 # [lo_t, hi_t] for t = 2..64: two adjacent floats with
 # lo_t <= T_t(1000) = sum_{p > 1000} p^-t <= hi_t, from P(t) - sum_{p <= 1000} p^-t
 # with mpmath's prime zeta P at 40 + 3t digits.  tests/test_euler.py
@@ -390,20 +390,6 @@ _TAIL_ENDS = tuple(
 )
 
 
-def _head_product(nums: list[int], dens: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """[lo, hi] times prod_j (den_j - num_j) / den_j, enclosed in integers.
-
-    The lower end is rounded down at each step.  Each floor loses less than
-    1, and every factor lies in [0, 1], so it never grows what was lost
-    before: the exact product of any start in [lo, hi] lies within
-    hi - lo + len(nums) above the lower end.
-    """
-    slack = hi - lo + len(nums)
-    for num, den in zip(nums, dens):
-        lo = lo * (den - num) // den
-    return lo, lo + slack
-
-
 def _head_poly(cols: list, W: int, K: int) -> tuple[list[int], int]:
     """(H, S) with each coefficient of prod_p sum_k a_k(p) z^k in [H_k - 1, H_k + S] 2^-W.
 
@@ -420,8 +406,9 @@ def _head_poly(cols: list, W: int, K: int) -> tuple[list[int], int]:
     the terms the quotients drop, at most 2^-1100 a coefficient.  These two
     units are relative to H, about 2^-255 of a density's head, so they also
     cover the terms dropped by the quotients of ``density()``'s correction:
-    each factor is at least 1/2, so the correction over at most 5.8 million
-    primes is within 2^-1075 of its quotients' relatively.
+    each ratio F_E(p) / F(p) is at least F_E(p) >= 1/2 and within 2^-1098
+    of its quotients' relatively, so the chain of at most 5.8 million
+    primes is within 2^-1075.
 
     Kronecker packing: each prime's alpha_k are packed into one integer, and
     the H_j into another, in fields of 2W + 8 bits.  Every field of their
@@ -635,22 +622,27 @@ def density(
 ) -> DensityEstimate:
     """Natural density of {n : every prime exponent allowed by ``pap``}.
 
-    The density is the default's product D times the correction C = N / D_E
-    over the exceptional primes whose pattern is not the default's, N the
-    product of their own factors and D_E of their default factors.  Both
-    are taken exactly in fixed point (``_head_product``), each enclosed
-    between an integer and that integer plus its number of factors, a chunk
-    of a window of ``pap.runs()`` at a time, so no array of a ``p<=q`` range
-    is held whole; C 2^_W lies in [c_lo, c_hi] = [floor(N_lo 2^_W / D_hi),
-    ceil(N_hi 2^_W / D_lo)], where D_E > 0.6: a default that allows exponent
-    1 has every factor at least 1 - p^-2.  With D in [lo, hi] 2^e, the
-    density is in the exact product [lo c_lo, hi c_hi] 2^(e - _W) of the two
-    non-negative enclosures.  D is exactly 0 when the default forbids
-    exponent 1 (the product diverges to zero), and exactly 1 when it allows
-    everything, where C takes one more unit each way, once a factor was
-    multiplied, for the terms the quotients drop.  Otherwise D comes from
-    ``_bracketed_product``, whose charge covers those terms; it never reruns
-    here: d_0 > 0.6 and its slack has 9 bits, so it needs 70 bits of 256.
+    The density is the default's product D times the correction
+    C = prod_{p in E} F_E(p) / F(p) over the exceptional primes E whose
+    pattern is not the default's, taken as one integer chain, a chunk of a
+    window of ``pap.runs()`` at a time, so no array of a ``p<=q`` range is
+    held whole: from x = 2^_W, each prime takes x <- floor(x t / b), with
+    t / b = (den_E - num_E) den / (den_E (den - num)) from the
+    ``_delta_quotients`` of its pattern and of the default.  A floor loses
+    less than 1, scaled by the product of the later ratios.  F_E <= 1, and
+    F >= 1 - p^-2 when the default allows exponent 1 (a truncated
+    alternating delta sum is at most its first term, so the quotients obey
+    both), so that product is below zeta(2) < 5/3, and 1 after the last
+    prime: with n = |E|, x lies within ceil(5n/3) units below C 2^_W, and
+    with D in [lo, hi] 2^e the density is in [lo x, hi (x + ceil(5n/3))]
+    2^(e - _W).  D is exactly 0 when the default forbids exponent 1 (the
+    product diverges to zero), and exactly 1 when it allows everything:
+    then its quotients are taken as 0 / 1, every ratio is at most 1, x lies
+    within n units below C 2^_W, and C takes one more unit each way, once a
+    factor was multiplied, for the terms the quotients drop.  Otherwise D
+    comes from ``_bracketed_product``, whose charge covers those terms
+    (``_head_poly``); it never reruns here: d_0 > 0.6 and its slack has 9
+    bits, so it needs 70 bits of 256.
 
     The estimate is reported at 2 for a divergent product, at the largest
     exceptional prime (or 2) when the default allows everything, and
@@ -671,7 +663,7 @@ def density(
         # before any float of P: a P of hundreds of digits would overflow
         _check_budget(P, "truncation prime")
     default_exps = _delta_exponents(pap.default)
-    num = den = (1 << _W, 1 << _W)
+    x, n = 1 << _W, 0
     for windows, pattern in pap.runs() if m != 1 else ():
         if pattern == pap.default:
             continue
@@ -679,14 +671,16 @@ def density(
         for window in windows:
             for i in range(0, len(window), _CHUNK):
                 chunk = window[i : i + _CHUNK]
-                num = _head_product(*_delta_quotients(chunk, exps), *num)
-                if m is not None:
-                    den = _head_product(*_delta_quotients(chunk, default_exps), *den)
-    c_lo, c_hi = (num[0] << _W) // den[1], -(-(num[1] << _W) // den[0])
-    unit = int(m is None and num[0] < num[1])  # num[0] < num[1]: a factor was multiplied
+                d_nums, d_dens = ((repeat(0), repeat(1)) if m is None
+                                  else _delta_quotients(chunk, default_exps))
+                for num, den, d_num, d_den in zip(*_delta_quotients(chunk, exps), d_nums, d_dens):
+                    x = x * (den - num) * d_den // (den * (d_den - d_num))
+                n += len(chunk)
+    slack = n if m is None else -(-(5 * n) // 3)
+    unit = int(m is None and n > 0)  # n > 0: a factor was multiplied
     lo, hi, e = ((0, 0, 0) if m == 1 else (1, 1, 0) if m is None
                  else _bracketed_product((default_exps,))[0])
-    return _publish((lo * max(c_lo - unit, 0), hi * (c_hi + unit), e - _W), P, target_error)
+    return _publish((lo * max(x - unit, 0), hi * (x + slack + unit), e - _W), P, target_error)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,21 @@ class TestComputationalExits:
         )
         assert code == EXIT_VERIFY_FAILED
 
+    @pytest.mark.parametrize("argv, code", [
+        (["series", "--weight", "delta", "--degree", "1" + "0" * 4000], EXIT_RESOURCE),
+        (["series", "--weight", "delta", "--degree", "1" * 5000], EXIT_USAGE),
+        (["count", "--pattern", "1..1", "--x", "1" * 5000], EXIT_USAGE),
+        (["count", "--pattern", "1..1", "--x", "1" + "0" * 4000], EXIT_RESOURCE),
+        (["density", "--pattern", "1..1", "--truncation", "1" + "0" * 4000], EXIT_RESOURCE),
+    ], ids=["degree-cap", "degree-unreadable", "x-unreadable", "x-budget", "truncation-budget"])
+    def test_a_huge_number_is_not_echoed_in_full(self, argv, code, capsys):
+        # each message names the number by its first 20 digits and its length
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 200, captured.err
+        assert f"... ({len(argv[-1])} digits)" in captured.err
+
 
 class TestVerify:
     def test_pass(self):

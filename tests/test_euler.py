@@ -579,7 +579,7 @@ class TestDensity:
         # so no window is read and nothing is multiplied, and its last prime
         # comes from a primality scan down from q
         sizes.clear()
-        monkeypatch.setattr(expdens.euler, "_head_product", refuse)
+        monkeypatch.setattr(expdens.euler, "_delta_quotients", refuse)
         allow = parse_prime_aware({"default": "1..inf", "exceptions": {"p<=100000": "1..inf"}})
         assert density(allow) == DensityEstimate(1.0, 1.0, 1.0, 99991, 0.0)
         assert sizes == []
@@ -860,11 +860,16 @@ class TestFixedPoint:
             # every exceptional prime is below 1000
             exact = exact_head(pap) / exact_head(PrimeAwarePattern(default=pap.default))
             assert c_lo <= exact * 2**expdens.euler._W <= c_hi, pap
-            # the correction's width for k exceptional primes at 2^-128: the k
-            # units of N over D and of D times N / D^2, with D > 0.6 and
-            # N / D < 1 / 0.6, one unit for each rounding, and a correction-only
-            # density's unit each way
-            assert c_hi - c_lo <= 5 * len(pap.exceptions) + 4
+            # the correction's width for k exceptional primes at 2^-128: the
+            # chain's k floors, each scaled by at most zeta(2) < 5/3, the
+            # product of the ratios after it, and a correction-only density's
+            # unit each way; over a default that forbids an exponent, exactly
+            # the ceil(5k/3) that density() states (a key with the default's
+            # pattern is no factor)
+            k = sum(pattern != pap.default for pattern in pap.exceptions.values())
+            assert c_hi - c_lo <= -(-5 * k // 3) + 2
+            if min_forbidden(pap.default) is not None:
+                assert c_hi - c_lo == -(-5 * k // 3), pap
 
     @staticmethod
     def _narrow_cases() -> list[tuple[PrimeAwarePattern, bool]]:
