@@ -18,8 +18,8 @@ import re
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, repeat
-from operator import and_, itemgetter, lt, rshift
+from itertools import chain
+from operator import itemgetter, lt
 
 from ._record import record
 # sieve_primes stays a module attribute: perfbench/trace_launch.py wraps it by name.
@@ -96,11 +96,8 @@ class PrimeAwarePattern:
             flags = _odd_flags(ordered[end - 1])
             # 2 is the one even prime; flags[p >> 1] marks an odd p
             odd = ordered[1:end] if ordered[0] == 2 else ordered[:end]
-            if not (
-                all(map(and_, odd, repeat(1)))
-                and all(map(flags.__getitem__, map(rshift, odd, repeat(1))))
-            ):
-                bad = next(p for p in odd if not (p & 1 and flags[p >> 1]))
+            bad = next((p for p in odd if not (p & 1 and flags[p >> 1])), None)
+            if bad is not None:
                 raise ValueError(f"exception key {bad} is not prime")
         for p in ordered[end:]:
             if not is_prime(p):

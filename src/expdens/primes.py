@@ -1,11 +1,15 @@
 """A prime sieve and a primality test.
 
-An odd-only Eratosthenes sieve over a bytearray, marked in windows of at
-most ``SEGMENT_SIZE`` integers so that large limits never allocate one
-giant block, and a deterministic Miller-Rabin test for validating
-individual primes.  Primes come back as ``array('q')``, compact and
-sorted: it supports ``len``, slicing, ``tolist`` and ``bisect``, which the
-oracle uses to count the primes of a "p<=q" range between two bounds.
+One odd-only Eratosthenes sieve, ``_odd_flags(limit, lo)``, marks the odd
+numbers of [lo, limit] in a bytearray with the odd primes up to
+sqrt(limit), which it reads from its own flags of [1, sqrt(limit)]; the
+recursion ends below 9, where no odd prime is needed.  ``prime_segments``
+calls it once per window of at most ``SEGMENT_SIZE`` integers, so large
+limits never allocate one giant block, and a deterministic Miller-Rabin
+test validates individual primes.  Primes come back as ``array('q')``,
+compact and sorted: it supports ``len``, slicing, ``tolist`` and
+``bisect``, which the oracle uses to count the primes of a "p<=q" range
+between two bounds.
 """
 
 from __future__ import annotations
@@ -77,52 +81,43 @@ def _check_budget(limit: int, what: str = "sieve limit") -> None:
         raise ResourceBudgetError(f"{what} {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}")
 
 
-def _odd_flags(limit: int) -> bytearray:
-    """flags[i] = 1 exactly when 2i + 1 <= limit is prime.
+def _odd_flags(limit: int, lo: int = 1) -> bytearray:
+    """flags[i] = 1 exactly when lo + 2i <= limit is prime, for odd lo >= 1.
 
-    The multiples of an odd p from p^2 on sit p entries apart.
+    The odd primes p <= sqrt(limit), read from the flags of [1, sqrt(limit)],
+    strike their odd multiples from max(p^2, lo) on, p entries apart.
     """
-    n = (limit + 1) // 2
+    n = len(range(lo, limit + 1, 2))
     flags = bytearray([1]) * n
-    flags[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            start = (2 * i + 1) ** 2 >> 1
-            flags[start :: 2 * i + 1] = bytes(len(range(start, n, 2 * i + 1)))
+    if lo == 1 and n:
+        flags[0] = 0
+    root = math.isqrt(limit)
+    if root < 3:
+        return flags
+    for p in compress(range(1, root + 1, 2), _odd_flags(root)):
+        start = max(p * p, (lo + p - 1) // p * p)
+        start += p * (start % 2 == 0)  # the first odd multiple
+        i = (start - lo) >> 1
+        flags[i::p] = bytes(len(range(i, n, p)))
     return flags
-
-
-def _block(limit: int) -> array:
-    primes = array("q", [2])
-    primes.extend(compress(range(1, limit + 1, 2), _odd_flags(limit)))
-    return primes
 
 
 def prime_segments(limit: int) -> Iterator[array]:
     """Yield ascending arrays of primes that together cover [2, limit].
 
-    The base primes up to sqrt(limit) mark windows of at most
-    ``SEGMENT_SIZE`` integers, the first starting at 3 and carrying the 2, so
-    every limit up to ``SEGMENT_SIZE`` comes back as a single block and peak
-    memory stays bounded by ``SEGMENT_SIZE`` at any limit.
+    Each window of at most ``SEGMENT_SIZE`` integers is one ``_odd_flags``
+    call, which finds the window's base primes itself, so none are kept
+    here.  The first window starts at 3 and carries the 2, so every limit up
+    to ``SEGMENT_SIZE`` comes back as a single block, and peak memory stays
+    bounded by ``SEGMENT_SIZE`` at any limit.
     """
     if limit < 2:
         return
     _check_budget(limit)
-    base = _block(math.isqrt(limit))[1:]
     lo, primes = 3, array("q", [2])
     while True:
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        n = (hi - lo + 1) // 2  # the odd numbers lo, lo + 2, ... below hi
-        flags = bytearray([1]) * n
-        for p in base:
-            if p * p >= hi:
-                break
-            start = max(p * p, (lo + p - 1) // p * p)
-            start += p * (start % 2 == 0)  # the first odd multiple
-            i = (start - lo) >> 1
-            flags[i::p] = bytes(len(range(i, n, p)))
-        primes.extend(compress(range(lo, hi, 2), flags))
+        primes.extend(compress(range(lo, hi, 2), _odd_flags(hi - 1, lo)))
         yield primes
         if hi > limit:
             return

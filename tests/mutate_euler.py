@@ -155,7 +155,17 @@ def find_mutations(source: str) -> list[dict]:
 
 
 def run_one(tree: Path, mutation: dict, tests: list[str], timeout: float) -> tuple[str, float]:
-    """The first test that fails with ``mutation`` applied to a copy of ``tree``."""
+    """The first test that fails with ``mutation`` applied to a copy of ``tree``.
+
+    A mutation whose line no longer reads as it did when it was found (the
+    file was edited during the run) is refused before anything is copied.
+    """
+    lines = (tree / TARGET).read_text().splitlines(keepends=True)
+    at = mutation["line"] - 1
+    if at >= len(lines) or lines[at].strip() != mutation["old"]:
+        raise SystemExit(f"{TARGET}:{mutation['line']} no longer reads {mutation['old']!r}:"
+                         " the file changed since the run started")
+    lines[at] = mutation["new"]
     with tempfile.TemporaryDirectory(prefix="mutate-euler-") as scratch:
         work = Path(scratch) / "tree"
         ignore = shutil.ignore_patterns("__pycache__")
@@ -164,10 +174,7 @@ def run_one(tree: Path, mutation: dict, tests: list[str], timeout: float) -> tup
                 shutil.copytree(tree / part, work / part, ignore=ignore)
             elif (tree / part).exists():
                 shutil.copy(tree / part, work / part)
-        path = work / TARGET
-        lines = path.read_text().splitlines(keepends=True)
-        lines[mutation["line"] - 1] = mutation["new"]
-        path.write_text("".join(lines))
+        (work / TARGET).write_text("".join(lines))
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *(f"tests/{name}" for name in tests)]

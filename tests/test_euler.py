@@ -116,6 +116,35 @@ class TestZeta:
                 assert pz.error <= 2.5e-16 * pz.value
 
 
+class TestRatio:
+    @staticmethod
+    def _carry_witnesses():
+        """(n, d) whose floor(n 2^q / d), q as ``_ratio`` takes it, is inexact
+        and ends in as many one bits as ``_to_float`` shifts off: its ceiling
+        carries into the 53 kept bits, so a lower end rounded up would be the
+        float above n / d."""
+        found = []
+        for n in range(1, 4):
+            for d in range(2, 20000):
+                q = d.bit_length() + 64
+                M, r = divmod(n << q, d)
+                shift = M.bit_length() - 53
+                if r and M & ((1 << shift) - 1) == (1 << shift) - 1:
+                    found.append((n, d))
+        return found
+
+    def test_lower_end_is_a_floor(self):
+        witnesses = self._carry_witnesses()
+        assert (1, 8193) in witnesses and len(witnesses) >= 5
+        for n, d in witnesses:
+            for num, den in (((n, n, 0), (d, d, 0)), ((n, n + 1, 0), (d - 1, d, 0))):
+                r = expdens.euler._ratio(num, den)
+                lower = Fraction(r.value) - Fraction(r.error)
+                assert lower <= Fraction(num[0], den[1]), (num, den)
+                upper = Fraction(r.value) + Fraction(r.error)
+                assert upper >= Fraction(num[1], den[0]), (num, den)
+
+
 class TestTailTable:
     """``_TAIL_1000`` holds T_t(1000) = sum_{p > 1000} p^-t between adjacent floats."""
 

@@ -1,12 +1,17 @@
+import math
 import random
 import time
+from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expdens.primes
 from expdens.primes import (
     ResourceBudgetError,
+    _odd_flags,
     is_prime,
     prime_segments,
     sieve_primes,
@@ -106,6 +111,44 @@ class TestIsPrime:
             is_prime(3317044064679887385961981)
 
 
+def unsegmented(limit):
+    """Every prime <= limit from one ``_odd_flags`` call over [1, limit]."""
+    return [2] + list(compress(range(1, limit + 1, 2), _odd_flags(limit)))
+
+
+def trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestOddFlags:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 5000), st.integers(0, 2600))
+    def test_against_trial_division(self, limit, half):
+        lo = 2 * half + 1  # odd, from 1 up to past the limit
+        flags = _odd_flags(limit, lo)
+        assert len(flags) == len(range(lo, limit + 1, 2))
+        assert list(flags) == [trial_division(m) for m in range(lo, limit + 1, 2)]
+
+    @pytest.mark.parametrize("limit", range(12))
+    @pytest.mark.parametrize("lo", [1, 3, 5, 7, 9, 11, 13])
+    def test_below_the_first_base_prime(self, limit, lo):
+        # below 9 no odd prime strikes anything; lo > limit is empty
+        assert list(_odd_flags(limit, lo)) == [
+            trial_division(m) for m in range(lo, limit + 1, 2)
+        ]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 97])
+    def test_windows_starting_below_p_squared(self, p):
+        # each window starts at or below p^2, some below p itself: p must stay
+        # unmarked, and its first struck multiple is p^2, not the first in the window
+        limit = p * p + 4 * p
+        odd = [trial_division(m) for m in range(1, limit + 1, 2)]
+        for lo in range(1, p * p + 2, 2):
+            flags = _odd_flags(limit, lo)
+            assert list(flags) == odd[lo >> 1 :]
+            assert not flags[(p * p - lo) >> 1]
+
+
 class TestSegments:
     def test_segmented_matches_one_shot(self, monkeypatch):
         limit = 10**7 + 50_000  # three windows of the default SEGMENT_SIZE
@@ -116,7 +159,7 @@ class TestSegments:
         joined = np.concatenate(segs)
         assert np.array_equal(joined, reference)
         # the reference is segmented too; the unsegmented sieve checks both
-        assert np.array_equal(joined, expdens.primes._block(limit))
+        assert np.array_equal(joined, unsegmented(limit))
         assert int(joined[-1]) <= limit
 
     def test_empty_below_two(self):
@@ -126,7 +169,8 @@ class TestSegments:
         for limit in range(2, 3001):
             segs = list(prime_segments(limit))
             assert len(segs) == 1
-            assert segs[0] == expdens.primes._block(limit)
+            assert segs[0].tolist() == unsegmented(limit)
+        assert unsegmented(3000) == reference_primes(3000)
 
     @pytest.mark.parametrize("size", [64, 63])
     def test_small_windows_tile_the_range(self, monkeypatch, size):
@@ -135,7 +179,8 @@ class TestSegments:
         assert len(segs) > 1
         flat = [p for seg in segs for p in seg]
         assert flat == sorted(set(flat))  # ascending and disjoint
-        assert flat == expdens.primes._block(10**5).tolist()
+        assert flat == unsegmented(10**5)
+        assert flat == reference_primes(10**5)
 
 
 class TestSpf:
